@@ -15,7 +15,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 
 	"lfs/internal/layout"
@@ -61,8 +60,63 @@ type Block struct {
 	dirtiedAt sim.Time
 	pins      int
 
-	lruElem   *list.Element // position in c.lru
-	dirtyElem *list.Element // position in c.dirty when dirty
+	// links are the block's positions in the cache's three intrusive
+	// chains, indexed by chainID.
+	links [numChains]link
+}
+
+// chainID names one of the chains a cached block is linked on.
+type chainID int
+
+const (
+	chainLRU   chainID = iota // every block; front = most recently used
+	chainDirty                // dirty blocks; front = oldest dirtied
+	chainIno                  // blocks of one inode, any kind; unordered
+	numChains
+)
+
+// link is a block's neighbours on one chain (nil at either end).
+type link struct{ prev, next *Block }
+
+// chain is a doubly linked list threaded through Block.links[id].
+type chain struct {
+	id          chainID
+	front, back *Block
+}
+
+func (l *chain) pushFront(b *Block) {
+	b.links[l.id] = link{next: l.front}
+	if l.front != nil {
+		l.front.links[l.id].prev = b
+	} else {
+		l.back = b
+	}
+	l.front = b
+}
+
+func (l *chain) pushBack(b *Block) {
+	b.links[l.id] = link{prev: l.back}
+	if l.back != nil {
+		l.back.links[l.id].next = b
+	} else {
+		l.front = b
+	}
+	l.back = b
+}
+
+func (l *chain) remove(b *Block) {
+	k := b.links[l.id]
+	if k.prev != nil {
+		k.prev.links[l.id].next = k.next
+	} else {
+		l.front = k.next
+	}
+	if k.next != nil {
+		k.next.links[l.id].prev = k.prev
+	} else {
+		l.back = k.prev
+	}
+	b.links[l.id] = link{}
 }
 
 // Dirty reports whether the block has unwritten modifications.
@@ -102,8 +156,12 @@ type Cache struct {
 	capacity  int
 
 	blocks map[Key]*Block
-	lru    *list.List // front = most recent; values are *Block
-	dirty  *list.List // front = oldest dirtied; values are *Block
+	lru    chain
+	dirty  chain
+	nDirty int
+	// byIno holds the front block of each inode's chain, so unlink can
+	// drop a file's blocks without scanning the whole cache.
+	byIno map[layout.Ino]*Block
 
 	stats Stats
 }
@@ -117,8 +175,9 @@ func New(capacity, blockSize int) *Cache {
 		blockSize: blockSize,
 		capacity:  capacity,
 		blocks:    make(map[Key]*Block),
-		lru:       list.New(),
-		dirty:     list.New(),
+		lru:       chain{id: chainLRU},
+		dirty:     chain{id: chainDirty},
+		byIno:     make(map[layout.Ino]*Block),
 	}
 }
 
@@ -132,7 +191,7 @@ func (c *Cache) Capacity() int { return c.capacity }
 func (c *Cache) Len() int { return len(c.blocks) }
 
 // DirtyCount returns the number of dirty blocks.
-func (c *Cache) DirtyCount() int { return c.dirty.Len() }
+func (c *Cache) DirtyCount() int { return c.nDirty }
 
 // Stats returns a snapshot of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -146,7 +205,10 @@ func (c *Cache) Get(k Key) *Block {
 		return nil
 	}
 	c.stats.Hits++
-	c.lru.MoveToFront(b.lruElem)
+	if c.lru.front != b {
+		c.lru.remove(b)
+		c.lru.pushFront(b)
+	}
 	return b
 }
 
@@ -165,10 +227,17 @@ func (c *Cache) Add(k Key) *Block {
 	}
 	c.evictFor(1)
 	b := &Block{Key: k, Data: make([]byte, c.blockSize)}
-	b.lruElem = c.lru.PushFront(b)
-	c.blocks[k] = b
+	c.insert(b)
 	c.stats.Inserted++
 	return b
+}
+
+// insert links b into the map, the LRU chain (as most recent) and its
+// inode's chain.
+func (c *Cache) insert(b *Block) {
+	c.blocks[b.Key] = b
+	c.lru.pushFront(b)
+	c.linkIno(b)
 }
 
 // evictFor evicts clean, unpinned LRU blocks until there is room for n
@@ -193,8 +262,7 @@ func (c *Cache) evictFor(n int) {
 // and real buffer caches gave it priority for the same reason.
 func (c *Cache) evictable() *Block {
 	var meta *Block
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(*Block)
+	for b := c.lru.back; b != nil; b = b.links[chainLRU].prev {
 		if b.dirty || b.pins > 0 {
 			continue
 		}
@@ -213,7 +281,7 @@ func (c *Cache) evictable() *Block {
 // the condition that forces a write-back (the "cache full" trigger of
 // §4.3.5).
 func (c *Cache) Overfull() bool {
-	if c.dirty.Len() >= c.capacity {
+	if c.nDirty >= c.capacity {
 		return true
 	}
 	return len(c.blocks) > c.capacity && c.evictable() == nil
@@ -222,7 +290,7 @@ func (c *Cache) Overfull() bool {
 // AboveDirtyWatermark reports whether dirty blocks exceed the given
 // fraction of capacity.
 func (c *Cache) AboveDirtyWatermark(frac float64) bool {
-	return float64(c.dirty.Len()) > frac*float64(c.capacity)
+	return float64(c.nDirty) > frac*float64(c.capacity)
 }
 
 // MarkDirty records a modification to b at the given time. Re-dirtying
@@ -234,7 +302,8 @@ func (c *Cache) MarkDirty(b *Block, now sim.Time) {
 	}
 	b.dirty = true
 	b.dirtiedAt = now
-	b.dirtyElem = c.dirty.PushBack(b)
+	c.dirty.pushBack(b)
+	c.nDirty++
 }
 
 // MarkClean records that b has been written to disk.
@@ -243,8 +312,8 @@ func (c *Cache) MarkClean(b *Block) {
 		return
 	}
 	b.dirty = false
-	c.dirty.Remove(b.dirtyElem)
-	b.dirtyElem = nil
+	c.dirty.remove(b)
+	c.nDirty--
 }
 
 // Pin protects b from eviction until a matching Unpin.
@@ -269,12 +338,51 @@ func (c *Cache) Remove(k Key) {
 // remove unlinks b from all structures.
 func (c *Cache) remove(b *Block) {
 	delete(c.blocks, b.Key)
-	c.lru.Remove(b.lruElem)
-	if b.dirty {
-		c.dirty.Remove(b.dirtyElem)
+	c.lru.remove(b)
+	c.MarkClean(b)
+	c.unlinkIno(b)
+}
+
+// linkIno puts b at the front of its inode's chain.
+func (c *Cache) linkIno(b *Block) {
+	front := c.byIno[b.Key.Ino]
+	b.links[chainIno] = link{next: front}
+	if front != nil {
+		front.links[chainIno].prev = b
 	}
-	b.lruElem, b.dirtyElem = nil, nil
-	b.dirty = false
+	c.byIno[b.Key.Ino] = b
+}
+
+// unlinkIno takes b off its inode's chain, dropping the chain's map
+// entry with its last block.
+func (c *Cache) unlinkIno(b *Block) {
+	k := b.links[chainIno]
+	switch {
+	case k.prev != nil:
+		k.prev.links[chainIno].next = k.next
+	case k.next != nil:
+		c.byIno[b.Key.Ino] = k.next
+	default:
+		delete(c.byIno, b.Key.Ino)
+	}
+	if k.next != nil {
+		k.next.links[chainIno].prev = k.prev
+	}
+	b.links[chainIno] = link{}
+}
+
+// RemoveIno drops every block of the inode — file data, indirect and
+// anything else keyed by it — discarding dirty contents; it returns
+// the number removed. The cost is the inode's own block count, not the
+// cache's.
+func (c *Cache) RemoveIno(ino layout.Ino) int {
+	n := 0
+	for b := c.byIno[ino]; b != nil; n++ {
+		next := b.links[chainIno].next
+		c.remove(b)
+		b = next
+	}
+	return n
 }
 
 // RemoveMatching drops every block whose key satisfies pred,
@@ -315,26 +423,27 @@ func (c *Cache) DropClean() int {
 // first). The slice is a snapshot; callers may MarkClean entries while
 // iterating it.
 func (c *Cache) DirtyBlocks() []*Block {
-	out := make([]*Block, 0, c.dirty.Len())
-	for e := c.dirty.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(*Block))
+	out := make([]*Block, 0, c.nDirty)
+	for b := c.dirty.front; b != nil; b = b.links[chainDirty].next {
+		out = append(out, b)
 	}
 	return out
 }
 
 // OldestDirty returns the dirtied time of the oldest dirty block.
 func (c *Cache) OldestDirty() (sim.Time, bool) {
-	e := c.dirty.Front()
-	if e == nil {
+	if c.dirty.front == nil {
 		return 0, false
 	}
-	return e.Value.(*Block).dirtiedAt, true
+	return c.dirty.front.dirtiedAt, true
 }
 
 // Clear drops everything, including dirty blocks — the crash
 // primitive: a machine crash loses exactly the cache contents.
 func (c *Cache) Clear() {
 	c.blocks = make(map[Key]*Block)
-	c.lru.Init()
-	c.dirty.Init()
+	c.lru.front, c.lru.back = nil, nil
+	c.dirty.front, c.dirty.back = nil, nil
+	c.nDirty = 0
+	c.byIno = make(map[layout.Ino]*Block)
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +206,273 @@ func TestRemoveMatching(t *testing.T) {
 	}
 }
 
+func TestRemoveIno(t *testing.T) {
+	c := New(8, 512)
+	for i := 0; i < 3; i++ {
+		c.Add(key(1, int64(i)))
+	}
+	c.MarkDirty(c.Add(Key{Kind: KindIndirect, Ino: 1, Off: 7}), 0)
+	c.MarkDirty(c.Add(key(2, 0)), 0)
+	if n := c.RemoveIno(1); n != 4 || c.Len() != 1 || c.DirtyCount() != 1 {
+		t.Fatalf("RemoveIno removed %d, len %d, dirty %d", n, c.Len(), c.DirtyCount())
+	}
+	if c.Peek(key(2, 0)) == nil {
+		t.Fatal("unrelated block removed")
+	}
+	if n := c.RemoveIno(1); n != 0 {
+		t.Fatalf("second RemoveIno removed %d", n)
+	}
+	checkChains(t, c)
+	// The inode's number can be reused straight away.
+	c.Add(key(1, 0))
+	checkChains(t, c)
+}
+
+func TestRemoveInoDoesNotAllocate(t *testing.T) {
+	c := New(64, 512)
+	for i := 0; i < 32; i++ {
+		c.Add(key(i+10, 0))
+	}
+	pair := []*Block{c.Add(key(1, 0)), c.Add(key(1, 1))}
+	c.RemoveIno(1)
+	// Re-insert the same two blocks each run, so the only work measured
+	// beside RemoveIno's is linking them.
+	n := testing.AllocsPerRun(100, func() {
+		for _, b := range pair {
+			c.insert(b)
+		}
+		if c.RemoveIno(1) != 2 {
+			t.Fatal("RemoveIno missed a block")
+		}
+	})
+	if n != 0 {
+		t.Fatalf("RemoveIno: %v allocs per run, want 0", n)
+	}
+	checkChains(t, c)
+}
+
+// checkChains verifies the three intrusive chains against the block
+// map: the LRU chain holds every block once, the dirty chain exactly
+// the dirty ones, each inode chain exactly that inode's blocks, and
+// every prev pointer mirrors the next pointer before it.
+func checkChains(t *testing.T, c *Cache) {
+	t.Helper()
+	walk := func(name string, id chainID, front, back *Block, visit func(*Block)) int {
+		n := 0
+		var prev *Block
+		for b := front; b != nil; prev, b = b, b.links[id].next {
+			if b.links[id].prev != prev {
+				t.Fatalf("%s chain: %v has the wrong prev link", name, b.Key)
+			}
+			if c.blocks[b.Key] != b {
+				t.Fatalf("%s chain: %v is not the cached block for its key", name, b.Key)
+			}
+			visit(b)
+			if n++; n > len(c.blocks) {
+				t.Fatalf("%s chain is longer than the cache", name)
+			}
+		}
+		if back != prev {
+			t.Fatalf("%s chain: back pointer is not the last block", name)
+		}
+		return n
+	}
+	if n := walk("lru", chainLRU, c.lru.front, c.lru.back, func(*Block) {}); n != len(c.blocks) {
+		t.Fatalf("lru chain has %d blocks, cache %d", n, len(c.blocks))
+	}
+	n := walk("dirty", chainDirty, c.dirty.front, c.dirty.back, func(b *Block) {
+		if !b.dirty {
+			t.Fatalf("dirty chain holds clean block %v", b.Key)
+		}
+	})
+	dirty := 0
+	for _, b := range c.blocks {
+		if b.dirty {
+			dirty++
+		}
+	}
+	if n != dirty || c.nDirty != dirty {
+		t.Fatalf("dirty chain has %d blocks, nDirty %d, cache has %d dirty", n, c.nDirty, dirty)
+	}
+	total := 0
+	for ino, front := range c.byIno {
+		if front == nil {
+			t.Fatalf("inode %d has an empty chain entry", ino)
+		}
+		back := front
+		for back.links[chainIno].next != nil {
+			back = back.links[chainIno].next
+		}
+		total += walk("inode", chainIno, front, back, func(b *Block) {
+			if b.Key.Ino != ino {
+				t.Fatalf("inode %d chain holds %v", ino, b.Key)
+			}
+		})
+	}
+	if total != len(c.blocks) {
+		t.Fatalf("inode chains hold %d blocks, cache %d", total, len(c.blocks))
+	}
+}
+
+// sliceModel is the cache's ordering contract written the slow,
+// obvious way: recency and dirtied order as slices of keys.
+type sliceModel struct {
+	capacity int
+	lru      []Key // front = most recent
+	dirty    []Key // front = oldest dirtied
+	pins     map[Key]int
+}
+
+func without(keys []Key, k Key) []Key {
+	for i, x := range keys {
+		if x == k {
+			return append(keys[:i:i], keys[i+1:]...)
+		}
+	}
+	return keys
+}
+
+func contains(keys []Key, k Key) bool {
+	for _, x := range keys {
+		if x == k {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *sliceModel) remove(k Key) {
+	m.lru, m.dirty = without(m.lru, k), without(m.dirty, k)
+	delete(m.pins, k)
+}
+
+// add returns the keys evicted to make room, in order.
+func (m *sliceModel) add(k Key) []Key {
+	var evicted []Key
+	for len(m.lru)+1 > m.capacity {
+		victim, found := Key{}, false
+		for i := len(m.lru) - 1; i >= 0; i-- {
+			x := m.lru[i]
+			if contains(m.dirty, x) || m.pins[x] > 0 {
+				continue
+			}
+			if x.Kind == KindFile {
+				victim, found = x, true
+				break
+			}
+			if !found {
+				victim, found = x, true
+			}
+		}
+		if !found {
+			break
+		}
+		m.remove(victim)
+		evicted = append(evicted, victim)
+	}
+	m.lru = append([]Key{k}, m.lru...)
+	return evicted
+}
+
+// TestCacheMatchesSliceModel drives random operations through the
+// cache and the slice model and requires the same evictions in the
+// same order, the same dirtied order and the same contents — the
+// behaviour the container/list implementation had — with the chains
+// consistent after every step.
+func TestCacheMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var evicted []Key
+	DebugEvict = func(k Key) { evicted = append(evicted, k) }
+	defer func() { DebugEvict = nil }()
+	for round := 0; round < 30; round++ {
+		c := New(6, 16)
+		m := &sliceModel{capacity: 6, pins: map[Key]int{}}
+		for step := 0; step < 400; step++ {
+			k := Key{Kind: Kind(rng.Intn(3)), Ino: layout.Ino(rng.Intn(5)), Off: int64(rng.Intn(3))}
+			evicted = evicted[:0]
+			var want []Key
+			switch op := rng.Intn(20); {
+			case op < 8: // lookup, adding on a miss
+				if b := c.Get(k); b != nil {
+					m.lru = append([]Key{k}, without(m.lru, k)...)
+				} else {
+					c.Add(k)
+					want = m.add(k)
+				}
+			case op < 11:
+				if b := c.Peek(k); b != nil {
+					c.MarkDirty(b, sim.Time(step))
+					if !contains(m.dirty, k) {
+						m.dirty = append(m.dirty, k)
+					}
+				}
+			case op < 13:
+				if b := c.Peek(k); b != nil {
+					c.MarkClean(b)
+					m.dirty = without(m.dirty, k)
+				}
+			case op < 14:
+				if b := c.Peek(k); b != nil {
+					c.Pin(b)
+					m.pins[k]++
+				}
+			case op < 15:
+				if b := c.Peek(k); b != nil && b.Pinned() {
+					c.Unpin(b)
+					m.pins[k]--
+				}
+			case op < 16:
+				c.Remove(k)
+				m.remove(k)
+			case op < 18:
+				n := c.RemoveIno(k.Ino)
+				for _, x := range append([]Key(nil), m.lru...) {
+					if x.Ino == k.Ino {
+						m.remove(x)
+						n--
+					}
+				}
+				if n != 0 {
+					t.Fatalf("round %d step %d: RemoveIno count off by %d", round, step, n)
+				}
+			case op < 19:
+				c.RemoveMatching(func(x Key) bool { return x.Kind == k.Kind && x.Off == k.Off })
+				for _, x := range append([]Key(nil), m.lru...) {
+					if x.Kind == k.Kind && x.Off == k.Off {
+						m.remove(x)
+					}
+				}
+			default:
+				if rng.Intn(4) == 0 {
+					c.Clear()
+					m.lru, m.dirty, m.pins = nil, nil, map[Key]int{}
+				} else {
+					c.DropClean()
+					for _, x := range append([]Key(nil), m.lru...) {
+						if !contains(m.dirty, x) && m.pins[x] == 0 {
+							m.remove(x)
+						}
+					}
+				}
+			}
+			if fmt.Sprint(evicted) != fmt.Sprint(want) {
+				t.Fatalf("round %d step %d: evicted %v, model %v", round, step, evicted, want)
+			}
+			var lru, dirty []Key
+			for b := c.lru.front; b != nil; b = b.links[chainLRU].next {
+				lru = append(lru, b.Key)
+			}
+			for _, b := range c.DirtyBlocks() {
+				dirty = append(dirty, b.Key)
+			}
+			if fmt.Sprint(lru) != fmt.Sprint(m.lru) || fmt.Sprint(dirty) != fmt.Sprint(m.dirty) {
+				t.Fatalf("round %d step %d:\nlru   %v\nmodel %v\ndirty %v\nmodel %v", round, step, lru, m.lru, dirty, m.dirty)
+			}
+			checkChains(t, c)
+		}
+	}
+}
+
 func TestDropClean(t *testing.T) {
 	c := New(8, 512)
 	c.Add(key(1, 0))
@@ -233,6 +501,13 @@ func TestClear(t *testing.T) {
 	if _, ok := c.OldestDirty(); ok {
 		t.Fatal("Clear left dirty list populated")
 	}
+	checkChains(t, c)
+	// Nothing of the old contents may be reachable through a new block.
+	c.MarkDirty(c.Add(key(1, 1)), 0)
+	if n := c.RemoveIno(1); n != 1 {
+		t.Fatalf("RemoveIno after Clear removed %d blocks, want 1", n)
+	}
+	checkChains(t, c)
 }
 
 func TestKeyString(t *testing.T) {
@@ -324,6 +599,23 @@ func BenchmarkCacheChurn(b *testing.B) {
 		if c.Get(k) == nil {
 			c.Add(k)
 		}
+	}
+}
+
+// BenchmarkCacheRemoveIno is unlink's cache cost in a full paper-sized
+// cache: add one block for a file, drop the file's blocks.
+func BenchmarkCacheRemoveIno(b *testing.B) {
+	c := New(3840, 4096)
+	for i := 0; i < 3839; i++ {
+		c.Add(key(i+2, 0))
+	}
+	victim := c.Add(key(1, 0))
+	c.RemoveIno(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.insert(victim)
+		c.RemoveIno(1)
 	}
 }
 

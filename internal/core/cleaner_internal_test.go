@@ -18,7 +18,7 @@ func layoutNewInode(ino layout.Ino) *layout.Inode {
 
 // newTestFS builds a mounted FS on a fresh memory disk for white-box
 // tests.
-func newTestFS(t *testing.T, capacity int64, cfg Config) *FS {
+func newTestFS(t testing.TB, capacity int64, cfg Config) *FS {
 	t.Helper()
 	d := disk.NewMem(capacity, sim.NewClock())
 	if err := Format(d, cfg); err != nil {

@@ -49,14 +49,44 @@ func (fs *FS) forgetName(dir layout.Ino, name string) {
 func (fs *FS) forgetDir(dir layout.Ino) {
 	delete(fs.names, dir)
 	delete(fs.insertHint, dir)
+	delete(fs.entryCount, dir)
+}
+
+// noteEntries keeps a directory's learned entry count in step with an
+// insert or removal; a directory not yet counted stays uncounted.
+func (fs *FS) noteEntries(dir layout.Ino, delta int) {
+	if n, ok := fs.entryCount[dir]; ok {
+		fs.entryCount[dir] = n + delta
+	}
+}
+
+// nameCacheComplete reports whether the name cache provably holds
+// every entry of the directory. The cache only ever holds entries the
+// directory has, so once it holds as many as the directory does it
+// holds all of them. The directory's entry count is learned from the
+// first full scan that finds nothing and kept current by dirInsert and
+// dirRemove; past nameCacheDirLimit, or on a freshly mounted FS, the
+// sizes differ (or the count is unknown) and the answer is no.
+func (fs *FS) nameCacheComplete(dir layout.Ino) bool {
+	n, counted := fs.entryCount[dir]
+	return counted && len(fs.names[dir]) == n
 }
 
 // dirLookup searches the directory for name, consulting the name
 // cache first.
+//
+// A miss in the name cache walks every directory block through
+// getDataBlock — that walk is the simulated cost of a failed lookup
+// (block set-up CPU, cache hits and LRU touches, disk reads for evicted
+// blocks) and always happens. What is skipped when the name cache is
+// complete is only the host-side byte scan of each block, which could
+// not find a name the cache lacks.
 func (fs *FS) dirLookup(dir *layout.Inode, name string) (layout.Ino, bool, error) {
 	if e, ok := fs.names[dir.Ino][name]; ok {
 		return e.ino, true, nil
 	}
+	complete := fs.nameCacheComplete(dir.Ino)
+	entries := 0
 	for lbn := int64(0); lbn < fs.dirBlocks(dir); lbn++ {
 		b, err := fs.getDataBlock(dir, lbn, false)
 		if err != nil {
@@ -64,6 +94,9 @@ func (fs *FS) dirLookup(dir *layout.Inode, name string) (layout.Ino, bool, error
 		}
 		if b == nil {
 			return 0, false, fmt.Errorf("lfs: directory %d has a hole at block %d", dir.Ino, lbn)
+		}
+		if complete {
+			continue
 		}
 		ino, found, err := layout.DirBlockFind(b.Data, name)
 		if err != nil {
@@ -73,6 +106,11 @@ func (fs *FS) dirLookup(dir *layout.Inode, name string) (layout.Ino, bool, error
 			fs.cacheName(dir.Ino, name, ino, lbn)
 			return ino, true, nil
 		}
+		n, _ := layout.DirBlockCount(b.Data) // DirBlockFind validated the block
+		entries += n
+	}
+	if !complete {
+		fs.entryCount[dir.Ino] = entries
 	}
 	return 0, false, nil
 }
@@ -98,6 +136,7 @@ func (fs *FS) dirInsert(dir *layout.Inode, name string, ino layout.Ino) error {
 			fs.bc.MarkDirty(b, fs.clock.Now())
 			fs.insertHint[dir.Ino] = lbn
 			fs.cacheName(dir.Ino, name, ino, lbn)
+			fs.noteEntries(dir.Ino, +1)
 			return nil
 		}
 	}
@@ -119,6 +158,7 @@ func (fs *FS) dirInsert(dir *layout.Inode, name string, ino layout.Ino) error {
 	fs.markInodeDirty(dir.Ino)
 	fs.insertHint[dir.Ino] = lbn
 	fs.cacheName(dir.Ino, name, ino, lbn)
+	fs.noteEntries(dir.Ino, +1)
 	return nil
 }
 
@@ -145,6 +185,7 @@ func (fs *FS) dirRemove(dir *layout.Inode, name string) error {
 			if removed {
 				fs.bc.MarkDirty(b, fs.clock.Now())
 				fs.forgetName(dir.Ino, name)
+				fs.noteEntries(dir.Ino, -1)
 				// Freed space may precede the insert hint.
 				if hint, ok := fs.insertHint[dir.Ino]; ok && lbn < hint {
 					fs.insertHint[dir.Ino] = lbn

@@ -284,7 +284,6 @@ func (fs *FS) removeFileBlocks(in *layout.Inode) error {
 		return err
 	}
 	// Drop any remaining cached blocks of this file.
-	ino := in.Ino
-	fs.bc.RemoveMatching(func(k cache.Key) bool { return k.Ino == ino })
+	fs.bc.RemoveIno(in.Ino)
 	return nil
 }

@@ -97,6 +97,11 @@ type FS struct {
 	// 10000-files-in-one-directory workload turns quadratic.
 	// Guarded by mu.
 	names map[layout.Ino]map[string]nameEntry
+	// entryCount is, per directory, how many entries it holds — present
+	// only once a full scan has counted them (see dirLookup), which is
+	// what lets a complete name cache answer "no such name". Guarded
+	// by mu.
+	entryCount map[layout.Ino]int
 	// insertHint remembers, per directory, the first data block
 	// that may have room for a new entry. Guarded by mu.
 	insertHint map[layout.Ino]int64
@@ -198,6 +203,7 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 		inodes:      make(map[layout.Ino]*layout.Inode),
 		dirtyInodes: make(map[layout.Ino]bool),
 		names:       make(map[layout.Ino]map[string]nameEntry),
+		entryCount:  make(map[layout.Ino]int),
 		insertHint:  make(map[layout.Ino]int64),
 		lastRead:    make(map[layout.Ino]int64),
 		writeSerial: 1,

@@ -167,10 +167,13 @@ func (fs *FS) evictInodes() {
 // markInodeDirty queues ino for the next segment write.
 func (fs *FS) markInodeDirty(ino layout.Ino) { fs.dirtyInodes[ino] = true }
 
-// dropInode removes ino from the in-core table (unlink).
+// dropInode removes ino from the in-core tables (unlink). The inode
+// map may hand the number to a new file, which must not inherit the
+// old one's read-ahead position.
 func (fs *FS) dropInode(ino layout.Ino) {
 	delete(fs.inodes, ino)
 	delete(fs.dirtyInodes, ino)
+	delete(fs.lastRead, ino)
 }
 
 // getIndirect returns the cached indirect block (ino, id). When the

@@ -203,3 +203,34 @@ func TestSuperblockRoundTrip(t *testing.T) {
 		t.Fatal("corrupted superblock decoded")
 	}
 }
+
+// TestUnlinkForgetsReadAheadPosition: freeing an inode drops its
+// last-read block, so a file created on the reused number cannot
+// inherit a read-ahead position (and the table does not grow by one
+// entry per file ever read).
+func TestUnlinkForgetsReadAheadPosition(t *testing.T) {
+	fs := newTestFS(t, 32<<20)
+	buf := make([]byte, 3*fs.cfg.BlockSize)
+	if err := fs.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Write("/f", 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := fs.Stat("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Read("/f", 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if fs.lastRead[fi.Ino] != 2 {
+		t.Fatalf("lastRead = %d after reading blocks 0..2", fs.lastRead[fi.Ino])
+	}
+	if err := fs.Remove("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, leaked := fs.lastRead[fi.Ino]; leaked {
+		t.Fatalf("lastRead still has an entry for unlinked inode %d", fi.Ino)
+	}
+}

@@ -453,6 +453,7 @@ func (fs *FS) freeInode(ino layout.Ino) error {
 	fs.dirty(bm)
 	fs.freeInodes[g]++
 	delete(fs.atimes, ino)
+	delete(fs.lastRead, ino)
 	return nil
 }
 

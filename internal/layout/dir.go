@@ -11,10 +11,14 @@ import (
 //
 //	ino (4 bytes) | name length (2 bytes) | name bytes
 //
-// Entries never straddle blocks. Insertion and removal rewrite the
-// block compactly; directory blocks are small enough (4–8 KB) that the
-// rewrite cost is charged through the CPU model, not worth an in-place
-// scheme.
+// Entries never straddle blocks and the bytes past the last entry are
+// zero. Lookup, insertion and removal work on the block in place: one
+// scanner (scanDirBlock) validates every entry and compares name bytes
+// without building strings, insertion appends at the tail, removal
+// shifts the following entries down. Only DirBlockEntries, for ReadDir
+// and fsck, materialises entries. What a directory operation costs in
+// simulated time is charged through the CPU model by the file systems,
+// not here.
 
 // MaxNameLen is the longest permitted file name, matching BSD.
 const MaxNameLen = 255
@@ -56,51 +60,70 @@ func InitDirBlock(p []byte) {
 	}
 }
 
+// dirEntryHeader is the fixed part of an entry: inode number and name
+// length.
+const dirEntryHeader = 4 + 2
+
+// dirEntryEnd validates entry i, which starts at offset off, and
+// returns the offset just past it; its name is p[off+dirEntryHeader:end].
+// Every reader of a directory block goes through it, so they all
+// reject the same blocks with the same errors.
+func dirEntryEnd(p []byte, off, i int) (int, error) {
+	if off+dirEntryHeader > len(p) {
+		return 0, fmt.Errorf("layout: directory block truncated at entry %d", i)
+	}
+	nlen := int(binary.LittleEndian.Uint16(p[off+4:]))
+	end := off + dirEntryHeader + nlen
+	if nlen == 0 || nlen > MaxNameLen || end > len(p) {
+		return 0, fmt.Errorf("layout: directory entry %d has bad name length %d", i, nlen)
+	}
+	return end, nil
+}
+
 // DirBlockEntries decodes all entries in the block.
 func DirBlockEntries(p []byte) ([]DirEntry, error) {
-	if len(p) < dirHeaderSize {
-		return nil, fmt.Errorf("layout: directory block shorter than header")
+	count, err := DirBlockCount(p)
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint16(p))
 	entries := make([]DirEntry, 0, count)
 	off := dirHeaderSize
 	for i := 0; i < count; i++ {
-		if off+6 > len(p) {
-			return nil, fmt.Errorf("layout: directory block truncated at entry %d", i)
+		end, err := dirEntryEnd(p, off, i)
+		if err != nil {
+			return nil, err
 		}
-		ino := Ino(binary.LittleEndian.Uint32(p[off:]))
-		nlen := int(binary.LittleEndian.Uint16(p[off+4:]))
-		off += 6
-		if nlen == 0 || nlen > MaxNameLen || off+nlen > len(p) {
-			return nil, fmt.Errorf("layout: directory entry %d has bad name length %d", i, nlen)
-		}
-		entries = append(entries, DirEntry{Ino: ino, Name: string(p[off : off+nlen])})
-		off += nlen
+		entries = append(entries, DirEntry{
+			Ino:  Ino(binary.LittleEndian.Uint32(p[off:])),
+			Name: string(p[off+dirEntryHeader : end]),
+		})
+		off = end
 	}
 	return entries, nil
 }
 
-// encodeDirBlock writes entries into p; the caller guarantees they fit.
-func encodeDirBlock(entries []DirEntry, p []byte) {
-	InitDirBlock(p)
-	binary.LittleEndian.PutUint16(p, uint16(len(entries)))
+// scanDirBlock walks the whole block in place. It returns the offset
+// of the first entry called name (-1 when there is none) and the
+// offset just past the last entry. The walk never stops at a match: a
+// block with a corrupt entry anywhere is an error for every operation.
+func scanDirBlock(p []byte, name string) (at, end int, err error) {
+	count, err := DirBlockCount(p)
+	if err != nil {
+		return 0, 0, err
+	}
+	at = -1
 	off := dirHeaderSize
-	for _, e := range entries {
-		binary.LittleEndian.PutUint32(p[off:], uint32(e.Ino))
-		binary.LittleEndian.PutUint16(p[off+4:], uint16(len(e.Name)))
-		off += 6
-		copy(p[off:], e.Name)
-		off += len(e.Name)
+	for i := 0; i < count; i++ {
+		next, err := dirEntryEnd(p, off, i)
+		if err != nil {
+			return 0, 0, err
+		}
+		if at < 0 && string(p[off+dirEntryHeader:next]) == name {
+			at = off
+		}
+		off = next
 	}
-}
-
-// dirBlockUsed returns the bytes consumed by the given entries.
-func dirBlockUsed(entries []DirEntry) int {
-	used := dirHeaderSize
-	for _, e := range entries {
-		used += DirEntrySize(e.Name)
-	}
-	return used
+	return at, off, nil
 }
 
 // DirBlockInsert adds an entry to the block, returning false when the
@@ -110,52 +133,45 @@ func DirBlockInsert(p []byte, e DirEntry) (bool, error) {
 	if err := ValidName(e.Name); err != nil {
 		return false, err
 	}
-	entries, err := DirBlockEntries(p)
+	at, end, err := scanDirBlock(p, e.Name)
 	if err != nil {
 		return false, err
 	}
-	for _, x := range entries {
-		if x.Name == e.Name {
-			return false, fmt.Errorf("layout: duplicate directory entry %q", e.Name)
-		}
+	if at >= 0 {
+		return false, fmt.Errorf("layout: duplicate directory entry %q", e.Name)
 	}
-	if dirBlockUsed(entries)+DirEntrySize(e.Name) > len(p) {
+	if end+DirEntrySize(e.Name) > len(p) {
 		return false, nil
 	}
-	entries = append(entries, e)
-	encodeDirBlock(entries, p)
+	binary.LittleEndian.PutUint16(p, binary.LittleEndian.Uint16(p)+1)
+	binary.LittleEndian.PutUint32(p[end:], uint32(e.Ino))
+	binary.LittleEndian.PutUint16(p[end+4:], uint16(len(e.Name)))
+	end += dirEntryHeader
+	end += copy(p[end:], e.Name)
+	clear(p[end:]) // restores the zero tail even if the block arrived without one
 	return true, nil
 }
 
 // DirBlockRemove deletes the named entry, reporting whether it was
 // present.
 func DirBlockRemove(p []byte, name string) (bool, error) {
-	entries, err := DirBlockEntries(p)
-	if err != nil {
+	at, end, err := scanDirBlock(p, name)
+	if err != nil || at < 0 {
 		return false, err
 	}
-	for i, e := range entries {
-		if e.Name == name {
-			entries = append(entries[:i], entries[i+1:]...)
-			encodeDirBlock(entries, p)
-			return true, nil
-		}
-	}
-	return false, nil
+	binary.LittleEndian.PutUint16(p, binary.LittleEndian.Uint16(p)-1)
+	end = at + copy(p[at:], p[at+DirEntrySize(name):end])
+	clear(p[end:])
+	return true, nil
 }
 
 // DirBlockFind looks the name up in the block.
 func DirBlockFind(p []byte, name string) (Ino, bool, error) {
-	entries, err := DirBlockEntries(p)
-	if err != nil {
+	at, _, err := scanDirBlock(p, name)
+	if err != nil || at < 0 {
 		return 0, false, err
 	}
-	for _, e := range entries {
-		if e.Name == name {
-			return e.Ino, true, nil
-		}
-	}
-	return 0, false, nil
+	return Ino(binary.LittleEndian.Uint32(p[at:])), true, nil
 }
 
 // DirBlockCount returns the number of entries in the block.

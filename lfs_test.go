@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"lfs"
@@ -141,4 +144,33 @@ func ExampleFormat() {
 	n, _ := fs.Read("/hello", 0, buf)
 	fmt.Println(string(buf[:n]))
 	// Output: world
+}
+
+// TestCIBaselinesCommitted: every baseline scripts/ci.sh hands to
+// benchdiff.sh must exist in the tree and not be ignored by git, or
+// the merge gate fails on a fresh clone before it compares anything.
+func TestCIBaselinesCommitted(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join("scripts", "ci.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ignored, err := os.ReadFile(".gitignore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baselines := regexp.MustCompile(`benchdiff\.sh\s+(BENCH_\w+\.json)`).FindAllSubmatch(ci, -1)
+	if len(baselines) == 0 {
+		t.Fatal("scripts/ci.sh names no benchdiff baselines; has the gate moved?")
+	}
+	for _, m := range baselines {
+		name := string(m[1])
+		if _, err := os.Stat(name); err != nil {
+			t.Errorf("ci.sh diffs against %s, which is not in the tree: %v", name, err)
+		}
+		for _, line := range strings.Split(string(ignored), "\n") {
+			if strings.TrimPrefix(strings.TrimSpace(line), "/") == name {
+				t.Errorf("ci.sh diffs against %s, which .gitignore excludes", name)
+			}
+		}
+	}
 }

@@ -117,4 +117,15 @@ go run ./cmd/lfsbench -experiment metrics -quick \
 go run ./cmd/lfstop "$tracedir/metrics.jsonl" > /dev/null
 scripts/benchdiff.sh BENCH_metrics.json "$tracedir/BENCH_metrics.json"
 mv "$tracedir/BENCH_metrics.json" BENCH_metrics.json
+echo "== lfsperf smoke =="
+# The small-file workload on both clocks: lfsperf exits non-zero unless
+# every operation succeeded and the simulated results repeated for the
+# seed (its "correct"), and the host allocation count per operation —
+# deterministic, unlike host time — must stay within the budget the
+# in-place directory codec and the intrusive cache chains bought
+# (1340 before them, about 7 after).
+perf="$(go run ./cmd/lfsperf -workload smallfile -seconds 3 -out "$tracedir/lfsperf" | tail -n 1)"
+echo "$perf" | grep -q '"correct":true' || { echo "lfsperf: result not correct: $perf" >&2; exit 1; }
+echo "$perf" | sed -n 's/.*"host_allocs_per_op":{"unit":"count","value":\([0-9.e+-]*\)}.*/\1/p' |
+	awk 'END { if (NR != 1 || $1 + 0 > 25) { print "lfsperf: smallfile host_allocs_per_op = " $1 ", want <= 25" > "/dev/stderr"; exit 1 } }'
 echo "ci passed"
