@@ -51,7 +51,10 @@ func (k Key) String() string {
 	return fmt.Sprintf("{kind=%d ino=%d off=%d}", k.Kind, k.Ino, k.Off)
 }
 
-// Block is one cached block. Data always has the cache's block size.
+// Block is one cached block. Data has the cache's block size while the
+// block is cached; the cache owns the buffer and takes it back (leaving
+// Data nil) when the block is removed, so a clean, unpinned *Block must
+// not be held across an Add, which may evict it.
 type Block struct {
 	Key  Key
 	Data []byte
@@ -149,6 +152,12 @@ func (s Stats) HitRate() float64 {
 // instrumentation only).
 var DebugEvict func(Key)
 
+// DebugPoison, when set, scribbles 0xDB over every buffer entering the
+// free list, so a read through a stale *Block or an AddFrom caller that
+// does not overwrite the whole block shows up as wrong bytes (test
+// instrumentation only).
+var DebugPoison bool
+
 // Cache is a fixed-capacity block cache. Not safe for concurrent use;
 // the owning file system serialises access.
 type Cache struct {
@@ -162,6 +171,9 @@ type Cache struct {
 	// byIno holds the front block of each inode's chain, so unlink can
 	// drop a file's blocks without scanning the whole cache.
 	byIno map[layout.Ino]*Block
+	// free holds the buffers of removed blocks for the next Add, at most
+	// capacity of them, so a cache at steady state allocates no data.
+	free [][]byte
 
 	stats Stats
 }
@@ -218,15 +230,39 @@ func (c *Cache) Peek(k Key) *Block {
 	return c.blocks[k]
 }
 
-// Add allocates a zeroed block for k, inserting it and evicting clean
-// unpinned LRU blocks as needed. Adding an existing key panics — the
-// caller must Get first.
+// Add inserts a zeroed block for k, evicting clean unpinned LRU blocks
+// as needed. Adding an existing key panics — the caller must Get first.
 func (c *Cache) Add(k Key) *Block {
+	b := c.add(k)
+	clear(b.Data)
+	return b
+}
+
+// AddFrom is Add for a caller that has the block's whole contents in
+// hand: src, exactly one block long, is copied in, so a recycled buffer
+// needs no clearing first.
+func (c *Cache) AddFrom(k Key, src []byte) *Block {
+	if len(src) != c.blockSize {
+		panic(fmt.Sprintf("cache: AddFrom of %d bytes, block size %d", len(src), c.blockSize))
+	}
+	b := c.add(k)
+	copy(b.Data, src)
+	return b
+}
+
+// add inserts a block for k on a buffer from the free list, contents
+// stale, or a new one when the list is empty.
+func (c *Cache) add(k Key) *Block {
 	if _, exists := c.blocks[k]; exists {
 		panic(fmt.Sprintf("cache: Add of existing key %v", k))
 	}
 	c.evictFor(1)
-	b := &Block{Key: k, Data: make([]byte, c.blockSize)}
+	b := &Block{Key: k}
+	if n := len(c.free) - 1; n >= 0 {
+		b.Data, c.free = c.free[n], c.free[:n]
+	} else {
+		b.Data = make([]byte, c.blockSize)
+	}
 	c.insert(b)
 	c.stats.Inserted++
 	return b
@@ -335,12 +371,28 @@ func (c *Cache) Remove(k Key) {
 	}
 }
 
-// remove unlinks b from all structures.
+// remove unlinks b from all structures and takes its buffer back.
 func (c *Cache) remove(b *Block) {
 	delete(c.blocks, b.Key)
 	c.lru.remove(b)
 	c.MarkClean(b)
 	c.unlinkIno(b)
+	c.recycle(b)
+}
+
+// recycle moves b's buffer to the free list (or drops it when the list
+// is full) and detaches it from b, so a stale holder of b fails on a nil
+// slice instead of reading another block's bytes.
+func (c *Cache) recycle(b *Block) {
+	if len(c.free) < c.capacity {
+		if DebugPoison {
+			for i := range b.Data {
+				b.Data[i] = 0xDB
+			}
+		}
+		c.free = append(c.free, b.Data)
+	}
+	b.Data = nil
 }
 
 // linkIno puts b at the front of its inode's chain.
@@ -406,9 +458,8 @@ func (c *Cache) RemoveMatching(pred func(Key) bool) int {
 func (c *Cache) DropClean() int {
 	var victims []*Block
 	//lfslint:allow maporder eviction order does not matter: every clean block is dropped and the final cache state is identical for any order
-	for k, b := range c.blocks {
+	for _, b := range c.blocks {
 		if !b.dirty && b.pins == 0 {
-			_ = k
 			victims = append(victims, b)
 		}
 	}
@@ -423,11 +474,16 @@ func (c *Cache) DropClean() int {
 // first). The slice is a snapshot; callers may MarkClean entries while
 // iterating it.
 func (c *Cache) DirtyBlocks() []*Block {
-	out := make([]*Block, 0, c.nDirty)
+	return c.AppendDirty(make([]*Block, 0, c.nDirty))
+}
+
+// AppendDirty is DirtyBlocks into the caller's slice: it appends the
+// snapshot to dst and returns the extended slice.
+func (c *Cache) AppendDirty(dst []*Block) []*Block {
 	for b := c.dirty.front; b != nil; b = b.links[chainDirty].next {
-		out = append(out, b)
+		dst = append(dst, b)
 	}
-	return out
+	return dst
 }
 
 // OldestDirty returns the dirtied time of the oldest dirty block.
@@ -441,6 +497,9 @@ func (c *Cache) OldestDirty() (sim.Time, bool) {
 // Clear drops everything, including dirty blocks — the crash
 // primitive: a machine crash loses exactly the cache contents.
 func (c *Cache) Clear() {
+	for b := c.lru.front; b != nil; b = b.links[chainLRU].next {
+		c.recycle(b)
+	}
 	c.blocks = make(map[Key]*Block)
 	c.lru.front, c.lru.back = nil, nil
 	c.dirty.front, c.dirty.back = nil, nil

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -239,7 +240,7 @@ func TestRemoveInoDoesNotAllocate(t *testing.T) {
 	// beside RemoveIno's is linking them.
 	n := testing.AllocsPerRun(100, func() {
 		for _, b := range pair {
-			c.insert(b)
+			reinsert(c, b)
 		}
 		if c.RemoveIno(1) != 2 {
 			t.Fatal("RemoveIno missed a block")
@@ -251,12 +252,43 @@ func TestRemoveInoDoesNotAllocate(t *testing.T) {
 	checkChains(t, c)
 }
 
+// reinsert puts a removed block back under its old key on a buffer from
+// the free list, without allocating a new Block.
+func reinsert(c *Cache, b *Block) {
+	n := len(c.free) - 1
+	b.Data, c.free = c.free[n], c.free[:n]
+	c.insert(b)
+}
+
 // checkChains verifies the three intrusive chains against the block
 // map: the LRU chain holds every block once, the dirty chain exactly
 // the dirty ones, each inode chain exactly that inode's blocks, and
-// every prev pointer mirrors the next pointer before it.
+// every prev pointer mirrors the next pointer before it. It also
+// verifies buffer ownership: every cached block has a whole buffer, the
+// free list holds at most capacity whole buffers, and no buffer is
+// owned twice.
 func checkChains(t *testing.T, c *Cache) {
 	t.Helper()
+	if len(c.free) > c.capacity {
+		t.Fatalf("free list holds %d buffers, capacity %d", len(c.free), c.capacity)
+	}
+	owner := map[*byte]string{}
+	own := func(buf []byte, who string) {
+		if len(buf) != c.blockSize {
+			t.Fatalf("%s has a %d-byte buffer, block size %d", who, len(buf), c.blockSize)
+		}
+		if prev, taken := owner[&buf[0]]; taken {
+			t.Fatalf("%s shares its buffer with %s", who, prev)
+		}
+		owner[&buf[0]] = who
+	}
+	for i, buf := range c.free {
+		own(buf, fmt.Sprintf("free[%d]", i))
+	}
+	//lfslint:allow maporder ownership holds or fails identically in any order
+	for k, b := range c.blocks {
+		own(b.Data, k.String())
+	}
 	walk := func(name string, id chainID, front, back *Block, visit func(*Block)) int {
 		n := 0
 		var prev *Block
@@ -383,20 +415,30 @@ func TestCacheMatchesSliceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var evicted []Key
 	DebugEvict = func(k Key) { evicted = append(evicted, k) }
-	defer func() { DebugEvict = nil }()
+	defer func() { DebugEvict, DebugPoison = nil, false }()
 	for round := 0; round < 30; round++ {
+		DebugPoison = round%2 == 1
 		c := New(6, 16)
 		m := &sliceModel{capacity: 6, pins: map[Key]int{}}
 		for step := 0; step < 400; step++ {
 			k := Key{Kind: Kind(rng.Intn(3)), Ino: layout.Ino(rng.Intn(5)), Off: int64(rng.Intn(3))}
 			evicted = evicted[:0]
 			var want []Key
+			lenBefore, freeBefore := c.Len(), len(c.free)
+			removal := true // the op only removes blocks
 			switch op := rng.Intn(20); {
 			case op < 8: // lookup, adding on a miss
+				removal = false
 				if b := c.Get(k); b != nil {
 					m.lru = append([]Key{k}, without(m.lru, k)...)
 				} else {
-					c.Add(k)
+					// Whatever the buffer held before — a dirty block's
+					// bytes included — a new block starts zeroed.
+					b := c.Add(k)
+					if !allBytes(b.Data, 0) {
+						t.Fatalf("round %d step %d: Add(%v) returned non-zero data % x", round, step, k, b.Data)
+					}
+					fill(b)
 					want = m.add(k)
 				}
 			case op < 11:
@@ -458,6 +500,18 @@ func TestCacheMatchesSliceModel(t *testing.T) {
 			if fmt.Sprint(evicted) != fmt.Sprint(want) {
 				t.Fatalf("round %d step %d: evicted %v, model %v", round, step, evicted, want)
 			}
+			// Remove, RemoveIno, RemoveMatching, DropClean and Clear all
+			// hand their buffers to the free list, up to its bound.
+			if wantFree := min(6, freeBefore+lenBefore-c.Len()); removal && len(c.free) != wantFree {
+				t.Fatalf("round %d step %d: free list has %d buffers, want %d", round, step, len(c.free), wantFree)
+			}
+			// No block's bytes changed under it through a shared buffer.
+			//lfslint:allow maporder the every-block check holds or fails identically in any order
+			for _, b := range c.blocks {
+				if !allBytes(b.Data, fillByte(b.Key)) {
+					t.Fatalf("round %d step %d: %v holds % x, want all %#x", round, step, b.Key, b.Data, fillByte(b.Key))
+				}
+			}
 			var lru, dirty []Key
 			for b := c.lru.front; b != nil; b = b.links[chainLRU].next {
 				lru = append(lru, b.Key)
@@ -471,6 +525,76 @@ func TestCacheMatchesSliceModel(t *testing.T) {
 			checkChains(t, c)
 		}
 	}
+}
+
+// fillByte is the non-zero byte the model test fills k's block with.
+func fillByte(k Key) byte { return byte(1 + int(k.Kind) + 3*int(k.Ino) + 15*int(k.Off)) }
+
+func fill(b *Block) {
+	for i := range b.Data {
+		b.Data[i] = fillByte(b.Key)
+	}
+}
+
+func allBytes(p []byte, want byte) bool {
+	for _, x := range p {
+		if x != want {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAddRecyclesEvictedBuffer pins the steady state: once the cache is
+// full, Add reuses the buffer of the block it evicts, zeroed (AddFrom:
+// overwritten), allocates only the Block header, and leaves the evicted
+// block without data.
+func TestAddRecyclesEvictedBuffer(t *testing.T) {
+	for _, poison := range []bool{false, true} {
+		DebugPoison = poison
+		c := New(4, 64)
+		for i := 0; i < 4; i++ {
+			fill(c.Add(key(1, int64(i))))
+		}
+		victim := c.Peek(key(1, 0))
+		buf := &victim.Data[0]
+		b := c.Add(key(2, 0))
+		if &b.Data[0] != buf || !allBytes(b.Data, 0) {
+			t.Fatalf("poison %v: Add did not return the evicted buffer zeroed", poison)
+		}
+		if victim.Data != nil {
+			t.Fatalf("poison %v: evicted block kept its buffer", poison)
+		}
+		src := bytes.Repeat([]byte{0x5A}, 64)
+		if b := c.AddFrom(key(2, 1), src); !bytes.Equal(b.Data, src) {
+			t.Fatalf("poison %v: AddFrom holds % x", poison, b.Data)
+		}
+		checkChains(t, c)
+		c.Clear()
+		if poison && !allBytes(c.free[0], 0xDB) {
+			t.Fatal("poisoned free buffer is not all 0xDB")
+		}
+		i := int64(10)
+		if n := testing.AllocsPerRun(100, func() { c.Add(key(3, i)); i++ }); n > 1 {
+			t.Fatalf("poison %v: Add after evict: %v allocs, want <= 1", poison, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.AddFrom(key(3, i), src); i++ }); n > 1 {
+			t.Fatalf("poison %v: AddFrom after evict: %v allocs, want <= 1", poison, n)
+		}
+		checkChains(t, c)
+	}
+	DebugPoison = false
+}
+
+// TestAddFromRejectsPartialBlock: a short source would leave recycled
+// bytes in the tail of the block.
+func TestAddFromRejectsPartialBlock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddFrom accepted a short source")
+		}
+	}()
+	New(4, 64).AddFrom(key(1, 0), make([]byte, 63))
 }
 
 func TestDropClean(t *testing.T) {
@@ -614,8 +738,22 @@ func BenchmarkCacheRemoveIno(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.insert(victim)
+		reinsert(c, victim)
 		c.RemoveIno(1)
+	}
+}
+
+// BenchmarkAddEvict is the read-miss steady state: every Add evicts the
+// LRU block and takes over its buffer.
+func BenchmarkAddEvict(b *testing.B) {
+	c := New(3840, 4096)
+	for i := 0; i < 3840; i++ {
+		c.Add(key(1, int64(i)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Add(key(2, int64(i)))
 	}
 }
 

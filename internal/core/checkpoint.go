@@ -450,9 +450,12 @@ func (fs *FS) replayNextUnit(ckptTime sim.Time) (bool, error) {
 // recovery state untouched.
 func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, activate bool) (bool, error) {
 	bs := fs.cfg.BlockSize
+	// The class's segment buffer is idle until recovery ends, and a unit
+	// fits it at the offset the writer assembled it at: read it there.
+	buf := fs.head(class).buf[blk*bs:]
 	// Read a candidate summary header (one block is enough to hold
 	// the header; entries may spill into further blocks).
-	head := make([]byte, bs)
+	head := buf[:bs]
 	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), head, disk.CauseRecovery, "recovery: summary probe"); err != nil {
 		return false, err
 	}
@@ -467,7 +470,7 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 		return false, nil
 	}
 	// Read the full unit and re-validate with all entries.
-	unit := make([]byte, (probe.SumBlocks+probe.NBlocks)*bs)
+	unit := buf[:(probe.SumBlocks+probe.NBlocks)*bs]
 	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), unit, disk.CauseRecovery, "recovery: unit"); err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"lfs/internal/cache"
@@ -260,8 +261,7 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 		util   float64
 	}
 	stats := make([]victimStat, 0, len(victims))
-	fs.coldAges = make(map[cache.Key]sim.Time)
-	defer func() { fs.coldAges = nil }()
+	defer clear(fs.coldAges)
 	for _, seg := range victims {
 		if fs.usage[seg].State != segDirty {
 			return res, fmt.Errorf("lfs: cleaning segment %d in state %d", seg, fs.usage[seg].State)
@@ -326,7 +326,10 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 		srcAge = fs.usage[seg].LastWrite
 	}
 	// Phase 1: one large sequential read of the whole segment.
-	raw := make([]byte, fs.sb.SegmentSize)
+	if fs.segBuf == nil {
+		fs.segBuf = make([]byte, fs.sb.SegmentSize)
+	}
+	raw := fs.segBuf
 	fs.cpu.Charge(fs.cfg.Costs.DiskOpSetup)
 	if err := fs.d.ReadSectors(fs.segFirstSector(seg), raw, disk.CauseCleanerRead, "cleaner: segment read"); err != nil {
 		return copied, examined, err
@@ -409,9 +412,7 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 			fs.bc.MarkDirty(b, fs.clock.Now())
 			return true, nil
 		}
-		b := fs.bc.Add(key)
-		copy(b.Data, data)
-		fs.bc.MarkDirty(b, fs.clock.Now())
+		fs.bc.MarkDirty(fs.bc.AddFrom(key, data), fs.clock.Now())
 		fs.markCold(key, srcAge)
 		return true, nil
 
@@ -439,9 +440,7 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 			fs.bc.MarkDirty(b, fs.clock.Now())
 			return true, nil
 		}
-		b := fs.bc.Add(key)
-		copy(b.Data, data)
-		fs.bc.MarkDirty(b, fs.clock.Now())
+		fs.bc.MarkDirty(fs.bc.AddFrom(key, data), fs.clock.Now())
 		fs.markCold(key, srcAge)
 		return true, nil
 
@@ -490,15 +489,20 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 
 // markCold tags a revived cache block as a cleaner relocation
 // carrying its victim segment's data age, for the segment writer's
-// hot/cold split and age credit. A no-op outside a cleaner pass.
+// hot/cold split and age credit.
 func (fs *FS) markCold(key cache.Key, srcAge sim.Time) {
-	if fs.coldAges != nil {
-		fs.coldAges[key] = srcAge
-	}
+	fs.coldAges[key] = srcAge
 }
 
-// allZero reports whether p contains only zero bytes.
+// allZero reports whether p contains only zero bytes, a word at a time:
+// the cleaner, inode fetch and roll-forward all scan inode blocks that
+// are mostly empty slots.
 func allZero(p []byte) bool {
+	for ; len(p) >= 8; p = p[8:] {
+		if binary.LittleEndian.Uint64(p) != 0 {
+			return false
+		}
+	}
 	for _, b := range p {
 		if b != 0 {
 			return false

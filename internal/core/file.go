@@ -46,16 +46,17 @@ func (fs *FS) getDataBlock(in *layout.Inode, lbn int64, create bool) (*cache.Blo
 // seq-reread-after-random-write case).
 const readAheadBlocks = 16
 
-// readDataBlock is getDataBlock for the read path: on a miss during
-// a detected sequential scan it fetches up to readAheadBlocks
-// physically contiguous blocks in one disk request.
-func (fs *FS) readDataBlock(in *layout.Inode, lbn int64) (*cache.Block, error) {
+// readDataBlock returns the contents of block (ino, lbn) for the read
+// path, nil for a hole: on a miss during a detected sequential scan it
+// fetches up to readAheadBlocks physically contiguous blocks in one
+// disk request. The bytes are valid until the next cache insertion.
+func (fs *FS) readDataBlock(in *layout.Inode, lbn int64) ([]byte, error) {
 	sequential := lbn == 0 || fs.lastRead[in.Ino]+1 == lbn
 	fs.lastRead[in.Ino] = lbn
 	key := dataKey(in.Ino, lbn)
 	if b := fs.bc.Get(key); b != nil {
 		fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
-		return b, nil
+		return b.Data, nil
 	}
 	addr, err := fs.blockAddrOf(in, lbn)
 	if err != nil {
@@ -88,19 +89,21 @@ func (fs *FS) readDataBlock(in *layout.Inode, lbn int64) (*cache.Block, error) {
 		run++
 	}
 	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
-	span := make([]byte, run*bs)
+	span := fs.span[:run*bs]
 	if err := fs.d.ReadSectors(int64(addr), span, disk.CauseReadMiss, "file read"); err != nil {
 		return nil, err
 	}
-	var first *cache.Block
-	for i := 0; i < run; i++ {
-		b := fs.bc.Add(dataKey(in.Ino, lbn+int64(i)))
-		copy(b.Data, span[i*bs:(i+1)*bs])
-		if i == 0 {
-			first = b
-		}
+	first := fs.bc.AddFrom(key, span[:bs])
+	for i := 1; i < run; i++ {
+		fs.bc.AddFrom(dataKey(in.Ino, lbn+int64(i)), span[i*bs:(i+1)*bs])
 	}
-	return first, nil
+	if first.Data == nil {
+		// Fewer than run blocks were evictable (a cache smaller than the
+		// run, or mostly dirty), so inserting the tail evicted the head:
+		// the span still holds the caller's bytes.
+		return span[:bs], nil
+	}
+	return first.Data, nil
 }
 
 // readFile copies bytes [off, off+len(buf)) into buf, clamped to the
@@ -123,16 +126,14 @@ func (fs *FS) readFile(in *layout.Inode, off int64, buf []byte) (int, error) {
 		if n > len(buf)-read {
 			n = len(buf) - read
 		}
-		b, err := fs.readDataBlock(in, lbn)
+		data, err := fs.readDataBlock(in, lbn)
 		if err != nil {
 			return read, err
 		}
-		if b == nil {
-			for i := 0; i < n; i++ {
-				buf[read+i] = 0
-			}
+		if data == nil {
+			clear(buf[read : read+n])
 		} else {
-			copy(buf[read:read+n], b.Data[bo:])
+			copy(buf[read:read+n], data[bo:])
 		}
 		fs.cpu.Charge(fs.cfg.Costs.Copy(n))
 		read += n
@@ -161,7 +162,9 @@ func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) error {
 			// cached block if present, else a fresh one.
 			key := dataKey(in.Ino, lbn)
 			if b = fs.bc.Get(key); b == nil {
-				b = fs.bc.Add(key)
+				b = fs.bc.AddFrom(key, data[written:written+n])
+			} else {
+				copy(b.Data, data[written:written+n])
 			}
 			fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
 		} else {
@@ -169,8 +172,8 @@ func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) error {
 			if err != nil {
 				return err
 			}
+			copy(b.Data[bo:], data[written:written+n])
 		}
-		copy(b.Data[bo:], data[written:written+n])
 		fs.cpu.Charge(fs.cfg.Costs.Copy(n))
 		fs.bc.MarkDirty(b, fs.clock.Now())
 		written += n

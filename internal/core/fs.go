@@ -118,11 +118,20 @@ type FS struct {
 	heads [numClasses]logHead
 
 	// coldAges marks cache blocks revived by the current cleaner pass
-	// as relocations (nil outside a pass), each mapped to its victim
+	// as relocations (empty outside a pass), each mapped to its victim
 	// segment's data age: the segment writer routes them to the cold
 	// head and credits them with that age rather than the current
 	// time. Guarded by mu.
 	coldAges map[cache.Key]sim.Time
+
+	// span is the transfer buffer of read-ahead and of inode-block
+	// fetches, segBuf the cleaner's whole-segment read buffer (allocated
+	// by the first clean); wr is the segment writer's working memory. All are reused so the steady state
+	// allocates none of them, and each is consumed before the operation
+	// that filled it returns. Guarded by mu.
+	span   []byte
+	segBuf []byte
+	wr     writerScratch
 
 	// writeSerial numbers log units; ckptSerial numbers
 	// checkpoints. Guarded by mu.
@@ -206,13 +215,12 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 		entryCount:  make(map[layout.Ino]int),
 		insertHint:  make(map[layout.Ino]int64),
 		lastRead:    make(map[layout.Ino]int64),
+		coldAges:    make(map[cache.Key]sim.Time),
+		span:        make([]byte, readAheadBlocks*cfg.BlockSize),
 		writeSerial: 1,
 		rec:         cfg.Trace,
 		samp:        cfg.Metrics,
 		opLat:       obs.NewLatencyHistogram(),
-	}
-	for c := range fs.heads {
-		fs.heads[c].buf = make([]byte, cfg.SegmentSize)
 	}
 	fs.heads[classHot].open = true
 	fs.usage[0].State = segActive

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"lfs/internal/cache"
 	"lfs/internal/disk"
@@ -48,7 +48,7 @@ func fillNil(p []byte) {
 
 // loadAddr reads entry idx of a cached indirect block.
 func loadAddr(b *cache.Block, idx int) layout.DiskAddr {
-	return layout.DecodeAddrBlock(b.Data[idx*layout.AddrSize:], 1)[0]
+	return layout.DecodeAddr(b.Data[idx*layout.AddrSize:])
 }
 
 // storeAddr writes entry idx of a cached indirect block.
@@ -92,7 +92,7 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 	rel := int64(e.Addr) - fs.segFirstSector(seg)
 	blockStart := fs.segFirstSector(seg) + rel/spb*spb
 	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
-	blk := make([]byte, fs.cfg.BlockSize)
+	blk := fs.span[:fs.cfg.BlockSize]
 	if err := fs.d.ReadSectors(blockStart, blk, disk.CauseInodeMap, "inode read"); err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func (fs *FS) evictInodes() {
 			clean = append(clean, ino)
 		}
 	}
-	sort.Slice(clean, func(i, j int) bool { return clean[i] < clean[j] })
+	slices.Sort(clean)
 	for _, ino := range clean {
 		if len(fs.inodes) < inodeCacheLimit/2 {
 			break

@@ -560,31 +560,9 @@ func (fs *FS) fsyncFile(path string) error {
 	if fs.cfg.GroupCommit {
 		return fs.groupFsync(ino)
 	}
-	// Data blocks of this file only.
-	var data []*cache.Block
-	for _, b := range fs.bc.DirtyBlocks() {
-		if b.Key.Kind == cache.KindFile && b.Key.Ino == ino {
-			data = append(data, b)
-		}
-	}
-	if err := fs.writeDataBatch(data); err != nil {
+	// This file's data blocks, then its indirect blocks.
+	if err := fs.writeDirtyBlocks(ino); err != nil {
 		return err
-	}
-	// Its indirect blocks, innermost first.
-	for _, pass := range []func(int64) bool{
-		func(id int64) bool { return id >= indDoubleInnerBase },
-		func(id int64) bool { return id == indDoubleOuter },
-		func(id int64) bool { return id == indSingle },
-	} {
-		var batch []*cache.Block
-		for _, b := range fs.bc.DirtyBlocks() {
-			if b.Key.Kind == cache.KindIndirect && b.Key.Ino == ino && pass(b.Key.Off) {
-				batch = append(batch, b)
-			}
-		}
-		if err := fs.writeIndirectBatch(batch); err != nil {
-			return err
-		}
 	}
 	// Its inode, if dirty.
 	if fs.dirtyInodes[ino] {
@@ -635,7 +613,7 @@ func (fs *FS) fileDirty(ino layout.Ino) bool {
 	if fs.dirtyInodes[ino] {
 		return true
 	}
-	for _, b := range fs.bc.DirtyBlocks() {
+	for _, b := range fs.dirtyBlocks() {
 		if b.Key.Ino != ino {
 			continue
 		}
@@ -662,7 +640,7 @@ func (fs *FS) FlushAsync() error {
 	if err := fs.checkMounted(); err != nil {
 		return vfs.WrapPathError("flush", "/", err)
 	}
-	if len(fs.dirtyInodes) == 0 && len(fs.bc.DirtyBlocks()) == 0 {
+	if len(fs.dirtyInodes) == 0 && fs.bc.DirtyCount() == 0 {
 		return nil
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)

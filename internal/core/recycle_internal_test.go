@@ -1,0 +1,244 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"lfs/internal/disk"
+	"lfs/internal/layout"
+	"lfs/internal/sim"
+)
+
+// mallocs returns the heap objects and bytes f allocates, on one P with
+// the collector's own bookkeeping out of the way (testing.AllocsPerRun's
+// method, extended to bytes).
+func mallocs(f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// bigFile creates path holding nBlocks blocks of recognisable data,
+// written sequentially and flushed, so it lies contiguous in the log.
+func bigFile(t testing.TB, fs *FS, path string, nBlocks int) *layout.Inode {
+	t.Helper()
+	must(t, fs.Create(path))
+	chunk := make([]byte, 16*fs.cfg.BlockSize)
+	for off := 0; off < nBlocks; off += 16 {
+		for i := range chunk {
+			chunk[i] = byte(off + i/fs.cfg.BlockSize + i)
+		}
+		must(t, fs.Write(path, int64(off*fs.cfg.BlockSize), chunk))
+	}
+	must(t, fs.Sync())
+	in, err := fs.resolve([]string{path[1:]})
+	must(t, err)
+	return in
+}
+
+// seqReader reads in's blocks in order, two blocks a call like the
+// paper's 8 KB reads, wrapping at the end of the file.
+type seqReader struct {
+	fs  *FS
+	in  *layout.Inode
+	off int64
+	buf []byte
+}
+
+func (r *seqReader) read(t testing.TB, calls int) {
+	for ; calls > 0; calls-- {
+		if r.off >= int64(r.in.Size) {
+			r.off = 0
+		}
+		n, err := r.fs.readFile(r.in, r.off, r.buf)
+		if err != nil || n != len(r.buf) {
+			t.Fatalf("read at %d: n=%d err=%v", r.off, n, err)
+		}
+		r.off += int64(n)
+	}
+}
+
+// missReader returns a reader over a file twice the size of a 1024-block
+// cache, so a sequential scan misses on every block, warmed until every
+// Add evicts.
+func missReader(t testing.TB) *seqReader {
+	cfg := smallConfig()
+	cfg.CacheBlocks = 1024
+	fs := newTestFS(t, 64<<20, cfg)
+	r := &seqReader{fs: fs, in: bigFile(t, fs, "/big", 2048), buf: make([]byte, 2*cfg.BlockSize)}
+	r.read(t, 1024)
+	return r
+}
+
+// TestSequentialReadMissAllocatesOnlyBlockHeaders pins the read path's
+// steady state: a scan that misses on every block allocates one Block
+// header per inserted block and nothing else — no block buffer, no
+// read-ahead span.
+func TestSequentialReadMissAllocatesOnlyBlockHeaders(t *testing.T) {
+	r := missReader(t)
+	inserted := r.fs.bc.Stats().Inserted
+	objects, bytes := mallocs(func() { r.read(t, 1024) })
+	inserted = r.fs.bc.Stats().Inserted - inserted
+	if inserted < 2048 {
+		t.Fatalf("scan inserted %d blocks, want every one of 2048 to miss", inserted)
+	}
+	if objects > uint64(inserted) {
+		t.Errorf("scan of %d missing blocks allocated %d objects, want one Block header each", inserted, objects)
+	}
+	if perBlock := bytes / uint64(inserted); perBlock >= 256 {
+		t.Errorf("scan allocated %d bytes per missing block, want a Block header's worth", perBlock)
+	}
+}
+
+func BenchmarkReadMissSequential(b *testing.B) {
+	r := missReader(b)
+	b.SetBytes(int64(len(r.buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	r.read(b, b.N)
+}
+
+// BenchmarkFlush64Blocks is segment assembly: 64 dirty data blocks
+// gathered, placed in the segment buffer behind their summary, their
+// pointers redirected, and the unit issued.
+func BenchmarkFlush64Blocks(b *testing.B) {
+	fs := newTestFS(b, 64<<20, smallConfig())
+	in := bigFile(b, fs, "/f", 64)
+	data := make([]byte, 64*fs.cfg.BlockSize)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data[0] = byte(i)
+		must(b, fs.writeFile(in, 0, data))
+		must(b, fs.flush(flushAll))
+	}
+}
+
+// punchedFS returns a file system with 256 KB segments whose log holds
+// one large file with every ninth block since overwritten. A tenth of
+// each of the file's original segments was summary, inode and indirect
+// blocks that died as the file grew, so that leaves them 0.80 live; the
+// number of such victims is returned too.
+func punchedFS(t testing.TB) (*FS, int) {
+	cfg := smallConfig()
+	cfg.SegmentSize = 256 << 10
+	// Touch the whole memory store first, so cleaning measures the
+	// cleaner and not the store's first-write chunk allocation.
+	d := disk.NewMem(32<<20, sim.NewClock())
+	zeros := make([]byte, 1<<20)
+	for off := int64(0); off < d.Capacity(); off += int64(len(zeros)) {
+		must(t, d.Store().WriteAt(zeros[:min(int64(len(zeros)), d.Capacity()-off)], off))
+	}
+	must(t, Format(d, cfg))
+	fs, err := Mount(d, cfg)
+	must(t, err)
+	const nBlocks = 2048 // 8 MB: about 32 segments
+	in := bigFile(t, fs, "/victims", nBlocks)
+	block := make([]byte, cfg.BlockSize)
+	for lbn := 0; lbn < nBlocks; lbn += 9 {
+		must(t, fs.writeFile(in, int64(lbn*cfg.BlockSize), block))
+	}
+	must(t, fs.flush(flushAll))
+	victims := 0
+	for seg := range fs.usage {
+		u := float64(fs.usage[seg].Live) / float64(cfg.SegmentSize)
+		if fs.usage[seg].State == segDirty && u > 0.75 && u < 0.85 {
+			victims++
+		}
+	}
+	if victims < 16 {
+		t.Fatalf("only %d segments are 0.80 live", victims)
+	}
+	return fs, victims
+}
+
+// BenchmarkCleanOnce is the cost per cleaned 256 KB victim that is 0.80
+// live: the segment read, the liveness checks, the revival of about
+// fifty blocks into the cache, and its share of the relocation flush
+// and the checkpoint. One CleanOnce nets one clean segment, which at
+// this utilisation takes several victims, so b.N counts victims.
+func BenchmarkCleanOnce(b *testing.B) {
+	var fs *FS
+	victims := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for cleaned := 0; cleaned < b.N; {
+		if victims < 8 { // keep clear of the last, partly filled, segment
+			b.StopTimer()
+			fs, victims = punchedFS(b)
+			b.StartTimer()
+		}
+		res, err := fs.cleanUntil(fs.cleanCount + 1)
+		if err != nil || res.SegmentsCleaned == 0 {
+			b.Fatalf("clean: %+v, %v", res, err)
+		}
+		cleaned += res.SegmentsCleaned
+		victims -= res.SegmentsCleaned
+	}
+}
+
+// TestReviveSegmentAllocatesNoBuffers pins the cleaner's read side: once
+// the segment buffer exists, reviving a victim's live blocks allocates
+// Block headers and summary refs but no []byte — not the segment-sized
+// read buffer, not a buffer per revived block.
+func TestReviveSegmentAllocatesNoBuffers(t *testing.T) {
+	fs, _ := punchedFS(t)
+	if _, err := fs.cleanUntil(fs.cleanCount + 1); err != nil { // allocates segBuf
+		t.Fatal(err)
+	}
+	victim, ok := fs.selectVictim(nil)
+	if !ok {
+		t.Fatal("no second victim")
+	}
+	var copied int
+	_, bytes := mallocs(func() {
+		var err error
+		copied, _, err = fs.reviveSegment(victim)
+		must(t, err)
+	})
+	if copied < 40 {
+		t.Fatalf("victim had %d live blocks, want about 50", copied)
+	}
+	if perBlock := bytes / uint64(copied); perBlock >= 512 {
+		t.Errorf("reviving %d blocks allocated %d bytes (%d per block), want headers and refs only", copied, bytes, perBlock)
+	}
+}
+
+// summaryFixture is an encoded summary for a full 1 MB segment's unit.
+func summaryFixture() []byte {
+	refs := make([]blockRef, 253)
+	for i := range refs {
+		refs[i] = blockRef{Kind: kindData, Ino: 7, ID: int64(i), Version: 3}
+	}
+	p := make([]byte, 2*4096)
+	encodeSummary(summaryHeader{Serial: 9, NBlocks: len(refs), SumBlocks: 2}, refs, p)
+	return p
+}
+
+// TestDecodeSummaryAllocatesOnlyRefs: the checksum is verified in
+// place, so the refs slice is the only allocation.
+func TestDecodeSummaryAllocatesOnlyRefs(t *testing.T) {
+	p := summaryFixture()
+	n := testing.AllocsPerRun(100, func() {
+		if _, refs, err := decodeSummary(p); err != nil || len(refs) != 253 {
+			t.Fatalf("decode: %d refs, %v", len(refs), err)
+		}
+	})
+	if n > 1 {
+		t.Fatalf("decodeSummary: %v allocs, want <= 1", n)
+	}
+}
+
+func BenchmarkDecodeSummary(b *testing.B) {
+	p := summaryFixture()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := decodeSummary(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

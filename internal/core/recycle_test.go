@@ -1,0 +1,95 @@
+package core_test
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"lfs/internal/fstest"
+	"lfs/internal/vfs"
+)
+
+// TestReadAheadOutrunsCache reads a contiguous 32-block file
+// sequentially through a 9-block cache: every 16-block read-ahead run
+// evicts its own head while inserting its tail, and the caller must
+// still get the bytes of the block it asked for.
+func TestReadAheadOutrunsCache(t *testing.T) {
+	fstest.PoisonRecycledBuffers(t)
+	cfg := testConfig()
+	cfg.CacheBlocks = 9
+	_, fs := newPair(t, 16<<20, cfg)
+	bs := cfg.BlockSize
+	want := make([]byte, 32*bs)
+	for i := range want {
+		want[i] = byte(1 + i/bs + i%251)
+	}
+	if err := fs.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Write("/f", 0, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs.DropCaches()
+	got := make([]byte, bs)
+	for lbn := 0; lbn < 32; lbn++ {
+		if _, err := fs.Read("/f", int64(lbn*bs), got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[lbn*bs:(lbn+1)*bs]) {
+			t.Fatalf("block %d read back wrong (first byte %#x, want %#x)", lbn, got[0], want[lbn*bs])
+		}
+	}
+}
+
+// TestLFSPoisonedRecycling reruns the suites that compare the file
+// system against the reference model with recycled buffers poisoned
+// and a cache small enough to evict constantly: a block used after its
+// eviction, or an AddFrom that left part of a recycled buffer in
+// place, would surface as a divergence from the model.
+func TestLFSPoisonedRecycling(t *testing.T) {
+	fstest.PoisonRecycledBuffers(t)
+	small := testConfig()
+	small.CacheBlocks = 24
+	open := func(t *testing.T) vfs.FileSystem {
+		_, fs := newPair(t, 64<<20, small)
+		return fs
+	}
+	t.Run("conformance", func(t *testing.T) { fstest.RunConformance(t, open) })
+	for seed := int64(1); seed <= 4; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("equivalence/seed%d", seed), func(t *testing.T) {
+			fstest.RunEquivalence(t, open, seed, 400)
+		})
+	}
+}
+
+// TestCrashSweepIdenticalWhenPoisoned runs the cleaner-heavy crash
+// sweep with and without poisoned recycling and requires the same
+// report: the same writes, crash points, recoveries and verdicts.
+func TestCrashSweepIdenticalWhenPoisoned(t *testing.T) {
+	cfg := crashConfig()
+	sweep := func() *fstest.CrashReport {
+		rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
+			FSConfig:     cfg,
+			DiskCapacity: 4 << 20,
+			Workload:     cleaningWorkload(cfg.BlockSize),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	plain := sweep()
+	fstest.PoisonRecycledBuffers(t)
+	poisoned := sweep()
+	if !reflect.DeepEqual(plain, poisoned) {
+		t.Fatalf("crash sweep differs with poisoned buffers:\nplain    %+v\npoisoned %+v", plain, poisoned)
+	}
+	if len(poisoned.Failures) != 0 {
+		t.Fatalf("%d crash points failed, first: %s", len(poisoned.Failures), poisoned.Failures[0])
+	}
+}

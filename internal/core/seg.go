@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"lfs/internal/layout"
 	"lfs/internal/sim"
@@ -230,6 +231,10 @@ func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
 	le.PutUint32(p[28:], crc)
 }
 
+// zeroCRCWord stands in for a summary's checksum word while the
+// checksum is verified.
+var zeroCRCWord [4]byte
+
 // decodeSummary parses a unit summary from p. It returns an error for
 // anything that is not a valid summary (the roll-forward stop
 // condition).
@@ -254,11 +259,12 @@ func decodeSummary(p []byte) (summaryHeader, []blockRef, error) {
 	if total > len(p) {
 		return summaryHeader{}, nil, fmt.Errorf("lfs: summary claims %d blocks beyond buffer", h.NBlocks)
 	}
-	stored := le.Uint32(p[28:])
-	scratch := make([]byte, total)
-	copy(scratch, p[:total])
-	le.PutUint32(scratch[28:], 0)
-	if layout.Checksum(scratch) != stored {
+	// The checksum was computed with its own word zeroed (encodeSummary);
+	// feed the CRC around that word rather than copying the summary.
+	crc := crc32.Update(0, crc32.IEEETable, p[:28])
+	crc = crc32.Update(crc, crc32.IEEETable, zeroCRCWord[:])
+	crc = crc32.Update(crc, crc32.IEEETable, p[32:total])
+	if crc != le.Uint32(p[28:]) {
 		return summaryHeader{}, nil, fmt.Errorf("lfs: summary checksum mismatch")
 	}
 	refs := make([]blockRef, h.NBlocks)

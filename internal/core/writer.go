@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"lfs/internal/cache"
 	"lfs/internal/disk"
@@ -24,6 +25,17 @@ type logHead struct {
 	open    bool
 }
 
+// head returns the class's log head with its segment buffer in place.
+// The buffer is allocated on first use: a mount that only reads needs
+// neither, and most never open the cold head.
+func (fs *FS) head(class writeClass) *logHead {
+	h := &fs.heads[class]
+	if h.buf == nil {
+		h.buf = make([]byte, fs.cfg.SegmentSize)
+	}
+	return h
+}
+
 // flushScope controls what a segment write includes.
 type flushScope int
 
@@ -35,6 +47,20 @@ const (
 	// as the first half of a checkpoint (§4.4.1).
 	flushCheckpoint
 )
+
+// writerScratch is the segment writer's working memory, kept on the FS
+// so a steady-state flush allocates nothing. One batch is gathered,
+// placed and credited before the next is gathered, so one set serves
+// every batch of a flush.
+type writerScratch struct {
+	batch, hot, cold []*cache.Block
+	refs             []blockRef
+	payload          [][]byte
+	meta             []byte // backs the payload of inode and imap blocks
+	ages             []sim.Time
+	addrs            []layout.DiskAddr
+	inos             []layout.Ino
+}
 
 // flush is the segment writer: it gathers every dirty block from the
 // cache, packs the blocks into log units (partial segments) with
@@ -57,36 +83,19 @@ func (fs *FS) flush(scope flushScope) error {
 		}
 	}
 
-	// Batch 1: file and directory data blocks.
-	var dataBlocks []*cache.Block
-	for _, b := range fs.bc.DirtyBlocks() {
-		if b.Key.Kind == cache.KindFile {
-			dataBlocks = append(dataBlocks, b)
-		}
-	}
-	if err := fs.writeDataBatch(dataBlocks); err != nil {
+	// Batches 1-4: data blocks, then indirect blocks innermost first.
+	if err := fs.writeDirtyBlocks(0); err != nil {
 		return err
 	}
 
-	// Batches 2-4: indirect blocks, innermost first.
-	for _, pass := range []func(int64) bool{
-		func(id int64) bool { return id >= indDoubleInnerBase },
-		func(id int64) bool { return id == indDoubleOuter },
-		func(id int64) bool { return id == indSingle },
-	} {
-		var batch []*cache.Block
-		for _, b := range fs.bc.DirtyBlocks() {
-			if b.Key.Kind == cache.KindIndirect && pass(b.Key.Off) {
-				batch = append(batch, b)
-			}
-		}
-		if err := fs.writeIndirectBatch(batch); err != nil {
-			return err
-		}
-	}
-
 	// Batch 5: inodes, packed into inode blocks.
-	if err := fs.writeInodeBatch(); err != nil {
+	inos := fs.wr.inos[:0]
+	for ino := range fs.dirtyInodes {
+		inos = append(inos, ino)
+	}
+	slices.Sort(inos)
+	fs.wr.inos = inos
+	if err := fs.writeInodeBatchFor(inos); err != nil {
 		return err
 	}
 
@@ -100,13 +109,58 @@ func (fs *FS) flush(scope flushScope) error {
 	return fs.flushPendingIO()
 }
 
-// splitColdBlocks partitions a dirty batch into fresh blocks and
-// cleaner-revived relocations. Outside a cleaner pass (or when the
-// pass revived nothing) the batch passes through untouched.
-func (fs *FS) splitColdBlocks(blocks []*cache.Block) (hot, cold []*cache.Block) {
-	if len(fs.coldAges) == 0 {
-		return blocks, nil
+// blockPasses are the cache-block batches of a segment write in the
+// order they must be written, each a block kind and an inclusive range
+// of block ids: every pass's pointer updates dirty blocks of a later
+// pass only (data → any indirect, inner → outer), which is also why
+// every pass walks the dirty list afresh.
+var blockPasses = [...]struct {
+	kind   cache.Kind
+	ref    blockKind
+	lo, hi int64
+}{
+	{cache.KindFile, kindData, 0, math.MaxInt64},
+	{cache.KindIndirect, kindIndirect, indDoubleInnerBase, math.MaxInt64},
+	{cache.KindIndirect, kindIndirect, indDoubleOuter, indDoubleOuter},
+	{cache.KindIndirect, kindIndirect, indSingle, indSingle},
+}
+
+// dirtyBlocks snapshots the cache's dirty list, oldest first, into
+// reused memory: valid until the next call.
+func (fs *FS) dirtyBlocks() []*cache.Block {
+	fs.wr.batch = fs.bc.AppendDirty(fs.wr.batch[:0])
+	return fs.wr.batch
+}
+
+// writeDirtyBlocks logs the dirty data and indirect blocks — of every
+// file, or of file ino alone when it is nonzero (fsync) — in dirtied
+// order within each pass, and redirects their pointers.
+func (fs *FS) writeDirtyBlocks(ino layout.Ino) error {
+	for _, p := range blockPasses {
+		dirty := fs.dirtyBlocks()
+		batch := dirty[:0] // filtered in place
+		for _, b := range dirty {
+			if b.Key.Kind == p.kind && (ino == 0 || b.Key.Ino == ino) && p.lo <= b.Key.Off && b.Key.Off <= p.hi {
+				batch = append(batch, b)
+			}
+		}
+		if err := fs.writeBlockBatch(batch, p.ref); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// writeBlockBatch logs the given dirty data or indirect blocks and
+// redirects their pointers. During a cleaner pass the batch splits:
+// blocks revived from a victim go to the cold stream carrying the
+// victim's data age, everything else to the hot stream. Outside a pass
+// (or when the pass revived nothing) the batch goes out whole.
+func (fs *FS) writeBlockBatch(blocks []*cache.Block, kind blockKind) error {
+	if len(fs.coldAges) == 0 {
+		return fs.writeBlockClass(blocks, classHot, kind)
+	}
+	hot, cold := fs.wr.hot[:0], fs.wr.cold[:0]
 	for _, b := range blocks {
 		if _, ok := fs.coldAges[b.Key]; ok {
 			cold = append(cold, b)
@@ -114,56 +168,43 @@ func (fs *FS) splitColdBlocks(blocks []*cache.Block) (hot, cold []*cache.Block) 
 			hot = append(hot, b)
 		}
 	}
-	return hot, cold
+	fs.wr.hot, fs.wr.cold = hot, cold
+	if err := fs.writeBlockClass(cold, classCold, kind); err != nil {
+		return err
+	}
+	return fs.writeBlockClass(hot, classHot, kind)
 }
 
-// blockAges returns the data age credited for each block of a batch:
-// relocations carry their victim segment's age so cold data stays old
-// across copies (§3.6), fresh writes are as young as now. One batch
-// can mix ages — the cleaner relocates several victims per pass.
-func (fs *FS) blockAges(blocks []*cache.Block, class writeClass) []sim.Time {
+// writeBlockClass logs one class's data or indirect blocks. Relocations
+// carry their victim segment's age so cold data stays old across copies
+// (§3.6) — one batch can mix ages, the cleaner relocates several
+// victims per pass — and fresh writes are as young as now.
+func (fs *FS) writeBlockClass(blocks []*cache.Block, class writeClass, kind blockKind) error {
+	if len(blocks) == 0 {
+		return nil
+	}
 	now := fs.clock.Now()
-	ages := make([]sim.Time, len(blocks))
-	for i, b := range blocks {
-		ages[i] = now
+	refs, payload, ages := fs.wr.refs[:0], fs.wr.payload[:0], fs.wr.ages[:0]
+	for _, b := range blocks {
+		refs = append(refs, blockRef{
+			Kind:    kind,
+			Ino:     b.Key.Ino,
+			ID:      b.Key.Off,
+			Version: fs.imap.get(b.Key.Ino).Version,
+		})
+		payload = append(payload, b.Data)
 		if class == classCold {
-			if a, ok := fs.coldAges[b.Key]; ok && a > 0 {
-				ages[i] = a
+			age := now
+			if a := fs.coldAges[b.Key]; a > 0 {
+				age = a
 			}
+			ages = append(ages, age)
 		}
 	}
-	return ages
-}
-
-// writeDataBatch logs the given dirty data blocks and redirects their
-// block pointers. During a cleaner pass the batch splits: blocks
-// revived from the victim go to the cold stream carrying the victim's
-// data age, everything else to the hot stream.
-func (fs *FS) writeDataBatch(blocks []*cache.Block) error {
-	hot, cold := fs.splitColdBlocks(blocks)
-	if err := fs.writeDataClass(cold, classCold); err != nil {
-		return err
+	fs.wr.refs, fs.wr.payload, fs.wr.ages = refs, payload, ages
+	if class == classHot {
+		ages = nil // placeBlocks reads nil as "everything is as young as now"
 	}
-	return fs.writeDataClass(hot, classHot)
-}
-
-// writeDataClass logs one class's data blocks.
-func (fs *FS) writeDataClass(blocks []*cache.Block, class writeClass) error {
-	if len(blocks) == 0 {
-		return nil
-	}
-	refs := make([]blockRef, len(blocks))
-	payload := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		refs[i] = blockRef{
-			Kind:    kindData,
-			Ino:     b.Key.Ino,
-			ID:      b.Key.Off,
-			Version: fs.imap.get(b.Key.Ino).Version,
-		}
-		payload[i] = b.Data
-	}
-	ages := fs.blockAges(blocks, class)
 	addrs, err := fs.placeBlocks(class, refs, payload, ages)
 	if err != nil {
 		return err
@@ -172,123 +213,80 @@ func (fs *FS) writeDataClass(blocks []*cache.Block, class writeClass) error {
 	for i, b := range blocks {
 		in, err := fs.getInode(b.Key.Ino)
 		if err != nil {
-			return fmt.Errorf("lfs: flushing data of inode %d: %w", b.Key.Ino, err)
+			return fmt.Errorf("lfs: flushing %v block of inode %d: %w", kind, b.Key.Ino, err)
 		}
-		old, err := fs.setBlockAddr(in, b.Key.Off, addrs[i])
+		var old layout.DiskAddr
+		if kind == kindData {
+			old, err = fs.setBlockAddr(in, b.Key.Off, addrs[i])
+		} else {
+			old, err = fs.setIndirectAddr(in, b.Key.Off, addrs[i])
+		}
 		if err != nil {
 			return err
 		}
+		age := now
+		if ages != nil {
+			age = ages[i]
+		}
 		fs.killBlock(old, bs)
-		fs.creditSegmentAged(fs.segOf(addrs[i]), bs, ages[i])
+		fs.creditSegmentAged(fs.segOf(addrs[i]), bs, age)
 		fs.bc.MarkClean(b)
 	}
 	return nil
 }
 
-// writeIndirectBatch logs dirty indirect blocks and redirects their
-// parent pointers, with the same hot/cold split as data blocks.
-func (fs *FS) writeIndirectBatch(blocks []*cache.Block) error {
-	hot, cold := fs.splitColdBlocks(blocks)
-	if err := fs.writeIndirectClass(cold, classCold); err != nil {
-		return err
+// metaPayload returns n zeroed block-sized buffers for inode or imap
+// blocks, carved from one reused span.
+func (fs *FS) metaPayload(n int) [][]byte {
+	bs := fs.cfg.BlockSize
+	if cap(fs.wr.meta) < n*bs {
+		fs.wr.meta = make([]byte, n*bs)
 	}
-	return fs.writeIndirectClass(hot, classHot)
+	meta := fs.wr.meta[:n*bs]
+	clear(meta)
+	payload := fs.wr.payload[:0]
+	for i := 0; i < n; i++ {
+		payload = append(payload, meta[i*bs:(i+1)*bs])
+	}
+	fs.wr.payload = payload
+	return payload
 }
 
-// writeIndirectClass logs one class's indirect blocks.
-func (fs *FS) writeIndirectClass(blocks []*cache.Block, class writeClass) error {
-	if len(blocks) == 0 {
-		return nil
-	}
-	refs := make([]blockRef, len(blocks))
-	payload := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		refs[i] = blockRef{
-			Kind:    kindIndirect,
-			Ino:     b.Key.Ino,
-			ID:      b.Key.Off,
-			Version: fs.imap.get(b.Key.Ino).Version,
-		}
-		payload[i] = b.Data
-	}
-	ages := fs.blockAges(blocks, class)
-	addrs, err := fs.placeBlocks(class, refs, payload, ages)
-	if err != nil {
-		return err
-	}
-	bs := int64(fs.cfg.BlockSize)
-	for i, b := range blocks {
-		in, err := fs.getInode(b.Key.Ino)
-		if err != nil {
-			return fmt.Errorf("lfs: flushing indirect block of inode %d: %w", b.Key.Ino, err)
-		}
-		old, err := fs.setIndirectAddr(in, b.Key.Off, addrs[i])
-		if err != nil {
-			return err
-		}
-		fs.killBlock(old, bs)
-		fs.creditSegmentAged(fs.segOf(addrs[i]), bs, ages[i])
-		fs.bc.MarkClean(b)
-	}
-	return nil
-}
-
-// writeInodeBatch packs every dirty inode into inode blocks, logs
-// them, and updates the inode map.
-func (fs *FS) writeInodeBatch() error {
-	inos := make([]layout.Ino, 0, len(fs.dirtyInodes))
-	for ino := range fs.dirtyInodes {
-		inos = append(inos, ino)
-	}
-	return fs.writeInodeBatchFor(inos)
-}
-
-// writeInodeBatchFor logs the given dirty inodes.
+// writeInodeBatchFor packs the given dirty inodes, in ascending order,
+// into inode blocks, logs them, and updates the inode map.
 func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 	if len(inos) == 0 {
 		return nil
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-
 	per := fs.inodesPerBlock()
-	var refs []blockRef
-	var payload [][]byte
-	var blockInos [][]layout.Ino
-	for start := 0; start < len(inos); start += per {
-		end := start + per
-		if end > len(inos) {
-			end = len(inos)
+	payload := fs.metaPayload((len(inos) + per - 1) / per)
+	refs := fs.wr.refs[:0]
+	for i, ino := range inos {
+		in := fs.inodes[ino]
+		if in == nil {
+			return fmt.Errorf("lfs: dirty inode %d missing from the in-core table", ino)
 		}
-		buf := make([]byte, fs.cfg.BlockSize)
-		group := inos[start:end]
-		for i, ino := range group {
-			in := fs.inodes[ino]
-			if in == nil {
-				return fmt.Errorf("lfs: dirty inode %d missing from the in-core table", ino)
-			}
-			in.Encode(buf[i*layout.InodeSize:])
+		in.Encode(payload[i/per][i%per*layout.InodeSize:])
+		if i%per == 0 {
+			refs = append(refs, blockRef{Kind: kindInodes})
 		}
-		refs = append(refs, blockRef{Kind: kindInodes})
-		payload = append(payload, buf)
-		blockInos = append(blockInos, group)
 	}
+	fs.wr.refs = refs
 	// Inode blocks always go hot: they aggregate records of many
 	// files and are rewritten whenever any of them changes.
 	addrs, err := fs.placeBlocks(classHot, refs, payload, nil)
 	if err != nil {
 		return err
 	}
-	for bi, group := range blockInos {
-		base := addrs[bi]
-		for i, ino := range group {
-			e := fs.imap.get(ino)
-			fs.killBlock(e.Addr, layout.InodeSize)
-			e.Addr = base + layout.DiskAddr(i/inodesPerSector)
-			e.Slot = uint8(i % inodesPerSector)
-			fs.imap.markDirty(ino)
-			fs.creditSegment(fs.segOf(base), layout.InodeSize)
-			delete(fs.dirtyInodes, ino)
-		}
+	for n, ino := range inos {
+		base, i := addrs[n/per], n%per
+		e := fs.imap.get(ino)
+		fs.killBlock(e.Addr, layout.InodeSize)
+		e.Addr = base + layout.DiskAddr(i/inodesPerSector)
+		e.Slot = uint8(i % inodesPerSector)
+		fs.imap.markDirty(ino)
+		fs.creditSegment(fs.segOf(base), layout.InodeSize)
+		delete(fs.dirtyInodes, ino)
 	}
 	return nil
 }
@@ -296,28 +294,31 @@ func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 // writeImapBatch logs every dirty inode map block and records the new
 // addresses for the next checkpoint region write.
 func (fs *FS) writeImapBatch() error {
-	var refs []blockRef
-	var payload [][]byte
-	var idxs []int
-	for idx, dirty := range fs.imap.dirtyBlock {
-		if !dirty {
-			continue
+	n := 0
+	for _, dirty := range fs.imap.dirtyBlock {
+		if dirty {
+			n++
 		}
-		buf := make([]byte, fs.cfg.BlockSize)
-		fs.imap.encodeBlock(idx, buf)
-		refs = append(refs, blockRef{Kind: kindImap, ID: int64(idx)})
-		payload = append(payload, buf)
-		idxs = append(idxs, idx)
 	}
-	if len(refs) == 0 {
+	if n == 0 {
 		return nil
 	}
+	payload := fs.metaPayload(n)
+	refs := fs.wr.refs[:0]
+	for idx, dirty := range fs.imap.dirtyBlock {
+		if dirty {
+			fs.imap.encodeBlock(idx, payload[len(refs)])
+			refs = append(refs, blockRef{Kind: kindImap, ID: int64(idx)})
+		}
+	}
+	fs.wr.refs = refs
 	addrs, err := fs.placeBlocks(classHot, refs, payload, nil)
 	if err != nil {
 		return err
 	}
 	bs := int64(fs.cfg.BlockSize)
-	for i, idx := range idxs {
+	for i, ref := range refs {
+		idx := int(ref.ID)
 		fs.killBlock(fs.imap.blockAddrs[idx], bs)
 		fs.imap.blockAddrs[idx] = addrs[i]
 		fs.creditSegment(fs.segOf(addrs[i]), bs)
@@ -346,10 +347,10 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 		class = classHot
 	}
 	bs := fs.cfg.BlockSize
-	addrs := make([]layout.DiskAddr, 0, len(payload))
+	addrs := fs.wr.addrs[:0]
 	i := 0
 	for i < len(payload) {
-		h := &fs.heads[class]
+		h := fs.head(class)
 		avail := fs.cfg.blocksPerSegment() - h.blk
 		fit := maxUnitBlocks(avail, bs)
 		if fit == 0 {
@@ -407,6 +408,7 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 		fs.cpu.Charge(fs.cfg.Costs.SegWriteSetup + int64(n)*fs.cfg.Costs.SegBlockLayout)
 		i += n
 	}
+	fs.wr.addrs = addrs
 	return addrs, nil
 }
 

@@ -18,7 +18,7 @@ func fillNil(p []byte) {
 
 // loadAddr reads entry idx of a cached indirect block.
 func loadAddr(b *cache.Block, idx int) layout.DiskAddr {
-	return layout.DecodeAddrBlock(b.Data[idx*layout.AddrSize:], 1)[0]
+	return layout.DecodeAddr(b.Data[idx*layout.AddrSize:])
 }
 
 // storeAddr writes entry idx of a cached indirect block.
@@ -155,10 +155,11 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 // disk while LFS's is scattered through the log).
 const readAheadBlocks = 8
 
-// readBlockRA fetches file block lbn through the cache. On a miss
-// during a detected sequential scan it reads up to readAheadBlocks
-// physically contiguous blocks in one request.
-func (fs *FS) readBlockRA(in *layout.Inode, lbn int64) (*cache.Block, error) {
+// readBlockRA returns the contents of file block lbn through the cache,
+// nil for a hole. On a miss during a detected sequential scan it reads
+// up to readAheadBlocks physically contiguous blocks in one request.
+// The bytes are valid until the next cache insertion.
+func (fs *FS) readBlockRA(in *layout.Inode, lbn int64) ([]byte, error) {
 	sequential := lbn == 0 || fs.lastRead[in.Ino]+1 == lbn
 	fs.lastRead[in.Ino] = lbn
 	pb, _, _, err := fs.bmap(in, lbn, false)
@@ -170,7 +171,7 @@ func (fs *FS) readBlockRA(in *layout.Inode, lbn int64) (*cache.Block, error) {
 	}
 	if b := fs.bc.Get(blockKey(pb)); b != nil {
 		fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
-		return b, nil
+		return b.Data, nil
 	}
 	maxLbn := layout.BlocksForSize(in.Size, fs.cfg.BlockSize)
 	limit := 1
@@ -190,19 +191,21 @@ func (fs *FS) readBlockRA(in *layout.Inode, lbn int64) (*cache.Block, error) {
 	}
 	bs := fs.cfg.BlockSize
 	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
-	span := make([]byte, run*bs)
+	span := fs.span[:run*bs]
 	if err := fs.d.ReadSectors(fs.lay.sectorOf(pb), span, disk.CauseReadMiss, "file read"); err != nil {
 		return nil, err
 	}
-	var first *cache.Block
-	for i := 0; i < run; i++ {
-		b := fs.bc.Add(blockKey(pb + int64(i)))
-		copy(b.Data, span[i*bs:(i+1)*bs])
-		if i == 0 {
-			first = b
-		}
+	first := fs.bc.AddFrom(blockKey(pb), span[:bs])
+	for i := 1; i < run; i++ {
+		fs.bc.AddFrom(blockKey(pb+int64(i)), span[i*bs:(i+1)*bs])
 	}
-	return first, nil
+	if first.Data == nil {
+		// Fewer than run blocks were evictable (a cache smaller than the
+		// run, or mostly dirty), so inserting the tail evicted the head:
+		// the span still holds the caller's bytes.
+		return span[:bs], nil
+	}
+	return first.Data, nil
 }
 
 // readFile copies file bytes [off, off+len(buf)) into buf, clamped to
@@ -225,17 +228,14 @@ func (fs *FS) readFile(in *layout.Inode, off int64, buf []byte) (int, error) {
 		if n > len(buf)-read {
 			n = len(buf) - read
 		}
-		b, err := fs.readBlockRA(in, lbn)
+		data, err := fs.readBlockRA(in, lbn)
 		if err != nil {
 			return read, err
 		}
-		if b == nil {
-			// Hole: zero fill.
-			for i := 0; i < n; i++ {
-				buf[read+i] = 0
-			}
+		if data == nil {
+			clear(buf[read : read+n]) // hole
 		} else {
-			copy(buf[read:read+n], b.Data[bo:])
+			copy(buf[read:read+n], data[bo:])
 		}
 		fs.cpu.Charge(fs.cfg.Costs.Copy(n))
 		read += n

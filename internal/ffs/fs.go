@@ -48,6 +48,9 @@ type FS struct {
 	// lastRead tracks each file's last-read block for sequential
 	// read-ahead detection. Guarded by mu.
 	lastRead map[layout.Ino]int64
+	// span is the read-ahead transfer buffer, reused by every miss.
+	// Guarded by mu.
+	span []byte
 
 	// unmounted is the lifecycle flag; guarded by mu.
 	unmounted bool
@@ -129,6 +132,7 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 		names:      make(map[layout.Ino]map[string]nameEntry),
 		insertHint: make(map[layout.Ino]int64),
 		lastRead:   make(map[layout.Ino]int64),
+		span:       make([]byte, readAheadBlocks*cfg.BlockSize),
 		rec:        cfg.Trace,
 	}
 	// Route blocking-request waits into the phase accumulator. Pure

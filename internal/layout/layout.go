@@ -190,10 +190,14 @@ func DecodeAddrBlock(p []byte, n int) []DiskAddr {
 	}
 	addrs := make([]DiskAddr, n)
 	for i := range addrs {
-		addrs[i] = DiskAddr(binary.LittleEndian.Uint32(p[i*AddrSize:]))
+		addrs[i] = DecodeAddr(p[i*AddrSize:])
 	}
 	return addrs
 }
+
+// DecodeAddr parses the one address at the start of p — an indirect
+// block entry looked up without decoding (and allocating) the block.
+func DecodeAddr(p []byte) DiskAddr { return DiskAddr(binary.LittleEndian.Uint32(p)) }
 
 // Checksum returns the CRC32 (IEEE) of p; every multi-sector on-disk
 // structure in this repository is checksummed with it — except log-unit

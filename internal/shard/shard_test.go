@@ -49,6 +49,19 @@ func TestConformanceSingleShard(t *testing.T) {
 	})
 }
 
+// TestConformancePoisonedRecycling reruns the single-shard conformance
+// suite with a cache small enough to evict constantly and every
+// recycled buffer scribbled over: bytes served through a stale block
+// would fail the suite's read-back checks.
+func TestConformancePoisonedRecycling(t *testing.T) {
+	fstest.PoisonRecycledBuffers(t)
+	cfg := testConfig()
+	cfg.CacheBlocks = 24
+	fstest.RunConformance(t, func(t *testing.T) vfs.FileSystem {
+		return newShards(t, 1, shard.Options{Base: cfg})
+	})
+}
+
 func TestPlacement(t *testing.T) {
 	fs := newShards(t, 4, shard.Options{
 		Base: testConfig(),

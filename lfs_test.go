@@ -146,9 +146,10 @@ func ExampleFormat() {
 	// Output: world
 }
 
-// TestCIBaselinesCommitted: every baseline scripts/ci.sh hands to
-// benchdiff.sh must exist in the tree and not be ignored by git, or
-// the merge gate fails on a fresh clone before it compares anything.
+// TestCIBaselinesCommitted: every baseline scripts/ci.sh holds a smoke
+// to (`gate NAME` diffs against BENCH_NAME.json) must exist in the tree
+// and not be ignored by git, or the merge gate fails on a fresh clone
+// before it compares anything.
 func TestCIBaselinesCommitted(t *testing.T) {
 	ci, err := os.ReadFile(filepath.Join("scripts", "ci.sh"))
 	if err != nil {
@@ -158,12 +159,12 @@ func TestCIBaselinesCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baselines := regexp.MustCompile(`benchdiff\.sh\s+(BENCH_\w+\.json)`).FindAllSubmatch(ci, -1)
+	baselines := regexp.MustCompile(`(?m)^gate (\w+)$`).FindAllSubmatch(ci, -1)
 	if len(baselines) == 0 {
-		t.Fatal("scripts/ci.sh names no benchdiff baselines; has the gate moved?")
+		t.Fatal("scripts/ci.sh gates no smoke on a baseline; has the gate moved?")
 	}
 	for _, m := range baselines {
-		name := string(m[1])
+		name := "BENCH_" + string(m[1]) + ".json"
 		if _, err := os.Stat(name); err != nil {
 			t.Errorf("ci.sh diffs against %s, which is not in the tree: %v", name, err)
 		}
