@@ -4,26 +4,19 @@
 //
 // Usage:
 //
-//	lfsbench -experiment fig1       # Figures 1-2: creation disk traces
-//	lfsbench -experiment fig3       # Figure 3: small-file I/O
-//	lfsbench -experiment fig4       # Figure 4: large-file I/O
-//	lfsbench -experiment fig5       # Figure 5: cleaning rate vs utilization
-//	lfsbench -experiment scaling    # §3.1: CPU scaling of create/delete
-//	lfsbench -experiment recovery   # §4.4: crash recovery time
-//	lfsbench -experiment ablation-segsize   # segment size sweep
-//	lfsbench -experiment ablation-policy    # greedy vs cost-benefit cleaning
-//	lfsbench -experiment concurrency # multi-client throughput scaling
-//	lfsbench -experiment sharding   # multi-log scale-out: ops/s vs shard count
-//	lfsbench -experiment crashsweep # crash-point sweep: snapshot vs replay
-//	lfsbench -experiment all        # everything
+//	lfsbench -experiment <name>     # one experiment
+//	lfsbench -experiment all        # everything, in table order
+//	lfsbench -h                     # the experiments, one line each
+//
+// The experiment table below (order) is the only list: -h, the
+// -benchjson help and the unknown-name error are all printed from it.
 //
 // -quick shrinks the workloads by roughly 10x for a fast smoke run.
 //
 // The trace experiment runs the instrumented small-file + cleaning
 // smoke test; -trace exports its full JSONL trace (see cmd/lfstrace)
-// and -benchjson writes its headline numbers as one JSON object. The
-// concurrency experiment sweeps closed-loop client counts over LFS
-// (group commit on and off) and FFS; -benchjson writes its curve.
+// and -benchjson writes the headline numbers of the experiments that
+// have a committed BENCH_*.json baseline as one JSON object.
 //
 // -metrics <file> attaches a simulated-clock metrics sampler to every
 // LFS any experiment builds and writes the combined time-series JSONL
@@ -46,13 +39,22 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment to run (see -experiment list, or \"all\")")
+	exp := flag.String("experiment", "all", "experiment to run: "+strings.Join(experimentNames(false), ", ")+", or all")
 	quick := flag.Bool("quick", false, "shrink workloads ~10x for a fast run")
 	csvDir := flag.String("csvdir", "", "also write each experiment's rows as <dir>/<experiment>.csv")
 	flag.StringVar(&traceOut, "trace", "", "write the trace experiment's JSONL trace to this file")
-	flag.StringVar(&benchJSON, "benchjson", "", "write the trace, concurrency, or metrics experiment's summary JSON to this file")
+	flag.StringVar(&benchJSON, "benchjson", "", "write the summary JSON of "+strings.Join(experimentNames(true), ", ")+" to this file")
 	metricsOut := flag.String("metrics", "", "sample every LFS's metrics plane and write the combined JSONL time series to this file (replay with lfstop)")
 	metricsInterval := flag.Duration("metrics-interval", time.Second, "simulated-time spacing between metrics samples")
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintf(w, "Usage of %s:\n", os.Args[0])
+		flag.PrintDefaults()
+		fmt.Fprintln(w, "\nExperiments:")
+		for _, e := range order {
+			fmt.Fprintf(w, "  %-19s %s\n", e.name, e.about)
+		}
+	}
 	flag.Parse()
 	realStdout = os.Stdout
 	if *metricsOut != "" {
@@ -76,54 +78,72 @@ func main() {
 		csvOut = *csvDir
 	}
 
-	runners := map[string]func(bool) error{
-		"fig1":               runFig1,
-		"fig3":               runFig3,
-		"fig4":               runFig4,
-		"fig5":               runFig5,
-		"scaling":            runScaling,
-		"recovery":           runRecovery,
-		"ablation-segsize":   runAblationSegSize,
-		"ablation-policy":    runAblationPolicy,
-		"utilization":        runUtilization,
-		"ablation-ckpt":      runAblationCkpt,
-		"ablation-blocksize": runAblationBlockSize,
-		"cleaning-curve":     runCleaningCurve,
-		"trace":              runTrace,
-		"concurrency":        runConcurrency,
-		"critpath":           runCritPath,
-		"metrics":            runMetrics,
-		"crashsweep":         runCrashSweep,
-		"sharding":           runSharding,
-	}
-	order := []string{"fig1", "fig3", "fig4", "fig5", "scaling", "recovery", "ablation-segsize", "ablation-policy", "ablation-ckpt", "ablation-blocksize", "utilization", "cleaning-curve", "trace", "concurrency", "critpath", "sharding", "metrics", "crashsweep"}
-
-	if *exp == "all" {
-		for _, name := range order {
-			fmt.Printf("=== %s ===\n", name)
-			if err := runners[name](*quick); err != nil {
-				fmt.Fprintf(os.Stderr, "lfsbench: %s: %v\n", name, err)
-				os.Exit(1)
-			}
+	all, ran := *exp == "all", false
+	for _, e := range order {
+		if !all && *exp != e.name {
+			continue
+		}
+		ran = true
+		if all {
+			fmt.Printf("=== %s ===\n", e.name)
+		}
+		if err := e.run(*quick); err != nil {
+			fmt.Fprintf(os.Stderr, "lfsbench: %s: %v\n", e.name, err)
+			os.Exit(1)
+		}
+		if all {
 			fmt.Println()
 		}
-		finishMetrics(*metricsOut)
-		return
 	}
-	run, ok := runners[*exp]
-	if !ok {
-		names := make([]string, 0, len(runners)+1)
-		names = append(names, order...)
-		names = append(names, "all")
-		fmt.Fprintf(os.Stderr, "lfsbench: unknown experiment %q (valid: %s)\n",
-			*exp, strings.Join(names, ", "))
+	if !ran {
+		fmt.Fprintf(os.Stderr, "lfsbench: unknown experiment %q (valid: %s, all)\n",
+			*exp, strings.Join(experimentNames(false), ", "))
 		os.Exit(2)
 	}
-	if err := run(*quick); err != nil {
-		fmt.Fprintf(os.Stderr, "lfsbench: %v\n", err)
-		os.Exit(1)
-	}
 	finishMetrics(*metricsOut)
+}
+
+// experiment is one row of the -experiment table.
+type experiment struct {
+	name  string
+	about string
+	run   func(quick bool) error
+	// benchJSON marks the experiments that honour -benchjson (each has
+	// a committed BENCH_*.json baseline that scripts/ci.sh gates).
+	benchJSON bool
+}
+
+// order is every experiment, in the order "all" runs them.
+var order = []experiment{
+	{"fig1", "Figures 1-2: creation disk traces", runFig1, false},
+	{"fig3", "Figure 3: small-file I/O", runFig3, false},
+	{"fig4", "Figure 4: large-file I/O", runFig4, false},
+	{"fig5", "Figure 5: cleaning rate vs utilization", runFig5, false},
+	{"scaling", "§3.1: CPU scaling of create/delete", runScaling, false},
+	{"recovery", "§4.4: crash recovery time", runRecovery, false},
+	{"ablation-segsize", "segment size sweep", runAblationSegSize, false},
+	{"ablation-ckpt", "checkpoint interval: overhead vs vulnerability window", runAblationCkpt, false},
+	{"ablation-blocksize", "block size on the small-file workload", runAblationBlockSize, false},
+	{"utilization", "segment utilization distribution under an office trace", runUtilization, false},
+	{"cleaning-curve", "write cost vs utilization: greedy, cost-benefit, +segregation", runCleaningCurve, true},
+	{"trace", "instrumented small-file + cleaning smoke (-trace exports the JSONL)", runTrace, true},
+	{"concurrency", "multi-client throughput: LFS group commit on/off vs FFS", runConcurrency, true},
+	{"critpath", "fsync latency by phase across client counts", runCritPath, true},
+	{"sharding", "multi-log scale-out: ops/s vs shard count, one-shard crash", runSharding, true},
+	{"metrics", "metrics-plane smoke: final sample equals the aggregates", runMetrics, true},
+	{"crashsweep", "crash-point sweep: snapshot vs replay", runCrashSweep, true},
+}
+
+// experimentNames lists the table's names in order; benchOnly keeps
+// those that honour -benchjson.
+func experimentNames(benchOnly bool) []string {
+	var names []string
+	for _, e := range order {
+		if e.benchJSON || !benchOnly {
+			names = append(names, e.name)
+		}
+	}
+	return names
 }
 
 // collector gathers one labelled sampler per LFS instance when
@@ -309,23 +329,6 @@ func runAblationSegSize(quick bool) error {
 	}
 	fmt.Print(experiments.FormatSegSize(rows))
 	return emitCSV("ablation-segsize", func(f *os.File) error { return experiments.CSVSegSize(f, rows) })
-}
-
-func runAblationPolicy(quick bool) error {
-	opts := experiments.DefaultPolicyOpts()
-	if quick {
-		// Keep the disk as full relative to capacity as the full
-		// run, or the cleaner never activates.
-		opts.Capacity = 12 << 20
-		opts.Files = 2000
-		opts.Overwrites = 6000
-	}
-	rows, err := experiments.PolicyAblation(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatPolicy(rows))
-	return emitCSV("ablation-policy", func(f *os.File) error { return experiments.CSVPolicy(f, rows) })
 }
 
 func runUtilization(quick bool) error {

@@ -8,10 +8,9 @@
 // The cache is a fixed-capacity block store keyed by (namespace,
 // inode, offset), with LRU eviction of clean blocks, explicit dirty
 // tracking in dirtied order (for the 30-second age write-back policy
-// of §4.3.5), and pinning for blocks mid-operation. Eviction never
-// touches dirty or pinned blocks: write-back policy belongs to the
-// owning file system, which consults DirtyCount, Overfull, and
-// OldestDirty after each operation.
+// of §4.3.5). Eviction never touches dirty blocks: write-back policy
+// belongs to the owning file system, which consults DirtyCount,
+// Overfull, and OldestDirty after each operation.
 package cache
 
 import (
@@ -53,7 +52,7 @@ func (k Key) String() string {
 
 // Block is one cached block. Data has the cache's block size while the
 // block is cached; the cache owns the buffer and takes it back (leaving
-// Data nil) when the block is removed, so a clean, unpinned *Block must
+// Data nil) when the block is removed, so a clean *Block must
 // not be held across an Add, which may evict it.
 type Block struct {
 	Key  Key
@@ -61,7 +60,6 @@ type Block struct {
 
 	dirty     bool
 	dirtiedAt sim.Time
-	pins      int
 
 	// links are the block's positions in the cache's three intrusive
 	// chains, indexed by chainID.
@@ -128,9 +126,6 @@ func (b *Block) Dirty() bool { return b.dirty }
 // DirtiedAt returns when the block was first dirtied (valid only while
 // Dirty).
 func (b *Block) DirtiedAt() sim.Time { return b.dirtiedAt }
-
-// Pinned reports whether the block is pinned against eviction.
-func (b *Block) Pinned() bool { return b.pins > 0 }
 
 // Stats counts cache activity.
 type Stats struct {
@@ -230,7 +225,7 @@ func (c *Cache) Peek(k Key) *Block {
 	return c.blocks[k]
 }
 
-// Add inserts a zeroed block for k, evicting clean unpinned LRU blocks
+// Add inserts a zeroed block for k, evicting clean LRU blocks
 // as needed. Adding an existing key panics — the caller must Get first.
 func (c *Cache) Add(k Key) *Block {
 	b := c.add(k)
@@ -276,7 +271,7 @@ func (c *Cache) insert(b *Block) {
 	c.linkIno(b)
 }
 
-// evictFor evicts clean, unpinned LRU blocks until there is room for n
+// evictFor evicts clean LRU blocks until there is room for n
 // more blocks or no evictable block remains.
 func (c *Cache) evictFor(n int) {
 	for len(c.blocks)+n > c.capacity {
@@ -292,14 +287,14 @@ func (c *Cache) evictFor(n int) {
 	}
 }
 
-// evictable returns the least recently used clean, unpinned block,
+// evictable returns the least recently used clean block,
 // preferring file data over metadata (indirect and meta blocks):
 // metadata is tiny, reloading it stalls behind queued segment writes,
 // and real buffer caches gave it priority for the same reason.
 func (c *Cache) evictable() *Block {
 	var meta *Block
 	for b := c.lru.back; b != nil; b = b.links[chainLRU].prev {
-		if b.dirty || b.pins > 0 {
+		if b.dirty {
 			continue
 		}
 		if b.Key.Kind == KindFile {
@@ -350,17 +345,6 @@ func (c *Cache) MarkClean(b *Block) {
 	b.dirty = false
 	c.dirty.remove(b)
 	c.nDirty--
-}
-
-// Pin protects b from eviction until a matching Unpin.
-func (c *Cache) Pin(b *Block) { b.pins++ }
-
-// Unpin releases one pin.
-func (c *Cache) Unpin(b *Block) {
-	if b.pins == 0 {
-		panic("cache: Unpin of unpinned block")
-	}
-	b.pins--
 }
 
 // Remove drops the block for k from the cache, dirty or not. Dropping
@@ -453,13 +437,13 @@ func (c *Cache) RemoveMatching(pred func(Key) bool) int {
 	return len(victims)
 }
 
-// DropClean evicts every clean, unpinned block, simulating the
+// DropClean evicts every clean block, simulating the
 // paper's "flush the file cache" step between benchmark phases.
 func (c *Cache) DropClean() int {
 	var victims []*Block
 	//lfslint:allow maporder eviction order does not matter: every clean block is dropped and the final cache state is identical for any order
 	for _, b := range c.blocks {
-		if !b.dirty && b.pins == 0 {
+		if !b.dirty {
 			victims = append(victims, b)
 		}
 	}

@@ -102,35 +102,6 @@ func TestDirtyBlocksNotEvicted(t *testing.T) {
 	}
 }
 
-func TestPinnedBlocksNotEvicted(t *testing.T) {
-	c := New(1, 512)
-	b := c.Add(key(1, 0))
-	c.Pin(b)
-	c.Add(key(2, 0))
-	if c.Peek(key(1, 0)) == nil {
-		t.Fatal("pinned block evicted")
-	}
-	c.Unpin(b)
-	if b.Pinned() {
-		t.Fatal("block still pinned after Unpin")
-	}
-	c.Add(key(3, 0))
-	if c.Peek(key(1, 0)) != nil && c.Peek(key(2, 0)) != nil {
-		t.Fatal("nothing evicted after unpin")
-	}
-}
-
-func TestUnpinUnpinnedPanics(t *testing.T) {
-	c := New(1, 512)
-	b := c.Add(key(1, 0))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Unpin of unpinned block did not panic")
-		}
-	}()
-	c.Unpin(b)
-}
-
 func TestDirtyTracking(t *testing.T) {
 	c := New(8, 512)
 	b1 := c.Add(key(1, 0))
@@ -352,7 +323,6 @@ type sliceModel struct {
 	capacity int
 	lru      []Key // front = most recent
 	dirty    []Key // front = oldest dirtied
-	pins     map[Key]int
 }
 
 func without(keys []Key, k Key) []Key {
@@ -375,7 +345,6 @@ func contains(keys []Key, k Key) bool {
 
 func (m *sliceModel) remove(k Key) {
 	m.lru, m.dirty = without(m.lru, k), without(m.dirty, k)
-	delete(m.pins, k)
 }
 
 // add returns the keys evicted to make room, in order.
@@ -385,7 +354,7 @@ func (m *sliceModel) add(k Key) []Key {
 		victim, found := Key{}, false
 		for i := len(m.lru) - 1; i >= 0; i-- {
 			x := m.lru[i]
-			if contains(m.dirty, x) || m.pins[x] > 0 {
+			if contains(m.dirty, x) {
 				continue
 			}
 			if x.Kind == KindFile {
@@ -419,14 +388,14 @@ func TestCacheMatchesSliceModel(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		DebugPoison = round%2 == 1
 		c := New(6, 16)
-		m := &sliceModel{capacity: 6, pins: map[Key]int{}}
+		m := &sliceModel{capacity: 6}
 		for step := 0; step < 400; step++ {
 			k := Key{Kind: Kind(rng.Intn(3)), Ino: layout.Ino(rng.Intn(5)), Off: int64(rng.Intn(3))}
 			evicted = evicted[:0]
 			var want []Key
 			lenBefore, freeBefore := c.Len(), len(c.free)
 			removal := true // the op only removes blocks
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(18); {
 			case op < 8: // lookup, adding on a miss
 				removal = false
 				if b := c.Get(k); b != nil {
@@ -454,19 +423,9 @@ func TestCacheMatchesSliceModel(t *testing.T) {
 					m.dirty = without(m.dirty, k)
 				}
 			case op < 14:
-				if b := c.Peek(k); b != nil {
-					c.Pin(b)
-					m.pins[k]++
-				}
-			case op < 15:
-				if b := c.Peek(k); b != nil && b.Pinned() {
-					c.Unpin(b)
-					m.pins[k]--
-				}
-			case op < 16:
 				c.Remove(k)
 				m.remove(k)
-			case op < 18:
+			case op < 16:
 				n := c.RemoveIno(k.Ino)
 				for _, x := range append([]Key(nil), m.lru...) {
 					if x.Ino == k.Ino {
@@ -477,7 +436,7 @@ func TestCacheMatchesSliceModel(t *testing.T) {
 				if n != 0 {
 					t.Fatalf("round %d step %d: RemoveIno count off by %d", round, step, n)
 				}
-			case op < 19:
+			case op < 17:
 				c.RemoveMatching(func(x Key) bool { return x.Kind == k.Kind && x.Off == k.Off })
 				for _, x := range append([]Key(nil), m.lru...) {
 					if x.Kind == k.Kind && x.Off == k.Off {
@@ -487,11 +446,11 @@ func TestCacheMatchesSliceModel(t *testing.T) {
 			default:
 				if rng.Intn(4) == 0 {
 					c.Clear()
-					m.lru, m.dirty, m.pins = nil, nil, map[Key]int{}
+					m.lru, m.dirty = nil, nil
 				} else {
 					c.DropClean()
 					for _, x := range append([]Key(nil), m.lru...) {
-						if !contains(m.dirty, x) && m.pins[x] == 0 {
+						if !contains(m.dirty, x) {
 							m.remove(x)
 						}
 					}
@@ -603,14 +562,12 @@ func TestDropClean(t *testing.T) {
 	c.Add(key(2, 0))
 	d := c.Add(key(3, 0))
 	c.MarkDirty(d, 0)
-	p := c.Add(key(4, 0))
-	c.Pin(p)
 	n := c.DropClean()
 	if n != 2 {
 		t.Fatalf("DropClean removed %d, want 2", n)
 	}
-	if c.Peek(key(3, 0)) == nil || c.Peek(key(4, 0)) == nil {
-		t.Fatal("DropClean removed a dirty or pinned block")
+	if c.Peek(key(3, 0)) == nil {
+		t.Fatal("DropClean removed a dirty block")
 	}
 }
 
@@ -641,7 +598,7 @@ func TestKeyString(t *testing.T) {
 }
 
 // Property: the cache never exceeds capacity as long as blocks stay
-// clean and unpinned, and never loses a dirty block.
+// clean, and never loses a dirty block.
 func TestCacheInvariantsProperty(t *testing.T) {
 	type op struct {
 		Ino   uint8

@@ -193,7 +193,7 @@ func TestCrashTortureWithTornWrites(t *testing.T) {
 				}
 			}
 		}
-		d.TearNextWrite()
+		tearNextWrite(d)
 		_ = fs.Sync() // the torn write may or may not surface an error later
 		fs.Crash()
 		recovered, err := core.Mount(d, cfg)

@@ -249,7 +249,7 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 	// queue-wait/service split feeds the running operation's latency
 	// decomposition. Pure arithmetic on already-computed durations,
 	// so attaching never perturbs the timeline.
-	d.SetWaiter(diskWaiter{fs})
+	d.SetWaiter(fs.op)
 
 	// Read both checkpoint regions; use the newest valid one.
 	var best checkpointState
@@ -338,7 +338,7 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 	if err := fs.initMetrics(); err != nil {
 		return nil, err
 	}
-	fs.samp.Tick(fs.clock.Now())
+	fs.cfg.Metrics.Tick(fs.clock.Now())
 	return fs, nil
 }
 

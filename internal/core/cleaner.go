@@ -63,12 +63,12 @@ func (fs *FS) cleanUntil(target int) (CleanResult, error) {
 	// Bracket the whole activation — victim reads, relocation writes,
 	// mid-run and final checkpoints, and the CPU they charge — as
 	// cleaner interference on whichever operation triggered it. The
-	// disk.Waiter hook skips requests issued while cleaning, so the
+	// bracket drops the disk's per-request waits meanwhile, so the
 	// delta is attributed exactly once.
-	cleanT0 := fs.clock.Now()
+	cleanT0 := fs.op.Bracket()
 	defer func() {
 		fs.cleaning = false
-		fs.phases.Add(obs.PhaseCleaner, fs.clock.Now().Sub(cleanT0))
+		fs.op.EndBracket(cleanT0, obs.PhaseCleaner)
 	}()
 	fs.stats.CleanerRuns++
 
@@ -297,10 +297,10 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 		read := int64(fs.sb.SegmentSize)
 		copied := int64(vs.copied) * int64(fs.cfg.BlockSize)
 		res.BytesReclaimed += read - copied
-		if fs.rec.Enabled() {
+		if fs.cfg.Trace.Enabled() {
 			// Measured byte counts, so the recorder's aggregate write
 			// cost is exactly the Stats-derived value.
-			fs.rec.Clean(obs.CleanRecord{
+			fs.cfg.Trace.Clean(obs.CleanRecord{
 				Time:           fs.clock.Now(),
 				Seg:            vs.seg,
 				Utilization:    vs.util,

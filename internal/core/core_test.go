@@ -29,6 +29,24 @@ func newPair(t *testing.T, capacity int64, cfg core.Config) (*disk.Disk, *core.F
 }
 
 // testConfig shrinks the inode map so small test disks format quickly.
+// tearNextWrite makes d persist only the leading half of its next
+// write while reporting success — a transfer power loss interrupted —
+// and every later write whole.
+func tearNextWrite(d *disk.Disk) { d.SetFaultPolicy(&tearOnce{}) }
+
+// tearOnce is the disk.FaultPolicy behind tearNextWrite.
+type tearOnce struct{ done bool }
+
+func (p *tearOnce) Read(disk.ReadOp) error { return nil }
+
+func (p *tearOnce) Write(op disk.WriteOp) disk.WriteDecision {
+	if p.done {
+		return disk.WriteDecision{}
+	}
+	p.done = true
+	return disk.WriteDecision{Action: disk.WriteTear, KeepSectors: max(op.Sectors/2, 1)}
+}
+
 func testConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.MaxInodes = 4096
@@ -341,7 +359,7 @@ func TestRollForwardStopsAtTornWrite(t *testing.T) {
 	if err := fs.Write("/torn", 0, bytes.Repeat([]byte{7}, 60000)); err != nil {
 		t.Fatal(err)
 	}
-	d.TearNextWrite()
+	tearNextWrite(d)
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}

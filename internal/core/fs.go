@@ -155,46 +155,12 @@ type FS struct {
 	// stats holds the internal counters; guarded by mu.
 	stats Stats
 
-	// client labels spans and disk events with the issuing client's
-	// ID in multi-client runs (0 = unattributed). Guarded by mu.
-	client int
-
-	// shard labels spans and disk events with this instance's 1-based
-	// shard ID when it serves as one log of a sharded multi-log
-	// system (0 = unsharded). Guarded by mu.
-	shard int
-
-	// rec is the attached trace recorder (cfg.Trace); nil when
-	// tracing is disabled. The recorder has its own lock, so spans
-	// recorded under fs.mu never deadlock with concurrent readers.
-	rec *obs.Recorder
-
-	// samp is the attached metrics sampler (cfg.Metrics); nil when
-	// the metrics plane is disabled. Its registered probes read
-	// fs state directly, so sampling happens only with mu held.
-	samp *obs.Sampler
-	// opsDone/opsErr/opLat feed the sampler's throughput and latency
-	// series; maintained only when samp is non-nil. Guarded by mu.
-	opsDone int64
-	opsErr  int64
-	opLat   obs.Histogram
-
-	// phases accumulates the running operation's latency attribution:
-	// disk waits arrive through the disk.Waiter hook, drains and the
-	// cleaner bracket their own clock deltas, and opStart folds in
-	// pendingWait. Reset at operation entry; guarded by mu.
-	phases obs.PhaseAccum
-	// pendingWait holds wait attributed to the *next* operation
-	// before it enters the FS — scheduler dispatch gaps and
-	// cross-shard fan-out noted via NoteWait. opStart backdates the
-	// span's start by the pending total, keeping the exactness
-	// invariant: the time really elapsed, just before the call.
-	// Guarded by mu.
-	pendingWait [obs.NumPhaseKinds]sim.Duration
-	// fsyncPhase feeds the per-phase fsync latency series
-	// (op.fsync.phase.*); maintained only when samp is non-nil.
-	// Guarded by mu.
-	fsyncPhase [obs.NumPhaseKinds]obs.Histogram
+	// op is the operation seam: every exported VFS operation opens
+	// with op.Begin and returns through op.End, which is where spans,
+	// phase attribution, op metrics and *vfs.PathError wrapping happen
+	// (the recorder and sampler it feeds are cfg.Trace and
+	// cfg.Metrics). Guarded by mu.
+	op *obs.OpCapture
 }
 
 // newSkeleton builds an FS with empty state: every segment clean, an
@@ -218,36 +184,12 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 		coldAges:    make(map[cache.Key]sim.Time),
 		span:        make([]byte, readAheadBlocks*cfg.BlockSize),
 		writeSerial: 1,
-		rec:         cfg.Trace,
-		samp:        cfg.Metrics,
-		opLat:       obs.NewLatencyHistogram(),
 	}
+	fs.op = obs.NewOpCapture(d, fs.cpu, cfg.Trace, cfg.Metrics)
 	fs.heads[classHot].open = true
 	fs.usage[0].State = segActive
 	fs.cleanCount = int(sb.Segments) - 1
-	for k := range fs.fsyncPhase {
-		fs.fsyncPhase[k] = obs.NewLatencyHistogram()
-	}
 	return fs
-}
-
-// diskWaiter adapts FS to disk.Waiter. DiskWait is invoked from
-// inside the FS's own disk calls, which only ever happen with fs.mu
-// held, so it reads guarded state directly without locking (the
-// adapter type keeps it off the FS method set lockcheck audits).
-type diskWaiter struct{ fs *FS }
-
-// DiskWait attributes a blocking request's queue wait and service
-// time to the running operation's phases. Requests issued while the
-// cleaner runs are skipped: the cleaner bracket in cleanUntil
-// attributes its whole clock delta as PhaseCleaner, reads, writes,
-// and mid-run checkpoints included.
-func (w diskWaiter) DiskWait(cause disk.IOCause, queue, service sim.Duration) {
-	if w.fs.cleaning {
-		return
-	}
-	w.fs.phases.Add(obs.PhaseQueueWait, queue)
-	w.fs.phases.AddService(cause, service)
 }
 
 // NoteWait credits the next operation with wait time that elapsed
@@ -256,12 +198,9 @@ func (w diskWaiter) DiskWait(cause disk.IOCause, queue, service sim.Duration) {
 // broadcasts (PhaseFanout). The next span's start is backdated by the
 // noted total, so its phase list still sums to its latency exactly.
 func (fs *FS) NoteWait(kind obs.PhaseKind, d sim.Duration) {
-	if d <= 0 || kind >= obs.NumPhaseKinds {
-		return
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.pendingWait[kind] += d
+	fs.op.NoteWait(kind, d)
 }
 
 // Disk returns the underlying device for experiment instrumentation.
@@ -274,8 +213,7 @@ func (fs *FS) Disk() *disk.Disk { return fs.d }
 func (fs *FS) SetClient(id int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.client = id
-	fs.d.SetClient(id)
+	fs.op.SetClient(id)
 }
 
 // SetShard labels this instance's spans and disk events with its
@@ -285,8 +223,7 @@ func (fs *FS) SetClient(id int) {
 func (fs *FS) SetShard(id int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.shard = id
-	fs.d.SetShard(id)
+	fs.op.SetShard(id)
 }
 
 // Clock returns the simulated clock.
@@ -360,7 +297,7 @@ func (fs *FS) StatsSnapshot() StatsSnapshot {
 		LiveBytes:       fs.liveBytes,
 		SegmentSize:     int(fs.sb.SegmentSize),
 		BlockSize:       fs.cfg.BlockSize,
-		Trace:           fs.rec.Aggregates(),
+		Trace:           fs.cfg.Trace.Aggregates(),
 	}
 }
 

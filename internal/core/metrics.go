@@ -8,36 +8,24 @@ import (
 // initMetrics binds cfg.Metrics and registers every metric the plane
 // exports. The probes are closures over fs and its subsystems; they
 // run from Sampler sampling calls, which only ever happen with fs.mu
-// held (endOp ticks inline; TickMetrics/SampleMetricsNow lock), so
+// held (the op seam ticks inline; TickMetrics/SampleMetricsNow lock), so
 // they read lock-guarded state directly and never call the exported
 // locking accessors. Every probe is a pure read: no clock, CPU, disk,
 // or RNG access, so a sampling-enabled run replays the identical
 // simulated timeline, statistics, and on-disk bytes (the golden
 // zero-perturbation test pins this).
 func (fs *FS) initMetrics() error {
-	if fs.samp == nil {
+	if fs.cfg.Metrics == nil {
 		return nil
 	}
-	if err := fs.samp.Bind(); err != nil {
+	if err := fs.cfg.Metrics.Bind(); err != nil {
 		return err
 	}
-	r := fs.samp.Registry()
+	r := fs.cfg.Metrics.Registry()
 
-	// Operation throughput and latency: per-interval rate plus
-	// bucket-interpolated percentiles of the interval's latencies.
-	r.RatedCounter("ops", func() int64 { return fs.opsDone })
-	r.Counter("ops.errors", func() int64 { return fs.opsErr })
-	r.QuantileHist("op.latency_s", func() obs.Histogram { return fs.opLat },
-		0.5, 0.95, 0.99)
-
-	// Fsync latency by phase: one distribution per phase kind, in
-	// fixed kind order, each with a derived p95 — the series the
-	// critical-path report reads (e.g. op.fsync.phase.queue_wait.p95).
-	for k := obs.PhaseKind(0); k < obs.NumPhaseKinds; k++ {
-		kind := k
-		r.QuantileHist("op.fsync.phase."+kind.String(),
-			func() obs.Histogram { return fs.fsyncPhase[kind] }, 0.95)
-	}
+	// Operation throughput, latency and fsync-by-phase come from the
+	// op seam, first so the series order is stable.
+	fs.op.RegisterMetrics(r)
 
 	// Log activity.
 	r.RatedCounter("log.blocks_written", func() int64 { return fs.stats.BlocksWritten })
@@ -112,19 +100,19 @@ func (fs *FS) initMetrics() error {
 
 // Metrics returns the attached sampler (nil when the plane is
 // disabled), for tools that export the series after a run.
-func (fs *FS) Metrics() *obs.Sampler { return fs.samp }
+func (fs *FS) Metrics() *obs.Sampler { return fs.cfg.Metrics }
 
 // TickMetrics samples the metrics plane if the sampling interval has
 // elapsed. Operations tick implicitly; the multi-client event loop
 // pumps this between operations so long think-time gaps still get
 // samples. A no-op without an attached sampler.
 func (fs *FS) TickMetrics() {
-	if fs.samp == nil {
+	if fs.cfg.Metrics == nil {
 		return
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.samp.Tick(fs.clock.Now())
+	fs.cfg.Metrics.Tick(fs.clock.Now())
 }
 
 // SampleMetricsNow forces a sample at the current simulated time
@@ -132,10 +120,10 @@ func (fs *FS) TickMetrics() {
 // final sample equals the end-of-run aggregates exactly. A no-op
 // without an attached sampler.
 func (fs *FS) SampleMetricsNow() {
-	if fs.samp == nil {
+	if fs.cfg.Metrics == nil {
 		return
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.samp.SampleNow(fs.clock.Now())
+	fs.cfg.Metrics.SampleNow(fs.clock.Now())
 }

@@ -18,76 +18,6 @@ func (fs *FS) maxFileSize() int64 {
 	return layout.MaxFileBlocks(fs.cfg.BlockSize) * int64(fs.cfg.BlockSize)
 }
 
-// opStart samples the simulated clock and CPU at operation entry, for
-// the span recorded by endOp, and arms phase attribution: the
-// accumulator is reset and any wait noted before entry (NoteWait) is
-// credited, backdating the span's start by the same amount. All reads
-// are cheap enough to do even with tracing disabled.
-func (fs *FS) opStart() (sim.Time, int64) {
-	fs.phases.Reset()
-	start := fs.clock.Now()
-	for k := range fs.pendingWait {
-		if d := fs.pendingWait[k]; d > 0 {
-			fs.phases.Add(obs.PhaseKind(k), d)
-			start = start.Add(-d)
-			fs.pendingWait[k] = 0
-		}
-	}
-	return start, fs.cpu.Instructions()
-}
-
-// endOp closes an operation: it wraps err with the operation and path
-// context (*vfs.PathError) and, when a recorder is attached, emits the
-// operation's span with its phase decomposition — the attributed
-// waits plus a derived CPU residual, summing to the span's latency
-// exactly. Must be called with fs.mu held. Recording reads only the
-// simulated clock, so tracing never perturbs the timeline.
-func (fs *FS) endOp(op, path string, start sim.Time, cpu0 int64, err error) error {
-	err = vfs.WrapPathError(op, path, err)
-	var phases []obs.Phase
-	if fs.rec != nil || fs.samp != nil {
-		phases = fs.phases.Phases(fs.clock.Now().Sub(start))
-	}
-	if fs.rec != nil {
-		msg := ""
-		if err != nil {
-			msg = err.Error()
-		}
-		fs.rec.Span(obs.Span{Op: op, Path: path, Start: start,
-			End: fs.clock.Now(), CPU: fs.cpu.Instructions() - cpu0, Err: msg,
-			Client: fs.client, Shard: fs.shard, Phases: phases})
-	}
-	if fs.samp != nil {
-		fs.opsDone++
-		if err != nil {
-			fs.opsErr++
-		}
-		fs.opLat.Observe(fs.clock.Now().Sub(start).Seconds())
-		if op == "fsync" {
-			// Observe every kind, zeros included: the series is the
-			// distribution of that phase across all fsyncs, so an
-			// fsync that paid no queue wait drags queue_wait.p95
-			// down rather than being invisible to it.
-			totals := obs.PhaseTotals(phases)
-			for k := range totals {
-				fs.fsyncPhase[k].Observe(totals[k].Seconds())
-			}
-		}
-		fs.samp.Tick(fs.clock.Now())
-	}
-	return err
-}
-
-// drainAs waits out the disk's queued transfers, attributing the wait
-// to the given phase kind — PhaseCommitWait for a group-commit leader
-// (and plain syncs), PhasePiggybackWait for an fsync whose data rode
-// an earlier commit.
-func (fs *FS) drainAs(kind obs.PhaseKind) {
-	t0 := fs.clock.Now()
-	fs.d.Drain()
-	fs.phases.Add(kind, fs.clock.Now().Sub(t0))
-}
-
 // createNode is the shared implementation of Create and Mkdir. In LFS
 // this performs no disk I/O at all (Figure 2): the inode is allocated
 // in the inode map, the directory block is modified in the cache, and
@@ -146,16 +76,16 @@ func (fs *FS) createNode(path string, isDir bool) error {
 func (fs *FS) Create(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("create", path, start, cpu0, fs.createNode(path, false))
+	fs.op.Begin()
+	return fs.op.End("create", path, fs.createNode(path, false))
 }
 
 // Mkdir makes a new empty directory.
 func (fs *FS) Mkdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("mkdir", path, start, cpu0, fs.createNode(path, true))
+	fs.op.Begin()
+	return fs.op.End("mkdir", path, fs.createNode(path, true))
 }
 
 // lookupFile resolves path to a regular file's in-core inode.
@@ -180,8 +110,8 @@ func (fs *FS) lookupFile(path string) (*layout.Inode, error) {
 func (fs *FS) Write(path string, off int64, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("write", path, start, cpu0, fs.write(path, off, data))
+	fs.op.Begin()
+	return fs.op.End("write", path, fs.write(path, off, data))
 }
 
 // write is Write without the lock, span, or error wrapping.
@@ -220,9 +150,9 @@ func (fs *FS) write(path string, off int64, data []byte) error {
 func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
+	fs.op.Begin()
 	n, err := fs.read(path, off, buf)
-	return n, fs.endOp("read", path, start, cpu0, err)
+	return n, fs.op.End("read", path, err)
 }
 
 // read is Read without the lock, span, or error wrapping.
@@ -255,9 +185,9 @@ func (fs *FS) read(path string, off int64, buf []byte) (int, error) {
 func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
+	fs.op.Begin()
 	fi, err := fs.stat(path)
-	return fi, fs.endOp("stat", path, start, cpu0, err)
+	return fi, fs.op.End("stat", path, err)
 }
 
 // stat is Stat without the lock, span, or error wrapping.
@@ -291,9 +221,9 @@ func (fs *FS) stat(path string) (vfs.FileInfo, error) {
 func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
+	fs.op.Begin()
 	ents, err := fs.readDir(path)
-	return ents, fs.endOp("readdir", path, start, cpu0, err)
+	return ents, fs.op.End("readdir", path, err)
 }
 
 // readDir is ReadDir without the lock, span, or error wrapping.
@@ -319,8 +249,8 @@ func (fs *FS) readDir(path string) ([]layout.DirEntry, error) {
 func (fs *FS) Remove(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("remove", path, start, cpu0, fs.remove(path))
+	fs.op.Begin()
+	return fs.op.End("remove", path, fs.remove(path))
 }
 
 // remove is Remove without the lock, span, or error wrapping.
@@ -388,8 +318,8 @@ func (fs *FS) remove(path string) error {
 func (fs *FS) Link(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("link", oldPath, start, cpu0, fs.link(oldPath, newPath))
+	fs.op.Begin()
+	return fs.op.End("link", oldPath, fs.link(oldPath, newPath))
 }
 
 // link is Link without the lock, span, or error wrapping.
@@ -429,8 +359,8 @@ func (fs *FS) link(oldPath, newPath string) error {
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("rename", oldPath, start, cpu0, fs.rename(oldPath, newPath))
+	fs.op.Begin()
+	return fs.op.End("rename", oldPath, fs.rename(oldPath, newPath))
 }
 
 // rename is Rename without the lock, span, or error wrapping.
@@ -493,8 +423,8 @@ func (fs *FS) rename(oldPath, newPath string) error {
 func (fs *FS) Truncate(path string, size int64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("truncate", path, start, cpu0, fs.truncate(path, size))
+	fs.op.Begin()
+	return fs.op.End("truncate", path, fs.truncate(path, size))
 }
 
 // truncate is Truncate without the lock, span, or error wrapping.
@@ -538,8 +468,8 @@ func (fs *FS) truncate(path string, size int64) error {
 func (fs *FS) FsyncFile(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("fsync", path, start, cpu0, fs.fsyncFile(path))
+	fs.op.Begin()
+	return fs.op.End("fsync", path, fs.fsyncFile(path))
 }
 
 // fsyncFile is FsyncFile without the lock, span, or error wrapping.
@@ -573,7 +503,7 @@ func (fs *FS) fsyncFile(path string) error {
 	if err := fs.flushPendingIO(); err != nil {
 		return err
 	}
-	fs.drainAs(obs.PhaseCommitWait)
+	fs.op.DrainAs(obs.PhaseCommitWait)
 	return nil
 }
 
@@ -595,15 +525,15 @@ func (fs *FS) groupFsync(ino layout.Ino) error {
 		// event-driven sim the leader's drain advances the clock past
 		// the transfer's end, so the drain below is usually free and
 		// the dispatch gap holds the whole wait.)
-		fs.phases.Reclassify(obs.PhaseLockWait, obs.PhasePiggybackWait)
-		fs.drainAs(obs.PhasePiggybackWait)
+		fs.op.Reclassify(obs.PhaseLockWait, obs.PhasePiggybackWait)
+		fs.op.DrainAs(obs.PhasePiggybackWait)
 		return nil
 	}
 	fs.stats.GroupCommits++
 	if err := fs.flush(flushAll); err != nil {
 		return err
 	}
-	fs.drainAs(obs.PhaseCommitWait)
+	fs.op.DrainAs(obs.PhaseCommitWait)
 	return nil
 }
 
@@ -652,8 +582,8 @@ func (fs *FS) FlushAsync() error {
 func (fs *FS) Sync() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("sync", "/", start, cpu0, fs.sync())
+	fs.op.Begin()
+	return fs.op.End("sync", "/", fs.sync())
 }
 
 // sync is Sync without the lock, span, or error wrapping.
@@ -665,7 +595,7 @@ func (fs *FS) sync() error {
 	if err := fs.flush(flushAll); err != nil {
 		return err
 	}
-	fs.drainAs(obs.PhaseCommitWait)
+	fs.op.DrainAs(obs.PhaseCommitWait)
 	return nil
 }
 
@@ -673,8 +603,8 @@ func (fs *FS) sync() error {
 func (fs *FS) Unmount() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("unmount", "/", start, cpu0, fs.unmount())
+	fs.op.Begin()
+	return fs.op.End("unmount", "/", fs.unmount())
 }
 
 // unmount is Unmount without the lock, span, or error wrapping.
@@ -685,7 +615,7 @@ func (fs *FS) unmount() error {
 	if err := fs.checkpoint(); err != nil {
 		return err
 	}
-	fs.drainAs(obs.PhaseCommitWait)
+	fs.op.DrainAs(obs.PhaseCommitWait)
 	fs.unmounted = true
 	return nil
 }

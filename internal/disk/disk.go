@@ -232,14 +232,6 @@ func (s Stats) String() string {
 		s.Reads, s.Writes, s.SyncWrites, s.BytesRead()/1024, s.BytesWritten()/1024, s.Seeks, s.BusyTime)
 }
 
-// faultState holds injected faults. Zero value = no faults.
-type faultState struct {
-	readErrors map[int64]error // first-sector -> error
-	tearNext   bool            // apply only the first half of the next write
-	writesFail error           // non-nil: all writes fail with this error
-	frozen     bool            // post-crash: reject all traffic
-}
-
 // Disk is a simulated sector-addressed block device. It is not safe
 // for concurrent use; the owning file system serialises access.
 type Disk struct {
@@ -272,7 +264,9 @@ type Disk struct {
 	stats  Stats
 	tracer Tracer
 	waiter Waiter
-	faults faultState
+	// frozen rejects all traffic: the machine crashed (Freeze, or a
+	// FaultPolicy power cut) and has not rebooted (Thaw).
+	frozen bool
 
 	// policy, when non-nil, is consulted on every request; the
 	// counters number requests since the policy was attached.
@@ -426,14 +420,11 @@ func (d *Disk) trace(ev Event) {
 // cause attributes the request in Stats.ByCause and traces; the label
 // annotates traces.
 func (d *Disk) ReadSectors(sector int64, p []byte, cause IOCause, label string) error {
-	if d.faults.frozen {
+	if d.frozen {
 		return fmt.Errorf("disk: device is frozen (crashed): %w", ErrPowerLoss)
 	}
 	if err := d.checkRange(sector, len(p)); err != nil {
 		return err
-	}
-	if err, ok := d.faults.readErrors[sector]; ok {
-		return fmt.Errorf("disk: injected read error at sector %d: %w", sector, err)
 	}
 	if d.policy != nil {
 		d.policyReads++
@@ -471,11 +462,8 @@ func (d *Disk) ReadSectors(sector int64, p []byte, cause IOCause, label string) 
 // otherwise only the disk's busy horizon is extended (LFS-style
 // asynchronous segment writes that overlap computation).
 func (d *Disk) WriteSectors(sector int64, p []byte, sync bool, cause IOCause, label string) error {
-	if d.faults.frozen {
+	if d.frozen {
 		return fmt.Errorf("disk: device is frozen (crashed): %w", ErrPowerLoss)
-	}
-	if d.faults.writesFail != nil {
-		return fmt.Errorf("disk: injected write failure: %w", d.faults.writesFail)
 	}
 	if err := d.checkRange(sector, len(p)); err != nil {
 		return err
@@ -491,7 +479,7 @@ func (d *Disk) WriteSectors(sector int64, p []byte, sync bool, cause IOCause, la
 		// decision keeps, then refuse all further traffic. The
 		// issuing process never observes completion, so no service
 		// time is charged and no statistics are recorded.
-		d.faults.frozen = true
+		d.frozen = true
 		keep := 0
 		if dec.Action == WriteTear {
 			keep = dec.KeepSectors
@@ -551,51 +539,16 @@ func (d *Disk) WriteSectors(sector int64, p []byte, sync bool, cause IOCause, la
 		}
 		return d.store.WriteAt(p[:keep*SectorSize], sector*SectorSize)
 	}
-	data := p
-	if d.faults.tearNext {
-		// A torn write persists only a prefix, simulating power
-		// loss mid-transfer; the tail of the request keeps its old
-		// contents.
-		d.faults.tearNext = false
-		half := len(p) / 2 / SectorSize * SectorSize
-		if half == 0 {
-			half = SectorSize
-			if len(p) < SectorSize {
-				half = len(p)
-			}
-		}
-		data = p[:half]
-	}
-	return d.store.WriteAt(data, sector*SectorSize)
+	return d.store.WriteAt(p, sector*SectorSize)
 }
-
-// InjectReadError makes every read starting at the given sector fail
-// with err until ClearFaults is called.
-func (d *Disk) InjectReadError(sector int64, err error) {
-	if d.faults.readErrors == nil {
-		d.faults.readErrors = make(map[int64]error)
-	}
-	d.faults.readErrors[sector] = err
-}
-
-// TearNextWrite makes the next write persist only its first half,
-// simulating power loss mid-transfer.
-func (d *Disk) TearNextWrite() { d.faults.tearNext = true }
-
-// FailWrites makes all subsequent writes fail with err (nil restores
-// normal operation).
-func (d *Disk) FailWrites(err error) { d.faults.writesFail = err }
 
 // Freeze rejects all subsequent traffic, simulating a crashed machine.
 // Data already written remains readable after Thaw.
-func (d *Disk) Freeze() { d.faults.frozen = true }
+func (d *Disk) Freeze() { d.frozen = true }
 
 // Thaw re-enables traffic after Freeze, as when a crashed machine
 // reboots and remounts the disk.
-func (d *Disk) Thaw() { d.faults.frozen = false }
-
-// ClearFaults removes all injected faults.
-func (d *Disk) ClearFaults() { d.faults = faultState{} }
+func (d *Disk) Thaw() { d.frozen = false }
 
 // Store exposes the persistence backend, letting tools (lfsdump,
 // lfsck) parse the raw image without going through the time model.
@@ -607,7 +560,7 @@ func (d *Disk) Store() Store { return d.store }
 // images survive a host crash only after a Sync (tools call it before
 // Close).
 func (d *Disk) Sync() error {
-	if d.faults.frozen {
+	if d.frozen {
 		return fmt.Errorf("disk: device is frozen (crashed): %w", ErrPowerLoss)
 	}
 	d.dispatchQueued()

@@ -262,10 +262,35 @@ type tracerFunc func(Event)
 
 func (f tracerFunc) Record(ev Event) { f(ev) }
 
-func TestInjectReadError(t *testing.T) {
+// sectorFaults is a FaultPolicy addressed by sector, not by sequence
+// number: reads starting at badRead fail, and the next write (once
+// tearNext is set) persists only its leading half while reporting
+// success — a tear without a power cut, which CrashPlan cannot script.
+type sectorFaults struct {
+	badRead  int64
+	readErr  error
+	tearNext bool
+}
+
+func (p *sectorFaults) Read(op ReadOp) error {
+	if p.readErr != nil && op.Sector == p.badRead {
+		return p.readErr
+	}
+	return nil
+}
+
+func (p *sectorFaults) Write(op WriteOp) WriteDecision {
+	if !p.tearNext {
+		return WriteDecision{}
+	}
+	p.tearNext = false
+	return WriteDecision{Action: WriteTear, KeepSectors: op.Sectors / 2}
+}
+
+func TestPolicyReadErrorBySector(t *testing.T) {
 	d := newTestDisk(t, 16<<20)
 	boom := errors.New("media failure")
-	d.InjectReadError(16, boom)
+	d.SetFaultPolicy(&sectorFaults{badRead: 16, readErr: boom})
 	err := d.ReadSectors(16, make([]byte, 512), CauseOther, "")
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected media failure", err)
@@ -274,9 +299,9 @@ func TestInjectReadError(t *testing.T) {
 	if err := d.ReadSectors(0, make([]byte, 512), CauseOther, ""); err != nil {
 		t.Fatal(err)
 	}
-	d.ClearFaults()
+	d.SetFaultPolicy(nil)
 	if err := d.ReadSectors(16, make([]byte, 512), CauseOther, ""); err != nil {
-		t.Fatal("fault survived ClearFaults")
+		t.Fatal("fault survived detaching the policy")
 	}
 }
 
@@ -286,7 +311,7 @@ func TestTornWrite(t *testing.T) {
 	if err := d.WriteSectors(0, old, true, CauseOther, ""); err != nil {
 		t.Fatal(err)
 	}
-	d.TearNextWrite()
+	d.SetFaultPolicy(&sectorFaults{tearNext: true})
 	updated := bytes.Repeat([]byte{0x22}, 8192)
 	if err := d.WriteSectors(0, updated, true, CauseOther, ""); err != nil {
 		t.Fatal(err)
@@ -301,16 +326,27 @@ func TestTornWrite(t *testing.T) {
 	if !bytes.Equal(got[4096:], old[4096:]) {
 		t.Fatal("torn write persisted its second half")
 	}
+	// Only the one write tears.
+	if err := d.WriteSectors(0, updated, true, CauseOther, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadSectors(0, got, CauseOther, ""); err != nil || !bytes.Equal(got, updated) {
+		t.Fatalf("write after the tear did not persist whole (err %v)", err)
+	}
 }
 
-func TestFailWrites(t *testing.T) {
+// TestFailedWritesRecover: writes fail from an injected fault on and
+// work again once the fault is lifted (a power cut, then a reboot).
+func TestFailedWritesRecover(t *testing.T) {
 	d := newTestDisk(t, 16<<20)
-	boom := errors.New("controller fault")
-	d.FailWrites(boom)
-	if err := d.WriteSectors(0, make([]byte, 512), true, CauseOther, ""); err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want injected failure", err)
+	d.SetFaultPolicy(&CrashPlan{CutWrite: 1})
+	for i := 0; i < 2; i++ {
+		if err := d.WriteSectors(0, make([]byte, 512), true, CauseOther, ""); !errors.Is(err, ErrPowerLoss) {
+			t.Fatalf("write %d under the fault: err = %v, want ErrPowerLoss", i, err)
+		}
 	}
-	d.FailWrites(nil)
+	d.SetFaultPolicy(nil)
+	d.Thaw()
 	if err := d.WriteSectors(0, make([]byte, 512), true, CauseOther, ""); err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"lfs/internal/core"
 	"lfs/internal/workload"
 )
-
-// newPolicyRNG returns the deterministic RNG driving the hot/cold
-// overwrite pattern.
-func newPolicyRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // --- segment size ablation ---------------------------------------------
 
@@ -149,126 +144,6 @@ func FormatSegSize(rows []SegSizeRow) string {
 	fmt.Fprintf(&b, "%-12s %14s %12s\n", "segment", "write KB/s", "create/s")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-12s %14.0f %12.1f\n", fmt.Sprintf("%dKB", r.SegmentKB), r.WriteKBps, r.CreatePS)
-	}
-	return b.String()
-}
-
-// --- cleaning policy ablation -------------------------------------------
-
-// PolicyRow compares cleaning policies under a hot/cold workload: 90%
-// of overwrites hit 10% of the files, the locality pattern for which
-// the authors' later work introduced cost-benefit selection.
-type PolicyRow struct {
-	Policy string
-	// SegmentsCleaned and LiveCopied over the whole run.
-	SegmentsCleaned int64
-	LiveCopied      int64
-	// CopyPerSegment = LiveCopied / SegmentsCleaned: the copying
-	// the cleaner causes per reclaimed segment (lower is better).
-	CopyPerSegment float64
-	// WriteAmp is total log bytes written per user byte, including
-	// metadata, summaries, and cleaner copies.
-	WriteAmp float64
-	// ElapsedSec is the simulated time of the whole churn run.
-	ElapsedSec float64
-}
-
-// PolicyOpts parameterises the comparison.
-type PolicyOpts struct {
-	Capacity int64
-	// Files is the file population; Overwrites is the number of
-	// overwrite operations issued.
-	Files      int
-	Overwrites int
-	// HotFraction of files receives HotBias of the overwrites.
-	HotFraction float64
-	HotBias     float64
-}
-
-// DefaultPolicyOpts uses a 90/10 hot/cold split on a small,
-// highly-utilised disk (≈two thirds live) so cleaned segments carry
-// live cold data and the policies actually differ.
-func DefaultPolicyOpts() PolicyOpts {
-	return PolicyOpts{
-		Capacity:    24 << 20,
-		Files:       4000,
-		Overwrites:  10000,
-		HotFraction: 0.1,
-		HotBias:     0.9,
-	}
-}
-
-// PolicyAblation runs the hot/cold churn under each policy.
-func PolicyAblation(opts PolicyOpts) ([]PolicyRow, error) {
-	var rows []PolicyRow
-	for _, pol := range []core.CleanPolicy{core.CleanGreedy, core.CleanCostBenefit} {
-		cfg := defaultLFSConfig()
-		cfg.Policy = pol
-		cfg.CacheBlocks = 512
-		sys, err := NewLFS(opts.Capacity, cfg)
-		if err != nil {
-			return nil, err
-		}
-		lfs := sys.System.(*core.FS)
-		payload := make([]byte, 4096)
-		name := func(i int) string { return fmt.Sprintf("/f%06d", i) }
-		for i := 0; i < opts.Files; i++ {
-			if err := sys.Create(name(i)); err != nil {
-				return nil, err
-			}
-			if err := sys.Write(name(i), 0, payload); err != nil {
-				return nil, err
-			}
-		}
-		if err := sys.Sync(); err != nil {
-			return nil, err
-		}
-		start := sys.Clock().Now()
-		//lfslint:allow floataccum hot-set sizing applies a config fraction once at setup; nothing accumulates
-		hot := int(float64(opts.Files) * opts.HotFraction)
-		if hot < 1 {
-			hot = 1
-		}
-		rng := newPolicyRNG(17)
-		for i := 0; i < opts.Overwrites; i++ {
-			var idx int
-			if rng.Float64() < opts.HotBias {
-				idx = rng.Intn(hot)
-			} else {
-				idx = hot + rng.Intn(opts.Files-hot)
-			}
-			payload[0] = byte(i)
-			if err := sys.Write(name(idx), 0, payload); err != nil {
-				return nil, err
-			}
-		}
-		if err := sys.Sync(); err != nil {
-			return nil, err
-		}
-		st := lfs.Stats()
-		row := PolicyRow{
-			Policy:          pol.String(),
-			SegmentsCleaned: st.SegmentsCleaned,
-			LiveCopied:      st.CleanerLiveCopied,
-			WriteAmp:        st.WriteAmplification(cfg.BlockSize),
-			ElapsedSec:      sys.Clock().Now().Sub(start).Seconds(),
-		}
-		if st.SegmentsCleaned > 0 {
-			row.CopyPerSegment = float64(st.CleanerLiveCopied) / float64(st.SegmentsCleaned)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// FormatPolicy renders the comparison.
-func FormatPolicy(rows []PolicyRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation - cleaning policy under 90/10 hot/cold overwrites\n")
-	fmt.Fprintf(&b, "%-14s %10s %12s %14s %10s %12s\n", "policy", "cleaned", "live copied", "copies/segment", "write amp", "elapsed (s)")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %10d %12d %14.1f %10.2f %12.1f\n",
-			r.Policy, r.SegmentsCleaned, r.LiveCopied, r.CopyPerSegment, r.WriteAmp, r.ElapsedSec)
 	}
 	return b.String()
 }

@@ -103,16 +103,6 @@ func CSVBlockSize(w io.Writer, rows []BlockSizeRow) error {
 	return writeCSV(w, []string{"block_size", "create_per_s", "read_per_s", "live_bytes_per_user_byte"}, recs)
 }
 
-// CSVPolicy writes the cleaning-policy ablation.
-func CSVPolicy(w io.Writer, rows []PolicyRow) error {
-	var recs [][]string
-	for _, r := range rows {
-		recs = append(recs, []string{r.Policy, i(r.SegmentsCleaned), i(r.LiveCopied),
-			f(r.CopyPerSegment), f(r.WriteAmp), f(r.ElapsedSec)})
-	}
-	return writeCSV(w, []string{"policy", "segments_cleaned", "live_copied", "copies_per_segment", "write_amplification", "elapsed_s"}, recs)
-}
-
 // CSVCkpt writes the checkpoint-interval ablation.
 func CSVCkpt(w io.Writer, rows []CkptRow) error {
 	var recs [][]string

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
+	"lfs/internal/disk"
 	"lfs/internal/sim"
 )
 
@@ -49,6 +51,27 @@ func TestFig1Shape(t *testing.T) {
 	minSeeks := res.FFS.Seeks
 	if minSeeks < 4 {
 		t.Errorf("FFS trace shows %d seeks, want >= 4 (random writes)", minSeeks)
+	}
+
+	// The summary and the table on a hand-built trace, where every
+	// count is known.
+	events := []disk.Event{
+		{Kind: disk.OpWrite, Sector: 0, Sectors: 8, Sync: true, Label: "dir data"},
+		{Kind: disk.OpWrite, Sector: 8, Sectors: 8, Sequential: true, Label: "data"},
+		{Kind: disk.OpRead, Sector: 0, Sectors: 8, Sync: true, Label: "read"},
+	}
+	want := TraceSummary{Reads: 1, Writes: 2, SyncWrites: 1, SeqWrites: 1,
+		BytesRead: 8 * 512, BytesWritten: 2 * 8 * 512, Seeks: 2}
+	if s := summarizeTrace(events); s != want || !strings.Contains(s.String(), "writes=2") {
+		t.Errorf("summary = %+v (%v), want %+v", s, s, want)
+	}
+	if s := summarizeTrace(nil); s != (TraceSummary{}) {
+		t.Errorf("empty summary = %+v", s)
+	}
+	table := formatTraceTable(events[:1])
+	if lines := strings.Split(strings.TrimSpace(table), "\n"); len(lines) != 2 ||
+		!strings.Contains(lines[1], "dir data") || !strings.Contains(lines[1], "write") {
+		t.Errorf("table of one event, want header + 1 row naming it:\n%s", table)
 	}
 }
 

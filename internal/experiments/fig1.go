@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"lfs/internal/disk"
-	"lfs/internal/trace"
+	"lfs/internal/obs"
 )
 
 // Fig1Result holds the traces behind Figures 1 and 2: the disk
@@ -14,8 +14,72 @@ import (
 type Fig1Result struct {
 	FFSEvents []disk.Event
 	LFSEvents []disk.Event
-	FFS       trace.Summary
-	LFS       trace.Summary
+	FFS       TraceSummary
+	LFS       TraceSummary
+}
+
+// TraceSummary aggregates a disk trace into the numbers the paper
+// quotes for Figure 1 ("8 random writes of which half are
+// synchronous").
+type TraceSummary struct {
+	Reads        int
+	Writes       int
+	SyncWrites   int
+	SeqWrites    int // writes that continued the previous transfer
+	BytesRead    int64
+	BytesWritten int64
+	Seeks        int
+}
+
+// summarizeTrace aggregates the events.
+func summarizeTrace(events []disk.Event) TraceSummary {
+	var s TraceSummary
+	for _, ev := range events {
+		if !ev.Sequential {
+			s.Seeks++
+		}
+		n := int64(ev.Sectors) * disk.SectorSize
+		if ev.Kind == disk.OpRead {
+			s.Reads++
+			s.BytesRead += n
+			continue
+		}
+		s.Writes++
+		s.BytesWritten += n
+		if ev.Sync {
+			s.SyncWrites++
+		}
+		if ev.Sequential {
+			s.SeqWrites++
+		}
+	}
+	return s
+}
+
+// String formats the summary on one line.
+func (s TraceSummary) String() string {
+	return fmt.Sprintf("writes=%d (sync=%d, sequential=%d) reads=%d seeks=%d written=%dB",
+		s.Writes, s.SyncWrites, s.SeqWrites, s.Reads, s.Seeks, s.BytesWritten)
+}
+
+// formatTraceTable renders the trace as an aligned table, one row per
+// disk request — the paper's Figure 1 / Figure 2 pictures as text.
+func formatTraceTable(events []disk.Event) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-12s %-5s %10s %8s %5s %5s %s\n",
+		"time", "op", "sector", "bytes", "sync", "seek", "label")
+	for _, ev := range events {
+		sync, seek := "-", "-"
+		if ev.Sync {
+			sync = "yes"
+		}
+		if !ev.Sequential {
+			seek = "yes"
+		}
+		fmt.Fprintf(&b, "%-12v %-5s %10d %8d %5s %5s %s\n",
+			ev.Time, ev.Kind, ev.Sector, ev.Sectors*disk.SectorSize, sync, seek, ev.Label)
+	}
+	return b.String()
 }
 
 // Fig1 reproduces the Figure 1 / Figure 2 pair. The workload is the
@@ -49,8 +113,8 @@ func Fig1(capacity int64) (*Fig1Result, error) {
 		if err := sys.Sync(); err != nil {
 			return nil, err
 		}
-		var rec trace.Recorder
-		sys.Disk.SetTracer(&rec)
+		rec := obs.NewRecorder()
+		sys.Disk.SetTracer(rec)
 		blockSize := 4096
 		buf := make([]byte, blockSize)
 		for i, p := range []string{"/dir1/file1", "/dir2/file2"} {
@@ -69,10 +133,10 @@ func Fig1(capacity int64) (*Fig1Result, error) {
 		sys.Disk.SetTracer(nil)
 		if which == "ffs" {
 			res.FFSEvents = rec.Events()
-			res.FFS = trace.Summarize(rec.Events())
+			res.FFS = summarizeTrace(res.FFSEvents)
 		} else {
 			res.LFSEvents = rec.Events()
-			res.LFS = trace.Summarize(rec.Events())
+			res.LFS = summarizeTrace(res.LFSEvents)
 		}
 	}
 	return res, nil
@@ -82,10 +146,10 @@ func Fig1(capacity int64) (*Fig1Result, error) {
 func (r *Fig1Result) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1 - BSD FFS file creation (two 1-block files in two directories)\n")
-	b.WriteString(trace.FormatTable(r.FFSEvents))
+	b.WriteString(formatTraceTable(r.FFSEvents))
 	fmt.Fprintf(&b, "summary: %v\n\n", r.FFS)
 	fmt.Fprintf(&b, "Figure 2 - LFS file creation (same workload)\n")
-	b.WriteString(trace.FormatTable(r.LFSEvents))
+	b.WriteString(formatTraceTable(r.LFSEvents))
 	fmt.Fprintf(&b, "summary: %v\n", r.LFS)
 	return b.String()
 }

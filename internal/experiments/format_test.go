@@ -84,10 +84,6 @@ func TestFormatAblations(t *testing.T) {
 	if !strings.Contains(seg, "1024KB") || !strings.Contains(seg, "1204") {
 		t.Errorf("FormatSegSize:\n%s", seg)
 	}
-	pol := FormatPolicy([]PolicyRow{{Policy: "greedy", SegmentsCleaned: 59, LiveCopied: 8144, CopyPerSegment: 138, WriteAmp: 2.5}})
-	if !strings.Contains(pol, "greedy") || !strings.Contains(pol, "2.50") {
-		t.Errorf("FormatPolicy:\n%s", pol)
-	}
 	ck := FormatCkpt([]CkptRow{{IntervalSec: 30, Checkpoints: 3, ThroughputOpsSec: 84.7, LiveFiles: 57, LostFiles: 57, MountMs: 45.2}})
 	if !strings.Contains(ck, "vulnerability") || !strings.Contains(ck, "57") {
 		t.Errorf("FormatCkpt:\n%s", ck)
@@ -155,9 +151,6 @@ func TestCSVWriters(t *testing.T) {
 	check("blocksize", func(w *strings.Builder) error {
 		return CSVBlockSize(w, []BlockSizeRow{{BlockSize: 4096, CreatePS: 200, ReadPS: 100, StorageOverhead: 4}})
 	}, "block_size,create_per_s,read_per_s,live_bytes_per_user_byte", 1)
-	check("policy", func(w *strings.Builder) error {
-		return CSVPolicy(w, []PolicyRow{{Policy: "greedy", SegmentsCleaned: 1}})
-	}, "policy,segments_cleaned,live_copied,copies_per_segment,write_amplification,elapsed_s", 1)
 	check("ckpt", func(w *strings.Builder) error {
 		return CSVCkpt(w, []CkptRow{{IntervalSec: 30, Checkpoints: 2}})
 	}, "interval_s,checkpoints,trace_ops_per_s,files_lost,window_files,mount_ms", 1)

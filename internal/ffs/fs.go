@@ -55,47 +55,20 @@ type FS struct {
 	// unmounted is the lifecycle flag; guarded by mu.
 	unmounted bool
 
-	// rec is the attached trace recorder (cfg.Trace); nil when
-	// tracing is disabled.
-	rec *obs.Recorder
-
-	// client labels spans and disk events with the issuing client's
-	// ID in multi-client runs (0 = unattributed). Guarded by mu.
-	client int
-
-	// phases accumulates the current operation's latency phases
-	// (queue wait, disk service by cause, commit wait); opStart
-	// resets it and endOp closes it against the span. Guarded by mu.
-	phases obs.PhaseAccum
-	// pendingWait holds waits noted between operations (the server's
-	// dispatch gaps); the next opStart folds them into the span and
-	// backdates its start. Guarded by mu.
-	pendingWait [obs.NumPhaseKinds]sim.Duration
-}
-
-// diskWaiter feeds the disk's blocking-request decomposition into the
-// current operation's phase accumulator. The disk invokes it from
-// ReadSectors/WriteSectors, which only run with fs.mu held, so the
-// unexported adapter reads guarded state directly (the lockcheck
-// exemption for unexported types).
-type diskWaiter struct{ fs *FS }
-
-func (w diskWaiter) DiskWait(cause disk.IOCause, queue, service sim.Duration) {
-	w.fs.phases.Add(obs.PhaseQueueWait, queue)
-	w.fs.phases.AddService(cause, service)
+	// op is the operation seam: every exported VFS operation opens
+	// with op.Begin and returns through op.End (span, phases,
+	// *vfs.PathError). Guarded by mu.
+	op *obs.OpCapture
 }
 
 // NoteWait credits d of kind to the next operation's span: the caller
 // (the multi-client event loop) observed the wait before the operation
-// could start, so opStart backdates the span by it. Pure bookkeeping —
-// the simulated timeline is unchanged.
+// could start, so its span is backdated by it. Pure bookkeeping — the
+// simulated timeline is unchanged.
 func (fs *FS) NoteWait(kind obs.PhaseKind, d sim.Duration) {
-	if d <= 0 || kind >= obs.NumPhaseKinds {
-		return
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.pendingWait[kind] += d
+	fs.op.NoteWait(kind, d)
 }
 
 // Mount opens a formatted FFS on the disk.
@@ -133,12 +106,12 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 		insertHint: make(map[layout.Ino]int64),
 		lastRead:   make(map[layout.Ino]int64),
 		span:       make([]byte, readAheadBlocks*cfg.BlockSize),
-		rec:        cfg.Trace,
 	}
-	// Route blocking-request waits into the phase accumulator. Pure
-	// arithmetic on durations the disk already computed — attaching
-	// the waiter never perturbs the timeline.
-	d.SetWaiter(diskWaiter{fs})
+	// Route blocking-request waits into the op seam. Pure arithmetic
+	// on durations the disk already computed — attaching the waiter
+	// never perturbs the timeline. FFS has no metrics plane.
+	fs.op = obs.NewOpCapture(d, fs.cpu, cfg.Trace, nil)
+	d.SetWaiter(fs.op)
 	// Rebuild free counts from the bitmaps.
 	fs.freeBlocks = make([]int, sb.Groups)
 	fs.freeInodes = make([]int, sb.Groups)
@@ -171,8 +144,7 @@ func (fs *FS) Disk() *disk.Disk { return fs.d }
 func (fs *FS) SetClient(id int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.client = id
-	fs.d.SetClient(id)
+	fs.op.SetClient(id)
 }
 
 // Clock returns the simulated clock.
@@ -218,7 +190,7 @@ func (fs *FS) StatsSnapshot() StatsSnapshot {
 		Cache:           fs.bc.Stats(),
 		CPUInstructions: fs.cpu.Instructions(),
 		FreeSpace:       free * int64(fs.cfg.BlockSize),
-		Trace:           fs.rec.Aggregates(),
+		Trace:           fs.cfg.Trace.Aggregates(),
 	}
 }
 

@@ -24,44 +24,6 @@ func (fs *FS) maxFileSize() int64 {
 	return layout.MaxFileBlocks(fs.cfg.BlockSize) * int64(fs.cfg.BlockSize)
 }
 
-// opStart samples the simulated clock and CPU at operation entry and
-// resets the phase accumulator. Waits noted before the operation could
-// start (the event loop's dispatch gaps) are folded in and the span's
-// start backdated by them — the wait really elapsed, it just elapsed
-// before the operation got the floor.
-func (fs *FS) opStart() (sim.Time, int64) {
-	fs.phases.Reset()
-	start := fs.clock.Now()
-	for k := range fs.pendingWait {
-		if d := fs.pendingWait[k]; d > 0 {
-			fs.phases.Add(obs.PhaseKind(k), d)
-			start = start.Add(-d)
-			fs.pendingWait[k] = 0
-		}
-	}
-	return start, fs.cpu.Instructions()
-}
-
-// endOp wraps err with operation and path context (*vfs.PathError)
-// and, when a recorder is attached, emits the operation's span with
-// its phase decomposition (the unattributed residual is CPU, so the
-// phases always sum to the span's latency exactly). Must be called
-// with fs.mu held.
-func (fs *FS) endOp(op, path string, start sim.Time, cpu0 int64, err error) error {
-	err = vfs.WrapPathError(op, path, err)
-	if fs.rec != nil {
-		msg := ""
-		if err != nil {
-			msg = err.Error()
-		}
-		fs.rec.Span(obs.Span{Op: op, Path: path, Start: start,
-			End: fs.clock.Now(), CPU: fs.cpu.Instructions() - cpu0, Err: msg,
-			Client: fs.client,
-			Phases: fs.phases.Phases(fs.clock.Now().Sub(start))})
-	}
-	return err
-}
-
 // createNode is the shared implementation of Create and Mkdir. It
 // performs FFS's defining synchronous writes: the new inode's table
 // block and the parent directory's data block go to disk before the
@@ -128,16 +90,16 @@ func (fs *FS) createNode(path string, isDir bool) error {
 func (fs *FS) Create(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("create", path, start, cpu0, fs.createNode(path, false))
+	fs.op.Begin()
+	return fs.op.End("create", path, fs.createNode(path, false))
 }
 
 // Mkdir makes a new empty directory.
 func (fs *FS) Mkdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("mkdir", path, start, cpu0, fs.createNode(path, true))
+	fs.op.Begin()
+	return fs.op.End("mkdir", path, fs.createNode(path, true))
 }
 
 // lookupFile resolves path and requires a regular file.
@@ -162,8 +124,8 @@ func (fs *FS) lookupFile(path string) (layout.Inode, error) {
 func (fs *FS) Write(path string, off int64, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("write", path, start, cpu0, fs.write(path, off, data))
+	fs.op.Begin()
+	return fs.op.End("write", path, fs.write(path, off, data))
 }
 
 // write is Write without the lock, span, or error wrapping.
@@ -196,9 +158,9 @@ func (fs *FS) write(path string, off int64, data []byte) error {
 func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
+	fs.op.Begin()
 	n, err := fs.read(path, off, buf)
-	return n, fs.endOp("read", path, start, cpu0, err)
+	return n, fs.op.End("read", path, err)
 }
 
 // read is Read without the lock, span, or error wrapping.
@@ -226,9 +188,9 @@ func (fs *FS) read(path string, off int64, buf []byte) (int, error) {
 func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
+	fs.op.Begin()
 	fi, err := fs.stat(path)
-	return fi, fs.endOp("stat", path, start, cpu0, err)
+	return fi, fs.op.End("stat", path, err)
 }
 
 // stat is Stat without the lock, span, or error wrapping.
@@ -262,9 +224,9 @@ func (fs *FS) stat(path string) (vfs.FileInfo, error) {
 func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
+	fs.op.Begin()
 	ents, err := fs.readDir(path)
-	return ents, fs.endOp("readdir", path, start, cpu0, err)
+	return ents, fs.op.End("readdir", path, err)
 }
 
 // readDir is ReadDir without the lock, span, or error wrapping.
@@ -290,8 +252,8 @@ func (fs *FS) readDir(path string) ([]layout.DirEntry, error) {
 func (fs *FS) Remove(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("remove", path, start, cpu0, fs.remove(path))
+	fs.op.Begin()
+	return fs.op.End("remove", path, fs.remove(path))
 }
 
 // remove is Remove without the lock, span, or error wrapping.
@@ -371,8 +333,8 @@ func (fs *FS) remove(path string) error {
 func (fs *FS) Link(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("link", oldPath, start, cpu0, fs.link(oldPath, newPath))
+	fs.op.Begin()
+	return fs.op.End("link", oldPath, fs.link(oldPath, newPath))
 }
 
 // link is Link without the lock, span, or error wrapping.
@@ -420,8 +382,8 @@ func (fs *FS) link(oldPath, newPath string) error {
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("rename", oldPath, start, cpu0, fs.rename(oldPath, newPath))
+	fs.op.Begin()
+	return fs.op.End("rename", oldPath, fs.rename(oldPath, newPath))
 }
 
 // rename is Rename without the lock, span, or error wrapping.
@@ -506,8 +468,8 @@ func (fs *FS) rename(oldPath, newPath string) error {
 func (fs *FS) Truncate(path string, size int64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("truncate", path, start, cpu0, fs.truncate(path, size))
+	fs.op.Begin()
+	return fs.op.End("truncate", path, fs.truncate(path, size))
 }
 
 // truncate is Truncate without the lock, span, or error wrapping.
@@ -540,8 +502,8 @@ func (fs *FS) truncate(path string, size int64) error {
 func (fs *FS) Sync() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("sync", "/", start, cpu0, fs.sync())
+	fs.op.Begin()
+	return fs.op.End("sync", "/", fs.sync())
 }
 
 // sync is Sync without the lock, span, or error wrapping.
@@ -554,9 +516,7 @@ func (fs *FS) sync() error {
 		return err
 	}
 	// Waiting out the queued write-back transfers is commit wait.
-	t0 := fs.clock.Now()
-	fs.d.Drain()
-	fs.phases.Add(obs.PhaseCommitWait, fs.clock.Now().Sub(t0))
+	fs.op.DrainAs(obs.PhaseCommitWait)
 	return nil
 }
 
@@ -564,8 +524,8 @@ func (fs *FS) sync() error {
 func (fs *FS) Unmount() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	start, cpu0 := fs.opStart()
-	return fs.endOp("unmount", "/", start, cpu0, fs.unmount())
+	fs.op.Begin()
+	return fs.op.End("unmount", "/", fs.unmount())
 }
 
 // unmount is Unmount without the lock, span, or error wrapping.

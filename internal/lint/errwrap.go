@@ -29,16 +29,20 @@ var vfsOps = map[string]bool{
 	"FsyncFile": true,
 }
 
+// seamField is the name both file systems give their obs.OpCapture
+// field: the op seam, whose End wraps with *vfs.PathError and emits the
+// operation's trace span.
+const seamField = "op"
+
 // ErrWrapAnalyzer requires every exported VFS operation in the two
-// file systems to return its error through endOp (which wraps with
-// *vfs.PathError and emits the operation's trace span) or through
-// vfs.WrapPathError directly. Returning a bare sentinel would leak an
-// unwrapped error to callers — breaking errors.As(*vfs.PathError) —
-// and would silently skip the operation's span, violating the
-// every-op-is-traced invariant.
+// file systems to return its error through the op seam — End on the
+// receiver's seam field — or through vfs.WrapPathError directly.
+// Returning a bare sentinel would leak an unwrapped error to callers —
+// breaking errors.As(*vfs.PathError) — and would silently skip the
+// operation's span, violating the every-op-is-traced invariant.
 var ErrWrapAnalyzer = &Analyzer{
 	Name: "errwrap",
-	Doc:  "exported VFS ops in core/ffs must return errors via endOp or vfs.WrapPathError",
+	Doc:  "exported VFS ops in core/ffs must return errors via the op seam's End or vfs.WrapPathError",
 	Run:  runErrWrap,
 }
 
@@ -56,6 +60,7 @@ func runErrWrap(pkg *Package, _ *Index) []Diagnostic {
 			if !returnsError(fn) {
 				continue
 			}
+			_, recvName := receiverOf(fn)
 			// Closures inside the method return to the closure, not
 			// to the VFS caller, so they are skipped.
 			walkSkippingFuncLit(fn.Body, func(n ast.Node) bool {
@@ -67,16 +72,16 @@ func runErrWrap(pkg *Package, _ *Index) []Diagnostic {
 					diags = append(diags, Diagnostic{
 						Pos:  pkg.Fset.Position(ret.Pos()),
 						Rule: "errwrap",
-						Msg:  fn.Name.Name + " uses a naked return; return the error through endOp or vfs.WrapPathError",
+						Msg:  fn.Name.Name + " uses a naked return; return the error through the op seam's End or vfs.WrapPathError",
 					})
 					return true
 				}
 				errExpr := ret.Results[len(ret.Results)-1]
-				if !wrapsError(errExpr) {
+				if !wrapsError(errExpr, recvName) {
 					diags = append(diags, Diagnostic{
 						Pos:  pkg.Fset.Position(errExpr.Pos()),
 						Rule: "errwrap",
-						Msg: fn.Name.Name + " returns a bare error; wrap it with endOp or " +
+						Msg: fn.Name.Name + " returns a bare error; return it through the op seam's End or " +
 							"vfs.WrapPathError so callers get a *vfs.PathError (and the op's span is recorded)",
 					})
 				}
@@ -99,18 +104,27 @@ func returnsError(fn *ast.FuncDecl) bool {
 }
 
 // wrapsError reports whether the returned error expression is one of
-// the sanctioned forms: nil, a call to the receiver's endOp, or a call
-// to vfs.WrapPathError.
-func wrapsError(e ast.Expr) bool {
+// the sanctioned forms: nil, recv.op.End(...), or a call to
+// vfs.WrapPathError. A method that merely happens to be called End —
+// on the receiver itself, or on another field — does not qualify.
+func wrapsError(e ast.Expr, recvName string) bool {
 	switch e := e.(type) {
 	case *ast.Ident:
 		return e.Name == "nil"
 	case *ast.CallExpr:
 		switch fun := e.Fun.(type) {
 		case *ast.SelectorExpr:
-			return fun.Sel.Name == "endOp" || fun.Sel.Name == "WrapPathError"
+			if fun.Sel.Name == "WrapPathError" {
+				return true
+			}
+			seam, ok := fun.X.(*ast.SelectorExpr)
+			if !ok || fun.Sel.Name != "End" || seam.Sel.Name != seamField {
+				return false
+			}
+			recv, ok := seam.X.(*ast.Ident)
+			return ok && recv.Name == recvName
 		case *ast.Ident:
-			return fun.Name == "endOp" || fun.Name == "WrapPathError"
+			return fun.Name == "WrapPathError"
 		}
 	}
 	return false

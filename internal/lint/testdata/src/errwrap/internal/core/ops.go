@@ -1,22 +1,41 @@
 // Package core is a deliberately broken miniature of a file system:
 // exported VFS operations that return errors without going through
-// endOp or WrapPathError must be flagged by the errwrap pass.
+// the op seam's End or WrapPathError must be flagged by the errwrap
+// pass.
 package core
 
-import "errors"
+import (
+	"errors"
+
+	"lfs/internal/obs"
+)
 
 var errBoom = errors.New("boom")
 
-// FS stands in for the real file system.
-type FS struct{}
+// FS stands in for the real file system: op is its seam, log a field
+// whose type merely has an End method too.
+type FS struct {
+	op  *obs.OpCapture
+	log *journal
+}
 
-func (fs *FS) endOp(op, path string, err error) error { return err }
+type journal struct{}
+
+func (j *journal) End(op, path string, err error) error { return err }
 
 // WrapPathError stands in for vfs.WrapPathError.
 func WrapPathError(op, path string, err error) error { return err }
 
-// Create returns through endOp: ok.
-func (fs *FS) Create(path string) error { return fs.endOp("create", path, nil) }
+// Create returns through the seam: ok.
+func (fs *FS) Create(path string) error {
+	fs.op.Begin()
+	return fs.op.End("create", path, nil)
+}
+
+// Write returns through a non-seam field's End and must be flagged.
+func (fs *FS) Write(path string, off int64, data []byte) error {
+	return fs.log.End("write", path, errBoom)
+}
 
 // Mkdir returns through WrapPathError: ok.
 func (fs *FS) Mkdir(path string) error { return WrapPathError("mkdir", path, errBoom) }
@@ -37,11 +56,11 @@ func (fs *FS) Truncate(path string, size int64) error {
 	return err
 }
 
-// Unmount returns through endOp; the closure's own bare return is not
-// a VFS return and is skipped.
+// Unmount returns through the seam; the closure's own bare return is
+// not a VFS return and is skipped.
 func (fs *FS) Unmount() error {
 	fail := func() error { return errBoom }
-	return fs.endOp("unmount", "/", fail())
+	return fs.op.End("unmount", "/", fail())
 }
 
 // helper is not a VFS operation: no finding.

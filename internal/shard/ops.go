@@ -11,17 +11,13 @@ import (
 )
 
 // route resolves a single-path operation to its owning shard,
-// wrapping path validation errors with the operation name. Waits
-// parked on the router (NoteWait) are handed to the resolved shard so
-// the operation's span carries them.
+// wrapping path validation errors with the operation name.
 func (fs *FS) route(op, path string) (*core.FS, error) {
 	parts, err := vfs.SplitPath(path)
 	if err != nil {
 		return nil, vfs.WrapPathError(op, path, err)
 	}
-	s := fs.shards[fs.place(path, parts)]
-	fs.handoffWait(s)
-	return s, nil
+	return fs.on(fs.place(path, parts)), nil
 }
 
 // Create makes the file on its placed shard.
@@ -46,14 +42,10 @@ func (fs *FS) Mkdir(path string) error {
 		return vfs.WrapPathError("mkdir", path, err)
 	}
 	if s, ok := fs.pinFor(parts); ok {
-		fs.handoffWait(fs.shards[s])
-		return fs.shards[s].Mkdir(path)
+		return fs.on(s).Mkdir(path)
 	}
-	for i, s := range fs.shards {
-		if i == 0 {
-			fs.handoffWait(s)
-		}
-		if err := s.Mkdir(path); err != nil {
+	for i := range fs.shards {
+		if err := fs.on(i).Mkdir(path); err != nil {
 			return err
 		}
 	}
@@ -110,16 +102,16 @@ func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 		return nil, vfs.WrapPathError("readdir", path, err)
 	}
 	if s, ok := fs.pinFor(parts); ok {
-		return fs.shards[s].ReadDir(path)
+		return fs.on(s).ReadDir(path)
 	}
 	if len(fs.shards) == 1 {
-		return fs.shards[0].ReadDir(path)
+		return fs.on(0).ReadDir(path)
 	}
 	home := fs.place(path, parts)
 	lists := make([][]layout.DirEntry, len(fs.shards))
 	errs := make([]error, len(fs.shards))
-	for i, s := range fs.shards {
-		lists[i], errs[i] = s.ReadDir(path)
+	for i := range fs.shards {
+		lists[i], errs[i] = fs.on(i).ReadDir(path)
 	}
 	// The home shard's verdict wins: listing a file must fail with
 	// its ErrNotDir, not a sibling shard's ErrNotExist.
@@ -168,22 +160,19 @@ func (fs *FS) Remove(path string) error {
 		return vfs.WrapPathError("remove", path, err)
 	}
 	if s, ok := fs.pinFor(parts); ok {
-		return fs.shards[s].Remove(path)
+		return fs.on(s).Remove(path)
 	}
+	home := fs.place(path, parts)
 	if len(fs.shards) == 1 || len(parts) == 0 {
 		// Single shard, or the root: delegate for the exact core
 		// error (the root cannot be removed).
-		return fs.shards[fs.place(path, parts)].Remove(path)
+		return fs.on(home).Remove(path)
 	}
-	home := fs.shards[fs.place(path, parts)]
-	fi, err := home.Stat(path)
-	if err != nil {
-		// Nonexistent either way; delegate so the error carries the
-		// remove op, not stat.
-		return home.Remove(path)
-	}
-	if !fi.IsDir() {
-		return home.Remove(path)
+	fi, err := fs.shards[home].Stat(path)
+	if err != nil || !fi.IsDir() {
+		// A file lives on its home shard alone; a missing path
+		// delegates too, so the error carries the remove op, not stat.
+		return fs.on(home).Remove(path)
 	}
 	for _, s := range fs.shards {
 		ents, err := s.ReadDir(path)
@@ -194,8 +183,8 @@ func (fs *FS) Remove(path string) error {
 			return vfs.WrapPathError("remove", path, vfs.ErrNotEmpty)
 		}
 	}
-	for _, s := range fs.shards {
-		if err := s.Remove(path); err != nil {
+	for i := range fs.shards {
+		if err := fs.on(i).Remove(path); err != nil {
 			return err
 		}
 	}
@@ -211,8 +200,11 @@ func (fs *FS) Remove(path string) error {
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.relink("rename", oldPath, newPath, true,
-		func(s *core.FS) error { return s.Rename(oldPath, newPath) })
+	s, err := fs.relink("rename", oldPath, newPath, true)
+	if err != nil {
+		return err
+	}
+	return fs.on(s).Rename(oldPath, newPath)
 }
 
 // Link creates a hard link when both paths place on one shard; a
@@ -221,25 +213,29 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 func (fs *FS) Link(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.relink("link", oldPath, newPath, false,
-		func(s *core.FS) error { return s.Link(oldPath, newPath) })
+	s, err := fs.relink("link", oldPath, newPath, false)
+	if err != nil {
+		return err
+	}
+	return fs.on(s).Link(oldPath, newPath)
 }
 
 // relink implements the shared two-path placement rules of Rename
-// and Link and delegates to apply on the owning shard. dirOK permits
-// directory sources when both ends are pinned to one shard (renames
-// do; links never link directories, so core rejects them anyway).
-func (fs *FS) relink(op, oldPath, newPath string, dirOK bool, apply func(*core.FS) error) error {
+// and Link: it returns the shard that owns both ends, or the router's
+// own refusal. dirOK permits directory sources when both ends are
+// pinned to one shard (renames do; links never link directories, so
+// core rejects them anyway).
+func (fs *FS) relink(op, oldPath, newPath string, dirOK bool) (int, error) {
 	po, err := vfs.SplitPath(oldPath)
 	if err != nil {
-		return vfs.WrapPathError(op, oldPath, err)
+		return 0, vfs.WrapPathError(op, oldPath, err)
 	}
 	pn, err := vfs.SplitPath(newPath)
 	if err != nil {
-		return vfs.WrapPathError(op, oldPath, err)
+		return 0, vfs.WrapPathError(op, oldPath, err)
 	}
 	if len(fs.shards) == 1 {
-		return apply(fs.shards[0])
+		return 0, nil
 	}
 	so := fs.place(oldPath, po)
 	sn := fs.place(newPath, pn)
@@ -247,29 +243,29 @@ func (fs *FS) relink(op, oldPath, newPath string, dirOK bool, apply func(*core.F
 	if err != nil {
 		// Source missing (or the root): delegate for the exact core
 		// error under the right op name.
-		return apply(fs.shards[so])
+		return so, nil
 	}
 	if fi.IsDir() && dirOK {
 		_, oldPinned := fs.pinFor(po)
 		_, newPinned := fs.pinFor(pn)
 		if oldPinned && newPinned && so == sn {
-			return apply(fs.shards[so])
+			return so, nil
 		}
 		if so != sn {
-			return vfs.WrapPathError(op, oldPath, fmt.Errorf(
+			return 0, vfs.WrapPathError(op, oldPath, fmt.Errorf(
 				"%w: directory %q places on shard %d, %q on shard %d",
 				ErrCrossShard, oldPath, so, newPath, sn))
 		}
-		return vfs.WrapPathError(op, oldPath, fmt.Errorf(
+		return 0, vfs.WrapPathError(op, oldPath, fmt.Errorf(
 			"%w: directory %q is replicated across shards; pin the subtree to rename it",
 			ErrCrossShard, oldPath))
 	}
 	if so != sn {
-		return vfs.WrapPathError(op, oldPath, fmt.Errorf(
+		return 0, vfs.WrapPathError(op, oldPath, fmt.Errorf(
 			"%w: %q places on shard %d, %q on shard %d",
 			ErrCrossShard, oldPath, so, newPath, sn))
 	}
-	return apply(fs.shards[so])
+	return so, nil
 }
 
 // Truncate resizes the file through its shard.
@@ -309,11 +305,8 @@ func (fs *FS) FsyncFile(path string) error {
 			_ = s.FlushAsync()
 		}
 	}
-	if dt := fs.clock.Now().Sub(t0); dt > 0 {
-		fs.shards[home].NoteWait(obs.PhaseFanout, dt)
-	}
-	fs.handoffWait(fs.shards[home])
-	return fs.shards[home].FsyncFile(path)
+	fs.parked.NoteWait(obs.PhaseFanout, fs.clock.Now().Sub(t0))
+	return fs.on(home).FsyncFile(path)
 }
 
 // Sync flushes every shard. A first pass issues every shard's dirty
@@ -325,14 +318,13 @@ func (fs *FS) Sync() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	var first error
-	fs.handoffWait(fs.shards[0])
 	for _, s := range fs.shards {
 		if err := s.FlushAsync(); err != nil && first == nil {
 			first = err
 		}
 	}
-	for _, s := range fs.shards {
-		if err := s.Sync(); err != nil && first == nil {
+	for i := range fs.shards {
+		if err := fs.on(i).Sync(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -345,8 +337,8 @@ func (fs *FS) Unmount() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	var first error
-	for _, s := range fs.shards {
-		if err := s.Unmount(); err != nil && first == nil {
+	for i := range fs.shards {
+		if err := fs.on(i).Unmount(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -110,34 +110,29 @@ type FS struct {
 	// pins is the validated pin list, longest prefix first.
 	pins []pin
 
-	// pendingWait holds waits noted against the router before the
-	// next operation (the event loop's dispatch gaps); routing hands
-	// them to the executing shard, whose next span carries them.
+	// parked holds waits noted against the router before the next
+	// operation (the event loop's dispatch gaps); the router records
+	// no spans of its own, so on hands them to the executing shard.
 	// Guarded by mu.
-	pendingWait [obs.NumPhaseKinds]sim.Duration
+	parked obs.ParkedWaits
 }
 
-// NoteWait credits d of kind to the next routed operation's span. The
-// router holds no spans of its own, so the wait parks here until the
-// next operation resolves its shard and hands it down.
+// NoteWait credits d of kind to the next routed operation's span.
 func (fs *FS) NoteWait(kind obs.PhaseKind, d sim.Duration) {
-	if d <= 0 || kind >= obs.NumPhaseKinds {
-		return
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.pendingWait[kind] += d
+	fs.parked.NoteWait(kind, d)
 }
 
-// handoffWait transfers the parked waits to the shard about to
-// execute an operation. Must be called with fs.mu held.
-func (fs *FS) handoffWait(s *core.FS) {
-	for k := range fs.pendingWait {
-		if d := fs.pendingWait[k]; d > 0 {
-			s.NoteWait(obs.PhaseKind(k), d)
-			fs.pendingWait[k] = 0
-		}
-	}
+// on returns shard i for the call that carries a routed operation's
+// name, first handing it the waits parked on the router so that call's
+// span carries them. Every operation delegates through on; the
+// router's own probes (the Stat in Remove and relink, the emptiness
+// ReadDirs) use fs.shards directly and leave the waits for the call
+// that follows. Must be called with fs.mu held.
+func (fs *FS) on(i int) *core.FS {
+	fs.parked.HandOff(fs.shards[i])
+	return fs.shards[i]
 }
 
 // validatePins parses and orders opts.Pins for n shards.

@@ -9,6 +9,7 @@ import (
 	"lfs/internal/core"
 	"lfs/internal/disk"
 	"lfs/internal/fstest"
+	"lfs/internal/obs"
 	"lfs/internal/server"
 	"lfs/internal/shard"
 	"lfs/internal/sim"
@@ -448,6 +449,66 @@ func TestCrashOneShardOthersCommit(t *testing.T) {
 		}
 		if !rep.Ok() {
 			t.Fatalf("fsck shard %d: %v", i, rep.Problems)
+		}
+	}
+}
+
+// TestParkedWaitRidesItsOwnOp: a wait noted on the router belongs to
+// the very next routed operation, whichever it is. ReadDir, Remove,
+// Rename, Link and Unmount used to leave it parked, so it was credited
+// to — and backdated the start of — whichever later operation happened
+// to resolve a shard through route.
+func TestParkedWaitRidesItsOwnOp(t *testing.T) {
+	const wait = 5 * sim.Millisecond
+	cfg := testConfig()
+	cfg.Trace = obs.NewRecorder() // one recorder across all four shards
+	fs := newShards(t, 4, shard.Options{Base: cfg})
+	if err := fs.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Create("/d/f"); err != nil {
+		t.Fatal(err)
+	}
+	// A second name on /d/f's shard, so rename and link are legal.
+	twin := findName(t, fs, "/d", "twin", "/d/f", true)
+	steps := []struct {
+		op  string
+		run func() error
+	}{
+		{"readdir", func() error { _, err := fs.ReadDir("/d"); return err }},
+		{"link", func() error { return fs.Link("/d/f", twin) }},
+		{"remove", func() error { return fs.Remove(twin) }},
+		{"rename", func() error { return fs.Rename("/d/f", twin) }},
+		{"remove", func() error { return fs.Remove("/d/nope") }}, // a failing op still owns its wait
+		{"unmount", fs.Unmount},
+	}
+	for i, st := range steps {
+		mark := len(cfg.Trace.Spans())
+		fs.NoteWait(obs.PhaseLockWait, wait)
+		err := st.run()
+		if (err != nil) != (i == 4) {
+			t.Fatalf("%s: %v", st.op, err)
+		}
+		if st.op != "unmount" {
+			if err := fs.Create(fmt.Sprintf("/d/after%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got sim.Duration
+		for _, s := range cfg.Trace.Spans()[mark:] {
+			lw := obs.PhaseTotals(s.Phases)[obs.PhaseLockWait]
+			if s.Op != st.op && lw != 0 {
+				t.Errorf("%s's wait landed on the %s span of %s", st.op, s.Op, s.Path)
+			}
+			if s.Op == st.op {
+				got += lw
+			}
+			if !s.PhasesExact() {
+				t.Errorf("%s span of %s: phases do not sum to latency", s.Op, s.Path)
+			}
+		}
+		if got != wait {
+			t.Errorf("%s spans carry %v of lock_wait, want %v", st.op, got, wait)
 		}
 	}
 }

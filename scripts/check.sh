@@ -32,8 +32,9 @@ go run ./cmd/mklfs -image "$img" -size 32M
 go run ./cmd/lfsck -image "$img" -size 32M
 go run ./cmd/lfsdump -image "$img" -size 32M > /dev/null
 echo "== quick experiments =="
-go run ./cmd/lfsbench -experiment fig1 > /dev/null
+# Every experiment at -quick scale, the metrics plane sampling each
+# LFS they build; the combined series must replay through lfstop.
 mjsonl="$(mktemp -d)/metrics.jsonl"
-go run ./cmd/lfsbench -experiment metrics -quick -metrics "$mjsonl" > /dev/null
+go run ./cmd/lfsbench -experiment all -quick -metrics "$mjsonl" > /dev/null
 go run ./cmd/lfstop "$mjsonl" > /dev/null
 echo "all checks passed"
