@@ -4,24 +4,29 @@ package main
 // strategies against each other: the snapshot path restores a
 // copy-on-write image per point (O(points)), the replay path re-runs
 // the workload per point (O(points × writes)). Both are swept over the
-// same mixed workload, wall-clock timed, and normalised to
-// points-per-second; the run fails unless the snapshot path is at
-// least minCrashSweepSpeedup times faster per point.
+// same mixed workload. The gated result is work: workload operations
+// executed per crash point, which repeats exactly; the run fails unless
+// replay executes at least minCrashSweepSpeedup times as many as the
+// snapshot path. Wall-clock points-per-second are printed beside it for
+// the reader and gate nothing — that ratio shrinks whenever the file
+// system itself gets faster, which is no regression of the harness.
 //
 // This file lives in cmd/ (not internal/experiments) deliberately:
-// measuring the harness itself needs wall-clock time, which the
-// wallclock lint rule bans inside the simulation packages.
+// timing the harness needs wall-clock time, which the wallclock lint
+// rule bans inside the simulation packages.
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"lfs"
 	"lfs/internal/fstest"
 )
 
-// minCrashSweepSpeedup is the acceptance floor: restoring snapshots
-// must beat replaying workloads by at least this factor per point.
+// minCrashSweepSpeedup is the acceptance floor: replaying workloads
+// must cost at least this many times the operations per crash point
+// that restoring snapshots does.
 const minCrashSweepSpeedup = 5.0
 
 // crashSweepWorkload is MixedWorkload followed by churn rounds of
@@ -130,17 +135,21 @@ func runCrashSweep(quick bool) error {
 		snap.Points, snapElapsed.Seconds()*1000, snapPerSec, snap.RollForwardPoints)
 	fmt.Printf("replay:   %4d points in %8.2fms  (%8.1f points/s, stride %d)\n",
 		replay.Points, replayElapsed.Seconds()*1000, replayPerSec, replayStride)
-	fmt.Printf("speedup:  %.1fx per point (floor %.0fx)\n", speedup, minCrashSweepSpeedup)
-	if speedup < minCrashSweepSpeedup {
-		return fmt.Errorf("snapshot sweep only %.1fx faster than replay (floor %.0fx)",
-			speedup, minCrashSweepSpeedup)
+	fmt.Printf("speedup:  %.1fx per point (wall clock, not gated)\n", speedup)
+	snapOps := float64(snap.OpsExecuted) / float64(snap.Points)
+	replayOps := float64(replay.OpsExecuted) / float64(replay.Points)
+	workRatio := replayOps / snapOps
+	fmt.Printf("work:     %.1f vs %.1f ops executed per point, %.1fx (floor %.0fx)\n",
+		replayOps, snapOps, workRatio, minCrashSweepSpeedup)
+	if workRatio < minCrashSweepSpeedup {
+		return fmt.Errorf("replay sweep executes only %.1fx the snapshot sweep's ops per point (floor %.0fx)",
+			workRatio, minCrashSweepSpeedup)
 	}
 
 	if benchJSON != "" {
 		// Deterministic counters are JSON numbers (diffed by
 		// benchdiff); wall-clock figures are strings, recorded for
-		// humans but exempt from the ±10% gate — the speedup floor is
-		// enforced above instead.
+		// humans but exempt from the ±10% gate.
 		summary := map[string]any{
 			"experiment":            "crashsweep",
 			"total_writes":          snap.TotalWrites,
@@ -148,6 +157,9 @@ func runCrashSweep(quick bool) error {
 			"rollforward_points":    snap.RollForwardPoints,
 			"snapshot_points":       snap.SnapshotPoints,
 			"replay_points":         replay.Points,
+			"snapshot_ops_executed": snap.OpsExecuted,
+			"replay_ops_executed":   replay.OpsExecuted,
+			"work_ratio_x":          math.Round(workRatio*10) / 10,
 			"crash_failures":        len(snap.Failures) + len(replay.Failures),
 			"speedup_floor_met":     1,
 			"snapshot_points_per_s": fmt.Sprintf("%.1f", snapPerSec),

@@ -58,8 +58,11 @@ type Block struct {
 	Key  Key
 	Data []byte
 
-	dirty     bool
-	dirtiedAt sim.Time
+	// dirty and relocated share one word so the header stays in the
+	// allocator's 112-byte size class (TestBlockHeaderSizeClass).
+	dirty, relocated bool
+	dirtiedAt        sim.Time
+	relocAge         sim.Time
 
 	// links are the block's positions in the cache's three intrusive
 	// chains, indexed by chainID.
@@ -126,6 +129,10 @@ func (b *Block) Dirty() bool { return b.dirty }
 // DirtiedAt returns when the block was first dirtied (valid only while
 // Dirty).
 func (b *Block) DirtiedAt() sim.Time { return b.dirtiedAt }
+
+// Relocated reports whether the block was dirtied by MarkRelocated and
+// not yet written, and the data age it was tagged with.
+func (b *Block) Relocated() (age sim.Time, ok bool) { return b.relocAge, b.relocated }
 
 // Stats counts cache activity.
 type Stats struct {
@@ -337,12 +344,26 @@ func (c *Cache) MarkDirty(b *Block, now sim.Time) {
 	c.nDirty++
 }
 
+// MarkRelocated dirties a clean block on behalf of an owner that is
+// moving its contents, not modifying them (the LFS cleaner), tagging it
+// with the age of the data until MarkClean; it reports whether it did.
+// A block that is already dirty holds newer modifications and is left
+// untagged.
+func (c *Cache) MarkRelocated(b *Block, now, age sim.Time) bool {
+	if b.dirty {
+		return false
+	}
+	c.MarkDirty(b, now)
+	b.relocated, b.relocAge = true, age
+	return true
+}
+
 // MarkClean records that b has been written to disk.
 func (c *Cache) MarkClean(b *Block) {
 	if !b.dirty {
 		return
 	}
-	b.dirty = false
+	b.dirty, b.relocated = false, false
 	c.dirty.remove(b)
 	c.nDirty--
 }

@@ -150,7 +150,7 @@ func (fs *FS) Check() (*CheckReport, error) {
 		if e.Allocated && refs[ino] == 0 {
 			rep.OrphanedInodes++
 		}
-		if e.Allocated && e.Addr.IsNil() && !fs.dirtyInodes[ino] {
+		if e.Allocated && e.Addr.IsNil() && !fs.inodes.isDirty(ino) {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("inode %d allocated with no disk address and not dirty", ino))
 		}
 		if n := refs[ino]; n > 0 && ino != layout.RootIno {

@@ -3,8 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
-	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
 	"lfs/internal/obs"
@@ -155,11 +155,10 @@ func (fs *FS) selectBatch(needed int) []int {
 	if avail := int64(fs.cleanCount-2) * int64(fs.sb.SegmentSize); budget > avail {
 		budget = avail
 	}
-	var batch []int
+	batch := fs.cl.batch[:0]
 	var live int64
-	excl := make(map[int]bool)
 	for len(batch) < needed {
-		victim, ok := fs.selectVictim(excl)
+		victim, ok := fs.selectVictim(batch)
 		if !ok {
 			break
 		}
@@ -170,9 +169,9 @@ func (fs *FS) selectBatch(needed int) []int {
 			break
 		}
 		batch = append(batch, victim)
-		excl[victim] = true
 		live += vl
 	}
+	fs.cl.batch = batch
 	return batch
 }
 
@@ -189,10 +188,10 @@ func (fs *FS) cleanReserve() int {
 }
 
 // selectVictim picks the next segment to clean according to the
-// configured policy, skipping the exclusion set (victims already in
-// the current batch). Segments at or above MinLiveFraction
-// utilisation are never picked (§4.3.4).
-func (fs *FS) selectVictim(excl map[int]bool) (int, bool) {
+// configured policy, skipping excl (the few victims already in the
+// current batch). Segments at or above MinLiveFraction utilisation are
+// never picked (§4.3.4).
+func (fs *FS) selectVictim(excl []int) (int, bool) {
 	policy := fs.cfg.Policy
 	// Space guard: cost-benefit favors old, dense victims, which
 	// consume nearly a full clean segment of copies to net a sliver
@@ -209,7 +208,7 @@ func (fs *FS) selectVictim(excl map[int]bool) (int, bool) {
 	now := fs.clock.Now()
 	for seg := range fs.usage {
 		u := &fs.usage[seg]
-		if u.State != segDirty || excl[seg] {
+		if u.State != segDirty || slices.Contains(excl, seg) {
 			continue
 		}
 		util := float64(u.Live) / segSize
@@ -241,9 +240,25 @@ func (fs *FS) selectVictim(excl map[int]bool) (int, bool) {
 	return best, best >= 0
 }
 
-// cleanSegment cleans a single segment; tests and CleanOnce use it.
+// cleanSegment cleans a single segment; tests use it.
 func (fs *FS) cleanSegment(seg int) (CleanResult, error) {
 	return fs.cleanBatch([]int{seg})
+}
+
+// victimStat is what cleanBatch remembers of a revived victim until the
+// relocation flush lets it reclaim the segment.
+type victimStat struct {
+	seg    int
+	copied int
+	util   float64
+}
+
+// cleanerScratch is the cleaner's working memory, kept on the FS like
+// the segment writer's: the batch selectBatch hands to cleanBatch, and
+// cleanBatch's per-victim records.
+type cleanerScratch struct {
+	batch []int
+	stats []victimStat
 }
 
 // cleanBatch performs the two-phase clean of a batch of segments
@@ -252,16 +267,12 @@ func (fs *FS) cleanSegment(seg int) (CleanResult, error) {
 // (§4.3.3); phase two re-dirties the live blocks in the cache and lets
 // one segment write copy them all to the head of the log, so the
 // pointer-update metadata (inode and inode-map blocks) is rewritten
-// once per batch rather than once per victim.
+// once per batch rather than once per victim. It runs with fs.cleaning
+// set, so its flush cannot start a nested pass over the same scratch.
 func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 	var res CleanResult
-	type victimStat struct {
-		seg    int
-		copied int
-		util   float64
-	}
-	stats := make([]victimStat, 0, len(victims))
-	defer clear(fs.coldAges)
+	stats := fs.cl.stats[:0]
+	defer func() { fs.coldBlocks = 0 }()
 	for _, seg := range victims {
 		if fs.usage[seg].State != segDirty {
 			return res, fmt.Errorf("lfs: cleaning segment %d in state %d", seg, fs.usage[seg].State)
@@ -277,6 +288,7 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 		}
 		stats = append(stats, victimStat{seg: seg, copied: copied, util: util})
 	}
+	fs.cl.stats = stats
 
 	// Phase 2: write the re-dirtied live blocks to the log head.
 	if err := fs.flush(flushAll); err != nil {
@@ -379,7 +391,7 @@ func (fs *FS) killRemaining(seg int) {
 // relocates it. Returns whether the block was live.
 func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAge sim.Time) (bool, error) {
 	switch ref.Kind {
-	case kindData:
+	case kindData, kindIndirect:
 		e := fs.imap.get(ref.Ino)
 		// Step 1: the version check catches deleted and truncated
 		// files without touching the inode.
@@ -392,84 +404,57 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 		if err != nil {
 			return false, err
 		}
-		cur, err := fs.blockAddrOf(in, ref.ID)
-		if err != nil {
+		key, cur := dataKey(ref.Ino, ref.ID), layout.NilAddr
+		if ref.Kind == kindData {
+			cur, err = fs.blockAddrOf(in, ref.ID)
+		} else {
+			key = indKey(ref.Ino, ref.ID)
+			cur, err = fs.indirectAddrOf(in, ref.ID)
+		}
+		if err != nil || cur != addr {
 			return false, err
 		}
-		if cur != addr {
-			return false, nil
+		// Re-dirty the cached copy, or reinstate the victim's, so the
+		// flush relocates it. It is tagged cold only if it was clean: an
+		// already-dirty copy holds fresh application data that belongs
+		// in the hot stream (and would be written anyway).
+		b := fs.bc.Peek(key)
+		if b == nil {
+			b = fs.bc.AddFrom(key, data)
 		}
-		key := dataKey(ref.Ino, ref.ID)
-		if b := fs.bc.Peek(key); b != nil {
-			// The cache already holds this block; re-dirty it so
-			// the flush relocates it (a dirty copy would be
-			// relocated anyway). Tag it cold only if it was clean:
-			// an already-dirty copy holds fresh application data
-			// that belongs in the hot stream.
-			if !b.Dirty() {
-				fs.markCold(key, srcAge)
-			}
-			fs.bc.MarkDirty(b, fs.clock.Now())
-			return true, nil
+		if fs.bc.MarkRelocated(b, fs.clock.Now(), srcAge) {
+			fs.coldBlocks++
 		}
-		fs.bc.MarkDirty(fs.bc.AddFrom(key, data), fs.clock.Now())
-		fs.markCold(key, srcAge)
-		return true, nil
-
-	case kindIndirect:
-		e := fs.imap.get(ref.Ino)
-		if !e.Allocated || e.Version != ref.Version {
-			return false, nil
-		}
-		in, err := fs.getInode(ref.Ino)
-		if err != nil {
-			return false, err
-		}
-		cur, err := fs.indirectAddrOf(in, ref.ID)
-		if err != nil {
-			return false, err
-		}
-		if cur != addr {
-			return false, nil
-		}
-		key := indKey(ref.Ino, ref.ID)
-		if b := fs.bc.Peek(key); b != nil {
-			if !b.Dirty() {
-				fs.markCold(key, srcAge)
-			}
-			fs.bc.MarkDirty(b, fs.clock.Now())
-			return true, nil
-		}
-		fs.bc.MarkDirty(fs.bc.AddFrom(key, data), fs.clock.Now())
-		fs.markCold(key, srcAge)
 		return true, nil
 
 	case kindInodes:
-		// Decode each record; an inode is live when the map still
-		// points at this block.
+		// An inode is live when the map still points at its slot. Ask
+		// the map first: it costs an index, where decoding and
+		// checksumming every record of every victim inode block costs
+		// more than the copies do.
 		live := false
 		for slot := 0; slot < fs.inodesPerBlock(); slot++ {
-			raw := data[slot*layout.InodeSize : (slot+1)*layout.InodeSize]
-			if allZero(raw) {
+			ino := layout.Ino(binary.LittleEndian.Uint32(data[slot*layout.InodeSize:]))
+			if ino < 1 || ino > fs.imap.maxIno() {
 				continue
 			}
-			rec, err := layout.DecodeInode(raw)
-			if err != nil || !rec.Allocated() {
-				continue
-			}
-			e := fs.imap.get(rec.Ino)
+			e := fs.imap.get(ino)
 			wantAddr := addr + layout.DiskAddr(slot/inodesPerSector)
 			if !e.Allocated || e.Addr != wantAddr || int(e.Slot) != slot%inodesPerSector {
 				continue
 			}
-			// Live: pull it in core and queue a rewrite. On failure,
-			// report the liveness found so far — earlier slots were
-			// already marked dirty, and discarding them would leave
-			// the caller's copy accounting inconsistent.
-			if _, err := fs.getInode(rec.Ino); err != nil {
-				return live, err
+			// Live: queue a rewrite from the in-core copy, fetching (and
+			// so verifying) the record when there is none. A current
+			// record that cannot be read back must fail the pass — the
+			// victim then stays unreclaimed — since skipping it would
+			// reclaim the only copy of the inode. On failure, report the
+			// liveness found so far: earlier slots were already marked
+			// dirty, and discarding them would leave the caller's copy
+			// accounting inconsistent.
+			if _, err := fs.getInode(ino); err != nil {
+				return live, fmt.Errorf("lfs: cleaner: live inode %d at %v slot %d: %w", ino, wantAddr, e.Slot, err)
 			}
-			fs.markInodeDirty(rec.Ino)
+			fs.markInodeDirty(ino)
 			live = true
 		}
 		return live, nil
@@ -485,13 +470,6 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 		return true, nil
 	}
 	return false, fmt.Errorf("lfs: unknown block kind %d in summary", ref.Kind)
-}
-
-// markCold tags a revived cache block as a cleaner relocation
-// carrying its victim segment's data age, for the segment writer's
-// hot/cold split and age credit.
-func (fs *FS) markCold(key cache.Key, srcAge sim.Time) {
-	fs.coldAges[key] = srcAge
 }
 
 // allZero reports whether p contains only zero bytes, a word at a time:

@@ -164,7 +164,7 @@ func TestSelectVictimTieBreaksLowestIndex(t *testing.T) {
 	if victim, ok := fs.selectVictim(nil); !ok || victim != 3 {
 		t.Fatalf("tie broke to %d (ok=%v), want lowest index 3", victim, ok)
 	}
-	if victim, ok := fs.selectVictim(map[int]bool{3: true}); !ok || victim != 6 {
+	if victim, ok := fs.selectVictim([]int{3}); !ok || victim != 6 {
 		t.Fatalf("tie with 3 excluded broke to %d (ok=%v), want 6", victim, ok)
 	}
 }
@@ -425,16 +425,18 @@ func TestCleanerPreservesDestinationAge(t *testing.T) {
 }
 
 func TestInodeCacheEviction(t *testing.T) {
-	fs := newTestFS(t, 16<<20, smallConfig())
+	cfg := smallConfig()
+	cfg.MaxInodes = inodeCacheLimit + 64 // the table holds no number past the inode map's
+	fs := newTestFS(t, 16<<20, cfg)
 	// Fill the in-core table beyond the limit with clean inodes.
 	for i := 0; i < inodeCacheLimit+10; i++ {
 		ino := layoutIno(i + 10)
 		in := layoutNewInode(ino)
-		fs.inodes[ino] = in
+		fs.inodes.put(ino, in)
 	}
 	fs.evictInodes()
-	if len(fs.inodes) >= inodeCacheLimit {
-		t.Fatalf("evictInodes left %d in-core inodes", len(fs.inodes))
+	if fs.inodes.n >= inodeCacheLimit {
+		t.Fatalf("evictInodes left %d in-core inodes", fs.inodes.n)
 	}
 }
 

@@ -85,10 +85,9 @@ type FS struct {
 	// usage tracks per-segment live bytes and state; guarded by mu.
 	usage []segUsage
 
-	// inodes is the in-core inode table; dirtyInodes queues inodes
-	// for the next segment write. Both guarded by mu.
-	inodes      map[layout.Ino]*layout.Inode
-	dirtyInodes map[layout.Ino]bool
+	// inodes is the in-core inode table and the queue of dirty inodes
+	// for the next segment write. Guarded by mu.
+	inodes inodeTable
 
 	// names is the directory name cache (the UNIX namei cache both
 	// SunOS and Sprite relied on): per directory, name → (child
@@ -117,21 +116,24 @@ type FS struct {
 	// it. Guarded by mu.
 	heads [numClasses]logHead
 
-	// coldAges marks cache blocks revived by the current cleaner pass
-	// as relocations (empty outside a pass), each mapped to its victim
-	// segment's data age: the segment writer routes them to the cold
-	// head and credits them with that age rather than the current
-	// time. Guarded by mu.
-	coldAges map[cache.Key]sim.Time
+	// coldBlocks counts the cache blocks the current cleaner pass has
+	// revived and tagged as relocations (zero outside a pass). The tag
+	// itself rides on the cache block and carries the victim segment's
+	// data age: the segment writer routes tagged blocks to the cold head
+	// and credits them with that age rather than the current time.
+	// Guarded by mu.
+	coldBlocks int
 
 	// span is the transfer buffer of read-ahead and of inode-block
 	// fetches, segBuf the cleaner's whole-segment read buffer (allocated
-	// by the first clean); wr is the segment writer's working memory. All are reused so the steady state
-	// allocates none of them, and each is consumed before the operation
-	// that filled it returns. Guarded by mu.
+	// by the first clean); wr is the segment writer's working memory and
+	// cl the cleaner's. All are reused so the steady state allocates none
+	// of them, and each is consumed before the operation that filled it
+	// returns. Guarded by mu.
 	span   []byte
 	segBuf []byte
 	wr     writerScratch
+	cl     cleanerScratch
 
 	// writeSerial numbers log units; ckptSerial numbers
 	// checkpoints. Guarded by mu.
@@ -175,13 +177,11 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 		bc:          cache.New(cfg.CacheBlocks, cfg.BlockSize),
 		imap:        newImap(cfg.MaxInodes, cfg.BlockSize),
 		usage:       make([]segUsage, sb.Segments),
-		inodes:      make(map[layout.Ino]*layout.Inode),
-		dirtyInodes: make(map[layout.Ino]bool),
+		inodes:      inodeTable{max: layout.Ino(cfg.MaxInodes)},
 		names:       make(map[layout.Ino]map[string]nameEntry),
 		entryCount:  make(map[layout.Ino]int),
 		insertHint:  make(map[layout.Ino]int64),
 		lastRead:    make(map[layout.Ino]int64),
-		coldAges:    make(map[cache.Key]sim.Time),
 		span:        make([]byte, readAheadBlocks*cfg.BlockSize),
 		writeSerial: 1,
 	}
@@ -369,11 +369,7 @@ func (fs *FS) DropCaches() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.bc.DropClean()
-	for ino := range fs.inodes {
-		if !fs.dirtyInodes[ino] {
-			delete(fs.inodes, ino)
-		}
-	}
+	fs.inodes.dropClean(0)
 }
 
 // Crash simulates a machine crash: every volatile structure vanishes.
@@ -383,8 +379,7 @@ func (fs *FS) Crash() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.bc.Clear()
-	fs.inodes = nil
-	fs.dirtyInodes = nil
+	fs.inodes = inodeTable{}
 	fs.unmounted = true
 }
 
@@ -478,7 +473,7 @@ func (fs *FS) epilogue() error {
 	// Idle cleaning (§5.3): with nothing dirty and the disk arm
 	// free, reclaim fragmented segments ahead of demand.
 	if fs.cfg.CleanOnIdle && !fs.cleaning &&
-		fs.bc.DirtyCount() == 0 && len(fs.dirtyInodes) == 0 &&
+		fs.bc.DirtyCount() == 0 && fs.inodes.nDirty == 0 &&
 		fs.d.BusyUntil() <= fs.clock.Now() &&
 		fs.cleanCount < fs.cfg.cleanTarget(int(fs.sb.Segments)) {
 		if _, err := fs.cleanUntil(fs.cleanCount + 1); err != nil {

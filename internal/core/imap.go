@@ -167,9 +167,7 @@ func (m *imapTable) blockCount() int { return len(m.blockAddrs) }
 
 // encodeBlock serialises imap block idx into p (one FS block).
 func (m *imapTable) encodeBlock(idx int, p []byte) {
-	for i := range p {
-		p[i] = 0
-	}
+	clear(p)
 	first := layout.Ino(idx*m.perBlock) + 1
 	for i := 0; i < m.perBlock; i++ {
 		ino := first + layout.Ino(i)

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"lfs/internal/cache"
 	"lfs/internal/disk"
@@ -60,12 +60,97 @@ func storeAddr(b *cache.Block, idx int, a layout.DiskAddr) {
 // it are dropped (they can always be refetched through the imap).
 const inodeCacheLimit = 16384
 
+// inodeTable is the in-core inode table and the queue of inodes dirty
+// for the next segment write. Like the inode map it is addressed by
+// inode number — a slice and a bitmap, not hash maps: the cleaner and
+// the segment writer consult it once per live block, and walking either
+// in index order is the ascending order the deterministic timeline
+// needs. Both grow on demand (doubling, never past max+1), so a mount
+// that touches few inodes pays for few.
+type inodeTable struct {
+	max    layout.Ino
+	slots  []*layout.Inode // index = ino; nil = not in core
+	n      int             // non-nil slots
+	dirty  []uint64        // bit ino set = queued; len covers len(slots)
+	nDirty int
+}
+
+// get returns the in-core inode, or nil.
+func (t *inodeTable) get(ino layout.Ino) *layout.Inode {
+	if int(ino) < len(t.slots) {
+		return t.slots[ino]
+	}
+	return nil
+}
+
+// put installs in as the in-core copy of ino (at most max).
+func (t *inodeTable) put(ino layout.Ino, in *layout.Inode) {
+	if int(ino) >= len(t.slots) {
+		n := min(max(2*len(t.slots), int(ino)+1, 64), int(t.max)+1)
+		t.slots = append(make([]*layout.Inode, 0, n), t.slots...)[:n]
+		t.dirty = append(make([]uint64, 0, (n+63)/64), t.dirty...)[:(n+63)/64]
+	}
+	if t.slots[ino] == nil {
+		t.n++
+	}
+	t.slots[ino] = in
+}
+
+// drop forgets ino, dirty or not.
+func (t *inodeTable) drop(ino layout.Ino) {
+	if t.get(ino) != nil {
+		t.setDirty(ino, false)
+		t.slots[ino] = nil
+		t.n--
+	}
+}
+
+// isDirty reports whether ino is queued for the next segment write.
+func (t *inodeTable) isDirty(ino layout.Ino) bool {
+	return int(ino) < len(t.slots) && t.dirty[ino/64]&(1<<(ino%64)) != 0
+}
+
+// setDirty queues an in-core inode for the next segment write, or takes
+// it off the queue.
+func (t *inodeTable) setDirty(ino layout.Ino, dirty bool) {
+	if t.isDirty(ino) == dirty {
+		return
+	}
+	t.dirty[ino/64] ^= 1 << (ino % 64)
+	if dirty {
+		t.nDirty++
+	} else {
+		t.nDirty--
+	}
+}
+
+// appendDirty appends the queued inode numbers to dst in ascending order.
+func (t *inodeTable) appendDirty(dst []layout.Ino) []layout.Ino {
+	for i, w := range t.dirty {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, layout.Ino(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
+// dropClean forgets clean inodes in ascending order until fewer than
+// keep remain in core; dirty ones always stay.
+func (t *inodeTable) dropClean(keep int) {
+	for ino := 0; ino < len(t.slots) && t.n >= keep; ino++ {
+		if t.slots[ino] != nil && !t.isDirty(layout.Ino(ino)) {
+			t.slots[ino] = nil
+			t.n--
+		}
+	}
+}
+
 // getInode returns the in-core inode for ino, fetching it through the
 // inode map when absent (§4.2.1: "except for the address lookup using
 // the inode map, the file reading algorithm of LFS is identical to
 // UNIX").
 func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
-	if in, ok := fs.inodes[ino]; ok {
+	if in := fs.inodes.get(ino); in != nil {
 		return in, nil
 	}
 	if ino < 1 || ino > fs.imap.maxIno() {
@@ -116,21 +201,18 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 			}
 			cp := rec
 			want = &cp
-			fs.inodes[ino] = want
+			fs.inodes.put(ino, want)
 			continue
 		}
 		// Opportunistically cache neighbours that are still
 		// current, unless a (possibly dirty) copy is already in
 		// core.
-		if _, present := fs.inodes[rec.Ino]; present {
-			continue
-		}
-		if rec.Ino < 1 || rec.Ino > fs.imap.maxIno() || !rec.Allocated() {
+		if rec.Ino < 1 || rec.Ino > fs.imap.maxIno() || !rec.Allocated() || fs.inodes.get(rec.Ino) != nil {
 			continue
 		}
 		if re.Allocated && re.Addr == slotAddr && re.Slot == slotIdx {
 			cp := rec
-			fs.inodes[rec.Ino] = &cp
+			fs.inodes.put(rec.Ino, &cp)
 		}
 	}
 	if want == nil {
@@ -139,40 +221,25 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 	return want, nil
 }
 
-// evictInodes drops clean in-core inodes when over the limit. The
-// eviction set is chosen in ascending inode order, never by map
-// iteration order: which inodes survive decides which future lookups
-// go back to disk, and those reads charge simulated time — a random
-// eviction set would make the whole timeline differ between reruns
-// of the same seed.
+// evictInodes drops clean in-core inodes when over the limit, down to
+// half of it. The eviction set is the ascending-inode prefix of the
+// clean inodes: which inodes survive decides which future lookups go
+// back to disk, and those reads charge simulated time, so the set must
+// be the same on every rerun of a seed.
 func (fs *FS) evictInodes() {
-	if len(fs.inodes) < inodeCacheLimit {
-		return
-	}
-	clean := make([]layout.Ino, 0, len(fs.inodes))
-	for ino := range fs.inodes {
-		if !fs.dirtyInodes[ino] {
-			clean = append(clean, ino)
-		}
-	}
-	slices.Sort(clean)
-	for _, ino := range clean {
-		if len(fs.inodes) < inodeCacheLimit/2 {
-			break
-		}
-		delete(fs.inodes, ino)
+	if fs.inodes.n >= inodeCacheLimit {
+		fs.inodes.dropClean(inodeCacheLimit / 2)
 	}
 }
 
-// markInodeDirty queues ino for the next segment write.
-func (fs *FS) markInodeDirty(ino layout.Ino) { fs.dirtyInodes[ino] = true }
+// markInodeDirty queues ino, which is in core, for the next segment write.
+func (fs *FS) markInodeDirty(ino layout.Ino) { fs.inodes.setDirty(ino, true) }
 
 // dropInode removes ino from the in-core tables (unlink). The inode
 // map may hand the number to a new file, which must not inherit the
 // old one's read-ahead position.
 func (fs *FS) dropInode(ino layout.Ino) {
-	delete(fs.inodes, ino)
-	delete(fs.dirtyInodes, ino)
+	fs.inodes.drop(ino)
 	delete(fs.lastRead, ino)
 }
 

@@ -58,7 +58,7 @@ func (fs *FS) createNode(path string, isDir bool) error {
 	now := int64(fs.clock.Now())
 	in.Mtime, in.Ctime = now, now
 	in.Gen = fs.imap.get(ino).Version
-	fs.inodes[ino] = &in
+	fs.inodes.put(ino, &in)
 	fs.markInodeDirty(ino)
 	e := fs.imap.get(ino)
 	e.Atime = fs.clock.Now()
@@ -495,7 +495,7 @@ func (fs *FS) fsyncFile(path string) error {
 		return err
 	}
 	// Its inode, if dirty.
-	if fs.dirtyInodes[ino] {
+	if fs.inodes.isDirty(ino) {
 		if err := fs.writeInodeBatchFor([]layout.Ino{ino}); err != nil {
 			return err
 		}
@@ -540,7 +540,7 @@ func (fs *FS) groupFsync(ino layout.Ino) error {
 // fileDirty reports whether the file has any state not yet written to
 // the log: dirty data or indirect blocks, or a dirty inode.
 func (fs *FS) fileDirty(ino layout.Ino) bool {
-	if fs.dirtyInodes[ino] {
+	if fs.inodes.isDirty(ino) {
 		return true
 	}
 	for _, b := range fs.dirtyBlocks() {
@@ -570,7 +570,7 @@ func (fs *FS) FlushAsync() error {
 	if err := fs.checkMounted(); err != nil {
 		return vfs.WrapPathError("flush", "/", err)
 	}
-	if len(fs.dirtyInodes) == 0 && fs.bc.DirtyCount() == 0 {
+	if fs.inodes.nDirty == 0 && fs.bc.DirtyCount() == 0 {
 		return nil
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)

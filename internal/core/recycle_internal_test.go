@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -181,6 +182,99 @@ func BenchmarkCleanOnce(b *testing.B) {
 	}
 }
 
+// dirtyInodesFS returns a file system holding 8192 one-block files, all
+// flushed and all in core, and their inode numbers.
+func dirtyInodesFS(t testing.TB) (*FS, []layout.Ino) {
+	cfg := DefaultConfig()
+	cfg.MaxInodes = 8192 + 64
+	fs := newTestFS(t, 128<<20, cfg)
+	inos := make([]layout.Ino, 0, 8192)
+	block := make([]byte, cfg.BlockSize)
+	for i := 0; i < cap(inos); i++ {
+		path := fmt.Sprintf("/f%04d", i)
+		must(t, fs.Create(path))
+		must(t, fs.Write(path, 0, block))
+		in, err := fs.resolve([]string{path[1:]})
+		must(t, err)
+		inos = append(inos, in.Ino)
+	}
+	must(t, fs.Sync())
+	return fs, inos
+}
+
+// BenchmarkFlushDirtyInodes is batch 5 of the segment write at scale:
+// 8192 dirty inodes gathered in ascending order, encoded 32 to a block,
+// logged as one segment's worth of inode blocks, and their inode map
+// entries redirected. The file system is rebuilt, off the clock, before
+// the log runs out of clean segments, so no iteration runs the cleaner.
+func BenchmarkFlushDirtyInodes(b *testing.B) {
+	var fs *FS
+	var inos []layout.Ino
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if fs == nil || fs.cleanCount < fs.cfg.cleanThreshold(int(fs.sb.Segments))+4 {
+			fs, inos = dirtyInodesFS(b)
+		}
+		for _, ino := range inos {
+			fs.markInodeDirty(ino)
+		}
+		b.StartTimer()
+		must(b, fs.flush(flushAll))
+	}
+}
+
+// BenchmarkReviveInodeBlock is the cleaner's liveness walk over one
+// 32-slot inode block in which every other record is still current (the
+// rest were rewritten elsewhere), all inodes in core: what each inode
+// block of a victim costs before anything is copied.
+func BenchmarkReviveInodeBlock(b *testing.B) {
+	fs := newTestFS(b, 16<<20, smallConfig())
+	per := fs.inodesPerBlock()
+	inos := []layout.Ino{layout.RootIno}
+	for i := 1; i < per; i++ { // with the root, one block's worth
+		path := fmt.Sprintf("/f%02d", i)
+		must(b, fs.Create(path))
+		in, err := fs.resolve([]string{path[1:]})
+		must(b, err)
+		inos = append(inos, in.Ino)
+	}
+	must(b, fs.Sync())
+	addr := fs.imap.get(layout.RootIno).Addr // slot 0: the block's first sector
+	for i, ino := range inos {
+		if i%2 == 1 {
+			fs.markInodeDirty(ino)
+		}
+	}
+	must(b, fs.flush(flushAll))
+	blk := make([]byte, fs.cfg.BlockSize)
+	//lfslint:allow iocause raw-device read below the FS, as the cleaner's segment read would deliver it; attribution is irrelevant here
+	must(b, fs.d.ReadSectors(int64(addr), blk, disk.CauseOther, "test"))
+	revive := func() int {
+		live, err := fs.reviveBlock(blockRef{Kind: kindInodes}, addr, blk, fs.clock.Now())
+		if err != nil || !live {
+			b.Fatalf("reviveBlock: live=%v err=%v", live, err)
+		}
+		n := 0
+		for _, ino := range inos {
+			if fs.inodes.isDirty(ino) {
+				n++
+			}
+		}
+		return n
+	}
+	if n := revive(); n != per/2 {
+		b.Fatalf("the walk found %d current records in the block, want %d of %d", n, per/2, per)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if live, err := fs.reviveBlock(blockRef{Kind: kindInodes}, addr, blk, 0); err != nil || !live {
+			b.Fatal(live, err)
+		}
+	}
+}
+
 // TestReviveSegmentAllocatesNoBuffers pins the cleaner's read side: once
 // the segment buffer exists, reviving a victim's live blocks allocates
 // Block headers and summary refs but no []byte — not the segment-sized
@@ -205,6 +299,53 @@ func TestReviveSegmentAllocatesNoBuffers(t *testing.T) {
 	}
 	if perBlock := bytes / uint64(copied); perBlock >= 512 {
 		t.Errorf("reviving %d blocks allocated %d bytes (%d per block), want headers and refs only", copied, bytes, perBlock)
+	}
+}
+
+// TestCleanBatchAllocatesNoTablesOfItsOwn pins the whole cleaner pass in
+// its steady state — victim choice, liveness walk, relocation flush —
+// to the allocations it cannot avoid: a Block header per block revived
+// into the cache and a refs slice per summary decoded. No map, no sort
+// scratch, no per-pass slice: the batch, the per-victim records, the
+// dirty-inode gather and the cold tags all live in reused memory.
+func TestCleanBatchAllocatesNoTablesOfItsOwn(t *testing.T) {
+	fs, _ := punchedFS(t)
+	for i := 0; i < 2; i++ { // sizes segBuf, both heads and every scratch slice
+		if _, err := fs.cleanUntil(fs.cleanCount + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.cleaning = true
+	defer func() { fs.cleaning = false }()
+	var batch []int
+	var res CleanResult
+	inserted := fs.bc.Stats().Inserted
+	objects, _ := mallocs(func() {
+		batch = fs.selectBatch(4)
+		var err error
+		res, err = fs.cleanBatch(batch)
+		must(t, err)
+	})
+	inserted = fs.bc.Stats().Inserted - inserted
+	if len(batch) < 2 || res.LiveCopied < 80 {
+		t.Fatalf("pass cleaned %v and copied %d blocks, want a batch of several 0.80-live victims", batch, res.LiveCopied)
+	}
+	units := 0
+	raw := make([]byte, fs.sb.SegmentSize)
+	for _, seg := range batch {
+		//lfslint:allow iocause raw-device read below the FS to count the victim's summaries; attribution is irrelevant here
+		must(t, fs.d.ReadSectors(fs.segFirstSector(seg), raw, disk.CauseOther, "test"))
+		for blk := 0; blk < fs.cfg.blocksPerSegment(); units++ {
+			h, _, err := decodeSummary(raw[blk*fs.cfg.BlockSize:])
+			if err != nil {
+				break
+			}
+			blk += h.SumBlocks + h.NBlocks
+		}
+	}
+	if want := uint64(inserted) + uint64(units); objects > want {
+		t.Errorf("cleaning %d victims allocated %d objects, want at most %d (%d block headers + %d summary refs)",
+			len(batch), objects, want, inserted, units)
 	}
 }
 

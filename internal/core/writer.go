@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"lfs/internal/cache"
 	"lfs/internal/disk"
@@ -89,13 +88,8 @@ func (fs *FS) flush(scope flushScope) error {
 	}
 
 	// Batch 5: inodes, packed into inode blocks.
-	inos := fs.wr.inos[:0]
-	for ino := range fs.dirtyInodes {
-		inos = append(inos, ino)
-	}
-	slices.Sort(inos)
-	fs.wr.inos = inos
-	if err := fs.writeInodeBatchFor(inos); err != nil {
+	fs.wr.inos = fs.inodes.appendDirty(fs.wr.inos[:0])
+	if err := fs.writeInodeBatchFor(fs.wr.inos); err != nil {
 		return err
 	}
 
@@ -157,12 +151,12 @@ func (fs *FS) writeDirtyBlocks(ino layout.Ino) error {
 // victim's data age, everything else to the hot stream. Outside a pass
 // (or when the pass revived nothing) the batch goes out whole.
 func (fs *FS) writeBlockBatch(blocks []*cache.Block, kind blockKind) error {
-	if len(fs.coldAges) == 0 {
+	if fs.coldBlocks == 0 {
 		return fs.writeBlockClass(blocks, classHot, kind)
 	}
 	hot, cold := fs.wr.hot[:0], fs.wr.cold[:0]
 	for _, b := range blocks {
-		if _, ok := fs.coldAges[b.Key]; ok {
+		if _, ok := b.Relocated(); ok {
 			cold = append(cold, b)
 		} else {
 			hot = append(hot, b)
@@ -195,7 +189,7 @@ func (fs *FS) writeBlockClass(blocks []*cache.Block, class writeClass, kind bloc
 		payload = append(payload, b.Data)
 		if class == classCold {
 			age := now
-			if a := fs.coldAges[b.Key]; a > 0 {
+			if a, _ := b.Relocated(); a > 0 {
 				age = a
 			}
 			ages = append(ages, age)
@@ -235,15 +229,15 @@ func (fs *FS) writeBlockClass(blocks []*cache.Block, class writeClass, kind bloc
 	return nil
 }
 
-// metaPayload returns n zeroed block-sized buffers for inode or imap
-// blocks, carved from one reused span.
+// metaPayload returns n block-sized buffers for inode or imap blocks,
+// carved from one reused span; their contents are stale, and the caller
+// overwrites or clears every byte.
 func (fs *FS) metaPayload(n int) [][]byte {
 	bs := fs.cfg.BlockSize
 	if cap(fs.wr.meta) < n*bs {
 		fs.wr.meta = make([]byte, n*bs)
 	}
 	meta := fs.wr.meta[:n*bs]
-	clear(meta)
 	payload := fs.wr.payload[:0]
 	for i := 0; i < n; i++ {
 		payload = append(payload, meta[i*bs:(i+1)*bs])
@@ -262,7 +256,7 @@ func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 	payload := fs.metaPayload((len(inos) + per - 1) / per)
 	refs := fs.wr.refs[:0]
 	for i, ino := range inos {
-		in := fs.inodes[ino]
+		in := fs.inodes.get(ino)
 		if in == nil {
 			return fmt.Errorf("lfs: dirty inode %d missing from the in-core table", ino)
 		}
@@ -272,6 +266,8 @@ func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 		}
 	}
 	fs.wr.refs = refs
+	used := (len(inos)-1)%per + 1 // slots of the last block
+	clear(payload[len(payload)-1][used*layout.InodeSize:])
 	// Inode blocks always go hot: they aggregate records of many
 	// files and are rewritten whenever any of them changes.
 	addrs, err := fs.placeBlocks(classHot, refs, payload, nil)
@@ -286,7 +282,7 @@ func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 		e.Slot = uint8(i % inodesPerSector)
 		fs.imap.markDirty(ino)
 		fs.creditSegment(fs.segOf(base), layout.InodeSize)
-		delete(fs.dirtyInodes, ino)
+		fs.inodes.setDirty(ino, false)
 	}
 	return nil
 }

@@ -12,7 +12,7 @@ const memChunkSize = 1 << 20
 // almost nothing.
 type MemStore struct {
 	size   int64
-	chunks map[int64][]byte // chunk index -> chunk bytes; nil after Close
+	chunks [][]byte // index = offset / memChunkSize; a nil chunk is unallocated; nil after Close
 }
 
 // NewMemStore returns an empty in-memory store of the given capacity.
@@ -23,7 +23,7 @@ func NewMemStore(size int64) *MemStore {
 	if size <= 0 {
 		panic(fmt.Sprintf("disk: non-positive MemStore size %d", size))
 	}
-	return &MemStore{size: size, chunks: make(map[int64][]byte)}
+	return &MemStore{size: size, chunks: make([][]byte, (size+memChunkSize-1)/memChunkSize)}
 }
 
 // Size returns the store capacity in bytes.
@@ -37,7 +37,7 @@ func (m *MemStore) Sync() error {
 	return nil
 }
 
-// Close releases the chunk map. Close is idempotent.
+// Close releases the chunks. Close is idempotent.
 func (m *MemStore) Close() error {
 	m.chunks = nil
 	return nil
@@ -65,12 +65,10 @@ func (m *MemStore) ReadAt(p []byte, off int64) error {
 		if n > int64(len(p)) {
 			n = int64(len(p))
 		}
-		if chunk, ok := m.chunks[ci]; ok {
+		if chunk := m.chunks[ci]; chunk != nil {
 			copy(p[:n], chunk[co:co+n])
 		} else {
-			for i := range p[:n] {
-				p[i] = 0
-			}
+			clear(p[:n])
 		}
 		p = p[n:]
 		off += n
@@ -90,8 +88,8 @@ func (m *MemStore) WriteAt(p []byte, off int64) error {
 		if n > int64(len(p)) {
 			n = int64(len(p))
 		}
-		chunk, ok := m.chunks[ci]
-		if !ok {
+		chunk := m.chunks[ci]
+		if chunk == nil {
 			chunk = make([]byte, memChunkSize)
 			m.chunks[ci] = chunk
 		}
@@ -105,5 +103,11 @@ func (m *MemStore) WriteAt(p []byte, off int64) error {
 // AllocatedBytes implements Allocator: how much backing memory the
 // store has actually allocated.
 func (m *MemStore) AllocatedBytes() int64 {
-	return int64(len(m.chunks)) * memChunkSize
+	var n int64
+	for _, chunk := range m.chunks {
+		if chunk != nil {
+			n += memChunkSize
+		}
+	}
+	return n
 }

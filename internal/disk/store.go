@@ -159,7 +159,7 @@ func OpenStore(opts StoreOptions) (Store, error) {
 	}
 	switch opts.Backend {
 	case BackendMem:
-		return &MemStore{size: opts.Capacity, chunks: make(map[int64][]byte)}, nil
+		return NewMemStore(opts.Capacity), nil
 	case BackendCow:
 		return NewCowMemStore(opts.Capacity), nil
 	case BackendFile:

@@ -128,6 +128,12 @@ type CrashReport struct {
 	// SnapshotPoints counts crash points reconstructed by restoring a
 	// copy-on-write snapshot rather than replaying the workload.
 	SnapshotPoints int
+	// OpsExecuted counts the workload operations run to reconstruct the
+	// sweep's post-crash images: the recording pass, plus on the replay
+	// path every point's prefix up to and including the fatal operation.
+	// It is the work the two strategies differ in, free of wall-clock
+	// noise.
+	OpsExecuted int64
 	// Failures lists every invariant violation found.
 	Failures []CrashFailure
 }
@@ -238,6 +244,7 @@ func RunCrashPoints(cfg CrashConfig) (*CrashReport, error) {
 		}
 		rep.Failures = append(rep.Failures, fails...)
 	}
+	rep.OpsExecuted = r.opsExecuted
 	r.release()
 	return rep, nil
 }
@@ -249,6 +256,7 @@ type crashRunner struct {
 
 	histories   map[string]*crashHistory
 	totalWrites int64
+	opsExecuted int64 // see CrashReport.OpsExecuted
 	// stepWrites[i] and stepCkpts[i] are the cumulative disk-write
 	// and checkpoint counts after workload step i.
 	stepWrites []int64
@@ -367,6 +375,7 @@ func (r *crashRunner) recordPass() error {
 	r.stepWrites = make([]int64, len(r.cfg.Workload))
 	r.stepCkpts = make([]int64, len(r.cfg.Workload))
 	for i, op := range r.cfg.Workload {
+		r.opsExecuted++
 		if err := applyCrashOp(fs, op); err != nil {
 			return fmt.Errorf("fstest: recording step %d: %w", i, err)
 		}
@@ -496,6 +505,7 @@ func (r *crashRunner) replayPoint(k int64) (rolledForward bool, fails []CrashFai
 	d.SetFaultPolicy(&disk.CrashPlan{CutWrite: k, TearFatalWrite: r.cfg.Torn})
 	crashed := false
 	for i, op := range r.cfg.Workload {
+		r.opsExecuted++
 		if err := applyCrashOp(fs, op); err != nil {
 			if errors.Is(err, disk.ErrPowerLoss) {
 				crashed = true

@@ -46,9 +46,18 @@ func TestCrashPointStrategiesAgree(t *testing.T) {
 			if replay.SnapshotPoints != 0 {
 				t.Errorf("replay sweep reported %d snapshot points", replay.SnapshotPoints)
 			}
-			// SnapshotPoints is the only field allowed to differ.
+			// The snapshot sweep runs the workload once; replay runs it
+			// once to record, then a prefix of it per point.
+			if want := int64(len(base.Workload)); snap.OpsExecuted != want {
+				t.Errorf("snapshot sweep executed %d ops, want the recording pass's %d", snap.OpsExecuted, want)
+			}
+			if lo, hi := snap.OpsExecuted+int64(replay.Points), snap.OpsExecuted*int64(1+replay.Points); replay.OpsExecuted < lo || replay.OpsExecuted > hi {
+				t.Errorf("replay sweep executed %d ops over %d points, want within [%d, %d]", replay.OpsExecuted, replay.Points, lo, hi)
+			}
+			// SnapshotPoints and OpsExecuted are the only fields allowed
+			// to differ.
 			snapCopy := *snap
-			snapCopy.SnapshotPoints = 0
+			snapCopy.SnapshotPoints, snapCopy.OpsExecuted = 0, replay.OpsExecuted
 			if !reflect.DeepEqual(&snapCopy, replay) {
 				t.Errorf("strategies diverged:\nsnapshot: %+v\nreplay:   %+v", snapCopy, *replay)
 			}

@@ -120,9 +120,7 @@ func (in *Inode) Encode(p []byte) {
 	if len(p) < InodeSize {
 		panic(fmt.Sprintf("layout: inode buffer %d < %d", len(p), InodeSize))
 	}
-	for i := range p[:InodeSize] {
-		p[i] = 0
-	}
+	clear(p[:InodeSize])
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], uint32(in.Ino))
 	le.PutUint16(p[4:], uint16(in.Mode))

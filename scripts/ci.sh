@@ -123,11 +123,11 @@ echo "== store conformance =="
 # identity and same-seed byte-identical images.
 go test ./internal/disk -run 'TestStoreConformance|TestStoreDifferentialProperty' -count=1
 echo "== crashsweep smoke =="
-# Crash-point sweep benchmark: the snapshot strategy (restore a
-# copy-on-write image per point) must stay at least 5x faster per
-# point than replaying the workload — lfsbench itself enforces the
-# floor — and the sweep's deterministic counters are diffed against
-# the committed baseline.
+# Crash-point sweep benchmark: replaying the workload must execute at
+# least 5x the operations per point that the snapshot strategy (restore
+# a copy-on-write image per point) does — lfsbench itself enforces the
+# floor, on counted work, not wall-clock time — and the sweep's
+# deterministic counters are diffed against the committed baseline.
 go run ./cmd/lfsbench -experiment crashsweep -quick \
 	-benchjson "$tracedir/BENCH_crashsweep.json"
 gate crashsweep
@@ -141,25 +141,37 @@ go run ./cmd/lfsbench -experiment metrics -quick \
 go run ./cmd/lfstop "$tracedir/metrics.jsonl" > /dev/null
 gate metrics
 echo "== lfsperf smoke =="
-# Three workloads on both clocks: lfsperf exits non-zero unless every
-# operation succeeded and the simulated results repeated for the seed
-# (its "correct"), and the host allocation figures per operation —
-# deterministic, unlike host time — must stay within the budgets
-# earlier changes bought: small-file allocations (1340 before the
-# in-place directory codec and the intrusive cache chains, about 7
-# after) and the bytes the large-file and cleaning paths allocate
-# (16.8 KB and 55.8 KB before block buffers were recycled, about 4 KB
-# and 1 KB after; what is left is the memory store's own chunks).
-# perf_budget WORKLOAD METRIC UNIT LIMIT
-perf_budget() {
+# Three of lfsperf's four workloads on both clocks (clients, the
+# fourth, has no allocation budget of its own yet): lfsperf exits
+# non-zero unless every operation succeeded and the simulated results
+# repeated for the seed (its "correct"), and the host
+# allocation figures per operation — deterministic, unlike host time —
+# must stay within the budgets earlier changes bought: small-file
+# allocations (1340 before the in-place directory codec and the
+# intrusive cache chains, about 7 after), the bytes the large-file and
+# cleaning paths allocate (16.8 KB and 55.8 KB before block buffers
+# were recycled, 4070 and 932 after; what is left is the memory store's
+# own chunks and cache block headers) and the cleaning path's
+# allocations (about 6: block headers and summary refs, no map or
+# scratch slice of the cleaner's own).
+# perf_run WORKLOAD runs one workload; perf_budget METRIC UNIT LIMIT
+# holds a figure of the last run to its budget.
+perf_run() {
+	workload="$1"
 	perf="$(go run ./cmd/lfsperf -workload "$1" -seconds 3 -out "$tracedir/lfsperf" | tail -n 1)"
 	echo "$perf" | grep -q '"correct":true' || { echo "lfsperf: $1 result not correct: $perf" >&2; exit 1; }
-	echo "$perf" | sed -n 's/.*"'"$2"'":{"unit":"'"$3"'","value":\([0-9.e+-]*\)}.*/\1/p' |
-		awk -v what="$1 $2" -v limit="$4" 'END { if (NR != 1 || $1 + 0 > limit) { print "lfsperf: " what " = " $1 ", want <= " limit > "/dev/stderr"; exit 1 } }'
 }
-perf_budget smallfile host_allocs_per_op count 25
-perf_budget largefile host_bytes_per_op bytes 6000
-perf_budget cleaning host_bytes_per_op bytes 12000
+perf_budget() {
+	echo "$perf" | sed -n 's/.*"'"$1"'":{"unit":"'"$2"'","value":\([0-9.e+-]*\)}.*/\1/p' |
+		awk -v what="$workload $1" -v limit="$3" 'END { if (NR != 1 || $1 + 0 > limit) { print "lfsperf: " what " = " $1 ", want <= " limit > "/dev/stderr"; exit 1 } }'
+}
+perf_run smallfile
+perf_budget host_allocs_per_op count 25
+perf_run largefile
+perf_budget host_bytes_per_op bytes 5000
+perf_run cleaning
+perf_budget host_bytes_per_op bytes 1500
+perf_budget host_allocs_per_op count 8
 if [ "$update" = 1 ]; then
 	echo "baselines regenerated; review and commit the BENCH_*.json changes"
 	exit 0
