@@ -1,267 +1,28 @@
 package lfs_test
 
-// Benchmarks regenerating the paper's evaluation, one per table and
-// figure. Each benchmark runs the corresponding experiment on the
-// simulated testbed and reports the paper's metric (files/sec, KB/s,
-// milliseconds) as custom benchmark units computed from *simulated*
-// time — wall-clock ns/op only measures the simulator itself.
-//
-// Run everything with:
-//
-//	go test -bench=. -benchmem
-//
-// The full-scale figures are regenerated by cmd/lfsbench; benchmarks
-// use moderately scaled workloads so the suite completes quickly
-// while preserving every shape.
-
 import (
-	"fmt"
-	"strings"
 	"testing"
 
-	"lfs/internal/core"
 	"lfs/internal/experiments"
-	"lfs/internal/ffs"
-	"lfs/internal/sim"
-	"lfs/internal/workload"
 )
 
-// BenchmarkFig1CreateTraceFFS measures the paper's Figure 1 workload:
-// two small-file creations on the FFS baseline (small random
-// synchronous writes).
-func BenchmarkFig1CreateTraceFFS(b *testing.B) {
-	var syncWrites, writes int
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1(32 << 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		syncWrites, writes = res.FFS.SyncWrites, res.FFS.Writes
-	}
-	b.ReportMetric(float64(writes), "disk-writes")
-	b.ReportMetric(float64(syncWrites), "sync-writes")
-}
-
-// BenchmarkFig2CreateTraceLFS measures the same workload on LFS (one
-// large sequential asynchronous write).
-func BenchmarkFig2CreateTraceLFS(b *testing.B) {
-	var syncWrites, writes int
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1(32 << 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		syncWrites, writes = res.LFS.SyncWrites, res.LFS.Writes
-	}
-	b.ReportMetric(float64(writes), "disk-writes")
-	b.ReportMetric(float64(syncWrites), "sync-writes")
-}
-
-// fig3Bench runs one Figure 3 cell and reports simulated files/sec.
-func fig3Bench(b *testing.B, which string, fileSize, numFiles int) {
-	b.Helper()
-	var row experiments.Fig3Row
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultFig3Opts()
-		opts.Capacity = 64 << 20
-		if fileSize == 1024 {
-			opts.Files1K, opts.Files10K = numFiles, 0
-		} else {
-			opts.Files1K, opts.Files10K = 0, numFiles
-		}
-		rows, err := fig3Subset(opts, which, fileSize)
-		if err != nil {
-			b.Fatal(err)
-		}
-		row = rows
-	}
-	b.ReportMetric(row.CreatePS, "create-files/s")
-	b.ReportMetric(row.ReadPS, "read-files/s")
-	b.ReportMetric(row.DeletePS, "delete-files/s")
-}
-
-// fig3Subset runs a single (fs, size) cell of Figure 3.
-func fig3Subset(opts experiments.Fig3Opts, which string, fileSize int) (experiments.Fig3Row, error) {
-	count := opts.Files1K
-	if fileSize != 1024 {
-		count = opts.Files10K
-	}
-	var sys *experiments.System
-	var err error
-	if which == "LFS" {
-		sys, err = experiments.NewLFS(opts.Capacity, core.DefaultConfig())
-	} else {
-		sys, err = experiments.NewFFS(opts.Capacity, ffs.DefaultConfig())
-	}
-	if err != nil {
-		return experiments.Fig3Row{}, err
-	}
-	res, err := workload.SmallFile(sys, workload.SmallFileOpts{
-		NumFiles: count, FileSize: fileSize, Dir: "/small", SyncBetweenPhases: true, Seed: 42,
-	})
-	if err != nil {
-		return experiments.Fig3Row{}, err
-	}
-	return experiments.Fig3Row{
-		FS: which, FileSize: fileSize, NumFiles: count,
-		CreatePS: res.Create.OpsPerSec(),
-		ReadPS:   res.Read.OpsPerSec(),
-		DeletePS: res.Delete.OpsPerSec(),
-	}, nil
-}
-
-// Figure 3: small-file I/O, files per (simulated) second.
-func BenchmarkFig3SmallFiles1K_LFS(b *testing.B)  { fig3Bench(b, "LFS", 1024, 1500) }
-func BenchmarkFig3SmallFiles1K_FFS(b *testing.B)  { fig3Bench(b, "SunFFS", 1024, 1500) }
-func BenchmarkFig3SmallFiles10K_LFS(b *testing.B) { fig3Bench(b, "LFS", 10240, 300) }
-func BenchmarkFig3SmallFiles10K_FFS(b *testing.B) { fig3Bench(b, "SunFFS", 10240, 300) }
-
-// Figure 4: large-file I/O, KB per (simulated) second per phase.
-func BenchmarkFig4LargeFile(b *testing.B) {
-	var rows []experiments.Fig4Row
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultFig4Opts()
-		opts.Capacity = 100 << 20
-		opts.FileSize = 24 << 20
-		var err error
-		rows, err = experiments.Fig4(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		name := fmt.Sprintf("%s-%s", r.FS, strings.ReplaceAll(r.Phase, " ", "-"))
-		b.ReportMetric(r.KBps, name+"-KB/s")
-	}
-}
-
-// Figure 5: cleaning rate vs segment utilization.
-func BenchmarkFig5CleaningRate(b *testing.B) {
-	var rows []experiments.Fig5Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig5(experiments.Fig5Opts{
-			Capacity:     48 << 20,
-			NumFiles:     6000,
-			Utilizations: []float64{0, 0.25, 0.5, 0.75, 0.9},
+// BenchmarkExperiment runs each row of the experiment table, so
+//
+//	go test -run '^$' -bench Experiment/fig3 -benchtime 1x .
+//
+// gives the wall-clock cost of regenerating one figure. That is all it
+// measures: the paper's own metrics (files/s, KB/s, write cost) are
+// simulated-time figures, printed by cmd/lfsbench and held byte for
+// byte to bench_results.txt, and host cost per simulated operation is
+// cmd/lfsperf's ledger.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Table {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.RateKBps, fmt.Sprintf("u%.2f-KB/s", r.Utilization))
-	}
-}
-
-// §3.1: CPU scaling of create+delete.
-func BenchmarkScalingCPU(b *testing.B) {
-	var rows []experiments.ScalingRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Scaling(experiments.ScalingOpts{
-			Capacity: 32 << 20, MIPS: []float64{0.9, 14}, Files: 100,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.PerFileMs, fmt.Sprintf("%s-%.1fMIPS-ms/file", r.FS, r.MIPS))
-	}
-}
-
-// §4.4: crash recovery, LFS checkpoint mount vs FFS fsck.
-func BenchmarkRecovery(b *testing.B) {
-	var rows []experiments.RecoveryRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Recovery(experiments.RecoveryOpts{
-			Capacities: []int64{64 << 20}, Files: 150,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.LFSMountMs, "lfs-mount-ms")
-		b.ReportMetric(r.FFSFsckMs, "ffs-fsck-ms")
-	}
-}
-
-// Ablation: segment size sweep.
-func BenchmarkAblationSegmentSize(b *testing.B) {
-	var rows []experiments.SegSizeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.SegSizeAblation(experiments.SegSizeOpts{
-			Capacity: 64 << 20, Files: 1500, WriteMB: 8,
-			SegmentSizes: []int{256 << 10, 1 << 20, 4 << 20},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.CreatePS, fmt.Sprintf("seg%dKB-create/s", r.SegmentKB))
-	}
-}
-
-// Ablation: LFS block size on the small-file workload.
-func BenchmarkAblationBlockSize(b *testing.B) {
-	var rows []experiments.BlockSizeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.BlockSizeAblation(experiments.BlockSizeOpts{
-			Capacity: 32 << 20, Files: 1000, FileSize: 1024,
-			BlockSizes: []int{1024, 4096, 8192},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.CreatePS, fmt.Sprintf("bs%d-create/s", r.BlockSize))
-	}
-}
-
-// Ablation: checkpoint interval vs vulnerability window.
-func BenchmarkAblationCheckpoint(b *testing.B) {
-	var rows []experiments.CkptRow
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultCkptOpts()
-		opts.Capacity = 32 << 20
-		opts.Office.Ops = 2000
-		opts.Office.TargetFiles = 600
-		opts.Office.MeanLifetimeOps = 800
-		opts.Intervals = []sim.Duration{5 * sim.Second, 30 * sim.Second, 120 * sim.Second}
-		var err error
-		rows, err = experiments.CheckpointAblation(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(float64(r.LostFiles), fmt.Sprintf("ckpt%.0fs-lost-files", r.IntervalSec))
-	}
-}
-
-// §5.3's open question: the segment-utilization distribution under
-// the office trace.
-func BenchmarkUtilizationDistribution(b *testing.B) {
-	var res *experiments.UtilizationResult
-	for i := 0; i < b.N; i++ {
-		opts := experiments.UtilizationOpts{Capacity: 32 << 20}
-		opts.Office = experiments.DefaultUtilizationOpts().Office
-		opts.Office.Ops = 12000
-		opts.Office.TargetFiles = 1200
-		opts.Office.MeanLifetimeOps = 3000
-		var err error
-		res, err = experiments.UtilizationDistribution(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.MeanSegmentUtil, "mean-segment-util")
-	b.ReportMetric(res.DiskUtil, "disk-util")
 }

@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"lfs/internal/experiments"
 )
+
+// writeBench writes summary the way main's loop does.
+func writeBench(path string, summary map[string]any) error {
+	return writeFile(path, func(w io.Writer) error { return experiments.WriteBench(w, summary) })
+}
 
 // TestBenchJSONDeterministic asserts that writing the same summary
 // twice produces the same bytes — including nested structs, whose
@@ -23,7 +29,7 @@ func TestBenchJSONDeterministic(t *testing.T) {
 		"ops_per_s":  123.456,
 		"curve":      []point{{Zeta: 1.5, Alpha: 2}},
 	}
-	if err := writeBenchJSON(path, summary); err != nil {
+	if err := writeBench(path, summary); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(path)
@@ -35,12 +41,15 @@ func TestBenchJSONDeterministic(t *testing.T) {
 	if za := bytes.Index(first, []byte(`"zeta"`)); za < bytes.Index(first, []byte(`"alpha"`)) {
 		t.Errorf("nested keys not canonically sorted:\n%s", first)
 	}
+	if !bytes.Contains(first, []byte(`"ops_per_s": 123.456`)) {
+		t.Errorf("number literal mangled:\n%s", first)
+	}
 	if !bytes.HasSuffix(first, []byte("\n")) {
 		t.Error("output missing trailing newline")
 	}
-	// Rewriting the same experiment into its own file must be a
+	// Rewriting the same experiment over its own file must be a
 	// byte-for-byte no-op.
-	if err := writeBenchJSON(path, summary); err != nil {
+	if err := writeBench(path, summary); err != nil {
 		t.Fatal(err)
 	}
 	second, err := os.ReadFile(path)
@@ -52,90 +61,15 @@ func TestBenchJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestBenchJSONMergePreservesSiblings asserts the merge contract:
-// writing a new experiment into an existing BENCH file keeps every
-// sibling key, byte-deterministically, instead of clobbering the file.
-func TestBenchJSONMergePreservesSiblings(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	alpha := map[string]any{"experiment": "alpha", "ops_per_s": 123.456, "writes": 42}
-	beta := map[string]any{"experiment": "beta", "speedup": 3.38}
-	if err := writeBenchJSON(path, alpha); err != nil {
-		t.Fatal(err)
-	}
-	single, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBenchJSON(path, beta); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var top struct {
-		Experiments map[string]map[string]any `json:"experiments"`
-	}
-	if err := json.Unmarshal(merged, &top); err != nil {
-		t.Fatalf("merged file does not parse: %v\n%s", err, merged)
-	}
-	if len(top.Experiments) != 2 {
-		t.Fatalf("merged file holds %d experiments, want 2:\n%s", len(top.Experiments), merged)
-	}
-	// Alpha's keys must all survive, with their values' literal digits
-	// intact (123.456 must not come back 123.45600000000001).
-	a := top.Experiments["alpha"]
-	if a == nil || a["ops_per_s"] == nil || a["writes"] == nil {
-		t.Fatalf("alpha's sibling keys dropped by merge:\n%s", merged)
-	}
-	if !strings.Contains(string(merged), `"ops_per_s": 123.456`) {
-		t.Errorf("alpha's number literal mangled:\n%s", merged)
-	}
-
-	// Re-writing beta with identical data must leave the merged file
-	// byte-identical — no reordering on repeated merges.
-	if err := writeBenchJSON(path, beta); err != nil {
-		t.Fatal(err)
-	}
-	again, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(merged, again) {
-		t.Errorf("repeated merge changed bytes:\n--- merged\n%s--- again\n%s", merged, again)
-	}
-
-	// Updating alpha in the multi file must keep beta.
-	alpha["writes"] = 43
-	if err := writeBenchJSON(path, alpha); err != nil {
-		t.Fatal(err)
-	}
-	final, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(final), `"speedup"`) || !strings.Contains(string(final), `"writes": 43`) {
-		t.Errorf("multi-file update dropped keys:\n%s", final)
-	}
-
-	// A third experiment pointed at a still-single file must not drop
-	// the original either (the historical bug).
-	if len(single) == 0 || bytes.Contains(single, []byte("experiments")) {
-		t.Fatalf("single form unexpectedly multi:\n%s", single)
-	}
-}
-
-// TestBenchJSONRejectsAnonymous covers the error paths.
+// TestBenchJSONRejectsAnonymous covers the error paths: a summary that
+// does not say which experiment it is, and a file that cannot be
+// created.
 func TestBenchJSONRejectsAnonymous(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	if err := writeBenchJSON(path, map[string]any{"ops": 1}); err == nil {
+	dir := t.TempDir()
+	if err := writeBench(filepath.Join(dir, "BENCH.json"), map[string]any{"ops": 1}); err == nil {
 		t.Error("summary without experiment name accepted")
 	}
-	if err := os.WriteFile(path, []byte("[1, 2]\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBenchJSON(path, map[string]any{"experiment": "x"}); err == nil {
-		t.Error("merge into non-object file accepted")
+	if err := writeBench(filepath.Join(dir, "missing", "BENCH.json"), map[string]any{"experiment": "x"}); err == nil {
+		t.Error("write into a missing directory reported no error")
 	}
 }

@@ -137,6 +137,12 @@ func SegSizeAblation(opts SegSizeOpts) ([]SegSizeRow, error) {
 	return rows, nil
 }
 
+// runSegSize is the table's ablation-segsize row.
+func runSegSize() (Result, error) {
+	rows, err := SegSizeAblation(DefaultSegSizeOpts())
+	return tabular(rows, err, FormatSegSize, CSVSegSize)
+}
+
 // FormatSegSize renders the sweep.
 func FormatSegSize(rows []SegSizeRow) string {
 	var b strings.Builder

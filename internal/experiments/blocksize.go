@@ -92,6 +92,12 @@ func BlockSizeAblation(opts BlockSizeOpts) ([]BlockSizeRow, error) {
 	return rows, nil
 }
 
+// runBlockSize is the table's ablation-blocksize row.
+func runBlockSize() (Result, error) {
+	rows, err := BlockSizeAblation(DefaultBlockSizeOpts())
+	return tabular(rows, err, FormatBlockSize, CSVBlockSize)
+}
+
 // FormatBlockSize renders the sweep.
 func FormatBlockSize(rows []BlockSizeRow) string {
 	var b strings.Builder

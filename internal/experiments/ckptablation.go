@@ -141,6 +141,12 @@ func CheckpointAblation(opts CkptOpts) ([]CkptRow, error) {
 	return rows, nil
 }
 
+// runCkpt is the table's ablation-ckpt row.
+func runCkpt() (Result, error) {
+	rows, err := CheckpointAblation(DefaultCkptOpts())
+	return tabular(rows, err, FormatCkpt, CSVCkpt)
+}
+
 // FormatCkpt renders the sweep.
 func FormatCkpt(rows []CkptRow) string {
 	var b strings.Builder

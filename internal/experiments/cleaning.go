@@ -139,8 +139,34 @@ func CleaningCurve(opts CleaningOpts) ([]CleaningRow, error) {
 	return rows, nil
 }
 
+// runCleaningCurve is the table's cleaning-curve row. The gated
+// summary is the u=0.80 point of each arm — the paper's operating
+// point, where the three policies separate.
+func runCleaningCurve() (Result, error) {
+	rows, err := CleaningCurve(DefaultCleaningOpts())
+	res, err := tabular(rows, err, FormatCleaning, CSVCleaning)
+	if err != nil {
+		return res, err
+	}
+	res.Bench = map[string]any{"experiment": "cleaning-curve"}
+	for _, arm := range []struct{ name, key string }{
+		{"greedy", "greedy"},
+		{"cost-benefit", "costbenefit"},
+		{"cost-benefit+seg", "costbenefit_seg"},
+	} {
+		r, ok := CleaningAt(rows, arm.name, 0.80)
+		if !ok {
+			return res, fmt.Errorf("cleaning-curve: no %s row at utilization 0.80", arm.name)
+		}
+		res.Bench[arm.key+"_write_cost_u80"] = r.WriteCost
+		res.Bench[arm.key+"_write_amp_u80"] = r.WriteAmp
+		res.Bench[arm.key+"_segments_cleaned_u80"] = r.SegmentsCleaned
+	}
+	return res, nil
+}
+
 // CleaningAt returns the row of the given arm at the given target
-// utilization, for headline checks and benchjson keys.
+// utilization, for headline checks and bench summary keys.
 func CleaningAt(rows []CleaningRow, arm string, util float64) (CleaningRow, bool) {
 	for _, r := range rows {
 		if r.Arm == arm && r.TargetUtil == util {

@@ -177,6 +177,34 @@ func Concurrency(opts ConcurrencyOpts) ([]ConcurrencyRow, error) {
 	return rows, nil
 }
 
+// runConcurrency is the table's concurrency row; the whole curve is the
+// gated summary.
+func runConcurrency() (Result, error) {
+	rows, err := Concurrency(DefaultConcurrencyOpts())
+	res, err := tabular(rows, err, FormatConcurrency, CSVConcurrency)
+	if err != nil {
+		return res, err
+	}
+	curve := make([]map[string]any, len(rows))
+	for i, r := range rows {
+		curve[i] = map[string]any{
+			"clients":            r.Clients,
+			"lfs_ops_per_s":      r.LFSOpsPerSec,
+			"lfs_nogc_ops_per_s": r.LFSNoGCOpsPerSec,
+			"ffs_ops_per_s":      r.FFSOpsPerSec,
+			"group_commits":      r.GroupCommits,
+			"piggybacked":        r.Piggybacked,
+			"lfs_writes_per_op":  r.LFSWritesPerOp,
+			"ffs_writes_per_op":  r.FFSWritesPerOp,
+			"lfs_p50_ms":         ms(r.LFSP50),
+			"lfs_p95_ms":         ms(r.LFSP95),
+			"lfs_p99_ms":         ms(r.LFSP99),
+		}
+	}
+	res.Bench = map[string]any{"experiment": "concurrency", "curve": curve}
+	return res, nil
+}
+
 // ms converts a simulated duration to milliseconds for display.
 func ms(d sim.Duration) float64 { return d.Seconds() * 1000 }
 

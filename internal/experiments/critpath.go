@@ -186,6 +186,39 @@ func CritPath(opts CritPathOpts) ([]CritPathRow, error) {
 	return rows, nil
 }
 
+// runCritPath is the table's critpath row. The per-phase means,
+// percentiles and tail blame are the gated summary, so time silently
+// moving between phases — an attribution regression — cannot land.
+func runCritPath() (Result, error) {
+	rows, err := CritPath(DefaultCritPathOpts())
+	if err != nil {
+		return Result{}, err
+	}
+	curve := make([]map[string]any, len(rows))
+	for i, r := range rows {
+		p := map[string]any{
+			"clients":         r.Clients,
+			"fsyncs":          r.FsyncCount,
+			"mean_ms":         ms(r.MeanLatency()),
+			"p50_ms":          ms(r.P50),
+			"p95_ms":          ms(r.P95),
+			"top_blame":       r.TopBlame.String(),
+			"top_blame_share": r.TopBlameShare,
+		}
+		for k := obs.PhaseKind(0); k < obs.NumPhaseKinds; k++ {
+			p["mean_"+k.String()+"_ms"] = ms(r.MeanPhase[k])
+		}
+		curve[i] = p
+	}
+	return Result{
+		Text: FormatCritPath(rows),
+		// Exactness is a verdict: every span decomposed exactly, or
+		// CritPath itself would have failed. Recorded as 0/1 so the
+		// benchdiff gate pins it.
+		Bench: map[string]any{"experiment": "critpath", "curve": curve, "exact": 1},
+	}, nil
+}
+
 // sumPhases totals a phase list, for error reporting.
 func sumPhases(phases []obs.Phase) sim.Duration {
 	var total sim.Duration

@@ -113,11 +113,14 @@ func CSVCkpt(w io.Writer, rows []CkptRow) error {
 	return writeCSV(w, []string{"interval_s", "checkpoints", "trace_ops_per_s", "files_lost", "window_files", "mount_ms"}, recs)
 }
 
-// CSVUtilization writes the utilization-distribution histogram.
-func CSVUtilization(w io.Writer, r *UtilizationResult, policy string) error {
+// CSVUtilization writes the utilization-distribution histograms, ten
+// bins per policy under one header.
+func CSVUtilization(w io.Writer, byPolicy []*UtilizationResult) error {
 	var recs [][]string
-	for bin, n := range r.Histogram {
-		recs = append(recs, []string{policy, fmt.Sprintf("%d", bin*10), fmt.Sprintf("%d", (bin+1)*10), i(int64(n))})
+	for _, r := range byPolicy {
+		for bin, n := range r.Histogram {
+			recs = append(recs, []string{r.Policy.String(), fmt.Sprintf("%d", bin*10), fmt.Sprintf("%d", (bin+1)*10), i(int64(n))})
+		}
 	}
 	return writeCSV(w, []string{"policy", "bin_low_pct", "bin_high_pct", "segments"}, recs)
 }

@@ -2,9 +2,17 @@
 // evaluation (§5) plus the §3.1 CPU-scaling observation and the §4.4
 // recovery comparison. Each experiment builds fresh file systems on
 // simulated WREN IV disks, runs the paper's workload, and returns the
-// same rows/series the paper plots. cmd/lfsbench prints them; the
-// repository's tests assert their shapes; bench_test.go exposes them
-// as Go benchmarks.
+// same rows/series the paper plots.
+//
+// Table (table.go) is the one description of every experiment: a name,
+// a line of help, the committed baseline it is gated on if any, and a
+// Run function — default options, run, format — that lives in the file
+// of the experiment it belongs to. The defaults are the paper's scale
+// and there is no other: cmd/lfsbench is a loop over the table,
+// scripts/ci.sh holds what that loop prints to bench_results.txt and
+// the summaries to BENCH_*.json, the root package's BenchmarkExperiment
+// times each row, and the tests here assert the results' shapes on
+// smaller options of their own.
 package experiments
 
 import (

@@ -91,6 +91,12 @@ func Fig3(opts Fig3Opts) ([]Fig3Row, error) {
 	return rows, nil
 }
 
+// runFig3 is the table's fig3 row.
+func runFig3() (Result, error) {
+	rows, err := Fig3(DefaultFig3Opts())
+	return tabular(rows, err, FormatFig3, CSVFig3)
+}
+
 // FormatFig3 renders the rows as the Figure 3 table.
 func FormatFig3(rows []Fig3Row) string {
 	var b strings.Builder

@@ -74,6 +74,12 @@ func Fig4(opts Fig4Opts) ([]Fig4Row, error) {
 	return rows, nil
 }
 
+// runFig4 is the table's fig4 row.
+func runFig4() (Result, error) {
+	rows, err := Fig4(DefaultFig4Opts())
+	return tabular(rows, err, FormatFig4, CSVFig4)
+}
+
 // FormatFig4 renders the rows as the Figure 4 table.
 func FormatFig4(rows []Fig4Row) string {
 	var b strings.Builder

@@ -90,6 +90,12 @@ func Fig5(opts Fig5Opts) ([]Fig5Row, error) {
 	return rows, nil
 }
 
+// runFig5 is the table's fig5 row.
+func runFig5() (Result, error) {
+	rows, err := Fig5(DefaultFig5Opts())
+	return tabular(rows, err, FormatFig5, CSVFig5)
+}
+
 // FormatFig5 renders the curve as a table.
 func FormatFig5(rows []Fig5Row) string {
 	var b strings.Builder

@@ -157,6 +157,50 @@ func TestCSVWriters(t *testing.T) {
 	check("utilization", func(w *strings.Builder) error {
 		r := &UtilizationResult{}
 		r.Histogram[3] = 5
-		return CSVUtilization(w, r, "greedy")
-	}, "policy,bin_low_pct,bin_high_pct,segments", 10)
+		return CSVUtilization(w, []*UtilizationResult{r, r})
+	}, "policy,bin_low_pct,bin_high_pct,segments", 20)
+
+	// The same over the experiment table: every row runs once, at the
+	// scale lfsbench runs it, and its Result is held to what lfsbench's
+	// loop relies on — a report, a summary exactly where the row names
+	// a baseline, and a CSV whose header appears once (utilization used
+	// to repeat it per policy, mid-file, where it parses as data).
+	// Skipped under -short: this is the twenty seconds of `lfsbench
+	// -experiment all`, which the race detector stretches fifteen-fold.
+	if testing.Short() {
+		return
+	}
+	for _, e := range Table {
+		t.Run(e.Name, func(t *testing.T) {
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasSuffix(res.Text, "\n") {
+				t.Errorf("report does not end in a newline: %q", res.Text)
+			}
+			if (res.Bench != nil) != (e.Bench != "") {
+				t.Errorf("summary present = %v, but the row names baseline %q", res.Bench != nil, e.Bench)
+			}
+			if res.Bench != nil && res.Bench["experiment"] != e.Name {
+				t.Errorf("summary is labelled %v", res.Bench["experiment"])
+			}
+			if res.CSV == nil {
+				return
+			}
+			var b strings.Builder
+			if err := res.CSV(&b); err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+			if len(lines) < 2 {
+				t.Fatalf("CSV has no data rows:\n%s", b.String())
+			}
+			for i, line := range lines[1:] {
+				if line == lines[0] {
+					t.Errorf("CSV header %q repeated at line %d", lines[0], i+2)
+				}
+			}
+		})
+	}
 }

@@ -7,41 +7,23 @@ import (
 	"lfs/internal/core"
 	"lfs/internal/obs"
 	"lfs/internal/sim"
-	"lfs/internal/workload"
 )
 
 // MetricsSmokeOpts scales the metrics-plane smoke experiment: the
-// trace smoke's workload (small-file pass, churn, explicit cleaning)
-// run under a metrics sampler, so every series the plane exports moves
-// during the run.
+// smoke workload under a metrics sampler.
 type MetricsSmokeOpts struct {
-	Capacity int64
-	// NumFiles/FileSize parameterise the small-file pass; ChurnFiles
-	// and CleanSegments force cleaner activity (see TraceSmokeOpts).
-	NumFiles      int
-	FileSize      int
-	ChurnFiles    int
-	CleanSegments int
+	SmokeWorkload
 	// Interval is the sampling interval in simulated time.
-	Interval  sim.Duration
-	LFSConfig core.Config
+	Interval sim.Duration
 	// Metrics, when non-nil, is used instead of a fresh sampler, so a
 	// caller can export the JSONL afterwards (Interval is ignored).
 	Metrics *obs.Sampler
 }
 
-// DefaultMetricsSmokeOpts returns a CI-sized configuration sampling
-// once per simulated second over a couple of simulated minutes.
+// DefaultMetricsSmokeOpts returns the default smoke workload, sampled
+// once per simulated second.
 func DefaultMetricsSmokeOpts() MetricsSmokeOpts {
-	return MetricsSmokeOpts{
-		Capacity:      64 << 20,
-		NumFiles:      2000,
-		FileSize:      1024,
-		ChurnFiles:    3000,
-		CleanSegments: 10,
-		Interval:      sim.Second,
-		LFSConfig:     defaultLFSConfig(),
-	}
+	return MetricsSmokeOpts{SmokeWorkload: defaultSmokeWorkload(), Interval: sim.Second}
 }
 
 // MetricsSmokeResult reports the series shape plus the final sample's
@@ -92,51 +74,11 @@ func MetricsSmoke(opts MetricsSmokeOpts) (*MetricsSmokeResult, error) {
 	}
 	cfg := opts.LFSConfig
 	cfg.Metrics = samp
-	sys, err := NewLFS(opts.Capacity, cfg)
+	sys, _, err := opts.run(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("metricssmoke: %w", err)
 	}
-	if _, err := workload.SmallFile(sys, workload.SmallFileOpts{
-		NumFiles: opts.NumFiles, FileSize: opts.FileSize,
-		Dir: "/small", SyncBetweenPhases: true, Seed: 42,
-	}); err != nil {
-		return nil, fmt.Errorf("metricssmoke small-file: %w", err)
-	}
-
-	fs, ok := sys.System.(*core.FS)
-	if !ok {
-		return nil, fmt.Errorf("metricssmoke: system is not an LFS")
-	}
-	if err := fs.Mkdir("/churn"); err != nil {
-		return nil, err
-	}
-	payload := make([]byte, opts.FileSize)
-	for i := 0; i < opts.ChurnFiles; i++ {
-		p := fmt.Sprintf("/churn/f%d", i)
-		if err := fs.Create(p); err != nil {
-			return nil, err
-		}
-		if err := fs.Write(p, 0, payload); err != nil {
-			return nil, err
-		}
-	}
-	if err := fs.Sync(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < opts.ChurnFiles; i += 2 {
-		if err := fs.Remove(fmt.Sprintf("/churn/f%d", i)); err != nil {
-			return nil, err
-		}
-	}
-	if err := fs.Sync(); err != nil {
-		return nil, err
-	}
-	if _, err := fs.CleanUntil(fs.CleanSegments() + opts.CleanSegments); err != nil {
-		return nil, fmt.Errorf("metricssmoke clean: %w", err)
-	}
-	if err := fs.Sync(); err != nil {
-		return nil, err
-	}
+	fs := sys.System.(*core.FS)
 	fs.SampleMetricsNow()
 
 	samples := samp.Samples()
@@ -158,6 +100,28 @@ func MetricsSmoke(opts MetricsSmokeOpts) (*MetricsSmokeResult, error) {
 		Final:                final,
 	}
 	return out, nil
+}
+
+// runMetricsSmoke is the table's metrics row.
+func runMetricsSmoke() (Result, error) {
+	r, err := MetricsSmoke(DefaultMetricsSmokeOpts())
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Text: FormatMetricsSmoke(r),
+		Bench: map[string]any{
+			"experiment":             "metrics",
+			"samples":                r.Samples,
+			"series":                 r.Series,
+			"elapsed_s":              r.Elapsed.Seconds(),
+			"final_ops":              r.FinalOps,
+			"final_blocks_written":   r.FinalBlocksWritten,
+			"final_segments_cleaned": r.FinalSegmentsCleaned,
+			"final_write_cost":       r.FinalWriteCost,
+			"final_clean_segments":   r.FinalCleanSegs,
+		},
+	}, nil
 }
 
 // FormatMetricsSmoke renders the result as the smoke-test report.

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"lfs/internal/core"
 	"lfs/internal/obs"
 	"lfs/internal/sim"
-	"lfs/internal/workload"
 )
 
 // metricsTestOpts returns the test-sized metrics smoke configuration.
@@ -29,48 +27,11 @@ func runMetricsWorkload(t *testing.T, samp *obs.Sampler) (*System, *core.FS) {
 	opts := metricsTestOpts()
 	cfg := opts.LFSConfig
 	cfg.Metrics = samp
-	sys, err := NewLFS(opts.Capacity, cfg)
+	sys, _, err := opts.run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.SmallFile(sys, workload.SmallFileOpts{
-		NumFiles: opts.NumFiles, FileSize: opts.FileSize,
-		Dir: "/small", SyncBetweenPhases: true, Seed: 42,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	fs := sys.System.(*core.FS)
-	if err := fs.Mkdir("/churn"); err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, opts.FileSize)
-	for i := 0; i < opts.ChurnFiles; i++ {
-		p := fmt.Sprintf("/churn/f%d", i)
-		if err := fs.Create(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Write(p, 0, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < opts.ChurnFiles; i += 2 {
-		if err := fs.Remove(fmt.Sprintf("/churn/f%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.CleanUntil(fs.CleanSegments() + opts.CleanSegments); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	return sys, fs
+	return sys, sys.System.(*core.FS)
 }
 
 // diskImage reads the entire simulated disk image through the backing

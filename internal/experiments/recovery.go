@@ -114,6 +114,12 @@ func Recovery(opts RecoveryOpts) ([]RecoveryRow, error) {
 	return rows, nil
 }
 
+// runRecovery is the table's recovery row.
+func runRecovery() (Result, error) {
+	rows, err := Recovery(DefaultRecoveryOpts())
+	return tabular(rows, err, FormatRecovery, CSVRecovery)
+}
+
 // FormatRecovery renders the comparison.
 func FormatRecovery(rows []RecoveryRow) string {
 	var b strings.Builder

@@ -81,6 +81,12 @@ func Scaling(opts ScalingOpts) ([]ScalingRow, error) {
 	return rows, nil
 }
 
+// runScaling is the table's scaling row.
+func runScaling() (Result, error) {
+	rows, err := Scaling(DefaultScalingOpts())
+	return tabular(rows, err, FormatScaling, CSVScaling)
+}
+
 // FormatScaling renders the sweep.
 func FormatScaling(rows []ScalingRow) string {
 	var b strings.Builder

@@ -63,16 +63,6 @@ func DefaultShardingOpts() ShardingOpts {
 	}
 }
 
-// QuickShardingOpts returns the CI-sized variant.
-func QuickShardingOpts() ShardingOpts {
-	o := DefaultShardingOpts()
-	o.TotalCapacity = 96 << 20
-	o.ShardCounts = []int{1, 2, 4}
-	o.Clients = 16
-	o.OpsPerClient = 48
-	return o
-}
-
 // ShardingRow is one shard count's measurements.
 type ShardingRow struct {
 	Shards  int
@@ -346,6 +336,48 @@ func shardingCrash(opts ShardingOpts) (ShardingCrash, error) {
 	}
 	out.FsckOk = true
 	return out, nil
+}
+
+// runSharding is the table's sharding row. The crash scenario fails
+// Sharding itself on data loss or a dirty fsck; determinism is a
+// verdict too, so a diverging rerun is returned as the error, with the
+// report still in the Result.
+func runSharding() (Result, error) {
+	sr, err := Sharding(DefaultShardingOpts())
+	res, err := tabular(sr, err, FormatSharding, CSVSharding)
+	if err != nil {
+		return res, err
+	}
+	if !sr.Deterministic {
+		return res, fmt.Errorf("sharding: same-seed rerun produced different shard images")
+	}
+	curve := make([]map[string]any, len(sr.Rows))
+	for i, r := range sr.Rows {
+		curve[i] = map[string]any{
+			"shards":        r.Shards,
+			"clients":       r.Clients,
+			"ops_per_s":     r.OpsPerSec,
+			"speedup":       r.Speedup,
+			"writes_per_op": r.WritesPerOp,
+			"p50_ms":        ms(r.P50),
+			"p95_ms":        ms(r.P95),
+			"p99_ms":        ms(r.P99),
+		}
+	}
+	// Booleans don't register with benchdiff's numeric gate, so the two
+	// verdicts are recorded as 0/1 counters. Both are 1 here: a
+	// diverging rerun returned above, a dirty fsck failed Sharding.
+	res.Bench = map[string]any{
+		"experiment":             "sharding",
+		"curve":                  curve,
+		"speedup_at_max":         sr.Rows[len(sr.Rows)-1].Speedup,
+		"deterministic":          1,
+		"crash_tolerated_errors": sr.Crash.ToleratedErrors,
+		"crash_healthy_ops":      sr.Crash.HealthyOps,
+		"crash_files_retained":   sr.Crash.FilesRetained,
+		"crash_fsck_ok":          1,
+	}
+	return res, nil
 }
 
 // FormatSharding renders the scale-out curve and the crash verdict.

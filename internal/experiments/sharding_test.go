@@ -7,12 +7,23 @@ import (
 	"lfs/internal/sim"
 )
 
+// quickShardingOpts shrinks the sweep for the test suite: three shard
+// counts and half the clients are enough to assert the scaling shape.
+func quickShardingOpts() ShardingOpts {
+	o := DefaultShardingOpts()
+	o.TotalCapacity = 96 << 20
+	o.ShardCounts = []int{1, 2, 4}
+	o.Clients = 16
+	o.OpsPerClient = 48
+	return o
+}
+
 // TestShardingShape asserts the experiment's headline claims at the
 // CI scale: throughput grows with shard count, the same seed
 // reproduces every shard image, and the crash scenario recovers the
 // crashed shard without losing the healthy shards' commits.
 func TestShardingShape(t *testing.T) {
-	res, err := Sharding(QuickShardingOpts())
+	res, err := Sharding(quickShardingOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +61,7 @@ func TestShardingShape(t *testing.T) {
 	}
 	// runCell drives FilesPerClient=8 files per client; every one must
 	// survive the crash and recovery.
-	wantFiles := QuickShardingOpts().Clients * 8
+	wantFiles := quickShardingOpts().Clients * 8
 	if c.FilesRetained != wantFiles {
 		t.Errorf("files retained %d, want %d", c.FilesRetained, wantFiles)
 	}
@@ -85,12 +96,12 @@ func TestShardingFormat(t *testing.T) {
 
 // TestShardingRejectsBadOpts covers the error paths.
 func TestShardingRejectsBadOpts(t *testing.T) {
-	opts := QuickShardingOpts()
+	opts := quickShardingOpts()
 	opts.ShardCounts = nil
 	if _, err := Sharding(opts); err == nil {
 		t.Error("empty shard counts accepted")
 	}
-	opts = QuickShardingOpts()
+	opts = quickShardingOpts()
 	opts.ShardCounts = []int{0}
 	if _, err := Sharding(opts); err == nil {
 		t.Error("zero shard count accepted")

@@ -10,10 +10,11 @@ import (
 	"lfs/internal/workload"
 )
 
-// TraceSmokeOpts scales the tracing smoke experiment: a small-file
-// create/read/delete pass followed by a churn phase that forces the
-// cleaner to run, all under a trace recorder.
-type TraceSmokeOpts struct {
+// SmokeWorkload scales the workload the trace and metrics smokes
+// share: a small-file create/read/delete pass followed by a churn
+// phase that forces the cleaner to run, so every cause of disk traffic
+// and every series the metrics plane exports moves during the run.
+type SmokeWorkload struct {
 	Capacity int64
 	// NumFiles/FileSize parameterise the Figure 3 small-file pass.
 	NumFiles int
@@ -25,15 +26,12 @@ type TraceSmokeOpts struct {
 	// CleanUntil once the churn is done.
 	CleanSegments int
 	LFSConfig     core.Config
-	// Trace, when non-nil, is used instead of a fresh recorder, so a
-	// caller can export the JSONL afterwards.
-	Trace *obs.Recorder
 }
 
-// DefaultTraceSmokeOpts returns a CI-sized configuration (a few
-// thousand files on a small disk; a couple of simulated minutes).
-func DefaultTraceSmokeOpts() TraceSmokeOpts {
-	return TraceSmokeOpts{
+// defaultSmokeWorkload is a few thousand files on a small disk: a
+// couple of simulated minutes.
+func defaultSmokeWorkload() SmokeWorkload {
+	return SmokeWorkload{
 		Capacity:      64 << 20,
 		NumFiles:      2000,
 		FileSize:      1024,
@@ -41,6 +39,69 @@ func DefaultTraceSmokeOpts() TraceSmokeOpts {
 		CleanSegments: 10,
 		LFSConfig:     defaultLFSConfig(),
 	}
+}
+
+// run builds an LFS from cfg — the caller's copy of LFSConfig with its
+// recorder or sampler attached — and drives the workload through it:
+// the small-file benchmark, then fill segments with churn files, delete
+// every other one, and demand clean segments so the cleaner reads
+// fragmented victims.
+func (w SmokeWorkload) run(cfg core.Config) (*System, workload.SmallFileResult, error) {
+	var res workload.SmallFileResult
+	sys, err := NewLFS(w.Capacity, cfg)
+	if err != nil {
+		return nil, res, err
+	}
+	res, err = workload.SmallFile(sys, workload.SmallFileOpts{
+		NumFiles: w.NumFiles, FileSize: w.FileSize,
+		Dir: "/small", SyncBetweenPhases: true, Seed: 42,
+	})
+	if err != nil {
+		return nil, res, fmt.Errorf("small-file: %w", err)
+	}
+	fs := sys.System.(*core.FS)
+	if err := fs.Mkdir("/churn"); err != nil {
+		return nil, res, err
+	}
+	payload := make([]byte, w.FileSize)
+	for i := 0; i < w.ChurnFiles; i++ {
+		p := fmt.Sprintf("/churn/f%d", i)
+		if err := fs.Create(p); err != nil {
+			return nil, res, err
+		}
+		if err := fs.Write(p, 0, payload); err != nil {
+			return nil, res, err
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		return nil, res, err
+	}
+	for i := 0; i < w.ChurnFiles; i += 2 {
+		if err := fs.Remove(fmt.Sprintf("/churn/f%d", i)); err != nil {
+			return nil, res, err
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		return nil, res, err
+	}
+	if _, err := fs.CleanUntil(fs.CleanSegments() + w.CleanSegments); err != nil {
+		return nil, res, fmt.Errorf("clean: %w", err)
+	}
+	return sys, res, fs.Sync()
+}
+
+// TraceSmokeOpts scales the tracing smoke experiment: the smoke
+// workload under a trace recorder.
+type TraceSmokeOpts struct {
+	SmokeWorkload
+	// Trace, when non-nil, is used instead of a fresh recorder, so a
+	// caller can export the JSONL afterwards.
+	Trace *obs.Recorder
+}
+
+// DefaultTraceSmokeOpts returns the default smoke workload.
+func DefaultTraceSmokeOpts() TraceSmokeOpts {
+	return TraceSmokeOpts{SmokeWorkload: defaultSmokeWorkload()}
 }
 
 // TraceSmokeResult reports the experiment's headline numbers plus the
@@ -98,54 +159,11 @@ func TraceSmoke(opts TraceSmokeOpts) (*TraceSmokeResult, error) {
 	}
 	cfg := opts.LFSConfig
 	cfg.Trace = rec
-	sys, err := NewLFS(opts.Capacity, cfg)
+	sys, res, err := opts.run(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracesmoke: %w", err)
 	}
-	res, err := workload.SmallFile(sys, workload.SmallFileOpts{
-		NumFiles: opts.NumFiles, FileSize: opts.FileSize,
-		Dir: "/small", SyncBetweenPhases: true, Seed: 42,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("tracesmoke small-file: %w", err)
-	}
-
-	fs, ok := sys.System.(*core.FS)
-	if !ok {
-		return nil, fmt.Errorf("tracesmoke: system is not an LFS")
-	}
-	// Churn: fill segments, delete every other file, and demand clean
-	// segments so the cleaner reads fragmented victims.
-	if err := fs.Mkdir("/churn"); err != nil {
-		return nil, err
-	}
-	payload := make([]byte, opts.FileSize)
-	for i := 0; i < opts.ChurnFiles; i++ {
-		p := fmt.Sprintf("/churn/f%d", i)
-		if err := fs.Create(p); err != nil {
-			return nil, err
-		}
-		if err := fs.Write(p, 0, payload); err != nil {
-			return nil, err
-		}
-	}
-	if err := fs.Sync(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < opts.ChurnFiles; i += 2 {
-		if err := fs.Remove(fmt.Sprintf("/churn/f%d", i)); err != nil {
-			return nil, err
-		}
-	}
-	if err := fs.Sync(); err != nil {
-		return nil, err
-	}
-	if _, err := fs.CleanUntil(fs.CleanSegments() + opts.CleanSegments); err != nil {
-		return nil, fmt.Errorf("tracesmoke clean: %w", err)
-	}
-	if err := fs.Sync(); err != nil {
-		return nil, err
-	}
+	fs := sys.System.(*core.FS)
 
 	snap := fs.StatsSnapshot()
 	agg := rec.Aggregates()
@@ -161,6 +179,35 @@ func TraceSmoke(opts TraceSmokeOpts) (*TraceSmokeResult, error) {
 	out.TraceNamed, out.TraceBusy = agg.AttributedBusy()
 	out.DiskNamed, out.DiskBusy = snap.Disk.AttributedBusy()
 	return out, nil
+}
+
+// runTraceSmoke is the table's trace row: the recorder rides along in
+// the Result so lfsbench -trace can export it, and the summary holds
+// the headline numbers (ops/s, attribution share, write cost both
+// ways) to the committed baseline.
+func runTraceSmoke() (Result, error) {
+	opts := DefaultTraceSmokeOpts()
+	opts.Trace = obs.NewRecorder()
+	r, err := TraceSmoke(opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Text:  FormatTraceSmoke(r),
+		Trace: opts.Trace,
+		Bench: map[string]any{
+			"experiment":        "trace",
+			"create_ops_per_s":  r.Create.OpsPerSec(),
+			"read_ops_per_s":    r.Read.OpsPerSec(),
+			"delete_ops_per_s":  r.Delete.OpsPerSec(),
+			"disk_busy_s":       r.TraceBusy.Seconds(),
+			"named_share":       r.NamedShare(),
+			"clean_activations": r.CleanActivations,
+			"write_cost":        r.WriteCostTrace,
+			"write_cost_stats":  r.WriteCostStats,
+			"spans":             r.Spans,
+		},
+	}, nil
 }
 
 // FormatTraceSmoke renders the result as the smoke-test report: the

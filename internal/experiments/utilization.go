@@ -16,6 +16,8 @@ import (
 // trace until the log has wrapped the disk several times, then report
 // the distribution of per-segment utilization.
 type UtilizationResult struct {
+	// Policy is the cleaning policy the volume was aged under.
+	Policy core.CleanPolicy
 	// Histogram buckets the dirty segments' live fractions into
 	// ten 10%-wide bins.
 	Histogram [10]int
@@ -66,7 +68,7 @@ func UtilizationDistribution(opts UtilizationOpts) (*UtilizationResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("utilization: office trace: %w", err)
 	}
-	res := &UtilizationResult{Trace: trace, CleanerStats: lfs.Stats()}
+	res := &UtilizationResult{Policy: opts.Policy, Trace: trace, CleanerStats: lfs.Stats()}
 	utils := lfs.SegmentUtilizations()
 	var sum float64
 	for _, u := range utils {
@@ -93,20 +95,33 @@ func UtilizationDistribution(opts UtilizationOpts) (*UtilizationResult, error) {
 // policy shapes the residual population (the analysis that led the
 // authors' follow-up work to cost-benefit selection and the bimodal
 // distribution).
-func UtilizationByPolicy(opts UtilizationOpts) (greedy, costBenefit *UtilizationResult, err error) {
-	g := opts
-	g.Policy = core.CleanGreedy
-	greedy, err = UtilizationDistribution(g)
-	if err != nil {
-		return nil, nil, err
+func UtilizationByPolicy(opts UtilizationOpts) ([]*UtilizationResult, error) {
+	var out []*UtilizationResult
+	for _, p := range []core.CleanPolicy{core.CleanGreedy, core.CleanCostBenefit} {
+		opts.Policy = p
+		r, err := UtilizationDistribution(opts)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
 	}
-	cb := opts
-	cb.Policy = core.CleanCostBenefit
-	costBenefit, err = UtilizationDistribution(cb)
-	if err != nil {
-		return nil, nil, err
+	return out, nil
+}
+
+// runUtilization is the table's utilization row.
+func runUtilization() (Result, error) {
+	byPolicy, err := UtilizationByPolicy(DefaultUtilizationOpts())
+	return tabular(byPolicy, err, FormatUtilizationByPolicy, CSVUtilization)
+}
+
+// FormatUtilizationByPolicy renders one distribution per policy.
+func FormatUtilizationByPolicy(byPolicy []*UtilizationResult) string {
+	var b strings.Builder
+	for _, r := range byPolicy {
+		fmt.Fprintf(&b, "--- %v cleaning ---\n", r.Policy)
+		b.WriteString(FormatUtilization(r))
 	}
-	return greedy, costBenefit, nil
+	return b.String()
 }
 
 // FormatUtilization renders the distribution.

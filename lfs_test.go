@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
 	"lfs"
+	"lfs/internal/experiments"
 )
 
 // TestPublicAPIRoundTrip exercises the façade end to end: format,
@@ -146,32 +146,85 @@ func ExampleFormat() {
 	// Output: world
 }
 
-// TestCIBaselinesCommitted: every baseline scripts/ci.sh holds a smoke
-// to (`gate NAME` diffs against BENCH_NAME.json) must exist in the tree
-// and not be ignored by git, or the merge gate fails on a fresh clone
-// before it compares anything.
-func TestCIBaselinesCommitted(t *testing.T) {
-	ci, err := os.ReadFile(filepath.Join("scripts", "ci.sh"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestExperimentTable holds experiments.Table — the one description of
+// every experiment — to the files committed beside it. Names are unique;
+// every row that names a baseline has its BENCH_*.json in the tree and
+// not ignored by git (or the merge gate fails on a fresh clone before it
+// compares anything), and no baseline is orphaned. The rows that
+// regenerate in well under a second are also run: the report must equal
+// that experiment's block of bench_results.txt and the summary the
+// committed baseline, byte for byte, so `go test` alone catches drift in
+// them; scripts/ci.sh holds the slower rows to the same files.
+func TestExperimentTable(t *testing.T) {
+	fast := map[string]bool{"fig1": true, "scaling": true, "recovery": true,
+		"trace": true, "concurrency": true, "critpath": true, "metrics": true}
 	ignored, err := os.ReadFile(".gitignore")
 	if err != nil {
 		t.Fatal(err)
 	}
-	baselines := regexp.MustCompile(`(?m)^gate (\w+)$`).FindAllSubmatch(ci, -1)
-	if len(baselines) == 0 {
-		t.Fatal("scripts/ci.sh gates no smoke on a baseline; has the gate moved?")
+	golden, err := os.ReadFile("bench_results.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range baselines {
-		name := "BENCH_" + string(m[1]) + ".json"
-		if _, err := os.Stat(name); err != nil {
-			t.Errorf("ci.sh diffs against %s, which is not in the tree: %v", name, err)
+	seen := map[string]bool{}
+	baselines := map[string]bool{}
+	for _, e := range experiments.Table {
+		if e.Name == "" || seen[e.Name] {
+			t.Errorf("experiment name %q is empty or repeated", e.Name)
 		}
-		for _, line := range strings.Split(string(ignored), "\n") {
-			if strings.TrimPrefix(strings.TrimSpace(line), "/") == name {
-				t.Errorf("ci.sh diffs against %s, which .gitignore excludes", name)
+		seen[e.Name] = true
+		var committed []byte
+		if e.Bench != "" {
+			name := "BENCH_" + e.Bench + ".json"
+			baselines[name] = true
+			if committed, err = os.ReadFile(name); err != nil {
+				t.Errorf("%s is gated on %s, which is not in the tree: %v", e.Name, name, err)
 			}
+			for _, line := range strings.Split(string(ignored), "\n") {
+				if strings.TrimPrefix(strings.TrimSpace(line), "/") == name {
+					t.Errorf("%s is gated on %s, which .gitignore excludes", e.Name, name)
+				}
+			}
+		}
+		if !fast[e.Name] {
+			continue
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		// A block runs from its "=== name ===" line to the blank line
+		// lfsbench prints before the next one.
+		_, want, _ := strings.Cut(string(golden), "=== "+e.Name+" ===\n")
+		if i := strings.Index(want, "\n=== "); i >= 0 {
+			want = want[:i]
+		} else {
+			want = strings.TrimSuffix(want, "\n")
+		}
+		if res.Text != want {
+			t.Errorf("%s drifted from bench_results.txt (scripts/ci.sh -update regenerates it)\n--- got ---\n%s--- want ---\n%s",
+				e.Name, res.Text, want)
+		}
+		if e.Bench == "" {
+			continue
+		}
+		var got bytes.Buffer
+		if err := experiments.WriteBench(&got, res.Bench); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		}
+		if !bytes.Equal(got.Bytes(), committed) {
+			t.Errorf("%s drifted from BENCH_%s.json (scripts/ci.sh -update regenerates it)\n--- got ---\n%s--- want ---\n%s",
+				e.Name, e.Bench, got.Bytes(), committed)
+		}
+	}
+	committed, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range committed {
+		if !baselines[name] {
+			t.Errorf("%s is in the tree but no experiment names it", name)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — full verification: build, vet, tests, benches (one
-# iteration each), and a quick end-to-end tool exercise on a temp
-# image. Mirrors what CI would run.
+# iteration each), a quick end-to-end tool exercise on a temp image,
+# and every experiment against its committed report.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,7 +23,9 @@ go test -v ./internal/lint/
 echo "== tests =="
 go test ./...
 echo "== race (full suite) =="
-go test -race ./...
+# -short: see ci.sh — the full-scale experiment table runs above and
+# below without the detector.
+go test -race -short ./...
 echo "== benchmarks (1 iteration) =="
 go test -bench=. -benchtime=1x -benchmem .
 echo "== tools =="
@@ -31,10 +33,14 @@ img="$(mktemp -d)/vol.img"
 go run ./cmd/mklfs -image "$img" -size 32M
 go run ./cmd/lfsck -image "$img" -size 32M
 go run ./cmd/lfsdump -image "$img" -size 32M > /dev/null
-echo "== quick experiments =="
-# Every experiment at -quick scale, the metrics plane sampling each
-# LFS they build; the combined series must replay through lfstop.
-mjsonl="$(mktemp -d)/metrics.jsonl"
-go run ./cmd/lfsbench -experiment all -quick -metrics "$mjsonl" > /dev/null
-go run ./cmd/lfstop "$mjsonl" > /dev/null
+echo "== experiments =="
+# Every experiment at the paper's scale, the metrics plane sampling each
+# LFS they build: the reports must equal the committed ones (sampling
+# may move no simulated number) and the combined series must replay
+# through lfstop. ci.sh runs the same command and also gates the
+# summaries.
+out="$(mktemp -d)"
+go run ./cmd/lfsbench -experiment all -metrics "$out/metrics.jsonl" > "$out/bench_results.txt"
+diff -u bench_results.txt "$out/bench_results.txt"
+go run ./cmd/lfstop "$out/metrics.jsonl" > /dev/null
 echo "all checks passed"

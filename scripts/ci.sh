@@ -6,12 +6,13 @@
 #
 # Usage: ci.sh [-update]
 #
-# A run only compares: each smoke's fresh summary is diffed against the
-# committed BENCH_*.json baseline and then thrown away, so a green run
-# leaves the work tree exactly as it found it (the last step checks).
-# Regenerating the baselines after an intended model change is the
-# explicit `ci.sh -update`, which replaces each baseline with the fresh
-# summary instead of diffing it; review and commit the result.
+# A run only compares: the experiments' fresh reports and summaries are
+# diffed against the committed bench_results.txt and BENCH_*.json and
+# then thrown away, so a green run leaves the work tree exactly as it
+# found it (the last step checks). Regenerating them after an intended
+# model change is the explicit `ci.sh -update`, which replaces each
+# committed file with the fresh one instead of diffing it; review and
+# commit the result.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,16 +26,6 @@ case "${1:-}" in
 	;;
 esac
 tree_before="$(git status --porcelain)"
-
-# gate NAME holds the fresh $tracedir/BENCH_NAME.json to the committed
-# baseline, or with -update makes it the baseline.
-gate() {
-	if [ "$update" = 1 ]; then
-		cp "$tracedir/BENCH_$1.json" "BENCH_$1.json"
-	else
-		scripts/benchdiff.sh "BENCH_$1.json" "$tracedir/BENCH_$1.json"
-	fi
-}
 
 echo "== build =="
 go build ./...
@@ -61,85 +52,48 @@ echo "== lint =="
 # other CI artifacts.
 go run ./cmd/lfslint -timings -budget 20s -json "$tracedir/lint.json" ./...
 echo "== test -race =="
-go test -race ./...
-echo "== tracing smoke =="
-# Instrumented small-file + cleaning run: exports the JSONL trace,
-# summarises it with lfstrace, and writes the headline numbers
-# (write cost, ops/s, attribution share) to a fresh summary that is
-# diffed against the committed BENCH_trace.json baseline (±10%) — a
-# silent perf regression fails here.
-go run ./cmd/lfsbench -experiment trace -quick \
-	-trace "$tracedir/trace.jsonl" -benchjson "$tracedir/BENCH_trace.json"
+# -short skips one thing: the experiments package's run of the whole
+# experiment table at full scale, which the plain `go test ./...` does
+# and the experiments stage below repeats against the committed
+# reports — under the detector it alone would take five minutes.
+go test -race -short ./...
+echo "== experiments =="
+# Every experiment of the paper's evaluation, once, at the paper's
+# scale (experiments.Table; about half a minute). Each experiment
+# enforces its own verdicts — phases that sum to latencies, a
+# byte-identical same-seed rerun, a clean fsck after the power cut, the
+# crash sweep's work floor — by failing the run. What it prints must
+# equal the committed bench_results.txt byte for byte, and every
+# summary it writes must sit within benchdiff's tolerance of its
+# committed BENCH_*.json, so a silent change to a figure, a curve or a
+# write cost cannot land; the trace and the metrics series it exports
+# must replay through lfstrace and lfstop.
+go run ./cmd/lfsbench -experiment all -benchdir "$tracedir" \
+	-trace "$tracedir/trace.jsonl" -metrics "$tracedir/metrics.jsonl" \
+	> "$tracedir/bench_results.txt"
 go run ./cmd/lfstrace "$tracedir/trace.jsonl" > /dev/null
 go run ./cmd/lfstrace -critpath "$tracedir/trace.jsonl" > /dev/null
 go run ./cmd/lfstrace -json "$tracedir/trace.jsonl" > /dev/null
-gate trace
-echo "== concurrency smoke =="
-# Multi-client throughput curve (LFS group commit vs ablation vs FFS)
-# with the metrics plane sampling every instance; the time series is
-# replayed through lfstop and the curve diffed against its baseline.
-go run ./cmd/lfsbench -experiment concurrency -quick \
-	-metrics "$tracedir/concurrency.metrics.jsonl" \
-	-benchjson "$tracedir/BENCH_concurrency.json"
-go run ./cmd/lfstop "$tracedir/concurrency.metrics.jsonl" > /dev/null
-gate concurrency
-echo "== critical-path smoke =="
-# Latency-attribution smoke: the group-commit fsync sweep with every
-# span's phase decomposition checked for exactness — lfsbench fails
-# the run itself if any span's phases do not sum to its latency — and
-# the per-phase means, percentiles, and tail blame diffed against the
-# committed baseline, so time silently moving between phases (an
-# attribution regression) cannot land.
-go run ./cmd/lfsbench -experiment critpath -quick \
-	-benchjson "$tracedir/BENCH_critpath.json"
-gate critpath
-echo "== cleaning-curve smoke =="
-# Write-cost-vs-utilization curve (greedy vs cost-benefit vs
-# cost-benefit+segregation) under the seeded Zipf overwrite load at
-# the quick scale; the u=0.80 headline numbers are diffed against the
-# committed baseline so a cleaning-policy or write-cost regression
-# cannot land silently.
-go run ./cmd/lfsbench -experiment cleaning-curve -quick \
-	-benchjson "$tracedir/BENCH_cleaning.json"
-gate cleaning
-echo "== sharding smoke =="
-# Multi-log scale-out smoke: the quick ops/s-vs-shard-count sweep
-# plus the four-shard crash scenario (power cut on shard 0 mid-write,
-# healthy shards keep committing, per-shard recovery, then fsck of
-# all four images) and the same-seed byte-identical determinism
-# rerun. lfsbench fails the run itself if any of those break; the
-# curve and crash counters are additionally diffed against the
-# committed baseline, and the per-shard metrics stream is replayed
-# through lfstop's shard table.
-go run ./cmd/lfsbench -experiment sharding -quick \
-	-metrics "$tracedir/sharding.metrics.jsonl" \
-	-benchjson "$tracedir/BENCH_sharding.json"
-go run ./cmd/lfstop "$tracedir/sharding.metrics.jsonl" > /dev/null
-gate sharding
+go run ./cmd/lfstop "$tracedir/metrics.jsonl" > /dev/null
+if [ "$update" = 1 ]; then
+	cp "$tracedir"/BENCH_*.json "$tracedir/bench_results.txt" .
+else
+	diff -u bench_results.txt "$tracedir/bench_results.txt"
+	for b in BENCH_*.json; do
+		scripts/benchdiff.sh "$b" "$tracedir/$b"
+	done
+	# And the other way round: a summary nobody committed a baseline
+	# for would otherwise never be looked at.
+	for b in "$tracedir"/BENCH_*.json; do
+		[ -f "$(basename "$b")" ] || { echo "ci: $(basename "$b") has no committed baseline (ci.sh -update)" >&2; exit 1; }
+	done
+fi
 echo "== store conformance =="
 # The pluggable-store acceptance gate, run explicitly (it is also part
 # of `go test ./...` above): every backend — mem, cow, file, mmap —
 # must pass the exported conformance suite, including fault-injection
 # identity and same-seed byte-identical images.
 go test ./internal/disk -run 'TestStoreConformance|TestStoreDifferentialProperty' -count=1
-echo "== crashsweep smoke =="
-# Crash-point sweep benchmark: replaying the workload must execute at
-# least 5x the operations per point that the snapshot strategy (restore
-# a copy-on-write image per point) does — lfsbench itself enforces the
-# floor, on counted work, not wall-clock time — and the sweep's
-# deterministic counters are diffed against the committed baseline.
-go run ./cmd/lfsbench -experiment crashsweep -quick \
-	-benchjson "$tracedir/BENCH_crashsweep.json"
-gate crashsweep
-echo "== metrics smoke =="
-# Metrics-plane smoke: small-file + cleaning run under the sampler,
-# final sample pinned to the end-of-run aggregates; the series feeds
-# lfstop and the headline numbers are diffed against the baseline.
-go run ./cmd/lfsbench -experiment metrics -quick \
-	-metrics "$tracedir/metrics.jsonl" \
-	-benchjson "$tracedir/BENCH_metrics.json"
-go run ./cmd/lfstop "$tracedir/metrics.jsonl" > /dev/null
-gate metrics
 echo "== lfsperf smoke =="
 # Three of lfsperf's four workloads on both clocks (clients, the
 # fourth, has no allocation budget of its own yet): lfsperf exits
@@ -173,7 +127,7 @@ perf_run cleaning
 perf_budget host_bytes_per_op bytes 1500
 perf_budget host_allocs_per_op count 8
 if [ "$update" = 1 ]; then
-	echo "baselines regenerated; review and commit the BENCH_*.json changes"
+	echo "regenerated; review and commit the BENCH_*.json and bench_results.txt changes"
 	exit 0
 fi
 echo "== work tree =="
