@@ -83,9 +83,7 @@ func (s *CowMemStore) ReadAt(p []byte, off int64) error {
 		if c, ok := s.chunks[ci]; ok {
 			copy(p[:n], c.data[co:co+n])
 		} else {
-			for i := range p[:n] {
-				p[i] = 0
-			}
+			clear(p[:n])
 		}
 		p = p[n:]
 		off += n

@@ -2,10 +2,30 @@ package disk
 
 import (
 	"bytes"
+	"math/rand"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 )
+
+// lookAhead is the test-only accessor to the hand-over: the channel a
+// chunk readied ahead arrives on, nil when no helper has been started
+// since the last first touch.
+func (m *MemStore) lookAhead() chan []byte { return m.next }
+
+// awaitSent waits for a helper's one send. It reads the channel's
+// length and yields: a receive would take the chunk away from the store
+// under test, and would be a channel operation of the tests' own for
+// nogoroutine to excuse. A helper that can never send hangs the test
+// into its -timeout. The send is the last thing a helper does, so once
+// it is in the buffer that goroutine cannot be blocked anywhere.
+func awaitSent(c chan []byte) {
+	for len(c) == 0 {
+		runtime.Gosched()
+	}
+}
 
 func TestMemStoreReadsZeroWhenUnwritten(t *testing.T) {
 	s := NewMemStore(1 << 22)
@@ -51,7 +71,97 @@ func TestMemStoreLazyAllocation(t *testing.T) {
 	if s.AllocatedBytes() != memChunkSize {
 		t.Fatalf("one-sector write allocated %d bytes, want one chunk (%d)", s.AllocatedBytes(), memChunkSize)
 	}
+	if s.lookAhead() != nil {
+		t.Fatal("an isolated first touch started a look-ahead")
+	}
+	// A chunk in flight is not part of the image: only installed
+	// chunks count, while the look-ahead is being readied, once it
+	// waits in the channel, and after a first touch far away took it.
+	if err := s.WriteAt(make([]byte, 512), memChunkSize); err != nil {
+		t.Fatal(err)
+	}
+	ahead := s.lookAhead()
+	if ahead == nil {
+		t.Fatal("sequential growth started no look-ahead")
+	}
+	allocated := func(when string, chunks int64) {
+		t.Helper()
+		if got := s.AllocatedBytes(); got != chunks*memChunkSize {
+			t.Fatalf("look-ahead %s: %d bytes allocated, want %d chunks", when, got, chunks)
+		}
+	}
+	allocated("in flight", 2)
+	awaitSent(ahead)
+	allocated("readied", 2)
+	if err := s.WriteAt(make([]byte, 512), 512*memChunkSize); err != nil {
+		t.Fatal(err)
+	}
+	if len(ahead) != 0 || s.lookAhead() != nil {
+		t.Fatal("an isolated first touch did not take the readied chunk, or started another")
+	}
+	allocated("consumed", 3)
 }
+
+// A look-ahead outstanding when its store is closed, or just dropped,
+// strands nobody: the helper's send completes with no receiver.
+func TestMemStoreLookAheadOutlivesStore(t *testing.T) {
+	for _, end := range []string{"closed", "dropped"} {
+		s := NewMemStore(4 * memChunkSize)
+		if err := s.WriteAt(make([]byte, 2*memChunkSize), 0); err != nil {
+			t.Fatal(err)
+		}
+		ahead := s.lookAhead()
+		if ahead == nil || cap(ahead) != 1 {
+			t.Fatalf("%s: look-ahead channel %v, want one of capacity 1", end, ahead)
+		}
+		if end == "closed" {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s.lookAhead() != nil || s.AllocatedBytes() != 0 {
+				t.Fatal("Close kept the look-ahead or the chunks")
+			}
+		}
+		s = nil
+		runtime.GC()
+		awaitSent(ahead)
+	}
+}
+
+// A handed-over chunk reads back as zeros outside the written range,
+// also when the heap is full of freed, dirtied 1 MB buffers for make to
+// hand back: the helper's page touch writes 0 and the chunk is never
+// one the store has used.
+func TestMemStoreHandOverIsZeroed(t *testing.T) {
+	dirty := make([][]byte, 8)
+	for i := range dirty {
+		dirty[i] = bytes.Repeat([]byte{0xFF}, memChunkSize)
+	}
+	runtime.GC() // dirty is dead: its spans go back to the heap unzeroed
+	s := NewMemStore(8 * memChunkSize)
+	want := bytes.Repeat([]byte{0xA5}, 3000)
+	got := make([]byte, memChunkSize)
+	for ci := int64(0); ci < 8; ci++ {
+		handedOver := s.lookAhead() != nil
+		if handedOver != (ci >= 2) {
+			t.Fatalf("chunk %d: look-ahead outstanding = %v", ci, handedOver)
+		}
+		if err := s.WriteAt(want, ci*memChunkSize+5000); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReadAt(got, ci*memChunkSize); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[5000:8000], want) {
+			t.Fatalf("chunk %d: written range did not read back", ci)
+		}
+		if !allZero(got[:5000]) || !allZero(got[8000:]) {
+			t.Fatalf("chunk %d (handed over: %v): non-zero byte outside the written range", ci, handedOver)
+		}
+	}
+}
+
+func allZero(b []byte) bool { return bytes.Count(b, []byte{0}) == len(b) }
 
 func TestMemStoreBounds(t *testing.T) {
 	s := NewMemStore(4096)
@@ -117,6 +227,93 @@ func TestMemStoreMatchesFlatArrayProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+
+	// The same property where first touch is handed over between
+	// goroutines: 64 chunks first-touched in every order the
+	// look-ahead rule tells apart, by short writes that now and then
+	// run over into the next chunk. After every step the chunks just
+	// written and one other, often still untouched (a read takes no
+	// look-ahead and installs nothing), equal the flat array and only
+	// touched chunks are charged; after every order the whole image
+	// does. (The whole image after every step took 25 s under -race,
+	// where reading a megabyte that changed goroutines costs 4 ms.)
+	const chunks = 64
+	perm := rand.New(rand.NewSource(7)).Perm(chunks)
+	got := make([]byte, memChunkSize)
+	data := make([]byte, 8192)
+	for _, order := range []struct {
+		name string
+		at   func(i int) int
+	}{
+		{"ascending", func(i int) int { return i }},
+		{"descending", func(i int) int { return chunks - 1 - i }},
+		{"strided", func(i int) int { return i * 5 % chunks }}, // 0 5 … 60 1 6 …: every chunk once
+		{"random", func(i int) int { return perm[i] }},
+	} {
+		t.Run(order.name, func(t *testing.T) {
+			s := NewMemStore(chunks * memChunkSize)
+			model := make([]byte, s.Size())
+			same := func(step int, ci int64) {
+				t.Helper()
+				if err := s.ReadAt(got, ci*memChunkSize); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, model[ci*memChunkSize:(ci+1)*memChunkSize]) {
+					t.Fatalf("step %d: chunk %d differs from the flat array", step, ci)
+				}
+			}
+			touched := make(map[int64]bool)
+			rng := rand.New(rand.NewSource(11))
+			for i := 0; i < chunks; i++ {
+				rng.Read(data)
+				// Offsets anywhere in the chunk: about one 8 KB
+				// write in 128 straddles into the next chunk.
+				off := int64(order.at(i))*memChunkSize + rng.Int63n(memChunkSize)
+				n := min(int64(len(data)), s.Size()-off)
+				if err := s.WriteAt(data[:n], off); err != nil {
+					t.Fatal(err)
+				}
+				copy(model[off:], data[:n])
+				first, last := off/memChunkSize, (off+n-1)/memChunkSize
+				touched[first], touched[last] = true, true
+				same(i, first)
+				if last != first {
+					same(i, last)
+				}
+				same(i, int64(order.at((i+1+rng.Intn(chunks-1))%chunks))) // any chunk but this step's
+				if want := int64(len(touched)) * memChunkSize; s.AllocatedBytes() != want {
+					t.Fatalf("step %d: %d bytes allocated, want %d", i, s.AllocatedBytes(), want)
+				}
+			}
+			for ci := int64(0); ci < chunks; ci++ {
+				same(chunks, ci)
+			}
+		})
+	}
+}
+
+// BenchmarkMemStoreFirstTouch is the store layer's cold-start cost:
+// one sequential pass of 1 MB writes over a fresh 256 MB store, every
+// chunk a first touch, the heap returned to the system before each
+// pass as lfsperf does before each repetition. Run it at -cpu 1,2: the
+// look-ahead has a second processor to use only at 2. (lfsperf's
+// store.mem.mb_per_s kernel rewrites the same 16 MB, so it never
+// first-touches.)
+func BenchmarkMemStoreFirstTouch(b *testing.B) {
+	const size = 256 << 20
+	seg := bytes.Repeat([]byte{0x5A}, memChunkSize)
+	b.SetBytes(size)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		debug.FreeOSMemory()
+		s := NewMemStore(size)
+		b.StartTimer()
+		for off := int64(0); off < size; off += memChunkSize {
+			if err := s.WriteAt(seg, off); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -29,7 +29,10 @@ const storeMinSize = 4 << 20
 // RunStoreConformance runs the full store battery against the backend
 // produced by open. Capability clauses (snapshots, allocation
 // reporting) are skipped for stores that do not implement the
-// corresponding optional interface.
+// corresponding optional interface. The differential clauses take
+// disk.MemStore as their reference, look-ahead chunk and all; the
+// reference's own reference is the flat byte array of internal/disk's
+// TestMemStoreMatchesFlatArrayProperty.
 func RunStoreConformance(t *testing.T, open StoreFactory) {
 	t.Helper()
 	tests := []struct {

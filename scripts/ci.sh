@@ -51,6 +51,13 @@ echo "== lint =="
 # the 20s budget, and the machine-readable report lands next to the
 # other CI artifacts.
 go run ./cmd/lfslint -timings -budget 20s -json "$tracedir/lint.json" ./...
+echo "== test -race: the store hand-over =="
+# MemStore's look-ahead is the one place a buffer changes goroutines
+# (DESIGN.md §14). Ten rounds of its own tests and of the conformance
+# battery, which uses it as the reference store, before the suite below
+# runs everything once: the detector only sees the interleavings a run
+# happens to produce.
+go test -race -count=10 -run 'MemStore|StoreConformance' ./internal/disk
 echo "== test -race =="
 # -short skips one thing: the experiments package's run of the whole
 # experiment table at full scale, which the plain `go test ./...` does
@@ -95,8 +102,7 @@ echo "== store conformance =="
 # identity and same-seed byte-identical images.
 go test ./internal/disk -run 'TestStoreConformance|TestStoreDifferentialProperty' -count=1
 echo "== lfsperf smoke =="
-# Three of lfsperf's four workloads on both clocks (clients, the
-# fourth, has no allocation budget of its own yet): lfsperf exits
+# lfsperf's four workloads on both clocks: lfsperf exits
 # non-zero unless every operation succeeded and the simulated results
 # repeated for the seed (its "correct"), and the host
 # allocation figures per operation — deterministic, unlike host time —
@@ -105,9 +111,13 @@ echo "== lfsperf smoke =="
 # intrusive cache chains, about 7 after), the bytes the large-file and
 # cleaning paths allocate (16.8 KB and 55.8 KB before block buffers
 # were recycled, 4070 and 932 after; what is left is the memory store's
-# own chunks and cache block headers) and the cleaning path's
+# own chunks and cache block headers), the cleaning path's
 # allocations (about 6: block headers and summary refs, no map or
-# scratch slice of the cleaner's own).
+# scratch slice of the cleaner's own) and what sixteen clients on four
+# shards allocate (5.03 and 3822 bytes; the bytes are nearly all the
+# four stores' 1 MB chunks, so the budget holds the memory store's
+# per-chunk overhead — a channel, a closure and a goroutine per
+# look-ahead, and at most one spare chunk per store — where it is).
 # perf_run WORKLOAD runs one workload; perf_budget METRIC UNIT LIMIT
 # holds a figure of the last run to its budget.
 perf_run() {
@@ -126,6 +136,9 @@ perf_budget host_bytes_per_op bytes 5000
 perf_run cleaning
 perf_budget host_bytes_per_op bytes 1500
 perf_budget host_allocs_per_op count 8
+perf_run clients
+perf_budget host_allocs_per_op count 6
+perf_budget host_bytes_per_op bytes 4500
 if [ "$update" = 1 ]; then
 	echo "regenerated; review and commit the BENCH_*.json and bench_results.txt changes"
 	exit 0
