@@ -118,7 +118,7 @@ func (fs *FS) Check() (*CheckReport, error) {
 			return nil
 		}
 		rep.Dirs++
-		entries, err := fs.dirEntries(in)
+		entries, err := fs.dirs.Entries(in)
 		if err != nil {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: listing: %v", path, err))
 			return nil

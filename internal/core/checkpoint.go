@@ -9,15 +9,12 @@ import (
 	"lfs/internal/sim"
 )
 
-// ckptMagicV1 identifies a pre-age checkpoint region (24-byte usage
-// entries, single log head); ckptMagic2 the current format (32-byte
-// entries carrying data age, plus the cold head position). New
-// checkpoints are always written in the current format; decode
-// accepts both so volumes formatted before the change still mount.
-const (
-	ckptMagicV1 = 0x4C434B50 // "LCKP"
-	ckptMagic2  = 0x4C434B32 // "LCK2"
-)
+// ckptMagic2 identifies a checkpoint region: 32-byte usage entries
+// carrying data age, plus the cold head position. A region with any
+// other magic is rejected — including "LCKP", the format this one
+// replaced, whose volumes also carry log units under a payload
+// checksum roll-forward no longer accepts.
+const ckptMagic2 = 0x4C434B32 // "LCK2"
 
 // ckptHeaderSize is the fixed header of a checkpoint region.
 const ckptHeaderSize = 96
@@ -86,13 +83,8 @@ func decodeCheckpoint(p []byte) (checkpointState, error) {
 		return checkpointState{}, fmt.Errorf("lfs: checkpoint region truncated: %d bytes", len(p))
 	}
 	le := binary.LittleEndian
-	magic := le.Uint32(p[0:])
-	if magic != ckptMagicV1 && magic != ckptMagic2 {
+	if le.Uint32(p[0:]) != ckptMagic2 {
 		return checkpointState{}, fmt.Errorf("lfs: bad checkpoint magic")
-	}
-	entrySize, decodeEntry := segUsageEntrySize, decodeSegUsage
-	if magic == ckptMagicV1 {
-		entrySize, decodeEntry = segUsageEntrySizeV1, decodeSegUsageV1
 	}
 	st := checkpointState{
 		Serial:      le.Uint64(p[4:]),
@@ -102,19 +94,14 @@ func decodeCheckpoint(p []byte) (checkpointState, error) {
 		WriteSerial: le.Uint64(p[28:]),
 		LiveBytes:   int64(le.Uint64(p[36:])),
 	}
-	if magic == ckptMagic2 {
-		// A v1 region has no cold head (written before segregation
-		// existed), which the zero-value ColdOpen already encodes.
-		coldSeg, coldBlk := le.Uint32(p[52:]), le.Uint32(p[56:])
-		if coldSeg != ckptNoColdHead {
-			st.ColdOpen = true
-			st.ColdSeg = int(coldSeg)
-			st.ColdBlk = int(coldBlk)
-		}
+	if coldSeg := le.Uint32(p[52:]); coldSeg != ckptNoColdHead {
+		st.ColdOpen = true
+		st.ColdSeg = int(coldSeg)
+		st.ColdBlk = int(le.Uint32(p[56:]))
 	}
 	nImap := int(le.Uint32(p[44:]))
 	nSegs := int(le.Uint32(p[48:]))
-	need := ckptHeaderSize + nImap*layout.AddrSize + nSegs*entrySize + 4
+	need := ckptHeaderSize + nImap*layout.AddrSize + nSegs*segUsageEntrySize + 4
 	if need > len(p) {
 		return checkpointState{}, fmt.Errorf("lfs: checkpoint region truncated")
 	}
@@ -130,8 +117,8 @@ func decodeCheckpoint(p []byte) (checkpointState, error) {
 	}
 	st.Usage = make([]segUsage, nSegs)
 	for i := range st.Usage {
-		st.Usage[i] = decodeEntry(p[off:])
-		off += entrySize
+		st.Usage[i] = decodeSegUsage(p[off:])
+		off += segUsageEntrySize
 	}
 	return st, nil
 }

@@ -89,21 +89,13 @@ type FS struct {
 	// for the next segment write. Guarded by mu.
 	inodes inodeTable
 
-	// names is the directory name cache (the UNIX namei cache both
-	// SunOS and Sprite relied on): per directory, name → (child
-	// inode, directory block holding the entry). Without it,
-	// directory operations scan blocks linearly and the paper's
-	// 10000-files-in-one-directory workload turns quadratic.
-	// Guarded by mu.
-	names map[layout.Ino]map[string]nameEntry
-	// entryCount is, per directory, how many entries it holds — present
-	// only once a full scan has counted them (see dirLookup), which is
-	// what lets a complete name cache answer "no such name". Guarded
-	// by mu.
-	entryCount map[layout.Ino]int
-	// insertHint remembers, per directory, the first data block
-	// that may have room for a new entry. Guarded by mu.
-	insertHint map[layout.Ino]int64
+	// dirs is the directory layer shared with FFS (lookup, insert,
+	// remove, listing, the name cache and insert hint). What LFS
+	// supplies to it is getDataBlock: a directory block through the
+	// block cache, or a fresh cached block when the directory grows.
+	// Nothing is written synchronously — a block the layer dirties
+	// rides the next segment write (Figure 2). Guarded by mu.
+	dirs *vfs.Dirs
 	// lastRead tracks each file's last-read block for sequential
 	// read-ahead detection. Guarded by mu.
 	lastRead map[layout.Ino]int64
@@ -178,13 +170,11 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 		imap:        newImap(cfg.MaxInodes, cfg.BlockSize),
 		usage:       make([]segUsage, sb.Segments),
 		inodes:      inodeTable{max: layout.Ino(cfg.MaxInodes)},
-		names:       make(map[layout.Ino]map[string]nameEntry),
-		entryCount:  make(map[layout.Ino]int),
-		insertHint:  make(map[layout.Ino]int64),
 		lastRead:    make(map[layout.Ino]int64),
 		span:        make([]byte, readAheadBlocks*cfg.BlockSize),
 		writeSerial: 1,
 	}
+	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, fs.getDataBlock)
 	fs.op = obs.NewOpCapture(d, fs.cpu, cfg.Trace, cfg.Metrics)
 	fs.heads[classHot].open = true
 	fs.usage[0].State = segActive
@@ -201,6 +191,14 @@ func (fs *FS) NoteWait(kind obs.PhaseKind, d sim.Duration) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.op.NoteWait(kind, d)
+}
+
+// Dirs returns the directory layer, so its name cache can be inspected
+// (vfs.Dirs.Complete, Check) between operations.
+func (fs *FS) Dirs() *vfs.Dirs {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.dirs
 }
 
 // Disk returns the underlying device for experiment instrumentation.

@@ -53,10 +53,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		st, err := decodeCheckpoint(data)
 		if err == nil {
 			// Accepted checkpoints must have internally consistent
-			// lengths. The entry size depends on the format version
-			// (a v1 image packs 24-byte entries), so bound with the
-			// smaller size — valid for either format.
-			need := ckptHeaderSize + len(st.ImapAddrs)*layout.AddrSize + len(st.Usage)*segUsageEntrySizeV1 + 4
+			// lengths.
+			need := ckptHeaderSize + len(st.ImapAddrs)*layout.AddrSize + len(st.Usage)*segUsageEntrySize + 4
 			if need > len(data) {
 				t.Fatalf("accepted checkpoint larger than its buffer")
 			}

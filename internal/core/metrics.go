@@ -81,18 +81,16 @@ func (fs *FS) initMetrics() error {
 	})
 
 	// Disk: request counters, queue depth (instant + high-water), and
-	// busy fraction, total and decomposed by cause. All through
-	// PeekStats/read-only queue accessors — Disk.Stats would dispatch
-	// queued writes and perturb an SSTF run.
-	r.RatedCounter("disk.reads", func() int64 { return fs.d.PeekStats().Reads })
-	r.RatedCounter("disk.writes", func() int64 { return fs.d.PeekStats().Writes })
+	// busy fraction, total and decomposed by cause.
+	r.RatedCounter("disk.reads", func() int64 { return fs.d.Stats().Reads })
+	r.RatedCounter("disk.writes", func() int64 { return fs.d.Stats().Writes })
 	r.Gauge("disk.queue.depth", func() float64 { return float64(fs.d.QueueDepth()) })
 	r.Gauge("disk.queue.max", func() float64 { return float64(fs.d.MaxQueueDepth()) })
-	r.FracCounter("disk.busy_ns", func() int64 { return int64(fs.d.PeekStats().BusyTime) })
+	r.FracCounter("disk.busy_ns", func() int64 { return int64(fs.d.Stats().BusyTime) })
 	for c := disk.IOCause(0); c < disk.NumCauses; c++ {
 		cause := c
 		r.FracCounter("disk.busy_ns."+cause.String(), func() int64 {
-			return int64(fs.d.PeekStats().ByCause[cause].Busy)
+			return int64(fs.d.Stats().ByCause[cause].Busy)
 		})
 	}
 	return nil

@@ -35,7 +35,7 @@ func (fs *FS) createNode(path string, isDir bool) error {
 	if err != nil {
 		return err
 	}
-	if _, exists, err := fs.dirLookup(parent, base); err != nil {
+	if _, exists, err := fs.dirs.Lookup(parent, base); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("%w: %q", vfs.ErrExist, path)
@@ -240,7 +240,7 @@ func (fs *FS) readDir(path string) ([]layout.DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fs.dirEntries(dir)
+	return fs.dirs.Entries(dir)
 }
 
 // Remove unlinks a file or removes an empty directory — again with no
@@ -267,7 +267,7 @@ func (fs *FS) remove(path string) error {
 	if err != nil {
 		return err
 	}
-	ino, found, err := fs.dirLookup(parent, base)
+	ino, found, err := fs.dirs.Lookup(parent, base)
 	if err != nil {
 		return err
 	}
@@ -279,7 +279,7 @@ func (fs *FS) remove(path string) error {
 		return err
 	}
 	if in.Mode.IsDir() {
-		empty, err := fs.dirEmpty(in)
+		empty, err := fs.dirs.Empty(in)
 		if err != nil {
 			return err
 		}
@@ -287,11 +287,11 @@ func (fs *FS) remove(path string) error {
 			return fmt.Errorf("%w: %q", vfs.ErrNotEmpty, path)
 		}
 	}
-	if err := fs.dirRemove(parent, base); err != nil {
+	if _, err := fs.dirs.Remove(parent, base); err != nil {
 		return err
 	}
 	if in.Mode.IsDir() {
-		fs.forgetDir(ino)
+		fs.dirs.Forget(ino)
 	}
 	// With other hard links remaining, only the link count drops;
 	// the storage dies with the last name (when the version bump in
@@ -340,7 +340,7 @@ func (fs *FS) link(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	if _, exists, err := fs.dirLookup(newParent, newBase); err != nil {
+	if _, exists, err := fs.dirs.Lookup(newParent, newBase); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("%w: %q", vfs.ErrExist, newPath)
@@ -381,7 +381,7 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	ino, found, err := fs.dirLookup(oldParent, oldBase)
+	ino, found, err := fs.dirs.Lookup(oldParent, oldBase)
 	if err != nil {
 		return err
 	}
@@ -399,7 +399,7 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	if _, exists, err := fs.dirLookup(newParent, newBase); err != nil {
+	if _, exists, err := fs.dirs.Lookup(newParent, newBase); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("%w: %q", vfs.ErrExist, newPath)
@@ -407,7 +407,7 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	if err := fs.dirInsert(newParent, newBase, ino); err != nil {
 		return err
 	}
-	if err := fs.dirRemove(oldParent, oldBase); err != nil {
+	if _, err := fs.dirs.Remove(oldParent, oldBase); err != nil {
 		return err
 	}
 	now := int64(fs.clock.Now())

@@ -44,13 +44,9 @@ type segUsage struct {
 	State     uint8
 }
 
-// segUsageEntrySize is the encoded size of one usage entry in the
-// current (v2) checkpoint format; segUsageEntrySizeV1 is the size in
-// pre-age checkpoints, which decodeCheckpoint still accepts.
-const (
-	segUsageEntrySize   = 32
-	segUsageEntrySizeV1 = 24
-)
+// segUsageEntrySize is the encoded size of one usage entry in a
+// checkpoint region.
+const segUsageEntrySize = 32
 
 func (u *segUsage) encode(p []byte) {
 	le := binary.LittleEndian
@@ -71,20 +67,6 @@ func decodeSegUsage(p []byte) segUsage {
 		Age:       sim.Time(le.Uint64(p[16:])),
 		State:     p[24],
 	}
-}
-
-// decodeSegUsageV1 parses a pre-age usage entry. The age of the data
-// is unrecorded; the last write time is the closest available
-// estimate (exact for segments the cleaner never touched).
-func decodeSegUsageV1(p []byte) segUsage {
-	le := binary.LittleEndian
-	u := segUsage{
-		Live:      int64(le.Uint64(p[0:])),
-		LastWrite: sim.Time(le.Uint64(p[8:])),
-		State:     p[16],
-	}
-	u.Age = u.LastWrite
-	return u
 }
 
 // --- write classes -----------------------------------------------------
@@ -165,8 +147,7 @@ const (
 // with monotonically increasing serials; roll-forward recovery walks
 // units in serial order and stops at the first gap or checksum
 // mismatch (a torn write). Class records which append stream wrote
-// the unit (hot encodes as zero, so pre-segregation images parse as
-// all-hot); Age is the modified time of the unit's youngest data —
+// the unit; Age is the modified time of the unit's youngest data —
 // equal to Timestamp for fresh writes, older for cleaner relocations
 // — so recovery can rebuild age-correct usage entries.
 type summaryHeader struct {

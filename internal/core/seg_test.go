@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"lfs/internal/disk"
 	"lfs/internal/layout"
 	"lfs/internal/sim"
 )
@@ -22,28 +24,6 @@ func TestSegUsageRoundTrip(t *testing.T) {
 	u.encode(buf)
 	if got := decodeSegUsage(buf); got != u {
 		t.Fatalf("round trip: %+v vs %+v", got, u)
-	}
-}
-
-// TestSegUsageDecodeV1 pins the pre-age entry layout (Live at 0,
-// LastWrite at 8, State at 16, 24 bytes total) and the decode
-// fallback: with no recorded age, the last write time is the best
-// available estimate.
-func TestSegUsageDecodeV1(t *testing.T) {
-	buf := make([]byte, segUsageEntrySizeV1)
-	le := binary.LittleEndian
-	le.PutUint64(buf[0:], 777)
-	le.PutUint64(buf[8:], uint64(6*sim.Second))
-	buf[16] = segDirty
-	got := decodeSegUsageV1(buf)
-	want := segUsage{
-		Live:      777,
-		LastWrite: sim.Time(6 * sim.Second),
-		Age:       sim.Time(6 * sim.Second),
-		State:     segDirty,
-	}
-	if got != want {
-		t.Fatalf("v1 decode: %+v, want %+v", got, want)
 	}
 }
 
@@ -199,65 +179,56 @@ func TestCheckpointColdHeadClosed(t *testing.T) {
 	}
 }
 
-// TestDecodeCheckpointV1Image hand-builds a pre-age ("LCKP")
-// checkpoint region byte by byte and decodes it with the current
-// code: the 24-byte usage entries must parse at the v1 offsets, Age
-// must fall back to LastWrite, and the cold head must stay closed.
-// This is the compatibility guard for volumes checkpointed before the
-// format change.
+// TestDecodeCheckpointV1Image: "LCKP" was the checkpoint format before
+// "LCK2" (24-byte usage entries, no cold head) and its decoder is gone,
+// so a region carrying that magic is bad input like any other magic.
+// The newest checkpoint of a volume is re-stamped "LCKP" with its
+// checksum made valid again — the only thing wrong with it is the
+// magic — and must be rejected, mount falling back to the other region
+// and rolling the log forward from there.
 func TestDecodeCheckpointV1Image(t *testing.T) {
-	imap := []layout.DiskAddr{100, layout.NilAddr}
-	usage := []segUsage{
-		{Live: 4096, LastWrite: sim.Time(2 * sim.Second), State: segDirty},
-		{Live: 0, LastWrite: sim.Time(5 * sim.Second), State: segActive},
-	}
-	size := ckptHeaderSize + len(imap)*layout.AddrSize + len(usage)*segUsageEntrySizeV1 + 4
-	buf := make([]byte, (size+511)&^511)
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:], ckptMagicV1)
-	le.PutUint64(buf[4:], 9)                     // Serial
-	le.PutUint64(buf[12:], uint64(7*sim.Second)) // Timestamp
-	le.PutUint32(buf[20:], 1)                    // HeadSeg
-	le.PutUint32(buf[24:], 30)                   // HeadBlk
-	le.PutUint64(buf[28:], 55)                   // WriteSerial
-	le.PutUint64(buf[36:], 4096)                 // LiveBytes
-	le.PutUint32(buf[44:], uint32(len(imap)))
-	le.PutUint32(buf[48:], uint32(len(usage)))
-	// A v1 writer left bytes 52..59 zero; leave them zero here — the
-	// decoder must not read a cold head out of them.
-	off := ckptHeaderSize
-	for _, a := range imap {
-		le.PutUint32(buf[off:], uint32(a))
-		off += layout.AddrSize
-	}
-	for _, u := range usage {
-		le.PutUint64(buf[off+0:], uint64(u.Live))
-		le.PutUint64(buf[off+8:], uint64(u.LastWrite))
-		buf[off+16] = u.State
-		off += segUsageEntrySizeV1
-	}
-	le.PutUint32(buf[off:], layout.Checksum(buf[:off]))
+	cfg := smallConfig()
+	fs := newTestFS(t, 32<<20, cfg)
+	must(t, fs.Create("/a"))
+	must(t, fs.Checkpoint())
+	must(t, fs.Create("/b"))
+	must(t, fs.Checkpoint())
+	newest := fs.ckptSerial
+	fs.Crash()
 
-	got, err := decodeCheckpoint(buf)
-	if err != nil {
-		t.Fatal(err)
+	le := binary.LittleEndian
+	restamped := 0
+	for _, sector := range []int64{int64(fs.sb.Ckpt0Sector), int64(fs.sb.Ckpt1Sector)} {
+		region := make([]byte, fs.sb.CkptBytes)
+		must(t, fs.d.Store().ReadAt(region, sector*disk.SectorSize))
+		st, err := decodeCheckpoint(region)
+		must(t, err)
+		if st.Serial != newest {
+			continue
+		}
+		le.PutUint32(region[0:], 0x4C434B50) // "LCKP"
+		crcOff := ckptHeaderSize + len(st.ImapAddrs)*layout.AddrSize + len(st.Usage)*segUsageEntrySize
+		le.PutUint32(region[crcOff:], layout.Checksum(region[:crcOff]))
+		if _, err := decodeCheckpoint(region); err == nil || !strings.Contains(err.Error(), "bad checkpoint magic") {
+			t.Fatalf("decoding an LCKP region: %v, want bad checkpoint magic", err)
+		}
+		must(t, fs.d.Store().WriteAt(region, sector*disk.SectorSize))
+		restamped++
 	}
-	if got.Serial != 9 || got.Timestamp != sim.Time(7*sim.Second) ||
-		got.HeadSeg != 1 || got.HeadBlk != 30 ||
-		got.WriteSerial != 55 || got.LiveBytes != 4096 {
-		t.Fatalf("v1 header decoded wrong: %+v", got)
+	if restamped != 1 {
+		t.Fatalf("re-stamped %d regions, want the one holding checkpoint %d", restamped, newest)
 	}
-	if got.ColdOpen || got.ColdSeg != 0 || got.ColdBlk != 0 {
-		t.Fatalf("v1 image decoded with an open cold head: %+v", got)
+
+	fs, err := Mount(fs.d, cfg)
+	must(t, err)
+	// The newest checkpoint had nothing after it in the log; replayed
+	// units mean recovery started from the older one.
+	if fs.stats.RollForwardUnits == 0 {
+		t.Fatal("mount rolled nothing forward: it did not fall back to the older checkpoint")
 	}
-	if !reflect.DeepEqual(got.ImapAddrs, imap) {
-		t.Fatalf("imap addrs: %v, want %v", got.ImapAddrs, imap)
-	}
-	for i, u := range usage {
-		want := u
-		want.Age = want.LastWrite // the v1 fallback
-		if got.Usage[i] != want {
-			t.Fatalf("usage[%d]: %+v, want %+v", i, got.Usage[i], want)
+	for _, path := range []string{"/a", "/b"} {
+		if _, err := fs.Stat(path); err != nil {
+			t.Fatalf("after falling back to the older checkpoint: %v", err)
 		}
 	}
 }

@@ -247,13 +247,8 @@ type Disk struct {
 	// or -1 when the head position is unknown (fresh disk).
 	nextSector int64
 
-	// sched is the request scheduling policy; queue holds issued
-	// asynchronous writes whose service has not been accounted yet
-	// (see queue.go). qseq numbers queued requests for stable
-	// tie-breaking; maxQueueDepth is the queue's high-water mark.
-	sched         SchedPolicy
-	queue         []queuedReq
-	qseq          uint64
+	// maxQueueDepth is what MaxQueueDepth reports: 1 once an
+	// asynchronous write was issued.
 	maxQueueDepth int
 	// client labels requests with the issuing client ID (SetClient);
 	// 0 means unattributed. shard labels them with the owning
@@ -323,27 +318,12 @@ func (d *Disk) Capacity() int64 { return d.geom.TotalBytes() }
 // Sectors returns the usable capacity in sectors.
 func (d *Disk) Sectors() int64 { return d.geom.TotalSectors() }
 
-// Stats returns a snapshot of the activity counters. Queued
-// asynchronous requests are dispatched first so the counters always
-// reflect every issued request.
-func (d *Disk) Stats() Stats {
-	d.dispatchQueued()
-	return d.stats
-}
+// Stats returns a snapshot of the activity counters. Every issued
+// request is in them: an asynchronous write is accounted when issued.
+func (d *Disk) Stats() Stats { return d.stats }
 
-// PeekStats returns the activity counters without dispatching queued
-// asynchronous requests: service time for still-queued writes is not
-// yet accounted. The metrics sampler reads through here — dispatching
-// would reorder an SSTF queue mid-batch, so a sampling-enabled run
-// would diverge from a disabled one.
-func (d *Disk) PeekStats() Stats { return d.stats }
-
-// ResetStats zeroes the activity counters, dispatching queued
-// requests first so their service lands in the old window.
-func (d *Disk) ResetStats() {
-	d.dispatchQueued()
-	d.stats = Stats{}
-}
+// ResetStats zeroes the activity counters.
+func (d *Disk) ResetStats() { d.stats = Stats{} }
 
 // SetTracer attaches a tracer receiving every request; nil detaches.
 func (d *Disk) SetTracer(t Tracer) { d.tracer = t }
@@ -352,19 +332,13 @@ func (d *Disk) SetTracer(t Tracer) { d.tracer = t }
 // queue-wait/service split; nil detaches.
 func (d *Disk) SetWaiter(w Waiter) { d.waiter = w }
 
-// BusyUntil returns the time the disk arm becomes free, dispatching
-// any queued asynchronous requests first so the horizon covers them.
-func (d *Disk) BusyUntil() sim.Time {
-	d.dispatchQueued()
-	return d.busyUntil
-}
+// BusyUntil returns the time the disk arm becomes free, every issued
+// asynchronous write included.
+func (d *Disk) BusyUntil() sim.Time { return d.busyUntil }
 
-// Drain dispatches all queued asynchronous writes, advances the clock
-// until they have completed, and returns the new current time.
-func (d *Disk) Drain() sim.Time {
-	d.dispatchQueued()
-	return d.clock.AdvanceTo(d.busyUntil)
-}
+// Drain advances the clock until every issued asynchronous write has
+// completed, and returns the new current time.
+func (d *Disk) Drain() sim.Time { return d.clock.AdvanceTo(d.busyUntil) }
 
 // checkRange validates a request's alignment and bounds.
 func (d *Disk) checkRange(sector int64, n int) error {
@@ -436,7 +410,6 @@ func (d *Disk) ReadSectors(sector int64, p []byte, cause IOCause, label string) 
 	if cause >= NumCauses {
 		cause = CauseOther
 	}
-	d.dispatchQueued()
 	issue := d.clock.Now()
 	start := d.begin()
 	dur, seq, seekCyl := d.service(sector, len(p))
@@ -497,34 +470,32 @@ func (d *Disk) WriteSectors(sector int64, p []byte, sync bool, cause IOCause, la
 	if cause >= NumCauses {
 		cause = CauseOther
 	}
+	// The disk serves requests in arrival order, so a write's service is
+	// accounted when it is issued: it starts once the arm is free of
+	// everything issued before it. A blocking write then advances the
+	// caller's clock to its completion; an asynchronous one only extends
+	// the busy horizon.
+	issue := d.clock.Now()
+	start := d.begin()
+	dur, seq, seekCyl := d.service(sector, len(p))
+	d.busyUntil = start.Add(dur)
 	if sync {
-		// A blocking write is a scheduling barrier: everything queued
-		// ahead of it is serviced first, then the caller waits for its
-		// own request.
-		d.dispatchQueued()
-		issue := d.clock.Now()
-		start := d.begin()
-		dur, seq, seekCyl := d.service(sector, len(p))
-		d.busyUntil = start.Add(dur)
 		d.clock.AdvanceTo(d.busyUntil)
 		d.stats.SyncWrites++
-		d.stats.Writes++
-		d.stats.SectorsWritten += int64(len(p) / SectorSize)
-		d.stats.ByCause[cause].Requests++
-		d.stats.ByCause[cause].Sectors += int64(len(p) / SectorSize)
-		d.stats.ByCause[cause].Busy += dur
 		if d.waiter != nil {
 			d.waiter.DiskWait(cause, start.Sub(issue), dur)
 		}
-		d.trace(Event{Time: start, Kind: OpWrite, Sector: sector, Sectors: len(p) / SectorSize,
-			Sync: true, Sequential: seq, SeekCylinders: seekCyl, Service: dur, Wait: start.Sub(issue),
-			Cause: cause, Label: label, Client: d.client, Shard: d.shard})
 	} else {
-		// Asynchronous writes join the request queue; the scheduling
-		// policy decides their service order at the next barrier.
-		// Data still reaches the store below at issue time.
-		d.enqueue(sector, len(p), cause, label)
+		d.maxQueueDepth = 1
 	}
+	d.stats.Writes++
+	d.stats.SectorsWritten += int64(len(p) / SectorSize)
+	d.stats.ByCause[cause].Requests++
+	d.stats.ByCause[cause].Sectors += int64(len(p) / SectorSize)
+	d.stats.ByCause[cause].Busy += dur
+	d.trace(Event{Time: start, Kind: OpWrite, Sector: sector, Sectors: len(p) / SectorSize,
+		Sync: sync, Sequential: seq, SeekCylinders: seekCyl, Service: dur, Wait: start.Sub(issue),
+		Cause: cause, Label: label, Client: d.client, Shard: d.shard})
 	switch dec.Action {
 	case WriteDrop:
 		// Silently lost: the caller sees success, nothing persists.
@@ -554,16 +525,14 @@ func (d *Disk) Thaw() { d.frozen = false }
 // lfsck) parse the raw image without going through the time model.
 func (d *Disk) Store() Store { return d.store }
 
-// Sync dispatches any queued asynchronous writes and flushes the
-// backing store to stable storage. The simulation's durability model
-// is unchanged — writes persist at issue time — but file-backed
-// images survive a host crash only after a Sync (tools call it before
-// Close).
+// Sync flushes the backing store to stable storage. The simulation's
+// durability model is unchanged — writes persist at issue time — but
+// file-backed images survive a host crash only after a Sync (tools
+// call it before Close).
 func (d *Disk) Sync() error {
 	if d.frozen {
 		return fmt.Errorf("disk: device is frozen (crashed): %w", ErrPowerLoss)
 	}
-	d.dispatchQueued()
 	return d.store.Sync()
 }
 

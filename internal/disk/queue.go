@@ -1,65 +1,20 @@
 package disk
 
-import "lfs/internal/sim"
+// The disk serves requests in arrival order: an asynchronous write is
+// accounted when it is issued (WriteSectors), starting once the arm is
+// free of everything issued before it, so no request is ever held back
+// awaiting dispatch. The two depth accessors below predate that being
+// the only order; they stay because lfsperf and the disk.queue.*
+// metric series read them, and they report what arrival-order service
+// has always made them report.
 
-// SchedPolicy selects the order queued asynchronous writes are
-// dispatched in. With one outstanding request at a time the policy is
-// irrelevant; it matters once callers issue several asynchronous
-// requests before the next blocking operation — the multi-client
-// server layer does exactly that.
-type SchedPolicy int
+// QueueDepth returns the number of issued asynchronous requests whose
+// service has not been accounted yet: always 0.
+func (d *Disk) QueueDepth() int { return 0 }
 
-const (
-	// FCFS serves requests in arrival order. This reproduces the
-	// pre-queue behaviour exactly (arrival order is service order),
-	// so it is the default.
-	FCFS SchedPolicy = iota
-	// SSTF (shortest seek time first) serves the queued request whose
-	// cylinder is nearest the head, the classic elevator-adjacent
-	// policy. It reduces seek time for scattered write-back traffic
-	// (FFS's delayed writes); LFS rarely benefits because segment
-	// writes are sequential already.
-	SSTF
-)
-
-// String names the policy.
-func (p SchedPolicy) String() string {
-	if p == SSTF {
-		return "sstf"
-	}
-	return "fcfs"
-}
-
-// queuedReq is one asynchronous write whose service time has not been
-// accounted yet. The data already reached the backing store at issue
-// time (contents-at-issue semantics keep crash and fault injection
-// unchanged); the queue only defers the time and statistics model.
-type queuedReq struct {
-	seq    uint64
-	issue  sim.Time
-	sector int64
-	nbytes int
-	cause  IOCause
-	label  string
-	client int
-	shard  int
-}
-
-// SetScheduler selects the request scheduling policy. Switching with
-// requests queued dispatches them under the old policy first.
-func (d *Disk) SetScheduler(p SchedPolicy) {
-	d.dispatchQueued()
-	d.sched = p
-}
-
-// Scheduler returns the active scheduling policy.
-func (d *Disk) Scheduler() SchedPolicy { return d.sched }
-
-// QueueDepth returns the number of asynchronous requests whose
-// service has not been dispatched yet.
-func (d *Disk) QueueDepth() int { return len(d.queue) }
-
-// MaxQueueDepth returns the high-water mark of the request queue.
+// MaxQueueDepth returns the high-water mark of requests awaiting
+// accounting: 1 once any asynchronous write was issued (it is counted
+// in the instant it is issued), 0 before.
 func (d *Disk) MaxQueueDepth() int { return d.maxQueueDepth }
 
 // SetClient labels subsequent requests with the issuing client ID
@@ -77,84 +32,3 @@ func (d *Disk) SetShard(id int) { d.shard = id }
 
 // Shard returns the current shard label.
 func (d *Disk) Shard() int { return d.shard }
-
-// enqueue records an asynchronous write for later dispatch. Under
-// FCFS the queue drains immediately — arrival order is service order,
-// so there is nothing to reorder and the pre-queue timeline is
-// preserved bit for bit. Under SSTF requests accumulate until the
-// next barrier (a blocking request, Drain, BusyUntil, or Stats) so
-// the scheduler has a batch to reorder.
-func (d *Disk) enqueue(sector int64, nbytes int, cause IOCause, label string) {
-	d.qseq++
-	d.queue = append(d.queue, queuedReq{
-		seq: d.qseq, issue: d.clock.Now(), sector: sector, nbytes: nbytes,
-		cause: cause, label: label, client: d.client, shard: d.shard,
-	})
-	if len(d.queue) > d.maxQueueDepth {
-		d.maxQueueDepth = len(d.queue)
-	}
-	if d.sched == FCFS {
-		d.dispatchQueued()
-	}
-}
-
-// pickNext chooses the queue index to serve next under the active
-// policy. SSTF picks the request with the shortest seek from the
-// current head position, breaking ties by arrival order so the
-// schedule stays deterministic.
-func (d *Disk) pickNext() int {
-	if d.sched == FCFS || len(d.queue) == 1 {
-		return 0
-	}
-	head := 0
-	if d.nextSector >= 0 {
-		head = d.geom.CylinderOf(d.nextSector)
-	}
-	// cost is the seek distance in cylinders, with -1 for a request
-	// continuing exactly at the head position (free of both seek and
-	// rotation, so preferred over an equal-cylinder non-sequential
-	// one). Ties go to the earliest arrival (strict <), keeping the
-	// schedule deterministic.
-	cost := func(req queuedReq) int {
-		if req.sector == d.nextSector {
-			return -1
-		}
-		dist := d.geom.CylinderOf(req.sector) - head
-		if dist < 0 {
-			return -dist
-		}
-		return dist
-	}
-	best, bestCost := 0, cost(d.queue[0])
-	for i := 1; i < len(d.queue); i++ {
-		if c := cost(d.queue[i]); c < bestCost {
-			best, bestCost = i, c
-		}
-	}
-	return best
-}
-
-// dispatchQueued accounts service time for every queued request in
-// policy order. Every queued request was issued at or before the
-// current simulated time, so the whole batch is eligible; the disk
-// serves one request at a time, choosing the next by policy each time
-// the arm comes free.
-func (d *Disk) dispatchQueued() {
-	for len(d.queue) > 0 {
-		i := d.pickNext()
-		req := d.queue[i]
-		d.queue = append(d.queue[:i], d.queue[i+1:]...)
-		start := sim.MaxTime(req.issue, d.busyUntil)
-		dur, seq, seekCyl := d.service(req.sector, req.nbytes)
-		d.busyUntil = start.Add(dur)
-		d.stats.Writes++
-		d.stats.SectorsWritten += int64(req.nbytes / SectorSize)
-		d.stats.ByCause[req.cause].Requests++
-		d.stats.ByCause[req.cause].Sectors += int64(req.nbytes / SectorSize)
-		d.stats.ByCause[req.cause].Busy += dur
-		d.trace(Event{Time: start, Kind: OpWrite, Sector: req.sector,
-			Sectors: req.nbytes / SectorSize, Sync: false, Sequential: seq,
-			SeekCylinders: seekCyl, Service: dur, Wait: start.Sub(req.issue),
-			Cause: req.cause, Label: req.label, Client: req.client, Shard: req.shard})
-	}
-}

@@ -6,7 +6,7 @@ import (
 	"lfs/internal/sim"
 )
 
-// queueTestDisk builds a small memory disk for scheduler tests.
+// queueTestDisk builds a small memory disk for the request-order tests.
 func queueTestDisk(t *testing.T) *Disk {
 	t.Helper()
 	return NewMem(32<<20, sim.NewClock())
@@ -29,10 +29,9 @@ func scatter(d *Disk, n int) []int64 {
 	return out
 }
 
-// TestFCFSMatchesSerialTimeline verifies the queue is invisible under
-// FCFS: issuing asynchronous writes through the queue produces the
-// same busy horizon, statistics, and event stream as the pre-queue
-// model (arrival order is service order).
+// TestFCFSMatchesSerialTimeline verifies arrival-order service: a run
+// of asynchronous writes produces the same busy horizon and statistics
+// as the same writes issued one blocking request at a time.
 func TestFCFSMatchesSerialTimeline(t *testing.T) {
 	buf := make([]byte, 2*SectorSize)
 	run := func(sync bool) (sim.Time, Stats) {
@@ -48,108 +47,52 @@ func TestFCFSMatchesSerialTimeline(t *testing.T) {
 	asyncEnd, asyncStats := run(false)
 	syncEnd, syncStats := run(true)
 	if asyncEnd != syncEnd {
-		t.Errorf("FCFS async end %v != serial sync end %v", asyncEnd, syncEnd)
+		t.Errorf("async end %v != serial sync end %v", asyncEnd, syncEnd)
 	}
 	if asyncStats.BusyTime != syncStats.BusyTime {
-		t.Errorf("FCFS async busy %v != serial busy %v", asyncStats.BusyTime, syncStats.BusyTime)
+		t.Errorf("async busy %v != serial busy %v", asyncStats.BusyTime, syncStats.BusyTime)
 	}
 	if asyncStats.Seeks != syncStats.Seeks {
-		t.Errorf("FCFS async seeks %d != serial seeks %d", asyncStats.Seeks, syncStats.Seeks)
+		t.Errorf("async seeks %d != serial seeks %d", asyncStats.Seeks, syncStats.Seeks)
 	}
 }
 
-// TestSSTFReducesSeekTime verifies SSTF reorders a scattered batch
-// into a cheaper schedule than FCFS while doing the same transfers.
-func TestSSTFReducesSeekTime(t *testing.T) {
-	buf := make([]byte, 2*SectorSize)
-	run := func(p SchedPolicy) Stats {
-		d := queueTestDisk(t)
-		d.SetScheduler(p)
-		for _, s := range scatter(d, 16) {
-			if err := d.WriteSectors(s, buf, false, CauseOther, "q"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if p == SSTF && d.QueueDepth() != 16 {
-			t.Fatalf("SSTF queued %d requests, want 16", d.QueueDepth())
-		}
-		d.Drain()
-		if d.QueueDepth() != 0 {
-			t.Fatalf("queue not drained: %d left", d.QueueDepth())
-		}
-		return d.Stats()
-	}
-	fcfs := run(FCFS)
-	sstf := run(SSTF)
-	if sstf.SectorsWritten != fcfs.SectorsWritten || sstf.Writes != fcfs.Writes {
-		t.Fatalf("transfer volume differs: sstf %+v fcfs %+v", sstf, fcfs)
-	}
-	if sstf.SeekCylinders >= fcfs.SeekCylinders {
-		t.Errorf("SSTF seek distance %d not below FCFS %d", sstf.SeekCylinders, fcfs.SeekCylinders)
-	}
-	if sstf.BusyTime >= fcfs.BusyTime {
-		t.Errorf("SSTF busy %v not below FCFS %v", sstf.BusyTime, fcfs.BusyTime)
-	}
-}
-
-// TestQueueBarriers verifies a blocking read dispatches queued writes
-// first, and that Stats/BusyUntil observe queued requests.
+// TestQueueBarriers verifies that nothing waits for a barrier: Stats
+// counts every asynchronous write as soon as it is issued, and a
+// blocking read issued after asynchronous writes is served after them.
 func TestQueueBarriers(t *testing.T) {
 	d := queueTestDisk(t)
-	d.SetScheduler(SSTF)
 	buf := make([]byte, 2*SectorSize)
+	if d.MaxQueueDepth() != 0 {
+		t.Errorf("max queue depth %d before any write, want 0", d.MaxQueueDepth())
+	}
 	for _, s := range scatter(d, 4) {
 		if err := d.WriteSectors(s, buf, false, CauseOther, "q"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d.MaxQueueDepth() != 4 {
-		t.Errorf("max queue depth %d, want 4", d.MaxQueueDepth())
+	if d.QueueDepth() != 0 || d.MaxQueueDepth() != 1 {
+		t.Errorf("queue depth %d (max %d) after asynchronous writes, want 0 (max 1)", d.QueueDepth(), d.MaxQueueDepth())
 	}
 	if got := d.Stats().Writes; got != 4 {
-		t.Errorf("Stats barrier saw %d writes, want 4", got)
+		t.Errorf("Stats saw %d writes, want 4", got)
 	}
 	for _, s := range scatter(d, 4) {
 		if err := d.WriteSectors(s, buf, false, CauseOther, "q"); err != nil {
 			t.Fatal(err)
 		}
 	}
+	writesDone := d.BusyUntil()
+	var read Event
+	d.SetTracer(tracerFunc(func(ev Event) { read = ev }))
 	if err := d.ReadSectors(0, buf, CauseOther, "barrier read"); err != nil {
 		t.Fatal(err)
 	}
-	if d.QueueDepth() != 0 {
-		t.Errorf("blocking read left %d queued requests", d.QueueDepth())
+	if read.Kind != OpRead || read.Time != writesDone {
+		t.Errorf("blocking read started at %v, want %v (when the eight writes before it complete)", read.Time, writesDone)
 	}
 	if got := d.Stats().Writes; got != 8 {
-		t.Errorf("writes after read barrier %d, want 8", got)
-	}
-}
-
-// TestSSTFDeterministic runs the same SSTF schedule twice and demands
-// identical service order via the event trace.
-func TestSSTFDeterministic(t *testing.T) {
-	buf := make([]byte, 2*SectorSize)
-	run := func() []Event {
-		d := queueTestDisk(t)
-		d.SetScheduler(SSTF)
-		var evs []Event
-		d.SetTracer(tracerFunc(func(ev Event) { evs = append(evs, ev) }))
-		for _, s := range scatter(d, 12) {
-			if err := d.WriteSectors(s, buf, false, CauseOther, "q"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d.Drain()
-		return evs
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("event counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a[i], b[i])
-		}
+		t.Errorf("writes after the blocking read %d, want 8", got)
 	}
 }
 

@@ -8,198 +8,17 @@ import (
 	"lfs/internal/vfs"
 )
 
-// nameEntry is one directory name cache record: the child's inode and
-// the directory data block holding the entry. Entries never migrate
-// between blocks, so the block number stays valid for the entry's
-// lifetime. SunOS's kernel kept the same structure (the namei cache).
-type nameEntry struct {
-	ino layout.Ino
-	lbn int64
-}
-
-// nameCacheDirLimit bounds one directory's cached entries.
-const nameCacheDirLimit = 32768
-
-// cacheName records name→(ino,lbn) for the directory.
-func (fs *FS) cacheName(dir layout.Ino, name string, ino layout.Ino, lbn int64) {
-	m := fs.names[dir]
-	if m == nil {
-		m = make(map[string]nameEntry)
-		fs.names[dir] = m
-	}
-	if len(m) < nameCacheDirLimit {
-		m[name] = nameEntry{ino: ino, lbn: lbn}
-	}
-}
-
-// forgetName drops one cached name.
-func (fs *FS) forgetName(dir layout.Ino, name string) {
-	if m := fs.names[dir]; m != nil {
-		delete(m, name)
-	}
-}
-
-// forgetDir drops a removed directory's whole cache.
-func (fs *FS) forgetDir(dir layout.Ino) {
-	delete(fs.names, dir)
-	delete(fs.insertHint, dir)
-}
-
-// dirBlocks returns the number of data blocks the directory occupies.
-func (fs *FS) dirBlocks(dir *layout.Inode) int64 {
-	return layout.BlocksForSize(dir.Size, fs.cfg.BlockSize)
-}
-
-// dirBlock fetches directory data block lbn through the cache.
-func (fs *FS) dirBlock(dir *layout.Inode, lbn int64) (*cache.Block, error) {
-	pb, _, _, err := fs.bmap(dir, lbn, false)
-	if err != nil {
+// dirBlock is what FFS supplies to the shared directory layer
+// (vfs.Dirs): directory data block lbn through the block cache, nil
+// for a hole, or a newly allocated block when the directory grows by
+// it. The layer returns the block it dirtied so the caller can force
+// it to disk synchronously (Figure 1).
+func (fs *FS) dirBlock(dir *layout.Inode, lbn int64, grow bool) (*cache.Block, error) {
+	pb, _, _, err := fs.bmap(dir, lbn, grow)
+	if err != nil || pb < 0 {
 		return nil, err
 	}
-	if pb < 0 {
-		return nil, fmt.Errorf("ffs: directory %d has a hole at block %d", dir.Ino, lbn)
-	}
-	return fs.getBlock(pb, true, "dir data")
-}
-
-// dirLookup searches the directory for name, consulting the name
-// cache first.
-func (fs *FS) dirLookup(dir *layout.Inode, name string) (layout.Ino, bool, error) {
-	if e, ok := fs.names[dir.Ino][name]; ok {
-		return e.ino, true, nil
-	}
-	for lbn := int64(0); lbn < fs.dirBlocks(dir); lbn++ {
-		b, err := fs.dirBlock(dir, lbn)
-		if err != nil {
-			return 0, false, err
-		}
-		ino, found, err := layout.DirBlockFind(b.Data, name)
-		if err != nil {
-			return 0, false, err
-		}
-		if found {
-			fs.cacheName(dir.Ino, name, ino, lbn)
-			return ino, true, nil
-		}
-	}
-	return 0, false, nil
-}
-
-// dirInsert adds name->ino, growing the directory when no block has
-// room. It returns the modified data block so the caller can force it
-// to disk synchronously (the creat path), and whether the directory
-// inode changed (growth).
-func (fs *FS) dirInsert(dir *layout.Inode, name string, ino layout.Ino) (*cache.Block, bool, error) {
-	for lbn := fs.insertHint[dir.Ino]; lbn < fs.dirBlocks(dir); lbn++ {
-		b, err := fs.dirBlock(dir, lbn)
-		if err != nil {
-			return nil, false, err
-		}
-		ok, err := layout.DirBlockInsert(b.Data, layout.DirEntry{Ino: ino, Name: name})
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			fs.dirty(b)
-			fs.insertHint[dir.Ino] = lbn
-			fs.cacheName(dir.Ino, name, ino, lbn)
-			return b, false, nil
-		}
-	}
-	// Grow the directory by one block.
-	lbn := fs.dirBlocks(dir)
-	pb, _, _, err := fs.bmap(dir, lbn, true)
-	if err != nil {
-		return nil, false, err
-	}
-	b, err := fs.getBlock(pb, false, "dir data")
-	if err != nil {
-		return nil, false, err
-	}
-	layout.InitDirBlock(b.Data)
-	ok, err := layout.DirBlockInsert(b.Data, layout.DirEntry{Ino: ino, Name: name})
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, fmt.Errorf("ffs: entry %q does not fit in an empty block", name)
-	}
-	fs.dirty(b)
-	dir.Size += uint64(fs.cfg.BlockSize)
-	fs.insertHint[dir.Ino] = lbn
-	fs.cacheName(dir.Ino, name, ino, lbn)
-	return b, true, nil
-}
-
-// dirRemove deletes name from the directory, returning the modified
-// block for synchronous write-out. The name cache points straight at
-// the entry's block.
-func (fs *FS) dirRemove(dir *layout.Inode, name string) (*cache.Block, error) {
-	start := int64(0)
-	if e, ok := fs.names[dir.Ino][name]; ok {
-		start = e.lbn
-	}
-	for pass := 0; pass < 2; pass++ {
-		for lbn := start; lbn < fs.dirBlocks(dir); lbn++ {
-			b, err := fs.dirBlock(dir, lbn)
-			if err != nil {
-				return nil, err
-			}
-			removed, err := layout.DirBlockRemove(b.Data, name)
-			if err != nil {
-				return nil, err
-			}
-			if removed {
-				fs.dirty(b)
-				fs.forgetName(dir.Ino, name)
-				if hint, ok := fs.insertHint[dir.Ino]; ok && lbn < hint {
-					fs.insertHint[dir.Ino] = lbn
-				}
-				return b, nil
-			}
-		}
-		if start == 0 {
-			break
-		}
-		start = 0
-	}
-	return nil, fmt.Errorf("%w: %q", vfs.ErrNotExist, name)
-}
-
-// dirEntries lists the directory in name order.
-func (fs *FS) dirEntries(dir *layout.Inode) ([]layout.DirEntry, error) {
-	var all []layout.DirEntry
-	for lbn := int64(0); lbn < fs.dirBlocks(dir); lbn++ {
-		b, err := fs.dirBlock(dir, lbn)
-		if err != nil {
-			return nil, err
-		}
-		entries, err := layout.DirBlockEntries(b.Data)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, entries...)
-	}
-	layout.SortEntries(all)
-	return all, nil
-}
-
-// dirEmpty reports whether the directory has no entries.
-func (fs *FS) dirEmpty(dir *layout.Inode) (bool, error) {
-	for lbn := int64(0); lbn < fs.dirBlocks(dir); lbn++ {
-		b, err := fs.dirBlock(dir, lbn)
-		if err != nil {
-			return false, err
-		}
-		n, err := layout.DirBlockCount(b.Data)
-		if err != nil {
-			return false, err
-		}
-		if n > 0 {
-			return false, nil
-		}
-	}
-	return true, nil
+	return fs.getBlock(pb, !grow, "dir data")
 }
 
 // resolve walks the path components from the root, charging lookup
@@ -214,7 +33,7 @@ func (fs *FS) resolve(parts []string) (layout.Inode, error) {
 		if !in.Mode.IsDir() {
 			return layout.Inode{}, fmt.Errorf("%w: %q", vfs.ErrNotDir, parts[:i])
 		}
-		ino, found, err := fs.dirLookup(&in, name)
+		ino, found, err := fs.dirs.Lookup(&in, name)
 		if err != nil {
 			return layout.Inode{}, err
 		}

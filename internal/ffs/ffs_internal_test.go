@@ -1,6 +1,8 @@
 package ffs
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"lfs/internal/disk"
@@ -233,4 +235,62 @@ func TestUnlinkForgetsReadAheadPosition(t *testing.T) {
 	if _, leaked := fs.lastRead[fi.Ino]; leaked {
 		t.Fatalf("lastRead still has an entry for unlinked inode %d", fi.Ino)
 	}
+}
+
+// TestDirectoryHoleIsReported: a directory whose middle block pointer is
+// lost is not listed, emptied or removed as if the block's entries had
+// never existed — every walk reports the hole. (core has the twin of
+// this test; the walks are vfs.Dirs under both, and before they were
+// shared only this file system refused the hole in all of them.)
+func TestDirectoryHoleIsReported(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BlockSize = 4096
+	d := disk.NewMem(64<<20, sim.NewClock())
+	if err := Format(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Mount(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(fs.Mkdir("/d"))
+	for i := 0; i < 700; i++ { // three 4 KB blocks of 314, 314 and 72 names
+		must(fs.Create(fmt.Sprintf("/d/f%06d", i)))
+	}
+	must(fs.Sync())
+	fi, err := fs.Stat("/d")
+	must(err)
+	in, err := fs.readInode(fi.Ino)
+	must(err)
+	if blocks := layout.BlocksForSize(in.Size, cfg.BlockSize); blocks != 3 {
+		t.Fatalf("/d has %d blocks, want 3", blocks)
+	}
+	fs.bc.Remove(blockKey(fs.lay.blockOf(in.Direct[1])))
+	in.Direct[1] = layout.NilAddr
+	must(fs.writeInode(&in, true, "test: lose a block pointer"))
+
+	hole := fmt.Sprintf("directory %d has a hole at block 1", fi.Ino)
+	wantHole := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), hole) {
+			t.Errorf("%s: %v, want an error saying %q", what, err, hole)
+		}
+	}
+	ents, err := fs.ReadDir("/d")
+	wantHole(fmt.Sprintf("ReadDir (%d entries)", len(ents)), err)
+	wantHole("Remove of a name in the lost block", fs.Remove("/d/f000400"))
+	// Even with every entry of the two remaining blocks gone, the
+	// directory is not known to be empty.
+	for i := 0; i < 700; i++ {
+		if i < 314 || i >= 628 {
+			must(fs.Remove(fmt.Sprintf("/d/f%06d", i)))
+		}
+	}
+	wantHole("Remove of the directory", fs.Remove("/d"))
 }

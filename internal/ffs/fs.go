@@ -40,11 +40,10 @@ type FS struct {
 	// lazily; we keep it in memory and lose it on crash, which the
 	// paper's workloads never observe). Guarded by mu.
 	atimes map[layout.Ino]sim.Time
-	// names is the directory name cache (the namei cache), and
-	// insertHint the per-directory first-block-with-room hint.
-	// Guarded by mu.
-	names      map[layout.Ino]map[string]nameEntry
-	insertHint map[layout.Ino]int64
+	// dirs is the directory layer shared with LFS (lookup, insert,
+	// remove, listing, the name cache — SunOS's namei cache — and the
+	// insert hint), fetching blocks through dirBlock. Guarded by mu.
+	dirs *vfs.Dirs
 	// lastRead tracks each file's last-read block for sequential
 	// read-ahead detection. Guarded by mu.
 	lastRead map[layout.Ino]int64
@@ -94,19 +93,18 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 		return nil, fmt.Errorf("ffs: superblock block size %d != config %d", sb.BlockSize, cfg.BlockSize)
 	}
 	fs := &FS{
-		d:          d,
-		cfg:        cfg,
-		clock:      d.Clock(),
-		cpu:        sim.NewCPU(cfg.MIPS, d.Clock()),
-		bc:         cache.New(cfg.CacheBlocks, cfg.BlockSize),
-		sb:         sb,
-		lay:        newLayout(sb),
-		atimes:     make(map[layout.Ino]sim.Time),
-		names:      make(map[layout.Ino]map[string]nameEntry),
-		insertHint: make(map[layout.Ino]int64),
-		lastRead:   make(map[layout.Ino]int64),
-		span:       make([]byte, readAheadBlocks*cfg.BlockSize),
+		d:        d,
+		cfg:      cfg,
+		clock:    d.Clock(),
+		cpu:      sim.NewCPU(cfg.MIPS, d.Clock()),
+		bc:       cache.New(cfg.CacheBlocks, cfg.BlockSize),
+		sb:       sb,
+		lay:      newLayout(sb),
+		atimes:   make(map[layout.Ino]sim.Time),
+		lastRead: make(map[layout.Ino]int64),
+		span:     make([]byte, readAheadBlocks*cfg.BlockSize),
 	}
+	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, fs.dirBlock)
 	// Route blocking-request waits into the op seam. Pure arithmetic
 	// on durations the disk already computed — attaching the waiter
 	// never perturbs the timeline. FFS has no metrics plane.
@@ -132,6 +130,14 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 		}
 	}
 	return fs, nil
+}
+
+// Dirs returns the directory layer, so its name cache can be inspected
+// (vfs.Dirs.Complete, Check) between operations.
+func (fs *FS) Dirs() *vfs.Dirs {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.dirs
 }
 
 // Disk returns the underlying device, for experiment instrumentation.

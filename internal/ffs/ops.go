@@ -41,7 +41,7 @@ func (fs *FS) createNode(path string, isDir bool) error {
 	if err != nil {
 		return err
 	}
-	if _, exists, err := fs.dirLookup(&parent, base); err != nil {
+	if _, exists, err := fs.dirs.Lookup(&parent, base); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("%w: %q", vfs.ErrExist, path)
@@ -68,7 +68,7 @@ func (fs *FS) createNode(path string, isDir bool) error {
 		return err
 	}
 	// Synchronous write #2: the directory data block.
-	dirBlk, grew, err := fs.dirInsert(&parent, base, ino)
+	dirBlk, _, err := fs.dirs.Insert(&parent, base, ino)
 	if err != nil {
 		return err
 	}
@@ -78,7 +78,6 @@ func (fs *FS) createNode(path string, isDir bool) error {
 	// The parent's inode (mtime, possibly size) goes out with the
 	// delayed write-back.
 	parent.Mtime = now
-	_ = grew
 	if err := fs.writeInode(&parent, false, "creat: dir inode"); err != nil {
 		return err
 	}
@@ -243,7 +242,7 @@ func (fs *FS) readDir(path string) ([]layout.DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fs.dirEntries(&dir)
+	return fs.dirs.Entries(&dir)
 }
 
 // Remove unlinks a file or removes an empty directory, with FFS's
@@ -270,7 +269,7 @@ func (fs *FS) remove(path string) error {
 	if err != nil {
 		return err
 	}
-	ino, found, err := fs.dirLookup(&parent, base)
+	ino, found, err := fs.dirs.Lookup(&parent, base)
 	if err != nil {
 		return err
 	}
@@ -282,7 +281,7 @@ func (fs *FS) remove(path string) error {
 		return err
 	}
 	if in.Mode.IsDir() {
-		empty, err := fs.dirEmpty(&in)
+		empty, err := fs.dirs.Empty(&in)
 		if err != nil {
 			return err
 		}
@@ -291,12 +290,12 @@ func (fs *FS) remove(path string) error {
 		}
 	}
 	// Synchronous write #1: the directory block losing the entry.
-	dirBlk, err := fs.dirRemove(&parent, base)
+	dirBlk, err := fs.dirs.Remove(&parent, base)
 	if err != nil {
 		return err
 	}
 	if in.Mode.IsDir() {
-		fs.forgetDir(ino)
+		fs.dirs.Forget(ino)
 	}
 	if err := fs.writeBlockSync(dirBlk, "unlink: dir data"); err != nil {
 		return err
@@ -355,12 +354,12 @@ func (fs *FS) link(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	if _, exists, err := fs.dirLookup(&newParent, newBase); err != nil {
+	if _, exists, err := fs.dirs.Lookup(&newParent, newBase); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("%w: %q", vfs.ErrExist, newPath)
 	}
-	dirBlk, _, err := fs.dirInsert(&newParent, newBase, in.Ino)
+	dirBlk, _, err := fs.dirs.Insert(&newParent, newBase, in.Ino)
 	if err != nil {
 		return err
 	}
@@ -404,7 +403,7 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	ino, found, err := fs.dirLookup(&oldParent, oldBase)
+	ino, found, err := fs.dirs.Lookup(&oldParent, oldBase)
 	if err != nil {
 		return err
 	}
@@ -422,7 +421,7 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	if _, exists, err := fs.dirLookup(&newParent, newBase); err != nil {
+	if _, exists, err := fs.dirs.Lookup(&newParent, newBase); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("%w: %q", vfs.ErrExist, newPath)
@@ -430,7 +429,7 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	// Insert first, then remove, so a crash between the two leaves
 	// the file reachable (possibly twice) rather than lost. Both
 	// directory blocks are written synchronously, as BSD does.
-	insBlk, _, err := fs.dirInsert(&newParent, newBase, ino)
+	insBlk, _, err := fs.dirs.Insert(&newParent, newBase, ino)
 	if err != nil {
 		return err
 	}
@@ -443,7 +442,7 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	if newParent.Ino == oldParent.Ino {
 		oldParent = newParent
 	}
-	rmBlk, err := fs.dirRemove(&oldParent, oldBase)
+	rmBlk, err := fs.dirs.Remove(&oldParent, oldBase)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,9 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== vet =="
 go vet ./...
+echo "== size =="
+# Printed, not gated: ci.sh holds the figure to its ceiling.
+echo "$(scripts/size.sh) lines of non-test Go"
 echo "== lint =="
 go run ./cmd/lfslint -timings -budget 20s ./...
 echo "== lint test suite =="
