@@ -53,13 +53,15 @@ func (k Key) String() string {
 // Block is one cached block. Data has the cache's block size while the
 // block is cached; the cache owns the buffer and takes it back (leaving
 // Data nil) when the block is removed, so a clean *Block must
-// not be held across an Add, which may evict it.
+// not be held across an Add, which may evict it. The header itself is
+// never given to another block, so a holder that kept it anyway finds
+// Data nil for good.
 type Block struct {
 	Key  Key
 	Data []byte
 
-	// dirty and relocated share one word so the header stays in the
-	// allocator's 112-byte size class (TestBlockHeaderSizeClass).
+	// dirty and relocated share one word so the header stays at 112
+	// bytes, which slabLen is sized for (TestBlockHeaderSizeClass).
 	dirty, relocated bool
 	dirtiedAt        sim.Time
 	relocAge         sim.Time
@@ -160,22 +162,36 @@ var DebugEvict func(Key)
 // instrumentation only).
 var DebugPoison bool
 
+// slabLen is how many Block headers are allocated at once: 73 × 112 B =
+// 8 176 B, plus the allocator's 8-byte header on a large object with
+// pointers, is 8 184 B — the 8 192 B size class, 112.2 B per block
+// against the 112 B a header allocated alone costs. One more spills
+// into the 9 472 B class, and 128 (14 336 + 8) into the 16 384 B one at
+// 128 B per block.
+const slabLen = 73
+
 // Cache is a fixed-capacity block cache. Not safe for concurrent use;
 // the owning file system serialises access.
 type Cache struct {
 	blockSize int
 	capacity  int
 
-	blocks map[Key]*Block
+	blocks index
 	lru    chain
 	dirty  chain
 	nDirty int
-	// byIno holds the front block of each inode's chain, so unlink can
-	// drop a file's blocks without scanning the whole cache.
-	byIno map[layout.Ino]*Block
+	// byIno holds the front block of each inode's chain, indexed by inode
+	// number, so unlink can drop a file's blocks without scanning the
+	// whole cache.
+	byIno []*Block
 	// free holds the buffers of removed blocks for the next Add, at most
 	// capacity of them, so a cache at steady state allocates no data.
 	free [][]byte
+	// slab is what is left of the headers allocated last. Headers are
+	// carved off it and never returned: a free list of them would hand a
+	// stale holder of a removed block another block's bytes where today
+	// it finds a nil slice.
+	slab []Block
 
 	stats Stats
 }
@@ -188,10 +204,9 @@ func New(capacity, blockSize int) *Cache {
 	return &Cache{
 		blockSize: blockSize,
 		capacity:  capacity,
-		blocks:    make(map[Key]*Block),
+		blocks:    newIndex(capacity),
 		lru:       chain{id: chainLRU},
 		dirty:     chain{id: chainDirty},
-		byIno:     make(map[layout.Ino]*Block),
 	}
 }
 
@@ -202,7 +217,7 @@ func (c *Cache) BlockSize() int { return c.blockSize }
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of cached blocks.
-func (c *Cache) Len() int { return len(c.blocks) }
+func (c *Cache) Len() int { return c.blocks.n }
 
 // DirtyCount returns the number of dirty blocks.
 func (c *Cache) DirtyCount() int { return c.nDirty }
@@ -213,8 +228,8 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Get returns the cached block for k, or nil. A hit refreshes the
 // block's LRU position.
 func (c *Cache) Get(k Key) *Block {
-	b, ok := c.blocks[k]
-	if !ok {
+	b := c.blocks.get(k)
+	if b == nil {
 		c.stats.Misses++
 		return nil
 	}
@@ -229,14 +244,16 @@ func (c *Cache) Get(k Key) *Block {
 // Peek returns the cached block for k without touching LRU order or
 // statistics; used by write-back scans.
 func (c *Cache) Peek(k Key) *Block {
-	return c.blocks[k]
+	return c.blocks.get(k)
 }
 
 // Add inserts a zeroed block for k, evicting clean LRU blocks
 // as needed. Adding an existing key panics — the caller must Get first.
 func (c *Cache) Add(k Key) *Block {
-	b := c.add(k)
-	clear(b.Data)
+	b, zeroed := c.add(k)
+	if !zeroed {
+		clear(b.Data)
+	}
 	return b
 }
 
@@ -247,33 +264,38 @@ func (c *Cache) AddFrom(k Key, src []byte) *Block {
 	if len(src) != c.blockSize {
 		panic(fmt.Sprintf("cache: AddFrom of %d bytes, block size %d", len(src), c.blockSize))
 	}
-	b := c.add(k)
+	b, _ := c.add(k)
 	copy(b.Data, src)
 	return b
 }
 
 // add inserts a block for k on a buffer from the free list, contents
-// stale, or a new one when the list is empty.
-func (c *Cache) add(k Key) *Block {
-	if _, exists := c.blocks[k]; exists {
+// stale, or on a new one when the list is empty, and reports whether
+// the buffer is known to be zero: only one made in this call is.
+func (c *Cache) add(k Key) (b *Block, zeroed bool) {
+	if c.blocks.get(k) != nil {
 		panic(fmt.Sprintf("cache: Add of existing key %v", k))
 	}
 	c.evictFor(1)
-	b := &Block{Key: k}
+	if len(c.slab) == 0 {
+		c.slab = make([]Block, slabLen)
+	}
+	b, c.slab = &c.slab[0], c.slab[1:]
+	b.Key = k
 	if n := len(c.free) - 1; n >= 0 {
 		b.Data, c.free = c.free[n], c.free[:n]
 	} else {
-		b.Data = make([]byte, c.blockSize)
+		b.Data, zeroed = make([]byte, c.blockSize), true
 	}
 	c.insert(b)
 	c.stats.Inserted++
-	return b
+	return b, zeroed
 }
 
-// insert links b into the map, the LRU chain (as most recent) and its
+// insert links b into the index, the LRU chain (as most recent) and its
 // inode's chain.
 func (c *Cache) insert(b *Block) {
-	c.blocks[b.Key] = b
+	c.blocks.put(b)
 	c.lru.pushFront(b)
 	c.linkIno(b)
 }
@@ -281,7 +303,7 @@ func (c *Cache) insert(b *Block) {
 // evictFor evicts clean LRU blocks until there is room for n
 // more blocks or no evictable block remains.
 func (c *Cache) evictFor(n int) {
-	for len(c.blocks)+n > c.capacity {
+	for c.blocks.n+n > c.capacity {
 		victim := c.evictable()
 		if victim == nil {
 			return // over capacity: the FS must write back
@@ -322,7 +344,7 @@ func (c *Cache) Overfull() bool {
 	if c.nDirty >= c.capacity {
 		return true
 	}
-	return len(c.blocks) > c.capacity && c.evictable() == nil
+	return c.blocks.n > c.capacity && c.evictable() == nil
 }
 
 // AboveDirtyWatermark reports whether dirty blocks exceed the given
@@ -371,14 +393,14 @@ func (c *Cache) MarkClean(b *Block) {
 // Remove drops the block for k from the cache, dirty or not. Dropping
 // a dirty block discards its modifications (used by truncate/unlink).
 func (c *Cache) Remove(k Key) {
-	if b, ok := c.blocks[k]; ok {
+	if b := c.blocks.get(k); b != nil {
 		c.remove(b)
 	}
 }
 
 // remove unlinks b from all structures and takes its buffer back.
 func (c *Cache) remove(b *Block) {
-	delete(c.blocks, b.Key)
+	c.blocks.del(b)
 	c.lru.remove(b)
 	c.MarkClean(b)
 	c.unlinkIno(b)
@@ -400,27 +422,29 @@ func (c *Cache) recycle(b *Block) {
 	b.Data = nil
 }
 
-// linkIno puts b at the front of its inode's chain.
+// linkIno puts b at the front of its inode's chain, growing byIno (by
+// doubling) to reach an inode number it has not seen.
 func (c *Cache) linkIno(b *Block) {
-	front := c.byIno[b.Key.Ino]
+	ino := int(b.Key.Ino)
+	if ino >= len(c.byIno) {
+		n := max(2*len(c.byIno), ino+1, 64)
+		c.byIno = append(make([]*Block, 0, n), c.byIno...)[:n]
+	}
+	front := c.byIno[ino]
 	b.links[chainIno] = link{next: front}
 	if front != nil {
 		front.links[chainIno].prev = b
 	}
-	c.byIno[b.Key.Ino] = b
+	c.byIno[ino] = b
 }
 
-// unlinkIno takes b off its inode's chain, dropping the chain's map
-// entry with its last block.
+// unlinkIno takes b off its inode's chain.
 func (c *Cache) unlinkIno(b *Block) {
 	k := b.links[chainIno]
-	switch {
-	case k.prev != nil:
+	if k.prev != nil {
 		k.prev.links[chainIno].next = k.next
-	case k.next != nil:
+	} else {
 		c.byIno[b.Key.Ino] = k.next
-	default:
-		delete(c.byIno, b.Key.Ino)
 	}
 	if k.next != nil {
 		k.next.links[chainIno].prev = k.prev
@@ -433,6 +457,9 @@ func (c *Cache) unlinkIno(b *Block) {
 // the number removed. The cost is the inode's own block count, not the
 // cache's.
 func (c *Cache) RemoveIno(ino layout.Ino) int {
+	if int(ino) >= len(c.byIno) {
+		return 0
+	}
 	n := 0
 	for b := c.byIno[ino]; b != nil; n++ {
 		next := b.links[chainIno].next
@@ -445,34 +472,30 @@ func (c *Cache) RemoveIno(ino layout.Ino) int {
 // RemoveMatching drops every block whose key satisfies pred,
 // discarding dirty contents; it returns the number removed.
 func (c *Cache) RemoveMatching(pred func(Key) bool) int {
-	var victims []*Block
-	//lfslint:allow maporder removal order does not matter: every victim is removed and the final cache state is identical for any order
-	for k, b := range c.blocks {
-		if pred(k) {
-			victims = append(victims, b)
+	return c.removeWhere(func(b *Block) bool { return pred(b.Key) })
+}
+
+// removeWhere walks the LRU chain, most recent first, and removes every
+// block that satisfies pred; it returns the number removed.
+func (c *Cache) removeWhere(pred func(*Block) bool) int {
+	n := 0
+	for b := c.lru.front; b != nil; {
+		next := b.links[chainLRU].next
+		if pred(b) {
+			c.remove(b)
+			n++
 		}
+		b = next
 	}
-	for _, b := range victims {
-		c.remove(b)
-	}
-	return len(victims)
+	return n
 }
 
 // DropClean evicts every clean block, simulating the
 // paper's "flush the file cache" step between benchmark phases.
 func (c *Cache) DropClean() int {
-	var victims []*Block
-	//lfslint:allow maporder eviction order does not matter: every clean block is dropped and the final cache state is identical for any order
-	for _, b := range c.blocks {
-		if !b.dirty {
-			victims = append(victims, b)
-		}
-	}
-	for _, b := range victims {
-		c.remove(b)
-		c.stats.Evictions++
-	}
-	return len(victims)
+	n := c.removeWhere(func(b *Block) bool { return !b.dirty })
+	c.stats.Evictions += int64(n)
+	return n
 }
 
 // DirtyBlocks returns the dirty blocks in dirtied order (oldest
@@ -502,12 +525,5 @@ func (c *Cache) OldestDirty() (sim.Time, bool) {
 // Clear drops everything, including dirty blocks — the crash
 // primitive: a machine crash loses exactly the cache contents.
 func (c *Cache) Clear() {
-	for b := c.lru.front; b != nil; b = b.links[chainLRU].next {
-		c.recycle(b)
-	}
-	c.blocks = make(map[Key]*Block)
-	c.lru.front, c.lru.back = nil, nil
-	c.dirty.front, c.dirty.back = nil, nil
-	c.nDirty = 0
-	c.byIno = make(map[layout.Ino]*Block)
+	c.removeWhere(func(*Block) bool { return true })
 }

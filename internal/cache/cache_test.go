@@ -174,14 +174,17 @@ func TestMarkRelocated(t *testing.T) {
 	checkChains(t, c)
 }
 
-// TestBlockHeaderSizeClass pins the Block header inside the allocator's
-// 112-byte size class. One header is allocated per inserted block, and
-// the next class up is 128 bytes: padding the relocation tag into its
+// TestBlockHeaderSizeClass pins the Block header at 112 bytes and a slab
+// of them, with the allocator's 8-byte header on a pointerful object,
+// inside the 8 192-byte size class. Padding the relocation tag into its
 // own word measured +8 % host bytes per operation on lfsperf's cleaning
-// workload.
+// workload, and so would a slab that spills into the next class.
 func TestBlockHeaderSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Block{}); size > 112 {
 		t.Fatalf("cache.Block is %d bytes, want <= 112", size)
+	}
+	if size := slabLen*unsafe.Sizeof(Block{}) + 8; size > 8192 {
+		t.Fatalf("a slab of %d headers is %d bytes, want <= 8192", slabLen, size)
 	}
 }
 
@@ -277,13 +280,27 @@ func reinsert(c *Cache, b *Block) {
 	c.insert(b)
 }
 
-// checkChains verifies the three intrusive chains against the block
-// map: the LRU chain holds every block once, the dirty chain exactly
-// the dirty ones, each inode chain exactly that inode's blocks, and
-// every prev pointer mirrors the next pointer before it. It also
-// verifies buffer ownership: every cached block has a whole buffer, the
-// free list holds at most capacity whole buffers, and no buffer is
-// owned twice.
+// cached returns every block in the index, in slot order.
+func cached(c *Cache) []*Block {
+	var all []*Block
+	for _, b := range c.blocks.slots {
+		if b != nil {
+			all = append(all, b)
+		}
+	}
+	return all
+}
+
+// checkChains verifies the index and the three intrusive chains against
+// each other, both ways: the index holds exactly Len() blocks in a table
+// at most half full, each found again under its own key; the LRU chain
+// holds every cached block once — so after a removal every remaining
+// key is still found, which a probe run broken by the removal would
+// fail — the dirty chain exactly the dirty ones, each inode chain
+// exactly that inode's blocks, and every prev pointer mirrors the next
+// pointer before it. It also verifies buffer ownership: every cached
+// block has a whole buffer, the free list holds at most capacity whole
+// buffers, and no buffer is owned twice.
 func checkChains(t *testing.T, c *Cache) {
 	t.Helper()
 	if len(c.free) > c.capacity {
@@ -302,9 +319,19 @@ func checkChains(t *testing.T, c *Cache) {
 	for i, buf := range c.free {
 		own(buf, fmt.Sprintf("free[%d]", i))
 	}
-	//lfslint:allow maporder ownership holds or fails identically in any order
-	for k, b := range c.blocks {
-		own(b.Data, k.String())
+	all := cached(c)
+	if len(all) != c.Len() || 2*len(all) > len(c.blocks.slots) {
+		t.Fatalf("index holds %d blocks in %d slots, Len() %d", len(all), len(c.blocks.slots), c.Len())
+	}
+	dirty := 0
+	for _, b := range all {
+		own(b.Data, b.Key.String())
+		if c.blocks.get(b.Key) != b {
+			t.Fatalf("index: %v is not found under its key", b.Key)
+		}
+		if b.dirty {
+			dirty++
+		}
 	}
 	walk := func(name string, id chainID, front, back *Block, visit func(*Block)) int {
 		n := 0
@@ -313,11 +340,11 @@ func checkChains(t *testing.T, c *Cache) {
 			if b.links[id].prev != prev {
 				t.Fatalf("%s chain: %v has the wrong prev link", name, b.Key)
 			}
-			if c.blocks[b.Key] != b {
+			if c.blocks.get(b.Key) != b {
 				t.Fatalf("%s chain: %v is not the cached block for its key", name, b.Key)
 			}
 			visit(b)
-			if n++; n > len(c.blocks) {
+			if n++; n > c.Len() {
 				t.Fatalf("%s chain is longer than the cache", name)
 			}
 		}
@@ -326,40 +353,34 @@ func checkChains(t *testing.T, c *Cache) {
 		}
 		return n
 	}
-	if n := walk("lru", chainLRU, c.lru.front, c.lru.back, func(*Block) {}); n != len(c.blocks) {
-		t.Fatalf("lru chain has %d blocks, cache %d", n, len(c.blocks))
+	if n := walk("lru", chainLRU, c.lru.front, c.lru.back, func(*Block) {}); n != c.Len() {
+		t.Fatalf("lru chain has %d blocks, cache %d", n, c.Len())
 	}
 	n := walk("dirty", chainDirty, c.dirty.front, c.dirty.back, func(b *Block) {
 		if !b.dirty {
 			t.Fatalf("dirty chain holds clean block %v", b.Key)
 		}
 	})
-	dirty := 0
-	for _, b := range c.blocks {
-		if b.dirty {
-			dirty++
-		}
-	}
 	if n != dirty || c.nDirty != dirty {
 		t.Fatalf("dirty chain has %d blocks, nDirty %d, cache has %d dirty", n, c.nDirty, dirty)
 	}
 	total := 0
 	for ino, front := range c.byIno {
 		if front == nil {
-			t.Fatalf("inode %d has an empty chain entry", ino)
+			continue
 		}
 		back := front
 		for back.links[chainIno].next != nil {
 			back = back.links[chainIno].next
 		}
 		total += walk("inode", chainIno, front, back, func(b *Block) {
-			if b.Key.Ino != ino {
+			if b.Key.Ino != layout.Ino(ino) {
 				t.Fatalf("inode %d chain holds %v", ino, b.Key)
 			}
 		})
 	}
-	if total != len(c.blocks) {
-		t.Fatalf("inode chains hold %d blocks, cache %d", total, len(c.blocks))
+	if total != c.Len() {
+		t.Fatalf("inode chains hold %d blocks, cache %d", total, c.Len())
 	}
 }
 
@@ -511,8 +532,7 @@ func TestCacheMatchesSliceModel(t *testing.T) {
 				t.Fatalf("round %d step %d: free list has %d buffers, want %d", round, step, len(c.free), wantFree)
 			}
 			// No block's bytes changed under it through a shared buffer.
-			//lfslint:allow maporder the every-block check holds or fails identically in any order
-			for _, b := range c.blocks {
+			for _, b := range cached(c) {
 				if !allBytes(b.Data, fillByte(b.Key)) {
 					t.Fatalf("round %d step %d: %v holds % x, want all %#x", round, step, b.Key, b.Data, fillByte(b.Key))
 				}
@@ -552,8 +572,9 @@ func allBytes(p []byte, want byte) bool {
 
 // TestAddRecyclesEvictedBuffer pins the steady state: once the cache is
 // full, Add reuses the buffer of the block it evicts, zeroed (AddFrom:
-// overwritten), allocates only the Block header, and leaves the evicted
-// block without data.
+// overwritten), takes its header from a slab — one allocation per
+// slabLen insertions and none between — and leaves the evicted block
+// without data for good: its header is never another block's.
 func TestAddRecyclesEvictedBuffer(t *testing.T) {
 	for _, poison := range []bool{false, true} {
 		DebugPoison = poison
@@ -580,15 +601,174 @@ func TestAddRecyclesEvictedBuffer(t *testing.T) {
 			t.Fatal("poisoned free buffer is not all 0xDB")
 		}
 		i := int64(10)
-		if n := testing.AllocsPerRun(100, func() { c.Add(key(3, i)); i++ }); n > 1 {
-			t.Fatalf("poison %v: Add after evict: %v allocs, want <= 1", poison, n)
+		if n := testing.AllocsPerRun(100, func() { c.Add(key(3, i)); i++ }); n != 0 {
+			t.Fatalf("poison %v: Add after evict: %v allocs, want 0", poison, n)
 		}
-		if n := testing.AllocsPerRun(100, func() { c.AddFrom(key(3, i), src); i++ }); n > 1 {
-			t.Fatalf("poison %v: AddFrom after evict: %v allocs, want <= 1", poison, n)
+		if n := testing.AllocsPerRun(100, func() { c.AddFrom(key(3, i), src); i++ }); n != 0 {
+			t.Fatalf("poison %v: AddFrom after evict: %v allocs, want 0", poison, n)
+		}
+		const adds = 10000
+		n := testing.AllocsPerRun(1, func() {
+			for end := i + adds; i < end; i++ {
+				fill(c.Add(key(3, i)))
+			}
+		})
+		// adds/slabLen+1 slabs at most; the rest is room for an object
+		// the runtime allocates on its own account meanwhile.
+		if limit := float64(adds/slabLen + 4); n > limit {
+			t.Fatalf("poison %v: %d Adds on a full cache: %v allocs, want <= %v", poison, adds, n, limit)
+		}
+		if victim.Data != nil || victim.Key != key(1, 0) {
+			t.Fatalf("poison %v: the evicted block's header was given to %v", poison, victim.Key)
+		}
+		for _, b := range cached(c) {
+			if b == victim {
+				t.Fatalf("poison %v: the evicted block's header is cached again", poison)
+			}
 		}
 		checkChains(t, c)
 	}
 	DebugPoison = false
+}
+
+// TestAddZeroesOnlyWhatNeedsIt: a first-fill buffer comes zeroed from
+// make and is not cleared again; a recycled one is, poisoned or not.
+func TestAddZeroesOnlyWhatNeedsIt(t *testing.T) {
+	defer func() { DebugPoison = false }()
+	for _, poison := range []bool{false, true} {
+		DebugPoison = poison
+		c := New(2, 64)
+		if _, zeroed := c.add(key(1, 0)); !zeroed {
+			t.Fatal("a buffer made for this Add was not reported zeroed")
+		}
+		fill(c.Peek(key(1, 0)))
+		c.Remove(key(1, 0))
+		if _, zeroed := c.add(key(1, 1)); zeroed {
+			t.Fatal("a recycled buffer was reported zeroed")
+		}
+		if b := c.Add(key(1, 2)); !allBytes(b.Data, 0) {
+			t.Fatal("first-fill Add returned non-zero data")
+		}
+		fill(c.Peek(key(1, 2)))
+		c.Remove(key(1, 2))
+		if b := c.Add(key(1, 3)); !allBytes(b.Data, 0) {
+			t.Fatalf("poison %v: recycled Add returned % x", poison, b.Data)
+		}
+	}
+}
+
+// homedAt returns n distinct keys whose probe runs start at slot home of
+// c's index, found by brute force.
+func homedAt(c *Cache, home, n int) []Key {
+	var keys []Key
+	for off := int64(0); len(keys) < n; off++ {
+		if k := key(int(off%7)+1, off); c.blocks.home(k) == home {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// permutations calls visit with every ordering of 0..n-1.
+func permutations(n int, visit func([]int)) {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	var rec func(int)
+	rec = func(i int) {
+		if i == n {
+			visit(perm)
+			return
+		}
+		for j := i; j < n; j++ {
+			perm[i], perm[j] = perm[j], perm[i]
+			rec(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+	}
+	rec(0)
+}
+
+// TestIndexCollidingKeys is backward-shift deletion where it can go
+// wrong: three keys homed at one slot and two at the next share one
+// probe run, added in every order and removed in every order, with the
+// run in the middle of the table, ending at its last slot, and wrapped
+// around it. checkChains finds every remaining key after every step.
+func TestIndexCollidingKeys(t *testing.T) {
+	c := New(5, 16)
+	slots := len(c.blocks.slots)
+	for _, home := range []int{3, slots - 4, slots - 2, slots - 1} {
+		keys := append(homedAt(c, home, 3), homedAt(c, (home+1)%slots, 2)...)
+		permutations(len(keys), func(in []int) {
+			in = append([]int(nil), in...)
+			permutations(len(keys), func(out []int) {
+				for _, i := range in {
+					c.Add(keys[i])
+				}
+				checkChains(t, c)
+				for n, i := range out {
+					c.Remove(keys[i])
+					if c.Peek(keys[i]) != nil || c.Len() != len(keys)-n-1 {
+						t.Fatalf("home %d, added %v, removed %v: %v still found", home, in, out[:n+1], keys[i])
+					}
+					checkChains(t, c)
+				}
+			})
+		})
+		if len(c.blocks.slots) != slots {
+			t.Fatalf("a table for %d blocks grew from %d to %d slots under %d", c.Capacity(), slots, len(c.blocks.slots), len(keys))
+		}
+	}
+}
+
+// TestIndexGrowsWithDirtyOverflow: dirty blocks are never evicted, so an
+// all-dirty cache outgrows its capacity and the index its table. Every
+// key is found while it grows to three times capacity, and while the
+// blocks are cleaned and evicted back down to it.
+func TestIndexGrowsWithDirtyOverflow(t *testing.T) {
+	const capacity = 50
+	c := New(capacity, 16)
+	slots := len(c.blocks.slots)
+	var keys []Key
+	found := func(when string) {
+		t.Helper()
+		for _, k := range keys {
+			if b := c.Peek(k); b == nil || b.Key != k || !allBytes(b.Data, fillByte(k)) {
+				t.Fatalf("%s, %d blocks: %v not found intact", when, c.Len(), k)
+			}
+		}
+		checkChains(t, c)
+	}
+	for i := 0; i < 3*capacity; i++ {
+		k := Key{Kind: Kind(i % 3), Ino: layout.Ino(i % 11), Off: int64(i)}
+		b := c.Add(k)
+		fill(b)
+		c.MarkDirty(b, sim.Time(i))
+		keys = append(keys, k)
+		found("growing")
+	}
+	if len(c.blocks.slots) < 2*len(keys) || len(c.blocks.slots) == slots {
+		t.Fatalf("%d blocks in %d slots (started at %d): the table did not double", len(keys), len(c.blocks.slots), slots)
+	}
+	// Clean one block at a time: the next Add evicts exactly that one.
+	var evicted []Key
+	DebugEvict = func(k Key) { evicted = append(evicted, k) }
+	defer func() { DebugEvict = nil }()
+	extra := key(20, 0)
+	for len(keys) > capacity {
+		c.MarkClean(c.Peek(keys[0]))
+		c.Add(extra)
+		c.Remove(extra)
+		if len(evicted) != 1 || evicted[0] != keys[0] || c.Peek(keys[0]) != nil {
+			t.Fatalf("cleaned %v with %d blocks cached, evicted %v", keys[0], c.Len(), evicted)
+		}
+		keys, evicted = keys[1:], evicted[:0]
+		found("shrinking")
+	}
+	if c.Len() != capacity {
+		t.Fatalf("cache holds %d blocks after the overflow drained, capacity %d", c.Len(), capacity)
+	}
 }
 
 // TestAddFromRejectsPartialBlock: a short source would leave recycled

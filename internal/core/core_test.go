@@ -1178,3 +1178,7 @@ func TestCleanOncePublic(t *testing.T) {
 		t.Fatalf("CleanOnce reclaimed nothing: %+v", res)
 	}
 }
+
+func TestSteadyStateAllocs(t *testing.T) {
+	fstest.RunSteadyStateAllocs(t, newFS(t, 64<<20))
+}

@@ -119,13 +119,15 @@ type FS struct {
 	// span is the transfer buffer of read-ahead and of inode-block
 	// fetches, segBuf the cleaner's whole-segment read buffer (allocated
 	// by the first clean); wr is the segment writer's working memory and
-	// cl the cleaner's. All are reused so the steady state allocates none
-	// of them, and each is consumed before the operation that filled it
-	// returns. Guarded by mu.
+	// cl the cleaner's; parts is what the operation's path (Rename: both
+	// paths) is split into, vfs.PathDepth components of it in place. All
+	// are reused so the steady state allocates none of them, and each is
+	// consumed before the operation that filled it returns. Guarded by mu.
 	span   []byte
 	segBuf []byte
 	wr     writerScratch
 	cl     cleanerScratch
+	parts  []string
 
 	// writeSerial numbers log units; ckptSerial numbers
 	// checkpoints. Guarded by mu.
@@ -172,6 +174,7 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 		inodes:      inodeTable{max: layout.Ino(cfg.MaxInodes)},
 		lastRead:    make(map[layout.Ino]int64),
 		span:        make([]byte, readAheadBlocks*cfg.BlockSize),
+		parts:       make([]string, 0, vfs.PathDepth),
 		writeSerial: 1,
 	}
 	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, fs.getDataBlock)

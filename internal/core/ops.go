@@ -27,7 +27,7 @@ func (fs *FS) createNode(path string, isDir bool) error {
 		return err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall + fs.cfg.Costs.Create)
-	dirParts, base, err := vfs.SplitDirBase(path)
+	dirParts, base, err := vfs.AppendDirBase(fs.parts[:0], path)
 	if err != nil {
 		return err
 	}
@@ -90,7 +90,7 @@ func (fs *FS) Mkdir(path string) error {
 
 // lookupFile resolves path to a regular file's in-core inode.
 func (fs *FS) lookupFile(path string) (*layout.Inode, error) {
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func (fs *FS) stat(path string) (vfs.FileInfo, error) {
 		return vfs.FileInfo{}, err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
@@ -232,7 +232,7 @@ func (fs *FS) readDir(path string) ([]layout.DirEntry, error) {
 		return nil, err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +259,7 @@ func (fs *FS) remove(path string) error {
 		return err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall + fs.cfg.Costs.Unlink)
-	dirParts, base, err := vfs.SplitDirBase(path)
+	dirParts, base, err := vfs.AppendDirBase(fs.parts[:0], path)
 	if err != nil {
 		return err
 	}
@@ -332,7 +332,7 @@ func (fs *FS) link(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	newDirParts, newBase, err := vfs.SplitDirBase(newPath)
+	newDirParts, newBase, err := vfs.AppendDirBase(fs.parts[:0], newPath)
 	if err != nil {
 		return err
 	}
@@ -369,11 +369,13 @@ func (fs *FS) rename(oldPath, newPath string) error {
 		return err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	oldDirParts, oldBase, err := vfs.SplitDirBase(oldPath)
+	oldDirParts, oldBase, err := vfs.AppendDirBase(fs.parts[:0], oldPath)
 	if err != nil {
 		return err
 	}
-	newDirParts, newBase, err := vfs.SplitDirBase(newPath)
+	// Both splits are in use until both parents are resolved: the new
+	// path's parts go behind the old one's.
+	newDirParts, newBase, err := vfs.AppendDirBase(oldDirParts[len(oldDirParts):], newPath)
 	if err != nil {
 		return err
 	}
@@ -478,7 +480,7 @@ func (fs *FS) fsyncFile(path string) error {
 		return err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return err
 	}

@@ -22,43 +22,44 @@ func (fs *FS) dirBlock(dir *layout.Inode, lbn int64, grow bool) (*cache.Block, e
 }
 
 // resolve walks the path components from the root, charging lookup
-// cost per component, and returns the final inode.
-func (fs *FS) resolve(parts []string) (layout.Inode, error) {
-	in, err := fs.readInode(layout.RootIno)
-	if err != nil {
-		return layout.Inode{}, err
+// cost per component, and returns the final inode — in fs.walked[slot],
+// where it stays until the slot's next walk.
+func (fs *FS) resolve(slot int, parts []string) (*layout.Inode, error) {
+	in := &fs.walked[slot]
+	var err error
+	if *in, err = fs.readInode(layout.RootIno); err != nil {
+		return nil, err
 	}
 	for i, name := range parts {
 		fs.cpu.Charge(fs.cfg.Costs.PathComponent)
 		if !in.Mode.IsDir() {
-			return layout.Inode{}, fmt.Errorf("%w: %q", vfs.ErrNotDir, parts[:i])
+			return nil, fmt.Errorf("%w: %q", vfs.ErrNotDir, parts[:i])
 		}
-		ino, found, err := fs.dirs.Lookup(&in, name)
+		ino, found, err := fs.dirs.Lookup(in, name)
 		if err != nil {
-			return layout.Inode{}, err
+			return nil, err
 		}
 		if !found {
-			return layout.Inode{}, fmt.Errorf("%w: %q", vfs.ErrNotExist, parts[:i+1])
+			return nil, fmt.Errorf("%w: %q", vfs.ErrNotExist, parts[:i+1])
 		}
-		in, err = fs.readInode(ino)
-		if err != nil {
-			return layout.Inode{}, err
+		if *in, err = fs.readInode(ino); err != nil {
+			return nil, err
 		}
 		if !in.Allocated() {
-			return layout.Inode{}, fmt.Errorf("ffs: directory entry %q points at free inode %d", name, ino)
+			return nil, fmt.Errorf("ffs: directory entry %q points at free inode %d", name, ino)
 		}
 	}
 	return in, nil
 }
 
 // resolveDir resolves parts and requires a directory.
-func (fs *FS) resolveDir(parts []string) (layout.Inode, error) {
-	in, err := fs.resolve(parts)
+func (fs *FS) resolveDir(slot int, parts []string) (*layout.Inode, error) {
+	in, err := fs.resolve(slot, parts)
 	if err != nil {
-		return layout.Inode{}, err
+		return nil, err
 	}
 	if !in.Mode.IsDir() {
-		return layout.Inode{}, fmt.Errorf("%w: %q", vfs.ErrNotDir, parts)
+		return nil, fmt.Errorf("%w: %q", vfs.ErrNotDir, parts)
 	}
 	return in, nil
 }

@@ -661,3 +661,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("default config rejected: %v", err)
 	}
 }
+
+func TestSteadyStateAllocs(t *testing.T) {
+	fstest.RunSteadyStateAllocs(t, newFS(t, 64<<20))
+}

@@ -50,6 +50,15 @@ type FS struct {
 	// span is the read-ahead transfer buffer, reused by every miss.
 	// Guarded by mu.
 	span []byte
+	// parts is what an operation's path (Rename: both paths) is split
+	// into, and walked where its path walks leave their inodes — two are
+	// in use at once at most: a parent directory and a file, or two
+	// parents. FFS works on inode records by value, and one handed to
+	// the directory layer, which reaches the file system through a
+	// function value, would otherwise be heap-allocated per call.
+	// Guarded by mu.
+	parts  []string
+	walked [2]layout.Inode
 
 	// unmounted is the lifecycle flag; guarded by mu.
 	unmounted bool
@@ -103,6 +112,7 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 		atimes:   make(map[layout.Ino]sim.Time),
 		lastRead: make(map[layout.Ino]int64),
 		span:     make([]byte, readAheadBlocks*cfg.BlockSize),
+		parts:    make([]string, 0, vfs.PathDepth),
 	}
 	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, fs.dirBlock)
 	// Route blocking-request waits into the op seam. Pure arithmetic

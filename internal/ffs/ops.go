@@ -33,15 +33,15 @@ func (fs *FS) createNode(path string, isDir bool) error {
 		return err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall + fs.cfg.Costs.Create)
-	dirParts, base, err := vfs.SplitDirBase(path)
+	dirParts, base, err := vfs.AppendDirBase(fs.parts[:0], path)
 	if err != nil {
 		return err
 	}
-	parent, err := fs.resolveDir(dirParts)
+	parent, err := fs.resolveDir(0, dirParts)
 	if err != nil {
 		return err
 	}
-	if _, exists, err := fs.dirs.Lookup(&parent, base); err != nil {
+	if _, exists, err := fs.dirs.Lookup(parent, base); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("%w: %q", vfs.ErrExist, path)
@@ -68,7 +68,7 @@ func (fs *FS) createNode(path string, isDir bool) error {
 		return err
 	}
 	// Synchronous write #2: the directory data block.
-	dirBlk, _, err := fs.dirs.Insert(&parent, base, ino)
+	dirBlk, _, err := fs.dirs.Insert(parent, base, ino)
 	if err != nil {
 		return err
 	}
@@ -78,7 +78,7 @@ func (fs *FS) createNode(path string, isDir bool) error {
 	// The parent's inode (mtime, possibly size) goes out with the
 	// delayed write-back.
 	parent.Mtime = now
-	if err := fs.writeInode(&parent, false, "creat: dir inode"); err != nil {
+	if err := fs.writeInode(parent, false, "creat: dir inode"); err != nil {
 		return err
 	}
 	fs.atimes[ino] = fs.clock.Now()
@@ -102,17 +102,17 @@ func (fs *FS) Mkdir(path string) error {
 }
 
 // lookupFile resolves path and requires a regular file.
-func (fs *FS) lookupFile(path string) (layout.Inode, error) {
-	parts, err := vfs.SplitPath(path)
+func (fs *FS) lookupFile(path string) (*layout.Inode, error) {
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
-		return layout.Inode{}, err
+		return nil, err
 	}
-	in, err := fs.resolve(parts)
+	in, err := fs.resolve(0, parts)
 	if err != nil {
-		return layout.Inode{}, err
+		return nil, err
 	}
 	if in.Mode.IsDir() {
-		return layout.Inode{}, fmt.Errorf("%w: %q", vfs.ErrIsDir, path)
+		return nil, fmt.Errorf("%w: %q", vfs.ErrIsDir, path)
 	}
 	return in, nil
 }
@@ -143,11 +143,11 @@ func (fs *FS) write(path string, off int64, data []byte) error {
 	if end := off + int64(len(data)); end > fs.maxFileSize() {
 		return fmt.Errorf("%w: %q to %d bytes", vfs.ErrTooLarge, path, end)
 	}
-	if _, err := fs.writeFile(&in, off, data); err != nil {
+	if _, err := fs.writeFile(in, off, data); err != nil {
 		return err
 	}
 	in.Mtime = int64(fs.clock.Now())
-	if err := fs.writeInode(&in, false, "write: inode"); err != nil {
+	if err := fs.writeInode(in, false, "write: inode"); err != nil {
 		return err
 	}
 	return fs.maybeWriteback()
@@ -175,7 +175,7 @@ func (fs *FS) read(path string, off int64, buf []byte) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: negative offset %d", vfs.ErrInvalid, off)
 	}
-	n, err := fs.readFile(&in, off, buf)
+	n, err := fs.readFile(in, off, buf)
 	if err != nil {
 		return n, err
 	}
@@ -198,11 +198,11 @@ func (fs *FS) stat(path string) (vfs.FileInfo, error) {
 		return vfs.FileInfo{}, err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
-	in, err := fs.resolve(parts)
+	in, err := fs.resolve(0, parts)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
@@ -234,15 +234,15 @@ func (fs *FS) readDir(path string) ([]layout.DirEntry, error) {
 		return nil, err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return nil, err
 	}
-	dir, err := fs.resolveDir(parts)
+	dir, err := fs.resolveDir(0, parts)
 	if err != nil {
 		return nil, err
 	}
-	return fs.dirs.Entries(&dir)
+	return fs.dirs.Entries(dir)
 }
 
 // Remove unlinks a file or removes an empty directory, with FFS's
@@ -261,27 +261,27 @@ func (fs *FS) remove(path string) error {
 		return err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall + fs.cfg.Costs.Unlink)
-	dirParts, base, err := vfs.SplitDirBase(path)
+	dirParts, base, err := vfs.AppendDirBase(fs.parts[:0], path)
 	if err != nil {
 		return err
 	}
-	parent, err := fs.resolveDir(dirParts)
+	parent, err := fs.resolveDir(0, dirParts)
 	if err != nil {
 		return err
 	}
-	ino, found, err := fs.dirs.Lookup(&parent, base)
+	ino, found, err := fs.dirs.Lookup(parent, base)
 	if err != nil {
 		return err
 	}
 	if !found {
 		return fmt.Errorf("%w: %q", vfs.ErrNotExist, path)
 	}
-	in, err := fs.readInode(ino)
-	if err != nil {
+	in := &fs.walked[1]
+	if *in, err = fs.readInode(ino); err != nil {
 		return err
 	}
 	if in.Mode.IsDir() {
-		empty, err := fs.dirs.Empty(&in)
+		empty, err := fs.dirs.Empty(in)
 		if err != nil {
 			return err
 		}
@@ -290,7 +290,7 @@ func (fs *FS) remove(path string) error {
 		}
 	}
 	// Synchronous write #1: the directory block losing the entry.
-	dirBlk, err := fs.dirs.Remove(&parent, base)
+	dirBlk, err := fs.dirs.Remove(parent, base)
 	if err != nil {
 		return err
 	}
@@ -305,11 +305,11 @@ func (fs *FS) remove(path string) error {
 	// #2 either way: the updated or cleared inode.
 	if !in.Mode.IsDir() && in.Nlink > 1 {
 		in.Nlink--
-		if err := fs.writeInode(&in, true, "unlink: inode"); err != nil {
+		if err := fs.writeInode(in, true, "unlink: inode"); err != nil {
 			return err
 		}
 	} else {
-		if err := fs.freeAllBlocks(&in); err != nil {
+		if err := fs.freeAllBlocks(in); err != nil {
 			return err
 		}
 		if err := fs.clearInode(ino, true, "unlink: inode"); err != nil {
@@ -320,7 +320,7 @@ func (fs *FS) remove(path string) error {
 		}
 	}
 	parent.Mtime = int64(fs.clock.Now())
-	if err := fs.writeInode(&parent, false, "unlink: dir inode"); err != nil {
+	if err := fs.writeInode(parent, false, "unlink: dir inode"); err != nil {
 		return err
 	}
 	return fs.maybeWriteback()
@@ -346,20 +346,20 @@ func (fs *FS) link(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	newDirParts, newBase, err := vfs.SplitDirBase(newPath)
+	newDirParts, newBase, err := vfs.AppendDirBase(fs.parts[:0], newPath)
 	if err != nil {
 		return err
 	}
-	newParent, err := fs.resolveDir(newDirParts)
+	newParent, err := fs.resolveDir(1, newDirParts)
 	if err != nil {
 		return err
 	}
-	if _, exists, err := fs.dirs.Lookup(&newParent, newBase); err != nil {
+	if _, exists, err := fs.dirs.Lookup(newParent, newBase); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("%w: %q", vfs.ErrExist, newPath)
 	}
-	dirBlk, _, err := fs.dirs.Insert(&newParent, newBase, in.Ino)
+	dirBlk, _, err := fs.dirs.Insert(newParent, newBase, in.Ino)
 	if err != nil {
 		return err
 	}
@@ -367,11 +367,11 @@ func (fs *FS) link(oldPath, newPath string) error {
 		return err
 	}
 	in.Nlink++
-	if err := fs.writeInode(&in, true, "link: inode"); err != nil {
+	if err := fs.writeInode(in, true, "link: inode"); err != nil {
 		return err
 	}
 	newParent.Mtime = int64(fs.clock.Now())
-	if err := fs.writeInode(&newParent, false, "link: dir inode"); err != nil {
+	if err := fs.writeInode(newParent, false, "link: dir inode"); err != nil {
 		return err
 	}
 	return fs.maybeWriteback()
@@ -391,19 +391,21 @@ func (fs *FS) rename(oldPath, newPath string) error {
 		return err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	oldDirParts, oldBase, err := vfs.SplitDirBase(oldPath)
+	oldDirParts, oldBase, err := vfs.AppendDirBase(fs.parts[:0], oldPath)
 	if err != nil {
 		return err
 	}
-	newDirParts, newBase, err := vfs.SplitDirBase(newPath)
+	// Both splits are in use until both parents are resolved: the new
+	// path's parts go behind the old one's.
+	newDirParts, newBase, err := vfs.AppendDirBase(oldDirParts[len(oldDirParts):], newPath)
 	if err != nil {
 		return err
 	}
-	oldParent, err := fs.resolveDir(oldDirParts)
+	oldParent, err := fs.resolveDir(0, oldDirParts)
 	if err != nil {
 		return err
 	}
-	ino, found, err := fs.dirs.Lookup(&oldParent, oldBase)
+	ino, found, err := fs.dirs.Lookup(oldParent, oldBase)
 	if err != nil {
 		return err
 	}
@@ -417,11 +419,11 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	if in.Mode.IsDir() && len(newPath) > len(oldPath) && newPath[:len(oldPath)+1] == oldPath+"/" {
 		return fmt.Errorf("%w: cannot move %q inside itself", vfs.ErrInvalid, oldPath)
 	}
-	newParent, err := fs.resolveDir(newDirParts)
+	newParent, err := fs.resolveDir(1, newDirParts)
 	if err != nil {
 		return err
 	}
-	if _, exists, err := fs.dirs.Lookup(&newParent, newBase); err != nil {
+	if _, exists, err := fs.dirs.Lookup(newParent, newBase); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("%w: %q", vfs.ErrExist, newPath)
@@ -429,7 +431,7 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	// Insert first, then remove, so a crash between the two leaves
 	// the file reachable (possibly twice) rather than lost. Both
 	// directory blocks are written synchronously, as BSD does.
-	insBlk, _, err := fs.dirs.Insert(&newParent, newBase, ino)
+	insBlk, _, err := fs.dirs.Insert(newParent, newBase, ino)
 	if err != nil {
 		return err
 	}
@@ -442,7 +444,7 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	if newParent.Ino == oldParent.Ino {
 		oldParent = newParent
 	}
-	rmBlk, err := fs.dirs.Remove(&oldParent, oldBase)
+	rmBlk, err := fs.dirs.Remove(oldParent, oldBase)
 	if err != nil {
 		return err
 	}
@@ -451,12 +453,12 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	}
 	now := int64(fs.clock.Now())
 	oldParent.Mtime = now
-	if err := fs.writeInode(&oldParent, false, "rename: dir inode"); err != nil {
+	if err := fs.writeInode(oldParent, false, "rename: dir inode"); err != nil {
 		return err
 	}
 	if newParent.Ino != oldParent.Ino {
 		newParent.Mtime = now
-		if err := fs.writeInode(&newParent, false, "rename: dir inode"); err != nil {
+		if err := fs.writeInode(newParent, false, "rename: dir inode"); err != nil {
 			return err
 		}
 	}
@@ -487,11 +489,11 @@ func (fs *FS) truncate(path string, size int64) error {
 	if size > fs.maxFileSize() {
 		return fmt.Errorf("%w: %q to %d bytes", vfs.ErrTooLarge, path, size)
 	}
-	if err := fs.truncateFile(&in, size); err != nil {
+	if err := fs.truncateFile(in, size); err != nil {
 		return err
 	}
 	in.Mtime = int64(fs.clock.Now())
-	if err := fs.writeInode(&in, false, "truncate: inode"); err != nil {
+	if err := fs.writeInode(in, false, "truncate: inode"); err != nil {
 		return err
 	}
 	return fs.maybeWriteback()

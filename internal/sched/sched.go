@@ -73,6 +73,13 @@ type Loop struct {
 	// the heap so Len stays exact.
 	pending    map[EventID]*event
 	ncancelled int
+	// free holds the events that have left the heap — run, or
+	// cancelled and purged — for At to fill again, so a loop whose
+	// handlers each schedule a successor allocates no event. An
+	// EventID cannot reach an event's next occupant: IDs come from
+	// seq, which is never reused, and Cancel looks them up in
+	// pending, which an event leaves before it is freed.
+	free []*event
 	// running guards against re-entrant Step/Run from inside a
 	// handler, which would pop events out from under the loop.
 	running bool
@@ -118,7 +125,13 @@ func (l *Loop) At(t sim.Time, name string, fn func()) EventID {
 		panic("sched: nil event func")
 	}
 	l.seq++
-	ev := &event{at: t, seq: l.seq, name: name, fn: fn}
+	var ev *event
+	if n := len(l.free) - 1; n >= 0 {
+		ev, l.free = l.free[n], l.free[:n]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{at: t, seq: l.seq, name: name, fn: fn}
 	heap.Push(&l.heap, ev)
 	l.pending[EventID(l.seq)] = ev
 	return EventID(l.seq)
@@ -153,7 +166,7 @@ func (l *Loop) Cancel(id EventID) bool {
 // the heap so the earliest live event is at the top.
 func (l *Loop) purgeCancelled() {
 	for len(l.heap) > 0 && l.heap[0].cancelled {
-		heap.Pop(&l.heap)
+		l.free = append(l.free, heap.Pop(&l.heap).(*event))
 		l.ncancelled--
 	}
 }
@@ -173,10 +186,14 @@ func (l *Loop) Step() (string, bool) {
 	delete(l.pending, EventID(ev.seq))
 	l.clock.AdvanceTo(ev.at)
 	l.ran++
+	// The handler may schedule into the event it ran from.
+	name, fn := ev.name, ev.fn
+	ev.fn = nil
+	l.free = append(l.free, ev)
 	l.running = true
-	ev.fn()
+	fn()
 	l.running = false
-	return ev.name, true
+	return name, true
 }
 
 // Run steps until no events remain and returns the number of events

@@ -205,3 +205,47 @@ func TestCancelFromHandler(t *testing.T) {
 		t.Fatalf("clock at %v, want 10", clock.Now())
 	}
 }
+
+// TestRecycledEventKeepsItsOwnID: an event that has run, or was
+// cancelled and purged, is filled again by a later At. The old ID must
+// not cancel the new occupant, and the occupant starts uncancelled.
+func TestRecycledEventKeepsItsOwnID(t *testing.T) {
+	l := NewLoop(sim.NewClock(), 1)
+	ran := 0
+	count := func() { ran++ }
+	idRun := l.At(10, "run", count)
+	idCancelled := l.At(20, "cancelled", count)
+	l.Cancel(idCancelled)
+	l.Run() // runs one, purges the other: both events are free
+	if ran != 1 || len(l.free) != 2 {
+		t.Fatalf("ran %d events with %d free, want 1 and 2", ran, len(l.free))
+	}
+	first, second := l.free[1], l.free[0]
+	idA := l.At(30, "a", count)
+	idB := l.At(40, "b", count)
+	if l.pending[idA] != first || l.pending[idB] != second {
+		t.Fatal("At did not fill the freed events")
+	}
+	if l.Cancel(idRun) || l.Cancel(idCancelled) {
+		t.Fatal("a stale ID cancelled the event's new occupant")
+	}
+	if n := l.Run(); n != 2 || ran != 3 {
+		t.Fatalf("Run processed %d events (%d in all), want 2 (3)", n, ran)
+	}
+	if l.Cancel(idA) || l.Cancel(idB) {
+		t.Fatal("Cancel of an already-run event = true, want false")
+	}
+}
+
+// TestSteadyStateAllocatesNoEvent: a handler that schedules its
+// successor fills the event it ran from.
+func TestSteadyStateAllocatesNoEvent(t *testing.T) {
+	l := NewLoop(sim.NewClock(), 1)
+	var tick func()
+	tick = func() { l.After(10, "tick", tick) }
+	l.At(0, "tick", tick)
+	l.Step()
+	if n := testing.AllocsPerRun(1000, func() { l.Step() }); n != 0 {
+		t.Fatalf("Step + After: %v allocs per event, want 0", n)
+	}
+}

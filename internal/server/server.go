@@ -284,6 +284,12 @@ func Run(fsys FS, cfg Config) (Result, error) {
 		// schedules.
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(client)*0x9e3779b9))
 		st.Latency = obs.NewLatencyHistogram()
+		// The client's paths are built once, not formatted per event.
+		paths := make([]string, cfg.FilesPerClient)
+		dir := clientDir(client)
+		for slot := range paths {
+			paths[slot] = fmt.Sprintf("%s/f%03d", dir, slot)
+		}
 		created := make([]bool, cfg.FilesPerClient)
 		n := 0
 		// intendedWrite is when the client's next write event is due;
@@ -312,7 +318,7 @@ func Run(fsys FS, cfg Config) (Result, error) {
 			}
 			noteDispatchGap(intendedWrite)
 			slot := n % cfg.FilesPerClient
-			path := fmt.Sprintf("%s/f%03d", clientDir(client), slot)
+			path := paths[slot]
 			start := loop.Clock().Now()
 			fsys.SetClient(client)
 			if !created[slot] {

@@ -13,7 +13,7 @@ import (
 // route resolves a single-path operation to its owning shard,
 // wrapping path validation errors with the operation name.
 func (fs *FS) route(op, path string) (*core.FS, error) {
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return nil, vfs.WrapPathError(op, path, err)
 	}
@@ -37,7 +37,7 @@ func (fs *FS) Create(path string) error {
 func (fs *FS) Mkdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return vfs.WrapPathError("mkdir", path, err)
 	}
@@ -97,7 +97,7 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return nil, vfs.WrapPathError("readdir", path, err)
 	}
@@ -155,7 +155,7 @@ func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 func (fs *FS) Remove(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return vfs.WrapPathError("remove", path, err)
 	}
@@ -226,11 +226,11 @@ func (fs *FS) Link(oldPath, newPath string) error {
 // pinned to one shard (renames do; links never link directories, so
 // core rejects them anyway).
 func (fs *FS) relink(op, oldPath, newPath string, dirOK bool) (int, error) {
-	po, err := vfs.SplitPath(oldPath)
+	po, err := vfs.AppendPath(fs.parts[:0], oldPath)
 	if err != nil {
 		return 0, vfs.WrapPathError(op, oldPath, err)
 	}
-	pn, err := vfs.SplitPath(newPath)
+	pn, err := vfs.AppendPath(po[len(po):], newPath) // behind po, which stays in use
 	if err != nil {
 		return 0, vfs.WrapPathError(op, oldPath, err)
 	}
@@ -290,7 +290,7 @@ func (fs *FS) Truncate(path string, size int64) error {
 func (fs *FS) FsyncFile(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return vfs.WrapPathError("fsync", path, err)
 	}

@@ -115,6 +115,11 @@ type FS struct {
 	// no spans of its own, so on hands them to the executing shard.
 	// Guarded by mu.
 	parked obs.ParkedWaits
+
+	// parts is what the router splits an operation's path (Rename and
+	// Link: both paths) into, so routing allocates nothing per call; the
+	// shard splits the path again into memory of its own. Guarded by mu.
+	parts []string
 }
 
 // NoteWait credits d of kind to the next routed operation's span.
@@ -253,6 +258,7 @@ func Mount(disks []*disk.Disk, opts Options) (*FS, error) {
 		clock:  disks[0].Clock(),
 		opts:   opts,
 		pins:   pins,
+		parts:  make([]string, 0, vfs.PathDepth),
 	}
 	for i, d := range disks {
 		sfs, err := core.Mount(d, shardConfig(opts, i))
@@ -305,7 +311,9 @@ func (fs *FS) ShardFS(i int) *core.FS {
 // pinned subtree, the path hash otherwise. Replicated directories
 // report their home shard (the one Stat serves them from).
 func (fs *FS) ShardFor(path string) (int, error) {
-	parts, err := vfs.SplitPath(path)
+	// Not under mu, so not into fs.parts: the array stays on the stack.
+	var buf [vfs.PathDepth]string
+	parts, err := vfs.AppendPath(buf[:0], path)
 	if err != nil {
 		return 0, err
 	}

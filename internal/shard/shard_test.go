@@ -512,3 +512,9 @@ func TestParkedWaitRidesItsOwnOp(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateAllocs: the router splits the path to place it and the
+// shard splits it again to walk it, each into memory of its own.
+func TestSteadyStateAllocs(t *testing.T) {
+	fstest.RunSteadyStateAllocs(t, newShards(t, 2, shard.Options{Base: testConfig()}))
+}

@@ -43,9 +43,9 @@ echo "== size =="
 # Non-test Go outside cmd/lfsperf (scripts/size.sh is the definition)
 # may not pass the ceiling: the same device as the lfsperf allocation
 # budgets below. Growth stays possible — by raising the number here, in
-# the diff, where a reviewer sees it. Set to PR 19's result rounded up
+# the diff, where a reviewer sees it. Set to PR 20's result rounded up
 # to the next hundred; lower it when a change shrinks the tree.
-size_ceiling=26400
+size_ceiling=26600
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
@@ -121,16 +121,21 @@ echo "== lfsperf smoke =="
 # allocation figures per operation — deterministic, unlike host time —
 # must stay within the budgets earlier changes bought: small-file
 # allocations (1340 before the in-place directory codec and the
-# intrusive cache chains, about 7 after), the bytes the large-file and
-# cleaning paths allocate (16.8 KB and 55.8 KB before block buffers
-# were recycled, 4070 and 932 after; what is left is the memory store's
-# own chunks and cache block headers), the cleaning path's
-# allocations (about 6: block headers and summary refs, no map or
-# scratch slice of the cleaner's own) and what sixteen clients on four
-# shards allocate (5.03 and 3822 bytes; the bytes are nearly all the
-# four stores' 1 MB chunks, so the budget holds the memory store's
-# per-chunk overhead — a channel, a closure and a goroutine per
-# look-ahead, and at most one spare chunk per store — where it is).
+# intrusive cache chains, 6.09 after, 4.59 since paths are split into
+# memory the file system owns and cache block headers come from
+# slabs), the large-file path's (3.02 before those two, 0.10 after: the
+# cache's first-fill buffers and the slabs) and the bytes it and the
+# cleaning path allocate (16.8 KB and 55.8 KB before block buffers
+# were recycled, 4051 and 900 now; what is left is the memory store's
+# own chunks and the slabs of cache block headers), the cleaning
+# path's allocations (6.05 while every revived block had a header of
+# its own, 0.34 now: slabs and summary refs, no map or scratch slice of
+# the cleaner's own) and what sixteen clients on four shards allocate
+# (0.54 — the fsync handler's closure, one per write→fsync pair — and
+# 3686 bytes; the bytes are nearly all the four stores' 1 MB chunks, so
+# the budget holds the memory store's per-chunk overhead — a channel, a
+# closure and a goroutine per look-ahead, and at most one spare chunk
+# per store — where it is).
 # perf_run WORKLOAD runs one workload; perf_budget METRIC UNIT LIMIT
 # holds a figure of the last run to its budget.
 perf_run() {
@@ -143,14 +148,15 @@ perf_budget() {
 		awk -v what="$workload $1" -v limit="$3" 'END { if (NR != 1 || $1 + 0 > limit) { print "lfsperf: " what " = " $1 ", want <= " limit > "/dev/stderr"; exit 1 } }'
 }
 perf_run smallfile
-perf_budget host_allocs_per_op count 25
+perf_budget host_allocs_per_op count 5
 perf_run largefile
+perf_budget host_allocs_per_op count 0.5
 perf_budget host_bytes_per_op bytes 5000
 perf_run cleaning
 perf_budget host_bytes_per_op bytes 1500
-perf_budget host_allocs_per_op count 8
+perf_budget host_allocs_per_op count 1
 perf_run clients
-perf_budget host_allocs_per_op count 6
+perf_budget host_allocs_per_op count 1
 perf_budget host_bytes_per_op bytes 4500
 if [ "$update" = 1 ]; then
 	echo "regenerated; review and commit the BENCH_*.json and bench_results.txt changes"
