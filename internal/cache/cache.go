@@ -469,6 +469,20 @@ func (c *Cache) RemoveIno(ino layout.Ino) int {
 	return n
 }
 
+// InoDirty reports whether any block keyed by the inode is dirty, at
+// the cost of the inode's own block count.
+func (c *Cache) InoDirty(ino layout.Ino) bool {
+	if int(ino) >= len(c.byIno) {
+		return false
+	}
+	for b := c.byIno[ino]; b != nil; b = b.links[chainIno].next {
+		if b.dirty {
+			return true
+		}
+	}
+	return false
+}
+
 // RemoveMatching drops every block whose key satisfies pred,
 // discarding dirty contents; it returns the number removed.
 func (c *Cache) RemoveMatching(pred func(Key) bool) int {

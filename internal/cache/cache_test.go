@@ -541,8 +541,15 @@ func TestCacheMatchesSliceModel(t *testing.T) {
 			for b := c.lru.front; b != nil; b = b.links[chainLRU].next {
 				lru = append(lru, b.Key)
 			}
+			inoDirty := make(map[layout.Ino]bool) // read off the dirty list, as core used to
 			for _, b := range c.DirtyBlocks() {
 				dirty = append(dirty, b.Key)
+				inoDirty[b.Key.Ino] = true
+			}
+			for _, ino := range []layout.Ino{0, 1, 2, 3, 4, 1 << 20} { // the last is past byIno
+				if got := c.InoDirty(ino); got != inoDirty[ino] {
+					t.Fatalf("round %d step %d: InoDirty(%d) = %v, the dirty list says %v", round, step, ino, got, inoDirty[ino])
+				}
 			}
 			if fmt.Sprint(lru) != fmt.Sprint(m.lru) || fmt.Sprint(dirty) != fmt.Sprint(m.dirty) {
 				t.Fatalf("round %d step %d:\nlru   %v\nmodel %v\ndirty %v\nmodel %v", round, step, lru, m.lru, dirty, m.dirty)

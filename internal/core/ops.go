@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"lfs/internal/cache"
 	"lfs/internal/layout"
 	"lfs/internal/obs"
 	"lfs/internal/sim"
@@ -540,20 +539,10 @@ func (fs *FS) groupFsync(ino layout.Ino) error {
 }
 
 // fileDirty reports whether the file has any state not yet written to
-// the log: dirty data or indirect blocks, or a dirty inode.
+// the log: dirty data or indirect blocks — the only blocks LFS keys by
+// an inode — or a dirty inode.
 func (fs *FS) fileDirty(ino layout.Ino) bool {
-	if fs.inodes.isDirty(ino) {
-		return true
-	}
-	for _, b := range fs.dirtyBlocks() {
-		if b.Key.Ino != ino {
-			continue
-		}
-		if b.Key.Kind == cache.KindFile || b.Key.Kind == cache.KindIndirect {
-			return true
-		}
-	}
-	return false
+	return fs.inodes.isDirty(ino) || fs.bc.InoDirty(ino)
 }
 
 // FlushAsync issues everything dirty to the log as asynchronous

@@ -13,15 +13,23 @@ const memChunkSize = 1 << 20
 //
 // First touch is most of what the store costs (about 2 µs of kernel
 // page fault per 4 KB page, whatever the allocator), so while the image
-// grows sequentially, as a log fills a disk, WriteAt has a helper
-// goroutine fault the next chunk in, one ahead. The helper owns nothing
-// but that buffer: the chunk table, and with it the image and
+// grows sequentially, as a log fills a disk, WriteAt keeps lookAhead
+// helper goroutines faulting the next chunks in. A helper owns nothing
+// but its buffer: the chunk table, and with it the image and
 // AllocatedBytes, change only on the caller's goroutine.
 type MemStore struct {
-	size   int64
-	chunks [][]byte    // index = offset / memChunkSize; a nil chunk is unallocated; nil after Close
-	next   chan []byte // capacity 1; non-nil from starting a helper to receiving its chunk
+	size     int64
+	chunks   [][]byte    // index = offset / memChunkSize; a nil chunk is unallocated; nil after Close
+	next     chan []byte // capacity lookAhead; made with the first helper, nil after Close
+	inFlight int         // helpers started whose chunk has not been received, at most lookAhead
 }
+
+// lookAhead is how many chunks are kept in flight. A log wants chunks a
+// segment-write burst at a time, and a caller parked on the receive has
+// given its processor up: with several helpers outstanding every
+// processor faults while it waits. Three is the knee (EXPERIMENTS.md
+// "Host cost — first touch"); each slot is a spare chunk per store.
+const lookAhead = 3
 
 // NewMemStore returns an empty in-memory store of the given capacity.
 // OpenStore(StoreOptions{Backend: BackendMem, Capacity: size}) is the
@@ -44,10 +52,10 @@ func (m *MemStore) Sync() error {
 	return nil
 }
 
-// Close releases the chunks and any chunk readied ahead: the helper's
-// one send is buffered, so nothing is left waiting. Close is idempotent.
+// Close releases the chunks and any readied ahead; each outstanding send
+// has its slot in the buffer, so no helper waits. Close is idempotent.
 func (m *MemStore) Close() error {
-	m.chunks, m.next = nil, nil
+	m.chunks, m.next, m.inFlight = nil, nil, 0
 	return nil
 }
 
@@ -85,8 +93,8 @@ func (m *MemStore) ReadAt(p []byte, off int64) error {
 }
 
 // WriteAt stores p at off, allocating chunks as needed. A first touch
-// takes the chunk readied ahead if there is one, wherever it lands, and
-// one just above an allocated chunk has the next readied.
+// takes any chunk in flight (all are zeros), wherever it lands, and one
+// just above an allocated chunk tops those in flight up to lookAhead.
 func (m *MemStore) WriteAt(p []byte, off int64) error {
 	if err := m.checkRange(p, off); err != nil {
 		return err
@@ -100,25 +108,30 @@ func (m *MemStore) WriteAt(p []byte, off int64) error {
 		}
 		chunk := m.chunks[ci]
 		if chunk == nil {
-			if m.next != nil {
-				//lfslint:allow nogoroutine the helper writes only a buffer unreachable until this receive of its one buffered send; store contents and simulated time are unaffected
-				chunk, m.next = <-m.next, nil
+			if m.inFlight > 0 {
+				//lfslint:allow nogoroutine a helper writes only a buffer unreachable until this receive of its one buffered send; store contents and simulated time are unaffected
+				chunk = <-m.next
+				m.inFlight--
 			} else {
 				chunk = make([]byte, memChunkSize)
 			}
 			m.chunks[ci] = chunk
 			if ci > 0 && m.chunks[ci-1] != nil {
-				next := make(chan []byte, 1)
-				m.next = next
-				go func() {
-					// make hands out never-used memory unzeroed: touch
-					// each page, or the faults stay in the caller's copy.
-					b := make([]byte, memChunkSize)
-					for i := 0; i < len(b); i += 4096 {
-						b[i] = 0
-					}
-					next <- b
-				}()
+				if m.next == nil {
+					m.next = make(chan []byte, lookAhead) // a slot per helper: no send waits
+				}
+				next := m.next
+				for ; m.inFlight < lookAhead; m.inFlight++ {
+					go func() {
+						// make hands out never-used memory unzeroed: touch
+						// each page, or the faults stay in the caller's copy.
+						b := make([]byte, memChunkSize)
+						for i := 0; i < len(b); i += 4096 {
+							b[i] = 0
+						}
+						next <- b
+					}()
+				}
 			}
 		}
 		copy(chunk[co:co+n], p[:n])

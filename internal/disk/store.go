@@ -179,11 +179,12 @@ func OpenStore(opts StoreOptions) (Store, error) {
 // checkStoreRange validates an access of len(p) bytes at off against a
 // store of the given size, returning an ErrOutOfRange-wrapping error
 // for violations. Zero-length accesses are valid anywhere in
-// [0, size].
+// [0, size]. The length is taken off the size, not added to the offset:
+// off+len(p) wraps for an off near math.MaxInt64.
 func checkStoreRange(p []byte, off, size int64) error {
-	if off < 0 || off+int64(len(p)) > size {
-		return fmt.Errorf("disk: store access [%d,%d) outside capacity %d: %w",
-			off, off+int64(len(p)), size, ErrOutOfRange)
+	if off < 0 || off > size-int64(len(p)) {
+		return fmt.Errorf("disk: store access of %d bytes at %d outside capacity %d: %w",
+			len(p), off, size, ErrOutOfRange)
 	}
 	return nil
 }

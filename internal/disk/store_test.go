@@ -10,19 +10,15 @@ import (
 	"testing/quick"
 )
 
-// lookAhead is the test-only accessor to the hand-over: the channel a
-// chunk readied ahead arrives on, nil when no helper has been started
-// since the last first touch.
-func (m *MemStore) lookAhead() chan []byte { return m.next }
-
-// awaitSent waits for a helper's one send. It reads the channel's
-// length and yields: a receive would take the chunk away from the store
-// under test, and would be a channel operation of the tests' own for
-// nogoroutine to excuse. A helper that can never send hangs the test
-// into its -timeout. The send is the last thing a helper does, so once
-// it is in the buffer that goroutine cannot be blocked anywhere.
-func awaitSent(c chan []byte) {
-	for len(c) == 0 {
+// awaitSent waits until n helpers' sends sit in the hand-over channel.
+// It reads the channel's length and yields: a receive would take a
+// chunk away from the store under test, and would be a channel
+// operation of the tests' own for nogoroutine to excuse. A helper that
+// can never send hangs the test into its -timeout. The send is the last
+// thing a helper does, so once it is in the buffer that goroutine cannot
+// be blocked anywhere.
+func awaitSent(c chan []byte, n int) {
+	for len(c) < n {
 		runtime.Gosched()
 	}
 }
@@ -65,24 +61,24 @@ func TestMemStoreLazyAllocation(t *testing.T) {
 	if s.AllocatedBytes() != 0 {
 		t.Fatalf("fresh store allocated %d bytes", s.AllocatedBytes())
 	}
-	if err := s.WriteAt(make([]byte, 512), 0); err != nil {
+	sector := make([]byte, 512)
+	if err := s.WriteAt(sector, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.AllocatedBytes() != memChunkSize {
 		t.Fatalf("one-sector write allocated %d bytes, want one chunk (%d)", s.AllocatedBytes(), memChunkSize)
 	}
-	if s.lookAhead() != nil {
+	if s.inFlight != 0 {
 		t.Fatal("an isolated first touch started a look-ahead")
 	}
-	// A chunk in flight is not part of the image: only installed
-	// chunks count, while the look-ahead is being readied, once it
-	// waits in the channel, and after a first touch far away took it.
-	if err := s.WriteAt(make([]byte, 512), memChunkSize); err != nil {
+	// A chunk in flight is not part of the image: only installed chunks
+	// count, while the look-ahead is being readied, once it waits in
+	// the channel, and after first touches far away took it.
+	if err := s.WriteAt(sector, memChunkSize); err != nil {
 		t.Fatal(err)
 	}
-	ahead := s.lookAhead()
-	if ahead == nil {
-		t.Fatal("sequential growth started no look-ahead")
+	if s.inFlight != lookAhead {
+		t.Fatalf("sequential growth put %d chunks in flight, want %d", s.inFlight, lookAhead)
 	}
 	allocated := func(when string, chunks int64) {
 		t.Helper()
@@ -91,40 +87,50 @@ func TestMemStoreLazyAllocation(t *testing.T) {
 		}
 	}
 	allocated("in flight", 2)
-	awaitSent(ahead)
+	awaitSent(s.next, lookAhead)
 	allocated("readied", 2)
-	if err := s.WriteAt(make([]byte, 512), 512*memChunkSize); err != nil {
-		t.Fatal(err)
+	// Isolated first touches use the readied chunks up and start
+	// nothing; the one after the last allocates inline again.
+	for i := 1; i <= lookAhead+1; i++ {
+		if err := s.WriteAt(sector, int64(2*i+1)*memChunkSize); err != nil {
+			t.Fatal(err)
+		}
+		left := max(lookAhead-i, 0)
+		if len(s.next) != left || s.inFlight != left {
+			t.Fatalf("isolated first touch %d: %d chunks readied, %d in flight, want %d", i, len(s.next), s.inFlight, left)
+		}
+		allocated("consumed", int64(2+i))
 	}
-	if len(ahead) != 0 || s.lookAhead() != nil {
-		t.Fatal("an isolated first touch did not take the readied chunk, or started another")
-	}
-	allocated("consumed", 3)
 }
 
-// A look-ahead outstanding when its store is closed, or just dropped,
-// strands nobody: the helper's send completes with no receiver.
+// Look-aheads outstanding when their store is closed, or just dropped,
+// strand nobody: every helper's send completes with no receiver, and
+// every helper exits.
 func TestMemStoreLookAheadOutlivesStore(t *testing.T) {
 	for _, end := range []string{"closed", "dropped"} {
+		before := runtime.NumGoroutine()
 		s := NewMemStore(4 * memChunkSize)
 		if err := s.WriteAt(make([]byte, 2*memChunkSize), 0); err != nil {
 			t.Fatal(err)
 		}
-		ahead := s.lookAhead()
-		if ahead == nil || cap(ahead) != 1 {
-			t.Fatalf("%s: look-ahead channel %v, want one of capacity 1", end, ahead)
+		ahead := s.next
+		if s.inFlight != lookAhead || cap(ahead) != lookAhead {
+			t.Fatalf("%s: %d in flight on a channel of capacity %d, want %d on %d", end, s.inFlight, cap(ahead), lookAhead, lookAhead)
 		}
 		if end == "closed" {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if s.lookAhead() != nil || s.AllocatedBytes() != 0 {
+			if s.next != nil || s.inFlight != 0 || s.AllocatedBytes() != 0 {
 				t.Fatal("Close kept the look-ahead or the chunks")
 			}
 		}
 		s = nil
 		runtime.GC()
-		awaitSent(ahead)
+		awaitSent(ahead, lookAhead)
+		for runtime.NumGoroutine() > before { // a helper's last instruction is not its send
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -142,9 +148,9 @@ func TestMemStoreHandOverIsZeroed(t *testing.T) {
 	want := bytes.Repeat([]byte{0xA5}, 3000)
 	got := make([]byte, memChunkSize)
 	for ci := int64(0); ci < 8; ci++ {
-		handedOver := s.lookAhead() != nil
+		handedOver := s.inFlight > 0
 		if handedOver != (ci >= 2) {
-			t.Fatalf("chunk %d: look-ahead outstanding = %v", ci, handedOver)
+			t.Fatalf("chunk %d: %d look-aheads outstanding", ci, s.inFlight)
 		}
 		if err := s.WriteAt(want, ci*memChunkSize+5000); err != nil {
 			t.Fatal(err)
@@ -242,16 +248,24 @@ func TestMemStoreMatchesFlatArrayProperty(t *testing.T) {
 	perm := rand.New(rand.NewSource(7)).Perm(chunks)
 	got := make([]byte, memChunkSize)
 	data := make([]byte, 8192)
+	ascending := func(i int) int { return i }
 	for _, order := range []struct {
-		name string
-		at   func(i int) int
+		name  string
+		at    func(i int) int
+		procs int // GOMAXPROCS for the subtest; 0 leaves it alone
 	}{
-		{"ascending", func(i int) int { return i }},
-		{"descending", func(i int) int { return chunks - 1 - i }},
-		{"strided", func(i int) int { return i * 5 % chunks }}, // 0 5 … 60 1 6 …: every chunk once
-		{"random", func(i int) int { return perm[i] }},
+		{"ascending", ascending, 0},
+		{"descending", func(i int) int { return chunks - 1 - i }, 0},
+		{"strided", func(i int) int { return i * 5 % chunks }, 0}, // 0 5 … 60 1 6 …: every chunk once
+		{"random", func(i int) int { return perm[i] }, 0},
+		// One processor: no helper runs until the caller parks on the
+		// receive, and then all three are runnable at once.
+		{"ascending-GOMAXPROCS1", ascending, 1},
 	} {
 		t.Run(order.name, func(t *testing.T) {
+			if order.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(order.procs))
+			}
 			s := NewMemStore(chunks * memChunkSize)
 			model := make([]byte, s.Size())
 			same := func(step int, ci int64) {

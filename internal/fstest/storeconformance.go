@@ -10,6 +10,7 @@ package fstest
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -211,6 +212,9 @@ func testStoreOutOfRange(t *testing.T, open StoreFactory) {
 		{"write straddling the end", s.WriteAt(buf, s.Size()-256)},
 		{"write at negative offset", s.WriteAt(buf, -disk.SectorSize)},
 		{"zero-length read past capacity", s.ReadAt(nil, s.Size()+1)},
+		// off+len(buf) wraps negative here; no backend may index with it.
+		{"read where offset plus length overflows", s.ReadAt(buf, math.MaxInt64-1)},
+		{"write where offset plus length overflows", s.WriteAt(buf, math.MaxInt64-1)},
 	}
 	for _, c := range cases {
 		if !errors.Is(c.err, disk.ErrOutOfRange) {

@@ -38,14 +38,14 @@ func Fragment(sys System, opts FragmentOpts) error {
 	if err := sys.Mkdir(opts.Dir); err != nil {
 		return err
 	}
-	name := func(i int) string { return fmt.Sprintf("%s/f%06d", opts.Dir, i) }
+	names := fileNames(opts.Dir, opts.NumFiles)
 	payload := make([]byte, opts.FileSize)
 	fill(payload, opts.Seed)
 	for i := 0; i < opts.NumFiles; i++ {
-		if err := sys.Create(name(i)); err != nil {
+		if err := sys.Create(names[i]); err != nil {
 			return err
 		}
-		if err := sys.Write(name(i), 0, payload); err != nil {
+		if err := sys.Write(names[i], 0, payload); err != nil {
 			return err
 		}
 	}
@@ -61,7 +61,7 @@ func Fragment(sys System, opts FragmentOpts) error {
 			acc -= 1.0
 			continue // keep
 		}
-		if err := sys.Remove(name(i)); err != nil {
+		if err := sys.Remove(names[i]); err != nil {
 			return err
 		}
 	}

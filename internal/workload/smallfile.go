@@ -50,7 +50,7 @@ func SmallFile(sys System, opts SmallFileOpts) (SmallFileResult, error) {
 	if err := sys.Mkdir(opts.Dir); err != nil {
 		return res, err
 	}
-	name := func(i int) string { return fmt.Sprintf("%s/f%06d", opts.Dir, i) }
+	names := fileNames(opts.Dir, opts.NumFiles)
 	payload := make([]byte, opts.FileSize)
 	fill(payload, opts.Seed)
 	totalBytes := int64(opts.NumFiles) * int64(opts.FileSize)
@@ -58,10 +58,10 @@ func SmallFile(sys System, opts SmallFileOpts) (SmallFileResult, error) {
 	var err error
 	res.Create, err = measure(sys, "create", opts.NumFiles, totalBytes, func() error {
 		for i := 0; i < opts.NumFiles; i++ {
-			if err := sys.Create(name(i)); err != nil {
+			if err := sys.Create(names[i]); err != nil {
 				return err
 			}
-			if err := sys.Write(name(i), 0, payload); err != nil {
+			if err := sys.Write(names[i], 0, payload); err != nil {
 				return err
 			}
 		}
@@ -81,12 +81,12 @@ func SmallFile(sys System, opts SmallFileOpts) (SmallFileResult, error) {
 	buf := make([]byte, opts.FileSize)
 	res.Read, err = measure(sys, "read", opts.NumFiles, totalBytes, func() error {
 		for i := 0; i < opts.NumFiles; i++ {
-			n, err := sys.Read(name(i), 0, buf)
+			n, err := sys.Read(names[i], 0, buf)
 			if err != nil {
 				return err
 			}
 			if n != opts.FileSize {
-				return fmt.Errorf("short read of %s: %d", name(i), n)
+				return fmt.Errorf("short read of %s: %d", names[i], n)
 			}
 		}
 		return nil
@@ -97,7 +97,7 @@ func SmallFile(sys System, opts SmallFileOpts) (SmallFileResult, error) {
 
 	res.Delete, err = measure(sys, "delete", opts.NumFiles, totalBytes, func() error {
 		for i := 0; i < opts.NumFiles; i++ {
-			if err := sys.Remove(name(i)); err != nil {
+			if err := sys.Remove(names[i]); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"fmt"
 	"testing"
 
 	"lfs/internal/core"
@@ -178,6 +179,13 @@ func TestFragmentExtremes(t *testing.T) {
 		}
 		if len(entries) != want {
 			t.Fatalf("keep=%v: %d files survived, want %d", keep, len(entries), want)
+		}
+		// The scripts' names are f%06d, built once a run: the figures'
+		// directory sizes depend on their length.
+		for i, e := range entries {
+			if name := fmt.Sprintf("f%06d", i); e.Name != name {
+				t.Fatalf("keep=%v: entry %d is %q, want %q", keep, i, e.Name, name)
+			}
 		}
 	}
 }

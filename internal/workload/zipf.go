@@ -75,14 +75,14 @@ func ZipfOverwrite(sys System, opts ZipfOpts) (ZipfResult, error) {
 	if err := sys.Mkdir(opts.Dir); err != nil {
 		return res, err
 	}
-	name := func(i int) string { return fmt.Sprintf("%s/f%06d", opts.Dir, i) }
+	names := fileNames(opts.Dir, opts.Files)
 	payload := make([]byte, opts.FileSize)
 	fill(payload, opts.Seed)
 	for i := 0; i < opts.Files; i++ {
-		if err := sys.Create(name(i)); err != nil {
+		if err := sys.Create(names[i]); err != nil {
 			return res, err
 		}
-		if err := sys.Write(name(i), 0, payload); err != nil {
+		if err := sys.Write(names[i], 0, payload); err != nil {
 			return res, err
 		}
 		res.Creates++
@@ -108,7 +108,7 @@ func ZipfOverwrite(sys System, opts ZipfOpts) (ZipfResult, error) {
 		// dedupable repeats.
 		payload[0] = byte(i)
 		payload[1] = byte(i >> 8)
-		if err := sys.Write(name(rank), 0, payload); err != nil {
+		if err := sys.Write(names[rank], 0, payload); err != nil {
 			return res, err
 		}
 		res.Overwrites++

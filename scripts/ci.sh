@@ -44,8 +44,10 @@ echo "== size =="
 # may not pass the ceiling: the same device as the lfsperf allocation
 # budgets below. Growth stays possible — by raising the number here, in
 # the diff, where a reviewer sees it. Set to PR 20's result rounded up
-# to the next hundred; lower it when a change shrinks the tree.
-size_ceiling=26600
+# to the next hundred, less the 1062 lines of lint corpora under
+# testdata that size.sh stopped counting in PR 21; lower it when a
+# change shrinks the tree.
+size_ceiling=25538
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
@@ -66,10 +68,10 @@ echo "== lint =="
 go run ./cmd/lfslint -timings -budget 20s -json "$tracedir/lint.json" ./...
 echo "== test -race: the store hand-over =="
 # MemStore's look-ahead is the one place a buffer changes goroutines
-# (DESIGN.md §14). Ten rounds of its own tests and of the conformance
-# battery, which uses it as the reference store, before the suite below
-# runs everything once: the detector only sees the interleavings a run
-# happens to produce.
+# (DESIGN.md §14), up to three spare chunks per store at a time. Ten
+# rounds of its own tests and of the conformance battery, which uses it
+# as the reference store, before the suite below runs everything once:
+# the detector only sees the interleavings a run happens to produce.
 go test -race -count=10 -run 'MemStore|StoreConformance' ./internal/disk
 echo "== test -race =="
 # -short skips one thing: the experiments package's run of the whole
@@ -123,7 +125,8 @@ echo "== lfsperf smoke =="
 # allocations (1340 before the in-place directory codec and the
 # intrusive cache chains, 6.09 after, 4.59 since paths are split into
 # memory the file system owns and cache block headers come from
-# slabs), the large-file path's (3.02 before those two, 0.10 after: the
+# slabs, 1.61 since the driver stopped formatting a path per call), the
+# large-file path's (3.02 before split paths and slabs, 0.10 after: the
 # cache's first-fill buffers and the slabs) and the bytes it and the
 # cleaning path allocate (16.8 KB and 55.8 KB before block buffers
 # were recycled, 4051 and 900 now; what is left is the memory store's
@@ -133,9 +136,9 @@ echo "== lfsperf smoke =="
 # the cleaner's own) and what sixteen clients on four shards allocate
 # (0.54 — the fsync handler's closure, one per write→fsync pair — and
 # 3686 bytes; the bytes are nearly all the four stores' 1 MB chunks, so
-# the budget holds the memory store's per-chunk overhead — a channel, a
-# closure and a goroutine per look-ahead, and at most one spare chunk
-# per store — where it is).
+# the budget holds the memory store's per-chunk overhead — a closure
+# and a goroutine per look-ahead, and up to three spare chunks per
+# store — where it is).
 # perf_run WORKLOAD runs one workload; perf_budget METRIC UNIT LIMIT
 # holds a figure of the last run to its budget.
 perf_run() {
@@ -148,7 +151,7 @@ perf_budget() {
 		awk -v what="$workload $1" -v limit="$3" 'END { if (NR != 1 || $1 + 0 > limit) { print "lfsperf: " what " = " $1 ", want <= " limit > "/dev/stderr"; exit 1 } }'
 }
 perf_run smallfile
-perf_budget host_allocs_per_op count 5
+perf_budget host_allocs_per_op count 2.5
 perf_run largefile
 perf_budget host_allocs_per_op count 0.5
 perf_budget host_bytes_per_op bytes 5000
