@@ -60,11 +60,8 @@ type Block struct {
 	Key  Key
 	Data []byte
 
-	// dirty and relocated share one word so the header stays at 112
-	// bytes, which slabLen is sized for (TestBlockHeaderSizeClass).
-	dirty, relocated bool
-	dirtiedAt        sim.Time
-	relocAge         sim.Time
+	dirty     bool
+	dirtiedAt sim.Time
 
 	// links are the block's positions in the cache's three intrusive
 	// chains, indexed by chainID.
@@ -132,10 +129,6 @@ func (b *Block) Dirty() bool { return b.dirty }
 // Dirty).
 func (b *Block) DirtiedAt() sim.Time { return b.dirtiedAt }
 
-// Relocated reports whether the block was dirtied by MarkRelocated and
-// not yet written, and the data age it was tagged with.
-func (b *Block) Relocated() (age sim.Time, ok bool) { return b.relocAge, b.relocated }
-
 // Stats counts cache activity.
 type Stats struct {
 	Hits, Misses int64
@@ -159,16 +152,27 @@ var DebugEvict func(Key)
 // DebugPoison, when set, scribbles 0xDB over every buffer entering the
 // free list, so a read through a stale *Block or an AddFrom caller that
 // does not overwrite the whole block shows up as wrong bytes (test
-// instrumentation only).
+// instrumentation only). The LFS cleaner treats the memory it takes
+// victims into the same way, through Poison.
 var DebugPoison bool
 
-// slabLen is how many Block headers are allocated at once: 73 × 112 B =
-// 8 176 B, plus the allocator's 8-byte header on a large object with
-// pointers, is 8 184 B — the 8 192 B size class, 112.2 B per block
+// Poison scribbles over p, a buffer its owner is done with, when
+// DebugPoison is set.
+func Poison(p []byte) {
+	if DebugPoison {
+		for i := range p {
+			p[i] = 0xDB
+		}
+	}
+}
+
+// slabLen is how many Block headers are allocated at once: 78 × 104 B =
+// 8 112 B, plus the allocator's 8-byte header on a large object with
+// pointers, is 8 120 B — the 8 192 B size class, 105.0 B per block
 // against the 112 B a header allocated alone costs. One more spills
-// into the 9 472 B class, and 128 (14 336 + 8) into the 16 384 B one at
-// 128 B per block.
-const slabLen = 73
+// into the 9 472 B class, and 128 (13 312 + 8) into the 13 568 B one at
+// 106 B per block.
+const slabLen = 78
 
 // Cache is a fixed-capacity block cache. Not safe for concurrent use;
 // the owning file system serialises access.
@@ -366,26 +370,12 @@ func (c *Cache) MarkDirty(b *Block, now sim.Time) {
 	c.nDirty++
 }
 
-// MarkRelocated dirties a clean block on behalf of an owner that is
-// moving its contents, not modifying them (the LFS cleaner), tagging it
-// with the age of the data until MarkClean; it reports whether it did.
-// A block that is already dirty holds newer modifications and is left
-// untagged.
-func (c *Cache) MarkRelocated(b *Block, now, age sim.Time) bool {
-	if b.dirty {
-		return false
-	}
-	c.MarkDirty(b, now)
-	b.relocated, b.relocAge = true, age
-	return true
-}
-
 // MarkClean records that b has been written to disk.
 func (c *Cache) MarkClean(b *Block) {
 	if !b.dirty {
 		return
 	}
-	b.dirty, b.relocated = false, false
+	b.dirty = false
 	c.dirty.remove(b)
 	c.nDirty--
 }
@@ -412,11 +402,7 @@ func (c *Cache) remove(b *Block) {
 // slice instead of reading another block's bytes.
 func (c *Cache) recycle(b *Block) {
 	if len(c.free) < c.capacity {
-		if DebugPoison {
-			for i := range b.Data {
-				b.Data[i] = 0xDB
-			}
-		}
+		Poison(b.Data)
 		c.free = append(c.free, b.Data)
 	}
 	b.Data = nil
@@ -516,16 +502,21 @@ func (c *Cache) DropClean() int {
 // first). The slice is a snapshot; callers may MarkClean entries while
 // iterating it.
 func (c *Cache) DirtyBlocks() []*Block {
-	return c.AppendDirty(make([]*Block, 0, c.nDirty))
+	out := make([]*Block, 0, c.nDirty)
+	for b := c.NextDirty(nil); b != nil; b = c.NextDirty(b) {
+		out = append(out, b)
+	}
+	return out
 }
 
-// AppendDirty is DirtyBlocks into the caller's slice: it appends the
-// snapshot to dst and returns the extended slice.
-func (c *Cache) AppendDirty(dst []*Block) []*Block {
-	for b := c.dirty.front; b != nil; b = b.links[chainDirty].next {
-		dst = append(dst, b)
+// NextDirty walks the dirty blocks in dirtied order without a snapshot:
+// it returns the one after b, the oldest when b is nil, and nil at the
+// end. The walk must not MarkClean or MarkDirty on its way.
+func (c *Cache) NextDirty(b *Block) *Block {
+	if b == nil {
+		return c.dirty.front
 	}
-	return dst
+	return b.links[chainDirty].next
 }
 
 // OldestDirty returns the dirtied time of the oldest dirty block.

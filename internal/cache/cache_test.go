@@ -140,48 +140,13 @@ func TestDirtyTracking(t *testing.T) {
 	}
 }
 
-// TestMarkRelocated: the relocation tag goes only on a block that was
-// clean, dirties it in place in the dirty order, and lasts until the
-// block is written — so a clean block is never tagged.
-func TestMarkRelocated(t *testing.T) {
-	c := New(8, 512)
-	moved, modified := c.Add(key(1, 0)), c.Add(key(2, 0))
-	c.MarkDirty(modified, sim.Time(10))
-	if !c.MarkRelocated(moved, sim.Time(20), sim.Time(3)) {
-		t.Fatal("MarkRelocated refused a clean block")
-	}
-	if c.MarkRelocated(modified, sim.Time(20), sim.Time(3)) {
-		t.Fatal("MarkRelocated tagged a block that holds newer modifications")
-	}
-	if age, ok := moved.Relocated(); !ok || age != 3 || !moved.Dirty() || moved.DirtiedAt() != 20 {
-		t.Fatalf("relocated block: age %v tagged %v dirty %v at %v", age, ok, moved.Dirty(), moved.DirtiedAt())
-	}
-	if _, ok := modified.Relocated(); ok || modified.DirtiedAt() != 10 {
-		t.Fatal("the modified block was tagged or re-timed")
-	}
-	if dirty := c.DirtyBlocks(); len(dirty) != 2 || dirty[0] != modified || dirty[1] != moved {
-		t.Fatal("relocation did not queue the block behind the older dirty one")
-	}
-	c.MarkClean(moved)
-	if _, ok := moved.Relocated(); ok || moved.Dirty() {
-		t.Fatal("MarkClean left the relocation tag")
-	}
-	c.MarkRelocated(moved, sim.Time(30), sim.Time(4))
-	c.Remove(moved.Key)
-	if _, ok := moved.Relocated(); ok {
-		t.Fatal("Remove left the relocation tag on the dropped block")
-	}
-	checkChains(t, c)
-}
-
-// TestBlockHeaderSizeClass pins the Block header at 112 bytes and a slab
+// TestBlockHeaderSizeClass pins the Block header at 104 bytes and a slab
 // of them, with the allocator's 8-byte header on a pointerful object,
-// inside the 8 192-byte size class. Padding the relocation tag into its
-// own word measured +8 % host bytes per operation on lfsperf's cleaning
-// workload, and so would a slab that spills into the next class.
+// inside the 8 192-byte size class: a word more per header, or a slab
+// that spills into the next class, is +8 % host bytes per cached block.
 func TestBlockHeaderSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Block{}); size > 112 {
-		t.Fatalf("cache.Block is %d bytes, want <= 112", size)
+	if size := unsafe.Sizeof(Block{}); size > 104 {
+		t.Fatalf("cache.Block is %d bytes, want <= 104", size)
 	}
 	if size := slabLen*unsafe.Sizeof(Block{}) + 8; size > 8192 {
 		t.Fatalf("a slab of %d headers is %d bytes, want <= 8192", slabLen, size)

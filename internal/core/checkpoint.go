@@ -185,8 +185,11 @@ func (fs *FS) writeCheckpoint() error {
 		ImapAddrs:   fs.imap.blockAddrs,
 		Usage:       fs.usage,
 	}
-	buf := make([]byte, fs.sb.CkptBytes)
-	encodeCheckpoint(st, buf)
+	if fs.ckptBuf == nil {
+		fs.ckptBuf = make([]byte, fs.sb.CkptBytes)
+	}
+	buf := fs.ckptBuf
+	encodeCheckpoint(st, buf) // clears it first
 	sector := int64(fs.sb.Ckpt0Sector)
 	if st.Serial%2 == 1 {
 		sector = int64(fs.sb.Ckpt1Sector)
@@ -446,7 +449,7 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), head, disk.CauseRecovery, "recovery: summary probe"); err != nil {
 		return false, err
 	}
-	probe, _, errProbe := decodeSummaryHeaderOnly(head)
+	probe, errProbe := decodeSummaryHeader(head)
 	if errProbe != nil || probe.Serial != fs.writeSerial || probe.Class != class {
 		return false, nil // end of this stream (or torn header)
 	}
@@ -461,7 +464,7 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), unit, disk.CauseRecovery, "recovery: unit"); err != nil {
 		return false, err
 	}
-	h, refs, err := decodeSummary(unit)
+	h, refs, err := decodeSummary(unit, nil)
 	if err != nil || h.Serial != fs.writeSerial || h.Timestamp < ckptTime || h.Class != class {
 		return false, nil
 	}
@@ -524,26 +527,4 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	fs.writeSerial++
 	fs.stats.RollForwardUnits++
 	return true, nil
-}
-
-// decodeSummaryHeaderOnly parses just the summary header (entry
-// checksums are validated later on the full unit).
-func decodeSummaryHeaderOnly(p []byte) (summaryHeader, []blockRef, error) {
-	if len(p) < summaryHeaderSize {
-		return summaryHeader{}, nil, fmt.Errorf("lfs: short summary")
-	}
-	le := binary.LittleEndian
-	if le.Uint32(p[0:]) != summaryMagic {
-		return summaryHeader{}, nil, fmt.Errorf("lfs: bad summary magic")
-	}
-	h := summaryHeader{
-		Serial:    le.Uint64(p[4:]),
-		NBlocks:   int(le.Uint16(p[12:])),
-		SumBlocks: int(le.Uint16(p[14:])),
-		Timestamp: sim.Time(le.Uint64(p[16:])),
-		DataCRC:   le.Uint32(p[24:]),
-		Class:     writeClass(p[32]),
-		Age:       sim.Time(le.Uint64(p[40:])),
-	}
-	return h, nil, nil
 }

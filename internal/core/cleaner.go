@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
 	"lfs/internal/obs"
@@ -145,13 +146,9 @@ func (fs *FS) CleanOnce() (CleanResult, error) {
 // once per batch.
 func (fs *FS) selectBatch(needed int) []int {
 	// The budget is expressed in live bytes to relocate: about two
-	// destination segments' worth, capped by half the cache (revived
-	// blocks sit dirty in the cache until the flush) and by the clean
-	// segments actually available to absorb the copies.
-	budget := 2 * int64(fs.sb.SegmentSize)
-	if half := int64(fs.cfg.CacheBlocks) * int64(fs.cfg.BlockSize) / 2; budget > half {
-		budget = half
-	}
+	// destination segments' worth, capped by the clean segments actually
+	// available to absorb the copies.
+	budget := relocationSegments * int64(fs.sb.SegmentSize)
 	if avail := int64(fs.cleanCount-2) * int64(fs.sb.SegmentSize); budget > avail {
 		budget = avail
 	}
@@ -253,26 +250,64 @@ type victimStat struct {
 	util   float64
 }
 
+// relocationSegments is the most live data, in segments, that selectBatch
+// hands one pass: what the pass's staging memory is sized for.
+const relocationSegments = 2
+
 // cleanerScratch is the cleaner's working memory, kept on the FS like
-// the segment writer's: the batch selectBatch hands to cleanBatch, and
-// cleanBatch's per-victim records.
+// the segment writer's: the batch selectBatch hands to cleanBatch,
+// cleanBatch's per-victim records, and what a pass takes from its
+// victims — the one segment-sized read buffer; of the log unit being
+// walked its summary entries, its data region until that is verified,
+// and the summary's checksum of it; and moves: in revive order, the live
+// data and indirect blocks the pass's flush relocates. The bytes of
+// those with no cached copy are appended to staging, so a pass holds its
+// relocation budget plus one segment however many victims it takes, and
+// only the pass owns any of it: cleanBatch releases it on every way out.
 type cleanerScratch struct {
-	batch []int
-	stats []victimStat
+	batch   []int
+	stats   []victimStat
+	victim  []byte
+	staging []byte
+	refs    []blockRef
+	unit    []byte
+	unitCRC uint32
+	moves   []logBlock
+}
+
+// verifyUnit checks the unit being walked against its summary's data
+// checksum, once, before the first live block is taken from it: a victim
+// that does not read back as written fails the pass instead of being
+// copied under a fresh, valid checksum. A unit that yields no live block
+// is not checked — the torn tail roll-forward discarded is one.
+func (fs *FS) verifyUnit() error {
+	if fs.cl.unit != nil && layout.DataChecksum(fs.cl.unit) != fs.cl.unitCRC {
+		return fmt.Errorf("data checksum mismatch")
+	}
+	fs.cl.unit = nil
+	return nil
+}
+
+// releaseVictims drops what the pass took from its victims; after a
+// failed pass they are still segDirty with every block in place.
+func (fs *FS) releaseVictims() {
+	fs.cl.moves, fs.cl.staging = fs.cl.moves[:0], fs.cl.staging[:0]
+	cache.Poison(fs.cl.victim)
+	cache.Poison(fs.cl.staging[:cap(fs.cl.staging)])
 }
 
 // cleanBatch performs the two-phase clean of a batch of segments
 // (§4.3.2): phase one reads each victim and identifies its live blocks
 // through the summary, the inode map version check, and the inode walk
-// (§4.3.3); phase two re-dirties the live blocks in the cache and lets
-// one segment write copy them all to the head of the log, so the
-// pointer-update metadata (inode and inode-map blocks) is rewritten
-// once per batch rather than once per victim. It runs with fs.cleaning
-// set, so its flush cannot start a nested pass over the same scratch.
+// (§4.3.3), listing them; phase two lets one segment write copy them all
+// to the head of the log, so the pointer-update metadata (inode and
+// inode-map blocks) is rewritten once per batch rather than once per
+// victim. It runs with fs.cleaning set, so its flush cannot start a
+// nested pass over the same scratch.
 func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 	var res CleanResult
 	stats := fs.cl.stats[:0]
-	defer func() { fs.coldBlocks = 0 }()
+	defer fs.releaseVictims()
 	for _, seg := range victims {
 		if fs.usage[seg].State != segDirty {
 			return res, fmt.Errorf("lfs: cleaning segment %d in state %d", seg, fs.usage[seg].State)
@@ -290,7 +325,7 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 	}
 	fs.cl.stats = stats
 
-	// Phase 2: write the re-dirtied live blocks to the log head.
+	// Phase 2: write the listed live blocks to the log head.
 	if err := fs.flush(flushAll); err != nil {
 		return res, err
 	}
@@ -325,23 +360,26 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 	return res, nil
 }
 
-// reviveSegment reads one victim segment and re-dirties its live
-// blocks in the cache, tagging each with the victim's data age: the
-// segment writer credits the relocated copy at its destination with
-// that age — not the copy time — and routes it to the cold head when
-// segregation is on. Without the carry, relocated cold data is
-// stamped "just written" and cost-benefit stops ever re-selecting the
-// segments it lands in. Returns the live and examined block counts.
+// reviveSegment reads one victim segment and lists its live blocks for
+// the pass's flush, each with the victim's data age: the segment writer
+// credits the relocated copy at its destination with that age — not the
+// copy time — and routes it to the cold head when segregation is on.
+// Without the carry, relocated cold data is stamped "just written" and
+// cost-benefit stops ever re-selecting the segments it lands in. Returns
+// the live and examined block counts.
 func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	srcAge := fs.usage[seg].Age
 	if srcAge == 0 {
 		srcAge = fs.usage[seg].LastWrite
 	}
 	// Phase 1: one large sequential read of the whole segment.
-	if fs.segBuf == nil {
-		fs.segBuf = make([]byte, fs.sb.SegmentSize)
+	if fs.cl.victim == nil {
+		segSize := int(fs.sb.SegmentSize)
+		mem := make([]byte, (1+relocationSegments)*segSize)
+		fs.cl.victim, fs.cl.staging = mem[:segSize:segSize], mem[segSize:segSize]
 	}
-	raw := fs.segBuf
+	raw := fs.cl.victim
+	cache.Poison(raw)
 	fs.cpu.Charge(fs.cfg.Costs.DiskOpSetup)
 	if err := fs.d.ReadSectors(fs.segFirstSector(seg), raw, disk.CauseCleanerRead, "cleaner: segment read"); err != nil {
 		return copied, examined, err
@@ -350,20 +388,22 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	bs := fs.cfg.BlockSize
 	blk := 0
 	for blk < fs.cfg.blocksPerSegment() {
-		h, refs, err := decodeSummary(raw[blk*bs:])
+		h, refs, err := decodeSummary(raw[blk*bs:], fs.cl.refs[:0])
 		if err != nil {
 			break // end of the segment's used region
 		}
+		fs.cl.refs = refs
 		dataStart := blk + h.SumBlocks
+		data := raw[dataStart*bs : (dataStart+h.NBlocks)*bs]
+		fs.cl.unit, fs.cl.unitCRC = data, h.DataCRC
 		for j, ref := range refs {
 			examined++
 			fs.stats.CleanerBlocksExamined++
 			fs.cpu.Charge(fs.cfg.Costs.CleanPerBlock)
 			addr := layout.DiskAddr(fs.blockSector(seg, dataStart+j))
-			data := raw[(dataStart+j)*bs : (dataStart+j+1)*bs]
-			live, err := fs.reviveBlock(ref, addr, data, srcAge)
+			live, err := fs.reviveBlock(ref, addr, data[j*bs:(j+1)*bs], srcAge)
 			if err != nil {
-				return copied, examined, err
+				return copied, examined, fmt.Errorf("lfs: cleaner: segment %d, unit at block %d: %w", seg, blk, err)
 			}
 			if live {
 				copied++
@@ -387,8 +427,8 @@ func (fs *FS) killRemaining(seg int) {
 }
 
 // reviveBlock decides whether a logged block is live (§4.3.3) and, if
-// so, reinstates it in the cache as dirty so the next segment write
-// relocates it. Returns whether the block was live.
+// so, queues it for the pass's segment write. Returns whether the block
+// was live.
 func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAge sim.Time) (bool, error) {
 	switch ref.Kind {
 	case kindData, kindIndirect:
@@ -414,17 +454,33 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 		if err != nil || cur != addr {
 			return false, err
 		}
-		// Re-dirty the cached copy, or reinstate the victim's, so the
-		// flush relocates it. It is tagged cold only if it was clean: an
-		// already-dirty copy holds fresh application data that belongs
-		// in the hot stream (and would be written anyway).
+		// An already-dirty cached copy holds newer application data that
+		// belongs in the hot stream (and would be written anyway): it is
+		// not listed. A data block nobody has cached stays out of the
+		// cache — victim → staging → cold head — so a pass evicts nothing
+		// the application cached. An indirect block has to be cached, the
+		// same flush's pointer updates are made in it; a clean cached copy
+		// of either kind is re-dirtied in place.
 		b := fs.bc.Peek(key)
-		if b == nil {
-			b = fs.bc.AddFrom(key, data)
+		if b != nil && b.Dirty() {
+			return true, nil
 		}
-		if fs.bc.MarkRelocated(b, fs.clock.Now(), srcAge) {
-			fs.coldBlocks++
+		if err := fs.verifyUnit(); err != nil {
+			return false, err
 		}
+		m := logBlock{key: key, age: srcAge}
+		if b == nil && ref.Kind == kindData {
+			n := len(fs.cl.staging)
+			fs.cl.staging = append(fs.cl.staging, data...)
+			m.data = fs.cl.staging[n:]
+		} else {
+			if b == nil {
+				b = fs.bc.AddFrom(key, data)
+			}
+			fs.bc.MarkDirty(b, fs.clock.Now())
+			m.data, m.b = b.Data, b
+		}
+		fs.cl.moves = append(fs.cl.moves, m)
 		return true, nil
 
 	case kindInodes:
@@ -443,6 +499,9 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 			if !e.Allocated || e.Addr != wantAddr || int(e.Slot) != slot%inodesPerSector {
 				continue
 			}
+			if err := fs.verifyUnit(); err != nil {
+				return live, err
+			}
 			// Live: queue a rewrite from the in-core copy, fetching (and
 			// so verifying) the record when there is none. A current
 			// record that cannot be read back must fail the pass — the
@@ -452,7 +511,7 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 			// dirty, and discarding them would leave the caller's copy
 			// accounting inconsistent.
 			if _, err := fs.getInode(ino); err != nil {
-				return live, fmt.Errorf("lfs: cleaner: live inode %d at %v slot %d: %w", ino, wantAddr, e.Slot, err)
+				return live, fmt.Errorf("live inode %d at %v slot %d: %w", ino, wantAddr, e.Slot, err)
 			}
 			fs.markInodeDirty(ino)
 			live = true
@@ -463,6 +522,9 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 		idx := int(ref.ID)
 		if idx < 0 || idx >= fs.imap.blockCount() || fs.imap.blockAddrs[idx] != addr {
 			return false, nil
+		}
+		if err := fs.verifyUnit(); err != nil {
+			return false, err
 		}
 		// Re-dirty the imap block; it is rewritten at the
 		// checkpoint that ends this cleaner run.

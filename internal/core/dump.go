@@ -93,7 +93,7 @@ func Dump(w io.Writer, d *disk.Disk, segments bool) error {
 			if err := d.ReadSectors(first+int64(blk)*spb, head, disk.CauseTool, "dump: summary"); err != nil {
 				return err
 			}
-			h, _, err := decodeSummaryHeaderOnly(head)
+			h, err := decodeSummaryHeader(head)
 			if err != nil || h.SumBlocks < 1 || blk+h.SumBlocks+h.NBlocks > blocksPerSeg {
 				break
 			}
@@ -101,7 +101,7 @@ func Dump(w io.Writer, d *disk.Disk, segments bool) error {
 			if err := d.ReadSectors(first+int64(blk)*spb, unit, disk.CauseTool, "dump: unit"); err != nil {
 				return err
 			}
-			hh, refs, err := decodeSummary(unit)
+			hh, refs, err := decodeSummary(unit, nil)
 			if err != nil {
 				break
 			}

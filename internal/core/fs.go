@@ -108,26 +108,19 @@ type FS struct {
 	// it. Guarded by mu.
 	heads [numClasses]logHead
 
-	// coldBlocks counts the cache blocks the current cleaner pass has
-	// revived and tagged as relocations (zero outside a pass). The tag
-	// itself rides on the cache block and carries the victim segment's
-	// data age: the segment writer routes tagged blocks to the cold head
-	// and credits them with that age rather than the current time.
-	// Guarded by mu.
-	coldBlocks int
-
 	// span is the transfer buffer of read-ahead and of inode-block
-	// fetches, segBuf the cleaner's whole-segment read buffer (allocated
-	// by the first clean); wr is the segment writer's working memory and
-	// cl the cleaner's; parts is what the operation's path (Rename: both
+	// fetches, ckptBuf the checkpoint region being encoded (allocated by
+	// the first checkpoint); wr is the segment writer's working memory and
+	// cl the cleaner's (its victim and staging memory is allocated by the
+	// first clean); parts is what the operation's path (Rename: both
 	// paths) is split into, vfs.PathDepth components of it in place. All
 	// are reused so the steady state allocates none of them, and each is
 	// consumed before the operation that filled it returns. Guarded by mu.
-	span   []byte
-	segBuf []byte
-	wr     writerScratch
-	cl     cleanerScratch
-	parts  []string
+	span    []byte
+	ckptBuf []byte
+	wr      writerScratch
+	cl      cleanerScratch
+	parts   []string
 
 	// writeSerial numbers log units; ckptSerial numbers
 	// checkpoints. Guarded by mu.

@@ -28,7 +28,7 @@ func FuzzDecodeSummary(f *testing.F) {
 	copy(truncated, valid)
 	f.Add(truncated)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, refs, err := decodeSummary(data)
+		h, refs, err := decodeSummary(data, nil)
 		if err == nil {
 			if h.NBlocks != len(refs) {
 				t.Fatalf("accepted summary with %d blocks but %d refs", h.NBlocks, len(refs))

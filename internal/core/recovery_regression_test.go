@@ -218,17 +218,22 @@ func TestReviveBlockInodeErrorKeepsLiveness(t *testing.T) {
 // about it, and skipped a record that failed its checksum as if it were
 // a stale copy. When that record was the current one, the victim was
 // reclaimed with the only copy of the inode in it: a media fault turned
-// into a lost file at the next remount. The map is asked first now. A
-// current record with an in-core copy is relocated from memory whatever
-// the medium says; one without must fail the pass with an error that
-// names the inode, and the victim stays dirty.
-//
-// A flip inside the record's inode-number field is still undetected:
-// the slot then reads as another inode's stale copy, and only a walk in
-// the other direction — from the map's entry to the segment — would
-// notice. That belongs with the media-fault work (ROADMAP).
+// into a lost file at the next remount. The map is asked first now, and
+// before anything live is taken from a log unit the unit's data is held
+// to the checksum in its summary: the flipped bit fails the pass with an
+// error naming segment and unit, whether or not the inode is in core,
+// and the victim stays dirty. (A record that goes bad between the
+// segment read and the inode fetch still fails the pass by inode number:
+// TestReviveBlockInodeErrorKeepsLiveness.) The unit checksum also sees
+// what the record's own cannot, a flip inside its inode-number field —
+// as long as something else in the unit is live: the slot itself then
+// reads as another inode's stale copy, and a unit with nothing live in
+// it is not checked.
 func TestCleanerKeepsInodeWithCorruptRecord(t *testing.T) {
-	for _, inCore := range []bool{true, false} {
+	for _, tc := range []struct {
+		inCore bool
+		field  int64 // byte of the record that takes the flip
+	}{{true, 8}, {false, 8}, {false, 0}} {
 		fs := fragmentedFS(t)
 		path := pathOf(1)
 		fi, err := fs.Stat(path)
@@ -244,11 +249,12 @@ func TestCleanerKeepsInodeWithCorruptRecord(t *testing.T) {
 		if cur := fs.imap.get(fi.Ino); cur.Addr != e.Addr || cur.Slot != e.Slot {
 			t.Fatal("the inode moved while the head advanced; test setup is wrong")
 		}
-		if !inCore {
+		if !tc.inCore {
 			fs.inodes.drop(fi.Ino)
 		}
-		// One bit of the current record's size field, on the medium.
-		off := int64(e.Addr)*512 + int64(e.Slot)*layout.InodeSize + 8
+		// One bit of the current record — its size, or its inode number —
+		// on the medium.
+		off := int64(e.Addr)*512 + int64(e.Slot)*layout.InodeSize + tc.field
 		flip := func() {
 			b := make([]byte, 1)
 			must(t, fs.d.Store().ReadAt(b, off))
@@ -259,29 +265,24 @@ func TestCleanerKeepsInodeWithCorruptRecord(t *testing.T) {
 
 		fs.cleaning = true
 		_, err = fs.cleanSegment(victim)
-		fs.cleaning = false
-		if inCore {
-			must(t, err)
-			if st := fs.usage[victim].State; st != segPending {
-				t.Fatalf("victim state %d after the clean, want pending", st)
-			}
-			if cur := fs.imap.get(fi.Ino); fs.segOf(cur.Addr) == victim {
-				t.Fatal("the in-core inode was not relocated out of the victim")
-			}
-			must(t, fs.Checkpoint())
-			fs.DropCaches() // the next Stat reads the relocated record
-		} else {
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("inode %d", fi.Ino)) {
-				t.Fatalf("clean of a victim holding an unreadable current inode: %v, want an error naming inode %d", err, fi.Ino)
-			}
-			if st := fs.usage[victim].State; st != segDirty {
-				t.Fatalf("victim state %d after the failed clean, want still dirty", st)
-			}
-			flip() // the fault clears (or the sector is repaired): nothing was lost
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("segment %d, unit at block", victim)) {
+			t.Fatalf("%+v: clean of a victim that reads back damaged: %v, want an error naming segment %d and the unit", tc, err, victim)
 		}
+		if st := fs.usage[victim].State; st != segDirty {
+			t.Fatalf("%+v: victim state %d after the failed clean, want still dirty", tc, st)
+		}
+		flip() // the fault clears (or the sector is repaired): nothing was lost
+		_, err = fs.cleanSegment(victim)
+		fs.cleaning = false
+		must(t, err)
+		if cur := fs.imap.get(fi.Ino); fs.segOf(cur.Addr) == victim {
+			t.Fatalf("%+v: the inode was not relocated out of the victim on the retry", tc)
+		}
+		must(t, fs.Checkpoint())
+		fs.DropCaches() // the next Stat reads the relocated record
 		after, err := fs.Stat(path)
 		if err != nil || after.Ino != fi.Ino || after.Size != fi.Size {
-			t.Fatalf("in core %v: Stat after the clean = %+v, %v; want %+v", inCore, after, err, fi)
+			t.Fatalf("%+v: Stat after the clean = %+v, %v; want %+v", tc, after, err, fi)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"lfs/internal/core"
 	"lfs/internal/fstest"
 	"lfs/internal/vfs"
 )
@@ -91,5 +92,58 @@ func TestCrashSweepIdenticalWhenPoisoned(t *testing.T) {
 	}
 	if len(poisoned.Failures) != 0 {
 		t.Fatalf("%d crash points failed, first: %s", len(poisoned.Failures), poisoned.Failures[0])
+	}
+}
+
+// TestCleanerMemoryIdenticalWhenPoisoned runs the conformance battery
+// and the random-operation comparison against the reference model on a
+// log whose cleaner starts work almost at once, without and then with
+// poisoning: the cleaner then scribbles over its victim buffer before
+// every segment read and over buffer and staging memory whenever a pass
+// ends. A relocation that outlived its pass, or a list entry pointing
+// into a buffer already read over, would reach the log as 0xDB bytes
+// under a fresh, valid checksum — nothing on disk would flag it, so it is
+// the suites' content checks and the equality of the two runs' counters
+// that must.
+func TestCleanerMemoryIdenticalWhenPoisoned(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheBlocks = 24
+	cfg.SegmentSize = 64 << 10 // 1024 segments: the cleaner runs once 24 are in use
+	cfg.CleanThresholdSegments = 1000
+	cfg.CleanTargetSegments = 1008
+	run := func(t *testing.T) (stats []core.Stats) {
+		var opened []*core.FS
+		open := func(t *testing.T) vfs.FileSystem {
+			_, fs := newPair(t, 64<<20, cfg)
+			opened = append(opened, fs)
+			return fs
+		}
+		t.Run("conformance", func(t *testing.T) { fstest.RunConformance(t, open) })
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("equivalence/seed%d", seed), func(t *testing.T) {
+				fstest.RunEquivalence(t, open, seed, 400)
+			})
+		}
+		for _, fs := range opened {
+			stats = append(stats, fs.Stats())
+		}
+		return stats
+	}
+	var plain, poisoned []core.Stats
+	t.Run("plain", func(t *testing.T) { plain = run(t) })
+	t.Run("poisoned", func(t *testing.T) {
+		fstest.PoisonRecycledBuffers(t)
+		poisoned = run(t)
+	})
+	var cleaned, copied int64
+	for _, s := range plain {
+		cleaned += s.SegmentsCleaned
+		copied += s.CleanerLiveCopied
+	}
+	if cleaned < 100 || copied < 1000 {
+		t.Fatalf("the suites cleaned %d segments and relocated %d blocks, want the cleaner busy", cleaned, copied)
+	}
+	if !reflect.DeepEqual(plain, poisoned) {
+		t.Fatalf("counters differ with poisoned buffers:\nplain    %+v\npoisoned %+v", plain, poisoned)
 	}
 }

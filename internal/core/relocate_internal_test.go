@@ -1,0 +1,471 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"lfs/internal/cache"
+	"lfs/internal/disk"
+	"lfs/internal/layout"
+)
+
+// Tests of the cleaner's relocation list: live blocks move victim →
+// staging → cold head without entering the block cache, through the one
+// write path, and what a pass took from its victims never outlives it.
+
+// loggedUnit is a log unit found by walking a segment's summaries on
+// the medium, below the time model.
+type loggedUnit struct {
+	h        summaryHeader
+	refs     []blockRef
+	seg, blk int
+}
+
+// unitsSince returns the units of seg that carry a serial of at least
+// since, in log order. A reused segment keeps older units behind its
+// tail; the serial filters them out.
+func unitsSince(t testing.TB, fs *FS, seg int, since uint64) []loggedUnit {
+	t.Helper()
+	raw := make([]byte, fs.sb.SegmentSize)
+	must(t, fs.d.Store().ReadAt(raw, fs.segFirstSector(seg)*512))
+	var units []loggedUnit
+	for blk := 0; blk < fs.cfg.blocksPerSegment(); {
+		h, refs, err := decodeSummary(raw[blk*fs.cfg.BlockSize:], nil)
+		if err != nil {
+			break
+		}
+		if h.Serial >= since {
+			units = append(units, loggedUnit{h, refs, seg, blk})
+		}
+		blk += h.SumBlocks + h.NBlocks
+	}
+	return units
+}
+
+// writtenSince returns every unit of the log with a serial of at least
+// since, in serial order.
+func writtenSince(t testing.TB, fs *FS, since uint64) []loggedUnit {
+	t.Helper()
+	var units []loggedUnit
+	for seg := range fs.usage {
+		if fs.usage[seg].State != segClean {
+			units = append(units, unitsSince(t, fs, seg, since)...)
+		}
+	}
+	for i := 1; i < len(units); i++ { // a handful: insertion sort
+		for j := i; j > 0 && units[j].h.Serial < units[j-1].h.Serial; j-- {
+			units[j], units[j-1] = units[j-1], units[j]
+		}
+	}
+	return units
+}
+
+// liveDataRefs walks the victim's summaries and returns, in log order,
+// the data blocks its cleaning has to list: current by inode map version
+// and inode walk, and not dirty in the cache.
+func liveDataRefs(t testing.TB, fs *FS, victim int) []cache.Key {
+	t.Helper()
+	var keys []cache.Key
+	for _, u := range unitsSince(t, fs, victim, 0) {
+		for j, ref := range u.refs {
+			if ref.Kind != kindData {
+				continue
+			}
+			if e := fs.imap.get(ref.Ino); !e.Allocated || e.Version != ref.Version {
+				continue
+			}
+			in, err := fs.getInode(ref.Ino)
+			must(t, err)
+			cur, err := fs.blockAddrOf(in, ref.ID)
+			must(t, err)
+			key := dataKey(ref.Ino, ref.ID)
+			if b := fs.bc.Peek(key); cur == layout.DiskAddr(fs.blockSector(victim, u.blk+u.h.SumBlocks+j)) && (b == nil || !b.Dirty()) {
+				keys = append(keys, key)
+			}
+		}
+	}
+	return keys
+}
+
+// cleanVictims runs one cleaner pass over the given victims.
+func cleanVictims(fs *FS, victims ...int) (CleanResult, error) {
+	fs.cleaning = true
+	defer func() { fs.cleaning = false }()
+	return fs.cleanBatch(victims)
+}
+
+// blockOf returns the inode of path and the address of its block lbn.
+func blockOf(t testing.TB, fs *FS, path string, lbn int64) (*layout.Inode, layout.DiskAddr) {
+	t.Helper()
+	in, err := fs.resolve([]string{path[1:]})
+	must(t, err)
+	addr, err := fs.blockAddrOf(in, lbn)
+	must(t, err)
+	return in, addr
+}
+
+// TestRelocationByCacheState: what the cleaner does with a live data
+// block depends on the block cache alone. Nobody has it cached: it is
+// relocated without entering the cache. A clean copy is cached: that
+// copy is relocated, once, to the cold stream, and stays cached. A dirty
+// copy is cached: it is newer application data, goes out in the hot
+// stream, and its bytes are what a remount finds.
+func TestRelocationByCacheState(t *testing.T) {
+	path := pathOf(1)
+	old := bytes.Repeat([]byte{1}, 8192)
+
+	setup := func(t *testing.T) (fs *FS, ino layout.Ino, victim int, since uint64) {
+		fs = fragmentedFS(t)
+		fs.DropCaches()
+		in, addr := blockOf(t, fs, path, 0)
+		victim = fs.segOf(addr)
+		if fs.usage[victim].State != segDirty {
+			t.Fatal("the file's segment is not cleanable; test setup is wrong")
+		}
+		return fs, in.Ino, victim, fs.writeSerial
+	}
+	// unitOf returns the one unit written since that holds block 0 of ino.
+	unitOf := func(t *testing.T, fs *FS, ino layout.Ino, since uint64) loggedUnit {
+		var found []loggedUnit
+		for _, u := range writtenSince(t, fs, since) {
+			for _, ref := range u.refs {
+				if ref.Kind == kindData && ref.Ino == ino && ref.ID == 0 {
+					found = append(found, u)
+				}
+			}
+		}
+		if len(found) != 1 {
+			t.Fatalf("block 0 of inode %d was logged %d times by the pass, want once", ino, len(found))
+		}
+		return found[0]
+	}
+	readBack := func(t *testing.T, fs *FS, want []byte) {
+		got := make([]byte, len(want))
+		if _, err := fs.Read(path, 0, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read after the clean: %v, first byte %#x want %#x", err, got[0], want[0])
+		}
+	}
+
+	t.Run("absent", func(t *testing.T) {
+		fs, ino, victim, since := setup(t)
+		inserted := fs.bc.Stats().Inserted
+		res, err := cleanVictims(fs, victim)
+		must(t, err)
+		if res.LiveCopied == 0 || fs.bc.Stats().Inserted != inserted {
+			t.Fatalf("pass copied %d blocks and inserted %d into the cache, want some and none",
+				res.LiveCopied, fs.bc.Stats().Inserted-inserted)
+		}
+		if fs.bc.Peek(dataKey(ino, 0)) != nil {
+			t.Fatal("the relocated block entered the cache")
+		}
+		if u := unitOf(t, fs, ino, since); u.h.Class != classCold {
+			t.Fatalf("relocated in a %v unit, want cold", u.h.Class)
+		}
+		must(t, fs.Checkpoint())
+		fs.DropCaches()
+		if _, addr := blockOf(t, fs, path, 0); fs.segOf(addr) == victim {
+			t.Fatal("the block still lives in the victim")
+		}
+		readBack(t, fs, old)
+	})
+
+	t.Run("clean", func(t *testing.T) {
+		fs, ino, victim, since := setup(t)
+		readBack(t, fs, old) // caches both blocks, clean
+		res, err := cleanVictims(fs, victim)
+		must(t, err)
+		b := fs.bc.Peek(dataKey(ino, 0))
+		if res.LiveCopied == 0 || b == nil || b.Dirty() || !bytes.Equal(b.Data, old[:4096]) {
+			t.Fatalf("after the pass the cached copy is %v, want still cached, clean and intact", b)
+		}
+		if u := unitOf(t, fs, ino, since); u.h.Class != classCold {
+			t.Fatalf("relocated in a %v unit, want cold", u.h.Class)
+		}
+		if _, addr := blockOf(t, fs, path, 0); fs.segOf(addr) == victim {
+			t.Fatal("the block still lives in the victim")
+		}
+	})
+
+	t.Run("dirty", func(t *testing.T) {
+		fs, ino, victim, since := setup(t)
+		newer := bytes.Repeat([]byte{0xEE}, 4096)
+		must(t, fs.Write(path, 0, newer))
+		if b := fs.bc.Peek(dataKey(ino, 0)); b == nil || !b.Dirty() {
+			t.Fatal("the overwrite is not dirty in the cache; test setup is wrong")
+		}
+		_, err := cleanVictims(fs, victim)
+		must(t, err)
+		if u := unitOf(t, fs, ino, since); u.h.Class != classHot {
+			t.Fatalf("newer application data went out in a %v unit, want hot", u.h.Class)
+		}
+		must(t, fs.Checkpoint())
+		d, cfg := fs.d, fs.cfg
+		fs.Crash()
+		fs, err = Mount(d, cfg)
+		must(t, err)
+		readBack(t, fs, append(append([]byte{}, newer...), old[4096:]...))
+	})
+}
+
+// TestColdStreamKeepsReviveOrder: a batch of victims whose live blocks
+// are absent from, clean in and dirty in the cache writes its cold data
+// stream in the order the victims' summaries list those blocks, victim
+// by victim — the order the dirty list gave when every revived block
+// went through it.
+func TestColdStreamKeepsReviveOrder(t *testing.T) {
+	fs := fragmentedFS(t)
+	fs.DropCaches()
+	buf := make([]byte, 8192)
+	for _, i := range []int{3, 9, 21} { // clean cached copies
+		_, err := fs.Read(pathOf(i), 0, buf)
+		must(t, err)
+	}
+	must(t, fs.Write(pathOf(5), 4096, bytes.Repeat([]byte{0xEE}, 4096))) // a dirty one
+	batch := fs.selectBatch(8)
+	if len(batch) < 3 {
+		t.Fatalf("batch %v, want several victims", batch)
+	}
+	var want []cache.Key
+	for _, seg := range batch {
+		want = append(want, liveDataRefs(t, fs, seg)...)
+	}
+	since := fs.writeSerial
+	_, err := cleanVictims(fs, batch...)
+	must(t, err)
+	var got []cache.Key
+	for _, u := range writtenSince(t, fs, since) {
+		for _, ref := range u.refs {
+			if u.h.Class == classCold && ref.Kind == kindData {
+				got = append(got, dataKey(ref.Ino, ref.ID))
+			}
+		}
+	}
+	if len(want) < 20 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cold stream order\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestFailedPassReleasesVictims: a pass that fails after it has revived a
+// victim — here the second victim's segment read fails — keeps nothing of
+// what it took: the list and the staging memory are empty (and, with
+// poisoning on, scribbled over), every victim is still dirty with its
+// blocks in place, and the next pass over the same victims succeeds.
+func TestFailedPassReleasesVictims(t *testing.T) {
+	cache.DebugPoison = true
+	defer func() { cache.DebugPoison = false }()
+	fs := fragmentedFS(t)
+	fs.bc.DropClean() // the inodes stay in core: a pass reads segments only
+	batch := append([]int(nil), fs.selectBatch(8)...)
+	if len(batch) < 2 {
+		t.Fatalf("batch %v, want at least two victims", batch)
+	}
+	injected := errors.New("injected read fault")
+	fs.d.SetFaultPolicy(&disk.CrashPlan{ReadErrors: map[int64]error{2: injected}})
+	res, err := cleanVictims(fs, batch...)
+	fs.d.SetFaultPolicy(nil)
+	if !errors.Is(err, injected) || res.LiveCopied == 0 {
+		t.Fatalf("pass: %+v, %v; want the first victim revived and the injected fault", res, err)
+	}
+	if len(fs.cl.moves) != 0 || len(fs.cl.staging) != 0 {
+		t.Fatalf("the failed pass kept %d listed blocks and %d staged bytes", len(fs.cl.moves), len(fs.cl.staging))
+	}
+	for _, mem := range [][]byte{fs.cl.victim, fs.cl.staging[:cap(fs.cl.staging)]} {
+		if !bytes.Equal(mem, bytes.Repeat([]byte{0xDB}, len(mem))) {
+			t.Fatal("victim memory was not poisoned on the way out")
+		}
+	}
+	for _, seg := range batch {
+		if fs.usage[seg].State != segDirty {
+			t.Fatalf("victim %d in state %d after the failed pass, want dirty", seg, fs.usage[seg].State)
+		}
+	}
+	if rep, err := fs.Check(); err != nil || !rep.Ok() {
+		t.Fatalf("check after the failed pass: %v %v", err, rep)
+	}
+	res, err = cleanVictims(fs, batch...)
+	if err != nil || res.SegmentsCleaned != len(batch) {
+		t.Fatalf("retry: %+v, %v; want all %d victims cleaned", res, err, len(batch))
+	}
+	must(t, fs.Checkpoint())
+	fs.DropCaches()
+	for i := 1; i < 40; i += 2 {
+		got := make([]byte, 8192)
+		if _, err := fs.Read(pathOf(i), 0, got); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 8192)) {
+			t.Fatalf("file %d after the retry: %v, first byte %#x", i, err, got[0])
+		}
+	}
+}
+
+// TestCleanerFailsOnFlippedDataBit: one bit flipped in a live data block
+// of a dirty segment fails the pass that would have copied it — under a
+// freshly computed, valid checksum nothing would ever flag it again. The
+// segment is not reclaimed, nothing is relocated, and the file still
+// reads its damaged bytes from the old address: whether such a victim is
+// quarantined instead of retried is ROADMAP item 2(a)'s to decide.
+func TestCleanerFailsOnFlippedDataBit(t *testing.T) {
+	fs := fragmentedFS(t)
+	fs.DropCaches()
+	path := pathOf(7)
+	_, addr := blockOf(t, fs, path, 1)
+	victim := fs.segOf(addr)
+	must(t, fs.d.FlipBits(int64(addr), 100, 0x04))
+	since, written := fs.writeSerial, fs.stats.BlocksWritten
+	res, err := cleanVictims(fs, victim)
+	if err == nil || res.SegmentsCleaned != 0 {
+		t.Fatalf("clean of a victim with a flipped bit: %+v, %v; want the pass to fail", res, err)
+	}
+	if want := fmt.Sprintf("segment %d, unit at block", victim); !bytes.Contains([]byte(err.Error()), []byte(want)) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+	if fs.usage[victim].State != segDirty {
+		t.Fatalf("victim state %d, want still dirty", fs.usage[victim].State)
+	}
+	if fs.writeSerial != since || fs.stats.BlocksWritten != written || len(fs.cl.moves) != 0 {
+		t.Fatal("the failed pass wrote to the log or kept its list")
+	}
+	if _, cur := blockOf(t, fs, path, 1); cur != addr {
+		t.Fatalf("the damaged block moved from %v to %v", addr, cur)
+	}
+	want := bytes.Repeat([]byte{7}, 8192)
+	want[4096+100] ^= 0x04
+	got := make([]byte, 8192)
+	if _, err := fs.Read(path, 0, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read of the damaged file: %v; want its flipped bytes from the old address", err)
+	}
+}
+
+// TestPassMemoryIsBoundedByBudget: a batch of many nearly empty victims
+// holds the one segment-sized read buffer and a relocation budget of
+// staging, not a buffer per victim.
+func TestPassMemoryIsBoundedByBudget(t *testing.T) {
+	cfg := smallConfig()
+	cfg.SegmentSize = 64 << 10
+	cfg.CacheBlocks = 64
+	fs := newTestFS(t, 8<<20, cfg)
+	for i := 0; i < 120; i++ {
+		must(t, fs.Create(pathOf(i)))
+		must(t, fs.Write(pathOf(i), 0, bytes.Repeat([]byte{byte(i)}, 8192)))
+	}
+	must(t, fs.Sync())
+	for i := 0; i < 120; i++ {
+		if i%8 != 0 {
+			must(t, fs.Remove(pathOf(i)))
+		}
+	}
+	must(t, fs.Sync())
+	fs.DropCaches()
+	batch := fs.selectBatch(64)
+	res, err := cleanVictims(fs, batch...)
+	must(t, err)
+	if len(batch) < 8 || res.LiveCopied < len(batch) {
+		t.Fatalf("batch %v copied %d blocks, want many victims with a little live data each", batch, res.LiveCopied)
+	}
+	held, bound := len(fs.cl.victim)+cap(fs.cl.staging), (1+relocationSegments)*cfg.SegmentSize
+	if held > bound {
+		t.Fatalf("a pass over %d victims holds %d bytes, want at most budget + one segment = %d", len(batch), held, bound)
+	}
+}
+
+// liveBySegment recounts, from the inode map and every allocated inode,
+// the bytes each segment holds that something still points at: inode
+// records, data blocks, indirect blocks and inode map blocks — what the
+// writer credits and the usage array estimates.
+func liveBySegment(t testing.TB, fs *FS) []int64 {
+	t.Helper()
+	live := make([]int64, len(fs.usage))
+	bs := int64(fs.cfg.BlockSize)
+	count := func(a layout.DiskAddr, n int64) {
+		if !a.IsNil() {
+			live[fs.segOf(a)] += n
+		}
+	}
+	for _, a := range fs.imap.blockAddrs {
+		count(a, bs)
+	}
+	for ino := layout.RootIno; ino <= fs.imap.maxIno(); ino++ {
+		e := fs.imap.get(ino)
+		if !e.Allocated {
+			continue
+		}
+		count(e.Addr, layout.InodeSize)
+		in, err := fs.getInode(ino)
+		must(t, err)
+		blocks := layout.BlocksForSize(in.Size, fs.cfg.BlockSize)
+		for lbn := int64(0); lbn < blocks; lbn++ {
+			a, err := fs.blockAddrOf(in, lbn)
+			must(t, err)
+			count(a, bs)
+		}
+		count(in.Indirect, bs)
+		count(in.DoubleIndirect, bs)
+		if !in.DoubleIndirect.IsNil() {
+			for k := int64(0); k < int64(fs.cfg.BlockSize/layout.AddrSize); k++ {
+				a, err := fs.indirectAddrOf(in, indDoubleInnerBase+k)
+				must(t, err)
+				count(a, bs)
+			}
+		}
+	}
+	return live
+}
+
+// TestUsageMatchesRecount is ROADMAP item 4(a)'s audit as a test: after
+// lfsperf's cleaning workload in small — a log filled to 0.80 with 4 KB
+// files, Zipf overwrites synced every 64, enough of them that the cleaner
+// turns the log over several times, no crash — each segment's live
+// estimate equals a recount from the inodes, and so does their total;
+// and the cleaner's memory never grew past budget + one segment.
+func TestUsageMatchesRecount(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Policy = CleanCostBenefit
+	cfg.SegmentSize = 64 << 10
+	cfg.CacheBlocks = 64
+	cfg.MaxInodes = 2048
+	cfg.MaxLiveFraction = 0.92
+	cfg.CleanThresholdSegments = 8
+	cfg.CleanTargetSegments = 12
+	fs := newTestFS(t, 8<<20, cfg)
+	files := int(fs.LogCapacity() * 4 / 5 / 4096)
+	name := func(i int) string { return fmt.Sprintf("/d%d/f%04d", i%8, i) }
+	for d := 0; d < 8; d++ {
+		must(t, fs.Mkdir(fmt.Sprintf("/d%d", d)))
+	}
+	rng := rand.New(rand.NewSource(42))
+	block := make([]byte, 4096)
+	for i := 0; i < files; i++ {
+		must(t, fs.Create(name(i)))
+		rng.Read(block)
+		must(t, fs.Write(name(i), 0, block))
+	}
+	must(t, fs.Sync())
+	zipf := rand.NewZipf(rng, 1.1, 8, uint64(files-1))
+	for i := 0; i < 3*files; i++ {
+		rng.Read(block)
+		must(t, fs.Write(name(int(zipf.Uint64())), 0, block))
+		if (i+1)%64 == 0 {
+			must(t, fs.Sync())
+		}
+	}
+	must(t, fs.Checkpoint())
+	if fs.stats.SegmentsCleaned < int64(len(fs.usage)) {
+		t.Fatalf("the cleaner reclaimed %d segments, want the log of %d turned over", fs.stats.SegmentsCleaned, len(fs.usage))
+	}
+	var total int64
+	for seg, want := range liveBySegment(t, fs) {
+		total += want
+		if got := fs.usage[seg].Live; got != want {
+			t.Errorf("segment %d (state %d): usage says %d live bytes, the inodes say %d", seg, fs.usage[seg].State, got, want)
+		}
+	}
+	if fs.liveBytes != total {
+		t.Errorf("live-byte total %d, recount %d", fs.liveBytes, total)
+	}
+	// With estimates that exact, no pass was handed more than its budget:
+	// the staging span is the size it was made.
+	if held, bound := len(fs.cl.victim)+cap(fs.cl.staging), (1+relocationSegments)*cfg.SegmentSize; held != bound {
+		t.Errorf("after %d passes the cleaner holds %d bytes, want the %d it started with", fs.stats.CleanerRuns, held, bound)
+	}
+}

@@ -216,18 +216,18 @@ func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
 // checksum is verified.
 var zeroCRCWord [4]byte
 
-// decodeSummary parses a unit summary from p. It returns an error for
-// anything that is not a valid summary (the roll-forward stop
-// condition).
-func decodeSummary(p []byte) (summaryHeader, []blockRef, error) {
+// decodeSummaryHeader parses just the summary header; its checksum,
+// which also covers the entries, is verified by decodeSummary on the
+// full unit.
+func decodeSummaryHeader(p []byte) (summaryHeader, error) {
 	if len(p) < summaryHeaderSize {
-		return summaryHeader{}, nil, fmt.Errorf("lfs: summary shorter than header")
+		return summaryHeader{}, fmt.Errorf("lfs: summary shorter than header")
 	}
 	le := binary.LittleEndian
 	if le.Uint32(p[0:]) != summaryMagic {
-		return summaryHeader{}, nil, fmt.Errorf("lfs: bad summary magic")
+		return summaryHeader{}, fmt.Errorf("lfs: bad summary magic")
 	}
-	h := summaryHeader{
+	return summaryHeader{
 		Serial:    le.Uint64(p[4:]),
 		NBlocks:   int(le.Uint16(p[12:])),
 		SumBlocks: int(le.Uint16(p[14:])),
@@ -235,6 +235,17 @@ func decodeSummary(p []byte) (summaryHeader, []blockRef, error) {
 		DataCRC:   le.Uint32(p[24:]),
 		Class:     writeClass(p[32]),
 		Age:       sim.Time(le.Uint64(p[40:])),
+	}, nil
+}
+
+// decodeSummary parses a unit summary from p, appending its entries to
+// dst (the cleaner passes its scratch; nil allocates). It returns an
+// error for anything that is not a valid summary (the roll-forward stop
+// condition).
+func decodeSummary(p []byte, dst []blockRef) (summaryHeader, []blockRef, error) {
+	h, err := decodeSummaryHeader(p)
+	if err != nil {
+		return summaryHeader{}, nil, err
 	}
 	total := summaryBytes(h.NBlocks)
 	if total > len(p) {
@@ -245,19 +256,20 @@ func decodeSummary(p []byte) (summaryHeader, []blockRef, error) {
 	crc := crc32.Update(0, crc32.IEEETable, p[:28])
 	crc = crc32.Update(crc, crc32.IEEETable, zeroCRCWord[:])
 	crc = crc32.Update(crc, crc32.IEEETable, p[32:total])
+	le := binary.LittleEndian
 	if crc != le.Uint32(p[28:]) {
 		return summaryHeader{}, nil, fmt.Errorf("lfs: summary checksum mismatch")
 	}
-	refs := make([]blockRef, h.NBlocks)
-	off := summaryHeaderSize
-	for i := range refs {
-		refs[i] = blockRef{
+	if dst == nil {
+		dst = make([]blockRef, 0, h.NBlocks)
+	}
+	for off := summaryHeaderSize; off < total; off += summaryEntrySize {
+		dst = append(dst, blockRef{
 			Kind:    blockKind(p[off]),
 			Ino:     layout.Ino(le.Uint32(p[off+4:])),
 			ID:      int64(le.Uint64(p[off+8:])),
 			Version: le.Uint32(p[off+16:]),
-		}
-		off += summaryEntrySize
+		})
 	}
-	return h, refs, nil
+	return h, dst, nil
 }

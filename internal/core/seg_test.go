@@ -41,7 +41,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 	}
 	buf := make([]byte, 4096)
 	encodeSummary(h, refs, buf)
-	gotH, gotRefs, err := decodeSummary(buf)
+	gotH, gotRefs, err := decodeSummary(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +59,16 @@ func TestSummaryDetectsCorruption(t *testing.T) {
 	buf := make([]byte, 4096)
 	encodeSummary(h, refs, buf)
 	buf[40] ^= 0x01
-	if _, _, err := decodeSummary(buf); err == nil {
+	if _, _, err := decodeSummary(buf, nil); err == nil {
 		t.Fatal("corrupted summary decoded")
 	}
 }
 
 func TestSummaryRejectsGarbage(t *testing.T) {
-	if _, _, err := decodeSummary(make([]byte, 4096)); err == nil {
+	if _, _, err := decodeSummary(make([]byte, 4096), nil); err == nil {
 		t.Fatal("zero block decoded as summary")
 	}
-	if _, _, err := decodeSummary(make([]byte, 10)); err == nil {
+	if _, _, err := decodeSummary(make([]byte, 10), nil); err == nil {
 		t.Fatal("short buffer decoded as summary")
 	}
 }
@@ -90,7 +90,7 @@ func TestSummaryRoundTripProperty(t *testing.T) {
 		h := summaryHeader{Serial: serial, NBlocks: count, SumBlocks: sumBlks, Timestamp: sim.Time(rng.Int63())}
 		buf := make([]byte, sumBlks*4096)
 		encodeSummary(h, refs, buf)
-		gotH, gotRefs, err := decodeSummary(buf)
+		gotH, gotRefs, err := decodeSummary(buf, nil)
 		return err == nil && gotH == h && reflect.DeepEqual(gotRefs, refs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

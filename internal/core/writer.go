@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -47,18 +48,29 @@ const (
 	flushCheckpoint
 )
 
+// logBlock is one data or indirect block on its way into the log: whose
+// it is, its bytes, the cached copy to mark clean once they are logged
+// (nil when the bytes are the cleaner's own) and, for a relocation, the
+// age of the data.
+type logBlock struct {
+	key  cache.Key
+	data []byte
+	b    *cache.Block
+	age  sim.Time
+}
+
 // writerScratch is the segment writer's working memory, kept on the FS
 // so a steady-state flush allocates nothing. One batch is gathered,
 // placed and credited before the next is gathered, so one set serves
 // every batch of a flush.
 type writerScratch struct {
-	batch, hot, cold []*cache.Block
-	refs             []blockRef
-	payload          [][]byte
-	meta             []byte // backs the payload of inode and imap blocks
-	ages             []sim.Time
-	addrs            []layout.DiskAddr
-	inos             []layout.Ino
+	batch   []logBlock
+	refs    []blockRef
+	payload [][]byte
+	meta    []byte // backs the payload of inode and imap blocks
+	ages    []sim.Time
+	addrs   []layout.DiskAddr
+	inos    []layout.Ino
 }
 
 // flush is the segment writer: it gathers every dirty block from the
@@ -119,61 +131,46 @@ var blockPasses = [...]struct {
 	{cache.KindIndirect, kindIndirect, indSingle, indSingle},
 }
 
-// dirtyBlocks snapshots the cache's dirty list, oldest first, into
-// reused memory: valid until the next call.
-func (fs *FS) dirtyBlocks() []*cache.Block {
-	fs.wr.batch = fs.bc.AppendDirty(fs.wr.batch[:0])
-	return fs.wr.batch
-}
-
 // writeDirtyBlocks logs the dirty data and indirect blocks — of every
 // file, or of file ino alone when it is nonzero (fsync) — in dirtied
-// order within each pass, and redirects their pointers.
+// order within each pass, and redirects their pointers. A cleaner pass's
+// relocations go first, to the cold stream in the order they were
+// revived; logging them cleans the cached ones, so the dirty list that
+// is walked next holds the hot stream alone.
 func (fs *FS) writeDirtyBlocks(ino layout.Ino) error {
 	for _, p := range blockPasses {
-		dirty := fs.dirtyBlocks()
-		batch := dirty[:0] // filtered in place
-		for _, b := range dirty {
-			if b.Key.Kind == p.kind && (ino == 0 || b.Key.Ino == ino) && p.lo <= b.Key.Off && b.Key.Off <= p.hi {
-				batch = append(batch, b)
+		takes := func(k cache.Key) bool {
+			return k.Kind == p.kind && (ino == 0 || k.Ino == ino) && p.lo <= k.Off && k.Off <= p.hi
+		}
+		batch := fs.wr.batch[:0]
+		for _, m := range fs.cl.moves {
+			if takes(m.key) {
+				batch = append(batch, m)
 			}
 		}
-		if err := fs.writeBlockBatch(batch, p.ref); err != nil {
+		if err := fs.writeBlockClass(batch, classCold, p.ref); err != nil {
+			return err
+		}
+		batch = batch[:0]
+		for b := fs.bc.NextDirty(nil); b != nil; b = fs.bc.NextDirty(b) {
+			if takes(b.Key) {
+				batch = append(batch, logBlock{key: b.Key, data: b.Data, b: b})
+			}
+		}
+		fs.wr.batch = batch
+		if err := fs.writeBlockClass(batch, classHot, p.ref); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeBlockBatch logs the given dirty data or indirect blocks and
-// redirects their pointers. During a cleaner pass the batch splits:
-// blocks revived from a victim go to the cold stream carrying the
-// victim's data age, everything else to the hot stream. Outside a pass
-// (or when the pass revived nothing) the batch goes out whole.
-func (fs *FS) writeBlockBatch(blocks []*cache.Block, kind blockKind) error {
-	if fs.coldBlocks == 0 {
-		return fs.writeBlockClass(blocks, classHot, kind)
-	}
-	hot, cold := fs.wr.hot[:0], fs.wr.cold[:0]
-	for _, b := range blocks {
-		if _, ok := b.Relocated(); ok {
-			cold = append(cold, b)
-		} else {
-			hot = append(hot, b)
-		}
-	}
-	fs.wr.hot, fs.wr.cold = hot, cold
-	if err := fs.writeBlockClass(cold, classCold, kind); err != nil {
-		return err
-	}
-	return fs.writeBlockClass(hot, classHot, kind)
-}
-
-// writeBlockClass logs one class's data or indirect blocks. Relocations
-// carry their victim segment's age so cold data stays old across copies
-// (§3.6) — one batch can mix ages, the cleaner relocates several
-// victims per pass — and fresh writes are as young as now.
-func (fs *FS) writeBlockClass(blocks []*cache.Block, class writeClass, kind blockKind) error {
+// writeBlockClass logs one class's data or indirect blocks and redirects
+// their pointers: the one place either happens. Relocations carry their
+// victim segment's age so cold data stays old across copies (§3.6) —
+// one batch can mix ages, the cleaner relocates several victims per
+// pass — and fresh writes are as young as now.
+func (fs *FS) writeBlockClass(blocks []logBlock, class writeClass, kind blockKind) error {
 	if len(blocks) == 0 {
 		return nil
 	}
@@ -182,17 +179,13 @@ func (fs *FS) writeBlockClass(blocks []*cache.Block, class writeClass, kind bloc
 	for _, b := range blocks {
 		refs = append(refs, blockRef{
 			Kind:    kind,
-			Ino:     b.Key.Ino,
-			ID:      b.Key.Off,
-			Version: fs.imap.get(b.Key.Ino).Version,
+			Ino:     b.key.Ino,
+			ID:      b.key.Off,
+			Version: fs.imap.get(b.key.Ino).Version,
 		})
-		payload = append(payload, b.Data)
+		payload = append(payload, b.data)
 		if class == classCold {
-			age := now
-			if a, _ := b.Relocated(); a > 0 {
-				age = a
-			}
-			ages = append(ages, age)
+			ages = append(ages, cmp.Or(b.age, now))
 		}
 	}
 	fs.wr.refs, fs.wr.payload, fs.wr.ages = refs, payload, ages
@@ -205,26 +198,24 @@ func (fs *FS) writeBlockClass(blocks []*cache.Block, class writeClass, kind bloc
 	}
 	bs := int64(fs.cfg.BlockSize)
 	for i, b := range blocks {
-		in, err := fs.getInode(b.Key.Ino)
+		in, err := fs.getInode(b.key.Ino)
 		if err != nil {
-			return fmt.Errorf("lfs: flushing %v block of inode %d: %w", kind, b.Key.Ino, err)
+			return fmt.Errorf("lfs: flushing %v block of inode %d: %w", kind, b.key.Ino, err)
 		}
 		var old layout.DiskAddr
 		if kind == kindData {
-			old, err = fs.setBlockAddr(in, b.Key.Off, addrs[i])
+			old, err = fs.setBlockAddr(in, b.key.Off, addrs[i])
 		} else {
-			old, err = fs.setIndirectAddr(in, b.Key.Off, addrs[i])
+			old, err = fs.setIndirectAddr(in, b.key.Off, addrs[i])
 		}
 		if err != nil {
 			return err
 		}
-		age := now
-		if ages != nil {
-			age = ages[i]
-		}
 		fs.killBlock(old, bs)
-		fs.creditSegmentAged(fs.segOf(addrs[i]), bs, age)
-		fs.bc.MarkClean(b)
+		fs.creditSegmentAged(fs.segOf(addrs[i]), bs, cmp.Or(b.age, now))
+		if b.b != nil {
+			fs.bc.MarkClean(b.b)
+		}
 	}
 	return nil
 }

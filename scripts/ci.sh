@@ -45,9 +45,14 @@ echo "== size =="
 # budgets below. Growth stays possible — by raising the number here, in
 # the diff, where a reviewer sees it. Set to PR 20's result rounded up
 # to the next hundred, less the 1062 lines of lint corpora under
-# testdata that size.sh stopped counting in PR 21; lower it when a
-# change shrinks the tree.
-size_ceiling=25538
+# testdata that size.sh stopped counting in PR 21 (25 538), plus the
+# 31 lines PR 22 was still over after every deletion it could make (the
+# cache's relocation tag, the writer's hot/cold split scan, the second
+# summary-header parser, coldBlocks, segBuf): they bought the check of
+# each victim unit against its DataCRC, the poisoning of the cleaner's
+# memory and the relocation list itself. Lower it when a change shrinks
+# the tree.
+size_ceiling=25569
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
@@ -129,11 +134,14 @@ echo "== lfsperf smoke =="
 # large-file path's (3.02 before split paths and slabs, 0.10 after: the
 # cache's first-fill buffers and the slabs) and the bytes it and the
 # cleaning path allocate (16.8 KB and 55.8 KB before block buffers
-# were recycled, 4051 and 900 now; what is left is the memory store's
-# own chunks and the slabs of cache block headers), the cleaning
-# path's allocations (6.05 while every revived block had a header of
-# its own, 0.34 now: slabs and summary refs, no map or scratch slice of
-# the cleaner's own) and what sixteen clients on four shards allocate
+# were recycled, 4083 and 900 after, 4064 and 114 since the cleaner's
+# live blocks stopped going through the block cache; what is left is
+# the memory store's own chunks and the slabs of block headers for what
+# the application itself reads and writes), the cleaning path's
+# allocations (6.05 while every revived block had a header of its own,
+# 0.34 with slabs, 0.018 now: no header for a relocated block, no refs
+# slice per summary, no region buffer per checkpoint) and what sixteen
+# clients on four shards allocate
 # (0.54 — the fsync handler's closure, one per write→fsync pair — and
 # 3686 bytes; the bytes are nearly all the four stores' 1 MB chunks, so
 # the budget holds the memory store's per-chunk overhead — a closure
@@ -156,8 +164,8 @@ perf_run largefile
 perf_budget host_allocs_per_op count 0.5
 perf_budget host_bytes_per_op bytes 5000
 perf_run cleaning
-perf_budget host_bytes_per_op bytes 1500
-perf_budget host_allocs_per_op count 1
+perf_budget host_bytes_per_op bytes 250
+perf_budget host_allocs_per_op count 0.1
 perf_run clients
 perf_budget host_allocs_per_op count 1
 perf_budget host_bytes_per_op bytes 4500
