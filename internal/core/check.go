@@ -86,7 +86,7 @@ func (fs *FS) Check() (*CheckReport, error) {
 			}
 			return nil
 		}
-		e := fs.imap.get(ino)
+		e := fs.imap.peek(ino)
 		if !e.Allocated {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: inode %d referenced but free in the inode map", path, ino))
 			return nil
@@ -145,8 +145,8 @@ func (fs *FS) Check() (*CheckReport, error) {
 	}
 
 	// Inode map cross-check, including link counts.
-	for ino := layout.RootIno; ino <= fs.imap.maxIno(); ino++ {
-		e := fs.imap.get(ino)
+	for ino, high := layout.RootIno, fs.imap.highIno(); ino <= high; ino++ {
+		e := fs.imap.peek(ino)
 		if e.Allocated && refs[ino] == 0 {
 			rep.OrphanedInodes++
 		}

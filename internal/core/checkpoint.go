@@ -241,15 +241,17 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 	// so attaching never perturbs the timeline.
 	d.SetWaiter(fs.op)
 
-	// Read both checkpoint regions; use the newest valid one.
+	// Read both checkpoint regions; use the newest valid one. What
+	// decodeCheckpoint keeps it copies out, so both are read into the
+	// buffer the volume's own checkpoints will be encoded in.
 	var best checkpointState
 	found := false
+	fs.ckptBuf = make([]byte, sb.CkptBytes)
 	for _, sector := range []int64{int64(sb.Ckpt0Sector), int64(sb.Ckpt1Sector)} {
-		region := make([]byte, sb.CkptBytes)
-		if err := d.ReadSectors(sector, region, disk.CauseRecovery, "mount: checkpoint"); err != nil {
+		if err := d.ReadSectors(sector, fs.ckptBuf, disk.CauseRecovery, "mount: checkpoint"); err != nil {
 			return nil, err
 		}
-		st, err := decodeCheckpoint(region)
+		st, err := decodeCheckpoint(fs.ckptBuf)
 		if err != nil {
 			continue // torn or never-written region
 		}
@@ -298,12 +300,13 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 		fs.usage[cold.seg].State = segActive
 	}
 
-	// Load the inode map blocks named by the checkpoint.
+	// Load the inode map blocks named by the checkpoint; only they
+	// become resident.
+	blk := fs.span[:cfg.BlockSize]
 	for idx, addr := range fs.imap.blockAddrs {
 		if addr.IsNil() {
 			continue
 		}
-		blk := make([]byte, cfg.BlockSize)
 		if err := d.ReadSectors(int64(addr), blk, disk.CauseInodeMap, "mount: imap"); err != nil {
 			return nil, err
 		}
@@ -313,16 +316,18 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 	fs.recountClean()
 	fs.lastCkpt = fs.clock.Now()
 
+	// Without roll-forward (the paper's "current implementation")
+	// everything after the checkpoint is discarded and the log resumes
+	// at the checkpointed head.
 	if cfg.RollForward {
 		if err := fs.rollForward(best.Timestamp); err != nil {
 			return nil, err
 		}
-	} else {
-		// The paper's "current implementation": everything after
-		// the checkpoint is discarded. The log simply resumes at
-		// the checkpointed head.
-		_ = 0
 	}
+	// The hot head's segment buffer belongs to the mount, whether or not
+	// recovery had a unit to read into it: the first flush would
+	// otherwise allocate a segment inside somebody's operation.
+	fs.head(classHot)
 	// Register the metrics plane last so its probes see fully
 	// recovered state, and take the baseline sample at mount time.
 	if err := fs.initMetrics(); err != nil {
@@ -440,12 +445,12 @@ func (fs *FS) replayNextUnit(ckptTime sim.Time) (bool, error) {
 // recovery state untouched.
 func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, activate bool) (bool, error) {
 	bs := fs.cfg.BlockSize
-	// The class's segment buffer is idle until recovery ends, and a unit
-	// fits it at the offset the writer assembled it at: read it there.
-	buf := fs.head(class).buf[blk*bs:]
 	// Read a candidate summary header (one block is enough to hold
-	// the header; entries may spill into further blocks).
-	head := buf[:bs]
+	// the header; entries may spill into further blocks) into the
+	// transfer buffer: most probes find nothing, and a head nothing is
+	// replayed into — the cold one, on every volume that never cleaned
+	// — needs no segment buffer.
+	head := fs.span[:bs]
 	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), head, disk.CauseRecovery, "recovery: summary probe"); err != nil {
 		return false, err
 	}
@@ -459,8 +464,10 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	if probe.SumBlocks < 1 || blk+probe.SumBlocks+probe.NBlocks > fs.cfg.blocksPerSegment() {
 		return false, nil
 	}
-	// Read the full unit and re-validate with all entries.
-	unit := buf[:(probe.SumBlocks+probe.NBlocks)*bs]
+	// Read the full unit and re-validate with all entries. The class's
+	// segment buffer is idle until recovery ends, and a unit fits it at
+	// the offset the writer assembled it at: read it there.
+	unit := fs.head(class).buf[blk*bs:][:(probe.SumBlocks+probe.NBlocks)*bs]
 	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), unit, disk.CauseRecovery, "recovery: unit"); err != nil {
 		return false, err
 	}
@@ -491,8 +498,8 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 					continue
 				}
 				rec, err := layout.DecodeInode(raw)
-				if err != nil || !rec.Allocated() {
-					continue
+				if err != nil || !rec.Allocated() || rec.Ino < 1 || rec.Ino > fs.imap.maxIno() {
+					continue // a number the map has no entry for names no file
 				}
 				e := fs.imap.get(rec.Ino)
 				e.Allocated = true

@@ -432,7 +432,7 @@ func (fs *FS) killRemaining(seg int) {
 func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAge sim.Time) (bool, error) {
 	switch ref.Kind {
 	case kindData, kindIndirect:
-		e := fs.imap.get(ref.Ino)
+		e := fs.imap.peek(ref.Ino)
 		// Step 1: the version check catches deleted and truncated
 		// files without touching the inode.
 		if !e.Allocated || e.Version != ref.Version {
@@ -494,7 +494,7 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 			if ino < 1 || ino > fs.imap.maxIno() {
 				continue
 			}
-			e := fs.imap.get(ino)
+			e := fs.imap.peek(ino)
 			wantAddr := addr + layout.DiskAddr(slot/inodesPerSector)
 			if !e.Allocated || e.Addr != wantAddr || int(e.Slot) != slot%inodesPerSector {
 				continue

@@ -115,7 +115,6 @@ func Dump(w io.Writer, d *disk.Disk, segments bool) error {
 			blk += hh.SumBlocks + hh.NBlocks
 		}
 	}
-	_ = layout.RootIno
 	return nil
 }
 

@@ -109,13 +109,15 @@ type FS struct {
 	heads [numClasses]logHead
 
 	// span is the transfer buffer of read-ahead and of inode-block
-	// fetches, ckptBuf the checkpoint region being encoded (allocated by
-	// the first checkpoint); wr is the segment writer's working memory and
-	// cl the cleaner's (its victim and staging memory is allocated by the
-	// first clean); parts is what the operation's path (Rename: both
-	// paths) is split into, vfs.PathDepth components of it in place. All
-	// are reused so the steady state allocates none of them, and each is
-	// consumed before the operation that filled it returns. Guarded by mu.
+	// fetches, and during Mount of the inode map's blocks and of
+	// roll-forward's summary probes; ckptBuf the checkpoint region being
+	// encoded (Mount reads both regions into it); wr is the segment
+	// writer's working memory and cl the cleaner's (its victim and staging
+	// memory is allocated by the first clean); parts is what the
+	// operation's path (Rename: both paths) is split into, vfs.PathDepth
+	// components of it in place. All are reused so the steady state
+	// allocates none of them, and each is consumed before the operation
+	// that filled it returns. Guarded by mu.
 	span    []byte
 	ckptBuf []byte
 	wr      writerScratch

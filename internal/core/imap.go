@@ -56,12 +56,18 @@ func decodeImapEntry(p []byte) imapEntry {
 }
 
 // imapTable is the in-memory inode map. The paper partitions the map
-// into blocks "cached like regular files"; here the full table is
-// memory resident (it is small) while dirtiness is still tracked per
-// block so that only modified imap blocks are logged at checkpoints.
+// into blocks "cached like regular files"; here a block's entries
+// become memory resident the first time anything touches the block —
+// an allocation, a block the checkpoint names, a record roll-forward
+// replays — and stay, so the table costs what the volume holds, not
+// what MaxInodes allows. Dirtiness is tracked per block so that only
+// modified imap blocks are logged at checkpoints.
 type imapTable struct {
-	entries    []imapEntry // index = ino (entry 0 unused)
-	dirtyBlock []bool      // per imap block
+	// blocks[i][j] is the entry of ino i*perBlock+j+1; a block nothing
+	// has touched is nil and reads as all-free, NilAddr entries.
+	blocks     [][]imapEntry
+	max        layout.Ino // the configured bound, not what is resident
+	dirtyBlock []bool     // per imap block
 	blockAddrs []layout.DiskAddr
 	perBlock   int
 	freeList   []layout.Ino
@@ -71,17 +77,14 @@ type imapTable struct {
 
 // newImap returns an empty map for maxInodes inode numbers.
 func newImap(maxInodes, blockSize int) *imapTable {
-	per := imapEntriesPerBlock(blockSize)
 	blocks := imapBlockCount(maxInodes, blockSize)
 	m := &imapTable{
-		entries:    make([]imapEntry, maxInodes+1),
+		blocks:     make([][]imapEntry, blocks),
+		max:        layout.Ino(maxInodes),
 		dirtyBlock: make([]bool, blocks),
 		blockAddrs: make([]layout.DiskAddr, blocks),
-		perBlock:   per,
+		perBlock:   imapEntriesPerBlock(blockSize),
 		nextIno:    layout.RootIno,
-	}
-	for i := range m.entries {
-		m.entries[i].Addr = layout.NilAddr
 	}
 	for i := range m.blockAddrs {
 		m.blockAddrs[i] = layout.NilAddr
@@ -90,15 +93,54 @@ func newImap(maxInodes, blockSize int) *imapTable {
 }
 
 // maxIno returns the largest valid inode number.
-func (m *imapTable) maxIno() layout.Ino { return layout.Ino(len(m.entries) - 1) }
+func (m *imapTable) maxIno() layout.Ino { return m.max }
 
 // blockOf returns the imap block index covering ino.
-func (m *imapTable) blockOf(ino layout.Ino) int { return int(ino-1) / m.perBlock }
+func (m *imapTable) blockOf(ino layout.Ino) int { return int(uint32(ino-1) / uint32(m.perBlock)) }
 
-// get returns the entry for ino; callers must not retain it across
-// map mutations.
+// get returns the entry for ino, 1 ≤ ino ≤ maxIno, for a caller about
+// to change it: the covering block becomes resident. An entry never
+// moves once it exists.
 func (m *imapTable) get(ino layout.Ino) *imapEntry {
-	return &m.entries[ino]
+	idx := m.blockOf(ino)
+	return &m.block(idx)[int(ino-1)-idx*m.perBlock]
+}
+
+// peek returns a copy of ino's entry and never grows the table: a number
+// in a block nothing has touched, or outside 1..maxIno, reads as free —
+// so a liveness check may hand it a number it read from disk.
+func (m *imapTable) peek(ino layout.Ino) imapEntry {
+	if ino >= 1 && ino <= m.max {
+		idx := m.blockOf(ino)
+		if b := m.blocks[idx]; b != nil {
+			return b[int(ino-1)-idx*m.perBlock]
+		}
+	}
+	return imapEntry{Addr: layout.NilAddr}
+}
+
+// block returns imap block idx's entries, resident from now on; the last
+// block stops at maxIno.
+func (m *imapTable) block(idx int) []imapEntry {
+	if m.blocks[idx] == nil {
+		b := make([]imapEntry, min(m.perBlock, int(m.max)-idx*m.perBlock))
+		for i := range b {
+			b[i].Addr = layout.NilAddr
+		}
+		m.blocks[idx] = b
+	}
+	return m.blocks[idx]
+}
+
+// highIno returns the last inode number of the highest resident block:
+// every number above it is free, so walks of the whole map stop there.
+func (m *imapTable) highIno() layout.Ino {
+	for idx := len(m.blocks) - 1; idx >= 0; idx-- {
+		if b := m.blocks[idx]; b != nil {
+			return layout.Ino(idx*m.perBlock + len(b))
+		}
+	}
+	return 0
 }
 
 // markDirty records a modification to ino's entry.
@@ -168,45 +210,37 @@ func (m *imapTable) blockCount() int { return len(m.blockAddrs) }
 // encodeBlock serialises imap block idx into p (one FS block).
 func (m *imapTable) encodeBlock(idx int, p []byte) {
 	clear(p)
-	first := layout.Ino(idx*m.perBlock) + 1
-	for i := 0; i < m.perBlock; i++ {
-		ino := first + layout.Ino(i)
-		if int(ino) >= len(m.entries) {
-			break
-		}
-		m.entries[ino].encode(p[i*imapEntrySize:])
+	b := m.block(idx)
+	for i := range b {
+		b[i].encode(p[i*imapEntrySize:])
 	}
 }
 
 // decodeBlock loads imap block idx from p.
 func (m *imapTable) decodeBlock(idx int, p []byte) {
-	first := layout.Ino(idx*m.perBlock) + 1
-	for i := 0; i < m.perBlock; i++ {
-		ino := first + layout.Ino(i)
-		if int(ino) >= len(m.entries) {
-			break
-		}
-		m.entries[ino] = decodeImapEntry(p[i*imapEntrySize:])
+	b := m.block(idx)
+	for i := range b {
+		b[i] = decodeImapEntry(p[i*imapEntrySize:])
 	}
 }
 
 // rebuildFreeState reconstructs the free list and next-ino high water
 // mark after loading entries at mount.
 func (m *imapTable) rebuildFreeState() {
-	m.freeList = m.freeList[:0]
-	m.allocated = 0
-	m.nextIno = layout.RootIno
-	for ino := layout.RootIno; ino <= m.maxIno(); ino++ {
-		if m.entries[ino].Allocated {
-			m.allocated++
-			m.nextIno = ino + 1
+	m.freeList, m.allocated, m.nextIno = m.freeList[:0], 0, layout.RootIno
+	for idx, b := range m.blocks {
+		for i := range b {
+			if b[i].Allocated {
+				m.allocated++
+				m.nextIno = layout.Ino(idx*m.perBlock+i) + 2
+			}
 		}
 	}
 	// Freed numbers below the high-water mark are reusable; recover
 	// them (in descending order so low numbers are handed out
 	// first).
 	for ino := m.nextIno - 1; ino >= layout.RootIno; ino-- {
-		if !m.entries[ino].Allocated {
+		if !m.peek(ino).Allocated {
 			m.freeList = append(m.freeList, ino)
 		}
 	}

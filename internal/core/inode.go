@@ -156,7 +156,7 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 	if ino < 1 || ino > fs.imap.maxIno() {
 		return nil, fmt.Errorf("%w: inode %d out of range", vfs.ErrInvalid, ino)
 	}
-	e := fs.imap.get(ino)
+	e := fs.imap.peek(ino)
 	if !e.Allocated {
 		return nil, fmt.Errorf("%w: inode %d is not allocated", vfs.ErrNotExist, ino)
 	}
@@ -194,7 +194,7 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 		}
 		slotAddr := layout.DiskAddr(blockStart) + layout.DiskAddr(slot/inodesPerSector)
 		slotIdx := uint8(slot % inodesPerSector)
-		re := fs.imap.get(rec.Ino)
+		re := fs.imap.peek(rec.Ino) // any number a record claims reads as free
 		if rec.Ino == ino {
 			if slotAddr != e.Addr || slotIdx != e.Slot {
 				continue

@@ -56,10 +56,10 @@ func (fs *FS) createNode(path string, isDir bool) error {
 	}
 	now := int64(fs.clock.Now())
 	in.Mtime, in.Ctime = now, now
-	in.Gen = fs.imap.get(ino).Version
+	e := fs.imap.get(ino)
+	in.Gen = e.Version
 	fs.inodes.put(ino, &in)
 	fs.markInodeDirty(ino)
-	e := fs.imap.get(ino)
 	e.Atime = fs.clock.Now()
 	fs.imap.markDirty(ino)
 
@@ -208,7 +208,7 @@ func (fs *FS) stat(path string) (vfs.FileInfo, error) {
 		Mode:  in.Mode,
 		Nlink: int(in.Nlink),
 		Mtime: sim.Time(in.Mtime),
-		Atime: fs.imap.get(in.Ino).Atime,
+		Atime: fs.imap.peek(in.Ino).Atime,
 	}
 	if !in.Mode.IsDir() {
 		fi.Size = int64(in.Size)
@@ -302,7 +302,7 @@ func (fs *FS) remove(path string) error {
 		if err := fs.removeFileBlocks(in); err != nil {
 			return err
 		}
-		fs.killBlock(fs.imap.get(ino).Addr, layout.InodeSize)
+		fs.killBlock(fs.imap.peek(ino).Addr, layout.InodeSize)
 		fs.dropInode(ino)
 		fs.imap.free(ino)
 	}
@@ -455,7 +455,7 @@ func (fs *FS) truncate(path string, size int64) error {
 	}
 	if size == 0 && wasNonEmpty {
 		fs.imap.bumpVersion(in.Ino)
-		in.Gen = fs.imap.get(in.Ino).Version
+		in.Gen = fs.imap.peek(in.Ino).Version
 	}
 	in.Mtime = int64(fs.clock.Now())
 	fs.markInodeDirty(in.Ino)

@@ -11,6 +11,7 @@ import (
 
 	"lfs/internal/disk"
 	"lfs/internal/layout"
+	"lfs/internal/sim"
 )
 
 // TestDecodeCheckpointTruncated: header fields used to be read before
@@ -287,6 +288,31 @@ func TestCleanerKeepsInodeWithCorruptRecord(t *testing.T) {
 	}
 }
 
+// forgeUnitAtHead crashes fs and writes, where roll-forward will look
+// for the next hot unit, one that carries the expected serial and intact
+// record, data and summary checksums around the given inode records,
+// stamped ts. It returns the device for the remount.
+func forgeUnitAtHead(t *testing.T, fs *FS, ts sim.Time, recs ...layout.Inode) *disk.Disk {
+	t.Helper()
+	bs := fs.cfg.BlockSize
+	h := &fs.heads[classHot]
+	unit := make([]byte, 2*bs)
+	for i := range recs {
+		recs[i].Encode(unit[bs+i*layout.InodeSize:])
+	}
+	hdr := summaryHeader{
+		Serial:    fs.writeSerial,
+		NBlocks:   1,
+		SumBlocks: 1,
+		Timestamp: ts,
+		DataCRC:   layout.DataChecksum(unit[bs:]),
+	}
+	encodeSummary(hdr, []blockRef{{Kind: kindInodes}}, unit[:bs])
+	fs.Crash()
+	must(t, fs.d.Store().WriteAt(unit, fs.blockSector(h.seg, h.blk)*disk.SectorSize))
+	return fs.d
+}
+
 // TestRollForwardRejectsStaleEpochUnit: a unit whose serial matches
 // the checkpoint's expectation but whose timestamp predates the
 // checkpoint is a leftover from an earlier log epoch (or a forgery)
@@ -308,33 +334,10 @@ func TestRollForwardRejectsStaleEpochUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := fs.cfg.BlockSize
-	headSector := fs.blockSector(fs.heads[classHot].seg, fs.heads[classHot].blk)
-	serial := fs.writeSerial
-	d := fs.d
-	fs.Crash()
-
-	// Craft a valid-looking unit at the head: expected serial, intact
-	// checksums, but a timestamp of zero — before the checkpoint was
-	// taken. Its payload is an inode block that would redirect /f to
-	// an empty inode if replayed.
-	forged := layout.NewInode(fi.Ino, layout.ModeFile|0o644)
-	inodeBlk := make([]byte, bs)
-	forged.Encode(inodeBlk)
-	h := summaryHeader{
-		Serial:    serial,
-		NBlocks:   1,
-		SumBlocks: 1,
-		Timestamp: 0,
-		DataCRC:   layout.DataChecksum(inodeBlk),
-	}
-	unit := make([]byte, 2*bs)
-	encodeSummary(h, []blockRef{{Kind: kindInodes}}, unit[:bs])
-	copy(unit[bs:], inodeBlk)
-	//lfslint:allow iocause raw-device forgery of a stale log unit; attribution is irrelevant here
-	if err := d.WriteSectors(headSector, unit, true, disk.CauseOther, "test: stale unit"); err != nil {
-		t.Fatal(err)
-	}
+	// Expected serial, intact checksums, but a timestamp of zero —
+	// before the checkpoint was taken. Its payload is an inode block
+	// that would redirect /f to an empty inode if replayed.
+	d := forgeUnitAtHead(t, fs, 0, layout.NewInode(fi.Ino, layout.ModeFile|0o644))
 
 	fs2, err := Mount(d, fs.cfg)
 	if err != nil {
@@ -349,5 +352,42 @@ func TestRollForwardRejectsStaleEpochUnit(t *testing.T) {
 	}
 	if !bytes.Equal(got, content) {
 		t.Fatal("/f lost its checkpointed content")
+	}
+}
+
+// TestRollForwardSkipsRecordOutsideTheMap: roll-forward indexed the
+// inode map with whatever number a replayed record carried. A unit whose
+// three checksums verify but whose records claim inode 0 and one past
+// MaxInodes panicked Mount (index out of range; block -1 for inode 0).
+// Such records name no file: they are skipped, the honest record beside
+// them is applied, and the volume mounts and checks clean.
+func TestRollForwardSkipsRecordOutsideTheMap(t *testing.T) {
+	fs := newTestFS(t, 16<<20, smallConfig())
+	must(t, fs.Create("/f"))
+	must(t, fs.Checkpoint())
+	fi, err := fs.Stat("/f")
+	must(t, err)
+	honest := *fs.inodes.get(fi.Ino)
+	honest.Mtime = 77
+	resident := fs.imap.highIno()
+	d := forgeUnitAtHead(t, fs, fs.clock.Now(),
+		layout.NewInode(0, layout.ModeFile|0o644),
+		layout.NewInode(layout.Ino(fs.cfg.MaxInodes)+1, layout.ModeFile|0o644),
+		honest)
+
+	fs2, err := Mount(d, fs.cfg)
+	must(t, err)
+	if n := fs2.Stats().RollForwardUnits; n != 1 {
+		t.Fatalf("roll-forward replayed %d units, want the forged one", n)
+	}
+	if got, err := fs2.Stat("/f"); err != nil || got.Mtime != 77 {
+		t.Fatalf("the in-range record of the unit was not applied: %+v, %v", got, err)
+	}
+	if got := fs2.imap.highIno(); got != resident {
+		t.Fatalf("out-of-range records grew the map: resident to inode %d, was %d", got, resident)
+	}
+	rep, err := fs2.Check()
+	if err != nil || !rep.Ok() {
+		t.Fatalf("check after replay: %v, %+v", err, rep)
 	}
 }

@@ -385,8 +385,8 @@ func liveBySegment(t testing.TB, fs *FS) []int64 {
 	for _, a := range fs.imap.blockAddrs {
 		count(a, bs)
 	}
-	for ino := layout.RootIno; ino <= fs.imap.maxIno(); ino++ {
-		e := fs.imap.get(ino)
+	for ino, high := layout.RootIno, fs.imap.highIno(); ino <= high; ino++ {
+		e := fs.imap.peek(ino)
 		if !e.Allocated {
 			continue
 		}

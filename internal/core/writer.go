@@ -26,8 +26,9 @@ type logHead struct {
 }
 
 // head returns the class's log head with its segment buffer in place.
-// The buffer is allocated on first use: a mount that only reads needs
-// neither, and most never open the cold head.
+// The buffer is allocated on first use: Mount asks for the hot head's,
+// and the cold head's waits for the first relocation (or for recovery
+// to find a cold unit to replay), which most volumes never see.
 func (fs *FS) head(class writeClass) *logHead {
 	h := &fs.heads[class]
 	if h.buf == nil {
@@ -181,7 +182,7 @@ func (fs *FS) writeBlockClass(blocks []logBlock, class writeClass, kind blockKin
 			Kind:    kind,
 			Ino:     b.key.Ino,
 			ID:      b.key.Off,
-			Version: fs.imap.get(b.key.Ino).Version,
+			Version: fs.imap.peek(b.key.Ino).Version,
 		})
 		payload = append(payload, b.data)
 		if class == classCold {
@@ -221,12 +222,14 @@ func (fs *FS) writeBlockClass(blocks []logBlock, class writeClass, kind blockKin
 }
 
 // metaPayload returns n block-sized buffers for inode or imap blocks,
-// carved from one reused span; their contents are stale, and the caller
-// overwrites or clears every byte.
+// carved from one reused span that at least doubles when it grows (a run
+// whose batches creep upward would otherwise reallocate at every new
+// maximum); their contents are stale, and the caller overwrites or
+// clears every byte.
 func (fs *FS) metaPayload(n int) [][]byte {
 	bs := fs.cfg.BlockSize
 	if cap(fs.wr.meta) < n*bs {
-		fs.wr.meta = make([]byte, n*bs)
+		fs.wr.meta = make([]byte, max(n*bs, 2*cap(fs.wr.meta)))
 	}
 	meta := fs.wr.meta[:n*bs]
 	payload := fs.wr.payload[:0]

@@ -89,9 +89,6 @@ type (
 	// TraceAggregates condenses a trace: per-op latency, disk
 	// busy-time decomposition by cause, cleaner cost summary.
 	TraceAggregates = obs.Aggregates
-	// IOCause attributes one disk request to the activity that
-	// issued it.
-	IOCause = disk.IOCause
 	// FileInfo describes a file, as returned by Stat.
 	FileInfo = vfs.FileInfo
 	// DirEntry is one directory entry.
@@ -102,22 +99,11 @@ type (
 	Clock = sim.Clock
 	// Time is a point in simulated time.
 	Time = sim.Time
-	// Store is the persistence layer beneath a Disk: a flat
-	// fixed-size byte array with whole-image durability on Sync.
-	Store = disk.Store
 	// StoreOptions selects and configures a store backend for
-	// OpenStore and NewDisk.
+	// NewDisk.
 	StoreOptions = disk.StoreOptions
 	// StoreBackend names a block-store backend.
 	StoreBackend = disk.StoreBackend
-	// Snapshotter is the optional store capability for O(1)
-	// copy-on-write snapshots, detected by interface assertion.
-	Snapshotter = disk.Snapshotter
-	// Snapshot is a point-in-time image from a Snapshotter.
-	Snapshot = disk.Snapshot
-	// Allocator is the optional store capability reporting physical
-	// bytes allocated (sparse backends allocate less than Size).
-	Allocator = disk.Allocator
 )
 
 // Cleaning policies.
@@ -129,45 +115,14 @@ const (
 	CleanCostBenefit = core.CleanCostBenefit
 )
 
-// I/O causes, the categories the disk busy-time decomposition reports
-// (DiskStats.ByCause, indexed by IOCause).
-const (
-	// CauseOther is unattributed I/O.
-	CauseOther = disk.CauseOther
-	// CauseLogAppend is a segment write of new data.
-	CauseLogAppend = disk.CauseLogAppend
-	// CauseCleanerRead is the cleaner's whole-segment read.
-	CauseCleanerRead = disk.CauseCleanerRead
-	// CauseCleanerWrite is the cleaner rewriting live blocks.
-	CauseCleanerWrite = disk.CauseCleanerWrite
-	// CauseCheckpoint is a checkpoint-region write.
-	CauseCheckpoint = disk.CauseCheckpoint
-	// CauseInodeMap is inode and inode-map block I/O.
-	CauseInodeMap = disk.CauseInodeMap
-	// CauseReadMiss is a file cache miss.
-	CauseReadMiss = disk.CauseReadMiss
-	// CauseSyncWrite is the FFS baseline's synchronous metadata
-	// write.
-	CauseSyncWrite = disk.CauseSyncWrite
-	// CauseWriteback is the baseline's delayed write-back.
-	CauseWriteback = disk.CauseWriteback
-	// CauseRecovery is mount-time recovery I/O.
-	CauseRecovery = disk.CauseRecovery
-	// CauseFormat is volume initialisation.
-	CauseFormat = disk.CauseFormat
-	// CauseTool is offline tool I/O (dump, fsck walks).
-	CauseTool = disk.CauseTool
-)
-
 // Store backends, for StoreOptions.Backend.
 const (
 	// BackendMem is a plain in-memory byte array (the default).
 	BackendMem = disk.BackendMem
 	// BackendCow is an in-memory chunked store with O(1)
-	// copy-on-write snapshots (implements Snapshotter).
+	// copy-on-write snapshots.
 	BackendCow = disk.BackendCow
-	// BackendFile is a sparse file-backed image (implements
-	// Allocator).
+	// BackendFile is a sparse file-backed image.
 	BackendFile = disk.BackendFile
 	// BackendMmap is a memory-mapped file image (unix only).
 	BackendMmap = disk.BackendMmap
@@ -176,12 +131,6 @@ const (
 // NewTraceRecorder returns an empty trace recorder, ready to be
 // attached through Config.Trace.
 func NewTraceRecorder() *TraceRecorder { return obs.NewRecorder() }
-
-// NewTraceRecorderLimit returns a trace recorder that retains only
-// the newest n records of each type, dropping the oldest as new ones
-// arrive (drop counts surface in Aggregates); n <= 0 means unlimited.
-// Long-running instrumented workloads use it to bound trace memory.
-func NewTraceRecorderLimit(n int) *TraceRecorder { return obs.NewRecorderLimit(n) }
 
 // Sentinel errors, tested with errors.Is.
 var (
@@ -194,14 +143,6 @@ var (
 	ErrTooLarge  = vfs.ErrTooLarge
 	ErrInvalid   = vfs.ErrInvalid
 	ErrUnmounted = vfs.ErrUnmounted
-)
-
-// Store sentinel errors, tested with errors.Is.
-var (
-	// ErrStoreClosed reports an operation on a closed store.
-	ErrStoreClosed = disk.ErrClosed
-	// ErrStoreOutOfRange reports store access outside the image.
-	ErrStoreOutOfRange = disk.ErrOutOfRange
 )
 
 // DefaultConfig returns the paper's evaluation configuration: 4 KB
@@ -217,17 +158,6 @@ func NewMemDisk(capacity int64) *Disk {
 	return disk.NewMem(capacity, sim.NewClock())
 }
 
-// NewMemDiskWithClock is NewMemDisk with a caller-provided clock, for
-// sharing one timeline across several devices.
-func NewMemDiskWithClock(capacity int64, clock *Clock) *Disk {
-	return disk.NewMem(capacity, clock)
-}
-
-// OpenStore opens a raw block store without a simulated disk on top;
-// most callers want NewDisk instead. The capacity is used exactly as
-// given — NewDisk rounds it to disk geometry first.
-func OpenStore(opts StoreOptions) (Store, error) { return disk.OpenStore(opts) }
-
 // ParseStoreBackend maps a backend name ("mem", "cow", "file", "mmap")
 // to its StoreBackend, for command-line flags.
 func ParseStoreBackend(name string) (StoreBackend, bool) {
@@ -239,15 +169,7 @@ func ParseStoreBackend(name string) (StoreBackend, bool) {
 // driven by a fresh simulated clock. The backend never affects the
 // simulation: timing, statistics, and image bytes are identical across
 // backends — only persistence technology differs.
-func NewDisk(opts StoreOptions) (*Disk, error) {
-	geom := disk.GeometryForCapacity(opts.Capacity)
-	opts.Capacity = geom.TotalBytes()
-	store, err := disk.OpenStore(opts)
-	if err != nil {
-		return nil, err
-	}
-	return disk.New(store, geom, disk.WrenIVModel(), sim.NewClock())
-}
+func NewDisk(opts StoreOptions) (*Disk, error) { return NewDiskWithClock(opts, sim.NewClock()) }
 
 // OpenImage opens (or creates) a file-backed disk image, so volumes
 // survive process restarts; used by the command-line tools. It is

@@ -1,8 +1,9 @@
 #!/bin/sh
 # ci.sh — the merge gate: build, vet, and the full test suite under
 # the race detector (which includes the crash-point sweeps and the
-# fuzz seed corpora). scripts/check.sh is the longer local suite with
-# benches and tool smoke tests.
+# fuzz seed corpora: the four decoders' and FuzzMountImage's, which
+# mounts a valid image with one byte flipped per seed). scripts/check.sh
+# is the longer local suite with benches and tool smoke tests.
 #
 # Usage: ci.sh [-update]
 #
@@ -50,9 +51,11 @@ echo "== size =="
 # cache's relocation tag, the writer's hot/cold split scan, the second
 # summary-header parser, coldBlocks, segBuf): they bought the check of
 # each victim unit against its DataCRC, the poisoning of the cleaner's
-# memory and the relocation list itself. Lower it when a change shrinks
-# the tree.
-size_ceiling=25569
+# memory and the relocation list itself. PR 24 (the inode map grows by
+# the block, roll-forward probes with one block: +46) paid for itself out
+# of lfs.go's unused names (-79) and left the tree at 25 536. Lower it
+# when a change shrinks the tree.
+size_ceiling=25536
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
@@ -135,9 +138,11 @@ echo "== lfsperf smoke =="
 # cache's first-fill buffers and the slabs) and the bytes it and the
 # cleaning path allocate (16.8 KB and 55.8 KB before block buffers
 # were recycled, 4083 and 900 after, 4064 and 114 since the cleaner's
-# live blocks stopped going through the block cache; what is left is
-# the memory store's own chunks and the slabs of block headers for what
-# the application itself reads and writes), the cleaning path's
+# live blocks stopped going through the block cache, 71 for cleaning
+# since the writer's metadata scratch doubles instead of regrowing to
+# each new maximum; what is left is the memory store's own chunks and
+# the slabs of block headers for what the application itself reads and
+# writes), the cleaning path's
 # allocations (6.05 while every revived block had a header of its own,
 # 0.34 with slabs, 0.018 now: no header for a relocated block, no refs
 # slice per summary, no region buffer per checkpoint) and what sixteen
@@ -164,7 +169,7 @@ perf_run largefile
 perf_budget host_allocs_per_op count 0.5
 perf_budget host_bytes_per_op bytes 5000
 perf_run cleaning
-perf_budget host_bytes_per_op bytes 250
+perf_budget host_bytes_per_op bytes 100
 perf_budget host_allocs_per_op count 0.1
 perf_run clients
 perf_budget host_allocs_per_op count 1
