@@ -15,11 +15,6 @@ type (
 	BaselineFS = ffs.FS
 	// BaselineConfig carries FFS tunables.
 	BaselineConfig = ffs.Config
-	// FsckReport summarises an FFS full-scan consistency check.
-	FsckReport = ffs.FsckReport
-	// BaselineStatsSnapshot is an atomic copy of the baseline's
-	// statistics surfaces, from BaselineFS.StatsSnapshot.
-	BaselineStatsSnapshot = ffs.StatsSnapshot
 )
 
 // DefaultBaselineConfig returns the paper's SunOS configuration: 8 KB
@@ -35,4 +30,4 @@ func MountBaseline(d *Disk, cfg BaselineConfig) (*BaselineFS, error) { return ff
 
 // FsckBaseline runs the BSD-style full-disk scan whose cost the
 // paper's instant checkpoint recovery eliminates.
-func FsckBaseline(d *Disk, cfg BaselineConfig) (*FsckReport, error) { return ffs.Fsck(d, cfg) }
+func FsckBaseline(d *Disk, cfg BaselineConfig) (*ffs.FsckReport, error) { return ffs.Fsck(d, cfg) }

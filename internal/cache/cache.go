@@ -60,7 +60,10 @@ type Block struct {
 	Key  Key
 	Data []byte
 
-	dirty     bool
+	dirty bool
+	// DirEnd is vfs.Dirs's: where this copy's directory entries end once
+	// it has validated them, 0 until then (as every header starts).
+	DirEnd    int32
 	dirtiedAt sim.Time
 
 	// links are the block's positions in the cache's three intrusive

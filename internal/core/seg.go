@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -216,16 +217,23 @@ func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
 // checksum is verified.
 var zeroCRCWord [4]byte
 
+// Why a block is no summary: the cleaner meets one in every partly full victim.
+var (
+	errSummaryShort    = errors.New("lfs: summary shorter than header")
+	errSummaryMagic    = errors.New("lfs: bad summary magic")
+	errSummaryChecksum = errors.New("lfs: summary checksum mismatch")
+)
+
 // decodeSummaryHeader parses just the summary header; its checksum,
 // which also covers the entries, is verified by decodeSummary on the
 // full unit.
 func decodeSummaryHeader(p []byte) (summaryHeader, error) {
 	if len(p) < summaryHeaderSize {
-		return summaryHeader{}, fmt.Errorf("lfs: summary shorter than header")
+		return summaryHeader{}, errSummaryShort
 	}
 	le := binary.LittleEndian
 	if le.Uint32(p[0:]) != summaryMagic {
-		return summaryHeader{}, fmt.Errorf("lfs: bad summary magic")
+		return summaryHeader{}, errSummaryMagic
 	}
 	return summaryHeader{
 		Serial:    le.Uint64(p[4:]),
@@ -258,7 +266,7 @@ func decodeSummary(p []byte, dst []blockRef) (summaryHeader, []blockRef, error) 
 	crc = crc32.Update(crc, crc32.IEEETable, p[32:total])
 	le := binary.LittleEndian
 	if crc != le.Uint32(p[28:]) {
-		return summaryHeader{}, nil, fmt.Errorf("lfs: summary checksum mismatch")
+		return summaryHeader{}, nil, errSummaryChecksum
 	}
 	if dst == nil {
 		dst = make([]blockRef, 0, h.NBlocks)

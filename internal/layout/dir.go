@@ -14,11 +14,18 @@ import (
 // Entries never straddle blocks and the bytes past the last entry are
 // zero. Lookup, insertion and removal work on the block in place: one
 // scanner (scanDirBlock) validates every entry and compares name bytes
-// without building strings, insertion appends at the tail, removal
-// shifts the following entries down. Only DirBlockEntries, for ReadDir
-// and fsck, materialises entries. What a directory operation costs in
-// simulated time is charged through the CPU model by the file systems,
-// not here.
+// without building strings, insertion appends at the tail
+// (DirBlockAppendAt), removal shifts the following entries down
+// (DirBlockRemoveAt). Only DirBlockEntries, for ReadDir and fsck,
+// materialises entries. What a directory operation costs in simulated
+// time is charged through the CPU model by the file systems, not here.
+//
+// DirBlockFind, DirBlockInsert and DirBlockRemove validate the whole
+// block on every call. DirBlockAppendAt and DirBlockRemoveAt take the
+// end their caller recorded (vfs.Dirs, per cached copy): from end 0 they
+// validate the block once and return its end; from a recorded end they
+// append there unread, or walk only as far as the name. Bytes damaged
+// after that validation are left to the full readers and a fresh copy.
 
 // MaxNameLen is the longest permitted file name, matching BSD.
 const MaxNameLen = 255
@@ -103,9 +110,10 @@ func DirBlockEntries(p []byte) ([]DirEntry, error) {
 }
 
 // scanDirBlock walks the whole block in place. It returns the offset
-// of the first entry called name (-1 when there is none) and the
-// offset just past the last entry. The walk never stops at a match: a
-// block with a corrupt entry anywhere is an error for every operation.
+// of the first entry called name (-1 when there is none, always for "")
+// and the offset just past the last entry. The walk never stops at a
+// match: a block with a corrupt entry anywhere is an error for every
+// operation that scans.
 func scanDirBlock(p []byte, name string) (at, end int, err error) {
 	count, err := DirBlockCount(p)
 	if err != nil {
@@ -126,6 +134,16 @@ func scanDirBlock(p []byte, name string) (at, end int, err error) {
 	return at, off, nil
 }
 
+// validEnd returns end or, when end is 0 (not known), validates the
+// whole block and returns where its entries end.
+func validEnd(p []byte, end int) (int, error) {
+	if end != 0 {
+		return end, nil
+	}
+	_, end, err := scanDirBlock(p, "")
+	return end, err
+}
+
 // DirBlockInsert adds an entry to the block, returning false when the
 // block has no room. It rejects invalid names and duplicate names
 // within the block.
@@ -140,8 +158,22 @@ func DirBlockInsert(p []byte, e DirEntry) (bool, error) {
 	if at >= 0 {
 		return false, fmt.Errorf("layout: duplicate directory entry %q", e.Name)
 	}
-	if end+DirEntrySize(e.Name) > len(p) {
-		return false, nil
+	_, ok, err := DirBlockAppendAt(p, end, e)
+	return ok, err
+}
+
+// DirBlockAppendAt adds e at end, where the block's entries end (0: not
+// known, so validate the block to find it), and returns the new end and
+// true, or end and false when there is no room. It looks for no
+// duplicate: the caller vouches that the block has no entry e.Name and
+// that only DirBlockAppendAt and DirBlockRemoveAt wrote it since end.
+func DirBlockAppendAt(p []byte, end int, e DirEntry) (int, bool, error) {
+	if err := ValidName(e.Name); err != nil {
+		return end, false, err
+	}
+	end, err := validEnd(p, end)
+	if err != nil || end+DirEntrySize(e.Name) > len(p) {
+		return end, false, err
 	}
 	binary.LittleEndian.PutUint16(p, binary.LittleEndian.Uint16(p)+1)
 	binary.LittleEndian.PutUint32(p[end:], uint32(e.Ino))
@@ -149,7 +181,7 @@ func DirBlockInsert(p []byte, e DirEntry) (bool, error) {
 	end += dirEntryHeader
 	end += copy(p[end:], e.Name)
 	clear(p[end:]) // restores the zero tail even if the block arrived without one
-	return true, nil
+	return end, true, nil
 }
 
 // DirBlockRemove deletes the named entry, reporting whether it was
@@ -159,10 +191,32 @@ func DirBlockRemove(p []byte, name string) (bool, error) {
 	if err != nil || at < 0 {
 		return false, err
 	}
-	binary.LittleEndian.PutUint16(p, binary.LittleEndian.Uint16(p)-1)
-	end = at + copy(p[at:], p[at+DirEntrySize(name):end])
-	clear(p[end:])
-	return true, nil
+	_, ok, err := DirBlockRemoveAt(p, end, name)
+	return ok, err
+}
+
+// DirBlockRemoveAt deletes the named entry, walking only as far as it,
+// from a block whose entries end at end (as for DirBlockAppendAt), and
+// returns the new end and whether the entry was present.
+func DirBlockRemoveAt(p []byte, end int, name string) (int, bool, error) {
+	end, err := validEnd(p, end)
+	if err != nil {
+		return 0, false, err
+	}
+	for off, i := dirHeaderSize, 0; off < end; i++ {
+		next, err := dirEntryEnd(p[:end], off, i)
+		if err != nil {
+			return 0, false, err
+		}
+		if string(p[off+dirEntryHeader:next]) == name {
+			binary.LittleEndian.PutUint16(p, binary.LittleEndian.Uint16(p)-1)
+			end = off + copy(p[off:], p[next:end])
+			clear(p[end:])
+			return end, true, nil
+		}
+		off = next
+	}
+	return end, false, nil
 }
 
 // DirBlockFind looks the name up in the block.

@@ -296,7 +296,12 @@ func Run(fsys FS, cfg Config) (Result, error) {
 		// the difference between it and the actual fire time is the
 		// dispatch gap noted to the wait hook.
 		var intendedWrite sim.Time
-		var issue func()
+		// The client's one operation in flight: its file, when its write
+		// was issued and when its fsync was scheduled. Kept here rather
+		// than captured per write, so the fsync handler is built once.
+		var path string
+		var start, fsyncIntended sim.Time
+		var issue, fsync func()
 		// next retires the current operation — completed or
 		// abandoned after a tolerated error — and schedules the
 		// client's following one.
@@ -318,8 +323,8 @@ func Run(fsys FS, cfg Config) (Result, error) {
 			}
 			noteDispatchGap(intendedWrite)
 			slot := n % cfg.FilesPerClient
-			path := paths[slot]
-			start := loop.Clock().Now()
+			path = paths[slot]
+			start = loop.Clock().Now()
 			fsys.SetClient(client)
 			if !created[slot] {
 				// A file surviving from an earlier run is reused.
@@ -342,29 +347,30 @@ func Run(fsys FS, cfg Config) (Result, error) {
 			// request finds a batch to commit, not just this file.
 			// Any writes that do run in between show up as the
 			// fsync span's dispatch gap.
-			fsyncIntended := loop.Clock().Now()
-			loop.After(0, "fsync", func() {
-				if firstErr != nil {
-					return
+			fsyncIntended = loop.Clock().Now()
+			loop.After(0, "fsync", fsync)
+		}
+		fsync = func() {
+			if firstErr != nil {
+				return
+			}
+			noteDispatchGap(fsyncIntended)
+			fsys.SetClient(client)
+			if err := syncFile(fsys, path); err != nil {
+				if tolerate(st, err) {
+					next()
 				}
-				noteDispatchGap(fsyncIntended)
-				fsys.SetClient(client)
-				if err := syncFile(fsys, path); err != nil {
-					if tolerate(st, err) {
-						next()
-					}
-					return
-				}
-				lat := loop.Clock().Now().Sub(start)
-				st.Ops++
-				st.BytesWritten += int64(len(payload))
-				st.TotalLatency += lat
-				if lat > st.MaxLatency {
-					st.MaxLatency = lat
-				}
-				st.Latency.Observe(lat.Seconds())
-				next()
-			})
+				return
+			}
+			lat := loop.Clock().Now().Sub(start)
+			st.Ops++
+			st.BytesWritten += int64(len(payload))
+			st.TotalLatency += lat
+			if lat > st.MaxLatency {
+				st.MaxLatency = lat
+			}
+			st.Latency.Observe(lat.Seconds())
+			next()
 		}
 		// Stagger the first issue by one nanosecond per client: a
 		// deterministic ramp that fixes the initial arrival order

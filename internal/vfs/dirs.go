@@ -192,12 +192,14 @@ func (d *Dirs) Lookup(dir *layout.Inode, name string) (layout.Ino, bool, error) 
 // insertion O(1) instead of a scan of every block.
 func (d *Dirs) Insert(dir *layout.Inode, name string, ino layout.Ino) (*cache.Block, bool, error) {
 	entry := layout.DirEntry{Ino: ino, Name: name}
+	_, cached := d.names[dir.Ino][name]
+	absent := !cached && d.Complete(dir.Ino)
 	for lbn := d.insertHint[dir.Ino]; lbn < d.blocks(dir); lbn++ {
 		b, err := d.get(dir, lbn)
 		if err != nil {
 			return nil, false, err
 		}
-		ok, err := layout.DirBlockInsert(b.Data, entry)
+		ok, err := insertInto(b, entry, absent)
 		if err != nil {
 			return nil, false, err
 		}
@@ -212,7 +214,8 @@ func (d *Dirs) Insert(dir *layout.Inode, name string, ino layout.Ino) (*cache.Bl
 		return nil, false, err
 	}
 	layout.InitDirBlock(b.Data)
-	ok, err := layout.DirBlockInsert(b.Data, entry)
+	b.DirEnd = 0 // the bytes were rewritten: no recorded end describes them
+	ok, err := insertInto(b, entry, absent)
 	if err != nil {
 		return nil, false, err
 	}
@@ -222,6 +225,24 @@ func (d *Dirs) Insert(dir *layout.Inode, name string, ino layout.Ino) (*cache.Bl
 	dir.Size += uint64(d.bc.BlockSize())
 	d.inserted(dir.Ino, entry, b, lbn)
 	return b, true, nil
+}
+
+// insertInto adds e to directory block b: at the end b records when
+// absent (a complete name cache lacks the name) proves no block holds
+// it, else through DirBlockInsert's full scan, after which b records no
+// end. Dirs alone writes cached directory blocks, so a recorded end
+// stays true while the block is cached.
+func insertInto(b *cache.Block, e layout.DirEntry, absent bool) (bool, error) {
+	if !absent {
+		ok, err := layout.DirBlockInsert(b.Data, e)
+		if ok {
+			b.DirEnd = 0
+		}
+		return ok, err
+	}
+	end, ok, err := layout.DirBlockAppendAt(b.Data, int(b.DirEnd), e)
+	b.DirEnd = int32(end)
+	return ok, err
 }
 
 // inserted records an entry just placed in block lbn of the directory.
@@ -245,7 +266,8 @@ func (d *Dirs) Remove(dir *layout.Inode, name string) (*cache.Block, error) {
 			if err != nil {
 				return nil, err
 			}
-			removed, err := layout.DirBlockRemove(b.Data, name)
+			end, removed, err := layout.DirBlockRemoveAt(b.Data, int(b.DirEnd), name)
+			b.DirEnd = int32(end)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,11 @@
 package vfs_test
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"lfs/internal/cache"
@@ -25,6 +28,8 @@ import (
 type dirFS interface {
 	vfs.FileSystem
 	Dirs() *vfs.Dirs
+	Disk() *disk.Disk
+	DropCaches()
 	Crash()
 }
 
@@ -254,21 +259,55 @@ func TestCreateWalksEveryDirectoryBlock(t *testing.T) {
 	}
 }
 
+// image hashes the file system's whole disk image.
+func (fs *testFS) image(t *testing.T) [sha256.Size]byte {
+	t.Helper()
+	store := fs.Disk().Store()
+	buf := make([]byte, store.Size())
+	must(t, store.ReadAt(buf, 0))
+	return sha256.Sum256(buf)
+}
+
 // TestNegativeFastPathLeavesTheModelAlone runs one script on two file
 // systems, forgetting every learned entry count before each operation
 // on the second so its lookups always scan, and requires the same
 // simulated clock, CPU, cache and disk counters from both.
 func TestNegativeFastPathLeavesTheModelAlone(t *testing.T) {
+	sameAsForced(t, func(d *vfs.Dirs) { d.ForgetCounts() })
+}
+
+// TestValidatedBlocksLeaveTheModelAlone: the same script, with every
+// cached block's recorded end forgotten too before each operation on the
+// second file system — so every insert and remove validates its block
+// in full and every insert scans it for a duplicate, as before blocks
+// recorded their end — gives the same counters and the same image.
+func TestValidatedBlocksLeaveTheModelAlone(t *testing.T) {
+	forgot := 0
+	sameAsForced(t, func(d *vfs.Dirs) {
+		d.ForgetCounts()
+		forgot += d.ForgetValidation()
+	})
+	if forgot == 0 {
+		t.Fatal("no cached block ever recorded its end: the runs do not differ")
+	}
+}
+
+// sameAsForced runs one script on two file systems of each kind, calling
+// force on the second's directory layer after every operation, and
+// requires the same simulated clock, CPU, cache and disk counters from
+// both, and the same disk image after the final Sync. It runs with 16
+// cache blocks, so directory blocks get evicted and re-read, and with
+// the default cache, where they stay.
+func sameAsForced(t *testing.T, force func(*vfs.Dirs)) {
 	for _, row := range fileSystems {
 		t.Run(row.name, func(t *testing.T) {
-			run := func(forget bool) string {
-				// 16 cache blocks: directory blocks get evicted and re-read.
-				fs := row.open(t, sizing{capacity: 64 << 20, inodes: 1024, cacheBlocks: 16})
+			run := func(cacheBlocks int, forget bool) (string, [sha256.Size]byte) {
+				fs := row.open(t, sizing{capacity: 64 << 20, inodes: 1024, cacheBlocks: cacheBlocks})
 				step := func(err error) {
 					t.Helper()
 					must(t, err)
 					if forget {
-						fs.Dirs().ForgetCounts()
+						force(fs.Dirs())
 					}
 				}
 				step(fs.Mkdir("/d"))
@@ -291,12 +330,84 @@ func TestNegativeFastPathLeavesTheModelAlone(t *testing.T) {
 					t.Fatalf("Stat of an absent name: %v", err)
 				}
 				step(fs.Sync())
-				return fs.counters()
+				return fs.counters(), fs.image(t)
 			}
-			if fast, scan := run(false), run(true); fast != scan {
-				t.Fatalf("simulated results depend on the host fast path:\nfast %s\nscan %s", fast, scan)
+			for _, blocks := range []int{16, 0} {
+				fast, fastImage := run(blocks, false)
+				scan, scanImage := run(blocks, true)
+				if fast != scan {
+					t.Fatalf("cache of %d blocks: simulated results depend on the host fast path:\nfast %s\nscan %s", blocks, fast, scan)
+				}
+				if fastImage != scanImage {
+					t.Fatalf("cache of %d blocks: the disk images differ: the fast path wrote other bytes", blocks)
+				}
 			}
 		})
+	}
+}
+
+// TestCorruptBlockFailsFirstUse: a directory block corrupted on disk (an
+// entry's name length zeroed), evicted and read back, fails the first
+// insert and remove on it — though the name cache is complete and the
+// evicted copy had recorded its end — and, after a remount, the first
+// lookup that scans it, each with the codec's error for the block.
+func TestCorruptBlockFailsFirstUse(t *testing.T) {
+	for _, row := range fileSystems {
+		t.Run(row.name, func(t *testing.T) {
+			fs := row.open(t, sizing{capacity: 64 << 20, inodes: 1024})
+			perBlock := namesPerBlock(t, fs.blockSize)
+			name := func(i int) string { return fmt.Sprintf("/d/f%06d", perBlock+i) } // the i-th entry of block 1
+			must(t, fs.Mkdir("/d"))
+			fillDir(t, fs, "/d", perBlock+10)
+			must(t, fs.Remove(name(9))) // block 1 records its end
+			must(t, fs.Sync())
+			// LFS's roll-forward holds each unit to its data checksum and
+			// would stop short of the damaged one: put it behind a
+			// checkpoint, so the remount below reads it as it is.
+			if lfs, ok := fs.dirFS.(interface{ Checkpoint() error }); ok {
+				must(t, lfs.Checkpoint())
+			}
+			zeroNameLength(t, fs, name(5)[len("/d/"):])
+			want := "layout: directory entry 5 has bad name length 0"
+			wantBad := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: %v, want an error saying %q", what, err, want)
+				}
+			}
+			fs.DropCaches()
+			if !fs.Dirs().Complete(dirIno(t, fs, "/d")) {
+				t.Fatal("the name cache of a directory built from empty is not complete")
+			}
+			wantBad("Create", fs.Create("/d/new"))
+			fs.DropCaches()
+			wantBad("Remove", fs.Remove(name(2)))
+			fs = fs.remount(t)
+			_, err := fs.Stat(name(7))
+			wantBad("Stat after a remount", err)
+		})
+	}
+}
+
+// zeroNameLength zeroes, in the disk image, the name length of every
+// directory entry called name.
+func zeroNameLength(t *testing.T, fs *testFS, name string) {
+	t.Helper()
+	store := fs.Disk().Store()
+	img := make([]byte, store.Size())
+	must(t, store.ReadAt(img, 0))
+	found := 0
+	for off := 0; ; found++ {
+		i := bytes.Index(img[off:], []byte(name))
+		if i < 0 {
+			break
+		}
+		off += i
+		must(t, store.WriteAt([]byte{0, 0}, int64(off-2)))
+		off += len(name)
+	}
+	if found == 0 {
+		t.Fatalf("no entry called %q on disk", name)
 	}
 }
 

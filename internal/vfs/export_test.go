@@ -1,6 +1,9 @@
 package vfs
 
-import "lfs/internal/layout"
+import (
+	"lfs/internal/cache"
+	"lfs/internal/layout"
+)
 
 // What the name-cache tests need beyond Complete and Check, kept out
 // of the shipped API.
@@ -12,6 +15,23 @@ const NameCacheDirLimit = nameCacheDirLimit
 // complete and every negative lookup byte-scans — the behaviour the
 // fast path is compared against.
 func (d *Dirs) ForgetCounts() { clear(d.entryCount) }
+
+// ForgetValidation drops the end every cached block records, so the
+// next insert or remove on each validates it in full, and returns how
+// many had one. It visits the blocks through RemoveMatching with a
+// predicate that removes none, and Peek: no statistic or LRU position
+// moves.
+func (d *Dirs) ForgetValidation() int {
+	n := 0
+	d.bc.RemoveMatching(func(k cache.Key) bool {
+		if b := d.bc.Peek(k); b.DirEnd != 0 {
+			b.DirEnd = 0
+			n++
+		}
+		return false
+	})
+	return n
+}
 
 // EntryCount returns the directory's learned entry count, if any.
 func (d *Dirs) EntryCount(dir layout.Ino) (int, bool) {

@@ -31,7 +31,6 @@ package lfs
 import (
 	"lfs/internal/core"
 	"lfs/internal/disk"
-	"lfs/internal/layout"
 	"lfs/internal/obs"
 	"lfs/internal/shard"
 	"lfs/internal/sim"
@@ -45,65 +44,20 @@ type (
 	// Config carries LFS tunables (block size, segment size,
 	// cleaning policy, checkpoint interval, ...).
 	Config = core.Config
-	// CleanPolicy selects the cleaner's victim policy.
-	CleanPolicy = core.CleanPolicy
-	// CleanResult summarises a cleaner activation.
-	CleanResult = core.CleanResult
-	// Stats counts internal LFS activity.
-	//
-	// Deprecated-style note: prefer FS.StatsSnapshot, which copies
-	// every statistics surface atomically; reading Stats and DiskStats
-	// through separate accessors lets a running workload skew derived
-	// ratios.
-	Stats = core.Stats
 	// StatsSnapshot is an atomic copy of every statistics surface of
 	// a mounted FS, from FS.StatsSnapshot.
 	StatsSnapshot = core.StatsSnapshot
-	// CheckReport is the result of a consistency check (Fsck or
-	// FS.Check).
-	CheckReport = core.CheckReport
 	// Disk is the simulated block device file systems run on.
 	Disk = disk.Disk
-	// DiskGeometry describes a simulated disk's physical layout.
-	DiskGeometry = disk.Geometry
-	// DiskPerfModel is the disk service-time model.
-	DiskPerfModel = disk.PerfModel
-	// DiskStats counts disk activity.
-	DiskStats = disk.Stats
-	// FileSystem is the operation set shared by LFS and the FFS
-	// baseline.
-	FileSystem = vfs.FileSystem
-	// PathError is the error type returned by all FileSystem
-	// operations: the operation, the path, and an underlying error
-	// wrapping one of the sentinels below (test with errors.Is, or
-	// errors.As to recover the path).
-	PathError = vfs.PathError
 	// TraceRecorder collects operation spans, cause-tagged disk
 	// events, and cleaner activation records. Attach one through
 	// Config.Trace (or BaselineConfig.Trace) before Mount.
 	TraceRecorder = obs.Recorder
-	// Span is one traced VFS operation.
-	Span = obs.Span
-	// CleanRecord is one traced cleaner activation.
-	CleanRecord = obs.CleanRecord
-	// TraceAggregates condenses a trace: per-op latency, disk
-	// busy-time decomposition by cause, cleaner cost summary.
-	TraceAggregates = obs.Aggregates
-	// FileInfo describes a file, as returned by Stat.
-	FileInfo = vfs.FileInfo
-	// DirEntry is one directory entry.
-	DirEntry = layout.DirEntry
-	// Ino is an inode number.
-	Ino = layout.Ino
 	// Clock is the simulated clock.
 	Clock = sim.Clock
-	// Time is a point in simulated time.
-	Time = sim.Time
 	// StoreOptions selects and configures a store backend for
 	// NewDisk.
 	StoreOptions = disk.StoreOptions
-	// StoreBackend names a block-store backend.
-	StoreBackend = disk.StoreBackend
 )
 
 // Cleaning policies.
@@ -117,11 +71,6 @@ const (
 
 // Store backends, for StoreOptions.Backend.
 const (
-	// BackendMem is a plain in-memory byte array (the default).
-	BackendMem = disk.BackendMem
-	// BackendCow is an in-memory chunked store with O(1)
-	// copy-on-write snapshots.
-	BackendCow = disk.BackendCow
 	// BackendFile is a sparse file-backed image.
 	BackendFile = disk.BackendFile
 	// BackendMmap is a memory-mapped file image (unix only).
@@ -132,18 +81,9 @@ const (
 // attached through Config.Trace.
 func NewTraceRecorder() *TraceRecorder { return obs.NewRecorder() }
 
-// Sentinel errors, tested with errors.Is.
-var (
-	ErrNotExist  = vfs.ErrNotExist
-	ErrExist     = vfs.ErrExist
-	ErrIsDir     = vfs.ErrIsDir
-	ErrNotDir    = vfs.ErrNotDir
-	ErrNotEmpty  = vfs.ErrNotEmpty
-	ErrNoSpace   = vfs.ErrNoSpace
-	ErrTooLarge  = vfs.ErrTooLarge
-	ErrInvalid   = vfs.ErrInvalid
-	ErrUnmounted = vfs.ErrUnmounted
-)
+// ErrNotExist reports a missing file or directory; test for it with
+// errors.Is.
+var ErrNotExist = vfs.ErrNotExist
 
 // DefaultConfig returns the paper's evaluation configuration: 4 KB
 // blocks, 1 MB segments, ~15 MB cache, 30-second write-back and
@@ -159,8 +99,8 @@ func NewMemDisk(capacity int64) *Disk {
 }
 
 // ParseStoreBackend maps a backend name ("mem", "cow", "file", "mmap")
-// to its StoreBackend, for command-line flags.
-func ParseStoreBackend(name string) (StoreBackend, bool) {
+// to its backend, for command-line flags.
+func ParseStoreBackend(name string) (disk.StoreBackend, bool) {
 	return disk.ParseStoreBackend(name)
 }
 
@@ -191,7 +131,7 @@ func Mount(d *Disk, cfg Config) (*FS, error) { return core.Mount(d, cfg) }
 // cfg.RollForward) and walks it with the consistency checker. It is
 // the shared verification path of the lfsck tool and the crash-point
 // test harness.
-func Fsck(d *Disk, cfg Config) (*CheckReport, error) { return core.Fsck(d, cfg) }
+func Fsck(d *Disk, cfg Config) (*core.CheckReport, error) { return core.Fsck(d, cfg) }
 
 // ImageBytes returns the size in bytes of a disk image file for a
 // volume of the given capacity — what OpenImage will create or expect.
@@ -202,42 +142,24 @@ func ImageBytes(capacity int64) int64 {
 	return disk.GeometryForCapacity(capacity).TotalBytes()
 }
 
-// Walk visits every file and directory under root in depth-first,
-// name-sorted order.
-func Walk(fsys FileSystem, root string, fn func(path string, fi FileInfo) error) error {
-	return vfs.Walk(fsys, root, fn)
-}
-
 // TreeSize returns the total bytes of regular files under root plus
 // file and directory counts.
-func TreeSize(fsys FileSystem, root string) (bytes int64, files, dirs int, err error) {
+func TreeSize(fsys vfs.FileSystem, root string) (bytes int64, files, dirs int, err error) {
 	return vfs.TreeSize(fsys, root)
 }
 
-// Sharded multi-log scale-out: a VFS-conforming router partitioning
-// the namespace across N independent single-log file systems on one
-// simulated clock (see DESIGN.md §12).
-type (
-	// ShardFS routes each path to the shard that owns it — hash
-	// placement by default, directory-subtree pins as an option — and
-	// implements FileSystem over the whole array.
-	ShardFS = shard.FS
-	// ShardOptions configures placement pins, the per-shard base
-	// Config, and the per-shard observability hook.
-	ShardOptions = shard.Options
-)
-
-// ErrCrossShard reports a rename or link whose two paths place on
-// different shards; match it with errors.Is.
-var ErrCrossShard = shard.ErrCrossShard
+// ShardOptions configures a sharded multi-log array (see DESIGN.md
+// §12): placement pins, the per-shard base Config, and the per-shard
+// observability hook.
+type ShardOptions = shard.Options
 
 // NewClock returns a fresh simulated clock, for assembling
 // multi-device arrays on one timeline.
 func NewClock() *Clock { return sim.NewClock() }
 
 // NewDiskWithClock is NewDisk with a caller-provided clock, so the
-// disks of a sharded array share one timeline (FormatSharded and
-// MountSharded require it).
+// disks of a sharded array share one timeline (FormatSharded requires
+// it).
 func NewDiskWithClock(opts StoreOptions, clock *Clock) (*Disk, error) {
 	geom := disk.GeometryForCapacity(opts.Capacity)
 	opts.Capacity = geom.TotalBytes()
@@ -252,15 +174,3 @@ func NewDiskWithClock(opts StoreOptions, clock *Clock) (*Disk, error) {
 // volume; shard images carry no sharding metadata and any one of them
 // mounts alone with Mount (see FORMAT.md).
 func FormatSharded(disks []*Disk, opts ShardOptions) error { return shard.Format(disks, opts) }
-
-// MountSharded attaches a formatted shard set behind one router,
-// running per-shard crash recovery.
-func MountSharded(disks []*Disk, opts ShardOptions) (*ShardFS, error) {
-	return shard.Mount(disks, opts)
-}
-
-// NewMemSharded formats and mounts n shards over fresh memory-backed
-// disks sharing one clock, splitting totalCapacity evenly.
-func NewMemSharded(n int, totalCapacity int64, opts ShardOptions) (*ShardFS, error) {
-	return shard.NewMem(n, totalCapacity, opts)
-}
