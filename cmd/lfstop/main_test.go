@@ -131,7 +131,7 @@ func TestDashboardReplaysConcurrentRun(t *testing.T) {
 	}
 	res, err := server.Run(fs, server.Config{
 		Clients: 8, OpsPerClient: 32, WriteSize: 4096,
-		FilesPerClient: 4, Seed: 7, MetricsInterval: samp.Interval(),
+		FilesPerClient: 4, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

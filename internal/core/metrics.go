@@ -3,6 +3,7 @@ package core
 import (
 	"lfs/internal/disk"
 	"lfs/internal/obs"
+	"lfs/internal/sim"
 )
 
 // initMetrics binds cfg.Metrics and registers every metric the plane
@@ -99,6 +100,11 @@ func (fs *FS) initMetrics() error {
 // Metrics returns the attached sampler (nil when the plane is
 // disabled), for tools that export the series after a run.
 func (fs *FS) Metrics() *obs.Sampler { return fs.cfg.Metrics }
+
+// MetricsInterval is the attached sampler's spacing in simulated time,
+// zero when the plane is disabled; the multi-client event loop pumps
+// TickMetrics at it.
+func (fs *FS) MetricsInterval() sim.Duration { return fs.cfg.Metrics.Interval() }
 
 // TickMetrics samples the metrics plane if the sampling interval has
 // elapsed. Operations tick implicitly; the multi-client event loop

@@ -6,44 +6,8 @@ import (
 
 	"lfs/internal/core"
 	"lfs/internal/ffs"
-	"lfs/internal/obs"
-	"lfs/internal/server"
 	"lfs/internal/sim"
 )
-
-// ConcurrencyOpts scales the multi-client throughput experiment: N
-// closed-loop clients issuing 4 KB write+fsync operations against one
-// file system (§4.1's many-users-one-server environment).
-type ConcurrencyOpts struct {
-	Capacity int64
-	// ClientCounts is the sweep's x-axis; it should start at 1 so
-	// speedups have a base.
-	ClientCounts []int
-	// OpsPerClient, WriteSize, and ThinkTime shape each client's
-	// closed loop (see server.Config).
-	OpsPerClient int
-	WriteSize    int
-	ThinkTime    sim.Duration
-	// Seed drives every run; the same seed reproduces every schedule.
-	Seed      int64
-	LFSConfig core.Config
-	FFSConfig ffs.Config
-}
-
-// DefaultConcurrencyOpts returns a CI-sized sweep: 1..16 clients, 64
-// commits each, no think time (the clients are disk-bound, which is
-// where the batching question is interesting).
-func DefaultConcurrencyOpts() ConcurrencyOpts {
-	return ConcurrencyOpts{
-		Capacity:     128 << 20,
-		ClientCounts: []int{1, 2, 4, 8, 16},
-		OpsPerClient: 64,
-		WriteSize:    4096,
-		Seed:         42,
-		LFSConfig:    defaultLFSConfig(),
-		FFSConfig:    ffs.DefaultConfig(),
-	}
-}
 
 // ConcurrencyRow is one client count's measurements across the three
 // systems: LFS with group commit, LFS without, and the FFS baseline.
@@ -75,39 +39,11 @@ type ConcurrencyRow struct {
 	LFSP99 sim.Duration
 }
 
-// latencyPercentiles merges the per-client latency histograms and
-// returns the p50/p95/p99 operation latencies.
-func latencyPercentiles(per []server.ClientStats) (p50, p95, p99 sim.Duration, err error) {
-	merged := obs.NewLatencyHistogram()
-	for i := range per {
-		if e := merged.Merge(per[i].Latency); e != nil {
-			return 0, 0, 0, e
-		}
-	}
-	//lfslint:allow floataccum converting reported histogram quantiles for display; the result feeds no accounting state
-	toDur := func(s float64) sim.Duration { return sim.Duration(s * float64(sim.Second)) }
-	return toDur(merged.Quantile(0.5)), toDur(merged.Quantile(0.95)), toDur(merged.Quantile(0.99)), nil
-}
-
 // Concurrency sweeps client counts over LFS (group commit on and off)
 // and FFS, one fresh file system per cell so runs never share state.
-func Concurrency(opts ConcurrencyOpts) ([]ConcurrencyRow, error) {
-	if len(opts.ClientCounts) == 0 {
-		return nil, fmt.Errorf("concurrency: empty client counts")
-	}
-	rows := make([]ConcurrencyRow, 0, len(opts.ClientCounts))
-	for _, n := range opts.ClientCounts {
-		if n < 1 {
-			return nil, fmt.Errorf("concurrency: client count %d", n)
-		}
-		scfg := server.Config{
-			Clients:        n,
-			OpsPerClient:   opts.OpsPerClient,
-			WriteSize:      opts.WriteSize,
-			FilesPerClient: 8,
-			ThinkTime:      opts.ThinkTime,
-			Seed:           opts.Seed,
-		}
+func Concurrency(opts ClientOpts) ([]ConcurrencyRow, error) {
+	return sweep("concurrency", opts.ClientCounts, func(n int) (ConcurrencyRow, error) {
+		load := clientLoad(n, opts.OpsPerClient)
 		row := ConcurrencyRow{Clients: n}
 
 		// LFS with group commit.
@@ -115,72 +51,46 @@ func Concurrency(opts ConcurrencyOpts) ([]ConcurrencyRow, error) {
 		lcfg.GroupCommit = true
 		sys, err := NewLFS(opts.Capacity, lcfg)
 		if err != nil {
-			return nil, err
+			return row, err
 		}
 		lfs := sys.System.(*core.FS)
-		// When a metrics sampler is attached (lfsbench -metrics), the
-		// event loop pumps it at the sampler's own interval and a
-		// final forced sample pins the end-of-run state.
-		if samp := lfs.Metrics(); samp != nil {
-			scfg.MetricsInterval = samp.Interval()
-		} else {
-			scfg.MetricsInterval = 0
-		}
-		res, err := server.Run(lfs, scfg)
+		gc, err := runClients(lfs, load, sys.Disk)
 		if err != nil {
-			return nil, fmt.Errorf("concurrency: lfs %d clients: %w", n, err)
+			return row, fmt.Errorf("lfs: %w", err)
 		}
-		lfs.SampleMetricsNow()
 		st := lfs.Stats()
-		row.LFSOpsPerSec = res.OpsPerSecond()
-		if row.LFSP50, row.LFSP95, row.LFSP99, err = latencyPercentiles(res.PerClient); err != nil {
-			return nil, fmt.Errorf("concurrency: merging latency histograms: %w", err)
-		}
-		row.GroupCommits = st.GroupCommits
-		row.Piggybacked = st.PiggybackedSyncs
-		row.LFSWritesPerOp = float64(sys.Disk.Stats().Writes) / float64(res.Ops)
+		row.LFSOpsPerSec, row.LFSWritesPerOp = gc.OpsPerSecond(), gc.WritesPerOp
+		row.LFSP50, row.LFSP95, row.LFSP99 = gc.P50, gc.P95, gc.P99
+		row.GroupCommits, row.Piggybacked = st.GroupCommits, st.PiggybackedSyncs
 
 		// LFS without group commit (the ablation: same log, every
 		// fsync pays its own flush).
-		sys2, err := NewLFS(opts.Capacity, opts.LFSConfig)
+		if sys, err = NewLFS(opts.Capacity, opts.LFSConfig); err != nil {
+			return row, err
+		}
+		nogc, err := runClients(sys.System.(*core.FS), load)
 		if err != nil {
-			return nil, err
+			return row, fmt.Errorf("lfs-nogc: %w", err)
 		}
-		lfs2 := sys2.System.(*core.FS)
-		if samp := lfs2.Metrics(); samp != nil {
-			scfg.MetricsInterval = samp.Interval()
-		} else {
-			scfg.MetricsInterval = 0
-		}
-		res2, err := server.Run(lfs2, scfg)
-		if err != nil {
-			return nil, fmt.Errorf("concurrency: lfs-nogc %d clients: %w", n, err)
-		}
-		lfs2.SampleMetricsNow()
-		row.LFSNoGCOpsPerSec = res2.OpsPerSecond()
-		scfg.MetricsInterval = 0
+		row.LFSNoGCOpsPerSec = nogc.OpsPerSecond()
 
 		// FFS baseline.
-		fsys, err := NewFFS(opts.Capacity, opts.FFSConfig)
-		if err != nil {
-			return nil, err
+		if sys, err = NewFFS(opts.Capacity, opts.FFSConfig); err != nil {
+			return row, err
 		}
-		res3, err := server.Run(fsys.System.(*ffs.FS), scfg)
+		base, err := runClients(sys.System.(*ffs.FS), load, sys.Disk)
 		if err != nil {
-			return nil, fmt.Errorf("concurrency: ffs %d clients: %w", n, err)
+			return row, fmt.Errorf("ffs: %w", err)
 		}
-		row.FFSOpsPerSec = res3.OpsPerSecond()
-		row.FFSWritesPerOp = float64(fsys.Disk.Stats().Writes) / float64(res3.Ops)
-
-		rows = append(rows, row)
-	}
-	return rows, nil
+		row.FFSOpsPerSec, row.FFSWritesPerOp = base.OpsPerSecond(), base.WritesPerOp
+		return row, nil
+	})
 }
 
 // runConcurrency is the table's concurrency row; the whole curve is the
 // gated summary.
 func runConcurrency() (Result, error) {
-	rows, err := Concurrency(DefaultConcurrencyOpts())
+	rows, err := Concurrency(DefaultClientOpts())
 	res, err := tabular(rows, err, FormatConcurrency, CSVConcurrency)
 	if err != nil {
 		return res, err

@@ -10,8 +10,8 @@ import (
 
 // quickConcurrencyOpts shrinks the sweep for CI: the {1, 8} endpoints
 // are enough to assert the scaling shape.
-func quickConcurrencyOpts() ConcurrencyOpts {
-	opts := DefaultConcurrencyOpts()
+func quickConcurrencyOpts() ClientOpts {
+	opts := DefaultClientOpts()
 	opts.Capacity = 64 << 20
 	opts.ClientCounts = []int{1, 8}
 	opts.OpsPerClient = 48
@@ -97,19 +97,5 @@ func TestConcurrencyFormatAndCSV(t *testing.T) {
 	}
 	if !strings.Contains(csv, "clients,lfs_ops_per_s") || !strings.Contains(csv, "8,120.000") {
 		t.Errorf("CSV content wrong:\n%s", csv)
-	}
-}
-
-// TestConcurrencyRejectsBadOpts covers the error paths.
-func TestConcurrencyRejectsBadOpts(t *testing.T) {
-	opts := quickConcurrencyOpts()
-	opts.ClientCounts = nil
-	if _, err := Concurrency(opts); err == nil {
-		t.Error("empty client counts accepted")
-	}
-	opts = quickConcurrencyOpts()
-	opts.ClientCounts = []int{0}
-	if _, err := Concurrency(opts); err == nil {
-		t.Error("zero client count accepted")
 	}
 }

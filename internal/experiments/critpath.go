@@ -7,42 +7,8 @@ import (
 
 	"lfs/internal/core"
 	"lfs/internal/obs"
-	"lfs/internal/server"
 	"lfs/internal/sim"
 )
-
-// CritPathOpts scales the critical-path experiment: the multi-client
-// commit workload of the concurrency sweep, run on group-commit LFS
-// only, with a trace recorder attached so every operation's latency
-// arrives decomposed into phases. Where the concurrency curve shows
-// *that* p50 jumps when clients contend, this experiment shows *where
-// the time goes* — queue wait, commit wait, piggyback wait — span by
-// span.
-type CritPathOpts struct {
-	Capacity int64
-	// ClientCounts is the sweep's x-axis.
-	ClientCounts []int
-	// OpsPerClient, WriteSize, and ThinkTime shape each client's
-	// closed loop (see server.Config).
-	OpsPerClient int
-	WriteSize    int
-	ThinkTime    sim.Duration
-	Seed         int64
-	LFSConfig    core.Config
-}
-
-// DefaultCritPathOpts mirrors the concurrency sweep's shape so the two
-// curves line up point for point.
-func DefaultCritPathOpts() CritPathOpts {
-	return CritPathOpts{
-		Capacity:     128 << 20,
-		ClientCounts: []int{1, 2, 4, 8, 16},
-		OpsPerClient: 64,
-		WriteSize:    4096,
-		Seed:         42,
-		LFSConfig:    defaultLFSConfig(),
-	}
-}
 
 // CritPathRow is one client count's fsync latency decomposition.
 type CritPathRow struct {
@@ -100,41 +66,27 @@ func spanQuantile(sorted []sim.Duration, q float64) sim.Duration {
 }
 
 // CritPath sweeps client counts over group-commit LFS with tracing on
-// and decomposes every fsync's latency by phase. It fails if any
-// recorded span — fsync or otherwise — violates the exactness
-// invariant, making every run of the experiment a check of the
-// attribution plumbing end to end.
-func CritPath(opts CritPathOpts) ([]CritPathRow, error) {
-	if len(opts.ClientCounts) == 0 {
-		return nil, fmt.Errorf("critpath: empty client counts")
-	}
-	rows := make([]CritPathRow, 0, len(opts.ClientCounts))
-	for _, n := range opts.ClientCounts {
-		if n < 1 {
-			return nil, fmt.Errorf("critpath: client count %d", n)
-		}
+// and decomposes every fsync's latency by phase: the concurrency curve
+// shows *that* p50 jumps when clients contend, this shows *where the
+// time goes* — queue wait, commit wait, piggyback wait — span by span.
+// It fails if any recorded span — fsync or otherwise — violates the
+// exactness invariant, making every run of the experiment a check of
+// the attribution plumbing end to end.
+func CritPath(opts ClientOpts) ([]CritPathRow, error) {
+	return sweep("critpath", opts.ClientCounts, func(n int) (CritPathRow, error) {
+		row := CritPathRow{Clients: n}
 		rec := obs.NewRecorder()
 		cfg := opts.LFSConfig
 		cfg.GroupCommit = true
 		cfg.Trace = rec
 		sys, err := NewLFS(opts.Capacity, cfg)
 		if err != nil {
-			return nil, err
+			return row, err
 		}
-		lfs := sys.System.(*core.FS)
-		scfg := server.Config{
-			Clients:        n,
-			OpsPerClient:   opts.OpsPerClient,
-			WriteSize:      opts.WriteSize,
-			FilesPerClient: 8,
-			ThinkTime:      opts.ThinkTime,
-			Seed:           opts.Seed,
-		}
-		if _, err := server.Run(lfs, scfg); err != nil {
-			return nil, fmt.Errorf("critpath: %d clients: %w", n, err)
+		if _, err := runClients(sys.System.(*core.FS), clientLoad(n, opts.OpsPerClient)); err != nil {
+			return row, err
 		}
 
-		row := CritPathRow{Clients: n}
 		var lats []sim.Duration
 		var fsyncs []obs.Span
 		for _, s := range rec.Spans() {
@@ -142,8 +94,8 @@ func CritPath(opts CritPathOpts) ([]CritPathRow, error) {
 			if s.PhasesExact() {
 				row.ExactSpans++
 			} else {
-				return nil, fmt.Errorf("critpath: %d clients: span %s %q latency %v but phases sum to %v",
-					n, s.Op, s.Path, s.Latency(), sumPhases(s.Phases))
+				return row, fmt.Errorf("span %s %q latency %v but phases sum to %v",
+					s.Op, s.Path, s.Latency(), sumPhases(s.Phases))
 			}
 			if s.Op == "fsync" {
 				fsyncs = append(fsyncs, s)
@@ -151,7 +103,7 @@ func CritPath(opts CritPathOpts) ([]CritPathRow, error) {
 			}
 		}
 		if len(fsyncs) == 0 {
-			return nil, fmt.Errorf("critpath: %d clients: no fsync spans recorded", n)
+			return row, fmt.Errorf("no fsync spans recorded")
 		}
 		row.FsyncCount = len(fsyncs)
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
@@ -181,16 +133,15 @@ func CritPath(opts CritPathOpts) ([]CritPathRow, error) {
 		if tailTotal > 0 {
 			row.TopBlameShare = tail[row.TopBlame].Seconds() / tailTotal.Seconds()
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 // runCritPath is the table's critpath row. The per-phase means,
 // percentiles and tail blame are the gated summary, so time silently
 // moving between phases — an attribution regression — cannot land.
 func runCritPath() (Result, error) {
-	rows, err := CritPath(DefaultCritPathOpts())
+	rows, err := CritPath(DefaultClientOpts())
 	if err != nil {
 		return Result{}, err
 	}
@@ -213,8 +164,8 @@ func runCritPath() (Result, error) {
 	return Result{
 		Text: FormatCritPath(rows),
 		// Exactness is a verdict: every span decomposed exactly, or
-		// CritPath itself would have failed. Recorded as 0/1 so the
-		// benchdiff gate pins it.
+		// CritPath itself would have failed. Recorded as 1, not true, as
+		// the committed baseline has it.
 		Bench: map[string]any{"experiment": "critpath", "curve": curve, "exact": 1},
 	}, nil
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // smallCritPathOpts shrinks the experiment for test runtimes.
-func smallCritPathOpts() CritPathOpts {
-	opts := DefaultCritPathOpts()
+func smallCritPathOpts() ClientOpts {
+	opts := DefaultClientOpts()
 	opts.Capacity = 64 << 20
 	opts.ClientCounts = []int{1, 4}
 	opts.OpsPerClient = 16
@@ -64,15 +64,33 @@ func TestCritPathExactness(t *testing.T) {
 	}
 }
 
-// TestCritPathRejectsBadOpts pins the input validation.
-func TestCritPathRejectsBadOpts(t *testing.T) {
-	if _, err := CritPath(CritPathOpts{}); err == nil {
-		t.Error("empty client counts accepted")
+// TestCritPathSamplesEndOnTheAggregates runs CritPath with a metrics
+// sink: every file system it builds must be sampled to the end of its
+// run, so each series' final ops counter is the file system's op count
+// — one span per operation.
+func TestCritPathSamplesEndOnTheAggregates(t *testing.T) {
+	var samplers []*obs.Sampler
+	MetricsSink = func(string) *obs.Sampler {
+		s := obs.NewSampler(sim.Second)
+		samplers = append(samplers, s)
+		return s
 	}
-	opts := smallCritPathOpts()
-	opts.ClientCounts = []int{0}
-	if _, err := CritPath(opts); err == nil {
-		t.Error("zero client count accepted")
+	defer func() { MetricsSink = nil }()
+	rows, err := CritPath(smallCritPathOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samplers) != len(rows) {
+		t.Fatalf("%d samplers for %d rows", len(samplers), len(rows))
+	}
+	for i, s := range samplers {
+		samples := s.Samples()
+		if len(samples) == 0 {
+			t.Fatalf("%d clients: no samples", rows[i].Clients)
+		}
+		if got, want := samples[len(samples)-1].Counters["ops"], int64(rows[i].Spans); got != want {
+			t.Errorf("%d clients: final ops sample %d, file system ran %d ops", rows[i].Clients, got, want)
+		}
 	}
 }
 

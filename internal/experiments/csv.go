@@ -27,8 +27,8 @@ func writeCSV(w io.Writer, header []string, rows [][]string) error {
 }
 
 // f formats a float for CSV. Degenerate ratios (0/0 from a run too
-// small to activate some phase) become 0 so downstream plotting and
-// the benchdiff gate never see NaN or Inf.
+// small to activate some phase) become 0 so downstream plotting never
+// sees NaN or Inf.
 func f(v float64) string {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		v = 0

@@ -23,16 +23,10 @@ type ShardingOpts struct {
 	// ShardCounts is the sweep's x-axis; it should start at 1 so
 	// speedups have a base.
 	ShardCounts []int
-	// Clients, OpsPerClient, WriteSize, and ThinkTime shape the
-	// closed loops (see server.Config); the client population is the
-	// same for every shard count.
+	// Clients and OpsPerClient size the closed loops (clientLoad); the
+	// client population is the same for every shard count.
 	Clients      int
 	OpsPerClient int
-	WriteSize    int
-	ThinkTime    sim.Duration
-	// Seed drives every run; the same seed reproduces every schedule
-	// and every per-shard disk image byte for byte.
-	Seed int64
 	// Config is the per-shard base configuration.
 	Config core.Config
 	// CrashCut is the 1-based disk-write index at which the crash
@@ -56,8 +50,6 @@ func DefaultShardingOpts() ShardingOpts {
 		ShardCounts:   []int{1, 2, 4, 8},
 		Clients:       32,
 		OpsPerClient:  128,
-		WriteSize:     4096,
-		Seed:          42,
 		Config:        cfg,
 		CrashCut:      5,
 	}
@@ -130,129 +122,83 @@ func NewSharded(n int, totalCapacity int64, cfg core.Config) (*shard.FS, error) 
 }
 
 // runCell builds a fresh n-shard system, drives the configured client
-// population, and returns the system (still mounted) with the run's
-// row.
+// population and unmounts it, returning the system — its disks hold
+// the final images — with the run's row.
 func runCell(opts ShardingOpts, n int) (*shard.FS, ShardingRow, error) {
 	row := ShardingRow{Shards: n, Clients: opts.Clients}
 	fs, err := NewSharded(n, opts.TotalCapacity, opts.Config)
 	if err != nil {
-		return nil, row, fmt.Errorf("sharding: %d shards: %w", n, err)
+		return nil, row, err
 	}
-	scfg := server.Config{
-		Clients:        opts.Clients,
-		OpsPerClient:   opts.OpsPerClient,
-		WriteSize:      opts.WriteSize,
-		FilesPerClient: 8,
-		ThinkTime:      opts.ThinkTime,
-		Seed:           opts.Seed,
+	disks := make([]*disk.Disk, n)
+	for i := range disks {
+		disks[i] = fs.Disk(i)
 	}
-	if samp := fs.ShardFS(0).Metrics(); samp != nil {
-		scfg.MetricsInterval = samp.Interval()
-	}
-	res, err := server.Run(fs, scfg)
+	run, err := runClients(fs, clientLoad(opts.Clients, opts.OpsPerClient), disks...)
 	if err != nil {
-		return nil, row, fmt.Errorf("sharding: %d shards: %w", n, err)
+		return nil, row, err
 	}
-	fs.SampleMetricsNow()
-	row.OpsPerSec = res.OpsPerSecond()
-	if row.P50, row.P95, row.P99, err = latencyPercentiles(res.PerClient); err != nil {
-		return nil, row, fmt.Errorf("sharding: merging latency histograms: %w", err)
+	if err := fs.Unmount(); err != nil {
+		return nil, row, fmt.Errorf("unmount: %w", err)
 	}
-	var writes int64
-	for i := 0; i < n; i++ {
-		writes += fs.Disk(i).Stats().Writes
-	}
-	row.WritesPerOp = float64(writes) / float64(res.Ops)
+	row.OpsPerSec, row.WritesPerOp = run.OpsPerSecond(), run.WritesPerOp
+	row.P50, row.P95, row.P99 = run.P50, run.P95, run.P99
 	return fs, row, nil
 }
 
-// shardImages snapshots every shard's backing store after unmount.
-func shardImages(fs *shard.FS) ([][]byte, error) {
-	images := make([][]byte, fs.NumShards())
-	for i := range images {
-		st := fs.Disk(i).Store()
-		buf := make([]byte, st.Size())
-		if err := st.ReadAt(buf, 0); err != nil {
-			return nil, fmt.Errorf("sharding: reading shard %d image: %w", i, err)
+// sameImages reports whether two unmounted systems of one shard count
+// hold byte-identical images, shard by shard.
+func sameImages(a, b *shard.FS) (bool, error) {
+	for i := 0; i < a.NumShards(); i++ {
+		sa, sb := a.Disk(i).Store(), b.Disk(i).Store()
+		ia, ib := make([]byte, sa.Size()), make([]byte, sb.Size())
+		if err := sa.ReadAt(ia, 0); err != nil {
+			return false, fmt.Errorf("reading shard %d image: %w", i, err)
 		}
-		images[i] = buf
-	}
-	return images, nil
-}
-
-// Sharding sweeps shard counts at a fixed client population, then
-// runs the crash scenario and the determinism rerun.
-func Sharding(opts ShardingOpts) (*ShardingResult, error) {
-	if len(opts.ShardCounts) == 0 {
-		return nil, fmt.Errorf("sharding: empty shard counts")
-	}
-	res := &ShardingResult{}
-	var base float64
-	largest := 0
-	for i, n := range opts.ShardCounts {
-		if n < 1 {
-			return nil, fmt.Errorf("sharding: shard count %d", n)
+		if err := sb.ReadAt(ib, 0); err != nil {
+			return false, fmt.Errorf("reading shard %d image: %w", i, err)
 		}
-		if n > largest {
-			largest = n
-		}
-		fs, row, err := runCell(opts, n)
-		if err != nil {
-			return nil, err
-		}
-		if err := fs.Unmount(); err != nil {
-			return nil, fmt.Errorf("sharding: %d shards: unmount: %w", n, err)
-		}
-		if i == 0 {
-			base = row.OpsPerSec
-		}
-		row.Speedup = speedup(row.OpsPerSec, base)
-		res.Rows = append(res.Rows, row)
-	}
-
-	// Determinism: rerun the largest cell with the same seed and
-	// compare every shard's image byte for byte.
-	det, err := shardingDeterministic(opts, largest)
-	if err != nil {
-		return nil, err
-	}
-	res.Deterministic = det
-
-	crash, err := shardingCrash(opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Crash = crash
-	return res, nil
-}
-
-// shardingDeterministic reruns the n-shard cell twice and compares
-// images.
-func shardingDeterministic(opts ShardingOpts, n int) (bool, error) {
-	var prev [][]byte
-	for run := 0; run < 2; run++ {
-		fs, _, err := runCell(opts, n)
-		if err != nil {
-			return false, err
-		}
-		if err := fs.Unmount(); err != nil {
-			return false, fmt.Errorf("sharding: determinism unmount: %w", err)
-		}
-		images, err := shardImages(fs)
-		if err != nil {
-			return false, err
-		}
-		if run == 0 {
-			prev = images
-			continue
-		}
-		for i := range images {
-			if !bytes.Equal(prev[i], images[i]) {
-				return false, nil
-			}
+		if !bytes.Equal(ia, ib) {
+			return false, nil
 		}
 	}
 	return true, nil
+}
+
+// Sharding sweeps shard counts at a fixed client population, then
+// reruns the sweep's largest cell and runs the crash scenario.
+func Sharding(opts ShardingOpts) (*ShardingResult, error) {
+	// The sweep keeps its largest cell for the determinism check.
+	var largest *shard.FS
+	rows, err := sweep("sharding", opts.ShardCounts, func(n int) (ShardingRow, error) {
+		fs, row, err := runCell(opts, n)
+		if err == nil && (largest == nil || n > largest.NumShards()) {
+			largest = fs
+		}
+		return row, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rows[i].Speedup = speedup(rows[i].OpsPerSec, rows[0].OpsPerSec)
+	}
+	res := &ShardingResult{Rows: rows}
+
+	// Determinism: rerun the largest cell with the same seed and
+	// compare every shard's image with the sweep's, byte for byte.
+	rerun, _, err := runCell(opts, largest.NumShards())
+	if err == nil {
+		res.Deterministic, err = sameImages(largest, rerun)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sharding: rerun: %w", err)
+	}
+
+	if res.Crash, err = shardingCrash(opts); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // shardingCrash runs the four-shard fault scenario: a healthy
@@ -266,14 +212,7 @@ func shardingCrash(opts ShardingOpts) (ShardingCrash, error) {
 	if err != nil {
 		return out, fmt.Errorf("sharding: crash: %w", err)
 	}
-	scfg := server.Config{
-		Clients:        opts.Clients,
-		OpsPerClient:   opts.OpsPerClient,
-		WriteSize:      opts.WriteSize,
-		FilesPerClient: 8,
-		ThinkTime:      opts.ThinkTime,
-		Seed:           opts.Seed,
-	}
+	scfg := clientLoad(opts.Clients, opts.OpsPerClient)
 
 	// Phase A: healthy, every op fsynced; then Sync commits the
 	// directory tree too.
@@ -288,7 +227,7 @@ func shardingCrash(opts ShardingOpts) (ShardingCrash, error) {
 	// shards, tolerating the dead shard's errors.
 	fs.Disk(0).SetFaultPolicy(&disk.CrashPlan{CutWrite: opts.CrashCut})
 	scfgB := scfg
-	scfgB.Seed = opts.Seed + 1
+	scfgB.Seed++
 	scfgB.OnOpError = func(client int, err error) bool { return true }
 	resB, err := server.Run(fs, scfgB)
 	if err != nil {
@@ -313,8 +252,8 @@ func shardingCrash(opts ShardingOpts) (ShardingCrash, error) {
 			if err != nil {
 				return out, fmt.Errorf("sharding: post-recovery %s: %w", p, err)
 			}
-			if fi.Size != int64(opts.WriteSize) {
-				return out, fmt.Errorf("sharding: post-recovery %s: size %d, want %d", p, fi.Size, opts.WriteSize)
+			if fi.Size != int64(scfg.WriteSize) {
+				return out, fmt.Errorf("sharding: post-recovery %s: size %d, want %d", p, fi.Size, scfg.WriteSize)
 			}
 			out.FilesRetained++
 		}
@@ -364,9 +303,9 @@ func runSharding() (Result, error) {
 			"p99_ms":        ms(r.P99),
 		}
 	}
-	// Booleans don't register with benchdiff's numeric gate, so the two
-	// verdicts are recorded as 0/1 counters. Both are 1 here: a
-	// diverging rerun returned above, a dirty fsck failed Sharding.
+	// The two verdicts are recorded as 1, not true, as the committed
+	// baseline has them. Both are 1 here: a diverging rerun returned
+	// above, a dirty fsck failed Sharding.
 	res.Bench = map[string]any{
 		"experiment":             "sharding",
 		"curve":                  curve,

@@ -93,17 +93,3 @@ func TestShardingFormat(t *testing.T) {
 		}
 	}
 }
-
-// TestShardingRejectsBadOpts covers the error paths.
-func TestShardingRejectsBadOpts(t *testing.T) {
-	opts := quickShardingOpts()
-	opts.ShardCounts = nil
-	if _, err := Sharding(opts); err == nil {
-		t.Error("empty shard counts accepted")
-	}
-	opts = quickShardingOpts()
-	opts.ShardCounts = []int{0}
-	if _, err := Sharding(opts); err == nil {
-		t.Error("zero shard count accepted")
-	}
-}

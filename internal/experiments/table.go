@@ -71,9 +71,9 @@ func tabular[R any](rows R, err error, format func(R) string, csv func(io.Writer
 // WriteBench writes a Result.Bench summary in the one form the
 // committed baselines have: every object's keys sorted, whatever Go
 // type produced it, and every number's literal digits preserved, so the
-// same data always gives the same bytes. scripts/benchdiff.sh compares
-// key sequences positionally, which makes that order load-bearing. The
-// summary must carry its experiment's name under "experiment".
+// same data always gives the same bytes: scripts/ci.sh holds each
+// summary to its committed file with cmp. The summary must carry its
+// experiment's name under "experiment".
 func WriteBench(w io.Writer, summary map[string]any) error {
 	if name, _ := summary["experiment"].(string); name == "" {
 		return fmt.Errorf("bench summary has no experiment name")

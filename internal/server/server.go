@@ -49,11 +49,16 @@ type fileSyncer interface {
 	FsyncFile(path string) error
 }
 
-// metricsTicker is the optional metrics-plane pump (LFS has it when a
-// sampler is attached). The loop schedules periodic ticks so think-time
-// gaps between operations still produce samples.
+// metricsTicker is the optional metrics-plane pump (LFS and the shard
+// router have it). When MetricsInterval is positive — a sampler is
+// attached — the loop calls TickMetrics at that spacing, so think-time
+// gaps between operations still produce samples. The pump is cancelled
+// the moment the last operation completes, so it never extends the run,
+// and its events are excluded from Result.Events: a sampled run reports
+// identical results.
 type metricsTicker interface {
 	TickMetrics()
+	MetricsInterval() sim.Duration
 }
 
 // waitNoter is the optional pre-operation wait attribution hook (all
@@ -66,7 +71,9 @@ type waitNoter interface {
 	NoteWait(kind obs.PhaseKind, d sim.Duration)
 }
 
-// Config shapes a multi-client run.
+// Config shapes a multi-client run: the clients and the load they
+// offer. The metrics pump is not configured here; a target with a
+// sampler is pumped at the sampler's own interval (metricsTicker).
 type Config struct {
 	// Clients is the number of closed-loop clients.
 	Clients int
@@ -85,14 +92,6 @@ type Config struct {
 	// Seed makes the run reproducible; it feeds the event loop and
 	// every per-client RNG.
 	Seed int64
-	// MetricsInterval, when positive, schedules periodic metrics-pump
-	// events calling the target's TickMetrics at this spacing, so
-	// samples land even inside think-time gaps. The pump is cancelled
-	// the moment the last operation completes — it never extends the
-	// run — and its events are excluded from Result.Events, so a
-	// metrics-enabled run reports identical results. Ignored for
-	// targets without a metrics plane.
-	MetricsInterval sim.Duration
 	// OnOpError, when non-nil, is consulted on every operation error.
 	// Returning true tolerates the failure: it is counted in the
 	// client's Errors, the operation is abandoned, and the client
@@ -131,9 +130,6 @@ func (c Config) Validate() error {
 	}
 	if c.ThinkTime < 0 {
 		return fmt.Errorf("server: negative think time %v", c.ThinkTime)
-	}
-	if c.MetricsInterval < 0 {
-		return fmt.Errorf("server: negative metrics interval %v", c.MetricsInterval)
 	}
 	return nil
 }
@@ -379,19 +375,18 @@ func Run(fsys FS, cfg Config) (Result, error) {
 		loop.At(intendedWrite, "write", issue)
 	}
 
-	if cfg.MetricsInterval > 0 {
-		if mt, ok := fsys.(metricsTicker); ok {
-			var pump func()
-			pump = func() {
-				pumpFired++
-				pumpID = 0
-				mt.TickMetrics()
-				if firstErr == nil && opsLeft > 0 {
-					pumpID = loop.After(cfg.MetricsInterval, "metrics", pump)
-				}
+	if mt, ok := fsys.(metricsTicker); ok && mt.MetricsInterval() > 0 {
+		every := mt.MetricsInterval()
+		var pump func()
+		pump = func() {
+			pumpFired++
+			pumpID = 0
+			mt.TickMetrics()
+			if firstErr == nil && opsLeft > 0 {
+				pumpID = loop.After(every, "metrics", pump)
 			}
-			pumpID = loop.After(cfg.MetricsInterval, "metrics", pump)
 		}
+		pumpID = loop.After(every, "metrics", pump)
 	}
 
 	res.Events = loop.Run() - pumpFired

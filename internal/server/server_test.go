@@ -234,9 +234,7 @@ func TestMetricsPumpIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcfg := cfg
-	mcfg.MetricsInterval = sim.Millisecond
-	got, err := server.Run(lfs, mcfg)
+	got, err := server.Run(lfs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +250,32 @@ func TestMetricsPumpIsInvisible(t *testing.T) {
 	if last := samples[len(samples)-1]; sim.Time(last.Time) > got.End {
 		t.Errorf("last sample at %v is past run end %v: pump extended the run",
 			sim.Time(last.Time), got.End)
+	}
+}
+
+// tickOnly forwards the file system but answers TickMetrics without
+// saying how often it wants it — no MetricsInterval, the shape of
+// lfsperf's probe.
+type tickOnly struct {
+	server.FS
+	ticks int
+}
+
+func (f *tickOnly) TickMetrics() { f.ticks++ }
+
+// TestTickWithoutIntervalIsNotPumped: the pump runs at the target's own
+// interval, so a target that names none is never pumped, however long
+// its clients think.
+func TestTickWithoutIntervalIsNotPumped(t *testing.T) {
+	cfg := server.DefaultConfig()
+	cfg.ThinkTime = 5 * sim.Millisecond
+	lfs, _ := newLFS(t, true)
+	fs := &tickOnly{FS: lfs}
+	if _, err := server.Run(fs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if fs.ticks != 0 {
+		t.Errorf("pumped %d times without a metrics interval", fs.ticks)
 	}
 }
 

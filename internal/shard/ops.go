@@ -7,6 +7,7 @@ import (
 	"lfs/internal/core"
 	"lfs/internal/layout"
 	"lfs/internal/obs"
+	"lfs/internal/sim"
 	"lfs/internal/vfs"
 )
 
@@ -383,6 +384,10 @@ func (fs *FS) TickMetrics() {
 		s.TickMetrics()
 	}
 }
+
+// MetricsInterval is the shards' common sampling interval (shard 0's),
+// zero when no sampler is attached.
+func (fs *FS) MetricsInterval() sim.Duration { return fs.ShardFS(0).MetricsInterval() }
 
 // SampleMetricsNow forces one sample row on every shard.
 func (fs *FS) SampleMetricsNow() {
