@@ -177,6 +177,9 @@ func Poison(p []byte) {
 // 106 B per block.
 const slabLen = 78
 
+// chunkBlocks is how many first-fill buffers one allocation holds.
+const chunkBlocks = 16
+
 // Cache is a fixed-capacity block cache. Not safe for concurrent use;
 // the owning file system serialises access.
 type Cache struct {
@@ -199,6 +202,9 @@ type Cache struct {
 	// stale holder of a removed block another block's bytes where today
 	// it finds a nil slice.
 	slab []Block
+	// chunk is what is left of the buffer memory allocated last, carved
+	// into buffers capped at one block so no append reaches a neighbour.
+	chunk []byte
 
 	stats Stats
 }
@@ -292,7 +298,10 @@ func (c *Cache) add(k Key) (b *Block, zeroed bool) {
 	if n := len(c.free) - 1; n >= 0 {
 		b.Data, c.free = c.free[n], c.free[:n]
 	} else {
-		b.Data, zeroed = make([]byte, c.blockSize), true
+		if len(c.chunk) == 0 {
+			c.chunk = make([]byte, chunkBlocks*c.blockSize)
+		}
+		b.Data, c.chunk, zeroed = c.chunk[:c.blockSize:c.blockSize], c.chunk[c.blockSize:], true
 	}
 	c.insert(b)
 	c.stats.Inserted++

@@ -603,8 +603,9 @@ func TestAddRecyclesEvictedBuffer(t *testing.T) {
 	DebugPoison = false
 }
 
-// TestAddZeroesOnlyWhatNeedsIt: a first-fill buffer comes zeroed from
-// make and is not cleared again; a recycled one is, poisoned or not.
+// TestAddZeroesOnlyWhatNeedsIt: a first-fill buffer comes zeroed from a
+// fresh chunk and is not cleared again; a recycled one is, poisoned or
+// not.
 func TestAddZeroesOnlyWhatNeedsIt(t *testing.T) {
 	defer func() { DebugPoison = false }()
 	for _, poison := range []bool{false, true} {
@@ -626,6 +627,29 @@ func TestAddZeroesOnlyWhatNeedsIt(t *testing.T) {
 		if b := c.Add(key(1, 3)); !allBytes(b.Data, 0) {
 			t.Fatalf("poison %v: recycled Add returned % x", poison, b.Data)
 		}
+	}
+}
+
+// TestFirstFillChunks: first-fill buffers are carved side by side from
+// one allocation per chunkBlocks of them, each capped at one block, so
+// an append through one copies out instead of writing into the next.
+func TestFirstFillChunks(t *testing.T) {
+	c := New(2*chunkBlocks, 64)
+	var blocks []*Block
+	for j := range 2 * chunkBlocks {
+		blocks = append(blocks, c.Add(key(1, int64(j))))
+	}
+	for j, b := range blocks {
+		if len(b.Data) != 64 || cap(b.Data) != 64 {
+			t.Fatalf("block %d: len %d cap %d, want 64 and 64", j, len(b.Data), cap(b.Data))
+		}
+		gap := uintptr(unsafe.Pointer(&b.Data[0])) - uintptr(unsafe.Pointer(&blocks[j/chunkBlocks*chunkBlocks].Data[0]))
+		if gap != uintptr(j%chunkBlocks*64) {
+			t.Fatalf("block %d lies %d bytes into its chunk, want %d", j, gap, j%chunkBlocks*64)
+		}
+	}
+	if grown := append(blocks[0].Data, 0xFF); &grown[0] == &blocks[0].Data[0] || blocks[1].Data[0] != 0 {
+		t.Fatal("an append through a first-fill buffer reached its neighbour")
 	}
 }
 

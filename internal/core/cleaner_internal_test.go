@@ -9,13 +9,6 @@ import (
 	"lfs/internal/sim"
 )
 
-// Tiny aliases keeping the eviction test terse.
-func layoutIno(i int) layout.Ino { return layout.Ino(i) }
-func layoutNewInode(ino layout.Ino) *layout.Inode {
-	in := layout.NewInode(ino, layout.ModeFile|0o644)
-	return &in
-}
-
 // newTestFS builds a mounted FS on a fresh memory disk for white-box
 // tests.
 func newTestFS(t testing.TB, capacity int64, cfg Config) *FS {
@@ -430,9 +423,8 @@ func TestInodeCacheEviction(t *testing.T) {
 	fs := newTestFS(t, 16<<20, cfg)
 	// Fill the in-core table beyond the limit with clean inodes.
 	for i := 0; i < inodeCacheLimit+10; i++ {
-		ino := layoutIno(i + 10)
-		in := layoutNewInode(ino)
-		fs.inodes.put(ino, in)
+		ino := layout.Ino(i + 10)
+		fs.inodes.install(ino, layout.NewInode(ino, layout.ModeFile|0o644))
 	}
 	fs.evictInodes()
 	if fs.inodes.n >= inodeCacheLimit {

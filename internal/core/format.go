@@ -144,7 +144,7 @@ func Format(d *disk.Disk, cfg Config) error {
 	fs := newSkeleton(d, cfg, sb)
 	root := layout.NewInode(layout.RootIno, layout.ModeDir|0o755)
 	root.Nlink = 2
-	fs.inodes.put(layout.RootIno, &root)
+	fs.inodes.install(layout.RootIno, root)
 	fs.markInodeDirty(layout.RootIno)
 	fs.imap.alloc(layout.RootIno)
 	if err := fs.flush(flushCheckpoint); err != nil {

@@ -62,84 +62,121 @@ const inodeCacheLimit = 16384
 
 // inodeTable is the in-core inode table and the queue of inodes dirty
 // for the next segment write. Like the inode map it is addressed by
-// inode number — a slice and a bitmap, not hash maps: the cleaner and
-// the segment writer consult it once per live block, and walking either
-// in index order is the ascending order the deterministic timeline
-// needs. Both grow on demand (doubling, never past max+1), so a mount
-// that touches few inodes pays for few.
+// inode number — pages and bitmaps, not hash maps: the cleaner and the
+// segment writer consult it once per live block, and walking either in
+// index order is the ascending order the deterministic timeline needs.
+// Records live by value at their number, 64 to a page that is never
+// moved or freed, so a *layout.Inode from the table stays valid for the
+// life of the FS. Eviction forgets that a record is current, never the
+// record: an operation still holding one that it dirties keeps it.
 type inodeTable struct {
 	max    layout.Ino
-	slots  []*layout.Inode // index = ino; nil = not in core
-	n      int             // non-nil slots
-	dirty  []uint64        // bit ino set = queued; len covers len(slots)
+	pages  []inodePage // index = ino/64
+	n      int         // current records
 	nDirty int
+}
+
+// inodePage holds the records of 64 consecutive inode numbers; bit i of
+// each word is about record i.
+type inodePage struct {
+	recs    *[64]layout.Inode // nil until one of the numbers is installed
+	current uint64            // in core: get returns the record
+	dirty   uint64            // queued for the next segment write
+}
+
+// page returns the page covering ino and ino's bit in its words, or nil
+// when the table has not grown that far.
+func (t *inodeTable) page(ino layout.Ino) (*inodePage, uint64) {
+	if p := int(ino / 64); p < len(t.pages) {
+		return &t.pages[p], 1 << (ino % 64)
+	}
+	return nil, 0
+}
+
+// setBit turns bit of *w on or off, keeping *count in step.
+func setBit(w *uint64, count *int, bit uint64, on bool) {
+	switch had := *w&bit != 0; {
+	case on && !had:
+		*w, *count = *w|bit, *count+1
+	case had && !on:
+		*w, *count = *w&^bit, *count-1
+	}
 }
 
 // get returns the in-core inode, or nil.
 func (t *inodeTable) get(ino layout.Ino) *layout.Inode {
-	if int(ino) < len(t.slots) {
-		return t.slots[ino]
+	if pg, bit := t.page(ino); pg != nil && pg.current&bit != 0 {
+		return &pg.recs[ino%64]
 	}
 	return nil
 }
 
-// put installs in as the in-core copy of ino (at most max).
-func (t *inodeTable) put(ino layout.Ino, in *layout.Inode) {
-	if int(ino) >= len(t.slots) {
-		n := min(max(2*len(t.slots), int(ino)+1, 64), int(t.max)+1)
-		t.slots = append(make([]*layout.Inode, 0, n), t.slots...)[:n]
-		t.dirty = append(make([]uint64, 0, (n+63)/64), t.dirty...)[:(n+63)/64]
+// install copies rec in as the in-core record of ino (at most max) and
+// returns where it lives.
+func (t *inodeTable) install(ino layout.Ino, rec layout.Inode) *layout.Inode {
+	if p := int(ino / 64); p >= len(t.pages) {
+		n := min(max(2*len(t.pages), p+1), int(t.max/64)+1)
+		t.pages = append(make([]inodePage, 0, n), t.pages...)[:n]
 	}
-	if t.slots[ino] == nil {
-		t.n++
+	pg, bit := t.page(ino)
+	if pg.recs == nil {
+		pg.recs = new([64]layout.Inode)
 	}
-	t.slots[ino] = in
+	pg.recs[ino%64] = rec
+	setBit(&pg.current, &t.n, bit, true)
+	return &pg.recs[ino%64]
 }
 
-// drop forgets ino, dirty or not.
+// drop forgets ino, dirty or not (unlink). Under cache.DebugPoison the
+// record is scribbled over with 0xDB, so a holder that outlived the
+// unlink reads nonsense rather than a plausible file.
 func (t *inodeTable) drop(ino layout.Ino) {
-	if t.get(ino) != nil {
-		t.setDirty(ino, false)
-		t.slots[ino] = nil
-		t.n--
+	if in := t.get(ino); in != nil {
+		pg, bit := t.page(ino)
+		setBit(&pg.dirty, &t.nDirty, bit, false)
+		setBit(&pg.current, &t.n, bit, false)
+		if cache.DebugPoison {
+			const x = 0xDBDBDBDB
+			*in = layout.Inode{Ino: x, Mode: x >> 16, Nlink: x >> 16, Size: x<<32 | x, Mtime: x, Ctime: x,
+				Direct: [layout.NDirect]layout.DiskAddr{x, x, x, x, x, x, x, x, x, x, x, x}, Indirect: x, DoubleIndirect: x, Gen: x}
+		}
 	}
 }
 
 // isDirty reports whether ino is queued for the next segment write.
 func (t *inodeTable) isDirty(ino layout.Ino) bool {
-	return int(ino) < len(t.slots) && t.dirty[ino/64]&(1<<(ino%64)) != 0
+	pg, bit := t.page(ino)
+	return pg != nil && pg.dirty&bit != 0
 }
 
-// setDirty queues an in-core inode for the next segment write, or takes
-// it off the queue.
+// setDirty queues an installed inode for the next segment write, making
+// it current again if it was evicted, or takes it off the queue.
 func (t *inodeTable) setDirty(ino layout.Ino, dirty bool) {
-	if t.isDirty(ino) == dirty {
-		return
-	}
-	t.dirty[ino/64] ^= 1 << (ino % 64)
+	pg, bit := t.page(ino)
+	setBit(&pg.dirty, &t.nDirty, bit, dirty)
 	if dirty {
-		t.nDirty++
-	} else {
-		t.nDirty--
+		setBit(&pg.current, &t.n, bit, true)
 	}
 }
 
 // appendDirty appends the queued inode numbers to dst in ascending order.
 func (t *inodeTable) appendDirty(dst []layout.Ino) []layout.Ino {
-	for i, w := range t.dirty {
-		for ; w != 0; w &= w - 1 {
-			dst = append(dst, layout.Ino(i*64+bits.TrailingZeros64(w)))
+	for p, pg := range t.pages {
+		for w := pg.dirty; w != 0; w &= w - 1 {
+			dst = append(dst, layout.Ino(p*64+bits.TrailingZeros64(w)))
 		}
 	}
 	return dst
 }
 
 // dropClean forgets clean inodes in ascending order until fewer than
-// keep remain in core; dirty ones always stay.
+// keep remain in core; dirty ones always stay. Only the current bits
+// change: a record stays where it is for whoever holds it.
 func (t *inodeTable) dropClean(keep int) {
-	for ino := 0; ino < len(t.slots) && t.n >= keep; ino++ {
-		if t.slots[ino] != nil && !t.isDirty(layout.Ino(ino)) {
-			t.slots[ino] = nil
+	for p := 0; p < len(t.pages) && t.n >= keep; p++ {
+		pg := &t.pages[p]
+		for w := pg.current &^ pg.dirty; w != 0 && t.n >= keep; w &= w - 1 {
+			pg.current &^= w & -w
 			t.n--
 		}
 	}
@@ -196,12 +233,9 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 		slotIdx := uint8(slot % inodesPerSector)
 		re := fs.imap.peek(rec.Ino) // any number a record claims reads as free
 		if rec.Ino == ino {
-			if slotAddr != e.Addr || slotIdx != e.Slot {
-				continue
+			if slotAddr == e.Addr && slotIdx == e.Slot {
+				want = fs.inodes.install(ino, rec)
 			}
-			cp := rec
-			want = &cp
-			fs.inodes.put(ino, want)
 			continue
 		}
 		// Opportunistically cache neighbours that are still
@@ -211,8 +245,7 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 			continue
 		}
 		if re.Allocated && re.Addr == slotAddr && re.Slot == slotIdx {
-			cp := rec
-			fs.inodes.put(rec.Ino, &cp)
+			fs.inodes.install(rec.Ino, rec)
 		}
 	}
 	if want == nil {
@@ -232,7 +265,9 @@ func (fs *FS) evictInodes() {
 	}
 }
 
-// markInodeDirty queues ino, which is in core, for the next segment write.
+// markInodeDirty queues ino, which an operation fetched or created, for
+// the next segment write; a record evicted since comes back in core with
+// the operation's updates.
 func (fs *FS) markInodeDirty(ino layout.Ino) { fs.inodes.setDirty(ino, true) }
 
 // dropInode removes ino from the in-core tables (unlink). The inode

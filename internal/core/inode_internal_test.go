@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
 	"lfs/internal/sim"
@@ -13,20 +14,23 @@ import (
 
 // mapInodes is the in-core inode table as it was before it became
 // dense: two hash maps, an eviction that sorts the clean inodes and a
-// flush order that sorts the dirty ones. The model tests hold
-// inodeTable to it.
+// flush order that sorts the dirty ones — plus what the paged table
+// added, the records an operation still holds after they were evicted.
+// The model tests hold inodeTable to it.
 type mapInodes struct {
-	inodes map[layout.Ino]*layout.Inode
-	dirty  map[layout.Ino]bool
+	inodes  map[layout.Ino]layout.Inode // in core, by value
+	dirty   map[layout.Ino]bool
+	evicted map[layout.Ino]layout.Inode // dropped clean, still held
 }
 
 func newMapInodes() *mapInodes {
-	return &mapInodes{inodes: map[layout.Ino]*layout.Inode{}, dirty: map[layout.Ino]bool{}}
+	return &mapInodes{inodes: map[layout.Ino]layout.Inode{}, dirty: map[layout.Ino]bool{}, evicted: map[layout.Ino]layout.Inode{}}
 }
 
 func (m *mapInodes) drop(ino layout.Ino) {
 	delete(m.inodes, ino)
 	delete(m.dirty, ino)
+	delete(m.evicted, ino)
 }
 
 // dropClean is the old evictInodes loop (keep = inodeCacheLimit/2) and
@@ -43,6 +47,7 @@ func (m *mapInodes) dropClean(keep int) {
 		if len(m.inodes) < keep {
 			break
 		}
+		m.evicted[ino] = m.inodes[ino]
 		delete(m.inodes, ino)
 	}
 }
@@ -58,67 +63,92 @@ func (m *mapInodes) flushOrder() []layout.Ino {
 }
 
 // checkAgainst compares the table with the reference: the same in-core
-// set holding the same pointers, the same dirty set, the same ascending
-// flush order, and counts that match the contents.
-func (m *mapInodes) checkAgainst(t *testing.T, tab *inodeTable, when string) {
+// set holding the same records, each where it was installed, the same
+// dirty set, the same ascending flush order, and counts that match the
+// contents.
+func (m *mapInodes) checkAgainst(t *testing.T, tab *inodeTable, held map[layout.Ino]*layout.Inode, when string) {
 	t.Helper()
 	if tab.n != len(m.inodes) || tab.nDirty != len(m.dirty) {
 		t.Fatalf("%s: table counts %d in core, %d dirty; reference %d, %d", when, tab.n, tab.nDirty, len(m.inodes), len(m.dirty))
 	}
 	inCore := 0
-	for ino := range tab.slots {
-		in := tab.get(layout.Ino(ino))
+	for ino := layout.Ino(0); int(ino) < 64*len(tab.pages); ino++ {
+		in := tab.get(ino)
+		want, ok := m.inodes[ino]
+		switch {
+		case (in != nil) != ok:
+			t.Fatalf("%s: inode %d: in core %v, reference %v", when, ino, in != nil, ok)
+		case in != nil && *in != want:
+			t.Fatalf("%s: inode %d: table holds %+v, reference %+v", when, ino, *in, want)
+		case in != nil && held[ino] != nil && in != held[ino]:
+			t.Fatalf("%s: inode %d moved from %p to %p", when, ino, held[ino], in)
+		}
 		if in != nil {
 			inCore++
 		}
-		if in != m.inodes[layout.Ino(ino)] {
-			t.Fatalf("%s: inode %d: table holds %p, reference %p", when, ino, in, m.inodes[layout.Ino(ino)])
-		}
-		if tab.isDirty(layout.Ino(ino)) != m.dirty[layout.Ino(ino)] {
-			t.Fatalf("%s: inode %d: table dirty=%v, reference %v", when, ino, tab.isDirty(layout.Ino(ino)), m.dirty[layout.Ino(ino)])
+		if tab.isDirty(ino) != m.dirty[ino] {
+			t.Fatalf("%s: inode %d: table dirty=%v, reference %v", when, ino, tab.isDirty(ino), m.dirty[ino])
 		}
 	}
 	if inCore != len(m.inodes) {
-		t.Fatalf("%s: table holds %d inodes, reference %d (one lies beyond the slice)", when, inCore, len(m.inodes))
+		t.Fatalf("%s: table holds %d inodes, reference %d (one lies beyond the pages)", when, inCore, len(m.inodes))
 	}
 	if got, want := tab.appendDirty(nil), m.flushOrder(); !slices.Equal(got, want) {
 		t.Fatalf("%s: flush order %v, reference %v", when, got, want)
 	}
-	if tab.max > 0 && len(tab.slots) > int(tab.max)+1 {
-		t.Fatalf("%s: table grew to %d slots past max ino %d", when, len(tab.slots), tab.max)
+	if tab.max > 0 && len(tab.pages) > int(tab.max/64)+1 {
+		t.Fatalf("%s: table grew to %d pages past max ino %d", when, len(tab.pages), tab.max)
 	}
 	if tab.get(tab.max+1) != nil || tab.isDirty(tab.max+1) {
 		t.Fatalf("%s: an inode number past the table reads as present", when)
 	}
 }
 
-// TestInodeTableMatchesMapModel drives the dense table and the map
+// TestInodeTableMatchesMapModel drives the paged table and the map
 // reference with one random stream of everything the file system does
-// to it — create, unlink, inode number reuse, dirtying, a flush, cache
-// pressure, DropCaches, a crash and the remount after it — and compares
-// them after every step.
+// to it — create, unlink, inode number reuse, dirtying (also of a
+// record evicted while an operation held it), a flush, cache pressure,
+// DropCaches, a crash and the remount after it — and compares them
+// after every step. Even seeds run poisoned: an unlinked record must
+// read as the scribble, and an evicted one must come back intact.
 func TestInodeTableMatchesMapModel(t *testing.T) {
 	const maxIno = 300 // not a multiple of 64, small enough that numbers are reused often
+	defer func() { cache.DebugPoison = false }()
 	for seed := int64(1); seed <= 4; seed++ {
+		cache.DebugPoison = seed%2 == 0
 		rng := rand.New(rand.NewSource(seed))
 		tab := &inodeTable{max: maxIno}
 		ref := newMapInodes()
+		held := map[layout.Ino]*layout.Inode{} // what install returned
 		for step := 0; step < 20000; step++ {
 			ino := layout.Ino(1 + rng.Intn(maxIno))
 			when := fmt.Sprintf("seed %d step %d", seed, step)
 			switch op := rng.Intn(100); {
 			case op < 35: // create, or a fetch through the inode map; replaces on reuse
-				in := &layout.Inode{Ino: ino}
-				tab.put(ino, in)
-				ref.inodes[ino] = in
-			case op < 60: // a modification of an in-core inode
-				if ref.inodes[ino] != nil {
-					tab.setDirty(ino, true)
-					ref.dirty[ino] = true
+				rec := layout.Inode{Ino: ino, Size: uint64(step)}
+				held[ino] = tab.install(ino, rec)
+				ref.inodes[ino] = rec
+				delete(ref.evicted, ino)
+			case op < 60: // a modification through the record an operation holds
+				rec, ok := ref.inodes[ino]
+				if !ok {
+					if rec, ok = ref.evicted[ino]; !ok {
+						break
+					}
+					delete(ref.evicted, ino)
 				}
+				rec.Mtime = int64(step)
+				held[ino].Mtime = rec.Mtime
+				tab.setDirty(ino, true)
+				ref.inodes[ino] = rec
+				ref.dirty[ino] = true
 			case op < 75: // unlink
+				_, inCore := ref.inodes[ino]
 				tab.drop(ino)
 				ref.drop(ino)
+				if inCore && cache.DebugPoison && held[ino].Ino != 0xDBDBDBDB {
+					t.Fatalf("%s: unlinked inode %d not scribbled: %+v", when, ino, *held[ino])
+				}
 			case op < 85: // the segment writer takes the queue in flush order
 				for _, d := range tab.appendDirty(nil) {
 					tab.setDirty(d, false)
@@ -140,14 +170,15 @@ func TestInodeTableMatchesMapModel(t *testing.T) {
 			case op < 98: // Crash: nothing is in core or dirty any more
 				*tab = inodeTable{}
 				ref = newMapInodes()
-				ref.checkAgainst(t, tab, when+" (crashed)")
+				clear(held)
+				ref.checkAgainst(t, tab, held, when+" (crashed)")
 				*tab = inodeTable{max: maxIno} // the remount
 			default:
-				if got, want := tab.get(ino), ref.inodes[ino]; got != want {
-					t.Fatalf("%s: get(%d) = %p, reference %p", when, ino, got, want)
+				if got, want := tab.get(ino), held[ino]; got != nil && got != want {
+					t.Fatalf("%s: get(%d) = %p, installed at %p", when, ino, got, want)
 				}
 			}
-			ref.checkAgainst(t, tab, when)
+			ref.checkAgainst(t, tab, held, when)
 		}
 	}
 }
@@ -163,7 +194,7 @@ func TestEvictInodesDeterministic(t *testing.T) {
 	fs := &FS{inodes: inodeTable{max: 2 * inodeCacheLimit}}
 	dirty := func(i layout.Ino) bool { return i%3 == 0 }
 	for i := layout.Ino(1); i <= inodeCacheLimit; i++ {
-		fs.inodes.put(i, &layout.Inode{Ino: i})
+		fs.inodes.install(i, layout.Inode{Ino: i})
 		fs.inodes.setDirty(i, dirty(i))
 	}
 	fs.evictInodes()
@@ -205,13 +236,13 @@ func TestInodeTableThroughFS(t *testing.T) {
 	wantDirty := map[layout.Ino]bool{}
 	check := func(when string) {
 		t.Helper()
-		ref := &mapInodes{inodes: map[layout.Ino]*layout.Inode{}, dirty: wantDirty}
-		for ino, in := range fs.inodes.slots {
-			if in != nil {
-				ref.inodes[layout.Ino(ino)] = in
+		ref := &mapInodes{inodes: map[layout.Ino]layout.Inode{}, dirty: wantDirty}
+		for ino := layout.Ino(0); int(ino) < 64*len(fs.inodes.pages); ino++ {
+			if in := fs.inodes.get(ino); in != nil {
+				ref.inodes[ino] = *in
 			}
 		}
-		ref.checkAgainst(t, &fs.inodes, when)
+		ref.checkAgainst(t, &fs.inodes, nil, when)
 		for _, ino := range fs.inodes.appendDirty(nil) { // == wantDirty by now
 			if fs.inodes.get(ino) == nil {
 				t.Fatalf("%s: dirty inode %d is not in core", when, ino)
@@ -289,8 +320,8 @@ func TestInodeTableThroughFS(t *testing.T) {
 	must(t, err)
 	clear(wantDirty)
 	check("after remount")
-	if fs.inodes.n > 1 || len(fs.inodes.slots) > 64 {
-		t.Fatalf("mount brought %d inodes in core in a table of %d slots, want at most the root in the smallest table", fs.inodes.n, len(fs.inodes.slots))
+	if fs.inodes.n > 1 || len(fs.inodes.pages) > 1 {
+		t.Fatalf("mount brought %d inodes in core in a table of %d pages, want at most the root in the smallest table", fs.inodes.n, len(fs.inodes.pages))
 	}
 	for i := range freed {
 		inoOf(fmt.Sprintf("/g%03d", i))
@@ -298,5 +329,128 @@ func TestInodeTableThroughFS(t *testing.T) {
 	check("after lookups")
 	if fs.inodes.n < 2 {
 		t.Fatal("lookups after the remount fetched no inode")
+	}
+}
+
+// fillInodeTable creates files in a new directory /e until the in-core
+// table is past inodeCacheLimit, then syncs: every record is clean, and
+// the next inode fetched from disk evicts the lowest-numbered half.
+func fillInodeTable(t *testing.T, fs *FS) {
+	t.Helper()
+	must(t, fs.Mkdir("/e"))
+	for i := 0; fs.inodes.n <= inodeCacheLimit; i++ {
+		must(t, fs.Create(fmt.Sprintf("/e/%d", i)))
+	}
+	must(t, fs.Sync())
+}
+
+// TestRemoveKeepsEvictedParentMtime: Remove holds the parent it
+// resolved while it fetches the child, and that fetch may evict the
+// parent. The parent's new Mtime used to go into a record the table no
+// longer had, and a later Stat read the old one back from disk.
+func TestRemoveKeepsEvictedParentMtime(t *testing.T) {
+	fs := newTestFS(t, 64<<20, DefaultConfig())
+	must(t, fs.Mkdir("/d"))
+	for i := 0; i < 40; i++ {
+		must(t, fs.Create(fmt.Sprintf("/d/x%02d", i)))
+	}
+	must(t, fs.Sync())
+	d, x := dirIno(t, fs, "/d"), dirIno(t, fs, "/d/x39")
+	fs.DropCaches()
+	fillInodeTable(t, fs) // the root's fetch brings /d back, not /d/x39
+	if fs.inodes.get(d) == nil || fs.inodes.get(x) != nil {
+		t.Fatal("setup: want /d in core and /d/x39 on disk only")
+	}
+
+	before := fs.clock.Now()
+	must(t, fs.Remove("/d/x39"))
+	fi, err := fs.Stat("/d")
+	must(t, err)
+	if fi.Mtime < before {
+		t.Fatalf("/d Mtime %v after Remove at %v: the update was lost", fi.Mtime, before)
+	}
+	must(t, fs.Sync())
+	fs.DropCaches()
+	if again, err := fs.Stat("/d"); err != nil || again.Mtime != fi.Mtime {
+		t.Fatalf("/d after Sync and DropCaches: Mtime %v, %v; want %v", again.Mtime, err, fi.Mtime)
+	}
+}
+
+// TestLinkKeepsEvictedNlink: Link holds the file while it resolves the
+// new parent, whose fetch may evict the file. The Nlink increment used
+// to go into a record the table no longer had, and every later Sync
+// failed on a dirty inode missing from the table.
+func TestLinkKeepsEvictedNlink(t *testing.T) {
+	fs := newTestFS(t, 64<<20, DefaultConfig())
+	must(t, fs.Mkdir("/b"))
+	must(t, fs.Sync()) // /b's record goes to an inode block of its own
+	must(t, fs.Mkdir("/a"))
+	must(t, fs.Create("/a/f00"))
+	data := []byte("the second name still reads this")
+	must(t, fs.Write("/a/f00", 0, data))
+	must(t, fs.Sync())
+	b, f := dirIno(t, fs, "/b"), dirIno(t, fs, "/a/f00")
+	fs.DropCaches()
+	fillInodeTable(t, fs) // the root's fetch brings /a/f00 back, not /b
+	if fs.inodes.get(f) == nil || fs.inodes.get(b) != nil {
+		t.Fatal("setup: want /a/f00 in core and /b on disk only")
+	}
+
+	must(t, fs.Link("/a/f00", "/b/g"))
+	must(t, fs.Sync())
+	if fi, err := fs.Stat("/b/g"); err != nil || fi.Nlink != 2 {
+		t.Fatalf("/b/g after Link: Nlink %d, %v; want 2", fi.Nlink, err)
+	}
+	must(t, fs.Remove("/a/f00"))
+	must(t, fs.Sync())
+	got := make([]byte, len(data))
+	if _, err := fs.Read("/b/g", 0, got); err != nil || string(got) != string(data) {
+		t.Fatalf("/b/g after removing the first name: %q, %v", got, err)
+	}
+	rep, err := fs.Check()
+	must(t, err)
+	if !rep.Ok() {
+		t.Fatalf("Check after Link and Remove: %v", rep.Problems)
+	}
+}
+
+// TestNamespaceAllocs pins the namespace path's host cost in a warm
+// directory: Create and a 1 KB Write of a new file, a Stat that fetches
+// the inode again after DropCaches, and Remove allocate nothing per
+// call — an in-core record lives in a page at its number, and a first
+// block comes off the cache's free list or a chunk. The names are built
+// before anything is measured.
+func TestNamespaceAllocs(t *testing.T) {
+	const runs = 100
+	fs := newTestFS(t, 64<<20, smallConfig())
+	must(t, fs.Mkdir("/warm"))
+	names := make([]string, 2*(runs+1))
+	for i := range names {
+		names[i] = fmt.Sprintf("/warm/f%03d", i)
+	}
+	data := make([]byte, 1<<10)
+	create := func(name string) {
+		must(t, fs.Create(name))
+		must(t, fs.Write(name, 0, data))
+	}
+	for _, name := range names[:runs+1] {
+		create(name)
+	}
+	i := runs + 1
+	if n := testing.AllocsPerRun(runs, func() { create(names[i]); i++ }); n != 0 {
+		t.Errorf("Create + 1 KB Write in a warm directory: %v allocs per call, want 0", n)
+	}
+	i = 0
+	if n := testing.AllocsPerRun(runs, func() {
+		fs.DropCaches()
+		_, err := fs.Stat(names[i])
+		must(t, err)
+		i++
+	}); n != 0 {
+		t.Errorf("Stat after DropCaches: %v allocs per call, want 0", n)
+	}
+	i = 0
+	if n := testing.AllocsPerRun(runs, func() { must(t, fs.Remove(names[i])); i++ }); n != 0 {
+		t.Errorf("Remove: %v allocs per call, want 0", n)
 	}
 }

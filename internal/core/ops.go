@@ -58,7 +58,7 @@ func (fs *FS) createNode(path string, isDir bool) error {
 	in.Mtime, in.Ctime = now, now
 	e := fs.imap.get(ino)
 	in.Gen = e.Version
-	fs.inodes.put(ino, &in)
+	fs.inodes.install(ino, in)
 	fs.markInodeDirty(ino)
 	e.Atime = fs.clock.Now()
 	fs.imap.markDirty(ino)

@@ -47,8 +47,9 @@ echo "== size =="
 # the diff, where a reviewer sees it. It stood at 25 534 until the three
 # client sweeps (concurrency, critpath, sharding) moved onto one driver,
 # internal/experiments/clients.go, and server.Config lost its metrics
-# interval: 25 465. Lower it when a change shrinks the tree.
-size_ceiling=25465
+# interval: 25 465. One generic CSV row writer paid for the paged
+# in-core inode table: 25 464. Lower it when a change shrinks the tree.
+size_ceiling=25464
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
@@ -123,9 +124,9 @@ echo "== lfsperf smoke =="
 # for the seed (its "correct"). The host allocation figures per
 # operation are deterministic, unlike host time, and each budget sits
 # about 5 % above what the workload does today (at -seconds 3):
-# smallfile 1.61 allocations; largefile 0.094 allocations and 4 064
-# bytes; cleaning 71 bytes and 0.014 allocations; clients 0.036
-# allocations and 3 744 bytes, nearly all of them the four memory
+# smallfile 1.03 allocations; largefile 0.037 allocations and 4 064
+# bytes; cleaning 71 bytes and 0.014 allocations; clients 0.030
+# allocations and 3 748 bytes, nearly all of them the four memory
 # stores' 1 MB chunks. A budget that trips means a per-op allocation
 # came back: fstest.RunSteadyStateAllocs in core, ffs and shard says
 # where. Lower a budget when a change lowers its figure.
@@ -141,15 +142,15 @@ perf_budget() {
 		awk -v what="$workload $1" -v limit="$3" 'END { if (NR != 1 || $1 + 0 > limit) { print "lfsperf: " what " = " $1 ", want <= " limit > "/dev/stderr"; exit 1 } }'
 }
 perf_run smallfile
-perf_budget host_allocs_per_op count 1.7
+perf_budget host_allocs_per_op count 1.08
 perf_run largefile
-perf_budget host_allocs_per_op count 0.1
+perf_budget host_allocs_per_op count 0.039
 perf_budget host_bytes_per_op bytes 4300
 perf_run cleaning
 perf_budget host_bytes_per_op bytes 75
 perf_budget host_allocs_per_op count 0.015
 perf_run clients
-perf_budget host_allocs_per_op count 0.04
+perf_budget host_allocs_per_op count 0.032
 perf_budget host_bytes_per_op bytes 3950
 if [ "$update" = 1 ]; then
 	echo "regenerated; review and commit the BENCH_*.json and bench_results.txt changes"
