@@ -5,6 +5,7 @@ import (
 
 	"lfs/internal/core"
 	"lfs/internal/fstest"
+	"lfs/internal/vfs"
 )
 
 // crashConfig shrinks segments and the cache so a modest workload
@@ -28,8 +29,8 @@ func crashConfig() core.Config {
 // cleaningWorkload maximises cleaner activity relative to everything
 // else: populate, delete most files to fragment the log, then clean.
 // Used by TestCrashDuringCleaningRecovers below.
-func cleaningWorkload(blockSize int) []fstest.CrashOp {
-	var ops []fstest.CrashOp
+func cleaningWorkload(blockSize int) []fstest.Op {
+	var ops []fstest.Op
 	name := func(round, i int) string {
 		return "/c" + string(rune('a'+round)) + string(rune('a'+i))
 	}
@@ -43,22 +44,22 @@ func cleaningWorkload(blockSize int) []fstest.CrashOp {
 				data[j] = byte(round*41 + i*13 + j)
 			}
 			ops = append(ops,
-				fstest.CrashOp{Kind: fstest.OpCreate, Path: name(round, i)},
-				fstest.CrashOp{Kind: fstest.OpWrite, Path: name(round, i), Off: 0, Data: data},
+				fstest.Op{Kind: fstest.OpCreate, Path: name(round, i)},
+				fstest.Op{Kind: fstest.OpWrite, Path: name(round, i), Off: 0, Data: data},
 			)
 		}
-		ops = append(ops, fstest.CrashOp{Kind: fstest.OpSync})
+		ops = append(ops, fstest.Op{Kind: fstest.OpSync})
 		for i := 0; i < 16; i++ {
 			if i%4 != 3 {
-				ops = append(ops, fstest.CrashOp{Kind: fstest.OpRemove, Path: name(round, i)})
+				ops = append(ops, fstest.Op{Kind: fstest.OpRemove, Path: name(round, i)})
 			}
 		}
 		ops = append(ops,
-			fstest.CrashOp{Kind: fstest.OpSync},
-			fstest.CrashOp{Kind: fstest.OpClean},
-			fstest.CrashOp{Kind: fstest.OpClean},
-			fstest.CrashOp{Kind: fstest.OpClean},
-			fstest.CrashOp{Kind: fstest.OpCheckpoint},
+			fstest.Op{Kind: fstest.OpSync},
+			fstest.Op{Kind: fstest.OpClean},
+			fstest.Op{Kind: fstest.OpClean},
+			fstest.Op{Kind: fstest.OpClean},
+			fstest.Op{Kind: fstest.OpCheckpoint},
 		)
 	}
 	return ops
@@ -91,6 +92,64 @@ func TestCrashDuringCleaningRecovers(t *testing.T) {
 			break
 		}
 		t.Error(f.String())
+	}
+}
+
+// generatedWorkload is n ops of the generator RunEquivalence draws from,
+// with a checkpoint and a cleaner pass interleaved every 100 ops.
+func generatedWorkload(seed int64, n int) []fstest.Op {
+	var ops []fstest.Op
+	for i, op := range fstest.RandomWorkload(seed, n) {
+		ops = append(ops, op)
+		switch i % 100 {
+		case 49:
+			ops = append(ops, fstest.Op{Kind: fstest.OpCheckpoint})
+		case 99:
+			ops = append(ops, fstest.Op{Kind: fstest.OpClean})
+		}
+	}
+	return ops
+}
+
+// TestCrashPointSweepGenerated sweeps every crash point of generated
+// streams, lost and torn: they rename, link, read, and issue ops that
+// legitimately fail, none of which the scripted workloads do.
+func TestCrashPointSweepGenerated(t *testing.T) {
+	cfg := crashConfig()
+	for _, seed := range []int64{2, 4} {
+		ops := generatedWorkload(seed, 300)
+		succeeded := map[fstest.OpKind]int{}
+		model := vfs.NewModel(nil)
+		for _, op := range ops {
+			if _, err := op.Apply(model); err == nil {
+				succeeded[op.Kind]++
+			}
+		}
+		if succeeded[fstest.OpRename] == 0 || succeeded[fstest.OpLink] == 0 {
+			t.Fatalf("seed %d: %d renames and %d links succeed, want at least one of each",
+				seed, succeeded[fstest.OpRename], succeeded[fstest.OpLink])
+		}
+		for _, torn := range []bool{false, true} {
+			rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
+				FSConfig:     cfg,
+				DiskCapacity: 8 << 20,
+				Workload:     ops,
+				Torn:         torn,
+			})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if rep.RollForwardPoints == 0 {
+				t.Errorf("seed %d (torn %v): no crash point of %d rolled forward", seed, torn, rep.Points)
+			}
+			for i, f := range rep.Failures {
+				if i >= 20 {
+					t.Errorf("... and %d more failures", len(rep.Failures)-i)
+					break
+				}
+				t.Errorf("seed %d: %s", seed, f)
+			}
+		}
 	}
 }
 

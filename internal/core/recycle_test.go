@@ -69,29 +69,40 @@ func TestLFSPoisonedRecycling(t *testing.T) {
 }
 
 // TestCrashSweepIdenticalWhenPoisoned runs the cleaner-heavy crash
-// sweep with and without poisoned recycling and requires the same
-// report: the same writes, crash points, recoveries and verdicts.
+// sweep and a generated one with and without poisoned recycling and
+// requires the same report: the same writes, crash points, recoveries
+// and verdicts.
 func TestCrashSweepIdenticalWhenPoisoned(t *testing.T) {
 	cfg := crashConfig()
-	sweep := func() *fstest.CrashReport {
-		rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
-			FSConfig:     cfg,
-			DiskCapacity: 4 << 20,
-			Workload:     cleaningWorkload(cfg.BlockSize),
+	for _, tc := range []struct {
+		name     string
+		workload []fstest.Op
+	}{
+		{"cleaning", cleaningWorkload(cfg.BlockSize)},
+		{"generated", generatedWorkload(4, 300)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sweep := func() *fstest.CrashReport {
+				rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
+					FSConfig:     cfg,
+					DiskCapacity: 4 << 20,
+					Workload:     tc.workload,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			plain := sweep()
+			fstest.PoisonRecycledBuffers(t)
+			poisoned := sweep()
+			if !reflect.DeepEqual(plain, poisoned) {
+				t.Fatalf("crash sweep differs with poisoned buffers:\nplain    %+v\npoisoned %+v", plain, poisoned)
+			}
+			if len(poisoned.Failures) != 0 {
+				t.Fatalf("%d crash points failed, first: %s", len(poisoned.Failures), poisoned.Failures[0])
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	plain := sweep()
-	fstest.PoisonRecycledBuffers(t)
-	poisoned := sweep()
-	if !reflect.DeepEqual(plain, poisoned) {
-		t.Fatalf("crash sweep differs with poisoned buffers:\nplain    %+v\npoisoned %+v", plain, poisoned)
-	}
-	if len(poisoned.Failures) != 0 {
-		t.Fatalf("%d crash points failed, first: %s", len(poisoned.Failures), poisoned.Failures[0])
 	}
 }
 

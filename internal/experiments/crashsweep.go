@@ -29,44 +29,28 @@ const minCrashSweepSpeedup = 5.0
 // overwrites on files the mixed phase never deletes, with periodic
 // syncs and checkpoints. Overwrites lengthen the disk-write stream —
 // what replay pays for per point — while the live tree stays small.
-func crashSweepWorkload(files, churn, blockSize int) []fstest.CrashOp {
+func crashSweepWorkload(files, churn, blockSize int) []fstest.Op {
 	ops := fstest.MixedWorkload(files, blockSize)
-	name := func(i int) string {
-		dir := "/a"
-		if i%2 == 1 {
-			dir = "/b"
-		}
-		return fmt.Sprintf("%s/f%02d", dir, i)
-	}
 	for r := 0; r < churn; r++ {
 		n := 0
 		for i := 0; i < files; i++ {
-			// MixedWorkload removes indices ≡ 2 (mod 6); churn only
-			// the survivors ≡ 0 or 1.
+			// Churn the files ≡ 0 or 1 (mod 6), a third of the set.
 			if i%6 > 1 {
 				continue
-			}
-			data := make([]byte, 3*blockSize+blockSize/2)
-			for j := range data {
-				data[j] = byte(i*31 + (r+2)*7 + j)
 			}
 			// Sync after every overwrite so each one reaches the log
 			// as its own partial-segment flush instead of batching in
 			// the cache.
-			ops = append(ops,
-				fstest.CrashOp{Kind: fstest.OpWrite, Path: name(i), Off: 0, Data: data},
-				fstest.CrashOp{Kind: fstest.OpSync},
-			)
+			ops = append(ops, fstest.MixedWrite(i, r+2, blockSize), fstest.Op{Kind: fstest.OpSync})
 			if n++; n%4 == 3 {
-				ops = append(ops, fstest.CrashOp{Kind: fstest.OpCheckpoint})
+				ops = append(ops, fstest.Op{Kind: fstest.OpCheckpoint})
 			}
 		}
 		if r%2 == 1 {
-			ops = append(ops, fstest.CrashOp{Kind: fstest.OpClean})
+			ops = append(ops, fstest.Op{Kind: fstest.OpClean})
 		}
 	}
-	ops = append(ops, fstest.CrashOp{Kind: fstest.OpCheckpoint})
-	return ops
+	return append(ops, fstest.Op{Kind: fstest.OpCheckpoint})
 }
 
 // runCrashSweep is the table's crashsweep row.

@@ -1,12 +1,21 @@
 package fstest
 
-// Crash-point enumeration: run a workload once to count its disk
-// writes, then replay it against a fresh image for every write k with
-// power cut during write k, and require full recovery each time. This
-// verifies the paper's §4.4 claim — after any crash LFS restores a
+// Crash-point enumeration: run an operation stream once to count its
+// disk writes, then reconstruct, for every write k, the image power cut
+// during write k leaves behind, and require full recovery each time.
+// This verifies the paper's §4.4 claim — after any crash LFS restores a
 // consistent state from the checkpoint regions plus a roll-forward of
 // the log tail — at every crash point instead of a few hand-picked
 // ones.
+//
+// The stream is any []Op: a script (MixedWorkload) or a generated one
+// (RandomWorkload), whose ops may legitimately fail. The recording pass
+// drives a vfs.Model beside the file system, holds every step to the
+// model's error class, and takes each path's history from the model's
+// tree after each step. Recovered contents must match a state the path
+// held no earlier than the durable floor: the newest step that completed
+// a checkpoint or — on a roll-forward volume — returned from Sync, and
+// whose writes all precede the cut.
 //
 // Replays are deterministic because the simulated clock, the disk
 // model, and the segment writer are: an identical operation stream
@@ -20,56 +29,20 @@ package fstest
 // when tearing — and runs recovery directly, making the sweep
 // O(points) instead of O(points × writes). The replay path
 // (CrashConfig.Replay, the original behaviour) re-runs the workload
-// for every point; it needs no snapshot capability and cross-checks
-// the snapshot path in tests.
+// for every point, expecting each step's recorded error class; it
+// needs no snapshot capability and cross-checks the snapshot path in
+// tests.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"lfs/internal/core"
 	"lfs/internal/disk"
 	"lfs/internal/sim"
+	"lfs/internal/vfs"
 )
-
-// CrashOpKind enumerates the operations a crash-point workload can
-// perform.
-type CrashOpKind int
-
-const (
-	// OpCreate makes an empty file at Path.
-	OpCreate CrashOpKind = iota
-	// OpMkdir makes a directory at Path.
-	OpMkdir
-	// OpWrite writes Data at Off in Path.
-	OpWrite
-	// OpRemove unlinks Path.
-	OpRemove
-	// OpTruncate resizes Path to Size.
-	OpTruncate
-	// OpSync flushes all dirty data to the log.
-	OpSync
-	// OpCheckpoint forces a checkpoint; state as of this step must
-	// survive any later crash.
-	OpCheckpoint
-	// OpClean runs one cleaner pass.
-	OpClean
-)
-
-// CrashOp is one scripted step of a crash-point workload. Steps are
-// scripted (rather than an opaque function) so the harness can keep an
-// exact shadow history of every path and check recovered state
-// against it.
-type CrashOp struct {
-	Kind CrashOpKind
-	Path string
-	Off  int64
-	Data []byte
-	Size int64
-}
 
 // CrashConfig configures a crash-point enumeration run.
 type CrashConfig struct {
@@ -79,8 +52,8 @@ type CrashConfig struct {
 	FSConfig core.Config
 	// DiskCapacity is the simulated disk size in bytes.
 	DiskCapacity int64
-	// Workload is the scripted operation sequence.
-	Workload []CrashOp
+	// Workload is the operation stream, scripted or generated.
+	Workload []Op
 	// Torn tears the fatal write at its sector-boundary midpoint
 	// instead of losing it whole, exercising torn checkpoint regions
 	// and partially written log units.
@@ -141,45 +114,21 @@ type CrashReport struct {
 // Ok reports whether every crash point recovered cleanly.
 func (r *CrashReport) Ok() bool { return len(r.Failures) == 0 }
 
-// crashState is a point-in-time shadow state of one path.
-type crashState struct {
-	exists  bool
-	isDir   bool
-	content []byte
-}
-
-func (s crashState) describe() string {
-	switch {
-	case !s.exists:
-		return "absent"
-	case s.isDir:
-		return "directory"
-	default:
-		return fmt.Sprintf("file of %d bytes", len(s.content))
-	}
-}
-
-func (s crashState) equal(o crashState) bool {
-	if s.exists != o.exists {
-		return false
-	}
-	if !s.exists {
-		return true
-	}
-	return s.isDir == o.isDir && (s.isDir || bytes.Equal(s.content, o.content))
-}
-
 // crashHistory is the full version history of one path: the state it
 // entered at each workload step that changed it. Step -1 is the
-// pre-workload state.
+// pre-workload state; before its first entry the path is absent.
 type crashHistory struct {
 	steps  []int
-	states []crashState
+	states []pathState
 }
 
-func (h *crashHistory) record(step int, st crashState) {
-	if n := len(h.steps); n > 0 && h.steps[n-1] == step {
-		h.states[n-1] = st
+// record notes the path's state after step, if the step changed it.
+func (h *crashHistory) record(step int, st pathState) {
+	last := pathState{}
+	if n := len(h.states); n > 0 {
+		last = h.states[n-1]
+	}
+	if last.equal(st) {
 		return
 	}
 	h.steps = append(h.steps, step)
@@ -187,8 +136,8 @@ func (h *crashHistory) record(step int, st crashState) {
 }
 
 // at returns the state in effect after the given step.
-func (h *crashHistory) at(step int) crashState {
-	st := crashState{}
+func (h *crashHistory) at(step int) pathState {
+	st := pathState{}
 	for i, s := range h.steps {
 		if s > step {
 			break
@@ -199,10 +148,10 @@ func (h *crashHistory) at(step int) crashState {
 }
 
 // window returns every distinct state the path held between floor and
-// last inclusive — the states recovery is allowed to restore when the
-// newest durable checkpoint covers step floor.
-func (h *crashHistory) window(floor, last int) []crashState {
-	out := []crashState{h.at(floor)}
+// last inclusive — the states recovery is allowed to restore when step
+// floor is the newest durable one.
+func (h *crashHistory) window(floor, last int) []pathState {
+	out := []pathState{h.at(floor)}
 	for i, s := range h.steps {
 		if s > floor && s <= last {
 			out = append(out, h.states[i])
@@ -258,9 +207,11 @@ type crashRunner struct {
 	totalWrites int64
 	opsExecuted int64 // see CrashReport.OpsExecuted
 	// stepWrites[i] and stepCkpts[i] are the cumulative disk-write
-	// and checkpoint counts after workload step i.
+	// and checkpoint counts after workload step i; stepErrs[i] is the
+	// error class step i returned.
 	stepWrites []int64
 	stepCkpts  []int64
+	stepErrs   []string
 	baseCkpts  int64
 
 	// geom is the recording volume's geometry, shared by every
@@ -336,11 +287,11 @@ func (r *crashRunner) freshImage() (*disk.Disk, *core.FS, error) {
 	return d, fs, nil
 }
 
-// recordPass runs the workload fault-free, counting writes and
-// checkpoints per step and building the shadow history of every path.
-// On the snapshot path the volume lives on a copy-on-write store and
-// every disk write leaves behind the image a crash during it would
-// start from.
+// recordPass runs the workload fault-free beside the reference model,
+// counting writes and checkpoints per step and building every path's
+// history from the model. On the snapshot path the volume lives on a
+// copy-on-write store and every disk write leaves behind the image a
+// crash during it would start from.
 func (r *crashRunner) recordPass() error {
 	var d *disk.Disk
 	var fs *core.FS
@@ -369,17 +320,23 @@ func (r *crashRunner) recordPass() error {
 	}
 	d.SetFaultPolicy(&disk.CrashPlan{}) // pure sequence counter
 	r.baseCkpts = fs.Stats().Checkpoints
+	model := vfs.NewModel(nil)
 	r.histories = make(map[string]*crashHistory)
-	r.recordState(-1, "/", crashState{exists: true, isDir: true})
-	cur := map[string]crashState{"/": {exists: true, isDir: true}}
-	r.stepWrites = make([]int64, len(r.cfg.Workload))
-	r.stepCkpts = make([]int64, len(r.cfg.Workload))
+	if err := r.recordStep(-1, model); err != nil {
+		return err
+	}
+	n := len(r.cfg.Workload)
+	r.stepWrites, r.stepCkpts, r.stepErrs = make([]int64, n), make([]int64, n), make([]string, n)
 	for i, op := range r.cfg.Workload {
 		r.opsExecuted++
-		if err := applyCrashOp(fs, op); err != nil {
-			return fmt.Errorf("fstest: recording step %d: %w", i, err)
+		diff, err := applyBoth(fs, model, op)
+		if diff != "" {
+			return fmt.Errorf("fstest: recording step %d (%s): %s", i, op, diff)
 		}
-		r.applyShadow(cur, i, op)
+		r.stepErrs[i] = errClass(err)
+		if err := r.recordStep(i, model); err != nil {
+			return err
+		}
 		r.stepWrites[i] = d.PolicyWrites()
 		r.stepCkpts[i] = fs.Stats().Checkpoints
 	}
@@ -396,89 +353,38 @@ func (r *crashRunner) recordPass() error {
 	return nil
 }
 
-func (r *crashRunner) recordState(step int, path string, st crashState) {
-	h := r.histories[path]
-	if h == nil {
-		h = &crashHistory{}
-		r.histories[path] = h
+// recordStep extends every path's history with its state in the
+// model's tree after step; a path the tree lacks is absent.
+func (r *crashRunner) recordStep(step int, model vfs.FileSystem) error {
+	now, err := snapshotTree(model)
+	if err != nil {
+		return fmt.Errorf("fstest: walking the model after step %d: %w", step, err)
 	}
-	h.record(step, st)
-}
-
-// applyShadow mirrors one op into the shadow model.
-func (r *crashRunner) applyShadow(cur map[string]crashState, step int, op CrashOp) {
-	switch op.Kind {
-	case OpCreate:
-		st := crashState{exists: true, content: []byte{}}
-		cur[op.Path] = st
-		r.recordState(step, op.Path, st)
-	case OpMkdir:
-		st := crashState{exists: true, isDir: true}
-		cur[op.Path] = st
-		r.recordState(step, op.Path, st)
-	case OpWrite:
-		prev := cur[op.Path].content
-		end := op.Off + int64(len(op.Data))
-		n := int64(len(prev))
-		if end > n {
-			n = end
+	for p := range now {
+		if r.histories[p] == nil {
+			r.histories[p] = &crashHistory{}
 		}
-		content := make([]byte, n)
-		copy(content, prev)
-		copy(content[op.Off:], op.Data)
-		st := crashState{exists: true, content: content}
-		cur[op.Path] = st
-		r.recordState(step, op.Path, st)
-	case OpTruncate:
-		prev := cur[op.Path].content
-		content := make([]byte, op.Size)
-		copy(content, prev)
-		st := crashState{exists: true, content: content}
-		cur[op.Path] = st
-		r.recordState(step, op.Path, st)
-	case OpRemove:
-		cur[op.Path] = crashState{}
-		r.recordState(step, op.Path, crashState{})
 	}
+	for _, p := range sortedKeys(r.histories) {
+		r.histories[p].record(step, now[p])
+	}
+	return nil
 }
 
-// applyCrashOp performs one workload step against the file system.
-func applyCrashOp(fs *core.FS, op CrashOp) error {
-	switch op.Kind {
-	case OpCreate:
-		return fs.Create(op.Path)
-	case OpMkdir:
-		return fs.Mkdir(op.Path)
-	case OpWrite:
-		return fs.Write(op.Path, op.Off, op.Data)
-	case OpRemove:
-		return fs.Remove(op.Path)
-	case OpTruncate:
-		return fs.Truncate(op.Path, op.Size)
-	case OpSync:
-		return fs.Sync()
-	case OpCheckpoint:
-		return fs.Checkpoint()
-	case OpClean:
-		_, err := fs.CleanOnce()
-		return err
-	}
-	return fmt.Errorf("fstest: unknown op kind %d", op.Kind)
-}
-
-// floorFor returns the newest workload step whose checkpoint is
-// guaranteed durable when writes 1..k-1 persisted: a checkpoint
-// completed during that step and every write up to the step's end
-// reached disk. Step -1 (the formatted empty volume) is always
-// durable. The floor is conservative — a checkpoint inside step i
-// whose region write persisted but whose step issued later writes
-// is not counted — which only weakens the assertion, never makes it
-// wrong.
+// floorFor returns the newest workload step guaranteed durable when
+// writes 1..k-1 persisted: the step acknowledged everything before it —
+// it completed a checkpoint, or it returned from Sync on a volume that
+// rolls forward — and every write up to the step's end reached disk.
+// Step -1 (the formatted empty volume) is always durable. The floor is
+// conservative — a checkpoint inside step i whose region write
+// persisted but whose step issued later writes is not counted — which
+// only weakens the assertion, never makes it wrong.
 func (r *crashRunner) floorFor(k int64) int {
 	floor := -1
 	prev := r.baseCkpts
-	for i := range r.stepCkpts {
-		if r.stepCkpts[i] > prev && r.stepWrites[i] <= k-1 {
+	for i, op := range r.cfg.Workload {
+		synced := op.Kind == OpSync && r.cfg.FSConfig.RollForward
+		if (synced || r.stepCkpts[i] > prev) && r.stepWrites[i] <= k-1 {
 			floor = i
 		}
 		prev = r.stepCkpts[i]
@@ -506,12 +412,13 @@ func (r *crashRunner) replayPoint(k int64) (rolledForward bool, fails []CrashFai
 	crashed := false
 	for i, op := range r.cfg.Workload {
 		r.opsExecuted++
-		if err := applyCrashOp(fs, op); err != nil {
-			if errors.Is(err, disk.ErrPowerLoss) {
-				crashed = true
-				break
-			}
-			fail("replay", "step %d failed with a non-crash error: %v", i, err)
+		_, err := op.Apply(fs)
+		if errors.Is(err, disk.ErrPowerLoss) {
+			crashed = true
+			break
+		}
+		if got := errClass(err); got != r.stepErrs[i] {
+			fail("replay", "step %d (%s) returned %s, the recording pass %s", i, op, got, r.stepErrs[i])
 			return false, fails
 		}
 	}
@@ -560,7 +467,7 @@ func (r *crashRunner) snapshotPoint(k int64) (rolledForward bool, fails []CrashF
 // verifyRecovery runs the recovery invariants against a device holding
 // the post-crash image: checkpoint-only mount must be consistent, full
 // recovery must mount and check clean, recovered contents must be
-// explainable by the shadow history, and the unmounted image must pass
+// explainable by the model's history, and the unmounted image must pass
 // fsck. Both crash-point strategies share it.
 func (r *crashRunner) verifyRecovery(d *disk.Disk, k int64) (rolledForward bool, fails []CrashFailure) {
 	fail := func(stage, format string, args ...any) {
@@ -599,7 +506,8 @@ func (r *crashRunner) verifyRecovery(d *disk.Disk, k int64) (rolledForward bool,
 
 	// (3) Recovered contents must be explainable: every path must be
 	// in some state it actually held at or after the durable floor,
-	// and nothing acknowledged by the floor checkpoint may be lost.
+	// and nothing acknowledged by the floor's checkpoint or Sync may be
+	// lost.
 	fails = append(fails, r.verifyContent(fs2, k)...)
 
 	// (4) The offline-tool path: unmount (stabilising recovery with a
@@ -617,7 +525,7 @@ func (r *crashRunner) verifyRecovery(d *disk.Disk, k int64) (rolledForward bool,
 }
 
 // verifyContent walks the recovered tree and checks every path —
-// recovered or shadow-known — against the shadow history window
+// recovered or known to the history — against the history window
 // [floor, lastStep].
 func (r *crashRunner) verifyContent(fs *core.FS, k int64) []CrashFailure {
 	var fails []CrashFailure
@@ -627,24 +535,17 @@ func (r *crashRunner) verifyContent(fs *core.FS, k int64) []CrashFailure {
 			Detail: fmt.Sprintf(format, args...),
 		})
 	}
-	recovered := map[string]crashState{}
-	if err := collectTree(fs, "/", recovered); err != nil {
+	recovered, err := snapshotTree(fs)
+	if err != nil {
 		fail("walking the recovered tree: %v", err)
 		return fails
 	}
 	floor := r.floorFor(k)
-
-	paths := make([]string, 0, len(r.histories))
-	for p := range r.histories {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
+	for _, p := range sortedKeys(r.histories) {
 		h := r.histories[p]
 		got := recovered[p]
-		allowed := h.window(floor, r.lastStep)
 		ok := false
-		for _, st := range allowed {
+		for _, st := range h.window(floor, r.lastStep) {
 			if got.equal(st) {
 				ok = true
 				break
@@ -655,56 +556,12 @@ func (r *crashRunner) verifyContent(fs *core.FS, k int64) []CrashFailure {
 				p, got.describe(), floor, r.lastStep, h.at(floor).describe())
 		}
 	}
-	// Unknown-path failures report in sorted order too: CrashFailure
-	// details feed test output and goldens, so they must not inherit
-	// map iteration order.
-	unknown := make([]string, 0, len(recovered))
-	for p := range recovered {
-		unknown = append(unknown, p)
-	}
-	sort.Strings(unknown)
-	for _, p := range unknown {
-		if _, known := r.histories[p]; !known {
-			fails = append(fails, CrashFailure{
-				CutWrite: k, Torn: r.cfg.Torn, Stage: "content",
-				Detail: p + ": recovered but never created by the workload",
-			})
+	for _, p := range sortedKeys(recovered) {
+		if r.histories[p] == nil {
+			fail("%s: recovered but never created by the workload", p)
 		}
 	}
 	return fails
-}
-
-// collectTree reads the full recovered tree into out.
-func collectTree(fs *core.FS, path string, out map[string]crashState) error {
-	entries, err := fs.ReadDir(path)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	out[path] = crashState{exists: true, isDir: true}
-	for _, e := range entries {
-		child := path + "/" + e.Name
-		if path == "/" {
-			child = "/" + e.Name
-		}
-		info, err := fs.Stat(child)
-		if err != nil {
-			return fmt.Errorf("%s: %w", child, err)
-		}
-		if info.Mode.IsDir() {
-			if err := collectTree(fs, child, out); err != nil {
-				return err
-			}
-			continue
-		}
-		content := make([]byte, info.Size)
-		if info.Size > 0 {
-			if _, err := fs.Read(child, 0, content); err != nil {
-				return fmt.Errorf("%s: %w", child, err)
-			}
-		}
-		out[child] = crashState{exists: true, content: content}
-	}
-	return nil
 }
 
 // MixedWorkload builds a deterministic create/write/overwrite/delete
@@ -712,53 +569,53 @@ func collectTree(fs *core.FS, path string, out map[string]crashState) error {
 // syncs, checkpoints, and cleaner passes — the mix the acceptance
 // criteria name. Sized so files span several blocks and deletions
 // leave fragmented segments for the cleaner.
-func MixedWorkload(nFiles, blockSize int) []CrashOp {
-	var ops []CrashOp
-	ops = append(ops,
-		CrashOp{Kind: OpMkdir, Path: "/a"},
-		CrashOp{Kind: OpMkdir, Path: "/b"},
-	)
-	pattern := func(i, gen int) []byte {
-		b := make([]byte, 3*blockSize+blockSize/2)
-		for j := range b {
-			b[j] = byte(i*31 + gen*7 + j)
-		}
-		return b
-	}
-	name := func(i int) string {
-		dir := "/a"
-		if i%2 == 1 {
-			dir = "/b"
-		}
-		return fmt.Sprintf("%s/f%02d", dir, i)
-	}
+func MixedWorkload(nFiles, blockSize int) []Op {
+	ops := []Op{{Kind: OpMkdir, Path: "/a"}, {Kind: OpMkdir, Path: "/b"}}
 	for i := 0; i < nFiles; i++ {
-		p := name(i)
-		ops = append(ops,
-			CrashOp{Kind: OpCreate, Path: p},
-			CrashOp{Kind: OpWrite, Path: p, Off: 0, Data: pattern(i, 0)},
-		)
+		p := mixedPath(i)
+		ops = append(ops, Op{Kind: OpCreate, Path: p}, MixedWrite(i, 0, blockSize))
 		switch i % 4 {
 		case 1:
 			// Overwrite, killing the first generation's blocks.
-			ops = append(ops, CrashOp{Kind: OpWrite, Path: p, Off: 0, Data: pattern(i, 1)})
+			ops = append(ops, MixedWrite(i, 1, blockSize))
 		case 2:
-			ops = append(ops, CrashOp{Kind: OpTruncate, Path: p, Size: int64(blockSize / 2)})
+			ops = append(ops, Op{Kind: OpTruncate, Path: p, Size: int64(blockSize / 2)})
 		}
 		if i%3 == 2 {
-			ops = append(ops, CrashOp{Kind: OpSync})
+			ops = append(ops, Op{Kind: OpSync})
 		}
 		if i%5 == 4 {
-			ops = append(ops, CrashOp{Kind: OpCheckpoint})
+			ops = append(ops, Op{Kind: OpCheckpoint})
 		}
 		if i > 0 && i%6 == 5 {
 			// Delete an older file, fragmenting its segments.
-			ops = append(ops, CrashOp{Kind: OpRemove, Path: name(i - 3)})
+			ops = append(ops, Op{Kind: OpRemove, Path: mixedPath(i - 3)})
 		}
 		if i > 0 && i%8 == 7 {
-			ops = append(ops, CrashOp{Kind: OpClean})
+			ops = append(ops, Op{Kind: OpClean})
 		}
 	}
-	ops = append(ops, CrashOp{Kind: OpCheckpoint})
-	return ops
+	return append(ops, Op{Kind: OpCheckpoint})
+}
+
+// MixedWrite is MixedWorkload's write of generation gen of file i: 3.5
+// blocks from offset 0, in a pattern unique to (i, gen). MixedWorkload
+// writes generations 0 and 1 and removes only files whose index is ≡ 2
+// (mod 6), so a workload that extends it may overwrite any other file
+// with later generations.
+func MixedWrite(i, gen, blockSize int) Op {
+	data := make([]byte, 3*blockSize+blockSize/2)
+	for j := range data {
+		data[j] = byte(i*31 + gen*7 + j)
+	}
+	return Op{Kind: OpWrite, Path: mixedPath(i), Data: data}
+}
+
+// mixedPath names MixedWorkload's file i.
+func mixedPath(i int) string {
+	dir := "/a"
+	if i%2 == 1 {
+		dir = "/b"
+	}
+	return fmt.Sprintf("%s/f%02d", dir, i)
 }

@@ -11,23 +11,31 @@ import (
 // TestCrashPointStrategiesAgree cross-checks the two sweep strategies:
 // restoring a pre-write snapshot must reconstruct exactly the image a
 // full workload replay leaves behind, so the reports — every counter
-// and every failure — must match field for field.
+// and every failure — must match field for field. The generated stream
+// holds the replay path to the error class each failing op returned
+// while recording.
 func TestCrashPointStrategiesAgree(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.SegmentSize = 64 << 10
 	cfg.CacheBlocks = 64
 	cfg.MaxInodes = 512
-	for _, torn := range []bool{false, true} {
-		name := "lost"
-		if torn {
-			name = "torn"
-		}
-		t.Run(name, func(t *testing.T) {
+	mixed, generated := fstest.MixedWorkload(10, cfg.BlockSize), fstest.RandomWorkload(3, 300)
+	for _, tc := range []struct {
+		name     string
+		workload []fstest.Op
+		torn     bool
+	}{
+		{"lost", mixed, false},
+		{"torn", mixed, true},
+		{"generated-lost", generated, false},
+		{"generated-torn", generated, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			base := fstest.CrashConfig{
 				FSConfig:     cfg,
 				DiskCapacity: 8 << 20,
-				Workload:     fstest.MixedWorkload(10, cfg.BlockSize),
-				Torn:         torn,
+				Workload:     tc.workload,
+				Torn:         tc.torn,
 				Stride:       7,
 			}
 			snapCfg, replayCfg := base, base

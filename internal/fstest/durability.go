@@ -25,7 +25,9 @@ func RunDurabilityEquivalence(t *testing.T, open ReopenableFactory, seed int64, 
 
 	for i := 0; i < nOps; i++ {
 		op := g.next()
-		applyBoth(t, fs, model, op, i)
+		if diff, _ := applyBoth(fs, model, op); diff != "" {
+			t.Fatalf("step %d (%s): %s", i, op, diff)
+		}
 		// Interleave syncs so the log sees partial-segment writes,
 		// multiple units, and age-threshold-like patterns.
 		if rng.Intn(40) == 0 {
@@ -38,5 +40,5 @@ func RunDurabilityEquivalence(t *testing.T, open ReopenableFactory, seed int64, 
 		t.Fatalf("unmount: %v", err)
 	}
 	remounted := reopen()
-	compareTrees(t, remounted, model, "/")
+	compareTrees(t, remounted, model)
 }

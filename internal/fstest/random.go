@@ -1,8 +1,6 @@
 package fstest
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -19,70 +17,24 @@ func RunEquivalence(t *testing.T, open Factory, seed int64, nOps int) {
 	t.Helper()
 	fs := open(t)
 	model := vfs.NewModel(nil)
-	rng := rand.New(rand.NewSource(seed))
-	g := newOpGen(rng)
-
-	for i := 0; i < nOps; i++ {
-		op := g.next()
-		applyBoth(t, fs, model, op, i)
+	for i, op := range RandomWorkload(seed, nOps) {
+		if diff, _ := applyBoth(fs, model, op); diff != "" {
+			t.Fatalf("step %d (%s): %s", i, op, diff)
+		}
 	}
-	compareTrees(t, fs, model, "/")
+	compareTrees(t, fs, model)
 }
 
-// errClass maps an error to the sentinel it wraps, so two
-// implementations agree as long as they fail the same way.
-func errClass(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, vfs.ErrNotExist):
-		return "not-exist"
-	case errors.Is(err, vfs.ErrExist):
-		return "exist"
-	case errors.Is(err, vfs.ErrIsDir):
-		return "is-dir"
-	case errors.Is(err, vfs.ErrNotDir):
-		return "not-dir"
-	case errors.Is(err, vfs.ErrNotEmpty):
-		return "not-empty"
-	case errors.Is(err, vfs.ErrNoSpace):
-		return "no-space"
-	case errors.Is(err, vfs.ErrTooLarge):
-		return "too-large"
-	case errors.Is(err, vfs.ErrInvalid):
-		return "invalid"
-	default:
-		return "other:" + err.Error()
+// RandomWorkload returns the first n operations the generator draws from
+// seed — the stream RunEquivalence checks against the model, and a
+// crash-point workload that includes renames, links and failing ops.
+func RandomWorkload(seed int64, n int) []Op {
+	g := newOpGen(rand.New(rand.NewSource(seed)))
+	ops := make([]Op, n)
+	for i := range ops {
+		ops[i] = g.next()
 	}
-}
-
-// op is one generated operation.
-type op struct {
-	kind    string
-	path    string
-	path2   string
-	off     int64
-	data    []byte
-	readLen int
-	size    int64
-}
-
-// String renders the op for failure messages.
-func (o op) String() string {
-	switch o.kind {
-	case "write":
-		return fmt.Sprintf("write %s off=%d len=%d", o.path, o.off, len(o.data))
-	case "read":
-		return fmt.Sprintf("read %s off=%d len=%d", o.path, o.off, o.readLen)
-	case "rename":
-		return fmt.Sprintf("rename %s -> %s", o.path, o.path2)
-	case "link":
-		return fmt.Sprintf("link %s -> %s", o.path, o.path2)
-	case "truncate":
-		return fmt.Sprintf("truncate %s to %d", o.path, o.size)
-	default:
-		return o.kind + " " + o.path
-	}
+	return ops
 }
 
 // opGen generates operations biased toward paths that exist, so the
@@ -120,191 +72,66 @@ func (g *opGen) newName(prefix string) string {
 	return fmt.Sprintf("%s%d-%d", prefix, g.next_, g.rng.Intn(8))
 }
 
-func (g *opGen) next() op {
+func (g *opGen) next() Op {
 	r := g.rng.Intn(100)
 	switch {
 	case r < 20: // create
 		p := g.join(g.randDir(), g.newName("f"))
 		g.files = append(g.files, p)
-		return op{kind: "create", path: p}
+		return Op{Kind: OpCreate, Path: p}
 	case r < 45: // write
 		size := g.rng.Intn(20_000) + 1
 		data := make([]byte, size)
 		g.rng.Read(data)
-		return op{kind: "write", path: g.randFile(), off: int64(g.rng.Intn(60_000)), data: data}
+		return Op{Kind: OpWrite, Path: g.randFile(), Off: int64(g.rng.Intn(60_000)), Data: data}
 	case r < 60: // read
-		return op{kind: "read", path: g.randFile(), off: int64(g.rng.Intn(80_000)), readLen: g.rng.Intn(30_000) + 1}
+		return Op{Kind: OpRead, Path: g.randFile(), Off: int64(g.rng.Intn(80_000)), ReadLen: g.rng.Intn(30_000) + 1}
 	case r < 70: // remove (files mostly, sometimes dirs)
 		if g.rng.Intn(5) == 0 && len(g.dirs) > 1 {
-			return op{kind: "remove", path: g.dirs[1+g.rng.Intn(len(g.dirs)-1)]}
+			return Op{Kind: OpRemove, Path: g.dirs[1+g.rng.Intn(len(g.dirs)-1)]}
 		}
-		return op{kind: "remove", path: g.randFile()}
+		return Op{Kind: OpRemove, Path: g.randFile()}
 	case r < 78: // mkdir
 		p := g.join(g.randDir(), g.newName("d"))
 		g.dirs = append(g.dirs, p)
-		return op{kind: "mkdir", path: p}
+		return Op{Kind: OpMkdir, Path: p}
 	case r < 83: // readdir
-		return op{kind: "readdir", path: g.randDir()}
+		return Op{Kind: OpReadDir, Path: g.randDir()}
 	case r < 90: // truncate
-		return op{kind: "truncate", path: g.randFile(), size: int64(g.rng.Intn(70_000))}
+		return Op{Kind: OpTruncate, Path: g.randFile(), Size: int64(g.rng.Intn(70_000))}
 	case r < 92: // rename
 		dst := g.join(g.randDir(), g.newName("r"))
 		g.files = append(g.files, dst)
-		return op{kind: "rename", path: g.randFile(), path2: dst}
+		return Op{Kind: OpRename, Path: g.randFile(), Path2: dst}
 	case r < 94: // hard link
 		dst := g.join(g.randDir(), g.newName("l"))
 		g.files = append(g.files, dst)
-		return op{kind: "link", path: g.randFile(), path2: dst}
+		return Op{Kind: OpLink, Path: g.randFile(), Path2: dst}
 	case r < 97: // sync (exercises flush interleavings)
-		return op{kind: "sync"}
+		return Op{Kind: OpSync}
 	default: // stat
-		return op{kind: "stat", path: g.randFile()}
+		return Op{Kind: OpStat, Path: g.randFile()}
 	}
 }
 
-func applyBoth(t *testing.T, fs vfs.FileSystem, model *vfs.Model, o op, step int) {
+// compareTrees requires fs to hold exactly the model's tree: the same
+// paths, types and file contents.
+func compareTrees(t *testing.T, fs, model vfs.FileSystem) {
 	t.Helper()
-	fail := func(format string, args ...any) {
-		t.Helper()
-		t.Fatalf("step %d (%s): %s", step, o, fmt.Sprintf(format, args...))
+	got, err := snapshotTree(fs)
+	if err != nil {
+		t.Fatalf("final walk: %v", err)
 	}
-	switch o.kind {
-	case "create":
-		a, b := fs.Create(o.path), model.Create(o.path)
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-	case "mkdir":
-		a, b := fs.Mkdir(o.path), model.Mkdir(o.path)
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-	case "write":
-		a, b := fs.Write(o.path, o.off, o.data), model.Write(o.path, o.off, o.data)
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-	case "read":
-		bufA := make([]byte, o.readLen)
-		bufB := make([]byte, o.readLen)
-		nA, a := fs.Read(o.path, o.off, bufA)
-		nB, b := model.Read(o.path, o.off, bufB)
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-		if a == nil {
-			if nA != nB {
-				fail("fs read %d bytes, model %d", nA, nB)
-			}
-			if !bytes.Equal(bufA[:nA], bufB[:nB]) {
-				fail("read contents differ")
-			}
-		}
-	case "remove":
-		a, b := fs.Remove(o.path), model.Remove(o.path)
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-	case "readdir":
-		entA, a := fs.ReadDir(o.path)
-		entB, b := model.ReadDir(o.path)
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-		if a == nil {
-			if len(entA) != len(entB) {
-				fail("fs lists %d entries, model %d", len(entA), len(entB))
-			}
-			for i := range entA {
-				if entA[i].Name != entB[i].Name {
-					fail("entry %d: fs %q, model %q", i, entA[i].Name, entB[i].Name)
-				}
-			}
-		}
-	case "truncate":
-		a, b := fs.Truncate(o.path, o.size), model.Truncate(o.path, o.size)
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-	case "rename":
-		a, b := fs.Rename(o.path, o.path2), model.Rename(o.path, o.path2)
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-	case "link":
-		a, b := fs.Link(o.path, o.path2), model.Link(o.path, o.path2)
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-	case "sync":
-		a, b := fs.Sync(), model.Sync()
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-	case "stat":
-		fiA, a := fs.Stat(o.path)
-		fiB, b := model.Stat(o.path)
-		if errClass(a) != errClass(b) {
-			fail("fs err %v, model err %v", a, b)
-		}
-		if a == nil {
-			if fiA.Size != fiB.Size || fiA.IsDir() != fiB.IsDir() {
-				fail("fs stat %+v, model stat %+v", fiA, fiB)
-			}
-		}
-	default:
-		fail("unknown op kind")
+	want, err := snapshotTree(model)
+	if err != nil {
+		t.Fatalf("final model walk: %v", err)
 	}
-}
-
-// compareTrees walks both hierarchies and requires identical structure
-// and file contents.
-func compareTrees(t *testing.T, fs vfs.FileSystem, model *vfs.Model, dir string) {
-	t.Helper()
-	entA, errA := fs.ReadDir(dir)
-	entB, errB := model.ReadDir(dir)
-	if errA != nil || errB != nil {
-		t.Fatalf("final walk of %s: fs err %v, model err %v", dir, errA, errB)
+	for _, p := range sortedKeys(want) {
+		if !got[p].equal(want[p]) {
+			t.Fatalf("final walk: %s differs: fs has %s, model %s", p, got[p].describe(), want[p].describe())
+		}
 	}
-	if len(entA) != len(entB) {
-		t.Fatalf("final walk of %s: fs %d entries, model %d", dir, len(entA), len(entB))
-	}
-	for i := range entA {
-		if entA[i].Name != entB[i].Name {
-			t.Fatalf("final walk of %s entry %d: %q vs %q", dir, i, entA[i].Name, entB[i].Name)
-		}
-		child := dir + "/" + entA[i].Name
-		if dir == "/" {
-			child = "/" + entA[i].Name
-		}
-		fiA, err := fs.Stat(child)
-		if err != nil {
-			t.Fatalf("final stat %s: %v", child, err)
-		}
-		fiB, err := model.Stat(child)
-		if err != nil {
-			t.Fatalf("final model stat %s: %v", child, err)
-		}
-		if fiA.IsDir() != fiB.IsDir() {
-			t.Fatalf("final walk: %s type differs", child)
-		}
-		if fiA.IsDir() {
-			compareTrees(t, fs, model, child)
-			continue
-		}
-		if fiA.Size != fiB.Size {
-			t.Fatalf("final walk: %s size %d vs %d", child, fiA.Size, fiB.Size)
-		}
-		bufA := make([]byte, fiA.Size)
-		bufB := make([]byte, fiB.Size)
-		if _, err := fs.Read(child, 0, bufA); err != nil {
-			t.Fatalf("final read %s: %v", child, err)
-		}
-		if _, err := model.Read(child, 0, bufB); err != nil {
-			t.Fatalf("final model read %s: %v", child, err)
-		}
-		if !bytes.Equal(bufA, bufB) {
-			t.Fatalf("final walk: %s contents differ", child)
-		}
+	if len(got) != len(want) {
+		t.Fatalf("final walk: fs holds %d paths, model %d", len(got), len(want))
 	}
 }

@@ -49,7 +49,8 @@ echo "== size =="
 # internal/experiments/clients.go, and server.Config lost its metrics
 # interval: 25 465. One generic CSV row writer paid for the paged
 # in-core inode table: 25 464. Lower it when a change shrinks the tree.
-size_ceiling=25464
+# One op vocabulary, reference model and tree walk in fstest: 25 372.
+size_ceiling=25372
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
