@@ -58,11 +58,12 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	samples, err := obs.ReadSamples(in)
+	st, err := obs.ReadJSONL(in)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lfstop: %v\n", err)
 		os.Exit(1)
 	}
+	samples := st.Samples
 	if len(samples) == 0 {
 		fmt.Fprintln(os.Stderr, "lfstop: no metrics samples in input")
 		os.Exit(1)
@@ -252,7 +253,7 @@ func renderInstance(b *strings.Builder, label string, ss []obs.Sample, opts dash
 			fnum(vals[len(vals)-1]), fnum(lo), fnum(hi))
 	}
 	if h, ok := last.Hists["seg.util"]; ok && len(opts.Series) == 0 {
-		fmt.Fprintf(b, "%-*s %v\n", nameW, "seg.util (final)", h.Hist())
+		fmt.Fprintf(b, "%-*s %v\n", nameW, "seg.util (final)", h)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func fixture() []obs.Sample {
 			Type: "metrics", V: obs.MetricsSchemaVersion, FS: fs, Time: t, Seq: seq,
 			Counters: map[string]int64{"ops": seq * 10},
 			Gauges:   map[string]float64{"disk.queue.depth": depth, "seg.clean": clean},
-			Hists: map[string]obs.HistSnapshot{"seg.util": {
+			Hists: map[string]obs.Histogram{"seg.util": {
 				Bounds: []float64{0.5}, Counts: []int64{int64(seq), 2},
 			}},
 		}
@@ -117,10 +118,10 @@ func TestDownsample(t *testing.T) {
 // utilization series with final values exactly equal to the
 // end-of-run aggregates.
 func TestDashboardReplaysConcurrentRun(t *testing.T) {
-	samp := obs.NewSampler(10 * sim.Millisecond)
+	samp, rec := obs.NewSampler(10*sim.Millisecond), obs.NewRecorder()
 	cfg := core.DefaultConfig()
 	cfg.GroupCommit = true
-	cfg.Metrics = samp
+	cfg.Metrics, cfg.Trace = samp, rec
 	d := disk.NewMem(64<<20, sim.NewClock())
 	if err := core.Format(d, cfg); err != nil {
 		t.Fatal(err)
@@ -172,12 +173,40 @@ func TestDashboardReplaysConcurrentRun(t *testing.T) {
 	}
 
 	// The rendered final utilization histogram is the real final one.
-	wantHist := fmt.Sprintf("%v", samples[len(samples)-1].Hists["seg.util"].Hist())
+	wantHist := fmt.Sprintf("%v", samples[len(samples)-1].Hists["seg.util"])
 	if !strings.Contains(out, wantHist) {
 		t.Errorf("dashboard utilization histogram missing %q:\n%s", wantHist, out)
 	}
 	if res.Ops != int64(8*32) {
 		t.Errorf("run completed %d ops, want %d", res.Ops, 8*32)
+	}
+
+	// FORMAT.md lets the trace share the file: on trace+metrics the
+	// dashboard equals the one on the metrics alone.
+	var trace, metrics bytes.Buffer
+	if err := rec.WriteJSONL(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := samp.WriteJSONL(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	replay := func(in []byte) string {
+		st, err := obs.ReadJSONL(bytes.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := buildDashboard(st.Samples, dashOpts{Width: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	alone := replay(metrics.Bytes())
+	if alone != out {
+		t.Errorf("dashboard replayed from JSONL differs from the live samples':\n%s\n--- live ---\n%s", alone, out)
+	}
+	if mixed := replay(append(trace.Bytes(), metrics.Bytes()...)); mixed != alone {
+		t.Errorf("dashboard on trace+metrics differs from the metrics alone:\n%s\n--- metrics alone ---\n%s", mixed, alone)
 	}
 }
 

@@ -10,6 +10,12 @@
 //	lfstrace -raw out.jsonl      # re-print every record one per line
 //	lfstrace < out.jsonl         # read from stdin
 //
+// The input is read by obs.ReadJSONL, the one decoder of both JSONL
+// streams: metrics samples sharing the file are skipped, so every
+// report on a trace+metrics stream equals the report on the trace
+// alone. -raw prints spans, then io, then cleans — the order
+// Recorder.WriteJSONL writes them.
+//
 // The summary has three sections: per-operation latency statistics
 // (with a log-scale histogram), the disk busy-time decomposition by
 // I/O cause, and the cleaner activation summary with the paper's
@@ -52,54 +58,53 @@ func main() {
 		in = f
 		name = flag.Arg(0)
 	}
-	recs, err := obs.ReadJSONL(in)
+	st, err := obs.ReadJSONL(in)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lfstrace: %v\n", err)
 		os.Exit(1)
 	}
 	switch {
 	case *raw:
-		for _, r := range recs {
-			dumpRecord(os.Stdout, r)
-		}
+		dump(os.Stdout, st)
 	case *jsonOut:
-		if err := newReport(recs).WriteJSON(os.Stdout); err != nil {
+		if err := newReport(st).WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "lfstrace: %v\n", err)
 			os.Exit(1)
 		}
 	case *critpath:
-		summariseCritPath(os.Stdout, name, recs)
+		summariseCritPath(os.Stdout, name, st)
 	default:
-		summarise(os.Stdout, name, recs)
+		summarise(os.Stdout, name, st)
 	}
 }
 
-func dumpRecord(w io.Writer, r obs.Record) {
-	switch r.Type {
-	case "span":
+// records counts the trace records of a stream.
+func records(st *obs.Stream) int { return len(st.Spans) + len(st.Events) + len(st.Cleans) }
+
+// dump prints every trace record on one line.
+func dump(w io.Writer, st *obs.Stream) {
+	for _, s := range st.Spans {
 		status := "ok"
-		if r.Err != "" {
-			status = r.Err
+		if s.Err != "" {
+			status = s.Err
 		}
 		fmt.Fprintf(w, "%-14v span  %-8s %-24s %12v cpu=%-8d %s\n",
-			sim.Time(r.Start), r.Op, r.Path,
-			sim.Time(r.End).Sub(sim.Time(r.Start)), r.CPU, status)
-	case "io":
+			s.Start, s.Op, s.Path, s.Latency(), s.CPU, status)
+	}
+	for _, ev := range st.Events {
 		fmt.Fprintf(w, "%-14v io    %-5s sector=%-9d n=%-5d %-14s %12v %s\n",
-			sim.Time(r.Time), r.Kind, r.Sector, r.Sectors, r.Cause,
-			sim.Duration(r.Service), r.Label)
-	case "clean":
+			ev.Time, ev.Kind, ev.Sector, ev.Sectors, ev.Cause, ev.Service, ev.Label)
+	}
+	for _, c := range st.Cleans {
 		fmt.Fprintf(w, "%-14v clean seg=%-6d util=%.3f read=%d copied=%d reclaimed=%d cost=%.2f\n",
-			sim.Time(r.Time), r.Seg, r.Utilization,
-			r.BytesRead, r.BytesCopied, r.BytesReclaimed, r.WriteCost)
-	default:
-		fmt.Fprintf(w, "?             %v\n", r)
+			c.Time, c.Seg, c.Utilization,
+			c.BytesRead, c.BytesCopied, c.BytesReclaimed, c.WriteCost)
 	}
 }
 
-func summarise(w io.Writer, name string, recs []obs.Record) {
-	agg := obs.AggregateRecords(recs)
-	fmt.Fprintf(w, "%s: %d records\n\n", name, len(recs))
+func summarise(w io.Writer, name string, st *obs.Stream) {
+	agg := st.Aggregates()
+	fmt.Fprintf(w, "%s: %d records\n\n", name, records(st))
 
 	if len(agg.Ops) > 0 {
 		fmt.Fprintf(w, "operations\n")
@@ -158,8 +163,8 @@ func attributed(o obs.OpStats) sim.Duration {
 
 // summariseCritPath prints each operation's latency decomposed by
 // phase kind, then names the wait that owns each operation's time.
-func summariseCritPath(w io.Writer, name string, recs []obs.Record) {
-	agg := obs.AggregateRecords(recs)
+func summariseCritPath(w io.Writer, name string, st *obs.Stream) {
+	agg := st.Aggregates()
 	fmt.Fprintf(w, "%s: critical path - share of each op's total latency by phase\n\n", name)
 	if len(agg.Ops) == 0 {
 		fmt.Fprintf(w, "no spans\n")
@@ -257,10 +262,10 @@ type cleanReport struct {
 	WriteCost      float64 `json:"write_cost"`
 }
 
-// newReport assembles the JSON report from parsed trace records.
-func newReport(recs []obs.Record) report {
-	agg := obs.AggregateRecords(recs)
-	r := report{Records: len(recs), Ops: []opReport{}}
+// newReport assembles the JSON report from a decoded stream.
+func newReport(st *obs.Stream) report {
+	agg := st.Aggregates()
+	r := report{Records: records(st), Ops: []opReport{}}
 	for _, o := range agg.Ops {
 		or := opReport{
 			Op: o.Op, Count: o.Count, Errors: o.Errors, CPU: o.CPU,

@@ -95,7 +95,7 @@ func MetricsSmoke(opts MetricsSmokeOpts) (*MetricsSmokeResult, error) {
 		FinalSegmentsCleaned: final.Counters["cleaner.segments_cleaned"],
 		FinalWriteCost:       final.Gauges["cleaner.write_cost"],
 		FinalCleanSegs:       final.Gauges["seg.clean"],
-		FinalUtil:            final.Hists["seg.util"].Hist(),
+		FinalUtil:            final.Hists["seg.util"],
 		Snapshot:             fs.StatsSnapshot(),
 		Final:                final,
 	}

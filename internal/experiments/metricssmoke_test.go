@@ -101,12 +101,12 @@ func TestMetricsByteDeterminism(t *testing.T) {
 		t.Error("same-seed runs exported different metrics bytes")
 	}
 	// And the export round-trips through the reader unchanged.
-	samples, err := obs.ReadSamples(bytes.NewReader(a))
+	st, err := obs.ReadJSONL(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) < 2 {
-		t.Errorf("round-trip kept %d samples", len(samples))
+	if len(st.Samples) < 2 {
+		t.Errorf("round-trip kept %d samples", len(st.Samples))
 	}
 }
 
@@ -162,7 +162,7 @@ func TestMetricsFinalSampleEqualsAggregates(t *testing.T) {
 	for _, u := range fs.SegmentUtilizations() {
 		want.Observe(u)
 	}
-	if got := final.Hists["seg.util"].Hist(); !reflect.DeepEqual(got, want) {
+	if got := final.Hists["seg.util"]; !reflect.DeepEqual(got, want) {
 		t.Errorf("final seg.util %v != rebuilt %v", got, want)
 	}
 

@@ -11,11 +11,12 @@ import (
 // above. len(Counts) == len(Bounds)+1. Non-finite observations (NaN,
 // ±Inf) never land in a bucket — NaN compares false against every
 // bound, so it would otherwise silently inflate the unbounded top
-// bucket — and are counted in NonFinite instead.
+// bucket — and are counted in NonFinite instead. The JSON tags are the
+// metrics JSONL wire form (FORMAT.md "Metrics JSONL").
 type Histogram struct {
-	Bounds    []float64
-	Counts    []int64
-	NonFinite int64
+	Bounds    []float64 `json:"bounds"`
+	Counts    []int64   `json:"counts"`
+	NonFinite int64     `json:"nonfinite,omitempty"`
 }
 
 // NewHistogram returns a histogram over the given ascending upper

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -30,22 +28,6 @@ import (
 // into every sample's "v" field (see FORMAT.md "Metrics JSONL").
 const MetricsSchemaVersion = 1
 
-// HistSnapshot is a histogram captured at sample time, in wire form.
-type HistSnapshot struct {
-	Bounds    []float64 `json:"bounds"`
-	Counts    []int64   `json:"counts"`
-	NonFinite int64     `json:"nonfinite,omitempty"`
-}
-
-// Hist converts the snapshot back to a Histogram (for replay tools).
-func (s HistSnapshot) Hist() Histogram {
-	return Histogram{
-		Bounds:    append([]float64(nil), s.Bounds...),
-		Counts:    append([]int64(nil), s.Counts...),
-		NonFinite: s.NonFinite,
-	}
-}
-
 // Sample is one metrics snapshot: every registered counter, gauge,
 // and histogram read at one simulated instant, plus the gauges the
 // sampler derives from interval deltas (rates, busy fractions,
@@ -60,9 +42,9 @@ type Sample struct {
 	Time int64  `json:"time_ns"`
 	Seq  int64  `json:"seq"`
 
-	Counters map[string]int64        `json:"counters,omitempty"`
-	Gauges   map[string]float64      `json:"gauges,omitempty"`
-	Hists    map[string]HistSnapshot `json:"hists,omitempty"`
+	Counters map[string]int64     `json:"counters,omitempty"`
+	Gauges   map[string]float64   `json:"gauges,omitempty"`
+	Hists    map[string]Histogram `json:"hists,omitempty"`
 }
 
 // metricDef is one registered metric: a name, what to read, and which
@@ -146,9 +128,6 @@ func (r *Registry) QuantileHist(name string, fn func() Histogram, qs ...float64)
 	r.register(metricDef{name: name, readH: fn, quantiles: qs})
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.defs) }
-
 // Sampler drives periodic metric collection on the simulated clock.
 // The owning file system calls Tick at the end of every operation (and
 // the multi-client event loop pumps TickMetrics between operations);
@@ -167,17 +146,10 @@ type Sampler struct {
 	// a sampler serves exactly one instance (its registry closures
 	// capture that instance's state).
 	bound bool
-	// started/next track the sampling schedule; seq numbers samples.
-	started bool
-	next    sim.Time
-	seq     int64
+	// samples is the series so far; its last sample sets the next
+	// interval boundary and is the base of the interval deltas (rates,
+	// fractions, quantiles).
 	samples []Sample
-	// prevTime/prevCounters/prevHists hold the previous sample's raw
-	// values for interval-delta derivations (rates, fractions,
-	// quantiles).
-	prevTime     sim.Time
-	prevCounters map[string]int64
-	prevHists    map[string][]int64
 }
 
 // NewSampler returns a sampler emitting one sample per interval of
@@ -188,9 +160,6 @@ func NewSampler(interval sim.Duration) *Sampler {
 	}
 	return &Sampler{interval: interval}
 }
-
-// Enabled reports whether the sampler is non-nil.
-func (s *Sampler) Enabled() bool { return s != nil }
 
 // Interval returns the sampling interval.
 func (s *Sampler) Interval() sim.Duration {
@@ -237,16 +206,6 @@ func (s *Sampler) Bind() error {
 	return nil
 }
 
-// Due reports whether a sample would be taken at time now.
-func (s *Sampler) Due(now sim.Time) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.started || now >= s.next
-}
-
 // Tick samples if the clock has reached the next interval boundary
 // (the first Tick takes the baseline sample). The caller holds the
 // lock protecting the state the registered collectors read.
@@ -256,7 +215,7 @@ func (s *Sampler) Tick(now sim.Time) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.started && now < s.next {
+	if n := len(s.samples); n > 0 && now < sim.Time(s.samples[n-1].Time).Add(s.interval) {
 		return
 	}
 	s.sampleLocked(now)
@@ -279,24 +238,25 @@ func (s *Sampler) SampleNow(now sim.Time) {
 func (s *Sampler) sampleLocked(now sim.Time) {
 	sm := Sample{
 		Type: "metrics", V: MetricsSchemaVersion, FS: s.label,
-		Time: int64(now), Seq: s.seq,
+		Time: int64(now), Seq: int64(len(s.samples)),
 	}
-	interval := now.Sub(s.prevTime)
-	if !s.started {
-		interval = 0
+	// The first sample has no predecessor: its interval is 0 and its
+	// deltas are the cumulative values.
+	var prev Sample
+	var interval sim.Duration
+	if n := len(s.samples); n > 0 {
+		prev = s.samples[n-1]
+		interval = now.Sub(sim.Time(prev.Time))
 	}
-	counters := make(map[string]int64)
-	hists := make(map[string][]int64)
 	for _, d := range s.reg.defs {
 		switch {
 		case d.readC != nil:
 			v := d.readC()
-			counters[d.name] = v
 			if sm.Counters == nil {
 				sm.Counters = make(map[string]int64)
 			}
 			sm.Counters[d.name] = v
-			delta := v - s.prevCounters[d.name]
+			delta := v - prev.Counters[d.name]
 			if d.rate {
 				rate := 0.0
 				if interval > 0 {
@@ -315,18 +275,14 @@ func (s *Sampler) sampleLocked(now sim.Time) {
 			s.setGauge(&sm, d.name, d.readG())
 		case d.readH != nil:
 			h := d.readH()
-			snap := HistSnapshot{
-				Bounds:    append([]float64(nil), h.Bounds...),
-				Counts:    append([]int64(nil), h.Counts...),
-				NonFinite: h.NonFinite,
-			}
+			h = Histogram{Bounds: append([]float64(nil), h.Bounds...),
+				Counts: append([]int64(nil), h.Counts...), NonFinite: h.NonFinite}
 			if sm.Hists == nil {
-				sm.Hists = make(map[string]HistSnapshot)
+				sm.Hists = make(map[string]Histogram)
 			}
-			sm.Hists[d.name] = snap
-			hists[d.name] = snap.Counts
+			sm.Hists[d.name] = h
 			if len(d.quantiles) > 0 {
-				delta := Histogram{Bounds: h.Bounds, Counts: deltaCounts(snap.Counts, s.prevHists[d.name])}
+				delta := Histogram{Bounds: h.Bounds, Counts: deltaCounts(h.Counts, prev.Hists[d.name].Counts)}
 				for _, q := range d.quantiles {
 					s.setGauge(&sm, fmt.Sprintf("%s.p%g", d.name, q*100), delta.Quantile(q))
 				}
@@ -334,12 +290,6 @@ func (s *Sampler) sampleLocked(now sim.Time) {
 		}
 	}
 	s.samples = append(s.samples, sm)
-	s.seq++
-	s.prevTime = now
-	s.prevCounters = counters
-	s.prevHists = hists
-	s.started = true
-	s.next = now.Add(s.interval)
 }
 
 // setGauge stores a derived or read gauge, sanitising non-finite
@@ -385,47 +335,7 @@ func (s *Sampler) WriteJSONL(w io.Writer) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, sm := range s.samples {
-		if err := enc.Encode(sm); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadSamples parses a metrics JSONL stream written by WriteJSONL
-// (possibly the concatenation of several samplers' streams). Lines of
-// other record types are skipped, so a combined trace+metrics file
-// still replays.
-func ReadSamples(r io.Reader) ([]Sample, error) {
-	var out []Sample
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var sm Sample
-		if err := json.Unmarshal(raw, &sm); err != nil {
-			return nil, fmt.Errorf("obs: metrics line %d: %w", line, err)
-		}
-		if sm.Type != "metrics" {
-			continue
-		}
-		if sm.V != MetricsSchemaVersion {
-			return nil, fmt.Errorf("obs: metrics line %d: schema version %d, want %d", line, sm.V, MetricsSchemaVersion)
-		}
-		out = append(out, sm)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return writeJSONL(w, s.samples)
 }
 
 // SeriesNames returns the sorted union of counter and gauge series

@@ -104,21 +104,41 @@ type Recorder struct {
 	mu sync.Mutex
 	// spans, events, and cleans are the recorded streams; all
 	// guarded by mu.
-	spans  []Span
-	events []disk.Event
-	cleans []CleanRecord
+	spans  ring[Span]
+	events ring[disk.Event]
+	cleans ring[CleanRecord]
 	// limit caps each stream's retained records (0 = unlimited).
-	// Once a stream is full the oldest record is overwritten
-	// ring-style — long runs keep the most recent window instead of
-	// growing without bound — and the dropped counter increments.
-	// Guarded by mu.
 	limit int
-	// spanHead, eventHead, and cleanHead are the ring start indexes,
-	// meaningful once the stream has reached the limit. Guarded by mu.
-	spanHead, eventHead, cleanHead int
-	// droppedSpans, droppedEvents, and droppedCleans count records
-	// evicted by the limit; surfaced in Aggregates. Guarded by mu.
-	droppedSpans, droppedEvents, droppedCleans int64
+}
+
+// ring is one recorded stream. Once a retention limit is reached, the
+// oldest record is overwritten — long runs keep the most recent window
+// instead of growing without bound — and counted as dropped.
+type ring[T any] struct {
+	buf []T
+	// head is the oldest record's index, meaningful once buf has
+	// reached the limit.
+	head    int
+	dropped int64
+}
+
+// push appends x, overwriting the oldest record when limit (> 0) is
+// reached.
+func (q *ring[T]) push(x T, limit int) {
+	if limit > 0 && len(q.buf) >= limit {
+		q.buf[q.head] = x
+		q.head = (q.head + 1) % limit
+		q.dropped++
+		return
+	}
+	q.buf = append(q.buf, x)
+}
+
+// all returns a copy of the retained records, oldest first.
+func (q *ring[T]) all() []T {
+	out := make([]T, 0, len(q.buf))
+	out = append(out, q.buf[q.head:]...)
+	return append(out, q.buf[:q.head]...)
 }
 
 // NewRecorder returns an empty recorder with no retention limit.
@@ -147,13 +167,7 @@ func (r *Recorder) Record(ev disk.Event) {
 		return
 	}
 	r.mu.Lock()
-	if r.limit > 0 && len(r.events) >= r.limit {
-		r.events[r.eventHead] = ev
-		r.eventHead = (r.eventHead + 1) % r.limit
-		r.droppedEvents++
-	} else {
-		r.events = append(r.events, ev)
-	}
+	r.events.push(ev, r.limit)
 	r.mu.Unlock()
 }
 
@@ -163,13 +177,7 @@ func (r *Recorder) Span(s Span) {
 		return
 	}
 	r.mu.Lock()
-	if r.limit > 0 && len(r.spans) >= r.limit {
-		r.spans[r.spanHead] = s
-		r.spanHead = (r.spanHead + 1) % r.limit
-		r.droppedSpans++
-	} else {
-		r.spans = append(r.spans, s)
-	}
+	r.spans.push(s, r.limit)
 	r.mu.Unlock()
 }
 
@@ -181,36 +189,8 @@ func (r *Recorder) Clean(c CleanRecord) {
 	}
 	c.WriteCost = writeCost(c.BytesRead, c.BytesCopied)
 	r.mu.Lock()
-	if r.limit > 0 && len(r.cleans) >= r.limit {
-		r.cleans[r.cleanHead] = c
-		r.cleanHead = (r.cleanHead + 1) % r.limit
-		r.droppedCleans++
-	} else {
-		r.cleans = append(r.cleans, c)
-	}
+	r.cleans.push(c, r.limit)
 	r.mu.Unlock()
-}
-
-// spansLocked returns the retained spans oldest-first, unrolling the
-// ring. Must be called with mu held.
-func (r *Recorder) spansLocked() []Span {
-	out := make([]Span, 0, len(r.spans))
-	out = append(out, r.spans[r.spanHead:]...)
-	return append(out, r.spans[:r.spanHead]...)
-}
-
-// eventsLocked returns the retained events oldest-first.
-func (r *Recorder) eventsLocked() []disk.Event {
-	out := make([]disk.Event, 0, len(r.events))
-	out = append(out, r.events[r.eventHead:]...)
-	return append(out, r.events[:r.eventHead]...)
-}
-
-// cleansLocked returns the retained cleaner records oldest-first.
-func (r *Recorder) cleansLocked() []CleanRecord {
-	out := make([]CleanRecord, 0, len(r.cleans))
-	out = append(out, r.cleans[r.cleanHead:]...)
-	return append(out, r.cleans[:r.cleanHead]...)
 }
 
 // Spans returns a copy of the recorded spans, oldest first.
@@ -220,7 +200,7 @@ func (r *Recorder) Spans() []Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.spansLocked()
+	return r.spans.all()
 }
 
 // Events returns a copy of the recorded disk events, oldest first.
@@ -230,7 +210,7 @@ func (r *Recorder) Events() []disk.Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.eventsLocked()
+	return r.events.all()
 }
 
 // Cleans returns a copy of the recorded cleaner activations, oldest
@@ -241,18 +221,7 @@ func (r *Recorder) Cleans() []CleanRecord {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.cleansLocked()
-}
-
-// Dropped returns the number of spans, events, and cleaner records
-// evicted by the retention limit so far.
-func (r *Recorder) Dropped() (spans, events, cleans int64) {
-	if r == nil {
-		return 0, 0, 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.droppedSpans, r.droppedEvents, r.droppedCleans
+	return r.cleans.all()
 }
 
 // Reset discards everything recorded so far, including the dropped
@@ -262,9 +231,7 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.mu.Lock()
-	r.spans, r.events, r.cleans = nil, nil, nil
-	r.spanHead, r.eventHead, r.cleanHead = 0, 0, 0
-	r.droppedSpans, r.droppedEvents, r.droppedCleans = 0, 0, 0
+	r.spans, r.events, r.cleans = ring[Span]{}, ring[disk.Event]{}, ring[CleanRecord]{}
 	r.mu.Unlock()
 }
 
@@ -341,20 +308,22 @@ func (r *Recorder) Aggregates() *Aggregates {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	agg := aggregate(r.spansLocked(), r.eventsLocked(), r.cleansLocked())
-	agg.DroppedSpans = r.droppedSpans
-	agg.DroppedEvents = r.droppedEvents
-	agg.DroppedCleans = r.droppedCleans
+	st := Stream{Spans: r.spans.all(), Events: r.events.all(), Cleans: r.cleans.all()}
+	agg := st.Aggregates()
+	agg.DroppedSpans = r.spans.dropped
+	agg.DroppedEvents = r.events.dropped
+	agg.DroppedCleans = r.cleans.dropped
 	return agg
 }
 
-// aggregate builds an Aggregates from raw records; lfstrace reuses it
-// on records read back from a JSONL file.
-func aggregate(spans []Span, events []disk.Event, cleans []CleanRecord) *Aggregates {
+// Aggregates computes the same Aggregates over a decoded stream's
+// trace records that Recorder.Aggregates computes over live ones;
+// lfstrace uses it to summarise a trace file.
+func (st *Stream) Aggregates() *Aggregates {
 	agg := &Aggregates{}
 
 	byOp := make(map[string]*OpStats)
-	for _, s := range spans {
+	for _, s := range st.Spans {
 		o := byOp[s.Op]
 		if o == nil {
 			o = &OpStats{Op: s.Op, Latency: NewLatencyHistogram()}
@@ -386,7 +355,7 @@ func aggregate(spans []Span, events []disk.Event, cleans []CleanRecord) *Aggrega
 	sort.Slice(agg.Ops, func(i, j int) bool { return agg.Ops[i].Op < agg.Ops[j].Op })
 
 	var byCause [disk.NumCauses]CauseBusy
-	for _, ev := range events {
+	for _, ev := range st.Events {
 		c := ev.Cause
 		if c >= disk.NumCauses {
 			c = disk.CauseOther
@@ -405,7 +374,7 @@ func aggregate(spans []Span, events []disk.Event, cleans []CleanRecord) *Aggrega
 	}
 
 	agg.Clean.Utilization = NewUtilizationHistogram()
-	for _, c := range cleans {
+	for _, c := range st.Cleans {
 		agg.Clean.Activations++
 		agg.Clean.BytesRead += c.BytesRead
 		agg.Clean.BytesCopied += c.BytesCopied

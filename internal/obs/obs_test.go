@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -166,10 +167,22 @@ func TestJSONLRoundTrip(t *testing.T) {
 	r := NewRecorder()
 	r.Span(Span{Op: "create", Path: "/f0", Start: sim.Time(10), End: sim.Time(30), CPU: 5})
 	r.Span(Span{Op: "remove", Path: "/f0", Start: sim.Time(40), End: sim.Time(45), Err: "remove /f0: gone"})
+	r.Span(Span{Op: "fsync", Path: "/c3/f1", Start: sim.Time(50), End: sim.Time(150), CPU: 7,
+		Client: 3, Shard: 2, Phases: []Phase{
+			{Kind: PhaseCPU, Dur: 10},
+			{Kind: PhaseQueueWait, Dur: 15},
+			{Kind: PhaseDiskService, Cause: disk.CauseOther, Dur: 5},
+			{Kind: PhaseDiskService, Cause: disk.CauseLogAppend, Dur: 40},
+			{Kind: PhaseDiskService, Cause: disk.CauseReadMiss, Dur: 20},
+			{Kind: PhasePiggybackWait, Dur: 10},
+		}})
 	r.Record(disk.Event{Time: sim.Time(12), Kind: disk.OpWrite, Sector: 64, Sectors: 8,
 		Sync: true, Cause: disk.CauseCheckpoint, Service: 700, Label: "checkpoint"})
 	r.Record(disk.Event{Time: sim.Time(20), Kind: disk.OpRead, Sector: 8, Sectors: 2,
 		Cause: disk.CauseReadMiss, Service: 200, Label: "file read"})
+	r.Record(disk.Event{Time: sim.Time(90), Kind: disk.OpWrite, Sector: 4096, Sectors: 128,
+		Sequential: true, SeekCylinders: 4, Cause: disk.CauseLogAppend, Service: 40, Wait: 15,
+		Label: "segment", Client: 3, Shard: 2})
 	r.Clean(CleanRecord{Time: sim.Time(25), Seg: 7, Utilization: 0.5,
 		BytesRead: 1000, BytesCopied: 500, BytesReclaimed: 500})
 
@@ -177,52 +190,59 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := r.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(buf.String(), "\n"); n != 5 {
-		t.Fatalf("wrote %d lines, want 5:\n%s", n, buf.String())
+	if n := strings.Count(buf.String(), "\n"); n != 7 {
+		t.Fatalf("wrote %d lines, want 7:\n%s", n, buf.String())
 	}
 
-	recs, err := ReadJSONL(&buf)
+	st, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 5 {
-		t.Fatalf("read %d records", len(recs))
+	if !reflect.DeepEqual(st.Spans, r.Spans()) {
+		t.Errorf("spans did not round-trip:\nread %+v\nlive %+v", st.Spans, r.Spans())
 	}
-
-	live := r.Aggregates()
-	parsed := AggregateRecords(recs)
-	if len(parsed.Ops) != len(live.Ops) {
-		t.Fatalf("parsed %d ops, live %d", len(parsed.Ops), len(live.Ops))
+	// Sequential and SeekCylinders are not on the wire (FORMAT.md).
+	live := r.Events()
+	for i := range live {
+		live[i].Sequential, live[i].SeekCylinders = false, 0
 	}
-	for i := range live.Ops {
-		if parsed.Ops[i].Op != live.Ops[i].Op || parsed.Ops[i].Count != live.Ops[i].Count ||
-			parsed.Ops[i].Total != live.Ops[i].Total || parsed.Ops[i].Errors != live.Ops[i].Errors {
-			t.Errorf("op %d: parsed %+v, live %+v", i, parsed.Ops[i], live.Ops[i])
-		}
+	if !reflect.DeepEqual(st.Events, live) {
+		t.Errorf("events did not round-trip:\nread %+v\nlive %+v", st.Events, live)
 	}
-	if parsed.DiskBusy != live.DiskBusy {
-		t.Errorf("parsed DiskBusy %v, live %v", parsed.DiskBusy, live.DiskBusy)
+	if !reflect.DeepEqual(st.Cleans, r.Cleans()) {
+		t.Errorf("cleans did not round-trip:\nread %+v\nlive %+v", st.Cleans, r.Cleans())
 	}
-	if len(parsed.IO) != len(live.IO) {
-		t.Fatalf("parsed %d IO buckets, live %d", len(parsed.IO), len(live.IO))
+	if st.Samples != nil {
+		t.Errorf("a trace decoded %d samples", len(st.Samples))
 	}
-	for i := range live.IO {
-		if parsed.IO[i] != live.IO[i] {
-			t.Errorf("IO %d: parsed %+v, live %+v", i, parsed.IO[i], live.IO[i])
-		}
-	}
-	if parsed.Clean.Activations != 1 || parsed.Clean.WriteCost != live.Clean.WriteCost {
-		t.Errorf("parsed clean %+v, live %+v", parsed.Clean, live.Clean)
+	if parsed, want := st.Aggregates(), r.Aggregates(); !reflect.DeepEqual(parsed, want) {
+		t.Errorf("aggregates differ:\nread %+v\nlive %+v", parsed, want)
 	}
 }
 
+// TestReadJSONLBadLine feeds one good line and then one bad one: the
+// reader must fail, naming line 2, rather than reclassify the record.
 func TestReadJSONLBadLine(t *testing.T) {
-	_, err := ReadJSONL(strings.NewReader("{\"type\":\"span\"}\nnot json\n"))
-	if err == nil {
-		t.Fatal("bad line accepted")
-	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("error %q does not name the line", err)
+	for _, bad := range []string{
+		`not json`,
+		`{"type":"span","v":3}`,
+		`{"type":"span","phases":[{"kind":"nap","dur_ns":5}]}`,
+		`{"type":"span","phases":[{"kind":"disk_service","cause":"gremlin","dur_ns":5}]}`,
+		`{"type":"span","phases":[{"kind":"disk_service","dur_ns":5}]}`,
+		`{"type":"span","phases":[{"kind":"cpu","cause":"gremlin","dur_ns":5}]}`,
+		`{"type":"io","kind":"erase","cause":"log-append"}`,
+		`{"type":"io","kind":"read","cause":"gremlin"}`,
+		`{"type":"io","kind":"read"}`,
+		`{"type":"metrics","v":99}`,
+		`{"type":"metrics"}`,
+	} {
+		good := `{"type":"span","phases":[{"kind":"cpu","dur_ns":5}]}`
+		_, err := ReadJSONL(strings.NewReader(good + "\n" + bad + "\n"))
+		if err == nil {
+			t.Errorf("accepted %s", bad)
+		} else if !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s: error %q does not name the line", bad, err)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // PhaseKind names one segment of an operation's latency. The kinds
 // mirror the disk.IOCause idiom: a small closed enum with stable
-// string names shared by the trace JSONL schema (Record.Phases), the
+// string names shared by the trace JSONL schema (a span's phases), the
 // metrics plane (op.fsync.phase.<kind> series), and the lfstrace
 // -critpath report.
 //

@@ -168,10 +168,6 @@ func TestRecorderLimitRing(t *testing.T) {
 	if cls := r.Cleans(); len(cls) != 3 || cls[2].Seg != 4 {
 		t.Errorf("cleans ring wrong: %+v", cls)
 	}
-	ds, de, dc := r.Dropped()
-	if ds != 2 || de != 2 || dc != 2 {
-		t.Errorf("Dropped() = %d, %d, %d; want 2, 2, 2", ds, de, dc)
-	}
 	agg := r.Aggregates()
 	if agg.DroppedSpans != 2 || agg.DroppedEvents != 2 || agg.DroppedCleans != 2 {
 		t.Errorf("Aggregates dropped = %d, %d, %d; want 2, 2, 2",
@@ -182,8 +178,9 @@ func TestRecorderLimitRing(t *testing.T) {
 	}
 
 	r.Reset()
-	if s, e, c := r.Dropped(); s != 0 || e != 0 || c != 0 {
-		t.Errorf("Reset kept dropped counters: %d %d %d", s, e, c)
+	if agg := r.Aggregates(); agg.DroppedSpans != 0 || agg.DroppedEvents != 0 || agg.DroppedCleans != 0 {
+		t.Errorf("Reset kept dropped counters: %d %d %d",
+			agg.DroppedSpans, agg.DroppedEvents, agg.DroppedCleans)
 	}
 	r.Span(Span{Op: "read"})
 	if len(r.Spans()) != 1 {
