@@ -461,7 +461,7 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	if probe.Timestamp < ckptTime {
 		return false, nil // stale unit from an earlier log epoch
 	}
-	if probe.SumBlocks < 1 || blk+probe.SumBlocks+probe.NBlocks > fs.cfg.blocksPerSegment() {
+	if probe.checkBounds(blk, fs.cfg.blocksPerSegment()) != nil {
 		return false, nil
 	}
 	// Read the full unit and re-validate with all entries. The class's

@@ -237,11 +237,6 @@ func (fs *FS) selectVictim(excl []int) (int, bool) {
 	return best, best >= 0
 }
 
-// cleanSegment cleans a single segment; tests use it.
-func (fs *FS) cleanSegment(seg int) (CleanResult, error) {
-	return fs.cleanBatch([]int{seg})
-}
-
 // victimStat is what cleanBatch remembers of a revived victim until the
 // relocation flush lets it reclaim the segment.
 type victimStat struct {
@@ -365,8 +360,10 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 // credits the relocated copy at its destination with that age — not the
 // copy time — and routes it to the cold head when segregation is on.
 // Without the carry, relocated cold data is stamped "just written" and
-// cost-benefit stops ever re-selecting the segments it lands in. Returns
-// the live and examined block counts.
+// cost-benefit stops ever re-selecting the segments it lands in. A unit
+// whose summary checks but does not fit the segment fails the pass, as a
+// unit that fails its data checksum does. Returns the live and examined
+// block counts.
 func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	srcAge := fs.usage[seg].Age
 	if srcAge == 0 {
@@ -393,6 +390,9 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 			break // end of the segment's used region
 		}
 		fs.cl.refs = refs
+		if err := h.checkBounds(blk, fs.cfg.blocksPerSegment()); err != nil {
+			return copied, examined, fmt.Errorf("lfs: cleaner: segment %d, unit at block %d: %w", seg, blk, err)
+		}
 		dataStart := blk + h.SumBlocks
 		data := raw[dataStart*bs : (dataStart+h.NBlocks)*bs]
 		fs.cl.unit, fs.cl.unitCRC = data, h.DataCRC

@@ -394,7 +394,7 @@ func TestCleanerPreservesDestinationAge(t *testing.T) {
 	}
 	srcAge := fs.usage[victim].Age
 	fs.cleaning = true
-	res, err := fs.cleanSegment(victim)
+	res, err := fs.cleanBatch([]int{victim})
 	fs.cleaning = false
 	if err != nil {
 		t.Fatal(err)

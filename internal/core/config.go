@@ -101,12 +101,6 @@ type Config struct {
 	// paper's "current implementation" that loses everything since
 	// the last checkpoint).
 	RollForward bool
-	// CleanOnIdle opportunistically cleans one segment at a time
-	// while the disk is idle and the cache holds no dirty data —
-	// the paper's §5.3 hope that "much of the cleaning can be done
-	// using the idle cycles of the disk subsystem". Off by default
-	// so experiments measure cleaning cost explicitly.
-	CleanOnIdle bool
 	// GroupCommit batches concurrent fsyncs: a sync request flushes
 	// everything dirty in one segment transfer, so a later fsync whose
 	// data rode that transfer finds nothing left to write and only

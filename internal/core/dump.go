@@ -94,7 +94,7 @@ func Dump(w io.Writer, d *disk.Disk, segments bool) error {
 				return err
 			}
 			h, err := decodeSummaryHeader(head)
-			if err != nil || h.SumBlocks < 1 || blk+h.SumBlocks+h.NBlocks > blocksPerSeg {
+			if err != nil || h.checkBounds(blk, blocksPerSeg) != nil {
 				break
 			}
 			unit := make([]byte, (h.SumBlocks+h.NBlocks)*bs)

@@ -297,32 +297,12 @@ func (fs *FS) StatsSnapshot() StatsSnapshot {
 	}
 }
 
-// CacheStats returns file cache statistics.
-func (fs *FS) CacheStats() cache.Stats {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.bc.Stats()
-}
-
 // CPUInstructions returns the total simulated instructions charged,
 // for CPU-boundedness reporting in experiments.
 func (fs *FS) CPUInstructions() int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.cpu.Instructions()
-}
-
-// CacheDirtyKeys returns the keys of all dirty cached blocks, in
-// dirtied order — test and tool instrumentation.
-func (fs *FS) CacheDirtyKeys() []cache.Key {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	blocks := fs.bc.DirtyBlocks()
-	keys := make([]cache.Key, len(blocks))
-	for i, b := range blocks {
-		keys[i] = b.Key
-	}
-	return keys
 }
 
 // CleanSegments returns the number of clean segments.
@@ -463,16 +443,6 @@ func (fs *FS) epilogue() error {
 	}
 	if fs.clock.Now().Sub(fs.lastCkpt) >= fs.cfg.CheckpointInterval {
 		if err := fs.checkpoint(); err != nil {
-			return err
-		}
-	}
-	// Idle cleaning (§5.3): with nothing dirty and the disk arm
-	// free, reclaim fragmented segments ahead of demand.
-	if fs.cfg.CleanOnIdle && !fs.cleaning &&
-		fs.bc.DirtyCount() == 0 && fs.inodes.nDirty == 0 &&
-		fs.d.BusyUntil() <= fs.clock.Now() &&
-		fs.cleanCount < fs.cfg.cleanTarget(int(fs.sb.Segments)) {
-		if _, err := fs.cleanUntil(fs.cleanCount + 1); err != nil {
 			return err
 		}
 	}

@@ -108,8 +108,8 @@ func (fs *FS) MetricsInterval() sim.Duration { return fs.cfg.Metrics.Interval() 
 
 // TickMetrics samples the metrics plane if the sampling interval has
 // elapsed. Operations tick implicitly; the multi-client event loop
-// pumps this between operations so long think-time gaps still get
-// samples. A no-op without an attached sampler.
+// pumps this between operations so long gaps still get samples. A
+// no-op without an attached sampler.
 func (fs *FS) TickMetrics() {
 	if fs.cfg.Metrics == nil {
 		return

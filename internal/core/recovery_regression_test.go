@@ -5,6 +5,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -113,7 +114,7 @@ func TestReclaimedSegmentPendingUntilCheckpoint(t *testing.T) {
 	cleanBefore := fs.cleanCount
 	coldOpenBefore := fs.heads[classCold].open
 	fs.cleaning = true
-	_, err := fs.cleanSegment(victim)
+	_, err := fs.cleanBatch([]int{victim})
 	fs.cleaning = false
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +266,7 @@ func TestCleanerKeepsInodeWithCorruptRecord(t *testing.T) {
 		flip()
 
 		fs.cleaning = true
-		_, err = fs.cleanSegment(victim)
+		_, err = fs.cleanBatch([]int{victim})
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("segment %d, unit at block", victim)) {
 			t.Fatalf("%+v: clean of a victim that reads back damaged: %v, want an error naming segment %d and the unit", tc, err, victim)
 		}
@@ -273,7 +274,7 @@ func TestCleanerKeepsInodeWithCorruptRecord(t *testing.T) {
 			t.Fatalf("%+v: victim state %d after the failed clean, want still dirty", tc, st)
 		}
 		flip() // the fault clears (or the sector is repaired): nothing was lost
-		_, err = fs.cleanSegment(victim)
+		_, err = fs.cleanBatch([]int{victim})
 		fs.cleaning = false
 		must(t, err)
 		if cur := fs.imap.get(fi.Ino); fs.segOf(cur.Addr) == victim {
@@ -311,6 +312,38 @@ func forgeUnitAtHead(t *testing.T, fs *FS, ts sim.Time, recs ...layout.Inode) *d
 	fs.Crash()
 	must(t, fs.d.Store().WriteAt(unit, fs.blockSector(h.seg, h.blk)*disk.SectorSize))
 	return fs.d
+}
+
+// TestCleanerRefusesUnitOutsideItsSegment: once a summary's checksum
+// held, the cleaner's walk took its lengths on trust. A unit claiming a
+// thousand summary blocks ran the data slice past the victim buffer (a
+// panic), and one claiming none sent the walk round the same block for
+// ever (until go test's -timeout). Roll-forward and Dump already stopped
+// at such a unit; the cleaner now fails the pass naming the segment and
+// the unit, so its victim stays dirty.
+func TestCleanerRefusesUnitOutsideItsSegment(t *testing.T) {
+	for _, tc := range []struct{ sumBlocks, nBlocks int }{{1000, 3}, {0, 0}} {
+		fs := newTestFS(t, 16<<20, smallConfig())
+		must(t, fs.Create("/f"))
+		must(t, fs.Write("/f", 0, make([]byte, 8192)))
+		must(t, fs.Sync())
+		h := fs.heads[classHot]
+		bs := fs.cfg.BlockSize
+		sum := make([]byte, bs)
+		encodeSummary(summaryHeader{
+			Serial:    fs.writeSerial,
+			NBlocks:   tc.nBlocks,
+			SumBlocks: tc.sumBlocks,
+			Timestamp: fs.clock.Now(),
+		}, make([]blockRef, tc.nBlocks), sum)
+		must(t, fs.d.Store().WriteAt(sum, fs.blockSector(h.seg, h.blk)*disk.SectorSize))
+
+		_, _, err := fs.reviveSegment(h.seg)
+		want := fmt.Sprintf("segment %d, unit at block %d", h.seg, h.blk)
+		if err == nil || !strings.Contains(err.Error(), want) || !errors.Is(err, errSummaryBounds) {
+			t.Fatalf("%+v: walk over the forged unit: %v, want an error naming %q", tc, err, want)
+		}
+	}
 }
 
 // TestRollForwardRejectsStaleEpochUnit: a unit whose serial matches

@@ -224,6 +224,21 @@ var (
 	errSummaryChecksum = errors.New("lfs: summary checksum mismatch")
 )
 
+// errSummaryBounds reports a unit whose summary reads back intact but
+// whose lengths cannot be: no summary block, or an end past its segment.
+var errSummaryBounds = errors.New("lfs: summary unit does not fit its segment")
+
+// checkBounds holds a decoded header to what every reader of a unit —
+// roll-forward, the cleaner, Dump — assumes before trusting its lengths:
+// at least one summary block, and a unit starting at block blk that ends
+// inside a segment of blocksPerSeg blocks.
+func (h summaryHeader) checkBounds(blk, blocksPerSeg int) error {
+	if h.SumBlocks < 1 || blk+h.SumBlocks+h.NBlocks > blocksPerSeg {
+		return errSummaryBounds
+	}
+	return nil
+}
+
 // decodeSummaryHeader parses just the summary header; its checksum,
 // which also covers the entries, is verified by decodeSummary on the
 // full unit.

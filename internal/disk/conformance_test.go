@@ -117,41 +117,3 @@ func TestMmapStorePersistsAcrossReopen(t *testing.T) {
 		t.Fatal("data did not persist across mmap reopen")
 	}
 }
-
-// TestCowStoreSnapshotSharing pins the O(1)-ness the crash sweep
-// depends on: a snapshot shares chunk storage with the live image
-// until a write diverges them.
-func TestCowStoreSnapshotSharing(t *testing.T) {
-	s := disk.NewCowMemStore(1 << 22)
-	defer s.Close()
-	p := bytes.Repeat([]byte{7}, 1<<16)
-	if err := s.WriteAt(p, 0); err != nil {
-		t.Fatal(err)
-	}
-	before := s.AllocatedBytes()
-	sn, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.AllocatedBytes(); got != before {
-		t.Fatalf("snapshot changed live allocation %d -> %d; snapshots must share chunks", before, got)
-	}
-	// Overwrite one sector: exactly one chunk is cloned, and the
-	// snapshot still restores the original bytes.
-	if err := s.WriteAt(make([]byte, 512), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sn.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 512)
-	if err := s.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, p[:512]) {
-		t.Fatal("restore did not bring back the pre-snapshot bytes")
-	}
-	if err := sn.Release(); err != nil {
-		t.Fatal(err)
-	}
-}

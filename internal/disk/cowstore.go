@@ -122,13 +122,6 @@ func (s *CowMemStore) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-// AllocatedBytes implements Allocator: bytes of chunk storage
-// reachable from the live image (shared chunks count once; chunk
-// versions held only by snapshots are not charged to the store).
-func (s *CowMemStore) AllocatedBytes() int64 {
-	return int64(len(s.chunks)) * cowChunkSize
-}
-
 // Snapshot implements Snapshotter: an O(chunk-table) copy that shares
 // every data chunk with the live image.
 func (s *CowMemStore) Snapshot() (Snapshot, error) {

@@ -259,8 +259,8 @@ type Disk struct {
 	stats  Stats
 	tracer Tracer
 	waiter Waiter
-	// frozen rejects all traffic: the machine crashed (Freeze, or a
-	// FaultPolicy power cut) and has not rebooted (Thaw).
+	// frozen rejects all traffic: a FaultPolicy power cut crashed the
+	// machine and it has not rebooted (Thaw).
 	frozen bool
 
 	// policy, when non-nil, is consulted on every request; the
@@ -309,9 +309,6 @@ func (d *Disk) Clock() *sim.Clock { return d.clock }
 // Geometry returns the disk geometry.
 func (d *Disk) Geometry() Geometry { return d.geom }
 
-// Perf returns the service-time model.
-func (d *Disk) Perf() PerfModel { return d.perf }
-
 // Capacity returns the usable capacity in bytes.
 func (d *Disk) Capacity() int64 { return d.geom.TotalBytes() }
 
@@ -322,19 +319,12 @@ func (d *Disk) Sectors() int64 { return d.geom.TotalSectors() }
 // request is in them: an asynchronous write is accounted when issued.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// ResetStats zeroes the activity counters.
-func (d *Disk) ResetStats() { d.stats = Stats{} }
-
 // SetTracer attaches a tracer receiving every request; nil detaches.
 func (d *Disk) SetTracer(t Tracer) { d.tracer = t }
 
 // SetWaiter attaches a waiter receiving every blocking request's
 // queue-wait/service split; nil detaches.
 func (d *Disk) SetWaiter(w Waiter) { d.waiter = w }
-
-// BusyUntil returns the time the disk arm becomes free, every issued
-// asynchronous write included.
-func (d *Disk) BusyUntil() sim.Time { return d.busyUntil }
 
 // Drain advances the clock until every issued asynchronous write has
 // completed, and returns the new current time.
@@ -513,12 +503,9 @@ func (d *Disk) WriteSectors(sector int64, p []byte, sync bool, cause IOCause, la
 	return d.store.WriteAt(p, sector*SectorSize)
 }
 
-// Freeze rejects all subsequent traffic, simulating a crashed machine.
-// Data already written remains readable after Thaw.
-func (d *Disk) Freeze() { d.frozen = true }
-
-// Thaw re-enables traffic after Freeze, as when a crashed machine
-// reboots and remounts the disk.
+// Thaw re-enables traffic after a power cut froze the disk, as when a
+// crashed machine reboots and remounts it. Data already written remains
+// readable.
 func (d *Disk) Thaw() { d.frozen = false }
 
 // Store exposes the persistence backend, letting tools (lfsdump,

@@ -11,8 +11,7 @@ import (
 // system, used by the command-line tools (mklfs, lfsck, lfsdump) to
 // operate on disk images that persist between runs. The image is
 // created with Truncate, so unwritten regions are holes: a freshly
-// formatted multi-gigabyte volume occupies a few file-system blocks,
-// and AllocatedBytes reports the real (hole-aware) footprint.
+// formatted multi-gigabyte volume occupies a few file-system blocks.
 type FileStore struct {
 	mu sync.Mutex
 	// f is the image file handle; guarded by mu (tools may scan an
@@ -109,21 +108,6 @@ func (s *FileStore) Sync() error {
 		return fmt.Errorf("disk: sync image: %w", err)
 	}
 	return nil
-}
-
-// AllocatedBytes implements Allocator: the blocks the image file
-// actually occupies (holes excluded) where the platform reports them,
-// falling back to the nominal size elsewhere.
-func (s *FileStore) AllocatedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0
-	}
-	if n, ok := fileAllocatedBytes(s.f); ok {
-		return n
-	}
-	return s.size
 }
 
 // Close closes the image file. It takes the lock so a close cannot

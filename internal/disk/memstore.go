@@ -15,8 +15,8 @@ const memChunkSize = 1 << 20
 // page fault per 4 KB page, whatever the allocator), so while the image
 // grows sequentially, as a log fills a disk, WriteAt keeps lookAhead
 // helper goroutines faulting the next chunks in. A helper owns nothing
-// but its buffer: the chunk table, and with it the image and
-// AllocatedBytes, change only on the caller's goroutine.
+// but its buffer: the chunk table, and with it the image, changes only
+// on the caller's goroutine.
 type MemStore struct {
 	size     int64
 	chunks   [][]byte    // index = offset / memChunkSize; a nil chunk is unallocated; nil after Close
@@ -139,16 +139,4 @@ func (m *MemStore) WriteAt(p []byte, off int64) error {
 		off += n
 	}
 	return nil
-}
-
-// AllocatedBytes implements Allocator: how much backing memory the
-// store has actually allocated.
-func (m *MemStore) AllocatedBytes() int64 {
-	var n int64
-	for _, chunk := range m.chunks {
-		if chunk != nil {
-			n += memChunkSize
-		}
-	}
-	return n
 }

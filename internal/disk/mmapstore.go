@@ -104,20 +104,6 @@ func (s *MmapStore) Sync() error {
 	return nil
 }
 
-// AllocatedBytes implements Allocator, exactly as FileStore does: the
-// mapping is file-backed, so block accounting comes from the file.
-func (s *MmapStore) AllocatedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.data == nil {
-		return 0
-	}
-	if n, ok := fileAllocatedBytes(s.f); ok {
-		return n
-	}
-	return s.size
-}
-
 // Close unmaps the image and closes the file. Close is idempotent.
 func (s *MmapStore) Close() error {
 	s.mu.Lock()

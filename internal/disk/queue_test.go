@@ -82,7 +82,7 @@ func TestQueueBarriers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writesDone := d.BusyUntil()
+	writesDone := d.busyUntil
 	var read Event
 	d.SetTracer(tracerFunc(func(ev Event) { read = ev }))
 	if err := d.ReadSectors(0, buf, CauseOther, "barrier read"); err != nil {

@@ -18,10 +18,10 @@
 //
 // Persistence is pluggable: the Store interface has four backends
 // (in-memory, copy-on-write memory, sparse file, memory-mapped file),
-// selected through OpenStore. Optional capabilities — O(1) snapshots,
-// allocated-bytes reporting — are discovered by interface assertion on
-// the concrete store. Every backend produces byte-identical images for
-// the same request stream; fstest.RunStoreConformance is the proof.
+// selected through OpenStore. The optional capability, O(1) snapshots,
+// is discovered by interface assertion on the concrete store. Every
+// backend produces byte-identical images for the same request stream;
+// fstest.RunStoreConformance is the proof.
 package disk
 
 import (
@@ -45,9 +45,8 @@ var (
 // Disk. Implementations must be safe for use by a single goroutine;
 // Disk adds no locking of its own.
 //
-// Optional capabilities are discovered by interface assertion:
-// Snapshotter for O(1) copy-on-write snapshot/restore, Allocator for
-// allocated-bytes reporting on sparse stores.
+// The one optional capability, Snapshotter (O(1) copy-on-write
+// snapshot/restore), is discovered by interface assertion.
 type Store interface {
 	// ReadAt fills p from the store at off. Unwritten regions read
 	// as zero bytes.
@@ -81,16 +80,6 @@ type Snapshot interface {
 	Restore() error
 	// Release frees the snapshot; restoring afterwards is an error.
 	Release() error
-}
-
-// Allocator is an optional Store capability: reporting how many bytes
-// of backing storage the image has actually allocated. Sparse backends
-// (lazily allocated memory, punched files) report far less than Size
-// for mostly empty volumes.
-type Allocator interface {
-	// AllocatedBytes returns the bytes of backing storage currently
-	// allocated for the image.
-	AllocatedBytes() int64
 }
 
 // StoreBackend selects a Store implementation in StoreOptions.

@@ -56,17 +56,29 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// installedBytes is the chunk memory m's image holds: installed chunks
+// only, not those a helper is still readying.
+func installedBytes(m *MemStore) int64 {
+	var n int64
+	for _, chunk := range m.chunks {
+		if chunk != nil {
+			n += memChunkSize
+		}
+	}
+	return n
+}
+
 func TestMemStoreLazyAllocation(t *testing.T) {
 	s := NewMemStore(1 << 30) // 1 GB capacity
-	if s.AllocatedBytes() != 0 {
-		t.Fatalf("fresh store allocated %d bytes", s.AllocatedBytes())
+	if installedBytes(s) != 0 {
+		t.Fatalf("fresh store allocated %d bytes", installedBytes(s))
 	}
 	sector := make([]byte, 512)
 	if err := s.WriteAt(sector, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s.AllocatedBytes() != memChunkSize {
-		t.Fatalf("one-sector write allocated %d bytes, want one chunk (%d)", s.AllocatedBytes(), memChunkSize)
+	if installedBytes(s) != memChunkSize {
+		t.Fatalf("one-sector write allocated %d bytes, want one chunk (%d)", installedBytes(s), memChunkSize)
 	}
 	if s.inFlight != 0 {
 		t.Fatal("an isolated first touch started a look-ahead")
@@ -82,7 +94,7 @@ func TestMemStoreLazyAllocation(t *testing.T) {
 	}
 	allocated := func(when string, chunks int64) {
 		t.Helper()
-		if got := s.AllocatedBytes(); got != chunks*memChunkSize {
+		if got := installedBytes(s); got != chunks*memChunkSize {
 			t.Fatalf("look-ahead %s: %d bytes allocated, want %d chunks", when, got, chunks)
 		}
 	}
@@ -121,7 +133,7 @@ func TestMemStoreLookAheadOutlivesStore(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if s.next != nil || s.inFlight != 0 || s.AllocatedBytes() != 0 {
+			if s.next != nil || s.inFlight != 0 || installedBytes(s) != 0 {
 				t.Fatal("Close kept the look-ahead or the chunks")
 			}
 		}
@@ -296,8 +308,8 @@ func TestMemStoreMatchesFlatArrayProperty(t *testing.T) {
 					same(i, last)
 				}
 				same(i, int64(order.at((i+1+rng.Intn(chunks-1))%chunks))) // any chunk but this step's
-				if want := int64(len(touched)) * memChunkSize; s.AllocatedBytes() != want {
-					t.Fatalf("step %d: %d bytes allocated, want %d", i, s.AllocatedBytes(), want)
+				if want := int64(len(touched)) * memChunkSize; installedBytes(s) != want {
+					t.Fatalf("step %d: %d bytes allocated, want %d", i, installedBytes(s), want)
 				}
 			}
 			for ci := int64(0); ci < chunks; ci++ {
@@ -380,5 +392,46 @@ func TestFileStoreBounds(t *testing.T) {
 func TestFileStoreInvalidSize(t *testing.T) {
 	if _, err := OpenFileStore(filepath.Join(t.TempDir(), "img"), 0); err == nil {
 		t.Fatal("zero-size FileStore succeeded")
+	}
+}
+
+// TestCowStoreSnapshotSharing pins the O(1)-ness the crash sweep
+// depends on: a snapshot shares chunk storage with the live image
+// until a write diverges them.
+func TestCowStoreSnapshotSharing(t *testing.T) {
+	s := NewCowMemStore(1 << 22)
+	defer s.Close()
+	p := bytes.Repeat([]byte{7}, 1<<16+1<<10) // two chunks
+	if err := s.WriteAt(p, 0); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := snap.(*memSnapshot)
+	if len(s.chunks) != 2 || len(sn.chunks) != 2 || s.chunks[0] != sn.chunks[0] || s.chunks[1] != sn.chunks[1] {
+		t.Fatalf("live image holds %d chunks, snapshot %d; snapshots must share them", len(s.chunks), len(sn.chunks))
+	}
+	// Overwrite one sector: exactly that chunk is cloned, and the
+	// snapshot still restores the original bytes.
+	if err := s.WriteAt(make([]byte, 512), 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.chunks) != 2 || s.chunks[0] == sn.chunks[0] || s.chunks[1] != sn.chunks[1] {
+		t.Fatal("a one-sector write did not clone exactly its own chunk")
+	}
+	if err := sn.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 512)
+	if err := s.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, p[:512]) {
+		t.Fatal("restore did not bring back the pre-snapshot bytes")
+	}
+	if err := sn.Release(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -16,8 +16,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"lfs/internal/core"
 	"lfs/internal/disk"
 	"lfs/internal/ffs"
@@ -75,18 +73,4 @@ func NewFFS(capacity int64, cfg ffs.Config) (*System, error) {
 		return nil, err
 	}
 	return &System{System: fs, Name: "SunFFS", Disk: d}, nil
-}
-
-// BothSystems returns a fresh LFS and FFS pair with default (paper)
-// configurations on capacity-sized disks.
-func BothSystems(capacity int64) (*System, *System, error) {
-	l, err := NewLFS(capacity, core.DefaultConfig())
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: building LFS: %w", err)
-	}
-	f, err := NewFFS(capacity, ffs.DefaultConfig())
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: building FFS: %w", err)
-	}
-	return l, f, nil
 }

@@ -166,13 +166,6 @@ func (fs *FS) SetClient(id int) {
 // Clock returns the simulated clock.
 func (fs *FS) Clock() *sim.Clock { return fs.clock }
 
-// CacheStats returns buffer cache statistics.
-func (fs *FS) CacheStats() cache.Stats {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.bc.Stats()
-}
-
 // StatsSnapshot is a consistent copy of the baseline's statistics
 // surfaces, taken atomically under the FS lock.
 type StatsSnapshot struct {

@@ -28,9 +28,8 @@ type StoreFactory func(t *testing.T) disk.Store
 const storeMinSize = 4 << 20
 
 // RunStoreConformance runs the full store battery against the backend
-// produced by open. Capability clauses (snapshots, allocation
-// reporting) are skipped for stores that do not implement the
-// corresponding optional interface. The differential clauses take
+// produced by open. The snapshot clauses are skipped for stores that do
+// not implement disk.Snapshotter. The differential clauses take
 // disk.MemStore as their reference, look-ahead chunk and all; the
 // reference's own reference is the flat byte array of internal/disk's
 // TestMemStoreMatchesFlatArrayProperty.
@@ -50,7 +49,6 @@ func RunStoreConformance(t *testing.T, open StoreFactory) {
 		{"FaultInjectionIdentical", testStoreFaultInjectionIdentical},
 		{"SnapshotRewind", testStoreSnapshotRewind},
 		{"SnapshotIndependence", testStoreSnapshotIndependence},
-		{"AllocatedBytes", testStoreAllocatedBytes},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -439,33 +437,5 @@ func testStoreSnapshotIndependence(t *testing.T, open StoreFactory) {
 	}
 	if err := sn2.Release(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func testStoreAllocatedBytes(t *testing.T, open StoreFactory) {
-	s := openChecked(t, open)
-	alloc, ok := s.(disk.Allocator)
-	if !ok {
-		t.Skipf("%T does not implement disk.Allocator", s)
-	}
-	if got := alloc.AllocatedBytes(); got < 0 {
-		t.Fatalf("fresh store AllocatedBytes = %d, want >= 0", got)
-	}
-	// A quarter-megabyte of data plus a sync must show up in the
-	// accounting, and a sparse store must not charge anywhere near
-	// the full capacity for it.
-	p := bytes.Repeat([]byte{0xC3}, 256<<10)
-	if err := s.WriteAt(p, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	got := alloc.AllocatedBytes()
-	if got <= 0 {
-		t.Fatalf("AllocatedBytes = %d after writing and syncing %d bytes, want > 0", got, len(p))
-	}
-	if slack := s.Size() + (1 << 20); got > slack {
-		t.Fatalf("AllocatedBytes = %d exceeds capacity %d plus slack", got, s.Size())
 	}
 }

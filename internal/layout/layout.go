@@ -65,9 +65,6 @@ func (m FileMode) IsDir() bool { return m&ModeDir != 0 }
 // IsRegular reports whether the mode describes a regular file.
 func (m FileMode) IsRegular() bool { return m&ModeFile != 0 }
 
-// Perm returns the permission bits.
-func (m FileMode) Perm() uint16 { return uint16(m) & 0o777 }
-
 // Inode is the disk-resident per-file metadata record. The Atime field
 // deliberately does not appear here: the paper keeps access time in the
 // inode map (footnote 2) so that reading a file does not move its

@@ -504,6 +504,3 @@ func (ix *Index) Reachable(fn *ast.FuncDecl) bool {
 	fi, ok := ix.funcOf[fn]
 	return ok && ix.reachable[fi]
 }
-
-// FuncFor returns the index entry of a declaration, or nil.
-func (ix *Index) FuncFor(fn *ast.FuncDecl) *FuncInfo { return ix.funcOf[fn] }

@@ -13,7 +13,6 @@ import (
 // and the conformance/crash harness.
 var storeCapNames = map[string]bool{
 	"Snapshotter": true,
-	"Allocator":   true,
 }
 
 // storeCapDirs are the approved probe sites.

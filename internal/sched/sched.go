@@ -67,7 +67,6 @@ type Loop struct {
 	rng   *rand.Rand
 	heap  eventHeap
 	seq   uint64
-	ran   int64
 	// pending maps live (uncancelled, unrun) event IDs to their
 	// events so Cancel is O(1); ncancelled counts tombstones still in
 	// the heap so Len stays exact.
@@ -110,9 +109,6 @@ func (l *Loop) RNG() *rand.Rand { return l.rng }
 
 // Len returns the number of pending (uncancelled) events.
 func (l *Loop) Len() int { return len(l.heap) - l.ncancelled }
-
-// Processed returns the number of events run so far.
-func (l *Loop) Processed() int64 { return l.ran }
 
 // At schedules fn at absolute simulated time t. Scheduling in the past
 // is allowed — the event fires as soon as the loop reaches it, with
@@ -185,7 +181,6 @@ func (l *Loop) Step() (string, bool) {
 	ev := heap.Pop(&l.heap).(*event)
 	delete(l.pending, EventID(ev.seq))
 	l.clock.AdvanceTo(ev.at)
-	l.ran++
 	// The handler may schedule into the event it ran from.
 	name, fn := ev.name, ev.fn
 	ev.fn = nil
@@ -200,25 +195,11 @@ func (l *Loop) Step() (string, bool) {
 // processed by this call. Handlers may schedule further events; the
 // loop keeps going until the heap is empty.
 func (l *Loop) Run() int64 {
-	start := l.ran
+	var n int64
 	for {
 		if _, ok := l.Step(); !ok {
-			return l.ran - start
+			return n
 		}
-	}
-}
-
-// RunUntil steps through every event scheduled at or before deadline
-// and returns the number processed. Events a handler schedules inside
-// the window are processed too; events beyond the deadline stay
-// queued.
-func (l *Loop) RunUntil(deadline sim.Time) int64 {
-	start := l.ran
-	for {
-		l.purgeCancelled()
-		if len(l.heap) == 0 || l.heap[0].at > deadline {
-			return l.ran - start
-		}
-		l.Step()
+		n++
 	}
 }

@@ -50,7 +50,7 @@ func TestPastEventsRunWithoutRewind(t *testing.T) {
 }
 
 // TestHandlersScheduleMore verifies events scheduled from inside a
-// handler are processed, and RunUntil respects its deadline.
+// handler are processed.
 func TestHandlersScheduleMore(t *testing.T) {
 	clock := sim.NewClock()
 	l := NewLoop(clock, 1)
@@ -63,15 +63,11 @@ func TestHandlersScheduleMore(t *testing.T) {
 		}
 	}
 	l.At(0, "tick", tick)
-	if n := l.RunUntil(25); n != 3 { // ticks at 0, 10, 20
-		t.Fatalf("RunUntil(25) processed %d, want 3", n)
+	if n := l.Run(); n != 5 || count != 5 {
+		t.Fatalf("Run processed %d events and %d ticks, want 5 and 5", n, count)
 	}
-	if l.Len() != 1 {
-		t.Fatalf("pending events %d, want 1", l.Len())
-	}
-	l.Run()
-	if count != 5 {
-		t.Errorf("ran %d ticks, want 5", count)
+	if l.Len() != 0 || clock.Now() != 40 {
+		t.Fatalf("%d events pending at %v, want 0 at 40ns", l.Len(), clock.Now())
 	}
 }
 
@@ -130,7 +126,7 @@ func TestReentrantStepPanics(t *testing.T) {
 }
 
 // TestCancel verifies cancelled events neither run nor advance the
-// clock, and that Len/Processed exclude them.
+// clock, and that Len and Run's count exclude them.
 func TestCancel(t *testing.T) {
 	clock := sim.NewClock()
 	l := NewLoop(clock, 1)
@@ -183,8 +179,7 @@ func TestCancelLastEventLeavesClock(t *testing.T) {
 	}
 }
 
-// TestCancelFromHandler verifies a handler may cancel a later event,
-// including via RunUntil's front-purge path.
+// TestCancelFromHandler verifies a handler may cancel a later event.
 func TestCancelFromHandler(t *testing.T) {
 	clock := sim.NewClock()
 	l := NewLoop(clock, 1)
@@ -195,8 +190,8 @@ func TestCancelFromHandler(t *testing.T) {
 		ran = append(ran, "canceller")
 		l.Cancel(idLater)
 	})
-	if n := l.RunUntil(100); n != 1 {
-		t.Fatalf("RunUntil processed %d events, want 1", n)
+	if n := l.Run(); n != 1 {
+		t.Fatalf("Run processed %d events, want 1", n)
 	}
 	if len(ran) != 1 || ran[0] != "canceller" {
 		t.Fatalf("ran %v, want [canceller]", ran)

@@ -51,11 +51,10 @@ type fileSyncer interface {
 
 // metricsTicker is the optional metrics-plane pump (LFS and the shard
 // router have it). When MetricsInterval is positive — a sampler is
-// attached — the loop calls TickMetrics at that spacing, so think-time
-// gaps between operations still produce samples. The pump is cancelled
-// the moment the last operation completes, so it never extends the run,
-// and its events are excluded from Result.Events: a sampled run reports
-// identical results.
+// attached — the loop calls TickMetrics at that spacing, however the
+// operations fall. The pump is cancelled the moment the last operation
+// completes, so it never extends the run, and its events are excluded
+// from Result.Events: a sampled run reports identical results.
 type metricsTicker interface {
 	TickMetrics()
 	MetricsInterval() sim.Duration
@@ -84,11 +83,6 @@ type Config struct {
 	WriteSize int
 	// FilesPerClient is how many files each client cycles through.
 	FilesPerClient int
-	// ThinkTime is the mean simulated pause between one operation
-	// completing and the next being issued; each pause is jittered
-	// uniformly in [0, ThinkTime) plus a sub-microsecond stagger so
-	// clients do not stay in lockstep. Zero means back-to-back.
-	ThinkTime sim.Duration
 	// Seed makes the run reproducible; it feeds the event loop and
 	// every per-client RNG.
 	Seed int64
@@ -103,7 +97,7 @@ type Config struct {
 }
 
 // DefaultConfig returns a small-file commit workload: 4 KB writes,
-// each fsynced, no think time.
+// each fsynced.
 func DefaultConfig() Config {
 	return Config{
 		Clients:        4,
@@ -127,9 +121,6 @@ func (c Config) Validate() error {
 	}
 	if c.FilesPerClient < 1 {
 		return fmt.Errorf("server: %d files per client", c.FilesPerClient)
-	}
-	if c.ThinkTime < 0 {
-		return fmt.Errorf("server: negative think time %v", c.ThinkTime)
 	}
 	return nil
 }
@@ -275,9 +266,8 @@ func Run(fsys FS, cfg Config) (Result, error) {
 		client := c
 		st := &res.PerClient[client-1]
 		st.Client = client
-		// Each client draws think-time jitter from its own seeded
-		// stream, so adding a client never perturbs the others'
-		// schedules.
+		// Each client draws its stagger from its own seeded stream, so
+		// adding a client never perturbs the others' schedules.
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(client)*0x9e3779b9))
 		st.Latency = obs.NewLatencyHistogram()
 		// The client's paths are built once, not formatted per event.
@@ -308,7 +298,7 @@ func Run(fsys FS, cfg Config) (Result, error) {
 				stopPump()
 			}
 			if n < cfg.OpsPerClient {
-				d := think(rng, cfg.ThinkTime)
+				d := think(rng)
 				intendedWrite = loop.Clock().Now().Add(d)
 				loop.After(d, "write", issue)
 			}
@@ -406,16 +396,10 @@ func Run(fsys FS, cfg Config) (Result, error) {
 // clientDir returns client c's working directory.
 func clientDir(c int) string { return fmt.Sprintf("/client%02d", c) }
 
-// think draws the pause before a client's next operation: uniform
-// jitter in [0, mean) on top of a sub-microsecond floor, so same-seed
-// runs repeat exactly and zero think time still breaks lockstep.
-func think(rng *rand.Rand, mean sim.Duration) sim.Duration {
-	d := sim.Duration(rng.Int63n(1000))
-	if mean > 0 {
-		d += sim.Duration(rng.Int63n(int64(mean)))
-	}
-	return d
-}
+// think draws the pause before a client's next operation: a
+// sub-microsecond stagger, so clients issue back to back without staying
+// in lockstep, and same-seed runs repeat exactly.
+func think(rng *rand.Rand) sim.Duration { return sim.Duration(rng.Int63n(1000)) }
 
 // syncFile forces path's data to disk, preferring the single-file
 // fsync when the target has one.

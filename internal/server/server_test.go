@@ -147,7 +147,6 @@ func TestDeterminism(t *testing.T) {
 		cfg := server.DefaultConfig()
 		cfg.Clients = 6
 		cfg.OpsPerClient = 12
-		cfg.ThinkTime = 2 * sim.Millisecond
 		lfs, rec := newLFS(t, true)
 		if _, err := server.Run(lfs, cfg); err != nil {
 			t.Fatal(err)
@@ -171,7 +170,6 @@ func TestDeterminism(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.Clients = 6
 	cfg.OpsPerClient = 12
-	cfg.ThinkTime = 2 * sim.Millisecond
 	cfg.Seed = 99
 	lfs, rec := newLFS(t, true)
 	if _, err := server.Run(lfs, cfg); err != nil {
@@ -193,7 +191,6 @@ func TestConfigValidation(t *testing.T) {
 		{Clients: 1, OpsPerClient: 0, WriteSize: 1, FilesPerClient: 1},
 		{Clients: 1, OpsPerClient: 1, WriteSize: 0, FilesPerClient: 1},
 		{Clients: 1, OpsPerClient: 1, WriteSize: 1, FilesPerClient: 0},
-		{Clients: 1, OpsPerClient: 1, WriteSize: 1, FilesPerClient: 1, ThinkTime: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -214,7 +211,6 @@ func TestMetricsPumpIsInvisible(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.Clients = 3
 	cfg.OpsPerClient = 20
-	cfg.ThinkTime = 5 * sim.Millisecond
 
 	base, _ := newLFS(t, true)
 	want, err := server.Run(base, cfg)
@@ -265,10 +261,9 @@ func (f *tickOnly) TickMetrics() { f.ticks++ }
 
 // TestTickWithoutIntervalIsNotPumped: the pump runs at the target's own
 // interval, so a target that names none is never pumped, however long
-// its clients think.
+// the run.
 func TestTickWithoutIntervalIsNotPumped(t *testing.T) {
 	cfg := server.DefaultConfig()
-	cfg.ThinkTime = 5 * sim.Millisecond
 	lfs, _ := newLFS(t, true)
 	fs := &tickOnly{FS: lfs}
 	if _, err := server.Run(fs, cfg); err != nil {

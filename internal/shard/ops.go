@@ -18,7 +18,7 @@ func (fs *FS) route(op, path string) (*core.FS, error) {
 	if err != nil {
 		return nil, vfs.WrapPathError(op, path, err)
 	}
-	return fs.on(fs.place(path, parts)), nil
+	return fs.on(fs.place(parts)), nil
 }
 
 // Create makes the file on its placed shard.
@@ -32,18 +32,13 @@ func (fs *FS) Create(path string) error {
 	return s.Create(path)
 }
 
-// Mkdir creates a pinned directory on its pin's shard and replicates
-// an unpinned one on every shard (in shard order), so the parent
-// chain of any hash-placed file exists wherever the hash may land.
+// Mkdir replicates the directory on every shard (in shard order), so
+// the parent chain of any file exists wherever the hash may land.
 func (fs *FS) Mkdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parts, err := vfs.AppendPath(fs.parts[:0], path)
-	if err != nil {
+	if _, err := vfs.AppendPath(fs.parts[:0], path); err != nil {
 		return vfs.WrapPathError("mkdir", path, err)
-	}
-	if s, ok := fs.pinFor(parts); ok {
-		return fs.on(s).Mkdir(path)
 	}
 	for i := range fs.shards {
 		if err := fs.on(i).Mkdir(path); err != nil {
@@ -89,12 +84,11 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 	return s.Stat(path)
 }
 
-// ReadDir lists a pinned directory from its pin's shard; for a
-// replicated directory it merges every shard's listing, deduplicated
-// by name (a replicated subdirectory appears on all shards) and
-// name-sorted. Each name's entry is taken from the name's own home
-// shard — the shard Stat would serve it from — so inode numbers are
-// consistent between ReadDir and Stat.
+// ReadDir merges every shard's listing of the directory, deduplicated
+// by name (a subdirectory appears on all shards) and name-sorted. Each
+// name's entry is taken from the name's own home shard — the shard Stat
+// would serve it from — so inode numbers are consistent between ReadDir
+// and Stat.
 func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -102,13 +96,10 @@ func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 	if err != nil {
 		return nil, vfs.WrapPathError("readdir", path, err)
 	}
-	if s, ok := fs.pinFor(parts); ok {
-		return fs.on(s).ReadDir(path)
-	}
 	if len(fs.shards) == 1 {
 		return fs.on(0).ReadDir(path)
 	}
-	home := fs.place(path, parts)
+	home := fs.place(parts)
 	lists := make([][]layout.DirEntry, len(fs.shards))
 	errs := make([]error, len(fs.shards))
 	for i := range fs.shards {
@@ -128,15 +119,11 @@ func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 	var names []string
 	for i, list := range lists {
 		for _, e := range list {
-			child := path + "/" + e.Name
-			if path == "/" {
-				child = "/" + e.Name
-			}
 			if _, ok := seen[e.Name]; !ok {
 				names = append(names, e.Name)
 				seen[e.Name] = e
 			}
-			if fs.place(child, append(parts[:len(parts):len(parts)], e.Name)) == i {
+			if fs.place(append(parts[:len(parts):len(parts)], e.Name)) == i {
 				seen[e.Name] = e
 			}
 		}
@@ -149,10 +136,10 @@ func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 	return out, nil
 }
 
-// Remove unlinks a file on its shard; removing a replicated
-// directory first verifies it is empty on every shard (any entry
-// anywhere fails the whole operation) and then removes every
-// replica, so no shard is left with a stale copy.
+// Remove unlinks a file on its shard; removing a directory first
+// verifies it is empty on every shard (any entry anywhere fails the
+// whole operation) and then removes every replica, so no shard is left
+// with a stale copy.
 func (fs *FS) Remove(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -160,10 +147,7 @@ func (fs *FS) Remove(path string) error {
 	if err != nil {
 		return vfs.WrapPathError("remove", path, err)
 	}
-	if s, ok := fs.pinFor(parts); ok {
-		return fs.on(s).Remove(path)
-	}
-	home := fs.place(path, parts)
+	home := fs.place(parts)
 	if len(fs.shards) == 1 || len(parts) == 0 {
 		// Single shard, or the root: delegate for the exact core
 		// error (the root cannot be removed).
@@ -195,13 +179,12 @@ func (fs *FS) Remove(path string) error {
 // Rename moves oldPath to newPath when both place on one shard. A
 // cross-shard rename fails with ErrCrossShard — a log-structured
 // shard cannot atomically adopt blocks another log owns — as does
-// renaming a replicated directory (its descendants would re-hash to
-// other shards); directory renames are allowed when both ends sit
-// inside pinned subtrees on the same shard.
+// renaming a directory (its descendants would re-hash to other
+// shards).
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	s, err := fs.relink("rename", oldPath, newPath, true)
+	s, err := fs.relink("rename", oldPath, newPath)
 	if err != nil {
 		return err
 	}
@@ -214,7 +197,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 func (fs *FS) Link(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	s, err := fs.relink("link", oldPath, newPath, false)
+	s, err := fs.relink("link", oldPath, newPath)
 	if err != nil {
 		return err
 	}
@@ -223,10 +206,9 @@ func (fs *FS) Link(oldPath, newPath string) error {
 
 // relink implements the shared two-path placement rules of Rename
 // and Link: it returns the shard that owns both ends, or the router's
-// own refusal. dirOK permits directory sources when both ends are
-// pinned to one shard (renames do; links never link directories, so
-// core rejects them anyway).
-func (fs *FS) relink(op, oldPath, newPath string, dirOK bool) (int, error) {
+// own refusal. A directory source is the router's to refuse for a
+// rename; a link delegates it, and core rejects linking directories.
+func (fs *FS) relink(op, oldPath, newPath string) (int, error) {
 	po, err := vfs.AppendPath(fs.parts[:0], oldPath)
 	if err != nil {
 		return 0, vfs.WrapPathError(op, oldPath, err)
@@ -238,28 +220,17 @@ func (fs *FS) relink(op, oldPath, newPath string, dirOK bool) (int, error) {
 	if len(fs.shards) == 1 {
 		return 0, nil
 	}
-	so := fs.place(oldPath, po)
-	sn := fs.place(newPath, pn)
+	so := fs.place(po)
+	sn := fs.place(pn)
 	fi, err := fs.shards[so].Stat(oldPath)
 	if err != nil {
 		// Source missing (or the root): delegate for the exact core
 		// error under the right op name.
 		return so, nil
 	}
-	if fi.IsDir() && dirOK {
-		_, oldPinned := fs.pinFor(po)
-		_, newPinned := fs.pinFor(pn)
-		if oldPinned && newPinned && so == sn {
-			return so, nil
-		}
-		if so != sn {
-			return 0, vfs.WrapPathError(op, oldPath, fmt.Errorf(
-				"%w: directory %q places on shard %d, %q on shard %d",
-				ErrCrossShard, oldPath, so, newPath, sn))
-		}
+	if fi.IsDir() && op == "rename" {
 		return 0, vfs.WrapPathError(op, oldPath, fmt.Errorf(
-			"%w: directory %q is replicated across shards; pin the subtree to rename it",
-			ErrCrossShard, oldPath))
+			"%w: directory %q is replicated across shards", ErrCrossShard, oldPath))
 	}
 	if so != sn {
 		return 0, vfs.WrapPathError(op, oldPath, fmt.Errorf(
@@ -295,7 +266,7 @@ func (fs *FS) FsyncFile(path string) error {
 	if err != nil {
 		return vfs.WrapPathError("fsync", path, err)
 	}
-	home := fs.place(path, parts)
+	home := fs.place(parts)
 	// Time spent kicking the other shards' transfers is cross-shard
 	// fan-out wait: the home fsync could not start until the
 	// broadcast finished, so its span carries the delay explicitly

@@ -9,26 +9,20 @@
 // (see FORMAT.md), and SSDFS-style multi-log layouts are the
 // precedent.
 //
-// Placement. A file lives on exactly one shard. By default the shard
-// is a deterministic hash (FNV-1a) of the file's canonical absolute
-// path; Options.Pins overrides the hash for whole directory subtrees
-// (longest-prefix wins), so a workload can keep a tree's files — and
-// the tree itself — on one log. Directories outside pinned subtrees
-// are *replicated*: Mkdir broadcasts to every shard, so the parent
-// chain of any hashed file exists on its shard, and ReadDir of a
-// replicated directory merges every shard's entries (deduplicated by
-// name, name-sorted). Paths inside a pinned subtree — directories
-// included — exist only on the pin's shard.
+// Placement. A file lives on exactly one shard: a deterministic hash
+// (FNV-1a) of its canonical absolute path. Directories are
+// *replicated*: Mkdir broadcasts to every shard, so the parent chain of
+// any file exists on its shard, and ReadDir merges every shard's
+// entries (deduplicated by name, name-sorted).
 //
 // Renames and links resolve both paths: when they place on the same
 // shard the operation delegates untouched; when they cross shards it
 // fails with ErrCrossShard (wrapped in *vfs.PathError), because a
 // log-structured shard cannot atomically move blocks it does not own.
-// Renaming a replicated directory is likewise rejected (its
-// descendants would re-hash to other shards); a directory rename is
-// allowed when both ends sit inside pinned subtrees on one shard.
-// With a single shard the router is a transparent passthrough and
-// every operation, directory renames included, delegates.
+// Renaming a directory is always rejected the same way: its
+// descendants would re-hash to other shards. With a single shard the
+// router is a transparent passthrough and every operation, directory
+// renames included, delegates.
 //
 // Determinism. The router holds no clock and charges no CPU: it is a
 // pure function from path to shard, and all shards share one
@@ -45,8 +39,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"lfs/internal/core"
@@ -58,20 +50,13 @@ import (
 
 // ErrCrossShard reports a two-path operation (Rename, Link) whose
 // source and destination place on different shards, or a rename of a
-// replicated directory. Callers test it with errors.Is; the router
+// directory. Callers test it with errors.Is; the router
 // wraps it in *vfs.PathError like every other operation error.
 var ErrCrossShard = errors.New("operation crosses shard boundaries")
 
 // Options shapes a sharded system. The shard count is the number of
-// disks given to Format/Mount; the zero Options is valid and places
-// everything by hash.
+// disks given to Format/Mount; the zero Options is valid.
 type Options struct {
-	// Pins maps directory-subtree roots (canonical absolute paths,
-	// e.g. "/build") to the shard index that owns the whole subtree.
-	// Longest-prefix wins. Nested pins must agree on the shard:
-	// pinning "/a" and "/a/b" to different shards would strand
-	// "/a/b"'s parent chain and is rejected at Format/Mount.
-	Pins map[string]int
 	// Base is the per-shard core configuration. Format and Mount use
 	// it verbatim for every shard unless ShardConfig is set.
 	Base core.Config
@@ -85,12 +70,6 @@ type Options struct {
 	ShardConfig func(shard int, base core.Config) core.Config
 }
 
-// pin is one validated subtree pin.
-type pin struct {
-	parts []string
-	shard int
-}
-
 // FS is the sharded multi-log file system: a router over N core.FS
 // instances. It implements vfs.FileSystem (plus the FsyncFile,
 // SetClient, Clock, TickMetrics, and DropCaches hooks the server and
@@ -102,13 +81,10 @@ type FS struct {
 	mu     sync.Mutex
 	shards []*core.FS
 
-	// disks, clock, opts, and pins are set at mount and immutable
-	// thereafter.
+	// disks, clock and opts are set at mount and immutable thereafter.
 	disks []*disk.Disk
 	clock *sim.Clock
 	opts  Options
-	// pins is the validated pin list, longest prefix first.
-	pins []pin
 
 	// parked holds waits noted against the router before the next
 	// operation (the event loop's dispatch gaps); the router records
@@ -138,57 +114,6 @@ func (fs *FS) NoteWait(kind obs.PhaseKind, d sim.Duration) {
 func (fs *FS) on(i int) *core.FS {
 	fs.parked.HandOff(fs.shards[i])
 	return fs.shards[i]
-}
-
-// validatePins parses and orders opts.Pins for n shards.
-func validatePins(opts Options, n int) ([]pin, error) {
-	keys := make([]string, 0, len(opts.Pins))
-	for k := range opts.Pins {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	pins := make([]pin, 0, len(keys))
-	for _, k := range keys {
-		s := opts.Pins[k]
-		if s < 0 || s >= n {
-			return nil, fmt.Errorf("shard: pin %q names shard %d of %d", k, s, n)
-		}
-		parts, err := vfs.SplitPath(k)
-		if err != nil {
-			return nil, fmt.Errorf("shard: pin %q: %w", k, err)
-		}
-		if len(parts) == 0 {
-			return nil, fmt.Errorf("shard: cannot pin the root (use a single shard instead)")
-		}
-		pins = append(pins, pin{parts: parts, shard: s})
-	}
-	// Nested pins must agree on the shard, or the inner subtree's
-	// parent chain would not exist on its shard.
-	for i := range pins {
-		for j := range pins {
-			if i != j && isPrefix(pins[i].parts, pins[j].parts) && pins[i].shard != pins[j].shard {
-				return nil, fmt.Errorf("shard: nested pins %q (shard %d) and %q (shard %d) disagree",
-					"/"+strings.Join(pins[i].parts, "/"), pins[i].shard,
-					"/"+strings.Join(pins[j].parts, "/"), pins[j].shard)
-			}
-		}
-	}
-	// Longest prefix first, so pinFor's first match wins.
-	sort.SliceStable(pins, func(i, j int) bool { return len(pins[i].parts) > len(pins[j].parts) })
-	return pins, nil
-}
-
-// isPrefix reports whether a is a proper path-component prefix of b.
-func isPrefix(a, b []string) bool {
-	if len(a) >= len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // checkDisks validates the disk set and the shared clock.
@@ -224,9 +149,6 @@ func Format(disks []*disk.Disk, opts Options) error {
 	if err := checkDisks(disks); err != nil {
 		return err
 	}
-	if _, err := validatePins(opts, len(disks)); err != nil {
-		return err
-	}
 	for i, d := range disks {
 		// Formatting must not consume the per-shard observability
 		// hooks: samplers bind once, at mount, so the ShardConfig hook
@@ -248,16 +170,11 @@ func Mount(disks []*disk.Disk, opts Options) (*FS, error) {
 	if err := checkDisks(disks); err != nil {
 		return nil, err
 	}
-	pins, err := validatePins(opts, len(disks))
-	if err != nil {
-		return nil, err
-	}
 	fs := &FS{
 		shards: make([]*core.FS, len(disks)),
 		disks:  append([]*disk.Disk(nil), disks...),
 		clock:  disks[0].Clock(),
 		opts:   opts,
-		pins:   pins,
 		parts:  make([]string, 0, vfs.PathDepth),
 	}
 	for i, d := range disks {
@@ -307,9 +224,9 @@ func (fs *FS) ShardFS(i int) *core.FS {
 	return fs.shards[i]
 }
 
-// ShardFor reports which shard owns path: the pinned shard inside a
-// pinned subtree, the path hash otherwise. Replicated directories
-// report their home shard (the one Stat serves them from).
+// ShardFor reports which shard owns path: the path hash. Directories,
+// replicated on every shard, report their home shard (the one Stat
+// serves them from).
 func (fs *FS) ShardFor(path string) (int, error) {
 	// Not under mu, so not into fs.parts: the array stays on the stack.
 	var buf [vfs.PathDepth]string
@@ -317,36 +234,11 @@ func (fs *FS) ShardFor(path string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return fs.place(path, parts), nil
-}
-
-// pinFor returns the pinned shard for parts if any pin's subtree
-// contains it (the pin root itself included). pins is ordered longest
-// prefix first, so the first match is the innermost pin.
-func (fs *FS) pinFor(parts []string) (int, bool) {
-	for _, p := range fs.pins {
-		if len(p.parts) > len(parts) {
-			continue
-		}
-		match := true
-		for i := range p.parts {
-			if p.parts[i] != parts[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return p.shard, true
-		}
-	}
-	return 0, false
+	return fs.place(parts), nil
 }
 
 // place maps a validated path to its owning shard.
-func (fs *FS) place(path string, parts []string) int {
-	if s, ok := fs.pinFor(parts); ok {
-		return s
-	}
+func (fs *FS) place(parts []string) int {
 	return int(hashPath(parts) % uint64(len(fs.disks)))
 }
 

@@ -64,10 +64,7 @@ func TestConformancePoisonedRecycling(t *testing.T) {
 }
 
 func TestPlacement(t *testing.T) {
-	fs := newShards(t, 4, shard.Options{
-		Base: testConfig(),
-		Pins: map[string]int{"/pinned": 2, "/pinned/deeper": 2},
-	})
+	fs := newShards(t, 4, shard.Options{Base: testConfig()})
 
 	s1, err := fs.ShardFor("/some/file")
 	if err != nil {
@@ -80,36 +77,8 @@ func TestPlacement(t *testing.T) {
 	if s1 != s2 {
 		t.Fatalf("equivalent spellings place differently: %d vs %d", s1, s2)
 	}
-	for _, p := range []string{"/pinned", "/pinned/a", "/pinned/deeper/x/y"} {
-		s, err := fs.ShardFor(p)
-		if err != nil {
-			t.Fatalf("ShardFor(%s): %v", p, err)
-		}
-		if s != 2 {
-			t.Fatalf("ShardFor(%s) = %d, want pinned shard 2", p, s)
-		}
-	}
 	if _, err := fs.ShardFor("bad"); !errors.Is(err, vfs.ErrInvalid) {
 		t.Fatalf("ShardFor(relative) = %v, want ErrInvalid", err)
-	}
-}
-
-func TestPinValidation(t *testing.T) {
-	mk := func(opts shard.Options) error {
-		_, err := shard.NewMem(2, 32<<20, opts)
-		return err
-	}
-	if err := mk(shard.Options{Base: testConfig(), Pins: map[string]int{"/a": 5}}); err == nil {
-		t.Fatal("out-of-range pin accepted")
-	}
-	if err := mk(shard.Options{Base: testConfig(), Pins: map[string]int{"/": 0}}); err == nil {
-		t.Fatal("root pin accepted")
-	}
-	if err := mk(shard.Options{Base: testConfig(), Pins: map[string]int{"/a": 0, "/a/b": 1}}); err == nil {
-		t.Fatal("disagreeing nested pins accepted")
-	}
-	if err := mk(shard.Options{Base: testConfig(), Pins: map[string]int{"/a": 1, "/a/b": 1}}); err != nil {
-		t.Fatalf("agreeing nested pins rejected: %v", err)
 	}
 }
 
@@ -207,10 +176,7 @@ func findName(t *testing.T, fs *shard.FS, dir, prefix, anchor string, same bool)
 }
 
 func TestRenameAndLinkPlacement(t *testing.T) {
-	fs := newShards(t, 4, shard.Options{
-		Base: testConfig(),
-		Pins: map[string]int{"/pa": 1, "/pb": 1},
-	})
+	fs := newShards(t, 4, shard.Options{Base: testConfig()})
 	if err := fs.Mkdir("/d"); err != nil {
 		t.Fatal(err)
 	}
@@ -259,30 +225,16 @@ func TestRenameAndLinkPlacement(t *testing.T) {
 		t.Fatalf("same-shard link: %v", err)
 	}
 
-	// Renaming a replicated directory is rejected outright.
-	if err := fs.Rename("/d", "/d2"); !errors.Is(err, shard.ErrCrossShard) {
-		t.Fatalf("replicated dir rename = %v, want ErrCrossShard", err)
+	// Renaming a directory is rejected outright, even to a name that
+	// places on its own home shard: its children hash from its path.
+	for _, same := range []bool{false, true} {
+		to := findName(t, fs, "", "dir", "/d", same)
+		if err := fs.Rename("/d", to); !errors.Is(err, shard.ErrCrossShard) {
+			t.Fatalf("dir rename to %s (same home shard: %v) = %v, want ErrCrossShard", to, same, err)
+		}
 	}
-
-	// A directory rename between pinned subtrees on one shard works,
-	// and files inside keep resolving.
-	if err := fs.Mkdir("/pa"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Mkdir("/pb"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Mkdir("/pa/sub"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Create("/pa/sub/x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename("/pa/sub", "/pb/sub"); err != nil {
-		t.Fatalf("pinned dir rename: %v", err)
-	}
-	if _, err := fs.Stat("/pb/sub/x"); err != nil {
-		t.Fatalf("stat after pinned dir rename: %v", err)
+	if _, err := fs.Stat(dst); err != nil {
+		t.Fatalf("a file vanished after a rejected dir rename: %v", err)
 	}
 }
 
@@ -306,7 +258,6 @@ func TestDeterminismAcrossShardCounts(t *testing.T) {
 		OpsPerClient:   24,
 		WriteSize:      4096,
 		FilesPerClient: 4,
-		ThinkTime:      2 * sim.Millisecond,
 		Seed:           7,
 	}
 	for _, n := range []int{1, 2, 4} {

@@ -21,11 +21,6 @@ type FragmentOpts struct {
 	Seed int64
 }
 
-// DefaultFragment returns a Figure 5 load at the given utilization.
-func DefaultFragment(keep float64) FragmentOpts {
-	return FragmentOpts{NumFiles: 4000, FileSize: 1024, KeepFraction: keep, Dir: "/frag", Seed: 5}
-}
-
 // Fragment creates the files, syncs, then deletes an evenly spread
 // (1-KeepFraction) of them and syncs again. Deletions are spread
 // uniformly across creation order so every segment ends up at about

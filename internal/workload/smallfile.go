@@ -26,11 +26,6 @@ func DefaultSmallFile1K() SmallFileOpts {
 	return SmallFileOpts{NumFiles: 10000, FileSize: 1024, Dir: "/small1k", SyncBetweenPhases: true, Seed: 42}
 }
 
-// DefaultSmallFile10K returns the paper's 1000 × 10 KB configuration.
-func DefaultSmallFile10K() SmallFileOpts {
-	return SmallFileOpts{NumFiles: 1000, FileSize: 10240, Dir: "/small10k", SyncBetweenPhases: true, Seed: 42}
-}
-
 // SmallFileResult holds the three measured phases of Figure 3.
 type SmallFileResult struct {
 	Create Phase

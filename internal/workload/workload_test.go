@@ -86,19 +86,9 @@ func TestDefaultOptsMatchPaper(t *testing.T) {
 	if o1.NumFiles != 10000 || o1.FileSize != 1024 {
 		t.Errorf("1K opts = %+v", o1)
 	}
-	o10 := workload.DefaultSmallFile10K()
-	if o10.NumFiles != 1000 || o10.FileSize != 10240 {
-		t.Errorf("10K opts = %+v", o10)
-	}
-	// Both configurations total ~10 MB, as the paper specifies
-	// ("creating 10 megabytes of small files").
-	for _, total := range []int64{
-		int64(o1.NumFiles) * int64(o1.FileSize),
-		int64(o10.NumFiles) * int64(o10.FileSize),
-	} {
-		if total < 9<<20 || total > 11<<20 {
-			t.Errorf("configuration totals %d bytes, want ~10MB", total)
-		}
+	// The paper creates "10 megabytes of small files".
+	if total := int64(o1.NumFiles) * int64(o1.FileSize); total < 9<<20 || total > 11<<20 {
+		t.Errorf("configuration totals %d bytes, want ~10MB", total)
 	}
 	lf := workload.DefaultLargeFile()
 	if lf.FileSize != 100<<20 || lf.RequestSize != 8192 {

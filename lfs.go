@@ -149,8 +149,8 @@ func TreeSize(fsys vfs.FileSystem, root string) (bytes int64, files, dirs int, e
 }
 
 // ShardOptions configures a sharded multi-log array (see DESIGN.md
-// §12): placement pins, the per-shard base Config, and the per-shard
-// observability hook.
+// §12): the per-shard base Config and the per-shard observability
+// hook.
 type ShardOptions = shard.Options
 
 // NewClock returns a fresh simulated clock, for assembling

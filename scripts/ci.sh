@@ -51,7 +51,9 @@ echo "== size =="
 # in-core inode table: 25 464. Lower it when a change shrinks the tree.
 # One op vocabulary, reference model and tree walk in fstest: 25 372.
 # One JSONL reader, writer, histogram and ring in obs: 25 292.
-size_ceiling=25292
+# Shard pins, the Allocator capability, two unused knobs and methods only
+# tests called deleted: 24 923.
+size_ceiling=24923
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
