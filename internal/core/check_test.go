@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -210,9 +212,13 @@ func TestCrashTortureWithTornWrites(t *testing.T) {
 	}
 }
 
+// TestDumpFormats holds lfsdump -segments on a small deterministic image
+// to testdata/dump.golden, and on a damaged copy to
+// testdata/dump_damaged.golden: the unit at block 4 has a flipped data
+// byte (its line gains the verdict) and the one at block 9 a flipped
+// summary byte (a verdict line, and the walk of the segment ends there).
 func TestDumpFormats(t *testing.T) {
-	clock := sim.NewClock()
-	d := disk.NewMem(16<<20, clock)
+	d := disk.NewMem(16<<20, sim.NewClock())
 	cfg := testConfig()
 	if err := core.Format(d, cfg); err != nil {
 		t.Fatal(err)
@@ -230,16 +236,30 @@ func TestDumpFormats(t *testing.T) {
 	if err := fs.Unmount(); err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := core.Dump(&sb, d, true); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"superblock:", "checkpoint 0:", "checkpoint 1:", "log units:", "serial"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump output missing %q:\n%s", want, out)
+	dumpIs := func(golden string) {
+		t.Helper()
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := core.Dump(&sb, d, true); err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != string(want) {
+			t.Errorf("dump differs from %s:\n%s", golden, sb.String())
 		}
 	}
+	dumpIs("dump.golden")
+	// Segment 0 starts at sector 16; a block is 8 sectors.
+	block := func(blk int64) int64 { return 16 + 8*blk }
+	if err := d.FlipBits(block(5), 100, 0x04); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FlipBits(block(9), 70, 0x01); err != nil {
+		t.Fatal(err)
+	}
+	dumpIs("dump_damaged.golden")
 }
 
 func TestDumpRejectsUnformatted(t *testing.T) {

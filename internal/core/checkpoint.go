@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"lfs/internal/disk"
@@ -63,11 +64,10 @@ func encodeCheckpoint(st checkpointState, p []byte) {
 	}
 	le.PutUint32(p[52:], coldSeg)
 	le.PutUint32(p[56:], coldBlk)
-	off := ckptHeaderSize
-	for _, a := range st.ImapAddrs {
-		le.PutUint32(p[off:], uint32(a))
-		off += layout.AddrSize
+	for i, a := range st.ImapAddrs {
+		layout.SetAddrAt(p[ckptHeaderSize:], i, a)
 	}
+	off := ckptHeaderSize + len(st.ImapAddrs)*layout.AddrSize
 	for i := range st.Usage {
 		st.Usage[i].encode(p[off:])
 		off += segUsageEntrySize
@@ -109,18 +109,62 @@ func decodeCheckpoint(p []byte) (checkpointState, error) {
 	if layout.Checksum(p[:crcOff]) != le.Uint32(p[crcOff:]) {
 		return checkpointState{}, fmt.Errorf("lfs: checkpoint checksum mismatch")
 	}
-	off := ckptHeaderSize
 	st.ImapAddrs = make([]layout.DiskAddr, nImap)
 	for i := range st.ImapAddrs {
-		st.ImapAddrs[i] = layout.DiskAddr(le.Uint32(p[off:]))
-		off += layout.AddrSize
+		st.ImapAddrs[i] = layout.AddrAt(p[ckptHeaderSize:], i)
 	}
+	off := ckptHeaderSize + nImap*layout.AddrSize
 	st.Usage = make([]segUsage, nSegs)
 	for i := range st.Usage {
 		st.Usage[i] = decodeSegUsage(p[off:])
 		off += segUsageEntrySize
 	}
 	return st, nil
+}
+
+// ckptRegion is one checkpoint region as read back: its state, or why it
+// is no valid checkpoint of the volume.
+type ckptRegion struct {
+	st  checkpointState
+	err error
+}
+
+// readCheckpoints is the one reader of a volume's two checkpoint regions,
+// for Mount, Dump and DumpImap. It reads each through buf (one region's
+// worth) and judges it whole: it must decode (magic, length, checksum),
+// have the geometry of the volume sb describes, and put its log heads
+// inside the segment area.
+func readCheckpoints(d *disk.Disk, sb superblock, buf []byte, cause disk.IOCause, label string) ([2]ckptRegion, error) {
+	var regions [2]ckptRegion
+	segs := int(sb.Segments)
+	for i, sector := range []int64{int64(sb.Ckpt0Sector), int64(sb.Ckpt1Sector)} {
+		if err := d.ReadSectors(sector, buf, cause, label); err != nil {
+			return regions, err
+		}
+		r := &regions[i]
+		r.st, r.err = decodeCheckpoint(buf)
+		switch {
+		case r.err != nil:
+		case len(r.st.Usage) != segs || len(r.st.ImapAddrs) != imapBlockCount(int(sb.MaxInodes), int(sb.BlockSize)):
+			r.err = errors.New("lfs: checkpoint geometry mismatch")
+		case r.st.HeadSeg < 0 || r.st.HeadSeg >= segs || (r.st.ColdOpen && (r.st.ColdSeg < 0 || r.st.ColdSeg >= segs)):
+			r.err = errors.New("lfs: checkpoint head outside the segment area")
+		}
+	}
+	return regions, nil
+}
+
+// newestCheckpoint returns the state of the valid region with the higher
+// serial (region 0 on a tie): a torn or damaged region leaves the other
+// to recover from.
+func newestCheckpoint(r [2]ckptRegion) (checkpointState, error) {
+	switch {
+	case r[0].err == nil && (r[1].err != nil || r[0].st.Serial >= r[1].st.Serial):
+		return r[0].st, nil
+	case r[1].err == nil:
+		return r[1].st, nil
+	}
+	return checkpointState{}, errors.New("lfs: no valid checkpoint region; volume is not formatted or is damaged")
 }
 
 // Checkpoint forces all dirty state to the log and writes a
@@ -241,33 +285,17 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 	// so attaching never perturbs the timeline.
 	d.SetWaiter(fs.op)
 
-	// Read both checkpoint regions; use the newest valid one. What
+	// Recover from the newest valid checkpoint region. What
 	// decodeCheckpoint keeps it copies out, so both are read into the
 	// buffer the volume's own checkpoints will be encoded in.
-	var best checkpointState
-	found := false
 	fs.ckptBuf = make([]byte, sb.CkptBytes)
-	for _, sector := range []int64{int64(sb.Ckpt0Sector), int64(sb.Ckpt1Sector)} {
-		if err := d.ReadSectors(sector, fs.ckptBuf, disk.CauseRecovery, "mount: checkpoint"); err != nil {
-			return nil, err
-		}
-		st, err := decodeCheckpoint(fs.ckptBuf)
-		if err != nil {
-			continue // torn or never-written region
-		}
-		if !found || st.Serial > best.Serial {
-			best, found = st, true
-		}
+	regions, err := readCheckpoints(d, sb, fs.ckptBuf, disk.CauseRecovery, "mount: checkpoint")
+	if err != nil {
+		return nil, err
 	}
-	if !found {
-		return nil, fmt.Errorf("lfs: no valid checkpoint region; volume is not formatted or is damaged")
-	}
-	if len(best.Usage) != int(sb.Segments) || len(best.ImapAddrs) != fs.imap.blockCount() {
-		return nil, fmt.Errorf("lfs: checkpoint geometry mismatch")
-	}
-	if best.HeadSeg < 0 || best.HeadSeg >= int(sb.Segments) ||
-		(best.ColdOpen && (best.ColdSeg < 0 || best.ColdSeg >= int(sb.Segments))) {
-		return nil, fmt.Errorf("lfs: checkpoint head outside the segment area")
+	best, err := newestCheckpoint(regions)
+	if err != nil {
+		return nil, err
 	}
 	// The simulated clock restarts at zero with every process, but the
 	// volume's history does not: advance to the checkpoint's capture
@@ -445,6 +473,12 @@ func (fs *FS) replayNextUnit(ckptTime sim.Time) (bool, error) {
 // recovery state untouched.
 func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, activate bool) (bool, error) {
 	bs := fs.cfg.BlockSize
+	// What this stream expects next: the next serial, of this class, and
+	// written no earlier than the checkpoint — an older unit is a leftover
+	// of an earlier log epoch, whatever serial it carries.
+	expected := func(h summaryHeader) bool {
+		return h.Serial == fs.writeSerial && h.Class == class && h.Timestamp >= ckptTime
+	}
 	// Read a candidate summary header (one block is enough to hold
 	// the header; entries may spill into further blocks) into the
 	// transfer buffer: most probes find nothing, and a head nothing is
@@ -454,30 +488,20 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), head, disk.CauseRecovery, "recovery: summary probe"); err != nil {
 		return false, err
 	}
-	probe, errProbe := decodeSummaryHeader(head)
-	if errProbe != nil || probe.Serial != fs.writeSerial || probe.Class != class {
-		return false, nil // end of this stream (or torn header)
+	probe, err := decodeSummaryHeader(head)
+	if err != nil || !expected(probe) || probe.checkBounds(blk, fs.cfg.blocksPerSegment()) != nil {
+		return false, nil // end of this stream, a torn header, or a leftover
 	}
-	if probe.Timestamp < ckptTime {
-		return false, nil // stale unit from an earlier log epoch
-	}
-	if probe.checkBounds(blk, fs.cfg.blocksPerSegment()) != nil {
-		return false, nil
-	}
-	// Read the full unit and re-validate with all entries. The class's
-	// segment buffer is idle until recovery ends, and a unit fits it at
-	// the offset the writer assembled it at: read it there.
-	unit := fs.head(class).buf[blk*bs:][:(probe.SumBlocks+probe.NBlocks)*bs]
-	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), unit, disk.CauseRecovery, "recovery: unit"); err != nil {
+	// Read the full unit and judge it whole. The class's segment buffer
+	// is idle until recovery ends, and a unit fits it at the offset the
+	// writer assembled it at: read it there.
+	buf := fs.head(class).buf
+	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), buf[blk*bs:][:(probe.SumBlocks+probe.NBlocks)*bs], disk.CauseRecovery, "recovery: unit"); err != nil {
 		return false, err
 	}
-	h, refs, err := decodeSummary(unit, nil)
-	if err != nil || h.Serial != fs.writeSerial || h.Timestamp < ckptTime || h.Class != class {
-		return false, nil
-	}
-	data := unit[h.SumBlocks*bs:]
-	if layout.DataChecksum(data) != h.DataCRC {
-		return false, nil // torn data: the unit never fully reached disk
+	u, err := readUnit(buf, blk, bs, nil)
+	if err != nil || !expected(u.summaryHeader) || u.checkData() != nil {
+		return false, nil // torn: the unit never fully reached disk
 	}
 	if activate {
 		if fs.heads[class].open {
@@ -488,10 +512,10 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	// Apply the unit: inode blocks rebuild the inode map; data and
 	// indirect blocks need no action because the inodes written in
 	// the same flush carry the pointers.
-	for j, ref := range refs {
-		addr := layout.DiskAddr(fs.blockSector(seg, blk+h.SumBlocks+j))
+	for j, ref := range u.refs {
+		addr := layout.DiskAddr(fs.blockSector(seg, blk+u.SumBlocks+j))
 		if ref.Kind == kindInodes {
-			blkData := data[j*bs : (j+1)*bs]
+			blkData := u.data[j*bs : (j+1)*bs]
 			for slot := 0; slot < fs.inodesPerBlock(); slot++ {
 				raw := blkData[slot*layout.InodeSize : (slot+1)*layout.InodeSize]
 				if allZero(raw) {
@@ -512,7 +536,7 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 		if ref.Kind == kindImap {
 			idx := int(ref.ID)
 			if idx >= 0 && idx < fs.imap.blockCount() {
-				fs.imap.decodeBlock(idx, data[j*bs:(j+1)*bs])
+				fs.imap.decodeBlock(idx, u.data[j*bs:(j+1)*bs])
 				fs.imap.blockAddrs[idx] = addr
 				// decodeBlock overwrote entries that later
 				// units may refine; that is fine because
@@ -523,14 +547,13 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	// Credit with the age the summary recorded (the victim's age for
 	// relocations), so recovered usage entries stay age-correct; old
 	// images without the field fall back to the write time.
-	age := h.Age
+	age := u.Age
 	if age == 0 {
-		age = h.Timestamp
+		age = u.Timestamp
 	}
-	fs.creditSegmentAged(seg, int64(h.NBlocks*bs), age)
+	fs.creditSegmentAged(seg, int64(u.NBlocks*bs), age)
 	hd := &fs.heads[class]
-	hd.blk = blk + h.SumBlocks + h.NBlocks
-	hd.pending = hd.blk
+	hd.blk, hd.pending = u.end, u.end
 	fs.writeSerial++
 	fs.stats.RollForwardUnits++
 	return true, nil

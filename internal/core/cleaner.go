@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -252,35 +253,35 @@ const relocationSegments = 2
 // cleanerScratch is the cleaner's working memory, kept on the FS like
 // the segment writer's: the batch selectBatch hands to cleanBatch,
 // cleanBatch's per-victim records, and what a pass takes from its
-// victims — the one segment-sized read buffer; of the log unit being
-// walked its summary entries, its data region until that is verified,
-// and the summary's checksum of it; and moves: in revive order, the live
-// data and indirect blocks the pass's flush relocates. The bytes of
-// those with no cached copy are appended to staging, so a pass holds its
-// relocation budget plus one segment however many victims it takes, and
-// only the pass owns any of it: cleanBatch releases it on every way out.
+// victims — the one segment-sized read buffer; the log unit being
+// walked, its summary entries in refs, and whether its data is still to
+// be checked; and moves: in revive order, the live data and indirect
+// blocks the pass's flush relocates. The bytes of those with no cached
+// copy are appended to staging, so a pass holds its relocation budget
+// plus one segment however many victims it takes, and only the pass owns
+// any of it: cleanBatch releases it on every way out.
 type cleanerScratch struct {
-	batch   []int
-	stats   []victimStat
-	victim  []byte
-	staging []byte
-	refs    []blockRef
-	unit    []byte
-	unitCRC uint32
-	moves   []logBlock
+	batch     []int
+	stats     []victimStat
+	victim    []byte
+	staging   []byte
+	refs      []blockRef
+	unit      logUnit
+	unchecked bool
+	moves     []logBlock
 }
 
 // verifyUnit checks the unit being walked against its summary's data
 // checksum, once, before the first live block is taken from it: a victim
-// that does not read back as written fails the pass instead of being
-// copied under a fresh, valid checksum. A unit that yields no live block
-// is not checked — the torn tail roll-forward discarded is one.
+// that does not read back as written fails the pass (errUnitData) instead
+// of being copied under a fresh, valid checksum. A unit that yields no
+// live block is not checked — the torn tail roll-forward discarded is one.
 func (fs *FS) verifyUnit() error {
-	if fs.cl.unit != nil && layout.DataChecksum(fs.cl.unit) != fs.cl.unitCRC {
-		return fmt.Errorf("data checksum mismatch")
+	if !fs.cl.unchecked {
+		return nil
 	}
-	fs.cl.unit = nil
-	return nil
+	fs.cl.unchecked = false
+	return fs.cl.unit.checkData()
 }
 
 // releaseVictims drops what the pass took from its victims; after a
@@ -360,10 +361,11 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 // credits the relocated copy at its destination with that age — not the
 // copy time — and routes it to the cold head when segregation is on.
 // Without the carry, relocated cold data is stamped "just written" and
-// cost-benefit stops ever re-selecting the segments it lands in. A unit
-// whose summary checks but does not fit the segment fails the pass, as a
-// unit that fails its data checksum does. Returns the live and examined
-// block counts.
+// cost-benefit stops ever re-selecting the segments it lands in. The walk
+// ends where readUnit finds no unit or a damaged summary; a unit whose
+// summary checks but does not fit the segment fails the pass, as a unit
+// that fails its data checksum does. Returns the live and examined block
+// counts.
 func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	srcAge := fs.usage[seg].Age
 	if srcAge == 0 {
@@ -383,25 +385,22 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	}
 
 	bs := fs.cfg.BlockSize
-	blk := 0
-	for blk < fs.cfg.blocksPerSegment() {
-		h, refs, err := decodeSummary(raw[blk*bs:], fs.cl.refs[:0])
+	for blk := 0; blk < fs.cfg.blocksPerSegment(); {
+		u, err := readUnit(raw, blk, bs, fs.cl.refs[:0])
+		if errors.Is(err, errSummaryBounds) {
+			return copied, examined, fmt.Errorf("lfs: cleaner: segment %d, unit at block %d: %w", seg, blk, err)
+		}
 		if err != nil {
 			break // end of the segment's used region
 		}
-		fs.cl.refs = refs
-		if err := h.checkBounds(blk, fs.cfg.blocksPerSegment()); err != nil {
-			return copied, examined, fmt.Errorf("lfs: cleaner: segment %d, unit at block %d: %w", seg, blk, err)
-		}
-		dataStart := blk + h.SumBlocks
-		data := raw[dataStart*bs : (dataStart+h.NBlocks)*bs]
-		fs.cl.unit, fs.cl.unitCRC = data, h.DataCRC
-		for j, ref := range refs {
+		fs.cl.refs, fs.cl.unit, fs.cl.unchecked = u.refs, u, true
+		dataStart := blk + u.SumBlocks
+		for j, ref := range u.refs {
 			examined++
 			fs.stats.CleanerBlocksExamined++
 			fs.cpu.Charge(fs.cfg.Costs.CleanPerBlock)
 			addr := layout.DiskAddr(fs.blockSector(seg, dataStart+j))
-			live, err := fs.reviveBlock(ref, addr, data[j*bs:(j+1)*bs], srcAge)
+			live, err := fs.reviveBlock(ref, addr, u.data[j*bs:(j+1)*bs], srcAge)
 			if err != nil {
 				return copied, examined, fmt.Errorf("lfs: cleaner: segment %d, unit at block %d: %w", seg, blk, err)
 			}
@@ -410,7 +409,7 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 				fs.stats.CleanerLiveCopied++
 			}
 		}
-		blk = dataStart + h.NBlocks
+		blk = u.end
 	}
 	return copied, examined, nil
 }

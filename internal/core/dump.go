@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -8,17 +9,28 @@ import (
 	"lfs/internal/layout"
 )
 
+// dumpHead reads what Dump and DumpImap start from: the superblock and
+// both checkpoint regions.
+func dumpHead(d *disk.Disk) (superblock, [2]ckptRegion, error) {
+	buf := make([]byte, 4096)
+	if err := d.ReadSectors(0, buf, disk.CauseTool, "dump: superblock"); err != nil {
+		return superblock{}, [2]ckptRegion{}, err
+	}
+	sb, err := decodeSuperblock(buf)
+	if err != nil {
+		return superblock{}, [2]ckptRegion{}, err
+	}
+	regions, err := readCheckpoints(d, sb, make([]byte, sb.CkptBytes), disk.CauseTool, "dump: checkpoint")
+	return sb, regions, err
+}
+
 // Dump prints the on-disk structures of an LFS volume in human
 // readable form: the superblock, both checkpoint regions, and — with
 // segments set — a walk of every log unit summary on the disk. It
 // parses the raw image without mounting, so it works on crashed
 // volumes too.
 func Dump(w io.Writer, d *disk.Disk, segments bool) error {
-	buf := make([]byte, 4096)
-	if err := d.ReadSectors(0, buf, disk.CauseTool, "dump: superblock"); err != nil {
-		return err
-	}
-	sb, err := decodeSuperblock(buf)
+	sb, regions, err := dumpHead(d)
 	if err != nil {
 		return err
 	}
@@ -30,17 +42,12 @@ func Dump(w io.Writer, d *disk.Disk, segments bool) error {
 	fmt.Fprintf(w, "  ckpt regions   sectors %d and %d (%d bytes each)\n", sb.Ckpt0Sector, sb.Ckpt1Sector, sb.CkptBytes)
 	fmt.Fprintf(w, "  segment area   sector %d\n", sb.SegStart)
 
-	var newest *checkpointState
-	for i, sector := range []int64{int64(sb.Ckpt0Sector), int64(sb.Ckpt1Sector)} {
-		region := make([]byte, sb.CkptBytes)
-		if err := d.ReadSectors(sector, region, disk.CauseTool, "dump: checkpoint"); err != nil {
-			return err
-		}
-		st, err := decodeCheckpoint(region)
-		if err != nil {
-			fmt.Fprintf(w, "checkpoint %d: invalid (%v)\n", i, err)
+	for i, r := range regions {
+		if r.err != nil {
+			fmt.Fprintf(w, "checkpoint %d: invalid (%v)\n", i, r.err)
 			continue
 		}
+		st := r.st
 		fmt.Fprintf(w, "checkpoint %d:\n", i)
 		fmt.Fprintf(w, "  serial        %d\n", st.Serial)
 		fmt.Fprintf(w, "  timestamp     %v\n", st.Timestamp)
@@ -66,53 +73,47 @@ func Dump(w io.Writer, d *disk.Disk, segments bool) error {
 			}
 		}
 		fmt.Fprintf(w, "  segments      %d clean, %d dirty, %d active\n", clean, dirty, active)
-		if newest == nil || st.Serial > newest.Serial {
-			cp := st
-			newest = &cp
-		}
 	}
-	if newest == nil {
-		return fmt.Errorf("lfsdump: no valid checkpoint region")
-	}
-	if !segments {
-		return nil
+	newest, err := newestCheckpoint(regions)
+	if err != nil || !segments {
+		return err
 	}
 
+	// Each segment the newest checkpoint does not call clean is read once
+	// and walked with the reader roll-forward and the cleaner use. The walk
+	// ends silently where no unit starts; any other verdict gets a line.
 	fmt.Fprintf(w, "log units:\n")
 	bs := int(sb.BlockSize)
-	blocksPerSeg := int(sb.SegmentSize) / bs
-	spb := int64(bs / 512)
-	for seg := 0; seg < int(sb.Segments); seg++ {
-		if newest.Usage[seg].State == segClean {
+	raw := make([]byte, sb.SegmentSize)
+	for seg, usage := range newest.Usage {
+		if usage.State == segClean {
 			continue
 		}
 		first := int64(sb.SegStart) + int64(seg)*int64(sb.SegmentSize)/512
-		blk := 0
-		for blk < blocksPerSeg {
-			head := make([]byte, bs)
-			if err := d.ReadSectors(first+int64(blk)*spb, head, disk.CauseTool, "dump: summary"); err != nil {
-				return err
-			}
-			h, err := decodeSummaryHeader(head)
-			if err != nil || h.checkBounds(blk, blocksPerSeg) != nil {
+		if err := d.ReadSectors(first, raw, disk.CauseTool, "dump: segment"); err != nil {
+			return err
+		}
+		for blk := 0; blk < len(raw)/bs; {
+			u, err := readUnit(raw, blk, bs, nil)
+			if errors.Is(err, errSummaryShort) || errors.Is(err, errSummaryMagic) {
 				break
 			}
-			unit := make([]byte, (h.SumBlocks+h.NBlocks)*bs)
-			if err := d.ReadSectors(first+int64(blk)*spb, unit, disk.CauseTool, "dump: unit"); err != nil {
-				return err
-			}
-			hh, refs, err := decodeSummary(unit, nil)
 			if err != nil {
+				fmt.Fprintf(w, "  seg %4d blk %4d: %v\n", seg, blk, err)
 				break
 			}
 			kinds := map[blockKind]int{}
-			for _, r := range refs {
+			for _, r := range u.refs {
 				kinds[r.Kind]++
 			}
-			fmt.Fprintf(w, "  seg %4d blk %4d: serial %6d, %3d blocks (%d data, %d indirect, %d inodes, %d imap), t=%v\n",
-				seg, blk, hh.Serial, hh.NBlocks,
-				kinds[kindData], kinds[kindIndirect], kinds[kindInodes], kinds[kindImap], hh.Timestamp)
-			blk += hh.SumBlocks + hh.NBlocks
+			fmt.Fprintf(w, "  seg %4d blk %4d: serial %6d, %3d blocks (%d data, %d indirect, %d inodes, %d imap), t=%v",
+				seg, blk, u.Serial, u.NBlocks,
+				kinds[kindData], kinds[kindIndirect], kinds[kindInodes], kinds[kindImap], u.Timestamp)
+			if err := u.checkData(); err != nil {
+				fmt.Fprintf(w, ", %v", err)
+			}
+			fmt.Fprintln(w)
+			blk = u.end
 		}
 	}
 	return nil
@@ -122,31 +123,13 @@ func Dump(w io.Writer, d *disk.Disk, segments bool) error {
 // newest checkpoint: inode number, version, disk address, and slot.
 // Like Dump it parses the raw image without mounting.
 func DumpImap(w io.Writer, d *disk.Disk) error {
-	buf := make([]byte, 4096)
-	if err := d.ReadSectors(0, buf, disk.CauseTool, "dump: superblock"); err != nil {
-		return err
-	}
-	sb, err := decodeSuperblock(buf)
+	sb, regions, err := dumpHead(d)
 	if err != nil {
 		return err
 	}
-	var newest *checkpointState
-	for _, sector := range []int64{int64(sb.Ckpt0Sector), int64(sb.Ckpt1Sector)} {
-		region := make([]byte, sb.CkptBytes)
-		if err := d.ReadSectors(sector, region, disk.CauseTool, "dump: checkpoint"); err != nil {
-			return err
-		}
-		st, err := decodeCheckpoint(region)
-		if err != nil {
-			continue
-		}
-		if newest == nil || st.Serial > newest.Serial {
-			cp := st
-			newest = &cp
-		}
-	}
-	if newest == nil {
-		return fmt.Errorf("lfsdump: no valid checkpoint region")
+	newest, err := newestCheckpoint(regions)
+	if err != nil {
+		return err
 	}
 	per := imapEntriesPerBlock(int(sb.BlockSize))
 	fmt.Fprintf(w, "%-8s %-8s %-12s %-5s %s\n", "ino", "version", "addr", "slot", "atime")

@@ -256,7 +256,7 @@ func (fs *FS) pruneIndirects(in *layout.Inode, newBlocks int64) error {
 		}
 		if outer != nil {
 			for idx := keepInner; idx < apb; idx++ {
-				if a := loadAddr(outer, int(idx)); !a.IsNil() {
+				if a := layout.AddrAt(outer.Data, int(idx)); !a.IsNil() {
 					if err := dropIndirect(indDoubleInnerBase + idx); err != nil {
 						return err
 					}

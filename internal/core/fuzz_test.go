@@ -19,26 +19,29 @@ import (
 // mutations; without -fuzz these run as ordinary regression tests
 // over the seed corpus.
 
-func FuzzDecodeSummary(f *testing.F) {
+// FuzzReadUnit reads the unit at block 0 of a segment of 512-byte
+// blocks: a unit it accepts lies inside the segment, with one entry and
+// one data block per block it claims.
+func FuzzReadUnit(f *testing.F) {
+	const bs = 512
 	refs := []blockRef{
 		{Kind: kindData, Ino: 7, ID: 3, Version: 1},
 		{Kind: kindInodes},
 	}
 	h := summaryHeader{Serial: 5, NBlocks: 2, SumBlocks: 1, Timestamp: sim.Time(9)}
-	valid := make([]byte, 4096)
-	encodeSummary(h, refs, valid)
+	valid := make([]byte, 3*bs)
+	encodeSummary(h, refs, valid[:bs])
 	f.Add(valid)
-	f.Add(make([]byte, 4096))
+	f.Add(make([]byte, bs))
 	f.Add([]byte{0x4D, 0x55, 0x53, 0x4C})
 	truncated := make([]byte, 70)
 	copy(truncated, valid)
 	f.Add(truncated)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, refs, err := decodeSummary(data, nil)
-		if err == nil {
-			if h.NBlocks != len(refs) {
-				t.Fatalf("accepted summary with %d blocks but %d refs", h.NBlocks, len(refs))
-			}
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		u, err := readUnit(seg, 0, bs, nil)
+		if err == nil && (u.end*bs > len(seg) || len(u.refs) != u.NBlocks || len(u.data) != u.NBlocks*bs) {
+			t.Fatalf("accepted a unit of %d blocks ending at block %d of %d bytes, with %d refs",
+				u.NBlocks, u.end, len(seg), len(u.refs))
 		}
 	})
 }

@@ -39,23 +39,6 @@ func indKey(ino layout.Ino, id int64) cache.Key {
 	return cache.Key{Kind: cache.KindIndirect, Ino: ino, Off: id}
 }
 
-// fillNil initialises an indirect block so every entry is NilAddr.
-func fillNil(p []byte) {
-	for i := range p {
-		p[i] = 0xFF
-	}
-}
-
-// loadAddr reads entry idx of a cached indirect block.
-func loadAddr(b *cache.Block, idx int) layout.DiskAddr {
-	return layout.DecodeAddr(b.Data[idx*layout.AddrSize:])
-}
-
-// storeAddr writes entry idx of a cached indirect block.
-func storeAddr(b *cache.Block, idx int, a layout.DiskAddr) {
-	layout.EncodeAddrBlock([]layout.DiskAddr{a}, b.Data[idx*layout.AddrSize:])
-}
-
 // inodeCacheLimit bounds the in-core inode table; clean inodes beyond
 // it are dropped (they can always be refetched through the imap).
 const inodeCacheLimit = 16384
@@ -292,7 +275,7 @@ func (fs *FS) getIndirect(ino layout.Ino, id int64, addr layout.DiskAddr, create
 			return nil, nil
 		}
 		b := fs.bc.Add(indKey(ino, id))
-		fillNil(b.Data)
+		layout.FillNil(b.Data)
 		fs.bc.MarkDirty(b, fs.clock.Now())
 		return b, nil
 	}
@@ -321,18 +304,18 @@ func (fs *FS) blockAddrOf(in *layout.Inode, lbn int64) (layout.DiskAddr, error) 
 		if err != nil || ib == nil {
 			return layout.NilAddr, err
 		}
-		return loadAddr(ib, path.Inner), nil
+		return layout.AddrAt(ib.Data, path.Inner), nil
 	default:
 		outer, err := fs.getIndirect(in.Ino, indDoubleOuter, in.DoubleIndirect, false)
 		if err != nil || outer == nil {
 			return layout.NilAddr, err
 		}
-		innerAddr := loadAddr(outer, path.Outer)
+		innerAddr := layout.AddrAt(outer.Data, path.Outer)
 		inner, err := fs.getIndirect(in.Ino, indDoubleInnerBase+int64(path.Outer), innerAddr, false)
 		if err != nil || inner == nil {
 			return layout.NilAddr, err
 		}
-		return loadAddr(inner, path.Inner), nil
+		return layout.AddrAt(inner.Data, path.Inner), nil
 	}
 }
 
@@ -358,9 +341,9 @@ func (fs *FS) setBlockAddr(in *layout.Inode, lbn int64, addr layout.DiskAddr) (l
 		if err != nil {
 			return layout.NilAddr, err
 		}
-		old := loadAddr(ib, path.Inner)
+		old := layout.AddrAt(ib.Data, path.Inner)
 		if old != addr {
-			storeAddr(ib, path.Inner, addr)
+			layout.SetAddrAt(ib.Data, path.Inner, addr)
 			fs.bc.MarkDirty(ib, fs.clock.Now())
 		}
 		return old, nil
@@ -369,14 +352,14 @@ func (fs *FS) setBlockAddr(in *layout.Inode, lbn int64, addr layout.DiskAddr) (l
 		if err != nil {
 			return layout.NilAddr, err
 		}
-		innerAddr := loadAddr(outer, path.Outer)
+		innerAddr := layout.AddrAt(outer.Data, path.Outer)
 		inner, err := fs.getIndirect(in.Ino, indDoubleInnerBase+int64(path.Outer), innerAddr, true)
 		if err != nil {
 			return layout.NilAddr, err
 		}
-		old := loadAddr(inner, path.Inner)
+		old := layout.AddrAt(inner.Data, path.Inner)
 		if old != addr {
-			storeAddr(inner, path.Inner, addr)
+			layout.SetAddrAt(inner.Data, path.Inner, addr)
 			fs.bc.MarkDirty(inner, fs.clock.Now())
 		}
 		return old, nil
@@ -397,7 +380,7 @@ func (fs *FS) indirectAddrOf(in *layout.Inode, id int64) (layout.DiskAddr, error
 		if err != nil || outer == nil {
 			return layout.NilAddr, err
 		}
-		return loadAddr(outer, int(id-indDoubleInnerBase)), nil
+		return layout.AddrAt(outer.Data, int(id-indDoubleInnerBase)), nil
 	}
 }
 
@@ -422,8 +405,8 @@ func (fs *FS) setIndirectAddr(in *layout.Inode, id int64, addr layout.DiskAddr) 
 			return layout.NilAddr, err
 		}
 		idx := int(id - indDoubleInnerBase)
-		old := loadAddr(outer, idx)
-		storeAddr(outer, idx, addr)
+		old := layout.AddrAt(outer.Data, idx)
+		layout.SetAddrAt(outer.Data, idx, addr)
 		fs.bc.MarkDirty(outer, fs.clock.Now())
 		return old, nil
 	}

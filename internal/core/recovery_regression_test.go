@@ -346,6 +346,81 @@ func TestCleanerRefusesUnitOutsideItsSegment(t *testing.T) {
 	}
 }
 
+// TestCleanerEndsWalkAtDamagedSummary pins the other half of the
+// cleaner's rule: a summary that fails its checksum is where a segment's
+// used region ends — a torn tail — and the pass goes on, even when the
+// damaged summary's lengths, were they believed, could not fit.
+func TestCleanerEndsWalkAtDamagedSummary(t *testing.T) {
+	fs := newTestFS(t, 16<<20, smallConfig())
+	must(t, fs.Create("/f"))
+	must(t, fs.Write("/f", 0, make([]byte, 8192)))
+	must(t, fs.Sync())
+	h := fs.heads[classHot]
+	logged := 0
+	for _, u := range unitsSince(t, fs, h.seg, 0) {
+		logged += u.NBlocks
+	}
+	sum := make([]byte, fs.cfg.BlockSize)
+	encodeSummary(summaryHeader{Serial: fs.writeSerial, NBlocks: 3, SumBlocks: 1000, Timestamp: fs.clock.Now()},
+		make([]blockRef, 3), sum)
+	sum[summaryHeaderSize] ^= 0x01
+	must(t, fs.d.Store().WriteAt(sum, fs.blockSector(h.seg, h.blk)*disk.SectorSize))
+
+	_, examined, err := fs.reviveSegment(h.seg)
+	if err != nil || logged == 0 || examined != logged {
+		t.Fatalf("walk over a segment ending in a damaged summary: %v, examined %d blocks, want the %d logged before it", err, examined, logged)
+	}
+}
+
+// TestCheckpointThatDoesNotFitIsInvalid: a region whose checksum holds
+// but whose usage table has one entry on a volume of many segments is
+// invalid as a whole, like a torn one. Dump used to index past the table
+// (a panic), DumpImap printed the region, and Mount refused the volume
+// although the other region was intact.
+func TestCheckpointThatDoesNotFitIsInvalid(t *testing.T) {
+	cfg := smallConfig()
+	fs := newTestFS(t, 16<<20, cfg)
+	must(t, fs.Create("/a"))
+	must(t, fs.Checkpoint())
+	must(t, fs.Create("/b"))
+	must(t, fs.Checkpoint())
+	older, newest := fs.ckptSerial-1, fs.ckptSerial
+	sector := int64(fs.sb.Ckpt0Sector)
+	if newest%2 == 1 {
+		sector = int64(fs.sb.Ckpt1Sector)
+	}
+	fs.Crash()
+	region := make([]byte, fs.sb.CkptBytes)
+	must(t, fs.d.Store().ReadAt(region, sector*disk.SectorSize))
+	st, err := decodeCheckpoint(region)
+	must(t, err)
+	st.Usage = st.Usage[:1]
+	encodeCheckpoint(st, region)
+	must(t, fs.d.Store().WriteAt(region, sector*disk.SectorSize))
+
+	var out strings.Builder
+	must(t, Dump(&out, fs.d, true))
+	if want := fmt.Sprintf("checkpoint %d: invalid (lfs: checkpoint geometry mismatch)", newest%2); !strings.Contains(out.String(), want) {
+		t.Fatalf("dump does not say %q:\n%s", want, out.String())
+	}
+	out.Reset()
+	must(t, DumpImap(&out, fs.d))
+	if want := fmt.Sprintf("(as of checkpoint serial %d)", older); !strings.Contains(out.String(), want) {
+		t.Fatalf("imap dump is not of the intact region, want %q:\n%s", want, out.String())
+	}
+	fs, err = Mount(fs.d, cfg)
+	must(t, err)
+	for _, path := range []string{"/a", "/b"} {
+		if _, err := fs.Stat(path); err != nil {
+			t.Fatalf("after recovering from the intact region: %v", err)
+		}
+	}
+	rep, err := fs.Check()
+	if err != nil || !rep.Ok() {
+		t.Fatalf("check after recovering from the intact region: %v, %v", err, rep.Problems)
+	}
+}
+
 // TestRollForwardRejectsStaleEpochUnit: a unit whose serial matches
 // the checkpoint's expectation but whose timestamp predates the
 // checkpoint is a leftover from an earlier log epoch (or a forgery)

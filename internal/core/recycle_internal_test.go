@@ -344,22 +344,22 @@ func TestCleanBatchAllocatesNoTablesOfItsOwn(t *testing.T) {
 	}
 }
 
-// summaryFixture is an encoded summary for a full 1 MB segment's unit.
-func summaryFixture() []byte {
-	refs := make([]blockRef, 253)
+// unitFixture is a 1 MB segment filled by one unit, its summary encoded.
+func unitFixture() []byte {
+	refs := make([]blockRef, 254)
 	for i := range refs {
 		refs[i] = blockRef{Kind: kindData, Ino: 7, ID: int64(i), Version: 3}
 	}
-	p := make([]byte, 2*4096)
-	encodeSummary(summaryHeader{Serial: 9, NBlocks: len(refs), SumBlocks: 2}, refs, p)
-	return p
+	seg := make([]byte, 1<<20)
+	encodeSummary(summaryHeader{Serial: 9, NBlocks: len(refs), SumBlocks: 2}, refs, seg[:2*4096])
+	return seg
 }
 
-// TestDecodeSummaryAllocatesOnlyRefs: the checksum is verified in
-// place, so the refs slice is the only allocation, and a caller that
-// brings its own (the cleaner) pays none.
+// TestDecodeSummaryAllocatesOnlyRefs: the unit reader verifies the
+// summary's checksum in place, so the refs slice is the only allocation,
+// and a caller that brings its own (the cleaner) pays none.
 func TestDecodeSummaryAllocatesOnlyRefs(t *testing.T) {
-	p := summaryFixture()
+	seg := unitFixture()
 	var scratch []blockRef
 	for _, tc := range []struct {
 		own  bool
@@ -370,23 +370,23 @@ func TestDecodeSummaryAllocatesOnlyRefs(t *testing.T) {
 			if tc.own {
 				dst = scratch[:0]
 			}
-			_, refs, err := decodeSummary(p, dst)
-			if err != nil || len(refs) != 253 {
-				t.Fatalf("decode: %d refs, %v", len(refs), err)
+			u, err := readUnit(seg, 0, 4096, dst)
+			if err != nil || len(u.refs) != 254 {
+				t.Fatalf("read: %d refs, %v", len(u.refs), err)
 			}
-			scratch = refs
+			scratch = u.refs
 		})
 		if n > tc.want {
-			t.Fatalf("decodeSummary, caller's slice %v: %v allocs, want <= %v", tc.own, n, tc.want)
+			t.Fatalf("readUnit, caller's slice %v: %v allocs, want <= %v", tc.own, n, tc.want)
 		}
 	}
 }
 
-func BenchmarkDecodeSummary(b *testing.B) {
-	p := summaryFixture()
+func BenchmarkReadUnit(b *testing.B) {
+	seg := unitFixture()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeSummary(p, nil); err != nil {
+		if _, err := readUnit(seg, 0, 4096, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

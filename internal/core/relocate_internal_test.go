@@ -16,11 +16,10 @@ import (
 // staging → cold head without entering the block cache, through the one
 // write path, and what a pass took from its victims never outlives it.
 
-// loggedUnit is a log unit found by walking a segment's summaries on
-// the medium, below the time model.
+// loggedUnit is a log unit found by walking a segment with the unit
+// reader on the medium, below the time model.
 type loggedUnit struct {
-	h        summaryHeader
-	refs     []blockRef
+	logUnit
 	seg, blk int
 }
 
@@ -33,14 +32,14 @@ func unitsSince(t testing.TB, fs *FS, seg int, since uint64) []loggedUnit {
 	must(t, fs.d.Store().ReadAt(raw, fs.segFirstSector(seg)*512))
 	var units []loggedUnit
 	for blk := 0; blk < fs.cfg.blocksPerSegment(); {
-		h, refs, err := decodeSummary(raw[blk*fs.cfg.BlockSize:], nil)
+		u, err := readUnit(raw, blk, fs.cfg.BlockSize, nil)
 		if err != nil {
 			break
 		}
-		if h.Serial >= since {
-			units = append(units, loggedUnit{h, refs, seg, blk})
+		if u.Serial >= since {
+			units = append(units, loggedUnit{u, seg, blk})
 		}
-		blk += h.SumBlocks + h.NBlocks
+		blk = u.end
 	}
 	return units
 }
@@ -56,7 +55,7 @@ func writtenSince(t testing.TB, fs *FS, since uint64) []loggedUnit {
 		}
 	}
 	for i := 1; i < len(units); i++ { // a handful: insertion sort
-		for j := i; j > 0 && units[j].h.Serial < units[j-1].h.Serial; j-- {
+		for j := i; j > 0 && units[j].Serial < units[j-1].Serial; j-- {
 			units[j], units[j-1] = units[j-1], units[j]
 		}
 	}
@@ -82,7 +81,7 @@ func liveDataRefs(t testing.TB, fs *FS, victim int) []cache.Key {
 			cur, err := fs.blockAddrOf(in, ref.ID)
 			must(t, err)
 			key := dataKey(ref.Ino, ref.ID)
-			if b := fs.bc.Peek(key); cur == layout.DiskAddr(fs.blockSector(victim, u.blk+u.h.SumBlocks+j)) && (b == nil || !b.Dirty()) {
+			if b := fs.bc.Peek(key); cur == layout.DiskAddr(fs.blockSector(victim, u.blk+u.SumBlocks+j)) && (b == nil || !b.Dirty()) {
 				keys = append(keys, key)
 			}
 		}
@@ -161,8 +160,8 @@ func TestRelocationByCacheState(t *testing.T) {
 		if fs.bc.Peek(dataKey(ino, 0)) != nil {
 			t.Fatal("the relocated block entered the cache")
 		}
-		if u := unitOf(t, fs, ino, since); u.h.Class != classCold {
-			t.Fatalf("relocated in a %v unit, want cold", u.h.Class)
+		if u := unitOf(t, fs, ino, since); u.Class != classCold {
+			t.Fatalf("relocated in a %v unit, want cold", u.Class)
 		}
 		must(t, fs.Checkpoint())
 		fs.DropCaches()
@@ -181,8 +180,8 @@ func TestRelocationByCacheState(t *testing.T) {
 		if res.LiveCopied == 0 || b == nil || b.Dirty() || !bytes.Equal(b.Data, old[:4096]) {
 			t.Fatalf("after the pass the cached copy is %v, want still cached, clean and intact", b)
 		}
-		if u := unitOf(t, fs, ino, since); u.h.Class != classCold {
-			t.Fatalf("relocated in a %v unit, want cold", u.h.Class)
+		if u := unitOf(t, fs, ino, since); u.Class != classCold {
+			t.Fatalf("relocated in a %v unit, want cold", u.Class)
 		}
 		if _, addr := blockOf(t, fs, path, 0); fs.segOf(addr) == victim {
 			t.Fatal("the block still lives in the victim")
@@ -198,8 +197,8 @@ func TestRelocationByCacheState(t *testing.T) {
 		}
 		_, err := cleanVictims(fs, victim)
 		must(t, err)
-		if u := unitOf(t, fs, ino, since); u.h.Class != classHot {
-			t.Fatalf("newer application data went out in a %v unit, want hot", u.h.Class)
+		if u := unitOf(t, fs, ino, since); u.Class != classHot {
+			t.Fatalf("newer application data went out in a %v unit, want hot", u.Class)
 		}
 		must(t, fs.Checkpoint())
 		d, cfg := fs.d, fs.cfg
@@ -238,7 +237,7 @@ func TestColdStreamKeepsReviveOrder(t *testing.T) {
 	var got []cache.Key
 	for _, u := range writtenSince(t, fs, since) {
 		for _, ref := range u.refs {
-			if u.h.Class == classCold && ref.Kind == kindData {
+			if u.Class == classCold && ref.Kind == kindData {
 				got = append(got, dataKey(ref.Ino, ref.ID))
 			}
 		}
@@ -317,8 +316,8 @@ func TestCleanerFailsOnFlippedDataBit(t *testing.T) {
 	if err == nil || res.SegmentsCleaned != 0 {
 		t.Fatalf("clean of a victim with a flipped bit: %+v, %v; want the pass to fail", res, err)
 	}
-	if want := fmt.Sprintf("segment %d, unit at block", victim); !bytes.Contains([]byte(err.Error()), []byte(want)) {
-		t.Fatalf("error %q does not name %q", err, want)
+	if want := fmt.Sprintf("segment %d, unit at block", victim); !bytes.Contains([]byte(err.Error()), []byte(want)) || !errors.Is(err, errUnitData) {
+		t.Fatalf("error %q does not name %q or is no data mismatch", err, want)
 	}
 	if fs.usage[victim].State != segDirty {
 		t.Fatalf("victim state %d, want still dirty", fs.usage[victim].State)

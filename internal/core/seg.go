@@ -217,21 +217,19 @@ func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
 // checksum is verified.
 var zeroCRCWord [4]byte
 
-// Why a block is no summary: the cleaner meets one in every partly full victim.
+// The verdicts of readUnit and checkData: why there is no valid unit at a
+// block. FORMAT.md says which caller does what on each.
 var (
 	errSummaryShort    = errors.New("lfs: summary shorter than header")
 	errSummaryMagic    = errors.New("lfs: bad summary magic")
 	errSummaryChecksum = errors.New("lfs: summary checksum mismatch")
+	errSummaryBounds   = errors.New("lfs: summary unit does not fit its segment")
+	errUnitData        = errors.New("lfs: unit data checksum mismatch")
 )
 
-// errSummaryBounds reports a unit whose summary reads back intact but
-// whose lengths cannot be: no summary block, or an end past its segment.
-var errSummaryBounds = errors.New("lfs: summary unit does not fit its segment")
-
-// checkBounds holds a decoded header to what every reader of a unit —
-// roll-forward, the cleaner, Dump — assumes before trusting its lengths:
-// at least one summary block, and a unit starting at block blk that ends
-// inside a segment of blocksPerSeg blocks.
+// checkBounds holds a decoded header to what a reader of a unit assumes
+// before trusting its lengths: at least one summary block, and a unit
+// starting at block blk that ends inside a segment of blocksPerSeg blocks.
 func (h summaryHeader) checkBounds(blk, blocksPerSeg int) error {
 	if h.SumBlocks < 1 || blk+h.SumBlocks+h.NBlocks > blocksPerSeg {
 		return errSummaryBounds
@@ -240,8 +238,8 @@ func (h summaryHeader) checkBounds(blk, blocksPerSeg int) error {
 }
 
 // decodeSummaryHeader parses just the summary header; its checksum,
-// which also covers the entries, is verified by decodeSummary on the
-// full unit.
+// which also covers the entries, is verified by readUnit on the full
+// unit.
 func decodeSummaryHeader(p []byte) (summaryHeader, error) {
 	if len(p) < summaryHeaderSize {
 		return summaryHeader{}, errSummaryShort
@@ -261,18 +259,32 @@ func decodeSummaryHeader(p []byte) (summaryHeader, error) {
 	}, nil
 }
 
-// decodeSummary parses a unit summary from p, appending its entries to
-// dst (the cleaner passes its scratch; nil allocates). It returns an
-// error for anything that is not a valid summary (the roll-forward stop
-// condition).
-func decodeSummary(p []byte, dst []blockRef) (summaryHeader, []blockRef, error) {
+// logUnit is one log unit as readUnit found it in a segment's bytes: its
+// header, its summary entries, its data blocks, and the block after it.
+type logUnit struct {
+	summaryHeader
+	refs []blockRef
+	data []byte
+	end  int
+}
+
+// readUnit is the one reader of log units: roll-forward, the cleaner and
+// Dump walk a segment with it. It reads the unit at block blk of seg (a
+// segment's bytes, in blocks of bs), appending its entries to refs (the
+// cleaner passes its scratch; nil allocates). Its verdict is nil for a
+// unit; errSummaryShort or errSummaryMagic when none starts there;
+// errSummaryChecksum when the summary is damaged or its entries run past
+// seg; errSummaryBounds when it is intact but does not fit the segment.
+// The payload is left to checkData.
+func readUnit(seg []byte, blk, bs int, refs []blockRef) (logUnit, error) {
+	p := seg[blk*bs:]
 	h, err := decodeSummaryHeader(p)
 	if err != nil {
-		return summaryHeader{}, nil, err
+		return logUnit{}, err
 	}
 	total := summaryBytes(h.NBlocks)
 	if total > len(p) {
-		return summaryHeader{}, nil, fmt.Errorf("lfs: summary claims %d blocks beyond buffer", h.NBlocks)
+		return logUnit{}, errSummaryChecksum
 	}
 	// The checksum was computed with its own word zeroed (encodeSummary);
 	// feed the CRC around that word rather than copying the summary.
@@ -281,18 +293,32 @@ func decodeSummary(p []byte, dst []blockRef) (summaryHeader, []blockRef, error) 
 	crc = crc32.Update(crc, crc32.IEEETable, p[32:total])
 	le := binary.LittleEndian
 	if crc != le.Uint32(p[28:]) {
-		return summaryHeader{}, nil, errSummaryChecksum
+		return logUnit{}, errSummaryChecksum
 	}
-	if dst == nil {
-		dst = make([]blockRef, 0, h.NBlocks)
+	if err := h.checkBounds(blk, len(seg)/bs); err != nil {
+		return logUnit{}, err
+	}
+	if refs == nil {
+		refs = make([]blockRef, 0, h.NBlocks)
 	}
 	for off := summaryHeaderSize; off < total; off += summaryEntrySize {
-		dst = append(dst, blockRef{
+		refs = append(refs, blockRef{
 			Kind:    blockKind(p[off]),
 			Ino:     layout.Ino(le.Uint32(p[off+4:])),
 			ID:      int64(le.Uint64(p[off+8:])),
 			Version: le.Uint32(p[off+16:]),
 		})
 	}
-	return h, dst, nil
+	start := blk + h.SumBlocks
+	return logUnit{h, refs, seg[start*bs : (start+h.NBlocks)*bs], start + h.NBlocks}, nil
+}
+
+// checkData holds the unit's payload to its summary's DataCRC. The
+// reader leaves it out because the cleaner checks only the units it
+// takes a live block from.
+func (u *logUnit) checkData() error {
+	if layout.DataChecksum(u.data) != u.DataCRC {
+		return errUnitData
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -39,36 +40,36 @@ func TestSummaryRoundTrip(t *testing.T) {
 		Timestamp: sim.Time(7), DataCRC: 0xDEADBEEF,
 		Class: classCold, Age: sim.Time(3), // a relocation unit: data older than its write
 	}
-	buf := make([]byte, 4096)
-	encodeSummary(h, refs, buf)
-	gotH, gotRefs, err := decodeSummary(buf, nil)
+	buf := make([]byte, (1+len(refs))*4096)
+	encodeSummary(h, refs, buf[:4096])
+	u, err := readUnit(buf, 0, 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotH != h {
-		t.Fatalf("header: %+v vs %+v", gotH, h)
+	if u.summaryHeader != h {
+		t.Fatalf("header: %+v vs %+v", u.summaryHeader, h)
 	}
-	if !reflect.DeepEqual(gotRefs, refs) {
-		t.Fatalf("refs: %+v vs %+v", gotRefs, refs)
+	if !reflect.DeepEqual(u.refs, refs) {
+		t.Fatalf("refs: %+v vs %+v", u.refs, refs)
 	}
 }
 
 func TestSummaryDetectsCorruption(t *testing.T) {
 	refs := []blockRef{{Kind: kindData, Ino: 1, ID: 0, Version: 0}}
 	h := summaryHeader{Serial: 1, NBlocks: 1, SumBlocks: 1}
-	buf := make([]byte, 4096)
-	encodeSummary(h, refs, buf)
+	buf := make([]byte, 2*4096)
+	encodeSummary(h, refs, buf[:4096])
 	buf[40] ^= 0x01
-	if _, _, err := decodeSummary(buf, nil); err == nil {
-		t.Fatal("corrupted summary decoded")
+	if _, err := readUnit(buf, 0, 4096, nil); !errors.Is(err, errSummaryChecksum) {
+		t.Fatalf("corrupted summary read as %v", err)
 	}
 }
 
 func TestSummaryRejectsGarbage(t *testing.T) {
-	if _, _, err := decodeSummary(make([]byte, 4096), nil); err == nil {
+	if _, err := readUnit(make([]byte, 4096), 0, 4096, nil); err == nil {
 		t.Fatal("zero block decoded as summary")
 	}
-	if _, _, err := decodeSummary(make([]byte, 10), nil); err == nil {
+	if _, err := readUnit(make([]byte, 10), 0, 4096, nil); err == nil {
 		t.Fatal("short buffer decoded as summary")
 	}
 }
@@ -88,13 +89,66 @@ func TestSummaryRoundTripProperty(t *testing.T) {
 		}
 		sumBlks := summaryBlocks(count, 4096)
 		h := summaryHeader{Serial: serial, NBlocks: count, SumBlocks: sumBlks, Timestamp: sim.Time(rng.Int63())}
-		buf := make([]byte, sumBlks*4096)
-		encodeSummary(h, refs, buf)
-		gotH, gotRefs, err := decodeSummary(buf, nil)
-		return err == nil && gotH == h && reflect.DeepEqual(gotRefs, refs)
+		buf := make([]byte, (sumBlks+count)*4096)
+		encodeSummary(h, refs, buf[:sumBlks*4096])
+		u, err := readUnit(buf, 0, 4096, nil)
+		return err == nil && u.summaryHeader == h && reflect.DeepEqual(u.refs, refs) && u.end == sumBlks+count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnitVerdicts: what the unit reader says of each thing a walk can
+// land on, and what checkData says of the payload. The segment is eight
+// 512-byte blocks; a valid unit sits at block 2 (a summary block and two
+// data blocks).
+func TestUnitVerdicts(t *testing.T) {
+	const bs = 512
+	segment := func(h summaryHeader, at int) []byte {
+		seg := make([]byte, 8*bs)
+		for i := 3 * bs; i < 5*bs; i++ {
+			seg[i] = byte(i)
+		}
+		h.DataCRC = layout.DataChecksum(seg[3*bs : 5*bs])
+		sum := make([]byte, 2*bs) // room for entries that spill past one block
+		encodeSummary(h, make([]blockRef, h.NBlocks), sum)
+		copy(seg[at*bs:], sum[:bs])
+		return seg
+	}
+	valid := summaryHeader{Serial: 7, NBlocks: 2, SumBlocks: 1, Timestamp: 9}
+	flip := func(seg []byte, off int) []byte { seg[off] ^= 0x10; return seg }
+	for _, tc := range []struct {
+		name      string
+		seg       []byte
+		blk       int
+		want      error
+		wantData  error
+		wantBlock int
+	}{
+		{"valid", segment(valid, 2), 2, nil, nil, 5},
+		{"zeroed block", segment(valid, 2), 0, errSummaryMagic, nil, 0},
+		{"short buffer", make([]byte, 10), 0, errSummaryShort, nil, 0},
+		{"flipped summary byte", flip(segment(valid, 2), 2*bs+40), 2, errSummaryChecksum, nil, 0},
+		{"sum blocks 1000", segment(summaryHeader{SumBlocks: 1000, NBlocks: 3}, 2), 2, errSummaryBounds, nil, 0},
+		{"no blocks at all", segment(summaryHeader{}, 2), 2, errSummaryBounds, nil, 0},
+		{"entries past the segment", segment(summaryHeader{SumBlocks: 2, NBlocks: 20}, 7), 7, errSummaryChecksum, nil, 0},
+		{"flipped payload byte", flip(segment(valid, 2), 4*bs+3), 2, nil, errUnitData, 5},
+	} {
+		u, err := readUnit(tc.seg, tc.blk, bs, nil)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: verdict %v, want %v", tc.name, err, tc.want)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if u.end != tc.wantBlock || len(u.refs) != u.NBlocks || len(u.data) != u.NBlocks*bs {
+			t.Errorf("%s: unit ends at block %d with %d refs and %d data bytes", tc.name, u.end, len(u.refs), len(u.data))
+		}
+		if err := u.checkData(); !errors.Is(err, tc.wantData) {
+			t.Errorf("%s: data verdict %v, want %v", tc.name, err, tc.wantData)
+		}
 	}
 }
 

@@ -8,24 +8,6 @@ import (
 	"lfs/internal/layout"
 )
 
-// fillNil initialises a fresh indirect block so every entry decodes as
-// NilAddr (a hole).
-func fillNil(p []byte) {
-	for i := range p {
-		p[i] = 0xFF
-	}
-}
-
-// loadAddr reads entry idx of a cached indirect block.
-func loadAddr(b *cache.Block, idx int) layout.DiskAddr {
-	return layout.DecodeAddr(b.Data[idx*layout.AddrSize:])
-}
-
-// storeAddr writes entry idx of a cached indirect block.
-func storeAddr(b *cache.Block, idx int, a layout.DiskAddr) {
-	layout.EncodeAddrBlock([]layout.DiskAddr{a}, b.Data[idx*layout.AddrSize:])
-}
-
 // bmap resolves logical block lbn of the inode to a physical block.
 // With alloc true, missing data and indirect blocks are allocated near
 // the inode's group. It returns pb == -1 for a hole when alloc is
@@ -56,7 +38,7 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 		if err != nil {
 			return nil, layout.NilAddr, false, err
 		}
-		fillNil(b.Data)
+		layout.FillNil(b.Data)
 		fs.dirty(b)
 		return b, fs.lay.addrOf(npb), true, nil
 	}
@@ -89,7 +71,7 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 			in.Indirect = addr
 			inodeChanged = true
 		}
-		entry := loadAddr(ib, path.Inner)
+		entry := layout.AddrAt(ib.Data, path.Inner)
 		if entry.IsNil() {
 			if !alloc {
 				return -1, false, inodeChanged, nil
@@ -98,7 +80,7 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 			if err != nil {
 				return 0, false, inodeChanged, err
 			}
-			storeAddr(ib, path.Inner, fs.lay.addrOf(npb))
+			layout.SetAddrAt(ib.Data, path.Inner, fs.lay.addrOf(npb))
 			fs.dirty(ib)
 			return npb, true, inodeChanged, nil
 		}
@@ -116,7 +98,7 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 			in.DoubleIndirect = addr
 			inodeChanged = true
 		}
-		innerAddr := loadAddr(outer, path.Outer)
+		innerAddr := layout.AddrAt(outer.Data, path.Outer)
 		inner, newInnerAddr, createdInner, err := ensureIndirect(innerAddr)
 		if err != nil {
 			return 0, false, inodeChanged, err
@@ -125,10 +107,10 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 			return -1, false, inodeChanged, nil
 		}
 		if createdInner {
-			storeAddr(outer, path.Outer, newInnerAddr)
+			layout.SetAddrAt(outer.Data, path.Outer, newInnerAddr)
 			fs.dirty(outer)
 		}
-		entry := loadAddr(inner, path.Inner)
+		entry := layout.AddrAt(inner.Data, path.Inner)
 		if entry.IsNil() {
 			if !alloc {
 				return -1, false, inodeChanged, nil
@@ -137,7 +119,7 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 			if err != nil {
 				return 0, false, inodeChanged, err
 			}
-			storeAddr(inner, path.Inner, fs.lay.addrOf(npb))
+			layout.SetAddrAt(inner.Data, path.Inner, fs.lay.addrOf(npb))
 			fs.dirty(inner)
 			return npb, true, inodeChanged, nil
 		}
@@ -358,11 +340,11 @@ func (fs *FS) freeFileBlock(in *layout.Inode, lbn int64) error {
 		if err != nil {
 			return err
 		}
-		if a := loadAddr(ib, path.Inner); !a.IsNil() {
+		if a := layout.AddrAt(ib.Data, path.Inner); !a.IsNil() {
 			if err := fs.freeBlock(fs.lay.blockOf(a)); err != nil {
 				return err
 			}
-			storeAddr(ib, path.Inner, layout.NilAddr)
+			layout.SetAddrAt(ib.Data, path.Inner, layout.NilAddr)
 			fs.dirty(ib)
 		}
 	case 2:
@@ -373,7 +355,7 @@ func (fs *FS) freeFileBlock(in *layout.Inode, lbn int64) error {
 		if err != nil {
 			return err
 		}
-		innerAddr := loadAddr(outer, path.Outer)
+		innerAddr := layout.AddrAt(outer.Data, path.Outer)
 		if innerAddr.IsNil() {
 			return nil
 		}
@@ -381,11 +363,11 @@ func (fs *FS) freeFileBlock(in *layout.Inode, lbn int64) error {
 		if err != nil {
 			return err
 		}
-		if a := loadAddr(inner, path.Inner); !a.IsNil() {
+		if a := layout.AddrAt(inner.Data, path.Inner); !a.IsNil() {
 			if err := fs.freeBlock(fs.lay.blockOf(a)); err != nil {
 				return err
 			}
-			storeAddr(inner, path.Inner, layout.NilAddr)
+			layout.SetAddrAt(inner.Data, path.Inner, layout.NilAddr)
 			fs.dirty(inner)
 		}
 	}
@@ -419,14 +401,14 @@ func (fs *FS) pruneIndirects(in *layout.Inode, newBlocks int64) error {
 	}
 	changedOuter := false
 	for idx := keepOuter; idx < apb; idx++ {
-		a := loadAddr(outer, int(idx))
+		a := layout.AddrAt(outer.Data, int(idx))
 		if a.IsNil() {
 			continue
 		}
 		if err := fs.freeBlock(fs.lay.blockOf(a)); err != nil {
 			return err
 		}
-		storeAddr(outer, int(idx), layout.NilAddr)
+		layout.SetAddrAt(outer.Data, int(idx), layout.NilAddr)
 		changedOuter = true
 	}
 	if keepOuter == 0 {

@@ -135,8 +135,8 @@ func Fsck(d *disk.Disk, cfg Config) (*FsckReport, error) {
 			if err := readBlock(lay.blockOf(in.Indirect), ib); err != nil {
 				return err
 			}
-			for _, a := range layout.DecodeAddrBlock(ib, apb) {
-				claim(a, in.Ino)
+			for i := range apb {
+				claim(layout.AddrAt(ib, i), in.Ino)
 			}
 		}
 		if !in.DoubleIndirect.IsNil() {
@@ -145,7 +145,8 @@ func Fsck(d *disk.Disk, cfg Config) (*FsckReport, error) {
 			if err := readBlock(lay.blockOf(in.DoubleIndirect), ob); err != nil {
 				return err
 			}
-			for _, oa := range layout.DecodeAddrBlock(ob, apb) {
+			for i := range apb {
+				oa := layout.AddrAt(ob, i)
 				if oa.IsNil() {
 					continue
 				}
@@ -154,8 +155,8 @@ func Fsck(d *disk.Disk, cfg Config) (*FsckReport, error) {
 				if err := readBlock(lay.blockOf(oa), ib); err != nil {
 					return err
 				}
-				for _, a := range layout.DecodeAddrBlock(ib, apb) {
-					claim(a, in.Ino)
+				for j := range apb {
+					claim(layout.AddrAt(ib, j), in.Ino)
 				}
 			}
 		}
@@ -206,7 +207,7 @@ func Fsck(d *disk.Disk, cfg Config) (*FsckReport, error) {
 				if err := readBlock(lay.blockOf(in.Indirect), ib); err != nil {
 					return err
 				}
-				a = layout.DecodeAddrBlock(ib, apb)[path.Inner]
+				a = layout.AddrAt(ib, path.Inner)
 			default:
 				continue // directories never reach double indirection here
 			}

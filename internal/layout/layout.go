@@ -167,32 +167,27 @@ func DecodeInode(p []byte) (Inode, error) {
 	return in, nil
 }
 
-// EncodeAddrBlock writes an indirect block (a vector of DiskAddrs)
-// into p.
-func EncodeAddrBlock(addrs []DiskAddr, p []byte) {
-	if len(p) < len(addrs)*AddrSize {
-		panic("layout: addr block buffer too small")
-	}
-	for i, a := range addrs {
-		binary.LittleEndian.PutUint32(p[i*AddrSize:], uint32(a))
+// An indirect block is a vector of DiskAddrs, read and written one entry
+// at a time in place: LFS and FFS share these three and nothing decodes
+// a whole block.
+
+// FillNil initialises a fresh indirect block so every entry is NilAddr
+// (a hole).
+func FillNil(p []byte) {
+	for i := range p {
+		p[i] = 0xFF
 	}
 }
 
-// DecodeAddrBlock parses an indirect block of n addresses from p.
-func DecodeAddrBlock(p []byte, n int) []DiskAddr {
-	if len(p) < n*AddrSize {
-		panic("layout: addr block buffer too small")
-	}
-	addrs := make([]DiskAddr, n)
-	for i := range addrs {
-		addrs[i] = DecodeAddr(p[i*AddrSize:])
-	}
-	return addrs
+// AddrAt returns entry idx of the indirect block p.
+func AddrAt(p []byte, idx int) DiskAddr {
+	return DiskAddr(binary.LittleEndian.Uint32(p[idx*AddrSize:]))
 }
 
-// DecodeAddr parses the one address at the start of p — an indirect
-// block entry looked up without decoding (and allocating) the block.
-func DecodeAddr(p []byte) DiskAddr { return DiskAddr(binary.LittleEndian.Uint32(p)) }
+// SetAddrAt writes a as entry idx of the indirect block p.
+func SetAddrAt(p []byte, idx int, a DiskAddr) {
+	binary.LittleEndian.PutUint32(p[idx*AddrSize:], uint32(a))
+}
 
 // Checksum returns the CRC32 (IEEE) of p; every multi-sector on-disk
 // structure in this repository is checksummed with it — except log-unit

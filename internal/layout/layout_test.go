@@ -95,11 +95,20 @@ func TestDiskAddrString(t *testing.T) {
 
 func TestAddrBlockRoundTrip(t *testing.T) {
 	addrs := []DiskAddr{1, NilAddr, 3, 0, 12345678}
-	buf := make([]byte, len(addrs)*AddrSize)
-	EncodeAddrBlock(addrs, buf)
-	got := DecodeAddrBlock(buf, len(addrs))
+	buf := make([]byte, (len(addrs)+1)*AddrSize)
+	FillNil(buf)
+	for i, a := range addrs {
+		SetAddrAt(buf, i, a)
+	}
+	got := make([]DiskAddr, len(addrs))
+	for i := range got {
+		got[i] = AddrAt(buf, i)
+	}
 	if !reflect.DeepEqual(got, addrs) {
 		t.Fatalf("addr block round trip mismatch: %v vs %v", got, addrs)
+	}
+	if a := AddrAt(buf, len(addrs)); !a.IsNil() {
+		t.Fatalf("an entry never set reads %v, want the hole FillNil left", a)
 	}
 }
 

@@ -53,7 +53,8 @@ echo "== size =="
 # One JSONL reader, writer, histogram and ring in obs: 25 292.
 # Shard pins, the Allocator capability, two unused knobs and methods only
 # tests called deleted: 24 923.
-size_ceiling=24923
+# One reader for log units and one for checkpoint regions, one indirect-entry codec: 24 915.
+size_ceiling=24915
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
