@@ -106,41 +106,6 @@ func (fs *FS) readDataBlock(in *layout.Inode, lbn int64) ([]byte, error) {
 	return first.Data, nil
 }
 
-// readFile copies bytes [off, off+len(buf)) into buf, clamped to the
-// file size.
-func (fs *FS) readFile(in *layout.Inode, off int64, buf []byte) (int, error) {
-	size := int64(in.Size)
-	if off >= size {
-		return 0, nil
-	}
-	if max := size - off; int64(len(buf)) > max {
-		buf = buf[:max]
-	}
-	bs := int64(fs.cfg.BlockSize)
-	read := 0
-	for read < len(buf) {
-		pos := off + int64(read)
-		lbn := pos / bs
-		bo := pos % bs
-		n := int(bs - bo)
-		if n > len(buf)-read {
-			n = len(buf) - read
-		}
-		data, err := fs.readDataBlock(in, lbn)
-		if err != nil {
-			return read, err
-		}
-		if data == nil {
-			clear(buf[read : read+n])
-		} else {
-			copy(buf[read:read+n], data[bo:])
-		}
-		fs.cpu.Charge(fs.cfg.Costs.Copy(n))
-		read += n
-	}
-	return read, nil
-}
-
 // writeFile stores data at off. All modifications stay in the cache;
 // the segment writer assigns disk addresses later. Size growth is
 // applied to the inode by the caller's bookkeeping here.

@@ -65,6 +65,11 @@ func (s Stats) WriteAmplification(blockSize int) float64 {
 // simulated clock (concurrent callers' operations interleave at
 // operation granularity on one clock).
 type FS struct {
+	// Front is the VFS front end shared with FFS: the twelve operations'
+	// lock, span, path walk and argument checks, over the hooks below
+	// (ops.go).
+	vfs.Front
+
 	// mu serialises all operations. Fields documented "guarded by
 	// mu" are enforced by lfslint's lockcheck pass: exported methods
 	// must lock, unexported helpers run with the lock already held.
@@ -113,16 +118,13 @@ type FS struct {
 	// roll-forward's summary probes; ckptBuf the checkpoint region being
 	// encoded (Mount reads both regions into it); wr is the segment
 	// writer's working memory and cl the cleaner's (its victim and staging
-	// memory is allocated by the first clean); parts is what the
-	// operation's path (Rename: both paths) is split into, vfs.PathDepth
-	// components of it in place. All are reused so the steady state
-	// allocates none of them, and each is consumed before the operation
-	// that filled it returns. Guarded by mu.
+	// memory is allocated by the first clean). All are reused so the
+	// steady state allocates none of them, and each is consumed before
+	// the operation that filled it returns. Guarded by mu.
 	span    []byte
 	ckptBuf []byte
 	wr      writerScratch
 	cl      cleanerScratch
-	parts   []string
 
 	// writeSerial numbers log units; ckptSerial numbers
 	// checkpoints. Guarded by mu.
@@ -147,10 +149,10 @@ type FS struct {
 	stats Stats
 
 	// op is the operation seam: every exported VFS operation opens
-	// with op.Begin and returns through op.End, which is where spans,
-	// phase attribution, op metrics and *vfs.PathError wrapping happen
-	// (the recorder and sampler it feeds are cfg.Trace and
-	// cfg.Metrics). Guarded by mu.
+	// with op.Begin and returns through op.End (in Front, and in
+	// FsyncFile), which is where spans, phase attribution, op metrics
+	// and *vfs.PathError wrapping happen (the recorder and sampler it
+	// feeds are cfg.Trace and cfg.Metrics). Guarded by mu.
 	op *obs.OpCapture
 }
 
@@ -169,11 +171,11 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 		inodes:      inodeTable{max: layout.Ino(cfg.MaxInodes)},
 		lastRead:    make(map[layout.Ino]int64),
 		span:        make([]byte, readAheadBlocks*cfg.BlockSize),
-		parts:       make([]string, 0, vfs.PathDepth),
 		writeSerial: 1,
 	}
 	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, fs.getDataBlock)
 	fs.op = obs.NewOpCapture(d, fs.cpu, cfg.Trace, cfg.Metrics)
+	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, fs.cpu, cfg.Costs, fs.hooks())
 	fs.heads[classHot].open = true
 	fs.usage[0].State = segActive
 	fs.cleanCount = int(sb.Segments) - 1
@@ -191,26 +193,8 @@ func (fs *FS) NoteWait(kind obs.PhaseKind, d sim.Duration) {
 	fs.op.NoteWait(kind, d)
 }
 
-// Dirs returns the directory layer, so its name cache can be inspected
-// (vfs.Dirs.Complete, Check) between operations.
-func (fs *FS) Dirs() *vfs.Dirs {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.dirs
-}
-
 // Disk returns the underlying device for experiment instrumentation.
 func (fs *FS) Disk() *disk.Disk { return fs.d }
-
-// SetClient labels subsequent operations (their spans and the disk
-// events they cause) with the issuing client's ID; the multi-client
-// server sets it before each operation it dispatches. Zero restores
-// unattributed traffic.
-func (fs *FS) SetClient(id int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.SetClient(id)
-}
 
 // SetShard labels this instance's spans and disk events with its
 // 1-based shard ID; the shard router sets it once per shard at mount

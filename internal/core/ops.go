@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"lfs/internal/cache"
 	"lfs/internal/layout"
 	"lfs/internal/obs"
 	"lfs/internal/sim"
@@ -12,33 +13,42 @@ import (
 // FS implements vfs.FileSystem.
 var _ vfs.FileSystem = (*FS)(nil)
 
-// maxFileSize returns the double-indirect limit in bytes.
-func (fs *FS) maxFileSize() int64 {
-	return layout.MaxFileBlocks(fs.cfg.BlockSize) * int64(fs.cfg.BlockSize)
+// hooks is what LFS supplies to the shared front end (vfs.Front): the
+// twelve operations' LFS halves, each run after Front has walked the
+// path and checked the arguments.
+func (fs *FS) hooks() vfs.Hooks {
+	return vfs.Hooks{
+		Mounted:  fs.checkMounted,
+		Inode:    func(_ int, ino layout.Ino) (*layout.Inode, error) { return fs.getInode(ino) },
+		Atime:    func(ino layout.Ino) sim.Time { return fs.imap.peek(ino).Atime },
+		Block:    fs.readDataBlock,
+		Accessed: fs.accessed,
+		Create:   fs.createNode,
+		Write:    fs.write,
+		Remove:   fs.remove,
+		Link:     fs.link,
+		Rename:   fs.rename,
+		Truncate: fs.truncate,
+		Sync:     fs.sync,
+		Unmount:  fs.unmount,
+	}
 }
 
-// createNode is the shared implementation of Create and Mkdir. In LFS
-// this performs no disk I/O at all (Figure 2): the inode is allocated
-// in the inode map, the directory block is modified in the cache, and
-// everything rides the next segment write.
-func (fs *FS) createNode(path string, isDir bool) error {
-	if err := fs.checkMounted(); err != nil {
-		return err
+// dirInsert adds name→ino; a directory that grew has a new size for
+// the next segment write to carry.
+func (fs *FS) dirInsert(dir *layout.Inode, name string, ino layout.Ino) error {
+	_, grew, err := fs.dirs.Insert(dir, name, ino)
+	if grew {
+		fs.markInodeDirty(dir.Ino)
 	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall + fs.cfg.Costs.Create)
-	dirParts, base, err := vfs.AppendDirBase(fs.parts[:0], path)
-	if err != nil {
-		return err
-	}
-	parent, err := fs.resolveDir(dirParts)
-	if err != nil {
-		return err
-	}
-	if _, exists, err := fs.dirs.Lookup(parent, base); err != nil {
-		return err
-	} else if exists {
-		return fmt.Errorf("%w: %q", vfs.ErrExist, path)
-	}
+	return err
+}
+
+// createNode is Create and Mkdir. In LFS this performs no disk I/O at
+// all (Figure 2): the inode is allocated in the inode map, the
+// directory block is modified in the cache, and everything rides the
+// next segment write.
+func (fs *FS) createNode(parent *layout.Inode, base string, isDir bool) error {
 	if err := fs.admitBytes(int64(fs.cfg.BlockSize)); err != nil {
 		return err
 	}
@@ -71,66 +81,11 @@ func (fs *FS) createNode(path string, isDir bool) error {
 	return fs.epilogue()
 }
 
-// Create makes a new empty regular file.
-func (fs *FS) Create(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	return fs.op.End("create", path, fs.createNode(path, false))
-}
-
-// Mkdir makes a new empty directory.
-func (fs *FS) Mkdir(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	return fs.op.End("mkdir", path, fs.createNode(path, true))
-}
-
-// lookupFile resolves path to a regular file's in-core inode.
-func (fs *FS) lookupFile(path string) (*layout.Inode, error) {
-	parts, err := vfs.AppendPath(fs.parts[:0], path)
-	if err != nil {
-		return nil, err
-	}
-	in, err := fs.resolve(parts)
-	if err != nil {
-		return nil, err
-	}
-	if in.Mode.IsDir() {
-		return nil, fmt.Errorf("%w: %q", vfs.ErrIsDir, path)
-	}
-	return in, nil
-}
-
-// Write stores data at off. Purely asynchronous: bursts of small
+// write stores data at off. Purely asynchronous: bursts of small
 // writes accumulate in the cache and convert into large sequential
 // segment transfers (§4.1).
-func (fs *FS) Write(path string, off int64, data []byte) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	return fs.op.End("write", path, fs.write(path, off, data))
-}
-
-// write is Write without the lock, span, or error wrapping.
-func (fs *FS) write(path string, off int64, data []byte) error {
-	if err := fs.checkMounted(); err != nil {
-		return err
-	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	in, err := fs.lookupFile(path)
-	if err != nil {
-		return err
-	}
-	if off < 0 {
-		return fmt.Errorf("%w: negative offset %d", vfs.ErrInvalid, off)
-	}
-	end := off + int64(len(data))
-	if end > fs.maxFileSize() {
-		return fmt.Errorf("%w: %q to %d bytes", vfs.ErrTooLarge, path, end)
-	}
-	if grow := end - int64(in.Size); grow > 0 {
+func (fs *FS) write(in *layout.Inode, off int64, data []byte) error {
+	if grow := off + int64(len(data)) - int64(in.Size); grow > 0 {
 		if err := fs.admitBytes(grow + int64(fs.cfg.BlockSize)); err != nil {
 			return err
 		}
@@ -144,158 +99,23 @@ func (fs *FS) write(path string, off int64, data []byte) error {
 	return fs.epilogue()
 }
 
-// Read fills buf from off. Access time is recorded in the inode map
+// accessed records a read. Access time is kept in the inode map
 // (footnote 2), so reading never relocates the inode.
-func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	n, err := fs.read(path, off, buf)
-	return n, fs.op.End("read", path, err)
-}
-
-// read is Read without the lock, span, or error wrapping.
-func (fs *FS) read(path string, off int64, buf []byte) (int, error) {
-	if err := fs.checkMounted(); err != nil {
-		return 0, err
-	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	in, err := fs.lookupFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("%w: negative offset %d", vfs.ErrInvalid, off)
-	}
-	n, err := fs.readFile(in, off, buf)
-	if err != nil {
-		return n, err
-	}
+func (fs *FS) accessed(in *layout.Inode) error {
 	e := fs.imap.get(in.Ino)
 	e.Atime = fs.clock.Now()
 	fs.imap.markDirty(in.Ino)
-	if err := fs.epilogue(); err != nil {
-		return n, err
-	}
-	return n, nil
+	return fs.epilogue()
 }
 
-// Stat describes the file at path.
-func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	fi, err := fs.stat(path)
-	return fi, fs.op.End("stat", path, err)
-}
-
-// stat is Stat without the lock, span, or error wrapping.
-func (fs *FS) stat(path string) (vfs.FileInfo, error) {
-	if err := fs.checkMounted(); err != nil {
-		return vfs.FileInfo{}, err
-	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	parts, err := vfs.AppendPath(fs.parts[:0], path)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	in, err := fs.resolve(parts)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	fi := vfs.FileInfo{
-		Ino:   in.Ino,
-		Mode:  in.Mode,
-		Nlink: int(in.Nlink),
-		Mtime: sim.Time(in.Mtime),
-		Atime: fs.imap.peek(in.Ino).Atime,
-	}
-	if !in.Mode.IsDir() {
-		fi.Size = int64(in.Size)
-	}
-	return fi, nil
-}
-
-// ReadDir lists the directory in name order.
-func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	ents, err := fs.readDir(path)
-	return ents, fs.op.End("readdir", path, err)
-}
-
-// readDir is ReadDir without the lock, span, or error wrapping.
-func (fs *FS) readDir(path string) ([]layout.DirEntry, error) {
-	if err := fs.checkMounted(); err != nil {
-		return nil, err
-	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	parts, err := vfs.AppendPath(fs.parts[:0], path)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := fs.resolveDir(parts)
-	if err != nil {
-		return nil, err
-	}
-	return fs.dirs.Entries(dir)
-}
-
-// Remove unlinks a file or removes an empty directory — again with no
-// synchronous I/O; the freed blocks become dead in the usage array
-// and the version bump lets the cleaner discard them cheaply.
-func (fs *FS) Remove(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	return fs.op.End("remove", path, fs.remove(path))
-}
-
-// remove is Remove without the lock, span, or error wrapping.
-func (fs *FS) remove(path string) error {
-	if err := fs.checkMounted(); err != nil {
-		return err
-	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall + fs.cfg.Costs.Unlink)
-	dirParts, base, err := vfs.AppendDirBase(fs.parts[:0], path)
-	if err != nil {
-		return err
-	}
-	parent, err := fs.resolveDir(dirParts)
-	if err != nil {
-		return err
-	}
-	ino, found, err := fs.dirs.Lookup(parent, base)
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("%w: %q", vfs.ErrNotExist, path)
-	}
-	in, err := fs.getInode(ino)
-	if err != nil {
-		return err
-	}
-	if in.Mode.IsDir() {
-		empty, err := fs.dirs.Empty(in)
-		if err != nil {
-			return err
-		}
-		if !empty {
-			return fmt.Errorf("%w: %q", vfs.ErrNotEmpty, path)
-		}
-	}
-	if _, err := fs.dirs.Remove(parent, base); err != nil {
-		return err
-	}
-	if in.Mode.IsDir() {
-		fs.dirs.Forget(ino)
-	}
+// remove releases an unlinked file or removed directory — again with no
+// synchronous I/O; the freed blocks become dead in the usage array and
+// the version bump lets the cleaner discard them cheaply.
+func (fs *FS) remove(parent, in *layout.Inode, _ *cache.Block) error {
 	// With other hard links remaining, only the link count drops;
 	// the storage dies with the last name (when the version bump in
 	// imap.free lets the cleaner discard the blocks).
-	if !in.Mode.IsDir() && in.Nlink > 1 {
+	if ino := in.Ino; !in.Mode.IsDir() && in.Nlink > 1 {
 		in.Nlink--
 		fs.markInodeDirty(ino)
 	} else {
@@ -311,39 +131,10 @@ func (fs *FS) remove(path string) error {
 	return fs.epilogue()
 }
 
-// Link creates a second directory entry for an existing regular
-// file — like everything else in LFS, with no synchronous I/O: the
-// dirtied directory block and inode ride the next segment write.
-func (fs *FS) Link(oldPath, newPath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	return fs.op.End("link", oldPath, fs.link(oldPath, newPath))
-}
-
-// link is Link without the lock, span, or error wrapping.
-func (fs *FS) link(oldPath, newPath string) error {
-	if err := fs.checkMounted(); err != nil {
-		return err
-	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall + fs.cfg.Costs.Create)
-	in, err := fs.lookupFile(oldPath) // rejects directories
-	if err != nil {
-		return err
-	}
-	newDirParts, newBase, err := vfs.AppendDirBase(fs.parts[:0], newPath)
-	if err != nil {
-		return err
-	}
-	newParent, err := fs.resolveDir(newDirParts)
-	if err != nil {
-		return err
-	}
-	if _, exists, err := fs.dirs.Lookup(newParent, newBase); err != nil {
-		return err
-	} else if exists {
-		return fmt.Errorf("%w: %q", vfs.ErrExist, newPath)
-	}
+// link adds a second directory entry for a regular file — like
+// everything else in LFS, with no synchronous I/O: the dirtied
+// directory block and inode ride the next segment write.
+func (fs *FS) link(in, newParent *layout.Inode, newBase string) error {
 	if err := fs.dirInsert(newParent, newBase, in.Ino); err != nil {
 		return err
 	}
@@ -354,57 +145,8 @@ func (fs *FS) link(oldPath, newPath string) error {
 	return fs.epilogue()
 }
 
-// Rename moves oldPath to newPath.
-func (fs *FS) Rename(oldPath, newPath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	return fs.op.End("rename", oldPath, fs.rename(oldPath, newPath))
-}
-
-// rename is Rename without the lock, span, or error wrapping.
-func (fs *FS) rename(oldPath, newPath string) error {
-	if err := fs.checkMounted(); err != nil {
-		return err
-	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	oldDirParts, oldBase, err := vfs.AppendDirBase(fs.parts[:0], oldPath)
-	if err != nil {
-		return err
-	}
-	// Both splits are in use until both parents are resolved: the new
-	// path's parts go behind the old one's.
-	newDirParts, newBase, err := vfs.AppendDirBase(oldDirParts[len(oldDirParts):], newPath)
-	if err != nil {
-		return err
-	}
-	oldParent, err := fs.resolveDir(oldDirParts)
-	if err != nil {
-		return err
-	}
-	ino, found, err := fs.dirs.Lookup(oldParent, oldBase)
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("%w: %q", vfs.ErrNotExist, oldPath)
-	}
-	in, err := fs.getInode(ino)
-	if err != nil {
-		return err
-	}
-	if in.Mode.IsDir() && len(newPath) > len(oldPath) && newPath[:len(oldPath)+1] == oldPath+"/" {
-		return fmt.Errorf("%w: cannot move %q inside itself", vfs.ErrInvalid, oldPath)
-	}
-	newParent, err := fs.resolveDir(newDirParts)
-	if err != nil {
-		return err
-	}
-	if _, exists, err := fs.dirs.Lookup(newParent, newBase); err != nil {
-		return err
-	} else if exists {
-		return fmt.Errorf("%w: %q", vfs.ErrExist, newPath)
-	}
+// rename moves the entry between the two parents in the cache.
+func (fs *FS) rename(oldParent *layout.Inode, oldBase string, ino layout.Ino, newParent *layout.Inode, newBase string) error {
 	if err := fs.dirInsert(newParent, newBase, ino); err != nil {
 		return err
 	}
@@ -419,31 +161,9 @@ func (fs *FS) rename(oldPath, newPath string) error {
 	return fs.epilogue()
 }
 
-// Truncate sets the file length. Truncation to zero bumps the file's
+// truncate sets the file length. Truncation to zero bumps the file's
 // version in the inode map (§4.2.1).
-func (fs *FS) Truncate(path string, size int64) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	return fs.op.End("truncate", path, fs.truncate(path, size))
-}
-
-// truncate is Truncate without the lock, span, or error wrapping.
-func (fs *FS) truncate(path string, size int64) error {
-	if err := fs.checkMounted(); err != nil {
-		return err
-	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	in, err := fs.lookupFile(path)
-	if err != nil {
-		return err
-	}
-	if size < 0 {
-		return fmt.Errorf("%w: negative size %d", vfs.ErrInvalid, size)
-	}
-	if size > fs.maxFileSize() {
-		return fmt.Errorf("%w: %q to %d bytes", vfs.ErrTooLarge, path, size)
-	}
+func (fs *FS) truncate(in *layout.Inode, size int64) error {
 	if grow := size - int64(in.Size); grow > 0 {
 		if err := fs.admitBytes(grow); err != nil {
 			return err
@@ -479,11 +199,7 @@ func (fs *FS) fsyncFile(path string) error {
 		return err
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)
-	parts, err := vfs.AppendPath(fs.parts[:0], path)
-	if err != nil {
-		return err
-	}
-	in, err := fs.resolve(parts)
+	in, err := fs.LookupLocked(path)
 	if err != nil {
 		return err
 	}
@@ -568,21 +284,9 @@ func (fs *FS) FlushAsync() error {
 	return vfs.WrapPathError("flush", "/", fs.flush(flushAll))
 }
 
-// Sync forces a segment write of everything dirty and waits for the
+// sync forces a segment write of everything dirty and waits for the
 // disk (§4.3.5 "sync request").
-func (fs *FS) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	return fs.op.End("sync", "/", fs.sync())
-}
-
-// sync is Sync without the lock, span, or error wrapping.
 func (fs *FS) sync() error {
-	if err := fs.checkMounted(); err != nil {
-		return err
-	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall)
 	if err := fs.flush(flushAll); err != nil {
 		return err
 	}
@@ -590,19 +294,8 @@ func (fs *FS) sync() error {
 	return nil
 }
 
-// Unmount checkpoints and detaches; remounting is then instantaneous.
-func (fs *FS) Unmount() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.Begin()
-	return fs.op.End("unmount", "/", fs.unmount())
-}
-
-// unmount is Unmount without the lock, span, or error wrapping.
+// unmount checkpoints and detaches; remounting is then instantaneous.
 func (fs *FS) unmount() error {
-	if err := fs.checkMounted(); err != nil {
-		return err
-	}
 	if err := fs.checkpoint(); err != nil {
 		return err
 	}

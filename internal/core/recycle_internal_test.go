@@ -35,18 +35,19 @@ func bigFile(t testing.TB, fs *FS, path string, nBlocks int) *layout.Inode {
 		must(t, fs.Write(path, int64(off*fs.cfg.BlockSize), chunk))
 	}
 	must(t, fs.Sync())
-	in, err := fs.resolve([]string{path[1:]})
+	in, err := fs.LookupLocked(path)
 	must(t, err)
 	return in
 }
 
-// seqReader reads in's blocks in order, two blocks a call like the
+// seqReader reads path's blocks in order, two blocks a call like the
 // paper's 8 KB reads, wrapping at the end of the file.
 type seqReader struct {
-	fs  *FS
-	in  *layout.Inode
-	off int64
-	buf []byte
+	fs   *FS
+	path string
+	in   *layout.Inode
+	off  int64
+	buf  []byte
 }
 
 func (r *seqReader) read(t testing.TB, calls int) {
@@ -54,7 +55,7 @@ func (r *seqReader) read(t testing.TB, calls int) {
 		if r.off >= int64(r.in.Size) {
 			r.off = 0
 		}
-		n, err := r.fs.readFile(r.in, r.off, r.buf)
+		n, err := r.fs.Read(r.path, r.off, r.buf)
 		if err != nil || n != len(r.buf) {
 			t.Fatalf("read at %d: n=%d err=%v", r.off, n, err)
 		}
@@ -69,7 +70,7 @@ func missReader(t testing.TB) *seqReader {
 	cfg := smallConfig()
 	cfg.CacheBlocks = 1024
 	fs := newTestFS(t, 64<<20, cfg)
-	r := &seqReader{fs: fs, in: bigFile(t, fs, "/big", 2048), buf: make([]byte, 2*cfg.BlockSize)}
+	r := &seqReader{fs: fs, path: "/big", in: bigFile(t, fs, "/big", 2048), buf: make([]byte, 2*cfg.BlockSize)}
 	r.read(t, 1024)
 	return r
 }
@@ -198,7 +199,7 @@ func dirtyInodesFS(t testing.TB) (*FS, []layout.Ino) {
 		path := fmt.Sprintf("/f%04d", i)
 		must(t, fs.Create(path))
 		must(t, fs.Write(path, 0, block))
-		in, err := fs.resolve([]string{path[1:]})
+		in, err := fs.LookupLocked(path)
 		must(t, err)
 		inos = append(inos, in.Ino)
 	}
@@ -239,7 +240,7 @@ func BenchmarkReviveInodeBlock(b *testing.B) {
 	for i := 1; i < per; i++ { // with the root, one block's worth
 		path := fmt.Sprintf("/f%02d", i)
 		must(b, fs.Create(path))
-		in, err := fs.resolve([]string{path[1:]})
+		in, err := fs.LookupLocked(path)
 		must(b, err)
 		inos = append(inos, in.Ino)
 	}

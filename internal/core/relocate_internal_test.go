@@ -99,7 +99,7 @@ func cleanVictims(fs *FS, victims ...int) (CleanResult, error) {
 // blockOf returns the inode of path and the address of its block lbn.
 func blockOf(t testing.TB, fs *FS, path string, lbn int64) (*layout.Inode, layout.DiskAddr) {
 	t.Helper()
-	in, err := fs.resolve([]string{path[1:]})
+	in, err := fs.LookupLocked(path)
 	must(t, err)
 	addr, err := fs.blockAddrOf(in, lbn)
 	must(t, err)

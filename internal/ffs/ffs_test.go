@@ -34,6 +34,17 @@ func TestFFSConformance(t *testing.T) {
 	})
 }
 
+// TestFFSHasNoFsync: clients detect a per-file fsync by type assertion
+// and fall back to Sync without one, which is FFS's behaviour in every
+// client sweep. A FsyncFile promoted into FFS from a shared front end
+// would silently change it.
+func TestFFSHasNoFsync(t *testing.T) {
+	var fs vfs.FileSystem = newFS(t, 16<<20)
+	if _, ok := fs.(interface{ FsyncFile(string) error }); ok {
+		t.Fatal("*ffs.FS has a FsyncFile method")
+	}
+}
+
 func TestFFSModelEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed

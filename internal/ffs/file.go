@@ -10,17 +10,17 @@ import (
 
 // bmap resolves logical block lbn of the inode to a physical block.
 // With alloc true, missing data and indirect blocks are allocated near
-// the inode's group. It returns pb == -1 for a hole when alloc is
-// false. inodeChanged reports that the caller must write the inode
-// back.
-func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, inodeChanged bool, err error) {
+// the inode's group, and a new pointer may land in the inode itself:
+// the caller writes it back. It returns pb == -1 for a hole when alloc
+// is false.
+func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew bool, err error) {
 	path, err := layout.MapBlock(lbn, fs.cfg.BlockSize)
 	if err != nil {
-		return 0, false, false, err
+		return 0, false, err
 	}
 	group := fs.lay.groupOf(in.Ino)
 
-	// ensure returns the block behind addr, allocating a fresh
+	// ensureIndirect returns the block behind addr, allocating a fresh
 	// indirect block when absent.
 	ensureIndirect := func(addr layout.DiskAddr) (*cache.Block, layout.DiskAddr, bool, error) {
 		if !addr.IsNil() {
@@ -48,63 +48,52 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 		addr := in.Direct[path.Direct]
 		if addr.IsNil() {
 			if !alloc {
-				return -1, false, false, nil
+				return -1, false, nil
 			}
 			npb, err := fs.allocBlock(group)
 			if err != nil {
-				return 0, false, false, err
+				return 0, false, err
 			}
 			in.Direct[path.Direct] = fs.lay.addrOf(npb)
-			return npb, true, true, nil
+			return npb, true, nil
 		}
-		return fs.lay.blockOf(addr), false, false, nil
+		return fs.lay.blockOf(addr), false, nil
 
 	case 1:
 		ib, addr, created, err := ensureIndirect(in.Indirect)
-		if err != nil {
-			return 0, false, false, err
-		}
-		if ib == nil {
-			return -1, false, false, nil
+		if err != nil || ib == nil {
+			return -1, false, err
 		}
 		if created {
 			in.Indirect = addr
-			inodeChanged = true
 		}
 		entry := layout.AddrAt(ib.Data, path.Inner)
 		if entry.IsNil() {
 			if !alloc {
-				return -1, false, inodeChanged, nil
+				return -1, false, nil
 			}
 			npb, err := fs.allocBlock(group)
 			if err != nil {
-				return 0, false, inodeChanged, err
+				return 0, false, err
 			}
 			layout.SetAddrAt(ib.Data, path.Inner, fs.lay.addrOf(npb))
 			fs.dirty(ib)
-			return npb, true, inodeChanged, nil
+			return npb, true, nil
 		}
-		return fs.lay.blockOf(entry), false, inodeChanged, nil
+		return fs.lay.blockOf(entry), false, nil
 
 	case 2:
 		outer, addr, created, err := ensureIndirect(in.DoubleIndirect)
-		if err != nil {
-			return 0, false, false, err
-		}
-		if outer == nil {
-			return -1, false, false, nil
+		if err != nil || outer == nil {
+			return -1, false, err
 		}
 		if created {
 			in.DoubleIndirect = addr
-			inodeChanged = true
 		}
 		innerAddr := layout.AddrAt(outer.Data, path.Outer)
 		inner, newInnerAddr, createdInner, err := ensureIndirect(innerAddr)
-		if err != nil {
-			return 0, false, inodeChanged, err
-		}
-		if inner == nil {
-			return -1, false, inodeChanged, nil
+		if err != nil || inner == nil {
+			return -1, false, err
 		}
 		if createdInner {
 			layout.SetAddrAt(outer.Data, path.Outer, newInnerAddr)
@@ -113,19 +102,19 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 		entry := layout.AddrAt(inner.Data, path.Inner)
 		if entry.IsNil() {
 			if !alloc {
-				return -1, false, inodeChanged, nil
+				return -1, false, nil
 			}
 			npb, err := fs.allocBlock(group)
 			if err != nil {
-				return 0, false, inodeChanged, err
+				return 0, false, err
 			}
 			layout.SetAddrAt(inner.Data, path.Inner, fs.lay.addrOf(npb))
 			fs.dirty(inner)
-			return npb, true, inodeChanged, nil
+			return npb, true, nil
 		}
-		return fs.lay.blockOf(entry), false, inodeChanged, nil
+		return fs.lay.blockOf(entry), false, nil
 	}
-	return 0, false, false, fmt.Errorf("ffs: unreachable bmap level")
+	return 0, false, fmt.Errorf("ffs: unreachable bmap level")
 }
 
 // readAheadBlocks is how many physically contiguous blocks a
@@ -144,7 +133,7 @@ const readAheadBlocks = 8
 func (fs *FS) readBlockRA(in *layout.Inode, lbn int64) ([]byte, error) {
 	sequential := lbn == 0 || fs.lastRead[in.Ino]+1 == lbn
 	fs.lastRead[in.Ino] = lbn
-	pb, _, _, err := fs.bmap(in, lbn, false)
+	pb, _, err := fs.bmap(in, lbn, false)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +151,7 @@ func (fs *FS) readBlockRA(in *layout.Inode, lbn int64) ([]byte, error) {
 	}
 	run := 1
 	for run < limit && lbn+int64(run) < maxLbn {
-		next, _, _, err := fs.bmap(in, lbn+int64(run), false)
+		next, _, err := fs.bmap(in, lbn+int64(run), false)
 		if err != nil {
 			return nil, err
 		}
@@ -190,46 +179,10 @@ func (fs *FS) readBlockRA(in *layout.Inode, lbn int64) ([]byte, error) {
 	return first.Data, nil
 }
 
-// readFile copies file bytes [off, off+len(buf)) into buf, clamped to
-// the file size. It returns the byte count.
-func (fs *FS) readFile(in *layout.Inode, off int64, buf []byte) (int, error) {
-	size := int64(in.Size)
-	if off >= size {
-		return 0, nil
-	}
-	if max := size - off; int64(len(buf)) > max {
-		buf = buf[:max]
-	}
+// writeFile stores data at off, allocating blocks as needed and
+// growing in's size; the caller writes the inode back.
+func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) error {
 	bs := int64(fs.cfg.BlockSize)
-	read := 0
-	for read < len(buf) {
-		pos := off + int64(read)
-		lbn := pos / bs
-		bo := pos % bs
-		n := int(bs - bo)
-		if n > len(buf)-read {
-			n = len(buf) - read
-		}
-		data, err := fs.readBlockRA(in, lbn)
-		if err != nil {
-			return read, err
-		}
-		if data == nil {
-			clear(buf[read : read+n]) // hole
-		} else {
-			copy(buf[read:read+n], data[bo:])
-		}
-		fs.cpu.Charge(fs.cfg.Costs.Copy(n))
-		read += n
-	}
-	return read, nil
-}
-
-// writeFile stores data at off, allocating blocks as needed. It
-// returns whether the inode changed (size, mtime, or block pointers).
-func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) (bool, error) {
-	bs := int64(fs.cfg.BlockSize)
-	inodeChanged := false
 	written := 0
 	for written < len(data) {
 		pos := off + int64(written)
@@ -239,11 +192,10 @@ func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) (bool, error) 
 		if n > len(data)-written {
 			n = len(data) - written
 		}
-		pb, isNew, changed, err := fs.bmap(in, lbn, true)
+		pb, isNew, err := fs.bmap(in, lbn, true)
 		if err != nil {
-			return inodeChanged, err
+			return err
 		}
-		inodeChanged = inodeChanged || changed
 		// A full-block overwrite (or a brand new block) needs no
 		// read-modify-write.
 		full := isNew || (bo == 0 && n == int(bs))
@@ -258,7 +210,7 @@ func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) (bool, error) 
 			b, err = fs.getBlock(pb, true, "file write")
 		}
 		if err != nil {
-			return inodeChanged, err
+			return err
 		}
 		if isNew {
 			for i := range b.Data {
@@ -272,9 +224,8 @@ func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) (bool, error) 
 	}
 	if end := uint64(off) + uint64(len(data)); end > in.Size {
 		in.Size = end
-		inodeChanged = true
 	}
-	return inodeChanged, nil
+	return nil
 }
 
 // truncateFile sets the file length, freeing blocks on shrink and
@@ -298,7 +249,7 @@ func (fs *FS) truncateFile(in *layout.Inode, size int64) error {
 	// Zero the tail of the (remaining) final block.
 	if size > 0 && size%bs != 0 && size < int64(in.Size) {
 		lbn := size / bs
-		pb, _, _, err := fs.bmap(in, lbn, false)
+		pb, _, err := fs.bmap(in, lbn, false)
 		if err != nil {
 			return err
 		}
@@ -418,14 +369,6 @@ func (fs *FS) pruneIndirects(in *layout.Inode, newBlocks int64) error {
 		in.DoubleIndirect = layout.NilAddr
 	} else if changedOuter {
 		fs.dirty(outer)
-	}
-	return nil
-}
-
-// freeAllBlocks releases every block of the file (the unlink path).
-func (fs *FS) freeAllBlocks(in *layout.Inode) error {
-	if err := fs.truncateFile(in, 0); err != nil {
-		return err
 	}
 	return nil
 }

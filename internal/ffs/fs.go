@@ -16,6 +16,11 @@ import (
 // safe for concurrent use: a single mutex serialises all operations
 // on the shared simulated clock.
 type FS struct {
+	// Front is the VFS front end shared with LFS: the twelve operations'
+	// lock, span, path walk and argument checks, over the hooks FFS
+	// supplies (ops.go).
+	vfs.Front
+
 	// mu serialises all operations; the mutable fields below are
 	// guarded by it (enforced by lfslint's lockcheck pass: exported
 	// methods lock, unexported helpers run with the lock held). The
@@ -50,21 +55,19 @@ type FS struct {
 	// span is the read-ahead transfer buffer, reused by every miss.
 	// Guarded by mu.
 	span []byte
-	// parts is what an operation's path (Rename: both paths) is split
-	// into, and walked where its path walks leave their inodes — two are
-	// in use at once at most: a parent directory and a file, or two
-	// parents. FFS works on inode records by value, and one handed to
-	// the directory layer, which reaches the file system through a
-	// function value, would otherwise be heap-allocated per call.
-	// Guarded by mu.
-	parts  []string
+	// walked is where an operation's inode reads leave their records
+	// (Front's slots) — two are in use at once at most: a parent
+	// directory and a file, or two parents. FFS works on inode records
+	// by value, and one handed to the directory layer, which reaches the
+	// file system through a function value, would otherwise be
+	// heap-allocated per call. Guarded by mu.
 	walked [2]layout.Inode
 
 	// unmounted is the lifecycle flag; guarded by mu.
 	unmounted bool
 
-	// op is the operation seam: every exported VFS operation opens
-	// with op.Begin and returns through op.End (span, phases,
+	// op is the operation seam: Front opens every exported VFS
+	// operation with op.Begin and returns through op.End (span, phases,
 	// *vfs.PathError). Guarded by mu.
 	op *obs.OpCapture
 }
@@ -112,7 +115,6 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 		atimes:   make(map[layout.Ino]sim.Time),
 		lastRead: make(map[layout.Ino]int64),
 		span:     make([]byte, readAheadBlocks*cfg.BlockSize),
-		parts:    make([]string, 0, vfs.PathDepth),
 	}
 	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, fs.dirBlock)
 	// Route blocking-request waits into the op seam. Pure arithmetic
@@ -120,6 +122,7 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 	// never perturbs the timeline. FFS has no metrics plane.
 	fs.op = obs.NewOpCapture(d, fs.cpu, cfg.Trace, nil)
 	d.SetWaiter(fs.op)
+	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, fs.cpu, cfg.Costs, fs.hooks())
 	// Rebuild free counts from the bitmaps.
 	fs.freeBlocks = make([]int, sb.Groups)
 	fs.freeInodes = make([]int, sb.Groups)
@@ -142,26 +145,8 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 	return fs, nil
 }
 
-// Dirs returns the directory layer, so its name cache can be inspected
-// (vfs.Dirs.Complete, Check) between operations.
-func (fs *FS) Dirs() *vfs.Dirs {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.dirs
-}
-
 // Disk returns the underlying device, for experiment instrumentation.
 func (fs *FS) Disk() *disk.Disk { return fs.d }
-
-// SetClient labels subsequent operations (their spans and the disk
-// events they cause) with the issuing client's ID; the multi-client
-// server sets it before each operation it dispatches. Zero restores
-// unattributed traffic.
-func (fs *FS) SetClient(id int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.op.SetClient(id)
-}
 
 // Clock returns the simulated clock.
 func (fs *FS) Clock() *sim.Clock { return fs.clock }

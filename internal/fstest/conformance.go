@@ -418,6 +418,17 @@ func testRenameErrors(t *testing.T, fs vfs.FileSystem) {
 	wantErrIs(t, fs.Rename("/a", "/no/dir/x"), vfs.ErrNotExist)
 	must(t, fs.Mkdir("/d"))
 	wantErrIs(t, fs.Rename("/d", "/d/sub"), vfs.ErrInvalid)
+	// A trailing slash names the same directory: it cannot hide a move
+	// inside itself, which would leave the directory unreachable.
+	wantErrIs(t, fs.Rename("/d/", "/d/sub"), vfs.ErrInvalid)
+	must(t, fs.Mkdir("/n"))
+	must(t, fs.Mkdir("/n/d"))
+	must(t, fs.Mkdir("/n/d/e"))
+	wantErrIs(t, fs.Rename("/n/d/", "/n/d/e/f"), vfs.ErrInvalid)
+	for _, dir := range []string{"/d", "/n/d/e"} {
+		_, err := fs.Stat(dir)
+		must(t, err)
+	}
 }
 
 func testFileOpsOnDir(t *testing.T, fs vfs.FileSystem) {
@@ -483,11 +494,33 @@ func testSyncIsIdempotent(t *testing.T, fs vfs.FileSystem) {
 
 func testUnmountRejectsFurtherOps(t *testing.T, fs vfs.FileSystem) {
 	must(t, fs.Create("/f"))
+	must(t, fs.Mkdir("/d"))
 	must(t, fs.Unmount())
-	wantErrIs(t, fs.Create("/g"), vfs.ErrUnmounted)
-	_, err := fs.Stat("/f")
-	wantErrIs(t, err, vfs.ErrUnmounted)
-	wantErrIs(t, fs.Sync(), vfs.ErrUnmounted)
+	buf := make([]byte, 1)
+	_, readErr := fs.Read("/f", 0, buf)
+	_, statErr := fs.Stat("/f")
+	_, readDirErr := fs.ReadDir("/d")
+	for _, c := range []struct {
+		op  string
+		err error
+	}{
+		{"Create", fs.Create("/g")},
+		{"Mkdir", fs.Mkdir("/e")},
+		{"Write", fs.Write("/f", 0, buf)},
+		{"Read", readErr},
+		{"Stat", statErr},
+		{"ReadDir", readDirErr},
+		{"Remove", fs.Remove("/f")},
+		{"Rename", fs.Rename("/f", "/h")},
+		{"Link", fs.Link("/f", "/h")},
+		{"Truncate", fs.Truncate("/f", 0)},
+		{"Sync", fs.Sync()},
+		{"Unmount", fs.Unmount()},
+	} {
+		if !errors.Is(c.err, vfs.ErrUnmounted) {
+			t.Errorf("%s after Unmount = %v, want ErrUnmounted", c.op, c.err)
+		}
+	}
 }
 
 func testLargeFileThroughIndirects(t *testing.T, fs vfs.FileSystem) {

@@ -4,13 +4,6 @@ import (
 	"go/ast"
 )
 
-// errwrapDirs are the packages implementing vfs.FileSystem whose
-// exported operations promise *vfs.PathError (or nil) to callers —
-// the race-safe public error API from the tracing PR. The in-memory
-// model in internal/vfs is exempt: it is the behavioural oracle, and
-// the equivalence tests compare error classes through errors.Is.
-var errwrapDirs = []string{"internal/core", "internal/ffs"}
-
 // vfsOps is the vfs.FileSystem method set plus the fsync extension —
 // the operations whose errors cross the VFS boundary.
 var vfsOps = map[string]bool{
@@ -29,27 +22,29 @@ var vfsOps = map[string]bool{
 	"FsyncFile": true,
 }
 
-// seamField is the name both file systems give their obs.OpCapture
-// field: the op seam, whose End wraps with *vfs.PathError and emits the
+// seamField is the name of the op seam field (vfs.Front's, core.FS's):
+// the seam whose End wraps with *vfs.PathError and emits the
 // operation's trace span.
 const seamField = "op"
 
-// ErrWrapAnalyzer requires every exported VFS operation in the two
-// file systems to return its error through the op seam — End on the
+// ErrWrapAnalyzer requires every exported VFS operation on a type that
+// holds the op seam to return its error through the seam — End on the
 // receiver's seam field — or through vfs.WrapPathError directly.
 // Returning a bare sentinel would leak an unwrapped error to callers —
 // breaking errors.As(*vfs.PathError) — and would silently skip the
-// operation's span, violating the every-op-is-traced invariant.
+// operation's span, violating the every-op-is-traced invariant. The
+// check follows the seam, not a package list, so it goes wherever the
+// operations do; vfs.Model, the behavioural oracle, holds no seam and
+// is exempt (the equivalence tests compare error classes through
+// errors.Is).
 var ErrWrapAnalyzer = &Analyzer{
 	Name: "errwrap",
-	Doc:  "exported VFS ops in core/ffs must return errors via the op seam's End or vfs.WrapPathError",
+	Doc:  "exported VFS ops on a type holding the op seam must return errors via its End or vfs.WrapPathError",
 	Run:  runErrWrap,
 }
 
 func runErrWrap(pkg *Package, _ *Index) []Diagnostic {
-	if !pkg.inDirs(errwrapDirs...) {
-		return nil
-	}
+	holders := seamHolders(pkg)
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
 		for _, decl := range f.AST.Decls {
@@ -57,10 +52,10 @@ func runErrWrap(pkg *Package, _ *Index) []Diagnostic {
 			if !ok || fn.Recv == nil || fn.Body == nil || !vfsOps[fn.Name.Name] {
 				continue
 			}
-			if !returnsError(fn) {
+			recvType, recvName := receiverOf(fn)
+			if !holders[recvType] || !returnsError(fn) {
 				continue
 			}
-			_, recvName := receiverOf(fn)
 			// Closures inside the method return to the closure, not
 			// to the VFS caller, so they are skipped.
 			walkSkippingFuncLit(fn.Body, func(n ast.Node) bool {
@@ -90,6 +85,27 @@ func runErrWrap(pkg *Package, _ *Index) []Diagnostic {
 		}
 	}
 	return diags
+}
+
+// seamHolders returns the package's struct types with a seamField
+// field, by name.
+func seamHolders(pkg *Package) map[string]bool {
+	holders := make(map[string]bool)
+	for _, f := range pkg.Files {
+		ast.Inspect(f.AST, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							holders[ts.Name.Name] = holders[ts.Name.Name] || name.Name == seamField
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return holders
 }
 
 // returnsError reports whether the function's last result is an error

@@ -1,5 +1,5 @@
-// Package tool sits outside internal/core and internal/ffs: the
-// errwrap pass does not apply, even to methods named like VFS ops.
+// Package tool holds a type without the op seam field: the errwrap
+// pass does not apply, even to methods named like VFS ops.
 package tool
 
 import "errors"

@@ -73,28 +73,28 @@ func (m *Model) lookup(parts []string) (*modelNode, error) {
 	return n, nil
 }
 
-// lookupParent resolves the parent directory of path and the leaf
-// name.
-func (m *Model) lookupParent(path string) (*modelNode, string, error) {
+// lookupParent resolves the parent directory of path, and returns it
+// with the parent's components and the leaf name.
+func (m *Model) lookupParent(path string) (*modelNode, []string, string, error) {
 	dir, base, err := SplitDirBase(path)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
 	parent, err := m.lookup(dir)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
 	if !parent.isDir {
-		return nil, "", fmt.Errorf("%w: parent of %q", ErrNotDir, path)
+		return nil, nil, "", fmt.Errorf("%w: parent of %q", ErrNotDir, path)
 	}
-	return parent, base, nil
+	return parent, dir, base, nil
 }
 
 func (m *Model) create(path string, isDir bool) error {
 	if err := m.check(); err != nil {
 		return err
 	}
-	parent, base, err := m.lookupParent(path)
+	parent, _, base, err := m.lookupParent(path)
 	if err != nil {
 		return err
 	}
@@ -227,7 +227,7 @@ func (m *Model) Remove(path string) error {
 	if err := m.check(); err != nil {
 		return err
 	}
-	parent, base, err := m.lookupParent(path)
+	parent, _, base, err := m.lookupParent(path)
 	if err != nil {
 		return err
 	}
@@ -251,7 +251,7 @@ func (m *Model) Rename(oldPath, newPath string) error {
 	if err := m.check(); err != nil {
 		return err
 	}
-	oldParent, oldBase, err := m.lookupParent(oldPath)
+	oldParent, oldDir, oldBase, err := m.lookupParent(oldPath)
 	if err != nil {
 		return err
 	}
@@ -259,7 +259,7 @@ func (m *Model) Rename(oldPath, newPath string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotExist, oldPath)
 	}
-	newParent, newBase, err := m.lookupParent(newPath)
+	newParent, newDir, newBase, err := m.lookupParent(newPath)
 	if err != nil {
 		return err
 	}
@@ -268,7 +268,7 @@ func (m *Model) Rename(oldPath, newPath string) error {
 	}
 	// Reject moving a directory into itself (newPath strictly below
 	// oldPath).
-	if n.isDir && len(newPath) > len(oldPath) && newPath[:len(oldPath)+1] == oldPath+"/" {
+	if n.isDir && within(newDir, oldDir, oldBase) {
 		return fmt.Errorf("%w: cannot move %q inside itself", ErrInvalid, oldPath)
 	}
 	delete(oldParent.children, oldBase)
@@ -287,7 +287,7 @@ func (m *Model) Link(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	newParent, newBase, err := m.lookupParent(newPath)
+	newParent, _, newBase, err := m.lookupParent(newPath)
 	if err != nil {
 		return err
 	}

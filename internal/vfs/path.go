@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"lfs/internal/layout"
@@ -81,4 +82,12 @@ func AppendDirBase(dst []string, path string) (dir []string, base string, err er
 	}
 	n := len(parts) - 1
 	return parts[:n], parts[n], nil
+}
+
+// within reports whether dir, a rename target's parent components, is
+// the moved directory srcDir/srcBase or below it. Components are
+// compared, not strings, so a trailing slash cannot hide the move.
+func within(dir, srcDir []string, srcBase string) bool {
+	n := len(srcDir)
+	return len(dir) > n && dir[n] == srcBase && slices.Equal(dir[:n], srcDir)
 }

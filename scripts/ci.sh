@@ -54,7 +54,8 @@ echo "== size =="
 # Shard pins, the Allocator capability, two unused knobs and methods only
 # tests called deleted: 24 923.
 # One reader for log units and one for checkpoint regions, one indirect-entry codec: 24 915.
-size_ceiling=24915
+# One VFS front end (vfs.Front) under LFS and FFS, the op layer and read loop written once: 24 684.
+size_ceiling=24684
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
