@@ -109,6 +109,10 @@ func (fs *FS) Check() (*CheckReport, error) {
 				checkAddr(ino, fmt.Sprintf("block %d", lbn), a)
 			}
 		}
+		if apb := int64(layout.AddrsPerBlock(fs.cfg.BlockSize)); !in.Indirect.IsNil() && blocks <= layout.NDirect ||
+			!in.DoubleIndirect.IsNil() && blocks <= layout.NDirect+apb {
+			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: indirect block past the end of its %d blocks", path, blocks))
+		}
 		checkAddr(ino, "indirect", in.Indirect)
 		checkAddr(ino, "double indirect", in.DoubleIndirect)
 		checkAddr(ino, "inode", e.Addr)

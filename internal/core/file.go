@@ -4,6 +4,7 @@ import (
 	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
+	"lfs/internal/vfs"
 )
 
 // getDataBlock returns the cached block (ino, lbn), reading it from
@@ -38,72 +39,19 @@ func (fs *FS) getDataBlock(in *layout.Inode, lbn int64, create bool) (*cache.Blo
 }
 
 // readAheadBlocks is how many contiguous blocks a cache-miss read
-// fetches in one transfer when the blocks are physically adjacent on
-// disk — standard UNIX read-ahead, which both SunOS and Sprite
-// performed. Files written sequentially through the log are laid out
-// contiguously, so sequential reads run at near disk bandwidth; a
-// file scattered by random log writes gets no benefit (the paper's
-// seq-reread-after-random-write case).
+// fetches in one request (vfs.Front's read-ahead): the span handed to
+// the front end is this many blocks long.
 const readAheadBlocks = 16
 
-// readDataBlock returns the contents of block (ino, lbn) for the read
-// path, nil for a hole: on a miss during a detected sequential scan it
-// fetches up to readAheadBlocks physically contiguous blocks in one
-// disk request. The bytes are valid until the next cache insertion.
-func (fs *FS) readDataBlock(in *layout.Inode, lbn int64) ([]byte, error) {
-	sequential := lbn == 0 || fs.lastRead[in.Ino]+1 == lbn
-	fs.lastRead[in.Ino] = lbn
-	key := dataKey(in.Ino, lbn)
-	if b := fs.bc.Get(key); b != nil {
-		fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
-		return b.Data, nil
+// findData is what LFS supplies to the read path (vfs.Hooks.Find): the
+// cache knows a block by (ino, lbn), so it is looked up before the block
+// is mapped.
+func (fs *FS) findData(in *layout.Inode, lbn int64) (*cache.Block, layout.DiskAddr, error) {
+	if b := fs.bc.Get(dataKey(in.Ino, lbn)); b != nil {
+		return b, layout.NilAddr, nil
 	}
 	addr, err := fs.blockAddrOf(in, lbn)
-	if err != nil {
-		return nil, err
-	}
-	if addr.IsNil() {
-		return nil, nil // hole
-	}
-	// During sequential scans, collect physically contiguous
-	// successors not already cached.
-	bs := fs.cfg.BlockSize
-	spb := layout.DiskAddr(fs.cfg.sectorsPerBlock())
-	maxLbn := layout.BlocksForSize(in.Size, bs)
-	limit := 1
-	if sequential {
-		limit = readAheadBlocks
-	}
-	run := 1
-	for run < limit && lbn+int64(run) < maxLbn {
-		next, err := fs.blockAddrOf(in, lbn+int64(run))
-		if err != nil {
-			return nil, err
-		}
-		if next != addr+layout.DiskAddr(run)*spb {
-			break
-		}
-		if fs.bc.Peek(dataKey(in.Ino, lbn+int64(run))) != nil {
-			break
-		}
-		run++
-	}
-	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
-	span := fs.span[:run*bs]
-	if err := fs.d.ReadSectors(int64(addr), span, disk.CauseReadMiss, "file read"); err != nil {
-		return nil, err
-	}
-	first := fs.bc.AddFrom(key, span[:bs])
-	for i := 1; i < run; i++ {
-		fs.bc.AddFrom(dataKey(in.Ino, lbn+int64(i)), span[i*bs:(i+1)*bs])
-	}
-	if first.Data == nil {
-		// Fewer than run blocks were evictable (a cache smaller than the
-		// run, or mostly dirty), so inserting the tail evicted the head:
-		// the span still holds the caller's bytes.
-		return span[:bs], nil
-	}
-	return first.Data, nil
+	return nil, addr, err
 }
 
 // writeFile stores data at off. All modifications stay in the cache;
@@ -153,14 +101,18 @@ func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) error {
 // truncateFile sets the file length. Shrinking kills the on-disk
 // copies of dropped blocks in the usage array, clears their pointers,
 // releases indirect blocks that no longer map anything, and discards
-// their cached copies.
+// their cached copies. The walk to a dropped block creates nothing: an
+// indirect block that was never logged holds no pointer to clear, and a
+// fresh one would be logged by the next segment write past the file's
+// end.
 func (fs *FS) truncateFile(in *layout.Inode, size int64) error {
 	bs := int64(fs.cfg.BlockSize)
 	oldBlocks := layout.BlocksForSize(in.Size, fs.cfg.BlockSize)
 	newBlocks := layout.BlocksForSize(uint64(size), fs.cfg.BlockSize)
 
 	for lbn := newBlocks; lbn < oldBlocks; lbn++ {
-		old, err := fs.setBlockAddr(in, lbn, layout.NilAddr)
+		p, err := vfs.BlockPtr(in, lbn, fs.cfg.BlockSize, fs.indirect, false)
+		old, err := fs.repoint(in, p, err, layout.NilAddr)
 		if err != nil {
 			return err
 		}
@@ -215,29 +167,30 @@ func (fs *FS) pruneIndirects(in *layout.Inode, newBlocks int64) error {
 		if newBlocks > doubleStart {
 			keepInner = (newBlocks - doubleStart + apb - 1) / apb
 		}
-		outer, err := fs.getIndirect(in.Ino, indDoubleOuter, in.DoubleIndirect, false)
+		p, _ := vfs.IndirectPtr(in, layout.IndDoubleOuter, fs.indirect, false) // the inode's field: no walk, no error
+		outer, err := fs.getIndirect(in, layout.IndDoubleOuter, p, false)
 		if err != nil {
 			return err
 		}
 		if outer != nil {
 			for idx := keepInner; idx < apb; idx++ {
 				if a := layout.AddrAt(outer.Data, int(idx)); !a.IsNil() {
-					if err := dropIndirect(indDoubleInnerBase + idx); err != nil {
+					if err := dropIndirect(layout.IndDoubleInner + idx); err != nil {
 						return err
 					}
 				} else {
-					fs.bc.Remove(indKey(in.Ino, indDoubleInnerBase+idx))
+					fs.bc.Remove(indKey(in.Ino, layout.IndDoubleInner+idx))
 				}
 			}
 		}
 		if keepInner == 0 {
-			if err := dropIndirect(indDoubleOuter); err != nil {
+			if err := dropIndirect(layout.IndDoubleOuter); err != nil {
 				return err
 			}
 		}
 	}
 	if newBlocks <= layout.NDirect && !in.Indirect.IsNil() {
-		if err := dropIndirect(indSingle); err != nil {
+		if err := dropIndirect(layout.IndSingle); err != nil {
 			return err
 		}
 	}

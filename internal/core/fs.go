@@ -101,9 +101,9 @@ type FS struct {
 	// Nothing is written synchronously — a block the layer dirties
 	// rides the next segment write (Figure 2). Guarded by mu.
 	dirs *vfs.Dirs
-	// lastRead tracks each file's last-read block for sequential
-	// read-ahead detection. Guarded by mu.
-	lastRead map[layout.Ino]int64
+	// indirect is getIndirect, bound once for the pointer walk
+	// (vfs.BlockPtr) so that no walk allocates.
+	indirect vfs.IndirectFunc
 
 	// heads are the active log positions, one per write class: the
 	// hot head takes fresh application writes and metadata, the cold
@@ -169,13 +169,13 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 		imap:        newImap(cfg.MaxInodes, cfg.BlockSize),
 		usage:       make([]segUsage, sb.Segments),
 		inodes:      inodeTable{max: layout.Ino(cfg.MaxInodes)},
-		lastRead:    make(map[layout.Ino]int64),
 		span:        make([]byte, readAheadBlocks*cfg.BlockSize),
 		writeSerial: 1,
 	}
 	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, fs.getDataBlock)
+	fs.indirect = fs.getIndirect
 	fs.op = obs.NewOpCapture(d, fs.cpu, cfg.Trace, cfg.Metrics)
-	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, fs.cpu, cfg.Costs, fs.hooks())
+	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, d, fs.cpu, cfg.Costs, fs.span, fs.hooks())
 	fs.heads[classHot].open = true
 	fs.usage[0].State = segActive
 	fs.cleanCount = int(sb.Segments) - 1

@@ -10,19 +10,6 @@ import (
 	"lfs/internal/vfs"
 )
 
-// Indirect block identifiers within a file. LFS keys indirect blocks
-// logically (by owner and role) because their physical addresses
-// change on every rewrite.
-const (
-	// indSingle is the single indirect block.
-	indSingle int64 = 0
-	// indDoubleOuter is the double indirect (outer) block.
-	indDoubleOuter int64 = 1
-	// indDoubleInnerBase + k is the k-th inner block under the
-	// double indirect block.
-	indDoubleInnerBase int64 = 2
-)
-
 // inodesPerBlock returns the inode records packed into one FS block.
 func (fs *FS) inodesPerBlock() int { return fs.cfg.BlockSize / layout.InodeSize }
 
@@ -258,31 +245,34 @@ func (fs *FS) markInodeDirty(ino layout.Ino) { fs.inodes.setDirty(ino, true) }
 // old one's read-ahead position.
 func (fs *FS) dropInode(ino layout.Ino) {
 	fs.inodes.drop(ino)
-	delete(fs.lastRead, ino)
+	fs.ForgetLocked(ino)
 }
 
-// getIndirect returns the cached indirect block (ino, id). When the
-// block is not cached it is read from addr; a nil addr with create
-// set yields a fresh all-holes block, and a nil addr without create
-// returns nil.
-func (fs *FS) getIndirect(ino layout.Ino, id int64, addr layout.DiskAddr, create bool) (*cache.Block, error) {
-	if b := fs.bc.Get(indKey(ino, id)); b != nil {
+// getIndirect is what LFS supplies to the pointer walk
+// (vfs.IndirectFunc): the cached indirect block (ino, id), read from the
+// address p holds when it is not cached. A block never logged is, with
+// create set, a fresh all-holes block that gets its address when the
+// segment writer logs it, and nil without.
+func (fs *FS) getIndirect(in *layout.Inode, id int64, p vfs.Ptr, create bool) (*cache.Block, error) {
+	key := indKey(in.Ino, id)
+	if b := fs.bc.Get(key); b != nil {
 		fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
 		return b, nil
 	}
+	addr := p.Get()
 	if addr.IsNil() {
 		if !create {
 			return nil, nil
 		}
-		b := fs.bc.Add(indKey(ino, id))
+		b := fs.bc.Add(key)
 		layout.FillNil(b.Data)
 		fs.bc.MarkDirty(b, fs.clock.Now())
 		return b, nil
 	}
-	b := fs.bc.Add(indKey(ino, id))
+	b := fs.bc.Add(key)
 	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
 	if err := fs.d.ReadSectors(int64(addr), b.Data, disk.CauseReadMiss, "indirect read"); err != nil {
-		fs.bc.Remove(indKey(ino, id))
+		fs.bc.Remove(key)
 		return nil, err
 	}
 	return b, nil
@@ -292,122 +282,44 @@ func (fs *FS) getIndirect(ino layout.Ino, id int64, addr layout.DiskAddr, create
 // or NilAddr when the block has never been written (a hole or a
 // cache-only block).
 func (fs *FS) blockAddrOf(in *layout.Inode, lbn int64) (layout.DiskAddr, error) {
-	path, err := layout.MapBlock(lbn, fs.cfg.BlockSize)
-	if err != nil {
-		return layout.NilAddr, err
-	}
-	switch path.Level {
-	case 0:
-		return in.Direct[path.Direct], nil
-	case 1:
-		ib, err := fs.getIndirect(in.Ino, indSingle, in.Indirect, false)
-		if err != nil || ib == nil {
-			return layout.NilAddr, err
-		}
-		return layout.AddrAt(ib.Data, path.Inner), nil
-	default:
-		outer, err := fs.getIndirect(in.Ino, indDoubleOuter, in.DoubleIndirect, false)
-		if err != nil || outer == nil {
-			return layout.NilAddr, err
-		}
-		innerAddr := layout.AddrAt(outer.Data, path.Outer)
-		inner, err := fs.getIndirect(in.Ino, indDoubleInnerBase+int64(path.Outer), innerAddr, false)
-		if err != nil || inner == nil {
-			return layout.NilAddr, err
-		}
-		return layout.AddrAt(inner.Data, path.Inner), nil
-	}
+	p, err := vfs.BlockPtr(in, lbn, fs.cfg.BlockSize, fs.indirect, false)
+	return p.Get(), err
 }
 
-// setBlockAddr points lbn at addr, creating and dirtying indirect
-// blocks as needed (this is how the segment writer redirects pointers
-// to a block's new log location). It returns the address previously
-// stored there.
+// setBlockAddr points lbn at addr, creating indirect blocks as needed
+// (this is how the segment writer redirects pointers to a block's new
+// log location). It returns the address previously stored there.
 func (fs *FS) setBlockAddr(in *layout.Inode, lbn int64, addr layout.DiskAddr) (layout.DiskAddr, error) {
-	path, err := layout.MapBlock(lbn, fs.cfg.BlockSize)
-	if err != nil {
-		return layout.NilAddr, err
-	}
-	switch path.Level {
-	case 0:
-		old := in.Direct[path.Direct]
-		if old != addr {
-			in.Direct[path.Direct] = addr
-			fs.markInodeDirty(in.Ino)
-		}
-		return old, nil
-	case 1:
-		ib, err := fs.getIndirect(in.Ino, indSingle, in.Indirect, true)
-		if err != nil {
-			return layout.NilAddr, err
-		}
-		old := layout.AddrAt(ib.Data, path.Inner)
-		if old != addr {
-			layout.SetAddrAt(ib.Data, path.Inner, addr)
-			fs.bc.MarkDirty(ib, fs.clock.Now())
-		}
-		return old, nil
-	default:
-		outer, err := fs.getIndirect(in.Ino, indDoubleOuter, in.DoubleIndirect, true)
-		if err != nil {
-			return layout.NilAddr, err
-		}
-		innerAddr := layout.AddrAt(outer.Data, path.Outer)
-		inner, err := fs.getIndirect(in.Ino, indDoubleInnerBase+int64(path.Outer), innerAddr, true)
-		if err != nil {
-			return layout.NilAddr, err
-		}
-		old := layout.AddrAt(inner.Data, path.Inner)
-		if old != addr {
-			layout.SetAddrAt(inner.Data, path.Inner, addr)
-			fs.bc.MarkDirty(inner, fs.clock.Now())
-		}
-		return old, nil
-	}
+	p, err := vfs.BlockPtr(in, lbn, fs.cfg.BlockSize, fs.indirect, true)
+	return fs.repoint(in, p, err, addr)
 }
 
-// indirectAddrOf returns the current on-disk address of indirect
-// block id of the file, looking through the inode (for the single and
-// outer blocks) or the outer indirect block (for inner blocks).
+// indirectAddrOf returns the current on-disk address of indirect block
+// id of the file.
 func (fs *FS) indirectAddrOf(in *layout.Inode, id int64) (layout.DiskAddr, error) {
-	switch {
-	case id == indSingle:
-		return in.Indirect, nil
-	case id == indDoubleOuter:
-		return in.DoubleIndirect, nil
-	default:
-		outer, err := fs.getIndirect(in.Ino, indDoubleOuter, in.DoubleIndirect, false)
-		if err != nil || outer == nil {
-			return layout.NilAddr, err
-		}
-		return layout.AddrAt(outer.Data, int(id-indDoubleInnerBase)), nil
-	}
+	p, err := vfs.IndirectPtr(in, id, fs.indirect, false)
+	return p.Get(), err
 }
 
-// setIndirectAddr redirects indirect block id to addr, dirtying the
-// parent (inode or outer indirect block). It returns the previous
-// address.
+// setIndirectAddr redirects indirect block id to addr and returns the
+// previous address.
 func (fs *FS) setIndirectAddr(in *layout.Inode, id int64, addr layout.DiskAddr) (layout.DiskAddr, error) {
-	switch {
-	case id == indSingle:
-		old := in.Indirect
-		in.Indirect = addr
-		fs.markInodeDirty(in.Ino)
-		return old, nil
-	case id == indDoubleOuter:
-		old := in.DoubleIndirect
-		in.DoubleIndirect = addr
-		fs.markInodeDirty(in.Ino)
-		return old, nil
-	default:
-		outer, err := fs.getIndirect(in.Ino, indDoubleOuter, in.DoubleIndirect, true)
-		if err != nil {
-			return layout.NilAddr, err
-		}
-		idx := int(id - indDoubleInnerBase)
-		old := layout.AddrAt(outer.Data, idx)
-		layout.SetAddrAt(outer.Data, idx, addr)
-		fs.bc.MarkDirty(outer, fs.clock.Now())
-		return old, nil
+	p, err := vfs.IndirectPtr(in, id, fs.indirect, true)
+	return fs.repoint(in, p, err, addr)
+}
+
+// repoint stores addr at p, which a walk reached unless it failed with
+// err, and returns the address p held. A changed address dirties what
+// holds p: the inode, or the indirect block.
+func (fs *FS) repoint(in *layout.Inode, p vfs.Ptr, err error, addr layout.DiskAddr) (layout.DiskAddr, error) {
+	old := p.Get()
+	if err != nil || old == addr {
+		return old, err
 	}
+	if b := p.Set(addr); b != nil {
+		fs.bc.MarkDirty(b, fs.clock.Now())
+	} else {
+		fs.markInodeDirty(in.Ino)
+	}
+	return old, nil
 }

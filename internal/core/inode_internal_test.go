@@ -454,3 +454,47 @@ func TestNamespaceAllocs(t *testing.T) {
 		t.Errorf("Remove: %v allocs per call, want 0", n)
 	}
 }
+
+// TestTruncateLeavesNoIndirectBehind: truncating a file whose indirect
+// blocks were never logged must not make them. The walk that releases
+// each dropped block used to create the missing indirect blocks, all
+// holes, in the cache; the inode did not point at them, so pruning
+// missed them, and the next segment write logged them past the file's
+// end.
+func TestTruncateLeavesNoIndirectBehind(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		blockSize int
+		blocks    int
+	}{
+		{"single", 4096, layout.NDirect + 3},
+		// In 512-byte blocks the double indirect range starts 140 blocks
+		// in, so the whole file is far less dirty data than a segment and
+		// no segment write comes before the truncate.
+		{"double", 512, layout.NDirect + 512/layout.AddrSize + 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.BlockSize = tc.blockSize
+			fs := newTestFS(t, 64<<20, cfg)
+			must(t, fs.Create("/f"))
+			must(t, fs.Write("/f", 0, make([]byte, tc.blocks*tc.blockSize)))
+			if fs.stats.UnitsWritten != 0 {
+				t.Fatal("setup: a segment write came before the truncate")
+			}
+			must(t, fs.Truncate("/f", 0))
+			must(t, fs.Sync())
+			in, err := fs.getInode(dirIno(t, fs, "/f"))
+			must(t, err)
+			if in.Size != 0 || !in.Indirect.IsNil() || !in.DoubleIndirect.IsNil() {
+				t.Errorf("/f after Truncate to 0 and Sync: size %d, Indirect %v, DoubleIndirect %v; want 0 and neither",
+					in.Size, in.Indirect, in.DoubleIndirect)
+			}
+			rep, err := fs.Check()
+			must(t, err)
+			if !rep.Ok() {
+				t.Errorf("Check: %q", rep.Problems)
+			}
+		})
+	}
+}

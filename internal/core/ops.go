@@ -21,7 +21,9 @@ func (fs *FS) hooks() vfs.Hooks {
 		Mounted:  fs.checkMounted,
 		Inode:    func(_ int, ino layout.Ino) (*layout.Inode, error) { return fs.getInode(ino) },
 		Atime:    func(ino layout.Ino) sim.Time { return fs.imap.peek(ino).Atime },
-		Block:    fs.readDataBlock,
+		Indirect: fs.indirect,
+		Find:     fs.findData,
+		Key:      func(in *layout.Inode, lbn int64, _ layout.DiskAddr) cache.Key { return dataKey(in.Ino, lbn) },
 		Accessed: fs.accessed,
 		Create:   fs.createNode,
 		Write:    fs.write,

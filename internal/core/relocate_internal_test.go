@@ -402,7 +402,7 @@ func liveBySegment(t testing.TB, fs *FS) []int64 {
 		count(in.DoubleIndirect, bs)
 		if !in.DoubleIndirect.IsNil() {
 			for k := int64(0); k < int64(fs.cfg.BlockSize/layout.AddrSize); k++ {
-				a, err := fs.indirectAddrOf(in, indDoubleInnerBase+k)
+				a, err := fs.indirectAddrOf(in, layout.IndDoubleInner+k)
 				must(t, err)
 				count(a, bs)
 			}

@@ -31,7 +31,7 @@ func TestSegUsageRoundTrip(t *testing.T) {
 func TestSummaryRoundTrip(t *testing.T) {
 	refs := []blockRef{
 		{Kind: kindData, Ino: 5, ID: 17, Version: 3},
-		{Kind: kindIndirect, Ino: 5, ID: indSingle, Version: 3},
+		{Kind: kindIndirect, Ino: 5, ID: layout.IndSingle, Version: 3},
 		{Kind: kindInodes},
 		{Kind: kindImap, ID: 12},
 	}

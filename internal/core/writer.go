@@ -127,9 +127,9 @@ var blockPasses = [...]struct {
 	lo, hi int64
 }{
 	{cache.KindFile, kindData, 0, math.MaxInt64},
-	{cache.KindIndirect, kindIndirect, indDoubleInnerBase, math.MaxInt64},
-	{cache.KindIndirect, kindIndirect, indDoubleOuter, indDoubleOuter},
-	{cache.KindIndirect, kindIndirect, indSingle, indSingle},
+	{cache.KindIndirect, kindIndirect, layout.IndDoubleInner, math.MaxInt64},
+	{cache.KindIndirect, kindIndirect, layout.IndDoubleOuter, layout.IndDoubleOuter},
+	{cache.KindIndirect, kindIndirect, layout.IndSingle, layout.IndSingle},
 }
 
 // writeDirtyBlocks logs the dirty data and indirect blocks — of every

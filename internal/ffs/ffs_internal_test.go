@@ -207,33 +207,49 @@ func TestSuperblockRoundTrip(t *testing.T) {
 }
 
 // TestUnlinkForgetsReadAheadPosition: freeing an inode drops its
-// last-read block, so a file created on the reused number cannot
-// inherit a read-ahead position (and the table does not grow by one
-// entry per file ever read).
+// last-read block, so a file created on the reused number does not
+// inherit a read-ahead position: its first read at old+1 is not
+// sequential and fetches one block.
 func TestUnlinkForgetsReadAheadPosition(t *testing.T) {
 	fs := newTestFS(t, 32<<20)
-	buf := make([]byte, 3*fs.cfg.BlockSize)
-	if err := fs.Create("/f"); err != nil {
-		t.Fatal(err)
+	bs := fs.cfg.BlockSize
+	const k = 3
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := fs.Write("/f", 0, buf); err != nil {
-		t.Fatal(err)
+	ino := func(path string) layout.Ino {
+		t.Helper()
+		fi, err := fs.Stat(path)
+		must(err)
+		return fi.Ino
 	}
-	fi, err := fs.Stat("/f")
-	if err != nil {
-		t.Fatal(err)
+	buf := make([]byte, bs)
+	must(fs.Create("/old"))
+	must(fs.Write("/old", 0, make([]byte, (k+1)*bs)))
+	old := ino("/old")
+	for lbn := 0; lbn <= k; lbn++ {
+		_, err := fs.Read("/old", int64(lbn*bs), buf)
+		must(err)
 	}
-	if _, err := fs.Read("/f", 0, buf); err != nil {
-		t.Fatal(err)
+	must(fs.Remove("/old"))
+
+	must(fs.Create("/new"))
+	if got := ino("/new"); got != old {
+		t.Fatalf("new file got inode %d, expected the freed %d to be reused", got, old)
 	}
-	if fs.lastRead[fi.Ino] != 2 {
-		t.Fatalf("lastRead = %d after reading blocks 0..2", fs.lastRead[fi.Ino])
-	}
-	if err := fs.Remove("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, leaked := fs.lastRead[fi.Ino]; leaked {
-		t.Fatalf("lastRead still has an entry for unlinked inode %d", fi.Ino)
+	must(fs.Write("/new", 0, make([]byte, 4*k*bs)))
+	must(fs.Sync())
+	fs.DropCaches()
+	ino("/new") // the path and inode cached: the read below fetches file blocks only
+	before := fs.d.Stats()
+	_, err := fs.Read("/new", int64((k+1)*bs), buf)
+	must(err)
+	if got := fs.d.Stats().Sub(before); got.Reads != 1 || got.BytesRead() != int64(bs) {
+		t.Fatalf("first read of a new file at block %d: %d requests of %d bytes, want one of one block: it inherited the unlinked file's position",
+			k+1, got.Reads, got.BytesRead())
 	}
 }
 

@@ -1,11 +1,9 @@
 package ffs
 
 import (
-	"fmt"
-
 	"lfs/internal/cache"
-	"lfs/internal/disk"
 	"lfs/internal/layout"
+	"lfs/internal/vfs"
 )
 
 // bmap resolves logical block lbn of the inode to a physical block.
@@ -14,169 +12,74 @@ import (
 // the caller writes it back. It returns pb == -1 for a hole when alloc
 // is false.
 func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew bool, err error) {
-	path, err := layout.MapBlock(lbn, fs.cfg.BlockSize)
+	p, err := vfs.BlockPtr(in, lbn, fs.cfg.BlockSize, fs.indirect, alloc)
 	if err != nil {
 		return 0, false, err
 	}
-	group := fs.lay.groupOf(in.Ino)
-
-	// ensureIndirect returns the block behind addr, allocating a fresh
-	// indirect block when absent.
-	ensureIndirect := func(addr layout.DiskAddr) (*cache.Block, layout.DiskAddr, bool, error) {
-		if !addr.IsNil() {
-			b, err := fs.getBlock(fs.lay.blockOf(addr), true, "indirect")
-			return b, addr, false, err
-		}
-		if !alloc {
-			return nil, layout.NilAddr, false, nil
-		}
-		npb, err := fs.allocBlock(group)
-		if err != nil {
-			return nil, layout.NilAddr, false, err
-		}
-		b, err := fs.getBlock(npb, false, "indirect")
-		if err != nil {
-			return nil, layout.NilAddr, false, err
-		}
-		layout.FillNil(b.Data)
-		fs.dirty(b)
-		return b, fs.lay.addrOf(npb), true, nil
+	if a := p.Get(); !a.IsNil() {
+		return fs.lay.blockOf(a), false, nil
 	}
-
-	switch path.Level {
-	case 0:
-		addr := in.Direct[path.Direct]
-		if addr.IsNil() {
-			if !alloc {
-				return -1, false, nil
-			}
-			npb, err := fs.allocBlock(group)
-			if err != nil {
-				return 0, false, err
-			}
-			in.Direct[path.Direct] = fs.lay.addrOf(npb)
-			return npb, true, nil
-		}
-		return fs.lay.blockOf(addr), false, nil
-
-	case 1:
-		ib, addr, created, err := ensureIndirect(in.Indirect)
-		if err != nil || ib == nil {
-			return -1, false, err
-		}
-		if created {
-			in.Indirect = addr
-		}
-		entry := layout.AddrAt(ib.Data, path.Inner)
-		if entry.IsNil() {
-			if !alloc {
-				return -1, false, nil
-			}
-			npb, err := fs.allocBlock(group)
-			if err != nil {
-				return 0, false, err
-			}
-			layout.SetAddrAt(ib.Data, path.Inner, fs.lay.addrOf(npb))
-			fs.dirty(ib)
-			return npb, true, nil
-		}
-		return fs.lay.blockOf(entry), false, nil
-
-	case 2:
-		outer, addr, created, err := ensureIndirect(in.DoubleIndirect)
-		if err != nil || outer == nil {
-			return -1, false, err
-		}
-		if created {
-			in.DoubleIndirect = addr
-		}
-		innerAddr := layout.AddrAt(outer.Data, path.Outer)
-		inner, newInnerAddr, createdInner, err := ensureIndirect(innerAddr)
-		if err != nil || inner == nil {
-			return -1, false, err
-		}
-		if createdInner {
-			layout.SetAddrAt(outer.Data, path.Outer, newInnerAddr)
-			fs.dirty(outer)
-		}
-		entry := layout.AddrAt(inner.Data, path.Inner)
-		if entry.IsNil() {
-			if !alloc {
-				return -1, false, nil
-			}
-			npb, err := fs.allocBlock(group)
-			if err != nil {
-				return 0, false, err
-			}
-			layout.SetAddrAt(inner.Data, path.Inner, fs.lay.addrOf(npb))
-			fs.dirty(inner)
-			return npb, true, nil
-		}
-		return fs.lay.blockOf(entry), false, nil
+	if !alloc {
+		return -1, false, nil
 	}
-	return 0, false, fmt.Errorf("ffs: unreachable bmap level")
+	npb, err := fs.allocBlock(fs.lay.groupOf(in.Ino))
+	if err != nil {
+		return 0, false, err
+	}
+	fs.repoint(p, fs.lay.addrOf(npb))
+	return npb, true, nil
 }
 
-// readAheadBlocks is how many physically contiguous blocks a
-// cache-miss read fetches in one transfer — the standard UNIX
-// read-ahead SunOS performed. FFS allocates sequential files
-// contiguously within a cylinder group, so sequential reads benefit;
-// that is also why the baseline wins the paper's
-// seq-reread-after-random-write case (its file stays contiguous on
-// disk while LFS's is scattered through the log).
-const readAheadBlocks = 8
-
-// readBlockRA returns the contents of file block lbn through the cache,
-// nil for a hole. On a miss during a detected sequential scan it reads
-// up to readAheadBlocks physically contiguous blocks in one request.
-// The bytes are valid until the next cache insertion.
-func (fs *FS) readBlockRA(in *layout.Inode, lbn int64) ([]byte, error) {
-	sequential := lbn == 0 || fs.lastRead[in.Ino]+1 == lbn
-	fs.lastRead[in.Ino] = lbn
-	pb, _, err := fs.bmap(in, lbn, false)
+// getIndirect is what FFS supplies to the pointer walk
+// (vfs.IndirectFunc): the indirect block p points at, through the cache.
+// With create set a missing one is allocated near the inode's group,
+// filled with holes and written into p.
+func (fs *FS) getIndirect(in *layout.Inode, _ int64, p vfs.Ptr, create bool) (*cache.Block, error) {
+	if a := p.Get(); !a.IsNil() {
+		return fs.getBlock(fs.lay.blockOf(a), true, "indirect")
+	}
+	if !create {
+		return nil, nil
+	}
+	npb, err := fs.allocBlock(fs.lay.groupOf(in.Ino))
 	if err != nil {
 		return nil, err
 	}
-	if pb < 0 {
-		return nil, nil // hole
-	}
-	if b := fs.bc.Get(blockKey(pb)); b != nil {
-		fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
-		return b.Data, nil
-	}
-	maxLbn := layout.BlocksForSize(in.Size, fs.cfg.BlockSize)
-	limit := 1
-	if sequential {
-		limit = readAheadBlocks
-	}
-	run := 1
-	for run < limit && lbn+int64(run) < maxLbn {
-		next, _, err := fs.bmap(in, lbn+int64(run), false)
-		if err != nil {
-			return nil, err
-		}
-		if next != pb+int64(run) || fs.bc.Peek(blockKey(next)) != nil {
-			break
-		}
-		run++
-	}
-	bs := fs.cfg.BlockSize
-	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
-	span := fs.span[:run*bs]
-	if err := fs.d.ReadSectors(fs.lay.sectorOf(pb), span, disk.CauseReadMiss, "file read"); err != nil {
+	b, err := fs.getBlock(npb, false, "indirect")
+	if err != nil {
 		return nil, err
 	}
-	first := fs.bc.AddFrom(blockKey(pb), span[:bs])
-	for i := 1; i < run; i++ {
-		fs.bc.AddFrom(blockKey(pb+int64(i)), span[i*bs:(i+1)*bs])
+	layout.FillNil(b.Data)
+	fs.dirty(b)
+	fs.repoint(p, fs.lay.addrOf(npb))
+	return b, nil
+}
+
+// repoint stores a at p and dirties the indirect block that holds p,
+// if any; never the inode, which the caller writes back.
+func (fs *FS) repoint(p vfs.Ptr, a layout.DiskAddr) {
+	if b := p.Set(a); b != nil {
+		fs.dirty(b)
 	}
-	if first.Data == nil {
-		// Fewer than run blocks were evictable (a cache smaller than the
-		// run, or mostly dirty), so inserting the tail evicted the head:
-		// the span still holds the caller's bytes.
-		return span[:bs], nil
+}
+
+// readAheadBlocks is how many physically contiguous blocks a
+// cache-miss read fetches in one request (vfs.Front's read-ahead). FFS
+// allocates sequential files contiguously within a cylinder group, so
+// sequential reads benefit; that is also why the baseline wins the
+// paper's seq-reread-after-random-write case (its file stays contiguous
+// on disk while LFS's is scattered through the log).
+const readAheadBlocks = 8
+
+// findData is what FFS supplies to the read path (vfs.Hooks.Find): the
+// cache knows a block by its physical number, so the block is mapped
+// before it is looked up.
+func (fs *FS) findData(in *layout.Inode, lbn int64) (*cache.Block, layout.DiskAddr, error) {
+	pb, _, err := fs.bmap(in, lbn, false)
+	if err != nil || pb < 0 {
+		return nil, layout.NilAddr, err
 	}
-	return first.Data, nil
+	return fs.bc.Get(blockKey(pb)), fs.lay.addrOf(pb), nil
 }
 
 // writeFile stores data at off, allocating blocks as needed and
@@ -237,8 +140,15 @@ func (fs *FS) truncateFile(in *layout.Inode, size int64) error {
 
 	// Free whole blocks beyond the new end.
 	for lbn := newBlocks; lbn < oldBlocks; lbn++ {
-		if err := fs.freeFileBlock(in, lbn); err != nil {
+		p, err := vfs.BlockPtr(in, lbn, fs.cfg.BlockSize, fs.indirect, false)
+		if err != nil {
 			return err
+		}
+		if a := p.Get(); !a.IsNil() {
+			if err := fs.freeBlock(fs.lay.blockOf(a)); err != nil {
+				return err
+			}
+			fs.repoint(p, layout.NilAddr)
 		}
 	}
 	if newBlocks < oldBlocks {
@@ -265,63 +175,6 @@ func (fs *FS) truncateFile(in *layout.Inode, size int64) error {
 		}
 	}
 	in.Size = uint64(size)
-	return nil
-}
-
-// freeFileBlock frees the data block behind lbn (if any) and clears
-// its pointer.
-func (fs *FS) freeFileBlock(in *layout.Inode, lbn int64) error {
-	path, err := layout.MapBlock(lbn, fs.cfg.BlockSize)
-	if err != nil {
-		return err
-	}
-	switch path.Level {
-	case 0:
-		if a := in.Direct[path.Direct]; !a.IsNil() {
-			if err := fs.freeBlock(fs.lay.blockOf(a)); err != nil {
-				return err
-			}
-			in.Direct[path.Direct] = layout.NilAddr
-		}
-	case 1:
-		if in.Indirect.IsNil() {
-			return nil
-		}
-		ib, err := fs.getBlock(fs.lay.blockOf(in.Indirect), true, "indirect")
-		if err != nil {
-			return err
-		}
-		if a := layout.AddrAt(ib.Data, path.Inner); !a.IsNil() {
-			if err := fs.freeBlock(fs.lay.blockOf(a)); err != nil {
-				return err
-			}
-			layout.SetAddrAt(ib.Data, path.Inner, layout.NilAddr)
-			fs.dirty(ib)
-		}
-	case 2:
-		if in.DoubleIndirect.IsNil() {
-			return nil
-		}
-		outer, err := fs.getBlock(fs.lay.blockOf(in.DoubleIndirect), true, "indirect")
-		if err != nil {
-			return err
-		}
-		innerAddr := layout.AddrAt(outer.Data, path.Outer)
-		if innerAddr.IsNil() {
-			return nil
-		}
-		inner, err := fs.getBlock(fs.lay.blockOf(innerAddr), true, "indirect")
-		if err != nil {
-			return err
-		}
-		if a := layout.AddrAt(inner.Data, path.Inner); !a.IsNil() {
-			if err := fs.freeBlock(fs.lay.blockOf(a)); err != nil {
-				return err
-			}
-			layout.SetAddrAt(inner.Data, path.Inner, layout.NilAddr)
-			fs.dirty(inner)
-		}
-	}
 	return nil
 }
 

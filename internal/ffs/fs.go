@@ -49,12 +49,9 @@ type FS struct {
 	// remove, listing, the name cache — SunOS's namei cache — and the
 	// insert hint), fetching blocks through dirBlock. Guarded by mu.
 	dirs *vfs.Dirs
-	// lastRead tracks each file's last-read block for sequential
-	// read-ahead detection. Guarded by mu.
-	lastRead map[layout.Ino]int64
-	// span is the read-ahead transfer buffer, reused by every miss.
-	// Guarded by mu.
-	span []byte
+	// indirect is getIndirect, bound once for the pointer walk
+	// (vfs.BlockPtr) so that no walk allocates.
+	indirect vfs.IndirectFunc
 	// walked is where an operation's inode reads leave their records
 	// (Front's slots) — two are in use at once at most: a parent
 	// directory and a file, or two parents. FFS works on inode records
@@ -105,24 +102,23 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 		return nil, fmt.Errorf("ffs: superblock block size %d != config %d", sb.BlockSize, cfg.BlockSize)
 	}
 	fs := &FS{
-		d:        d,
-		cfg:      cfg,
-		clock:    d.Clock(),
-		cpu:      sim.NewCPU(cfg.MIPS, d.Clock()),
-		bc:       cache.New(cfg.CacheBlocks, cfg.BlockSize),
-		sb:       sb,
-		lay:      newLayout(sb),
-		atimes:   make(map[layout.Ino]sim.Time),
-		lastRead: make(map[layout.Ino]int64),
-		span:     make([]byte, readAheadBlocks*cfg.BlockSize),
+		d:      d,
+		cfg:    cfg,
+		clock:  d.Clock(),
+		cpu:    sim.NewCPU(cfg.MIPS, d.Clock()),
+		bc:     cache.New(cfg.CacheBlocks, cfg.BlockSize),
+		sb:     sb,
+		lay:    newLayout(sb),
+		atimes: make(map[layout.Ino]sim.Time),
 	}
 	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, fs.dirBlock)
+	fs.indirect = fs.getIndirect
 	// Route blocking-request waits into the op seam. Pure arithmetic
 	// on durations the disk already computed — attaching the waiter
 	// never perturbs the timeline. FFS has no metrics plane.
 	fs.op = obs.NewOpCapture(d, fs.cpu, cfg.Trace, nil)
 	d.SetWaiter(fs.op)
-	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, fs.cpu, cfg.Costs, fs.hooks())
+	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, d, fs.cpu, cfg.Costs, make([]byte, readAheadBlocks*cfg.BlockSize), fs.hooks())
 	// Rebuild free counts from the bitmaps.
 	fs.freeBlocks = make([]int, sb.Groups)
 	fs.freeInodes = make([]int, sb.Groups)
@@ -423,7 +419,7 @@ func (fs *FS) freeInode(ino layout.Ino) error {
 	fs.dirty(bm)
 	fs.freeInodes[g]++
 	delete(fs.atimes, ino)
-	delete(fs.lastRead, ino)
+	fs.ForgetLocked(ino)
 	return nil
 }
 

@@ -185,11 +185,14 @@ func Fsck(d *disk.Disk, cfg Config) (*FsckReport, error) {
 		if err := walkBlocks(&in); err != nil {
 			return err
 		}
+		blocks := layout.BlocksForSize(in.Size, cfg.BlockSize)
+		if !in.Indirect.IsNil() && blocks <= layout.NDirect || !in.DoubleIndirect.IsNil() && blocks <= layout.NDirect+int64(apb) {
+			rep.Problems = append(rep.Problems, fmt.Sprintf("inode %d: indirect block past the end of its %d blocks", ino, blocks))
+		}
 		if !in.Mode.IsDir() {
 			return nil
 		}
 		// Scan directory entries.
-		blocks := layout.BlocksForSize(in.Size, cfg.BlockSize)
 		for lbn := int64(0); lbn < blocks; lbn++ {
 			path, err := layout.MapBlock(lbn, cfg.BlockSize)
 			if err != nil {

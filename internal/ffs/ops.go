@@ -19,7 +19,9 @@ func (fs *FS) hooks() vfs.Hooks {
 		Mounted:  fs.checkMounted,
 		Inode:    fs.inode,
 		Atime:    func(ino layout.Ino) sim.Time { return fs.atimes[ino] },
-		Block:    fs.readBlockRA,
+		Indirect: fs.indirect,
+		Find:     fs.findData,
+		Key:      func(_ *layout.Inode, _ int64, a layout.DiskAddr) cache.Key { return blockKey(fs.lay.blockOf(a)) },
 		Accessed: func(in *layout.Inode) error { fs.atimes[in.Ino] = fs.clock.Now(); return nil },
 		Create:   fs.createNode,
 		Write:    fs.write,

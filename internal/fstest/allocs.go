@@ -9,8 +9,9 @@ import (
 // RunSteadyStateAllocs pins what the data path costs the host once a
 // volume is warm: an 8 KB Write over, and an 8 KB Read of, an existing
 // file allocate nothing per call — no split path, no inode, no block
-// header — whatever write-back the calls trigger on the way. It leaves
-// a file behind in fs.
+// header — whatever write-back the calls trigger on the way; nor does
+// truncating the 256 KB file to 1 KB, which drops its indirect block,
+// and writing it back. It leaves a file behind in fs.
 func RunSteadyStateAllocs(t *testing.T, fs vfs.FileSystem) {
 	t.Helper()
 	const chunk, chunks = 8 << 10, 32
@@ -40,5 +41,14 @@ func RunSteadyStateAllocs(t *testing.T, fs vfs.FileSystem) {
 	}
 	if n := testing.AllocsPerRun(20*chunks, read); n != 0 {
 		t.Errorf("8 KB Read of an existing file: %v allocs per call, want 0", n)
+	}
+	regrow := func() {
+		must(t, fs.Truncate("/steady/file", 1<<10))
+		for range chunks {
+			write()
+		}
+	}
+	if n := testing.AllocsPerRun(20, regrow); n != 0 {
+		t.Errorf("Truncate of the 256 KB file to 1 KB and its regrowth: %v allocs per call, want 0", n)
 	}
 }

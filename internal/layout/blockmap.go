@@ -19,6 +19,18 @@ type BlockPath struct {
 	Inner int
 }
 
+// Indirect block ids within a file: the role a block plays in the
+// pointer tree. LFS keys its cached indirect blocks by them, because
+// their addresses change on every rewrite.
+const (
+	// IndSingle is the single indirect block.
+	IndSingle int64 = 0
+	// IndDoubleOuter is the double indirect (outer) block.
+	IndDoubleOuter int64 = 1
+	// IndDoubleInner + k is the k-th inner block under the outer one.
+	IndDoubleInner int64 = 2
+)
+
 // AddrsPerBlock returns how many DiskAddrs fit in one file system
 // block.
 func AddrsPerBlock(blockSize int) int { return blockSize / AddrSize }

@@ -39,6 +39,7 @@ type sizing struct {
 	capacity    int64
 	inodes      int
 	cacheBlocks int
+	blockSize   int
 }
 
 // testFS is one mounted file system under test.
@@ -51,6 +52,9 @@ type testFS struct {
 	snap func() (now sim.Time, instr int64, c cache.Stats, d disk.Stats)
 	// mount mounts the (crashed) disk again with the same configuration.
 	mount func(t testing.TB) *testFS
+	// check runs the file system's checker (LFS's Check, FFS's fsck
+	// after a Sync) and returns the problems it reports.
+	check func(t testing.TB) []string
 }
 
 // counters renders everything snap reads.
@@ -95,6 +99,9 @@ func openLFS(t testing.TB, s sizing) *testFS {
 	if s.cacheBlocks > 0 {
 		cfg.CacheBlocks = s.cacheBlocks
 	}
+	if s.blockSize > 0 {
+		cfg.BlockSize = s.blockSize
+	}
 	d := disk.NewMem(s.capacity, sim.NewClock())
 	must(t, core.Format(d, cfg))
 	var mount func(t testing.TB) *testFS
@@ -108,6 +115,11 @@ func openLFS(t testing.TB, s sizing) *testFS {
 				s := fs.StatsSnapshot()
 				return s.Time, s.CPUInstructions, s.Cache, s.Disk
 			},
+			check: func(t testing.TB) []string {
+				rep, err := fs.Check()
+				must(t, err)
+				return rep.Problems
+			},
 		}
 	}
 	return mount(t)
@@ -116,6 +128,9 @@ func openLFS(t testing.TB, s sizing) *testFS {
 func openFFS(t testing.TB, s sizing) *testFS {
 	t.Helper()
 	cfg := ffs.DefaultConfig()
+	if s.blockSize > 0 {
+		cfg.BlockSize = s.blockSize
+	}
 	groups := int(s.capacity / int64(cfg.BlocksPerGroup*cfg.BlockSize))
 	if perGroup := (s.inodes/groups + 8) &^ 7; perGroup > cfg.InodesPerGroup {
 		cfg.InodesPerGroup = perGroup
@@ -135,6 +150,12 @@ func openFFS(t testing.TB, s sizing) *testFS {
 			snap: func() (sim.Time, int64, cache.Stats, disk.Stats) {
 				s := fs.StatsSnapshot()
 				return s.Time, s.CPUInstructions, s.Cache, s.Disk
+			},
+			check: func(t testing.TB) []string {
+				must(t, fs.Sync())
+				rep, err := ffs.Fsck(d, cfg)
+				must(t, err)
+				return rep.Problems
 			},
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"lfs/internal/cache"
+	"lfs/internal/disk"
 	"lfs/internal/layout"
 	"lfs/internal/sim"
 )
@@ -32,10 +33,16 @@ type Hooks struct {
 	Inode func(slot int, ino layout.Ino) (*layout.Inode, error)
 	// Atime returns ino's access time, for Stat.
 	Atime func(ino layout.Ino) sim.Time
-	// Block returns file block lbn's bytes for the read loop, nil for a
-	// hole, valid until the next cache insertion: the file system's
-	// read-ahead lives here.
-	Block func(in *layout.Inode, lbn int64) ([]byte, error)
+	// Indirect reaches the file's indirect blocks for the pointer walk
+	// (BlockPtr).
+	Indirect IndirectFunc
+	// Find is the read path's one charged cache lookup of file block lbn:
+	// the cached copy, or else the address the block lies at, nil for a
+	// hole. LFS, whose cache knows a block by (ino, lbn), looks before it
+	// maps; FFS, whose cache knows it by its physical block, maps first.
+	Find func(in *layout.Inode, lbn int64) (*cache.Block, layout.DiskAddr, error)
+	// Key names the cached copy of file block lbn, which lies at addr.
+	Key func(in *layout.Inode, lbn int64, addr layout.DiskAddr) cache.Key
 	// Accessed records that in was read: its access time and the
 	// operation's epilogue.
 	Accessed func(in *layout.Inode) error
@@ -62,13 +69,16 @@ type Hooks struct {
 // and written (§4.2), so everything above that — the lock, the op seam,
 // the mounted check and system-call charge, the path walk, every
 // argument check, the directory lookups and the read loop — is written
-// once. A file system embeds a Front and supplies its Hooks.
+// once, and so is read-ahead. A file system embeds a Front and supplies
+// its Hooks.
 type Front struct {
 	// mu is the file system's own lock, op its seam, dirs its directory
-	// layer and cpu its processor; all are set once by NewFront.
+	// layer, d its disk and cpu its processor; all are set once by
+	// NewFront.
 	mu    sync.Locker
 	op    Seam
 	dirs  *Dirs
+	d     *disk.Disk
 	cpu   *sim.CPU
 	costs sim.Costs
 	h     Hooks
@@ -79,17 +89,27 @@ type Front struct {
 	// into, PathDepth components of it in place, so the steady state
 	// allocates none. Guarded by mu.
 	parts []string
+	// span is the read-ahead transfer buffer, as many blocks long as one
+	// request may fetch; lastRead is each file's last-read block, for
+	// detecting a sequential scan. Guarded by mu.
+	span     []byte
+	lastRead map[layout.Ino]int64
 }
 
 // NewFront returns the front end of a file system locked by mu,
-// instrumented by op, charging cpu at costs, over dirs.
-func NewFront(mu sync.Locker, op Seam, dirs *Dirs, cpu *sim.CPU, costs sim.Costs, h Hooks) Front {
+// instrumented by op, reading d and charging cpu at costs, over dirs.
+// span is the read-ahead buffer; a file system may share it with
+// transfers of its own that never fall between a read-ahead and the
+// copy out of it.
+func NewFront(mu sync.Locker, op Seam, dirs *Dirs, d *disk.Disk, cpu *sim.CPU, costs sim.Costs, span []byte, h Hooks) Front {
 	bs := dirs.bc.BlockSize()
 	return Front{
-		mu: mu, op: op, dirs: dirs, cpu: cpu, costs: costs, h: h,
-		bs:      int64(bs),
-		maxSize: layout.MaxFileBlocks(bs) * int64(bs),
-		parts:   make([]string, 0, PathDepth),
+		mu: mu, op: op, dirs: dirs, d: d, cpu: cpu, costs: costs, h: h,
+		bs:       int64(bs),
+		maxSize:  layout.MaxFileBlocks(bs) * int64(bs),
+		parts:    make([]string, 0, PathDepth),
+		span:     span,
+		lastRead: make(map[layout.Ino]int64),
 	}
 }
 
@@ -120,6 +140,11 @@ func (f *Front) LookupLocked(path string) (*layout.Inode, error) {
 	}
 	return f.walk(0, parts)
 }
+
+// ForgetLocked drops ino's read history when the inode is freed, so a
+// file that reuses the number does not inherit it; the caller holds the
+// lock.
+func (f *Front) ForgetLocked(ino layout.Ino) { delete(f.lastRead, ino) }
 
 // Create makes a new empty regular file.
 func (f *Front) Create(path string) error {
@@ -396,7 +421,7 @@ func (f *Front) readFile(in *layout.Inode, off int64, buf []byte) (int, error) {
 		pos := off + int64(read)
 		bo := pos % f.bs
 		n := min(int(f.bs-bo), len(buf)-read)
-		data, err := f.h.Block(in, pos/f.bs)
+		data, err := f.block(in, pos/f.bs)
 		if err != nil {
 			return read, err
 		}
@@ -409,6 +434,61 @@ func (f *Front) readFile(in *layout.Inode, off int64, buf []byte) (int, error) {
 		read += n
 	}
 	return read, nil
+}
+
+// block returns the bytes of file block lbn for the read loop, nil for a
+// hole, valid until the next cache insertion. On a miss during a
+// sequential scan it fetches up to a span of blocks that lie contiguous
+// on disk in one request — the standard UNIX read-ahead both SunOS and
+// Sprite performed. LFS lays a sequentially written file out
+// contiguously in the log, FFS within a cylinder group; a file scattered
+// by random writes gets no benefit.
+func (f *Front) block(in *layout.Inode, lbn int64) ([]byte, error) {
+	sequential := lbn == 0 || f.lastRead[in.Ino]+1 == lbn
+	f.lastRead[in.Ino] = lbn
+	b, addr, err := f.h.Find(in, lbn)
+	if b != nil {
+		f.cpu.Charge(f.costs.BlockSetup)
+		return b.Data, nil
+	}
+	if err != nil || addr.IsNil() {
+		return nil, err
+	}
+	// Collect the physically contiguous successors not already cached.
+	bs := int(f.bs)
+	spb := layout.DiskAddr(bs / disk.SectorSize)
+	maxLbn := layout.BlocksForSize(in.Size, bs)
+	limit := 1
+	if sequential {
+		limit = len(f.span) / bs
+	}
+	run := 1
+	for ; run < limit && lbn+int64(run) < maxLbn; run++ {
+		p, err := BlockPtr(in, lbn+int64(run), bs, f.h.Indirect, false)
+		if err != nil {
+			return nil, err
+		}
+		next := p.Get()
+		if next != addr+layout.DiskAddr(run)*spb || f.dirs.bc.Peek(f.h.Key(in, lbn+int64(run), next)) != nil {
+			break
+		}
+	}
+	f.cpu.Charge(f.costs.BlockSetup + f.costs.DiskOpSetup)
+	span := f.span[:run*bs]
+	if err := f.d.ReadSectors(int64(addr), span, disk.CauseReadMiss, "file read"); err != nil {
+		return nil, err
+	}
+	first := f.dirs.bc.AddFrom(f.h.Key(in, lbn, addr), span[:bs])
+	for i := 1; i < run; i++ {
+		f.dirs.bc.AddFrom(f.h.Key(in, lbn+int64(i), addr+layout.DiskAddr(i)*spb), span[i*bs:(i+1)*bs])
+	}
+	if first.Data == nil {
+		// Fewer than run blocks were evictable (a cache smaller than the
+		// run, or mostly dirty), so inserting the tail evicted the head:
+		// the span still holds the caller's bytes.
+		return span[:bs], nil
+	}
+	return first.Data, nil
 }
 
 // stat is Stat below the seam.

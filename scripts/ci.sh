@@ -55,7 +55,8 @@ echo "== size =="
 # tests called deleted: 24 923.
 # One reader for log units and one for checkpoint regions, one indirect-entry codec: 24 915.
 # One VFS front end (vfs.Front) under LFS and FFS, the op layer and read loop written once: 24 684.
-size_ceiling=24684
+# One file layer: the block-pointer walk (vfs.BlockPtr) and read-ahead written once: 24 600.
+size_ceiling=24600
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
