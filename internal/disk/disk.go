@@ -215,17 +215,6 @@ func (s Stats) Sub(o Stats) Stats {
 	return out
 }
 
-// AttributedBusy returns the busy time attributed to named causes
-// (everything except CauseOther) and the total busy time.
-func (s Stats) AttributedBusy() (named, total sim.Duration) {
-	for c := IOCause(0); c < NumCauses; c++ {
-		if c != CauseOther {
-			named += s.ByCause[c].Busy
-		}
-	}
-	return named, s.BusyTime
-}
-
 // String summarises the counters on one line.
 func (s Stats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d (sync=%d) read=%dKB written=%dKB seeks=%d busy=%v",
