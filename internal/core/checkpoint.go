@@ -45,9 +45,7 @@ type checkpointState struct {
 // encodeCheckpoint serialises the state into p (one checkpoint
 // region).
 func encodeCheckpoint(st checkpointState, p []byte) {
-	for i := range p {
-		p[i] = 0
-	}
+	clear(p)
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], ckptMagic2)
 	le.PutUint64(p[4:], st.Serial)

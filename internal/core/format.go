@@ -30,9 +30,7 @@ type superblock struct {
 }
 
 func (sb *superblock) encode(p []byte) {
-	for i := range p {
-		p[i] = 0
-	}
+	clear(p)
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], lfsMagic)
 	le.PutUint32(p[4:], sb.BlockSize)
@@ -140,8 +138,10 @@ func Format(d *disk.Disk, cfg Config) error {
 	// Build the initial state through a throwaway FS skeleton: an
 	// empty imap with the root directory allocated, all segments
 	// clean, then one checkpoint into each region so either is
-	// valid.
+	// valid. Its hot head holds the two one-block units it places (the
+	// root's inode block, imap block 0), not a whole segment.
 	fs := newSkeleton(d, cfg, sb)
+	fs.heads[classHot].buf = make([]byte, min(2*(summaryBlocks(1, cfg.BlockSize)+1)*cfg.BlockSize, cfg.SegmentSize))
 	root := layout.NewInode(layout.RootIno, layout.ModeDir|0o755)
 	root.Nlink = 2
 	fs.inodes.install(layout.RootIno, root)

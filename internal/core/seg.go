@@ -186,9 +186,7 @@ func maxUnitBlocks(avail, blockSize int) int {
 // encodeSummary writes the unit summary into p, which must span the
 // summary blocks.
 func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
-	for i := range p {
-		p[i] = 0
-	}
+	clear(p)
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], summaryMagic)
 	le.PutUint64(p[4:], h.Serial)

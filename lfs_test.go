@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -194,15 +195,7 @@ func TestExperimentTable(t *testing.T) {
 			t.Errorf("%s: %v", e.Name, err)
 			continue
 		}
-		// A block runs from its "=== name ===" line to the blank line
-		// lfsbench prints before the next one.
-		_, want, _ := strings.Cut(string(golden), "=== "+e.Name+" ===\n")
-		if i := strings.Index(want, "\n=== "); i >= 0 {
-			want = want[:i]
-		} else {
-			want = strings.TrimSuffix(want, "\n")
-		}
-		if res.Text != want {
+		if want := reportBlock(string(golden), e.Name); res.Text != want {
 			t.Errorf("%s drifted from bench_results.txt (scripts/ci.sh -update regenerates it)\n--- got ---\n%s--- want ---\n%s",
 				e.Name, res.Text, want)
 		}
@@ -226,5 +219,117 @@ func TestExperimentTable(t *testing.T) {
 		if !baselines[name] {
 			t.Errorf("%s is in the tree but no experiment names it", name)
 		}
+	}
+}
+
+// reportBlock returns experiment name's block of bench_results.txt: from
+// its "=== name ===" line to the blank line lfsbench prints before the
+// next one.
+func reportBlock(report, name string) string {
+	_, block, _ := strings.Cut(report, "=== "+name+" ===\n")
+	if i := strings.Index(block, "\n=== "); i >= 0 {
+		return block[:i]
+	}
+	return strings.TrimSuffix(block, "\n")
+}
+
+// TestExperimentsDocQuotesReport holds the EXPERIMENTS.md tables typed
+// from bench_results.txt — Figure 5's cleaning rates and §4.4's recovery
+// times — to the committed report, each cell at the precision the table
+// prints it.
+func TestExperimentsDocQuotesReport(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("bench_results.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := string(golden)
+	// Figure 5 is one row of rates under a header of utilizations; the
+	// report prints a line per utilization, its rate second.
+	fig5 := docTable(t, string(doc), "## Figure 5 ")
+	rates := reportRows(report, "fig5")
+	for i, u := range fig5[0][1:] {
+		v, err := strconv.ParseFloat(u, 64)
+		if err != nil {
+			t.Fatalf("Figure 5 header %q: %v", u, err)
+		}
+		quoteCell(t, "Figure 5, utilization "+u, fig5[1][i+1], rates[strconv.FormatFloat(v, 'f', 2, 64)], 1)
+	}
+	// §4.4 has a row per disk size; the report prints the size, the LFS
+	// mount, the rolled-forward units and the fsck.
+	mounts := reportRows(report, "recovery")
+	for _, row := range docTable(t, string(doc), "## §4.4 ")[1:] {
+		size := strings.TrimSuffix(row[0], " MB")
+		quoteCell(t, "§4.4 LFS mount, "+row[0], row[1], mounts[size], 1)
+		quoteCell(t, "§4.4 FFS fsck, "+row[0], row[2], mounts[size], 3)
+	}
+}
+
+// docTable returns the cells of the first Markdown table after the line
+// starting with heading, header row first, separator row dropped and
+// bold marks stripped.
+func docTable(t *testing.T, doc, heading string) [][]string {
+	t.Helper()
+	i := strings.Index(doc, "\n"+heading)
+	if i < 0 {
+		t.Fatalf("EXPERIMENTS.md has no heading %q", heading)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(doc[i+1:], "\n")[1:] {
+		if !strings.HasPrefix(line, "|") {
+			if rows != nil {
+				break
+			}
+			continue
+		}
+		if strings.HasPrefix(line, "|---") {
+			continue
+		}
+		var cells []string
+		for _, c := range strings.Split(strings.Trim(line, "|"), "|") {
+			cells = append(cells, strings.Trim(strings.TrimSpace(c), "*"))
+		}
+		rows = append(rows, cells)
+	}
+	if len(rows) < 2 {
+		t.Fatalf("EXPERIMENTS.md %q: no table rows", heading)
+	}
+	return rows
+}
+
+// reportRows indexes the data lines of experiment name's block of the
+// report by their first field.
+func reportRows(report, name string) map[string][]string {
+	rows := map[string][]string{}
+	for _, line := range strings.Split(reportBlock(report, name), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]] = f
+		}
+	}
+	return rows
+}
+
+// quoteCell checks that cell is field col of the report row, rounded to
+// as many decimals as cell prints.
+func quoteCell(t *testing.T, what, cell string, row []string, col int) {
+	t.Helper()
+	if col >= len(row) {
+		t.Errorf("%s: EXPERIMENTS.md has %q, bench_results.txt has no such row", what, cell)
+		return
+	}
+	v, err := strconv.ParseFloat(row[col], 64)
+	if err != nil {
+		t.Errorf("%s: bench_results.txt field %q: %v", what, row[col], err)
+		return
+	}
+	decimals := 0
+	if _, frac, ok := strings.Cut(cell, "."); ok {
+		decimals = len(frac)
+	}
+	if want := strconv.FormatFloat(v, 'f', decimals, 64); cell != want {
+		t.Errorf("%s: EXPERIMENTS.md has %s, bench_results.txt has %s", what, cell, want)
 	}
 }

@@ -29,8 +29,8 @@ echo "== race (full suite) =="
 # -short: see ci.sh — the full-scale experiment table runs above and
 # below without the detector.
 go test -race -short ./...
-echo "== benchmarks (1 iteration) =="
-go test -bench=. -benchtime=1x -benchmem .
+echo "== benchmarks (1 iteration, every package) =="
+go test -run '^$' -bench=. -benchtime=1x -benchmem ./...
 echo "== tools =="
 img="$(mktemp -d)/vol.img"
 go run ./cmd/mklfs -image "$img" -size 32M

@@ -57,7 +57,8 @@ echo "== size =="
 # One VFS front end (vfs.Front) under LFS and FFS, the op layer and read loop written once: 24 684.
 # One file layer: the block-pointer walk (vfs.BlockPtr) and read-ahead written once: 24 600.
 # One smoke workload under the trace and metrics rows: 24 414.
-size_ceiling=24414
+# Format's skeleton head buffer sized to its four blocks, paid for by clear(): 24 410.
+size_ceiling=24410
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
