@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"lfs/internal/ffs"
+	"lfs/internal/vfs"
 )
 
 // The paper compares LFS against SunOS 4.0.3's BSD Fast File System.
@@ -30,4 +31,4 @@ func MountBaseline(d *Disk, cfg BaselineConfig) (*BaselineFS, error) { return ff
 
 // FsckBaseline runs the BSD-style full-disk scan whose cost the
 // paper's instant checkpoint recovery eliminates.
-func FsckBaseline(d *Disk, cfg BaselineConfig) (*ffs.FsckReport, error) { return ffs.Fsck(d, cfg) }
+func FsckBaseline(d *Disk, cfg BaselineConfig) (*vfs.CheckReport, error) { return ffs.Fsck(d, cfg) }

@@ -1,7 +1,8 @@
-// Command lfsck checks the consistency of an LFS disk image: it
-// mounts the volume (running normal crash recovery), walks every
-// reachable file, and cross-checks block addresses, directory
-// structure, the inode map, and the segment usage array.
+// Command lfsck checks an LFS disk image: it mounts the volume (running
+// crash recovery) and walks every file reachable from the root, checking
+// the namespace (cycles, duplicate names, link counts) and that each
+// block a file, an inode or the inode map holds lies in a live segment
+// and is held only once. It does not recount the segment usage array.
 //
 // Usage:
 //
@@ -67,8 +68,8 @@ func main() {
 	if err != nil {
 		fail(fmt.Errorf("mount: %w", err))
 	}
-	fmt.Printf("lfsck: %d files, %d directories, %d data blocks, %d orphaned inodes (simulated %v)\n",
-		rep.Files, rep.Dirs, rep.DataBlocks, rep.OrphanedInodes, rep.Duration)
+	fmt.Printf("lfsck: %d files, %d directories, %d blocks, %d orphaned inodes (simulated %v)\n",
+		rep.Files, rep.Dirs, rep.Blocks, rep.Orphans, rep.Duration)
 	if !rep.Ok() {
 		for _, p := range rep.Problems {
 			fmt.Printf("lfsck: PROBLEM: %s\n", p)

@@ -117,6 +117,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  lfsck: %d files, %d problems\n", rep.Files, len(rep.Problems))
+	if !rep.Ok() {
+		log.Fatalf("lfsck: %q", rep.Problems)
+	}
 }
 
 func max(a, b int) int {

@@ -41,7 +41,7 @@ func TestCheckCleanVolume(t *testing.T) {
 	if rep.Files != 30 || rep.Dirs != 2 {
 		t.Fatalf("found %d files, %d dirs", rep.Files, rep.Dirs)
 	}
-	if rep.DataBlocks == 0 {
+	if rep.Blocks == 0 {
 		t.Fatal("no data blocks counted")
 	}
 }

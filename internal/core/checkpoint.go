@@ -516,7 +516,7 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 			blkData := u.data[j*bs : (j+1)*bs]
 			for slot := 0; slot < fs.inodesPerBlock(); slot++ {
 				raw := blkData[slot*layout.InodeSize : (slot+1)*layout.InodeSize]
-				if allZero(raw) {
+				if layout.AllZero(raw) {
 					continue
 				}
 				rec, err := layout.DecodeInode(raw)

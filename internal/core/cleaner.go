@@ -532,20 +532,3 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 	}
 	return false, fmt.Errorf("lfs: unknown block kind %d in summary", ref.Kind)
 }
-
-// allZero reports whether p contains only zero bytes, a word at a time:
-// the cleaner, inode fetch and roll-forward all scan inode blocks that
-// are mostly empty slots.
-func allZero(p []byte) bool {
-	for ; len(p) >= 8; p = p[8:] {
-		if binary.LittleEndian.Uint64(p) != 0 {
-			return false
-		}
-	}
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"lfs/internal/disk"
@@ -502,5 +505,51 @@ func TestCheckDetectsFreeInodeReference(t *testing.T) {
 	}
 	if rep.Ok() {
 		t.Fatal("checker blessed a directory entry to a free inode")
+	}
+}
+
+// TestCheckDetectsBlockHeldTwice: two files pointed at one log block is
+// a problem, and so is a file's block that is also an inode block. Many
+// inodes sharing their inode block is not.
+func TestCheckDetectsBlockHeldTwice(t *testing.T) {
+	fs := newTestFS(t, 16<<20, smallConfig())
+	for _, p := range []string{"/a", "/b"} {
+		must(t, fs.Create(p))
+		must(t, fs.Write(p, 0, make([]byte, 4096)))
+	}
+	must(t, fs.Sync())
+	inode := func(p string) *layout.Inode {
+		t.Helper()
+		fi, err := fs.Stat(p)
+		must(t, err)
+		in, err := fs.getInode(fi.Ino)
+		must(t, err)
+		return in
+	}
+	a, b := inode("/a"), inode("/b")
+	if ea, eb := fs.imap.peek(a.Ino), fs.imap.peek(b.Ino); fs.blockStart(fs.segOf(ea.Addr), ea.Addr) != fs.blockStart(fs.segOf(eb.Addr), eb.Addr) {
+		t.Fatalf("/a and /b are in different inode blocks (%v, %v): the test wants them sharing one", ea.Addr, eb.Addr)
+	}
+	rep, err := fs.Check()
+	must(t, err)
+	if !rep.Ok() || rep.Blocks != 3 { // the root's directory block, /a's and /b's
+		t.Fatalf("before the forgery: %d blocks, problems %q; want 3 and none", rep.Blocks, rep.Problems)
+	}
+	for _, forge := range []struct {
+		name string
+		addr layout.DiskAddr
+		want string
+	}{
+		{"/a's data block", a.Direct[0], fmt.Sprintf("held by inode %d block 0 and by inode %d block 0", a.Ino, b.Ino)},
+		{"their inode block", fs.imap.peek(a.Ino).Addr, fmt.Sprintf("held by inode %d inode block and by inode %d block 0", a.Ino, b.Ino)},
+	} {
+		old := b.Direct[0]
+		b.Direct[0] = forge.addr
+		rep, err := fs.Check()
+		b.Direct[0] = old
+		must(t, err)
+		if !slices.ContainsFunc(rep.Problems, func(p string) bool { return strings.Contains(p, forge.want) }) {
+			t.Errorf("/b pointed at %s: problems %q, want one saying %q", forge.name, rep.Problems, forge.want)
+		}
 	}
 }

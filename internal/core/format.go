@@ -186,6 +186,14 @@ func (fs *FS) segOf(a layout.DiskAddr) int {
 	return seg
 }
 
+// blockStart returns the first sector of the block holding address a,
+// which lies in segment seg.
+func (fs *FS) blockStart(seg int, a layout.DiskAddr) layout.DiskAddr {
+	spb := fs.cfg.sectorsPerBlock()
+	first := fs.segFirstSector(seg)
+	return layout.DiskAddr(first + (int64(a)-first)/spb*spb)
+}
+
 // blockSector returns the sector of block index blk within segment
 // seg.
 func (fs *FS) blockSector(seg, blk int) int64 {

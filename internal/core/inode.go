@@ -180,9 +180,7 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 	if seg < 0 {
 		return nil, fmt.Errorf("lfs: inode %d address %v outside the segment area", ino, e.Addr)
 	}
-	spb := fs.cfg.sectorsPerBlock()
-	rel := int64(e.Addr) - fs.segFirstSector(seg)
-	blockStart := fs.segFirstSector(seg) + rel/spb*spb
+	blockStart := int64(fs.blockStart(seg, e.Addr))
 	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
 	blk := fs.span[:fs.cfg.BlockSize]
 	if err := fs.d.ReadSectors(blockStart, blk, disk.CauseInodeMap, "inode read"); err != nil {
@@ -192,7 +190,7 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 	var want *layout.Inode
 	for slot := 0; slot < fs.inodesPerBlock(); slot++ {
 		raw := blk[slot*layout.InodeSize : (slot+1)*layout.InodeSize]
-		if allZero(raw) {
+		if layout.AllZero(raw) {
 			continue
 		}
 		rec, err := layout.DecodeInode(raw)

@@ -2,6 +2,7 @@ package ffs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -254,8 +255,8 @@ func TestUnlinkForgetsReadAheadPosition(t *testing.T) {
 }
 
 // TestDirectoryHoleIsReported: a directory whose middle block pointer is
-// lost is not listed, emptied or removed as if the block's entries had
-// never existed — every walk reports the hole. (core has the twin of
+// lost is not listed, emptied, removed or checked as if the block's
+// entries had never existed — every walk, fsck's too, reports the hole. (core has the twin of
 // this test; the walks are vfs.Dirs under both, and before they were
 // shared only this file system refused the hole in all of them.)
 func TestDirectoryHoleIsReported(t *testing.T) {
@@ -309,4 +310,10 @@ func TestDirectoryHoleIsReported(t *testing.T) {
 		}
 	}
 	wantHole("Remove of the directory", fs.Remove("/d"))
+	must(fs.Sync())
+	rep, err := Fsck(d, cfg)
+	must(err)
+	if !slices.ContainsFunc(rep.Problems, func(p string) bool { return strings.Contains(p, hole) }) {
+		t.Errorf("Fsck does not report the hole; problems: %q", rep.Problems)
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"lfs/internal/disk"
@@ -317,8 +319,8 @@ func TestFsckCleanFilesystem(t *testing.T) {
 	if len(rep.Problems) != 0 {
 		t.Fatalf("fsck found problems on a clean fs: %v", rep.Problems)
 	}
-	if rep.FilesFound != 22 { // root + /d + 20 files
-		t.Fatalf("fsck found %d files, want 22", rep.FilesFound)
+	if rep.Files != 20 || rep.Dirs != 2 { // root + /d + 20 files
+		t.Fatalf("fsck found %d files and %d directories, want 20 and 2", rep.Files, rep.Dirs)
 	}
 	if rep.Duration <= 0 {
 		t.Fatal("fsck took no simulated time")
@@ -475,8 +477,77 @@ func TestAtimeUpdatedOnRead(t *testing.T) {
 // TestFsckDetectsCorruption: fsck must report manufactured damage,
 // not just bless clean volumes.
 func TestFsckDetectsCorruption(t *testing.T) {
-	d := disk.NewMem(32<<20, sim.NewClock())
 	cfg := ffs.DefaultConfig()
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, img disk.Store)
+		want   string
+	}{
+		// Zero group 0's bitmap block (block 1), so every allocated
+		// block appears free.
+		{"zeroed bitmap", func(t *testing.T, img disk.Store) {
+			if err := img.WriteAt(make([]byte, cfg.BlockSize), int64(cfg.BlockSize)); err != nil {
+				t.Fatal(err)
+			}
+		}, "references unallocated block"},
+		// Rename one entry of the root directory to its neighbour's
+		// name, in place.
+		{"duplicate name", func(t *testing.T, img disk.Store) {
+			buf := make([]byte, img.Size())
+			if err := img.ReadAt(buf, 0); err != nil {
+				t.Fatal(err)
+			}
+			at := bytes.Index(buf, []byte("dup-two"))
+			if at < 0 {
+				t.Fatal("no directory entry named dup-two on disk")
+			}
+			if err := img.WriteAt([]byte("dup-one"), int64(at)); err != nil {
+				t.Fatal(err)
+			}
+		}, `/: duplicate entry "dup-one"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := disk.NewMem(32<<20, sim.NewClock())
+			if err := ffs.Format(d, cfg); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := ffs.Mount(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []string{"/f", "/dup-one", "/dup-two"} {
+				if err := fs.Create(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.Write("/f", 0, bytes.Repeat([]byte{1}, 30000)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Unmount(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, d.Store())
+			rep, err := ffs.Fsck(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(rep.Problems, func(p string) bool { return strings.Contains(p, tc.want) }) {
+				t.Fatalf("fsck problems %q, want one saying %q", rep.Problems, tc.want)
+			}
+		})
+	}
+}
+
+// TestFsckDoubleIndirectDirectory: a directory whose blocks reach double
+// indirection is read in full, so nothing under it reads as unreachable.
+// With 512-byte blocks two 200-character names fill a block and 2001 of
+// them take the directory past the 12 direct and 128 single-indirect
+// blocks.
+func TestFsckDoubleIndirectDirectory(t *testing.T) {
+	d := disk.NewMem(16<<20, sim.NewClock())
+	cfg := ffs.DefaultConfig()
+	cfg.BlockSize = 512
+	cfg.InodesPerGroup = 64
 	if err := ffs.Format(d, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -484,30 +555,21 @@ func TestFsckDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Create("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Write("/f", 0, bytes.Repeat([]byte{1}, 30000)); err != nil {
-		t.Fatal(err)
+	const files = 2001
+	for i := range files {
+		if err := fs.Create(fmt.Sprintf("/%0200d", i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := fs.Unmount(); err != nil {
-		t.Fatal(err)
-	}
-	// Damage the volume behind the file system's back: zero the
-	// first group's bitmap block, so every allocated block appears
-	// free.
-	bs := cfg.BlockSize
-	zero := make([]byte, bs)
-	// Group 0 bitmap lives at block 1.
-	if err := d.Store().WriteAt(zero, int64(bs)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := ffs.Fsck(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Problems) == 0 {
-		t.Fatal("fsck blessed a volume with a zeroed bitmap")
+	if !rep.Ok() || rep.Files != files {
+		t.Fatalf("fsck found %d of %d files, %d problems, the first %q", rep.Files, files, len(rep.Problems), rep.Problems[:min(len(rep.Problems), 3)])
 	}
 }
 

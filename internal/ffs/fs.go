@@ -327,14 +327,7 @@ func (fs *FS) readInode(ino layout.Ino) (layout.Inode, error) {
 	}
 	off := fs.lay.inodeOffsetInBlock(ino)
 	raw := b.Data[off : off+inodeSlotSize]
-	allZero := true
-	for _, x := range raw {
-		if x != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
+	if layout.AllZero(raw) {
 		return layout.Inode{}, nil // free slot
 	}
 	in, err := layout.DecodeInode(raw)

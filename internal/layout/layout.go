@@ -167,6 +167,24 @@ func DecodeInode(p []byte) (Inode, error) {
 	return in, nil
 }
 
+// AllZero reports whether p holds only zero bytes, a word at a time: an
+// inode slot never written is all zeros, and the checkers, the cleaner,
+// the inode fetch and roll-forward scan inode blocks that are mostly
+// empty slots.
+func AllZero(p []byte) bool {
+	for ; len(p) >= 8; p = p[8:] {
+		if binary.LittleEndian.Uint64(p) != 0 {
+			return false
+		}
+	}
+	for _, b := range p {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // An indirect block is a vector of DiskAddrs, read and written one entry
 // at a time in place: LFS and FFS share these three and nothing decodes
 // a whole block.

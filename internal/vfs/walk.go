@@ -20,11 +20,7 @@ func Walk(fs FileSystem, root string, fn func(path string, fi FileInfo) error) e
 		return err
 	}
 	for _, e := range entries {
-		child := root + "/" + e.Name
-		if root == "/" {
-			child = "/" + e.Name
-		}
-		if err := Walk(fs, child, fn); err != nil {
+		if err := Walk(fs, childPath(root, e.Name), fn); err != nil {
 			return err
 		}
 	}

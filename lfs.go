@@ -131,7 +131,7 @@ func Mount(d *Disk, cfg Config) (*FS, error) { return core.Mount(d, cfg) }
 // cfg.RollForward) and walks it with the consistency checker. It is
 // the shared verification path of the lfsck tool and the crash-point
 // test harness.
-func Fsck(d *Disk, cfg Config) (*core.CheckReport, error) { return core.Fsck(d, cfg) }
+func Fsck(d *Disk, cfg Config) (*vfs.CheckReport, error) { return core.Fsck(d, cfg) }
 
 // ImageBytes returns the size in bytes of a disk image file for a
 // volume of the given capacity — what OpenImage will create or expect.
