@@ -1,8 +1,9 @@
-// Command lfsck checks an LFS disk image: it mounts the volume (running
-// crash recovery) and walks every file reachable from the root, checking
-// the namespace (cycles, duplicate names, link counts) and that each
-// block a file, an inode or the inode map holds lies in a live segment
-// and is held only once. It does not recount the segment usage array.
+// Command lfsck checks an LFS disk image: it mounts the volume with the
+// geometry its superblock records (running crash recovery) and walks
+// every file reachable from the root, checking the namespace (cycles,
+// duplicate names, link counts) and that each block a file, an inode or
+// the inode map holds lies in a live segment and is held only once. It
+// does not recount the segment usage array.
 //
 // Usage:
 //
@@ -19,14 +20,12 @@ import (
 
 	"lfs"
 	"lfs/internal/cli"
+	"lfs/internal/vfs"
 )
 
 func main() {
 	image := flag.String("image", "", "path of the disk image")
 	size := flag.String("size", "300M", "volume capacity the image was created with")
-	block := flag.Int("block", 4096, "block size the image was formatted with")
-	segment := flag.String("segment", "1M", "segment size the image was formatted with")
-	inodes := flag.Int("inodes", 65536, "maximum inodes the image was formatted with")
 	noroll := flag.Bool("noroll", false, "skip roll-forward recovery at mount")
 	flag.Parse()
 
@@ -35,10 +34,6 @@ func main() {
 		os.Exit(2)
 	}
 	capacity, err := cli.ParseSize(*size)
-	if err != nil {
-		fail(err)
-	}
-	segSize, err := cli.ParseSize(*segment)
 	if err != nil {
 		fail(err)
 	}
@@ -58,13 +53,7 @@ func main() {
 		fail(err)
 	}
 	defer d.Close()
-
-	cfg := lfs.DefaultConfig()
-	cfg.BlockSize = *block
-	cfg.SegmentSize = int(segSize)
-	cfg.MaxInodes = *inodes
-	cfg.RollForward = !*noroll
-	rep, err := lfs.Fsck(d, cfg)
+	rep, err := check(d, !*noroll)
 	if err != nil {
 		fail(fmt.Errorf("mount: %w", err))
 	}
@@ -77,6 +66,17 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("lfsck: clean")
+}
+
+// check mounts the volume on d with its superblock's geometry, rolling
+// forward unless roll is false, and walks it with the checker.
+func check(d *lfs.Disk, roll bool) (*vfs.CheckReport, error) {
+	cfg, err := lfs.ImageConfig(d, lfs.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	cfg.RollForward = roll
+	return lfs.Fsck(d, cfg)
 }
 
 func fail(err error) {

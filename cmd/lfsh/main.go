@@ -1,7 +1,7 @@
 // Command lfsh is an interactive shell on an LFS disk image: create,
 // inspect, and remove files; import and export data from the host;
 // trigger syncs, checkpoints, and cleaning; simulate a crash and
-// watch recovery.
+// watch recovery. The volume's geometry comes from its superblock.
 //
 // Usage:
 //
@@ -41,15 +41,13 @@ func main() {
 		os.Exit(1)
 	}
 	defer d.Close()
-	cfg := lfs.DefaultConfig()
-	fs, err := lfs.Mount(d, cfg)
+	sh, err := mountShell(d)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lfsh: mount: %v (is the image formatted? try mklfs)\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("lfsh: mounted %s (%s), %d clean segments; type 'help'\n", *image, *size, fs.CleanSegments())
+	fmt.Printf("lfsh: mounted %s (%s), %d clean segments; type 'help'\n", *image, *size, sh.fs.CleanSegments())
 
-	sh := &shell{d: d, cfg: cfg, fs: fs}
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
@@ -75,6 +73,16 @@ func main() {
 	}
 }
 
+// mountShell mounts the volume on d with its superblock's geometry.
+func mountShell(d *lfs.Disk) (*shell, error) {
+	cfg, err := lfs.ImageConfig(d, lfs.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	fs, err := lfs.Mount(d, cfg)
+	return &shell{d: d, cfg: cfg, fs: fs}, err
+}
+
 type shell struct {
 	d   *lfs.Disk
 	cfg lfs.Config
@@ -86,7 +94,7 @@ type shell struct {
 func (s *shell) mounted() bool { return !s.crashed }
 
 func (s *shell) run(line string) error {
-	fields := tokenize(line)
+	fields := strings.Fields(line)
 	cmd, args := fields[0], fields[1:]
 	if s.crashed && cmd != "mount" && cmd != "help" {
 		return fmt.Errorf("the machine has crashed; 'mount' to recover")
@@ -311,9 +319,6 @@ const helpText = `commands:
   mount                recover after a crash
   quit                 checkpoint and exit
 `
-
-// tokenize splits on whitespace.
-func tokenize(s string) []string { return strings.Fields(s) }
 
 // join appends a name to a directory path.
 func join(dir, name string) string {

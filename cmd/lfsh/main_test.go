@@ -163,3 +163,33 @@ func TestShellLn(t *testing.T) {
 		t.Fatal("ln of missing target succeeded")
 	}
 }
+
+// TestShellOpensImageOfAnyGeometry: an image formatted with 8 KB blocks,
+// 512 KB segments and 1 024 inodes, none of them the default, mounts
+// from its superblock and takes a write that survives a remount.
+func TestShellOpensImageOfAnyGeometry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.img")
+	d, err := lfs.OpenImage(path, 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cfg := lfs.DefaultConfig()
+	cfg.BlockSize, cfg.SegmentSize, cfg.MaxInodes = 8192, 512<<10, 1024
+	if err := lfs.Format(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := mountShell(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.cfg.BlockSize != cfg.BlockSize || sh.cfg.SegmentSize != cfg.SegmentSize || sh.cfg.MaxInodes != cfg.MaxInodes {
+		t.Fatalf("shell geometry %d/%d/%d, image %d/%d/%d", sh.cfg.BlockSize, sh.cfg.SegmentSize, sh.cfg.MaxInodes,
+			cfg.BlockSize, cfg.SegmentSize, cfg.MaxInodes)
+	}
+	for _, cmd := range []string{"write /note hello", "sync", "crash", "mount", "cat /note", "check"} {
+		if err := sh.run(cmd); err != nil {
+			t.Fatalf("%q: %v", cmd, err)
+		}
+	}
+}

@@ -121,10 +121,3 @@ func main() {
 		log.Fatalf("lfsck: %q", rep.Problems)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -261,11 +261,7 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 	if cfg.Trace != nil {
 		d.SetTracer(cfg.Trace)
 	}
-	buf := make([]byte, cfg.BlockSize)
-	if err := d.ReadSectors(0, buf, disk.CauseRecovery, "mount: superblock"); err != nil {
-		return nil, err
-	}
-	sb, err := decodeSuperblock(buf)
+	sb, err := readSuperblock(d, cfg.BlockSize, disk.CauseRecovery, "mount: superblock")
 	if err != nil {
 		return nil, err
 	}
@@ -350,10 +346,6 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 			return nil, err
 		}
 	}
-	// The hot head's segment buffer belongs to the mount, whether or not
-	// recovery had a unit to read into it: the first flush would
-	// otherwise allocate a segment inside somebody's operation.
-	fs.head(classHot)
 	// Register the metrics plane last so its probes see fully
 	// recovered state, and take the baseline sample at mount time.
 	if err := fs.initMetrics(); err != nil {
@@ -481,7 +473,7 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	// the header; entries may spill into further blocks) into the
 	// transfer buffer: most probes find nothing, and a head nothing is
 	// replayed into — the cold one, on every volume that never cleaned
-	// — needs no segment buffer.
+	// — needs no buffer.
 	head := fs.span[:bs]
 	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), head, disk.CauseRecovery, "recovery: summary probe"); err != nil {
 		return false, err
@@ -490,14 +482,15 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	if err != nil || !expected(probe) || probe.checkBounds(blk, fs.cfg.blocksPerSegment()) != nil {
 		return false, nil // end of this stream, a torn header, or a leftover
 	}
-	// Read the full unit and judge it whole. The class's segment buffer
-	// is idle until recovery ends, and a unit fits it at the offset the
-	// writer assembled it at: read it there.
-	buf := fs.head(class).buf
-	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), buf[blk*bs:][:(probe.SumBlocks+probe.NBlocks)*bs], disk.CauseRecovery, "recovery: unit"); err != nil {
+	// Read the full unit into the front of the class's head buffer, idle
+	// until recovery ends, and judge it whole.
+	hd := &fs.heads[class]
+	n := probe.SumBlocks + probe.NBlocks
+	fs.reserve(hd, n)
+	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), hd.buf[:n*bs], disk.CauseRecovery, "recovery: unit"); err != nil {
 		return false, err
 	}
-	u, err := readUnit(buf, blk, bs, nil)
+	u, err := readUnit(hd.buf[:n*bs], 0, bs, nil)
 	if err != nil || !expected(u.summaryHeader) || u.checkData() != nil {
 		return false, nil // torn: the unit never fully reached disk
 	}
@@ -550,8 +543,7 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 		age = u.Timestamp
 	}
 	fs.creditSegmentAged(seg, int64(u.NBlocks*bs), age)
-	hd := &fs.heads[class]
-	hd.blk, hd.pending = u.end, u.end
+	hd.blk, hd.pending = blk+u.end, blk+u.end
 	fs.writeSerial++
 	fs.stats.RollForwardUnits++
 	return true, nil

@@ -12,11 +12,7 @@ import (
 // dumpHead reads what Dump and DumpImap start from: the superblock and
 // both checkpoint regions.
 func dumpHead(d *disk.Disk) (superblock, [2]ckptRegion, error) {
-	buf := make([]byte, 4096)
-	if err := d.ReadSectors(0, buf, disk.CauseTool, "dump: superblock"); err != nil {
-		return superblock{}, [2]ckptRegion{}, err
-	}
-	sb, err := decodeSuperblock(buf)
+	sb, err := readSuperblock(d, 4096, disk.CauseTool, "dump: superblock")
 	if err != nil {
 		return superblock{}, [2]ckptRegion{}, err
 	}

@@ -67,6 +67,24 @@ func decodeSuperblock(p []byte) (superblock, error) {
 	}, nil
 }
 
+// readSuperblock reads the first n bytes of the volume on d and decodes
+// its superblock.
+func readSuperblock(d *disk.Disk, n int, cause disk.IOCause, label string) (superblock, error) {
+	buf := make([]byte, n)
+	if err := d.ReadSectors(0, buf, cause, label); err != nil {
+		return superblock{}, err
+	}
+	return decodeSuperblock(buf)
+}
+
+// ImageConfig returns cfg with the block size, segment size and inode
+// count the volume on d was formatted with, read from its superblock.
+func ImageConfig(d *disk.Disk, cfg Config) (Config, error) {
+	sb, err := readSuperblock(d, disk.SectorSize, disk.CauseTool, "tool: superblock")
+	cfg.BlockSize, cfg.SegmentSize, cfg.MaxInodes = int(sb.BlockSize), int(sb.SegmentSize), int(sb.MaxInodes)
+	return cfg, err
+}
+
 // imapEntriesPerBlock returns how many imap entries one block holds.
 func imapEntriesPerBlock(blockSize int) int { return blockSize / imapEntrySize }
 
@@ -138,10 +156,8 @@ func Format(d *disk.Disk, cfg Config) error {
 	// Build the initial state through a throwaway FS skeleton: an
 	// empty imap with the root directory allocated, all segments
 	// clean, then one checkpoint into each region so either is
-	// valid. Its hot head holds the two one-block units it places (the
-	// root's inode block, imap block 0), not a whole segment.
+	// valid.
 	fs := newSkeleton(d, cfg, sb)
-	fs.heads[classHot].buf = make([]byte, min(2*(summaryBlocks(1, cfg.BlockSize)+1)*cfg.BlockSize, cfg.SegmentSize))
 	root := layout.NewInode(layout.RootIno, layout.ModeDir|0o755)
 	root.Nlink = 2
 	fs.inodes.install(layout.RootIno, root)

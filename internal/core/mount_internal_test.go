@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"runtime/debug"
 	"testing"
 
@@ -16,12 +17,12 @@ import (
 const emptyVolumeBytes = 300 << 20
 
 // TestMountAllocatesByUse: Format and Mount of an empty default volume
-// pay for what the volume holds — one resident inode-map block, the hot
-// head's segment buffer, the cache's index — not for the 65 536 inodes
-// it could hold, and a mount that found nothing to roll forward into
-// the cold head holds no buffer for it. Format alone pays for the
-// store's first chunk and the skeleton's state, not for a segment
-// buffer to assemble its four blocks in.
+// pay for what the volume holds — one resident inode-map block, the
+// cache's index — not for the 65 536 inodes it could hold, nor for a
+// segment buffer per log head: a head buffers only the run it has not
+// yet issued, so Mount, which assembles nothing, holds no buffer at
+// all. Format alone pays for the store's first chunk and the skeleton's
+// state, not for a segment buffer to assemble its four blocks in.
 func TestMountAllocatesByUse(t *testing.T) {
 	cfg := DefaultConfig()
 	d := disk.NewMem(emptyVolumeBytes, sim.NewClock())
@@ -36,21 +37,129 @@ func TestMountAllocatesByUse(t *testing.T) {
 		must(t, err)
 	})
 	t.Logf("Format %d bytes, Mount %d bytes", formatBytes, mountBytes)
-	if total := formatBytes + mountBytes; total > 4<<20 {
-		t.Errorf("Format+Mount of an empty volume allocated %d bytes, want under 4 MB", total)
+	if mountBytes > 512<<10 {
+		t.Errorf("Mount of an empty volume allocated %d bytes, want under 512 KB", mountBytes)
 	}
-	if mountBytes > 3<<19 {
-		t.Errorf("Mount of an empty volume allocated %d bytes, want under 1.5 MB", mountBytes)
+	for class, h := range fs.heads {
+		if h.buf != nil {
+			t.Errorf("head %d holds a %d-byte buffer before anything was written", class, len(h.buf))
+		}
 	}
-	if fs.heads[classHot].buf == nil {
-		t.Error("the hot head's segment buffer was left for the first flush to allocate")
-	}
+}
+
+// TestHeadBufferHoldsTheUnissuedRun: fsync-sized units keep the hot
+// head's buffer a few blocks long, because each flush issues its run and
+// the next unit starts at the buffer's front again; a write of three
+// segments still grows it, at most to one segment, and lands and reads
+// back. The cold head, on a volume that has not cleaned, holds nothing.
+func TestHeadBufferHoldsTheUnissuedRun(t *testing.T) {
+	cfg := smallConfig()
+	fs := newTestFS(t, 16<<20, cfg)
+	blk := bytes.Repeat([]byte{0x4B}, cfg.BlockSize)
 	must(t, fs.Create("/f"))
-	must(t, fs.Write("/f", 0, make([]byte, 3*cfg.SegmentSize)))
-	must(t, fs.Sync())
-	if fs.heads[classCold].buf != nil {
-		t.Error("a volume that has not cleaned holds a cold-head segment buffer")
+	for i := 0; i < 64; i++ {
+		must(t, fs.Write("/f", int64(i*cfg.BlockSize), blk))
+		must(t, fs.FsyncFile("/f"))
 	}
+	if n := len(fs.heads[classHot].buf); n == 0 || n > cfg.SegmentSize/8 {
+		t.Errorf("after 64 fsyncs of one block the hot head buffers %d bytes, want 1..%d", n, cfg.SegmentSize/8)
+	}
+	want := make([]byte, 3*cfg.SegmentSize)
+	for i := range want {
+		want[i] = byte(i*7 + i>>12)
+	}
+	must(t, fs.Create("/big"))
+	must(t, fs.Write("/big", 0, want))
+	must(t, fs.Sync())
+	if n := len(fs.heads[classHot].buf); n > cfg.SegmentSize {
+		t.Errorf("the hot head buffers %d bytes, more than a %d-byte segment", n, cfg.SegmentSize)
+	}
+	fs.bc.Clear()
+	got := make([]byte, len(want))
+	if n, err := fs.Read("/big", 0, got); err != nil || n != len(want) || !bytes.Equal(got, want) {
+		t.Fatalf("3-segment write read back %d bytes (err %v), equal %v", n, err, bytes.Equal(got, want))
+	}
+	if fs.heads[classCold].buf != nil {
+		t.Error("a volume that has not cleaned holds a cold-head buffer")
+	}
+}
+
+// TestRollForwardIntoSmallBuffer: recovery reads each unit into the
+// front of its head's buffer, growing it as the writer does. The tail
+// here is two fsync-sized units and then units most of a segment long,
+// the first at a nonzero block of its segment, so the remount grows a
+// small buffer first and must grow it again for a unit larger than
+// anything it has read; every byte comes back and the checker is clean.
+func TestRollForwardIntoSmallBuffer(t *testing.T) {
+	cfg := smallConfig()
+	d := disk.NewMem(16<<20, sim.NewClock())
+	must(t, Format(d, cfg))
+	fs, err := Mount(d, cfg)
+	must(t, err)
+	bs := cfg.BlockSize
+	small := func(name string, b byte) {
+		must(t, fs.Create(name))
+		must(t, fs.Write(name, 0, bytes.Repeat([]byte{b}, bs)))
+		must(t, fs.FsyncFile(name))
+	}
+	for i := 0; i < 4; i++ {
+		small(fmt.Sprintf("/s%d", i), byte(i+1))
+	}
+	must(t, fs.Checkpoint())
+	since, seg := fs.writeSerial, fs.heads[classHot].seg
+	small("/t0", 0xA0)
+	small("/t1", 0xA1)
+	big := make([]byte, cfg.SegmentSize*3/4)
+	for i := range big {
+		big[i] = byte(i*13 + i>>12)
+	}
+	must(t, fs.Create("/big"))
+	must(t, fs.Write("/big", 0, big))
+	must(t, fs.Sync())
+
+	// The tail as it lies on disk: the two fsync units first, then one
+	// past block 0 of its segment larger than any buffer they grow.
+	units := unitsSince(t, fs, seg, since)
+	size := func(u loggedUnit) int { return (u.SumBlocks + u.NBlocks) * bs }
+	if len(units) < 3 || size(units[0]) > cfg.SegmentSize/8 || size(units[1]) > cfg.SegmentSize/8 {
+		t.Fatalf("the tail does not start with two fsync-sized units: %+v", units)
+	}
+	largest := 0
+	for _, u := range units[2:] {
+		if u.blk > 0 {
+			largest = max(largest, size(u))
+		}
+	}
+	if largest <= cfg.SegmentSize/8 {
+		t.Fatalf("no tail unit past block 0 outgrows the fsync units' buffer: %+v", units)
+	}
+	fs.Crash()
+
+	fs2, err := Mount(d, cfg)
+	must(t, err)
+	if fs2.Stats().RollForwardUnits == 0 {
+		t.Fatal("mount performed no roll-forward")
+	}
+	if n := len(fs2.heads[classHot].buf); n < largest {
+		t.Errorf("recovery read a %d-byte unit into a %d-byte buffer", largest, n)
+	}
+	rep, err := fs2.Check()
+	must(t, err)
+	if len(rep.Problems) != 0 {
+		t.Fatalf("check after roll-forward: %v", rep.Problems)
+	}
+	read := func(name string, want []byte) {
+		got := make([]byte, len(want)+1)
+		if n, err := fs2.Read(name, 0, got); err != nil || n != len(want) || !bytes.Equal(got[:n], want) {
+			t.Errorf("%s read back %d bytes (err %v), want %d equal bytes", name, n, err, len(want))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		read(fmt.Sprintf("/s%d", i), bytes.Repeat([]byte{byte(i + 1)}, bs))
+	}
+	read("/t0", bytes.Repeat([]byte{0xA0}, bs))
+	read("/t1", bytes.Repeat([]byte{0xA1}, bs))
+	read("/big", big)
 }
 
 // TestFormatSmallestGeometry formats, mounts and checks a volume of the
@@ -97,20 +206,25 @@ func TestFormatImageIsPinned(t *testing.T) {
 
 // BenchmarkFormatMount times set-up as lfsperf does: the previous
 // volume collected and its pages returned outside the timer, then a
-// fresh store, Format and Mount inside it.
+// fresh store, Format and Mount inside it; 300 MB is the smallfile and
+// largefile volume, 64 MB one clients shard.
 func BenchmarkFormatMount(b *testing.B) {
 	cfg := DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		debug.FreeOSMemory()
-		b.StartTimer()
-		d := disk.NewMem(emptyVolumeBytes, sim.NewClock())
-		if err := Format(d, cfg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Mount(d, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []int64{emptyVolumeBytes, 64 << 20} {
+		b.Run(fmt.Sprintf("%dMB", size>>20), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				debug.FreeOSMemory()
+				b.StartTimer()
+				d := disk.NewMem(size, sim.NewClock())
+				if err := Format(d, cfg); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Mount(d, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

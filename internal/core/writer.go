@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lfs/internal/cache"
 	"lfs/internal/disk"
@@ -13,10 +14,10 @@ import (
 )
 
 // logHead is one append position in the log: the active segment, the
-// next free block, the start of the assembled-but-unissued region of
-// buf, and whether the head currently owns a segment at all. The hot
-// head is always open; the cold head opens on the first cleaner
-// relocation and closes if the log cannot spare it a segment.
+// next free block, the first block not yet issued (buf holds blocks
+// pending..blk from its front), and whether the head currently owns a
+// segment at all. The hot head is always open; the cold head opens on
+// the first cleaner relocation and closes if the log cannot spare it one.
 type logHead struct {
 	seg     int
 	blk     int
@@ -25,16 +26,18 @@ type logHead struct {
 	open    bool
 }
 
-// head returns the class's log head with its segment buffer in place.
-// The buffer is allocated on first use: Mount asks for the hot head's,
-// and the cold head's waits for the first relocation (or for recovery
-// to find a cold unit to replay), which most volumes never see.
-func (fs *FS) head(class writeClass) *logHead {
-	h := &fs.heads[class]
-	if h.buf == nil {
-		h.buf = make([]byte, fs.cfg.SegmentSize)
+// reserve makes room in h.buf for n blocks after the unissued run and
+// returns the run's length in blocks. A short buffer grows once, keeping
+// the run, to the next power of two at or above the need, capped at one
+// segment: a head that only carries fsync-sized units stays small.
+func (fs *FS) reserve(h *logHead, n int) int {
+	bs, run := fs.cfg.BlockSize, h.blk-h.pending
+	if need := (run + n) * bs; need > len(h.buf) {
+		buf := make([]byte, min(1<<bits.Len(uint(need-1)), fs.cfg.SegmentSize))
+		copy(buf, h.buf[:run*bs])
+		h.buf = buf
 	}
-	return h
+	return run
 }
 
 // flushScope controls what a segment write includes.
@@ -318,8 +321,8 @@ func (fs *FS) writeImapBatch() error {
 }
 
 // placeBlocks appends the given blocks to the log as one or more
-// units, assembling them in the class's segment buffer, and returns
-// the disk address assigned to each block. Consecutive units in one
+// units, assembling them in the class's head buffer, and returns the
+// disk address assigned to each block. Consecutive units in one
 // segment are contiguous, so the eventual disk transfers are
 // sequential. Cold placements fall back to the hot head when
 // segregation is off or the log cannot spare the cold stream a
@@ -340,7 +343,7 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 	addrs := fs.wr.addrs[:0]
 	i := 0
 	for i < len(payload) {
-		h := fs.head(class)
+		h := &fs.heads[class]
 		avail := fs.cfg.blocksPerSegment() - h.blk
 		fit := maxUnitBlocks(avail, bs)
 		if fit == 0 {
@@ -362,14 +365,15 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 			n = rest
 		}
 		sumBlks := summaryBlocks(n, bs)
-		dataStart := h.blk + sumBlks
+		base := fs.reserve(h, sumBlks+n) // the unit's block h.blk in the buffer
+		dataStart := base + sumBlks
 		for j := 0; j < n; j++ {
 			blk := payload[i+j]
 			if len(blk) != bs {
 				return nil, fmt.Errorf("lfs: placing block of %d bytes, want %d", len(blk), bs)
 			}
 			copy(h.buf[(dataStart+j)*bs:], blk)
-			addrs = append(addrs, layout.DiskAddr(fs.blockSector(h.seg, dataStart+j)))
+			addrs = append(addrs, layout.DiskAddr(fs.blockSector(h.seg, h.blk+sumBlks+j)))
 		}
 		unitAge := now
 		if ages != nil {
@@ -389,9 +393,9 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 			Class:     class,
 			Age:       unitAge,
 		}
-		encodeSummary(hdr, refs[i:i+n], h.buf[h.blk*bs:dataStart*bs])
+		encodeSummary(hdr, refs[i:i+n], h.buf[base*bs:dataStart*bs])
 		fs.writeSerial++
-		h.blk = dataStart + n
+		h.blk += sumBlks + n
 		fs.usage[h.seg].LastWrite = fs.clock.Now()
 		fs.stats.UnitsWritten++
 		fs.stats.BlocksWritten += int64(sumBlks + n)
@@ -402,12 +406,13 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 	return addrs, nil
 }
 
-// flushPendingIO issues the assembled-but-unwritten region of each
-// open head as one asynchronous sequential write, hot before cold.
-// The issue order is what crash recovery sees: replay stops at the
-// first missing serial, so a unit that persisted ahead of a lost
-// earlier-serial unit is simply discarded with everything after it —
-// none of it was acknowledged before a sync drained the queue.
+// flushPendingIO issues the unissued run of each open head as one
+// asynchronous sequential write, hot before cold; the head's next unit
+// starts at the front of its buffer again. The issue order is what
+// crash recovery sees: replay stops at the first missing serial, so a
+// unit that persisted ahead of a lost earlier-serial unit is simply
+// discarded with everything after it — none of it was acknowledged
+// before a sync drained the queue.
 func (fs *FS) flushPendingIO() error {
 	bs := fs.cfg.BlockSize
 	for class := writeClass(0); class < numClasses; class++ {
@@ -425,7 +430,7 @@ func (fs *FS) flushPendingIO() error {
 			cause = disk.CauseCleanerWrite
 		}
 		if err := fs.d.WriteSectors(fs.blockSector(h.seg, h.pending),
-			h.buf[h.pending*bs:h.blk*bs], false, cause, "segment write"); err != nil {
+			h.buf[:(h.blk-h.pending)*bs], false, cause, "segment write"); err != nil {
 			return err
 		}
 		h.pending = h.blk

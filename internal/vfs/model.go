@@ -73,9 +73,24 @@ func (m *Model) lookup(parts []string) (*modelNode, error) {
 	return n, nil
 }
 
-// lookupParent resolves the parent directory of path, and returns it
-// with the parent's components and the leaf name.
+// node resolves path in a live model.
+func (m *Model) node(path string) (*modelNode, error) {
+	if err := m.check(); err != nil {
+		return nil, err
+	}
+	parts, err := SplitPath(path)
+	if err != nil {
+		return nil, err
+	}
+	return m.lookup(parts)
+}
+
+// lookupParent resolves the parent directory of path in a live model,
+// and returns it with the parent's components and the leaf name.
 func (m *Model) lookupParent(path string) (*modelNode, []string, string, error) {
+	if err := m.check(); err != nil {
+		return nil, nil, "", err
+	}
 	dir, base, err := SplitDirBase(path)
 	if err != nil {
 		return nil, nil, "", err
@@ -91,9 +106,6 @@ func (m *Model) lookupParent(path string) (*modelNode, []string, string, error) 
 }
 
 func (m *Model) create(path string, isDir bool) error {
-	if err := m.check(); err != nil {
-		return err
-	}
 	parent, _, base, err := m.lookupParent(path)
 	if err != nil {
 		return err
@@ -119,14 +131,7 @@ func (m *Model) Create(path string) error { return m.create(path, false) }
 func (m *Model) Mkdir(path string) error { return m.create(path, true) }
 
 func (m *Model) fileNode(path string) (*modelNode, error) {
-	if err := m.check(); err != nil {
-		return nil, err
-	}
-	parts, err := SplitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	n, err := m.lookup(parts)
+	n, err := m.node(path)
 	if err != nil {
 		return nil, err
 	}
@@ -177,14 +182,7 @@ func (m *Model) Read(path string, off int64, buf []byte) (int, error) {
 
 // Stat describes the file at path.
 func (m *Model) Stat(path string) (FileInfo, error) {
-	if err := m.check(); err != nil {
-		return FileInfo{}, err
-	}
-	parts, err := SplitPath(path)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	n, err := m.lookup(parts)
+	n, err := m.node(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -200,14 +198,7 @@ func (m *Model) Stat(path string) (FileInfo, error) {
 
 // ReadDir lists a directory in name order.
 func (m *Model) ReadDir(path string) ([]layout.DirEntry, error) {
-	if err := m.check(); err != nil {
-		return nil, err
-	}
-	parts, err := SplitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	n, err := m.lookup(parts)
+	n, err := m.node(path)
 	if err != nil {
 		return nil, err
 	}
@@ -224,9 +215,6 @@ func (m *Model) ReadDir(path string) ([]layout.DirEntry, error) {
 
 // Remove unlinks a file or removes an empty directory.
 func (m *Model) Remove(path string) error {
-	if err := m.check(); err != nil {
-		return err
-	}
 	parent, _, base, err := m.lookupParent(path)
 	if err != nil {
 		return err
@@ -248,9 +236,6 @@ func (m *Model) Remove(path string) error {
 
 // Rename moves oldPath to newPath; newPath must not exist.
 func (m *Model) Rename(oldPath, newPath string) error {
-	if err := m.check(); err != nil {
-		return err
-	}
 	oldParent, oldDir, oldBase, err := m.lookupParent(oldPath)
 	if err != nil {
 		return err
@@ -280,9 +265,6 @@ func (m *Model) Rename(oldPath, newPath string) error {
 
 // Link creates a second directory entry for the file at oldPath.
 func (m *Model) Link(oldPath, newPath string) error {
-	if err := m.check(); err != nil {
-		return err
-	}
 	n, err := m.fileNode(oldPath) // rejects directories with ErrIsDir
 	if err != nil {
 		return err

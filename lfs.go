@@ -127,6 +127,9 @@ func Format(d *Disk, cfg Config) error { return core.Format(d, cfg) }
 // summaries.
 func Mount(d *Disk, cfg Config) (*FS, error) { return core.Mount(d, cfg) }
 
+// ImageConfig returns cfg with the geometry the superblock on d records.
+func ImageConfig(d *Disk, cfg Config) (Config, error) { return core.ImageConfig(d, cfg) }
+
 // Fsck mounts the volume (running normal crash recovery, subject to
 // cfg.RollForward) and walks it with the consistency checker. It is
 // the shared verification path of the lfsck tool and the crash-point

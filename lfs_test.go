@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -234,11 +236,11 @@ func reportBlock(report, name string) string {
 }
 
 // TestExperimentsDocQuotesReport holds the EXPERIMENTS.md tables typed
-// from bench_results.txt — Figure 5's cleaning rates and §4.4's recovery
-// times — to the committed report, each cell at the precision the table
-// prints it.
+// from bench_results.txt — Figures 3, 4 and 5, §3.6's write costs, §3.1's
+// CPU scaling and §4.4's recovery times — to the committed report, each
+// cell at the precision the table prints it.
 func TestExperimentsDocQuotesReport(t *testing.T) {
-	doc, err := os.ReadFile("EXPERIMENTS.md")
+	raw, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,26 +248,82 @@ func TestExperimentsDocQuotesReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := string(golden)
-	// Figure 5 is one row of rates under a header of utilizations; the
-	// report prints a line per utilization, its rate second.
-	fig5 := docTable(t, string(doc), "## Figure 5 ")
-	rates := reportRows(report, "fig5")
-	for i, u := range fig5[0][1:] {
-		v, err := strconv.ParseFloat(u, 64)
-		if err != nil {
-			t.Fatalf("Figure 5 header %q: %v", u, err)
+	doc, report := string(raw), string(golden)
+	number := regexp.MustCompile(`[0-9]+(\.[0-9]+)?`)
+	// Figure 3 has a row per phase and a column per file size, each cell
+	// "LFS a vs FFS b → r×"; the report prints a line per file system and
+	// size, the file count and then the three rates.
+	fig3 := reportRows(report, "fig3", 2)
+	for _, row := range docTable(t, doc, "## Figure 3 ")[1:] {
+		col := map[string]int{"create": 1, "read": 2, "delete": 3}[row[0]]
+		for i, size := range []string{"1K", "10K"} {
+			what := fmt.Sprintf("Figure 3, %s %s", row[0], size)
+			nums := number.FindAllString(row[2+i], -1)
+			if col == 0 || len(nums) != 3 {
+				t.Errorf("%s: cannot read %q", what, row[2+i])
+				continue
+			}
+			lfs, ffs := fig3.at("LFS "+size, col), fig3.at("SunFFS "+size, col)
+			quoteCell(t, what+", LFS", nums[0], lfs)
+			quoteCell(t, what+", SunFFS", nums[1], ffs)
+			quoteCell(t, what+", ratio", nums[2], lfs/ffs)
 		}
-		quoteCell(t, "Figure 5, utilization "+u, fig5[1][i+1], rates[strconv.FormatFloat(v, 'f', 2, 64)], 1)
+	}
+	// Figure 4 has a row per phase, LFS then SunFFS, as the report does.
+	fig4 := reportRows(report, "fig4", 2)
+	for _, row := range docTable(t, doc, "## Figure 4 ")[1:] {
+		for i, fs := range []string{"LFS", "SunFFS"} {
+			quoteCell(t, "Figure 4, "+row[0]+", "+fs, number.FindString(row[2+i]), fig4.at(row[0], i))
+		}
+	}
+	// Figure 5 is one row of rates under a header of utilizations; the
+	// report prints a line per utilization, its rate first after it.
+	fig5 := docTable(t, doc, "## Figure 5 ")
+	rates := reportRows(report, "fig5", 1)
+	for i, u := range fig5[0][1:] {
+		quoteCell(t, "Figure 5, utilization "+u, fig5[1][i+1], rates.at(twoPlaces(t, u), 0))
+	}
+	// §3.6 has a row per cleaner arm under a header of target
+	// utilizations; the report prints a line per arm and target, the
+	// write cost second after them.
+	curve := docTable(t, doc, "## §3.6 ")
+	costs := reportRows(report, "cleaning-curve", 2)
+	for _, row := range curve[1:] {
+		arm := strings.ReplaceAll(strings.ReplaceAll(row[0], " + segregation", "+seg"), " ", "")
+		for i, u := range curve[0][1:] {
+			quoteCell(t, "§3.6, "+row[0]+" at "+u, row[i+1], costs.at(arm+" "+twoPlaces(t, u), 1))
+		}
+	}
+	// §3.1 has a row per CPU speed, LFS then SunFFS.
+	scaling := reportRows(report, "scaling", 2)
+	for _, row := range docTable(t, doc, "## §3.1 ")[1:] {
+		mips, err := strconv.ParseFloat(row[0], 64)
+		if err != nil {
+			t.Errorf("§3.1 MIPS %q: %v", row[0], err)
+		}
+		for i, fs := range []string{"LFS", "SunFFS"} {
+			key := fs + " " + strconv.FormatFloat(mips, 'f', 1, 64)
+			quoteCell(t, "§3.1, "+row[0]+" MIPS, "+fs, row[1+i], scaling.at(key, 0))
+		}
 	}
 	// §4.4 has a row per disk size; the report prints the size, the LFS
 	// mount, the rolled-forward units and the fsck.
-	mounts := reportRows(report, "recovery")
-	for _, row := range docTable(t, string(doc), "## §4.4 ")[1:] {
+	mounts := reportRows(report, "recovery", 1)
+	for _, row := range docTable(t, doc, "## §4.4 ")[1:] {
 		size := strings.TrimSuffix(row[0], " MB")
-		quoteCell(t, "§4.4 LFS mount, "+row[0], row[1], mounts[size], 1)
-		quoteCell(t, "§4.4 FFS fsck, "+row[0], row[2], mounts[size], 3)
+		quoteCell(t, "§4.4 LFS mount, "+row[0], row[1], mounts.at(size, 0))
+		quoteCell(t, "§4.4 FFS fsck, "+row[0], row[2], mounts.at(size, 2))
 	}
+}
+
+// twoPlaces rewrites a utilization as the report prints it.
+func twoPlaces(t *testing.T, u string) string {
+	t.Helper()
+	v, err := strconv.ParseFloat(u, 64)
+	if err != nil {
+		t.Errorf("utilization %q: %v", u, err)
+	}
+	return strconv.FormatFloat(v, 'f', 2, 64)
 }
 
 // docTable returns the cells of the first Markdown table after the line
@@ -300,29 +358,46 @@ func docTable(t *testing.T, doc, heading string) [][]string {
 	return rows
 }
 
+// reportTable is one experiment's block of the report: each data line's
+// fields after its key, as numbers (NaN where a field is not one).
+type reportTable map[string][]float64
+
 // reportRows indexes the data lines of experiment name's block of the
-// report by their first field.
-func reportRows(report, name string) map[string][]string {
-	rows := map[string][]string{}
+// report by their first key fields, joined with a space.
+func reportRows(report, name string, key int) reportTable {
+	rows := reportTable{}
 	for _, line := range strings.Split(reportBlock(report, name), "\n") {
-		if f := strings.Fields(line); len(f) > 0 {
-			rows[f[0]] = f
+		f := strings.Fields(line)
+		if len(f) <= key {
+			continue
 		}
+		var vals []float64
+		for _, s := range f[key:] {
+			v, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				v = math.NaN()
+			}
+			vals = append(vals, v)
+		}
+		rows[strings.Join(f[:key], " ")] = vals
 	}
 	return rows
 }
 
-// quoteCell checks that cell is field col of the report row, rounded to
-// as many decimals as cell prints.
-func quoteCell(t *testing.T, what, cell string, row []string, col int) {
-	t.Helper()
-	if col >= len(row) {
-		t.Errorf("%s: EXPERIMENTS.md has %q, bench_results.txt has no such row", what, cell)
-		return
+// at returns value col of row key, or NaN when the report has none.
+func (r reportTable) at(key string, col int) float64 {
+	if row := r[key]; col < len(row) {
+		return row[col]
 	}
-	v, err := strconv.ParseFloat(row[col], 64)
-	if err != nil {
-		t.Errorf("%s: bench_results.txt field %q: %v", what, row[col], err)
+	return math.NaN()
+}
+
+// quoteCell checks that cell is v rounded to as many decimals as cell
+// prints.
+func quoteCell(t *testing.T, what, cell string, v float64) {
+	t.Helper()
+	if math.IsNaN(v) {
+		t.Errorf("%s: EXPERIMENTS.md has %q, bench_results.txt has no such value", what, cell)
 		return
 	}
 	decimals := 0
