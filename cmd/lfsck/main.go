@@ -2,8 +2,9 @@
 // geometry its superblock records (running crash recovery) and walks
 // every file reachable from the root, checking the namespace (cycles,
 // duplicate names, link counts) and that each block a file, an inode or
-// the inode map holds lies in a live segment and is held only once. It
-// does not recount the segment usage array.
+// the inode map holds lies in a live segment and is held only once, and
+// that the segment usage array's live bytes are what those blocks add up
+// to.
 //
 // Usage:
 //

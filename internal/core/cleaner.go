@@ -333,7 +333,6 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 		// pointers still reach into it, so it must not be rewritten.
 		fs.killRemaining(vs.seg)
 		fs.usage[vs.seg].State = segPending
-		fs.usage[vs.seg].Live = 0
 		fs.pendingClean++
 		fs.stats.SegmentsCleaned++
 		res.SegmentsCleaned++
@@ -414,9 +413,9 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	return copied, examined, nil
 }
 
-// killRemaining clears any residual live estimate for a segment being
-// reclaimed (the estimate is a hint and can drift; reclamation is the
-// truth point).
+// killRemaining clears what a reclaimed segment's live estimate still
+// holds once the pass's flush has moved its blocks: its inode-map blocks,
+// which only the checkpoint ending the run rewrites.
 func (fs *FS) killRemaining(seg int) {
 	fs.liveBytes -= fs.usage[seg].Live
 	if fs.liveBytes < 0 {

@@ -415,8 +415,9 @@ func liveBySegment(t testing.TB, fs *FS) []int64 {
 // lfsperf's cleaning workload in small — a log filled to 0.80 with 4 KB
 // files, Zipf overwrites synced every 64, enough of them that the cleaner
 // turns the log over several times, no crash — each segment's live
-// estimate equals a recount from the inodes, and so does their total;
-// and the cleaner's memory never grew past budget + one segment.
+// estimate equals a recount from the inodes, and so does their total, and
+// Check agrees; and the cleaner's memory never grew past budget + one
+// segment.
 func TestUsageMatchesRecount(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Policy = CleanCostBenefit
@@ -452,6 +453,18 @@ func TestUsageMatchesRecount(t *testing.T) {
 	if fs.stats.SegmentsCleaned < int64(len(fs.usage)) {
 		t.Fatalf("the cleaner reclaimed %d segments, want the log of %d turned over", fs.stats.SegmentsCleaned, len(fs.usage))
 	}
+	checkBooks(t, fs)
+	// With estimates that exact, no pass was handed more than its budget:
+	// the staging span is the size it was made.
+	if held, bound := len(fs.cl.victim)+cap(fs.cl.staging), (1+relocationSegments)*cfg.SegmentSize; held != bound {
+		t.Errorf("after %d passes the cleaner holds %d bytes, want the %d it started with", fs.stats.CleanerRuns, held, bound)
+	}
+}
+
+// checkBooks holds the usage array and the live-byte total to
+// liveBySegment's recount, and the volume to a clean Check.
+func checkBooks(t *testing.T, fs *FS) {
+	t.Helper()
 	var total int64
 	for seg, want := range liveBySegment(t, fs) {
 		total += want
@@ -460,11 +473,11 @@ func TestUsageMatchesRecount(t *testing.T) {
 		}
 	}
 	if fs.liveBytes != total {
-		t.Errorf("live-byte total %d, recount %d", fs.liveBytes, total)
+		t.Errorf("live-byte total %d, recount %d (%+.1f %%)", fs.liveBytes, total, 100*float64(fs.liveBytes-total)/float64(total))
 	}
-	// With estimates that exact, no pass was handed more than its budget:
-	// the staging span is the size it was made.
-	if held, bound := len(fs.cl.victim)+cap(fs.cl.staging), (1+relocationSegments)*cfg.SegmentSize; held != bound {
-		t.Errorf("after %d passes the cleaner holds %d bytes, want the %d it started with", fs.stats.CleanerRuns, held, bound)
+	rep, err := fs.Check()
+	must(t, err)
+	if !rep.Ok() {
+		t.Errorf("check: %q", rep.Problems)
 	}
 }

@@ -15,8 +15,6 @@ type CheckReport struct {
 	Files, Dirs int
 	// Blocks counts the data and indirect blocks that reachable files
 	// hold on disk; holes and blocks only in the cache are not counted.
-	// LFS leaves out inner double-indirect blocks: reaching one is a
-	// charged cache lookup the check has never made.
 	Blocks int64
 	// Orphans counts allocated inodes that no directory entry reaches.
 	// FFS also reports each as a problem. LFS only counts them:
