@@ -278,7 +278,7 @@ func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 		e.Addr = base + layout.DiskAddr(i/inodesPerSector)
 		e.Slot = uint8(i % inodesPerSector)
 		fs.imap.markDirty(ino)
-		fs.creditSegment(fs.segOf(base), layout.InodeSize)
+		fs.creditSegmentAged(fs.segOf(base), layout.InodeSize, fs.clock.Now())
 		fs.inodes.setDirty(ino, false)
 	}
 	return nil
@@ -314,7 +314,7 @@ func (fs *FS) writeImapBatch() error {
 		idx := int(ref.ID)
 		fs.killBlock(fs.imap.blockAddrs[idx], bs)
 		fs.imap.blockAddrs[idx] = addrs[i]
-		fs.creditSegment(fs.segOf(addrs[i]), bs)
+		fs.creditSegmentAged(fs.segOf(addrs[i]), bs, fs.clock.Now())
 		fs.imap.dirtyBlock[idx] = false
 	}
 	return nil

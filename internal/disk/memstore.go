@@ -44,10 +44,15 @@ func NewMemStore(size int64) *MemStore {
 // Size returns the store capacity in bytes.
 func (m *MemStore) Size() int64 { return m.size }
 
-// Sync implements Store; memory is always "stable" here.
+// Sync implements Store; memory is always "stable" here. It waits out
+// the look-ahead, dropping the readied chunks, so that no helper is left
+// faulting for a collection to stop and scan conservatively.
 func (m *MemStore) Sync() error {
 	if m.chunks == nil {
 		return fmt.Errorf("disk: sync: %w", ErrClosed)
+	}
+	for ; m.inFlight > 0; m.inFlight-- {
+		<-m.next //lfslint:allow nogoroutine waits for a helper's one buffered send; store contents and simulated time are unaffected
 	}
 	return nil
 }

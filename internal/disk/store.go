@@ -54,7 +54,7 @@ type Store interface {
 	// WriteAt stores p at off.
 	WriteAt(p []byte, off int64) error
 	// Sync flushes buffered writes to stable storage. Memory-backed
-	// stores treat it as a no-op.
+	// stores have nothing to flush.
 	Sync() error
 	// Size returns the store capacity in bytes.
 	Size() int64

@@ -146,6 +146,31 @@ func TestMemStoreLookAheadOutlivesStore(t *testing.T) {
 	}
 }
 
+// Sync returns only once every helper in flight has sent, and drops
+// the readied chunks: the next first touch allocates inline.
+func TestMemStoreSyncWaitsForLookAhead(t *testing.T) {
+	s := NewMemStore(8 * memChunkSize)
+	if err := s.WriteAt(make([]byte, 2*memChunkSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	ahead := s.next
+	if s.inFlight != lookAhead {
+		t.Fatalf("sequential growth put %d chunks in flight, want %d", s.inFlight, lookAhead)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if s.inFlight != 0 || len(ahead) != 0 {
+		t.Fatalf("after Sync: %d in flight, %d readied, want none", s.inFlight, len(ahead))
+	}
+	if err := s.WriteAt(make([]byte, SectorSize), 3*memChunkSize); err != nil {
+		t.Fatal(err)
+	}
+	if s.inFlight != 0 || installedBytes(s) != 3*memChunkSize {
+		t.Fatalf("isolated first touch after Sync: %d in flight, %d bytes installed", s.inFlight, installedBytes(s))
+	}
+}
+
 // A handed-over chunk reads back as zeros outside the written range,
 // also when the heap is full of freed, dirtied 1 MB buffers for make to
 // hand back: the helper's page touch writes 0 and the chunk is never
