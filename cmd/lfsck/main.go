@@ -1,10 +1,10 @@
 // Command lfsck checks an LFS disk image: it mounts the volume with the
 // geometry its superblock records (running crash recovery) and walks
 // every file reachable from the root, checking the namespace (cycles,
-// duplicate names, link counts) and that each block a file, an inode or
-// the inode map holds lies in a live segment and is held only once, and
-// that the segment usage array's live bytes are what those blocks add up
-// to.
+// duplicate names, link counts), that every allocated inode is reachable,
+// that each block a file, an inode or the inode map holds lies in a live
+// segment and is held only once, and that the segment usage array's live
+// bytes are what those blocks add up to.
 //
 // Usage:
 //
@@ -58,8 +58,8 @@ func main() {
 	if err != nil {
 		fail(fmt.Errorf("mount: %w", err))
 	}
-	fmt.Printf("lfsck: %d files, %d directories, %d blocks, %d orphaned inodes (simulated %v)\n",
-		rep.Files, rep.Dirs, rep.Blocks, rep.Orphans, rep.Duration)
+	fmt.Printf("lfsck: %d files, %d directories, %d blocks (simulated %v)\n",
+		rep.Files, rep.Dirs, rep.Blocks, rep.Duration)
 	if !rep.Ok() {
 		for _, p := range rep.Problems {
 			fmt.Printf("lfsck: PROBLEM: %s\n", p)

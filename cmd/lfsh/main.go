@@ -268,8 +268,8 @@ func (s *shell) run(line string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%d files, %d dirs, %d blocks, %d orphans, %d problems\n",
-			rep.Files, rep.Dirs, rep.Blocks, rep.Orphans, len(rep.Problems))
+		fmt.Printf("%d files, %d dirs, %d blocks, %d problems\n",
+			rep.Files, rep.Dirs, rep.Blocks, len(rep.Problems))
 		for _, p := range rep.Problems {
 			fmt.Printf("  PROBLEM: %s\n", p)
 		}

@@ -28,10 +28,10 @@ const inodeBlock = "inode block"
 // Check verifies the consistency of a mounted LFS. The namespace half
 // is vfs.CheckTree's. The allocation half is here: every block that a
 // file, its inode or the inode map holds must lie in a non-clean segment,
-// and no block may be held twice, except an inode block by its inodes. An
-// orphan holds its blocks until something frees it. What is held, recounted
-// per segment, must be what the usage array and the live-byte total say.
-// An allocated inode must have a disk address unless it is dirty.
+// and no block may be held twice, except an inode block by its inodes. What
+// is held, recounted per segment, must be what the usage array and the
+// live-byte total say. An allocated inode must be reachable, and must have
+// a disk address unless it is dirty.
 func (fs *FS) Check() (*vfs.CheckReport, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -77,33 +77,6 @@ func (fs *FS) Check() (*vfs.CheckReport, error) {
 		live[seg] += n
 		return 1
 	}
-	// claimInode claims everything in holds and returns how many data and
-	// indirect blocks that is.
-	claimInode := func(in *layout.Inode) int64 {
-		var blocks int64
-		for lbn := range layout.BlocksForSize(in.Size, bs) {
-			a, err := fs.blockAddrOf(in, lbn)
-			if err != nil {
-				rep.Problemf("inode %d: mapping block %d: %v", in.Ino, lbn, err)
-				continue
-			}
-			blocks += claim(hold{in.Ino, fmt.Sprintf("block %d", lbn)}, a, int64(bs))
-		}
-		blocks += claim(hold{in.Ino, "indirect"}, in.Indirect, int64(bs))
-		blocks += claim(hold{in.Ino, "double indirect"}, in.DoubleIndirect, int64(bs))
-		// The inner blocks the file's size needs; truncation frees the rest.
-		inner := (layout.BlocksForSize(in.Size, bs) - int64(layout.NDirect) - 1) / int64(layout.AddrsPerBlock(bs))
-		for k := int64(0); !in.DoubleIndirect.IsNil() && k < inner; k++ {
-			a, err := fs.indirectAddrOf(in, layout.IndDoubleInner+k)
-			if err != nil {
-				rep.Problemf("inode %d: mapping inner indirect block %d: %v", in.Ino, k, err)
-				break
-			}
-			blocks += claim(hold{in.Ino, fmt.Sprintf("inner indirect %d", k)}, a, int64(bs))
-		}
-		claim(hold{in.Ino, inodeBlock}, fs.imap.peek(in.Ino).Addr, layout.InodeSize)
-		return blocks
-	}
 	refs, err := vfs.CheckTree(rep, bs, vfs.CheckHooks{
 		Inode: func(ino layout.Ino) (*layout.Inode, error) {
 			if !fs.imap.peek(ino).Allocated {
@@ -112,7 +85,27 @@ func (fs *FS) Check() (*vfs.CheckReport, error) {
 			return fs.getInode(ino)
 		},
 		Claim: func(in *layout.Inode) error {
-			rep.Blocks += claimInode(in)
+			for lbn := range layout.BlocksForSize(in.Size, bs) {
+				a, err := fs.blockAddrOf(in, lbn)
+				if err != nil {
+					rep.Problemf("inode %d: mapping block %d: %v", in.Ino, lbn, err)
+					continue
+				}
+				rep.Blocks += claim(hold{in.Ino, fmt.Sprintf("block %d", lbn)}, a, int64(bs))
+			}
+			rep.Blocks += claim(hold{in.Ino, "indirect"}, in.Indirect, int64(bs))
+			rep.Blocks += claim(hold{in.Ino, "double indirect"}, in.DoubleIndirect, int64(bs))
+			// The inner blocks the file's size needs; truncation frees the rest.
+			inner := (layout.BlocksForSize(in.Size, bs) - int64(layout.NDirect) - 1) / int64(layout.AddrsPerBlock(bs))
+			for k := int64(0); !in.DoubleIndirect.IsNil() && k < inner; k++ {
+				a, err := fs.indirectAddrOf(in, layout.IndDoubleInner+k)
+				if err != nil {
+					rep.Problemf("inode %d: mapping inner indirect block %d: %v", in.Ino, k, err)
+					break
+				}
+				rep.Blocks += claim(hold{in.Ino, fmt.Sprintf("inner indirect %d", k)}, a, int64(bs))
+			}
+			claim(hold{in.Ino, inodeBlock}, fs.imap.peek(in.Ino).Addr, layout.InodeSize)
 			return nil
 		},
 		Entries: func(dir *layout.Inode, visit func([]layout.DirEntry) error) error {
@@ -130,12 +123,7 @@ func (fs *FS) Check() (*vfs.CheckReport, error) {
 	for ino, high := layout.RootIno, fs.imap.highIno(); ino <= high; ino++ {
 		e := fs.imap.peek(ino)
 		if e.Allocated && refs[ino] == 0 {
-			rep.Orphans++
-			if in, err := fs.getInode(ino); err != nil {
-				rep.Problemf("orphan inode %d: %v", ino, err)
-			} else {
-				claimInode(in)
-			}
+			rep.Problemf("inode %d allocated but unreachable", ino)
 		}
 		if e.Allocated && e.Addr.IsNil() && !fs.inodes.isDirty(ino) {
 			rep.Problemf("inode %d allocated with no disk address and not dirty", ino)

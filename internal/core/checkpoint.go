@@ -371,17 +371,15 @@ func (fs *FS) recountClean() {
 // rollForward replays log units written after the checkpoint (§4.4:
 // "using information in the segment summary blocks, LFS can roll
 // forward from the last checkpoint, updating metadata structures such
-// as the inode map"). Units must appear at the expected position with
-// the expected serial and an intact data checksum; the first mismatch
-// is the end of the recoverable log.
-//
-// ckptTime is the recovered checkpoint's capture time: any unit
-// stamped earlier predates the checkpoint and cannot be new work, no
-// matter what its serial claims. The serial check alone is not
-// airtight — after a crash, recovery, and a second crash, the head can
-// sit over leftovers of an earlier epoch whose serials coincide with
-// the expected ones (the clock advance in Mount keeps the comparison
+// as the inode map"), frees what the tail unlinked, and checkpoints.
+// A unit must sit at the expected position with the expected serial,
+// stamped no earlier than ckptTime, and with an intact data checksum;
+// the first that does not ends the recoverable log. The time check
+// matters because after a crash, recovery and a second crash the head
+// can sit over leftovers of an earlier epoch whose serials coincide
+// with the expected ones (Mount's clock advance keeps the comparison
 // sound across process restarts).
+//
 // With two append streams the units of one serial sequence interleave
 // across two disk positions, so each expected serial is probed at
 // every place the writer could have put it: the current position of
@@ -393,22 +391,60 @@ func (fs *FS) recountClean() {
 // a unit of the other head. Head movements commit only after the
 // expected unit validates at the new position.
 func (fs *FS) rollForward(ckptTime sim.Time) error {
-	inodeBlk := layout.NilAddr
-	recovered := 0
-	for {
-		applied, err := fs.replayNextUnit(ckptTime, &inodeBlk)
-		if err != nil {
-			return err
-		}
-		if !applied {
-			break
-		}
-		recovered++
+	st := &tailState{inodeBlk: layout.NilAddr, links: map[layout.Ino]int{}, known: map[layout.Ino]bool{}}
+	applied, err := true, error(nil)
+	for applied && err == nil {
+		applied, err = fs.replayNextUnit(ckptTime, st)
 	}
-	if recovered > 0 {
-		fs.imap.rebuildFreeState()
-		// Stabilise the recovered state immediately.
-		return fs.checkpoint()
+	if err != nil || fs.stats.RollForwardUnits == 0 {
+		return err
+	}
+	if err := fs.freeUnlinked(st); err != nil {
+		return err
+	}
+	fs.imap.rebuildFreeState()
+	return fs.checkpoint() // stabilise the recovered state immediately
+}
+
+// tailState is what roll-forward carries from unit to unit: the inode
+// block recordAt read last and, per inode the tail moved or named in a
+// directory block it replaced, the entries it added minus those it took
+// away, plus, once known, those at the checkpoint. A damaged tail (a
+// directory block that does not parse) frees nothing on a guess.
+type tailState struct {
+	inodeBlk layout.DiskAddr
+	links    map[layout.Ino]int
+	known    map[layout.Ino]bool
+	damaged  bool
+}
+
+// freeUnlinked frees, the writer's way, each inode still allocated that no
+// directory entry reaches once the tail's entries are counted against the
+// checkpoint's. Its version is bumped, so its blocks and slot go dead. A
+// freed directory takes its entries with it, so the pass repeats until it
+// frees nothing.
+func (fs *FS) freeUnlinked(st *tailState) error {
+	for freed := true; freed; {
+		freed = false
+		for ino, high := layout.RootIno+1, fs.imap.highIno(); ino <= high && !st.damaged; ino++ {
+			n, touched := st.links[ino]
+			e := fs.imap.peek(ino)
+			if !touched && !st.known[ino] || !e.Allocated || n > 0 {
+				continue
+			}
+			// Counts the checkpoint's entries if no move did; moveEntry reuses the block.
+			if _, err := fs.recordAt(ino, e, st); err != nil {
+				return err
+			}
+			if st.links[ino] > 0 || st.damaged {
+				continue
+			}
+			none := layout.NewInode(ino, 0)
+			if err := fs.moveEntry(ino, imapEntry{Addr: layout.NilAddr, Version: e.Version + 1}, &none, st); err != nil {
+				return err
+			}
+			freed = true
+		}
 	}
 	return nil
 }
@@ -416,8 +452,8 @@ func (fs *FS) rollForward(ckptTime sim.Time) error {
 // replayNextUnit locates, validates, and applies the unit carrying
 // the next expected write serial. Returns false (with no state
 // change) when no candidate position holds it: the end of the
-// recoverable log. inodeBlk is threaded through to recordAt.
-func (fs *FS) replayNextUnit(ckptTime sim.Time, inodeBlk *layout.DiskAddr) (bool, error) {
+// recoverable log.
+func (fs *FS) replayNextUnit(ckptTime sim.Time, st *tailState) (bool, error) {
 	bs := fs.cfg.BlockSize
 	// In-place candidates: each open head with room for a unit.
 	for class := writeClass(0); class < numClasses; class++ {
@@ -425,7 +461,7 @@ func (fs *FS) replayNextUnit(ckptTime sim.Time, inodeBlk *layout.DiskAddr) (bool
 		if !h.open || maxUnitBlocks(fs.cfg.blocksPerSegment()-h.blk, bs) == 0 {
 			continue
 		}
-		ok, err := fs.replayUnitAt(class, h.seg, h.blk, ckptTime, inodeBlk, false)
+		ok, err := fs.replayUnitAt(class, h.seg, h.blk, ckptTime, st, false)
 		if ok || err != nil {
 			return ok, err
 		}
@@ -436,21 +472,16 @@ func (fs *FS) replayNextUnit(ckptTime sim.Time, inodeBlk *layout.DiskAddr) (bool
 	for class := writeClass(0); class < numClasses; class++ {
 		h := &fs.heads[class]
 		from := h.seg
-		if h.open {
-			if maxUnitBlocks(fs.cfg.blocksPerSegment()-h.blk, bs) != 0 {
-				continue // had room: the in-place probe already said no
-			}
-		} else {
-			if class != classCold {
-				continue
-			}
-			from = fs.heads[classHot].seg
+		if !h.open {
+			from = fs.heads[classHot].seg // only the cold head closes
+		} else if maxUnitBlocks(fs.cfg.blocksPerSegment()-h.blk, bs) != 0 {
+			continue // had room: the in-place probe already said no
 		}
 		cand, found := fs.findCleanSegmentFrom(from)
 		if !found {
 			continue
 		}
-		ok, err := fs.replayUnitAt(class, cand, 0, ckptTime, inodeBlk, true)
+		ok, err := fs.replayUnitAt(class, cand, 0, ckptTime, st, true)
 		if ok || err != nil {
 			return ok, err
 		}
@@ -463,7 +494,7 @@ func (fs *FS) replayNextUnit(ckptTime sim.Time, inodeBlk *layout.DiskAddr) (bool
 // head is moved to seg first — sealing its previous segment — but
 // only once the unit has fully validated, so a failed probe leaves
 // recovery state untouched.
-func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, inodeBlk *layout.DiskAddr, activate bool) (bool, error) {
+func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, st *tailState, activate bool) (bool, error) {
 	bs := fs.cfg.BlockSize
 	// What this stream expects next: the next serial, of this class, and
 	// written no earlier than the checkpoint — an older unit is a leftover
@@ -502,47 +533,29 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, in
 		}
 		fs.activateHead(class, seg)
 	}
-	// Apply the unit the writer's way: each inode record it carries, and
-	// each entry its imap blocks change, moves that inode's entry; data
-	// and indirect blocks count once a replayed inode reaches them. The
-	// unit only dates its segment (a credit of nothing) with its summary's
-	// age: the victim's for relocations, the write time where none is set.
+	// Apply the unit the writer's way: each inode record it carries moves
+	// that inode's entry; data and indirect blocks count once a replayed
+	// inode reaches them, and inode-map blocks not at all (the checkpoint
+	// that ends roll-forward writes the map). The unit only dates its
+	// segment (a credit of nothing) with its summary's age: the victim's
+	// for relocations, the write time where none is set.
 	for j, ref := range u.refs {
+		if ref.Kind != kindInodes {
+			continue
+		}
 		addr := layout.DiskAddr(fs.blockSector(seg, blk+u.SumBlocks+j))
 		p := u.data[j*bs : (j+1)*bs]
-		switch ref.Kind {
-		case kindInodes:
-			for slot := 0; slot < fs.inodesPerBlock(); slot++ {
-				raw := p[slot*layout.InodeSize : (slot+1)*layout.InodeSize]
-				if layout.AllZero(raw) {
-					continue
-				}
-				rec, err := layout.DecodeInode(raw)
-				if err != nil || !rec.Allocated() || rec.Ino < 1 || rec.Ino > fs.imap.maxIno() {
-					continue // a number the map has no entry for names no file
-				}
-				e := fs.imap.peek(rec.Ino)
-				e.Allocated, e.Version = true, rec.Gen
-				e.Addr, e.Slot = addr+layout.DiskAddr(slot/inodesPerSector), uint8(slot%inodesPerSector)
-				if err := fs.moveEntry(rec.Ino, e, &rec, inodeBlk); err != nil {
-					return false, err
-				}
-				fs.imap.markDirty(rec.Ino)
+		for slot := 0; slot < fs.inodesPerBlock(); slot++ {
+			rec, err := layout.DecodeInode(p[slot*layout.InodeSize:])
+			if err != nil || !rec.Allocated() || rec.Ino < 1 || rec.Ino > fs.imap.maxIno() {
+				continue // an empty slot, or a number the map has no entry for
 			}
-		case kindImap:
-			idx := int(ref.ID)
-			if idx < 0 || idx >= fs.imap.blockCount() {
-				continue
+			e := fs.imap.peek(rec.Ino)
+			e.Allocated, e.Version = true, rec.Gen
+			e.Addr, e.Slot = addr+layout.DiskAddr(slot/inodesPerSector), uint8(slot%inodesPerSector)
+			if err := fs.moveEntry(rec.Ino, e, &rec, st); err != nil {
+				return false, err
 			}
-			for i := range fs.imap.block(idx) {
-				ino := layout.Ino(idx*fs.imap.perBlock + i + 1)
-				if err := fs.moveEntry(ino, decodeImapEntry(p[i*imapEntrySize:]), nil, inodeBlk); err != nil {
-					return false, err
-				}
-			}
-			fs.killBlock(fs.imap.blockAddrs[idx], int64(bs))
-			fs.liveBlock(addr, int64(bs))
-			fs.imap.blockAddrs[idx] = addr
 		}
 	}
 	fs.creditSegmentAged(seg, 0, cmp.Or(u.Age, u.Timestamp))
@@ -552,27 +565,15 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, in
 	return true, nil
 }
 
-// moveEntry sets ino's inode-map entry to e the way the writer moved it:
-// the slot of the version it named goes dead, with every block that
-// version holds and the one at e does not, and the reverse goes live. rec
-// is the record at e when the caller holds it. An entry whose slot stays
-// put moves nothing.
-func (fs *FS) moveEntry(ino layout.Ino, e imapEntry, rec *layout.Inode, inodeBlk *layout.DiskAddr) error {
+// moveEntry sets ino's inode-map entry to e, whose record is rec, the way
+// the writer moved it: the slot of the version it named goes dead, with
+// every block that version holds and rec does not, and the reverse goes
+// live; the directory blocks that change are counted into st.
+func (fs *FS) moveEntry(ino layout.Ino, e imapEntry, rec *layout.Inode, st *tailState) error {
 	cur := fs.imap.get(ino)
-	if cur.Allocated == e.Allocated && cur.Addr == e.Addr && cur.Slot == e.Slot {
-		*cur = e
-		return nil
-	}
-	prev, err := fs.recordAt(ino, *cur, inodeBlk)
+	prev, err := fs.recordAt(ino, *cur, st)
 	if err != nil {
 		return err
-	}
-	if rec == nil {
-		next, err := fs.recordAt(ino, e, inodeBlk)
-		if err != nil {
-			return err
-		}
-		rec = &next
 	}
 	if cur.Allocated {
 		fs.killBlock(cur.Addr, layout.InodeSize)
@@ -581,43 +582,56 @@ func (fs *FS) moveEntry(ino layout.Ino, e imapEntry, rec *layout.Inode, inodeBlk
 		fs.liveBlock(e.Addr, layout.InodeSize)
 	}
 	*cur = e
-	ptrs := fs.span[:4*fs.cfg.BlockSize]
+	fs.imap.markDirty(ino)
+	ptrs := fs.span[:5*fs.cfg.BlockSize]
+	dir := [2]bool{prev.Mode.IsDir(), rec.Mode.IsDir()}
 	for i := range prev.Direct {
-		if err := fs.movePointer(prev.Direct[i], rec.Direct[i], 0, ptrs); err != nil {
+		if err := fs.movePointer(prev.Direct[i], rec.Direct[i], 0, ptrs, dir, st); err != nil {
 			return err
 		}
 	}
-	if err := fs.movePointer(prev.Indirect, rec.Indirect, 1, ptrs); err != nil {
+	if err := fs.movePointer(prev.Indirect, rec.Indirect, 1, ptrs, dir, st); err != nil {
 		return err
 	}
-	return fs.movePointer(prev.DoubleIndirect, rec.DoubleIndirect, 2, ptrs)
+	return fs.movePointer(prev.DoubleIndirect, rec.DoubleIndirect, 2, ptrs, dir, st)
 }
 
-// recordAt reads the inode record entry e names from the medium, without
-// bringing it in core. The inode block read last stays in the span past
-// the pointer blocks, named by *inodeBlk: roll-forward writes nothing
-// until it ends, so an address names one content throughout, and a tail
-// that rewrites a few files over and over (fsync-bound clients) finds
-// most of their previous records there. A free entry, or a slot that
-// holds no record of ino, names a file that holds no blocks.
-func (fs *FS) recordAt(ino layout.Ino, e imapEntry, inodeBlk *layout.DiskAddr) (layout.Inode, error) {
-	none := layout.NewInode(ino, 0)
-	seg := fs.segOf(e.Addr)
-	if !e.Allocated || seg < 0 || int(e.Slot) >= inodesPerSector {
-		return none, nil
-	}
-	bs := fs.cfg.BlockSize
-	blk := fs.blockStart(seg, e.Addr)
-	if blk != *inodeBlk {
-		if err := fs.d.ReadSectors(int64(blk), fs.span[4*bs:5*bs], disk.CauseRecovery, "recovery: previous inode"); err != nil {
-			return none, err
+// recordAt reads the inode record ino's current entry e names from the
+// medium, without bringing it in core. The inode block read last stays in
+// the span past the pointer blocks, named by st.inodeBlk: roll-forward
+// writes nothing until it ends, so an address names one content
+// throughout, and a tail that rewrites a few files over and over
+// (fsync-bound clients) finds most of their previous records there. A
+// free entry, or a slot that holds no record of ino, names a file that
+// holds no blocks. The first record read for ino is the checkpoint's, so
+// its entries then are added to ino's count: one for a directory, the link
+// count for a file, none for a free number. An allocated entry that names
+// no record of ino damages the tail.
+func (fs *FS) recordAt(ino layout.Ino, e imapEntry, st *tailState) (layout.Inode, error) {
+	rec := layout.NewInode(ino, 0)
+	if seg := fs.segOf(e.Addr); e.Allocated && seg >= 0 && int(e.Slot) < inodesPerSector {
+		bs := fs.cfg.BlockSize
+		blk := fs.blockStart(seg, e.Addr)
+		if blk != st.inodeBlk {
+			if err := fs.d.ReadSectors(int64(blk), fs.span[5*bs:6*bs], disk.CauseRecovery, "recovery: previous inode"); err != nil {
+				return rec, err
+			}
+			st.inodeBlk = blk
 		}
-		*inodeBlk = blk
+		slot := int(e.Addr-blk)*inodesPerSector + int(e.Slot)
+		if r, err := layout.DecodeInode(fs.span[5*bs+slot*layout.InodeSize:]); err == nil && r.Ino == ino {
+			rec = r
+		}
 	}
-	slot := int(e.Addr-blk)*inodesPerSector + int(e.Slot)
-	rec, err := layout.DecodeInode(fs.span[4*bs+slot*layout.InodeSize:])
-	if err != nil || rec.Ino != ino {
-		return none, nil
+	if !st.known[ino] {
+		st.known[ino] = true
+		switch {
+		case rec.Mode.IsDir():
+			st.links[ino]++
+		case rec.Allocated():
+			st.links[ino] += int(rec.Nlink)
+		}
+		st.damaged = st.damaged || e.Allocated && !rec.Allocated()
 	}
 	return rec, nil
 }
@@ -627,15 +641,33 @@ func (fs *FS) recordAt(ino layout.Ino, e imapEntry, inodeBlk *layout.DiskAddr) (
 // indirect block depth levels above the data so does every entry that
 // differs. An address that did not change names a subtree that did not
 // either, so only the pointer blocks the tail rewrote are read; no block,
-// or one outside the segment area, holds no pointers. buf holds two
-// blocks per level.
-func (fs *FS) movePointer(old, new layout.DiskAddr, depth int, buf []byte) error {
+// or one outside the segment area, holds no pointers. A data block of a
+// directory (dir says on which side) has its entries counted into st. buf
+// holds two blocks per level and one more.
+func (fs *FS) movePointer(old, new layout.DiskAddr, depth int, buf []byte, dir [2]bool, st *tailState) error {
 	if old == new {
 		return nil
 	}
 	bs := fs.cfg.BlockSize
 	fs.killBlock(old, int64(bs))
 	fs.liveBlock(new, int64(bs))
+	for i, a := range [2]layout.DiskAddr{old, new} {
+		if depth > 0 || !dir[i] || a.IsNil() {
+			continue
+		}
+		if fs.segOf(a) < 0 {
+			st.damaged = true
+			continue
+		}
+		if err := fs.d.ReadSectors(int64(a), buf[:bs], disk.CauseRecovery, "recovery: directory block"); err != nil {
+			return err
+		}
+		entries, err := layout.DirBlockEntries(buf[:bs])
+		st.damaged = st.damaged || err != nil
+		for _, en := range entries {
+			st.links[en.Ino] += 2*i - 1 // old's entries go, new's come
+		}
+	}
 	if depth == 0 {
 		return nil
 	}
@@ -647,7 +679,7 @@ func (fs *FS) movePointer(old, new layout.DiskAddr, depth int, buf []byte) error
 		}
 	}
 	for i := range layout.AddrsPerBlock(bs) {
-		if err := fs.movePointer(layout.AddrAt(buf, i), layout.AddrAt(buf[bs:], i), depth-1, buf[2*bs:]); err != nil {
+		if err := fs.movePointer(layout.AddrAt(buf, i), layout.AddrAt(buf[bs:], i), depth-1, buf[2*bs:], dir, st); err != nil {
 			return err
 		}
 	}

@@ -115,7 +115,7 @@ type FS struct {
 
 	// span is the transfer buffer of read-ahead and of inode-block
 	// fetches, and during Mount of the inode map's blocks and of
-	// roll-forward's probes and read-backs (five blocks); ckptBuf the
+	// roll-forward's probes and read-backs (six blocks); ckptBuf the
 	// checkpoint region being encoded (Mount reads both regions into it);
 	// wr is the segment writer's working memory and cl the cleaner's (its
 	// victim and staging memory is allocated by the first clean). All are

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -501,12 +502,74 @@ func TestRollForwardSkipsRecordOutsideTheMap(t *testing.T) {
 	}
 }
 
+// TestRollForwardFreesNothingOnADamagedDirectory: roll-forward frees
+// what the directory blocks it replays no longer name, so a directory
+// record that points at a block that does not parse must not read as a
+// directory emptied. A forged unit gives the root such a record (the
+// block is /a's data); the mount succeeds, frees nothing, and Check
+// reports the damaged directory.
+func TestRollForwardFreesNothingOnADamagedDirectory(t *testing.T) {
+	fs := newTestFS(t, 16<<20, smallConfig())
+	for _, p := range []string{"/a", "/b"} {
+		must(t, fs.Create(p))
+		must(t, fs.Write(p, 0, bytes.Repeat([]byte{0x5A}, 4096)))
+	}
+	must(t, fs.Checkpoint())
+	a, err := fs.Stat("/a")
+	must(t, err)
+	ain, err := fs.getInode(a.Ino)
+	must(t, err)
+	root := *fs.inodes.get(layout.RootIno)
+	root.Direct[0], err = fs.blockAddrOf(ain, 0)
+	must(t, err)
+	allocated := fs.imap.Allocated()
+	d := forgeUnitAtHead(t, fs, fs.clock.Now(), root)
+
+	fs2, err := Mount(d, fs.cfg)
+	must(t, err)
+	if n := fs2.Stats().RollForwardUnits; n != 1 {
+		t.Fatalf("roll-forward replayed %d units, want the forged one", n)
+	}
+	if got := fs2.imap.Allocated(); got != allocated {
+		t.Fatalf("roll-forward freed %d inodes of a damaged directory", allocated-got)
+	}
+	rep, err := fs2.Check()
+	must(t, err)
+	if !slices.ContainsFunc(rep.Problems, func(p string) bool { return strings.HasPrefix(p, "inode 1: listing") }) {
+		t.Fatalf("check did not report the damaged root: %q", rep.Problems)
+	}
+}
+
+// TestRollForwardFreesAFileNoEntryReaches: FsyncFile logs a new file's
+// data and inode but not its directory's entry. After a crash the log
+// holds the file and no name for it, so roll-forward frees it.
+func TestRollForwardFreesAFileNoEntryReaches(t *testing.T) {
+	cfg := smallConfig()
+	fs := newTestFS(t, 16<<20, cfg)
+	must(t, fs.Create("/a"))
+	must(t, fs.Checkpoint())
+	must(t, fs.Create("/n"))
+	must(t, fs.Write("/n", 0, bytes.Repeat([]byte{0x5A}, 8192)))
+	must(t, fs.FsyncFile("/n"))
+	d := fs.d
+	fs.Crash()
+	fs, err := Mount(d, cfg)
+	must(t, err)
+	if fs.stats.RollForwardUnits == 0 {
+		t.Fatal("the mount replayed nothing; the test wants the fsync's unit")
+	}
+	if rep := checkBooks(t, fs); rep.Files != 1 || fs.imap.Allocated() != 2 {
+		t.Fatalf("after recovery %d files reached, %d inodes allocated; want /a and the root", rep.Files, fs.imap.Allocated())
+	}
+}
+
 // TestRecoveredUsageMatchesRecount: roll-forward leaves the books the
 // writer would have left. Each input writes files, checkpoints, changes
 // them, syncs and cuts the power; after the mount replays the tail, each
 // segment's live estimate and their total equal the recount, and Check
-// (which recounts too) is clean. A file removed in the tail stays an
-// orphan that holds its blocks — no log record says it went.
+// (which recounts too) is clean. What the tail unlinked is gone, its
+// inode freed, and what it kept or made survives: every allocated inode
+// is one Check reached.
 func TestRecoveredUsageMatchesRecount(t *testing.T) {
 	const files = 200
 	block := bytes.Repeat([]byte{0x5A}, 8192)
@@ -526,27 +589,36 @@ func TestRecoveredUsageMatchesRecount(t *testing.T) {
 			must(t, fs.Remove(fmt.Sprintf("/f%03d", i)))
 		}
 	}
+	file := func(t *testing.T, fs *FS, path string) {
+		must(t, fs.Create(path))
+		must(t, fs.Write(path, 0, block))
+	}
+	linked := func(t *testing.T, fs *FS) {
+		file(t, fs, "/a")
+		must(t, fs.Link("/a", "/b"))
+	}
 	for _, tc := range []struct {
-		name        string
-		setup, tail func(t *testing.T, fs *FS)
+		name          string
+		setup, tail   func(t *testing.T, fs *FS)
+		survive, gone []string
 	}{
 		{"overwrite and remove", small, func(t *testing.T, fs *FS) {
 			overwrite(t, fs)
 			remove(t, fs)
-		}},
-		{"overwrite", small, overwrite},
+		}, []string{"/f000", "/f002"}, []string{"/f001", "/f197"}},
+		{"overwrite", small, overwrite, nil, nil},
 		{"truncate", small, func(t *testing.T, fs *FS) {
 			for i := 0; i < files; i += 4 {
 				must(t, fs.Truncate(fmt.Sprintf("/f%03d", i), 100))
 			}
-		}},
+		}, nil, nil},
 		{"remove then create", small, func(t *testing.T, fs *FS) {
 			remove(t, fs)
 			for i := 0; i < files/4; i++ {
 				must(t, fs.Create(fmt.Sprintf("/g%03d", i)))
 				must(t, fs.Write(fmt.Sprintf("/g%03d", i), 0, block[:4096]))
 			}
-		}},
+		}, []string{"/g000", "/g049"}, []string{"/f001"}},
 		{"large file", func(t *testing.T, fs *FS) {
 			must(t, fs.Create("/big"))
 			for off := int64(0); off < 8<<20; off += int64(len(block)) {
@@ -557,7 +629,63 @@ func TestRecoveredUsageMatchesRecount(t *testing.T) {
 			for i := 0; i < 64; i++ {
 				must(t, fs.Write("/big", int64(rng.Intn(1024))*8192, block))
 			}
-		}},
+		}, []string{"/big"}, nil},
+		{"unlink one of two links", linked, func(t *testing.T, fs *FS) {
+			must(t, fs.Remove("/b"))
+		}, []string{"/a"}, []string{"/b"}},
+		{"unlink both links, one sync", linked, func(t *testing.T, fs *FS) {
+			must(t, fs.Remove("/a"))
+			must(t, fs.Remove("/b"))
+		}, nil, []string{"/a", "/b"}},
+		{"unlink both links, two syncs", linked, func(t *testing.T, fs *FS) {
+			must(t, fs.Remove("/a"))
+			must(t, fs.Sync())
+			must(t, fs.Remove("/b"))
+		}, nil, []string{"/a", "/b"}},
+		{"link, then unlink the original", func(t *testing.T, fs *FS) {
+			file(t, fs, "/a")
+		}, func(t *testing.T, fs *FS) {
+			must(t, fs.Link("/a", "/b"))
+			must(t, fs.Remove("/a"))
+		}, []string{"/b"}, []string{"/a"}},
+		{"cross-directory rename", func(t *testing.T, fs *FS) {
+			must(t, fs.Mkdir("/d1"))
+			must(t, fs.Mkdir("/d2"))
+			file(t, fs, "/d1/f")
+		}, func(t *testing.T, fs *FS) {
+			must(t, fs.Rename("/d1/f", "/d2/f"))
+		}, []string{"/d1", "/d2/f"}, []string{"/d1/f"}},
+		{"rmdir of a directory emptied in the tail", func(t *testing.T, fs *FS) {
+			must(t, fs.Mkdir("/d"))
+			file(t, fs, "/d/f")
+			file(t, fs, "/d/g")
+		}, func(t *testing.T, fs *FS) {
+			must(t, fs.Remove("/d/f"))
+			must(t, fs.Remove("/d/g"))
+			must(t, fs.Remove("/d"))
+		}, nil, []string{"/d"}},
+		{"rename a directory, then rmdir it", func(t *testing.T, fs *FS) {
+			must(t, fs.Mkdir("/d"))
+		}, func(t *testing.T, fs *FS) {
+			must(t, fs.Rename("/d", "/e"))
+			must(t, fs.Sync())
+			must(t, fs.Remove("/e"))
+		}, nil, []string{"/d", "/e"}},
+		{"create then remove within the tail", func(t *testing.T, fs *FS) {
+			file(t, fs, "/a")
+		}, func(t *testing.T, fs *FS) {
+			file(t, fs, "/n")
+			must(t, fs.Sync())
+			must(t, fs.Remove("/n"))
+		}, []string{"/a"}, []string{"/n"}},
+		{"remove, reuse the number, remove again", func(t *testing.T, fs *FS) {
+			file(t, fs, "/a")
+		}, func(t *testing.T, fs *FS) {
+			must(t, fs.Remove("/a"))
+			file(t, fs, "/b")
+			must(t, fs.Sync())
+			must(t, fs.Remove("/b"))
+		}, nil, []string{"/a", "/b"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig()
@@ -573,7 +701,20 @@ func TestRecoveredUsageMatchesRecount(t *testing.T) {
 			if fs.stats.RollForwardUnits == 0 {
 				t.Fatal("the mount replayed nothing; the test wants a tail")
 			}
-			checkBooks(t, fs)
+			rep := checkBooks(t, fs)
+			for _, p := range tc.survive {
+				if _, err := fs.Stat(p); err != nil {
+					t.Errorf("%s did not survive: %v", p, err)
+				}
+			}
+			for _, p := range tc.gone {
+				if _, err := fs.Stat(p); err == nil {
+					t.Errorf("%s survived", p)
+				}
+			}
+			if n := rep.Files + rep.Dirs; n != fs.imap.Allocated() {
+				t.Errorf("check reached %d inodes, the map holds %d allocated", n, fs.imap.Allocated())
+			}
 		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
+	"lfs/internal/vfs"
 )
 
 // Tests of the cleaner's relocation list: live blocks move victim →
@@ -462,8 +463,9 @@ func TestUsageMatchesRecount(t *testing.T) {
 }
 
 // checkBooks holds the usage array and the live-byte total to
-// liveBySegment's recount, and the volume to a clean Check.
-func checkBooks(t *testing.T, fs *FS) {
+// liveBySegment's recount, and the volume to a clean Check, whose report
+// it returns.
+func checkBooks(t *testing.T, fs *FS) *vfs.CheckReport {
 	t.Helper()
 	var total int64
 	for seg, want := range liveBySegment(t, fs) {
@@ -480,4 +482,5 @@ func checkBooks(t *testing.T, fs *FS) {
 	if !rep.Ok() {
 		t.Errorf("check: %q", rep.Problems)
 	}
+	return rep
 }

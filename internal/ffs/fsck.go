@@ -175,7 +175,6 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 	// iteration order.
 	for _, ino := range inos {
 		if refs[ino] == 0 {
-			rep.Orphans++
 			rep.Problemf("inode %d allocated but unreachable", ino)
 		}
 		if !inodeBitmap[ino] {

@@ -16,10 +16,6 @@ type CheckReport struct {
 	// Blocks counts the data and indirect blocks that reachable files
 	// hold on disk; holes and blocks only in the cache are not counted.
 	Blocks int64
-	// Orphans counts allocated inodes that no directory entry reaches.
-	// FFS also reports each as a problem. LFS only counts them:
-	// roll-forward past a delete leaves them (ROADMAP item 3(b)).
-	Orphans int
 	// Problems lists the inconsistencies found, in a deterministic order.
 	Problems []string
 	// Duration is the simulated time of the check (FFS's: §4.4's fsck).

@@ -64,7 +64,9 @@ echo "== size =="
 # geometry from the superblock: 24 401.
 # Roll-forward moves inode-map entries by the writer's rule, Check()
 # recounts the usage array, and examples/crashrecovery is gone: 24 385.
-size_ceiling=24385
+# Roll-forward frees what the tail unlinked, counted from the directory
+# blocks it replays, and stops replaying inode-map blocks: 24 400.
+size_ceiling=24400
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
