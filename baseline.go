@@ -6,9 +6,8 @@ import (
 )
 
 // The paper compares LFS against SunOS 4.0.3's BSD Fast File System.
-// The baseline implementation lives in internal/ffs and is exposed
-// here so examples and downstream users can reproduce the
-// comparisons.
+// The baseline lives in internal/ffs and is exposed here so callers
+// can reproduce the comparisons.
 
 type (
 	// BaselineFS is a mounted FFS-style update-in-place file

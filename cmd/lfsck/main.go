@@ -8,10 +8,12 @@
 //
 // Usage:
 //
-//	lfsck -image fs.img -size 300M [-noroll]
+//	lfsck -image fs.img [-noroll]
 //
-// Exit status 0 means consistent; 1 means problems were found; 2
-// means the image could not be checked at all.
+// The image is opened at its own length; a missing file, or one whose
+// length is not a whole disk, is refused and left as it is. Exit
+// status 0 means consistent; 1 means problems were found; 2 means the
+// image could not be checked at all.
 package main
 
 import (
@@ -26,7 +28,6 @@ import (
 
 func main() {
 	image := flag.String("image", "", "path of the disk image")
-	size := flag.String("size", "300M", "volume capacity the image was created with")
 	noroll := flag.Bool("noroll", false, "skip roll-forward recovery at mount")
 	flag.Parse()
 
@@ -34,22 +35,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lfsck: -image is required")
 		os.Exit(2)
 	}
-	capacity, err := cli.ParseSize(*size)
-	if err != nil {
-		fail(err)
-	}
-	// Opening a missing or short image would silently create or
-	// zero-extend it, turning obvious truncation into confusing
-	// "corruption" reports — refuse and warn instead.
-	info, err := os.Stat(*image)
-	if err != nil {
-		fail(fmt.Errorf("image: %w", err))
-	}
-	if want := lfs.ImageBytes(capacity); info.Size() < want {
-		fmt.Fprintf(os.Stderr, "lfsck: warning: image is %d bytes, expected %d; the missing tail reads as zeros\n",
-			info.Size(), want)
-	}
-	d, err := lfs.OpenImage(*image, capacity)
+	d, err := cli.OpenImage(*image)
 	if err != nil {
 		fail(err)
 	}

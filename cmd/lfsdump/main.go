@@ -4,7 +4,9 @@
 //
 // Usage:
 //
-//	lfsdump -image fs.img -size 300M [-segments]
+//	lfsdump -image fs.img [-segments | -imap]
+//
+// The image is opened at its own length and only read.
 package main
 
 import (
@@ -12,14 +14,12 @@ import (
 	"fmt"
 	"os"
 
-	"lfs"
 	"lfs/internal/cli"
 	"lfs/internal/core"
 )
 
 func main() {
 	image := flag.String("image", "", "path of the disk image")
-	size := flag.String("size", "300M", "volume capacity the image was created with")
 	segments := flag.Bool("segments", false, "also walk and print every segment's unit summaries")
 	imap := flag.Bool("imap", false, "print the inode map of the newest checkpoint instead")
 	flag.Parse()
@@ -28,27 +28,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lfsdump: -image is required")
 		os.Exit(2)
 	}
-	capacity, err := cli.ParseSize(*size)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lfsdump: %v\n", err)
-		os.Exit(2)
-	}
-	d, err := lfs.OpenImage(*image, capacity)
-	if err != nil {
+	if err := dump(*image, *segments, *imap); err != nil {
 		fmt.Fprintf(os.Stderr, "lfsdump: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+func dump(image string, segments, imap bool) error {
+	d, err := cli.OpenImage(image)
+	if err != nil {
+		return err
 	}
 	defer d.Close()
-
-	if *imap {
-		if err := core.DumpImap(os.Stdout, d); err != nil {
-			fmt.Fprintf(os.Stderr, "lfsdump: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if imap {
+		return core.DumpImap(os.Stdout, d)
 	}
-	if err := core.Dump(os.Stdout, d, *segments); err != nil {
-		fmt.Fprintf(os.Stderr, "lfsdump: %v\n", err)
-		os.Exit(1)
-	}
+	return core.Dump(os.Stdout, d, segments)
 }

@@ -5,9 +5,10 @@
 //
 // Usage:
 //
-//	lfsh -image fs.img -size 300M
+//	lfsh -image fs.img
 //
-// Type "help" at the prompt for the command list.
+// The image is opened at its own length, the one mklfs gave it. Type
+// "help" at the prompt for the command list.
 package main
 
 import (
@@ -24,18 +25,12 @@ import (
 
 func main() {
 	image := flag.String("image", "", "path of the disk image")
-	size := flag.String("size", "300M", "volume capacity the image was created with")
 	flag.Parse()
 	if *image == "" {
 		fmt.Fprintln(os.Stderr, "lfsh: -image is required")
 		os.Exit(2)
 	}
-	capacity, err := cli.ParseSize(*size)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lfsh: %v\n", err)
-		os.Exit(2)
-	}
-	d, err := lfs.OpenImage(*image, capacity)
+	d, err := cli.OpenImage(*image)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lfsh: %v\n", err)
 		os.Exit(1)
@@ -46,7 +41,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lfsh: mount: %v (is the image formatted? try mklfs)\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("lfsh: mounted %s (%s), %d clean segments; type 'help'\n", *image, *size, sh.fs.CleanSegments())
+	fmt.Printf("lfsh: mounted %s, %d clean segments; type 'help'\n", *image, sh.fs.CleanSegments())
 
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)

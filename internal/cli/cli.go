@@ -3,9 +3,12 @@ package cli
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"lfs"
 )
 
 // ShardImagePath names shard i's image for a multi-shard volume
@@ -43,4 +46,19 @@ func ParseSize(s string) (int64, error) {
 		return 0, fmt.Errorf("non-positive size %q", s)
 	}
 	return n * mult, nil
+}
+
+// OpenImage opens the disk image at path at the file's own length, the
+// one mklfs gave it. A missing file, or a length that is not a whole
+// disk (a truncated or foreign file), is refused before the image is
+// opened, so a tool never creates or extends one.
+func OpenImage(path string) (*lfs.Disk, error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if n := info.Size(); n <= 0 || lfs.ImageBytes(n) != n {
+		return nil, fmt.Errorf("image %s is %d bytes, not the length of a whole disk (truncated?)", path, n)
+	}
+	return lfs.OpenImage(path, info.Size())
 }

@@ -1,6 +1,12 @@
 package cli
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"lfs"
+)
 
 func TestParseSize(t *testing.T) {
 	cases := []struct {
@@ -42,5 +48,47 @@ func TestShardImagePath(t *testing.T) {
 		if got := ShardImagePath(tc.base, tc.shard); got != tc.want {
 			t.Errorf("ShardImagePath(%q, %d) = %q, want %q", tc.base, tc.shard, got, tc.want)
 		}
+	}
+}
+
+// TestOpenImage: an image made at a size opens at that size, and one cut
+// short is refused and keeps its length.
+func TestOpenImage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.img")
+	made, err := lfs.OpenImage(path, 32<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := made.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.Sectors()*512, lfs.ImageBytes(32<<20); got != want {
+		t.Errorf("opened at %d bytes, want %d", got, want)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	short := lfs.ImageBytes(32<<20) - 4096
+	if err := os.Truncate(path, short); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := OpenImage(path); err == nil {
+		d.Close()
+		t.Fatal("a truncated image opened")
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != short {
+		t.Fatalf("refused image is %d bytes, want %d", info.Size(), short)
+	}
+	if _, err := OpenImage(filepath.Join(t.TempDir(), "missing.img")); err == nil {
+		t.Fatal("a missing image opened")
 	}
 }

@@ -68,13 +68,18 @@ func decodeSuperblock(p []byte) (superblock, error) {
 }
 
 // readSuperblock reads the first n bytes of the volume on d and decodes
-// its superblock.
+// its superblock. A volume whose segment area ends past the end of d is
+// refused: d is not the disk it was formatted on, or not all of it.
 func readSuperblock(d *disk.Disk, n int, cause disk.IOCause, label string) (superblock, error) {
 	buf := make([]byte, n)
 	if err := d.ReadSectors(0, buf, cause, label); err != nil {
 		return superblock{}, err
 	}
-	return decodeSuperblock(buf)
+	sb, err := decodeSuperblock(buf)
+	if end := int64(sb.SegStart) + int64(sb.Segments)*int64(sb.SegmentSize)/disk.SectorSize; err == nil && end > d.Sectors() {
+		err = fmt.Errorf("lfs: segment area ends at sector %d, past the disk's %d sectors", end, d.Sectors())
+	}
+	return sb, err
 }
 
 // ImageConfig returns cfg with the block size, segment size and inode

@@ -281,14 +281,6 @@ func (fs *FS) StatsSnapshot() StatsSnapshot {
 	}
 }
 
-// CPUInstructions returns the total simulated instructions charged,
-// for CPU-boundedness reporting in experiments.
-func (fs *FS) CPUInstructions() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.cpu.Instructions()
-}
-
 // CleanSegments returns the number of clean segments.
 func (fs *FS) CleanSegments() int {
 	fs.mu.Lock()

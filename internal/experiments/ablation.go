@@ -133,6 +133,9 @@ func SegSizeAblation(opts SegSizeOpts) ([]SegSizeRow, error) {
 		}
 		row.CreatePS = res.Create.OpsPerSec()
 		rows = append(rows, row)
+		if err := audit(lfs, fmt.Sprintf("segsize %d", ss)); err != nil {
+			return nil, err
+		}
 	}
 	return rows, nil
 }

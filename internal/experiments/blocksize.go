@@ -88,6 +88,9 @@ func BlockSizeAblation(opts BlockSizeOpts) ([]BlockSizeRow, error) {
 		}
 		row.StorageOverhead = float64(lfs.LiveBytes()) / float64(userBytes)
 		rows = append(rows, row)
+		if err := audit(lfs, fmt.Sprintf("blocksize %d", bs)); err != nil {
+			return nil, err
+		}
 	}
 	return rows, nil
 }

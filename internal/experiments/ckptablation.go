@@ -137,6 +137,9 @@ func CheckpointAblation(opts CkptOpts) ([]CkptRow, error) {
 			LostFiles:        lost,
 			MountMs:          mountMs,
 		})
+		if err := audit(recovered, fmt.Sprintf("ckpt ablation %v", interval)); err != nil {
+			return nil, err
+		}
 	}
 	return rows, nil
 }

@@ -134,6 +134,9 @@ func CleaningCurve(opts CleaningOpts) ([]CleaningRow, error) {
 				SegmentsCleaned: snap.Log.SegmentsCleaned,
 				LiveCopied:      snap.Log.CleanerLiveCopied,
 			})
+			if err := audit(lfs, fmt.Sprintf("cleaning %s u=%.2f", arm.Name, u)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return rows, nil

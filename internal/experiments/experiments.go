@@ -16,6 +16,9 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
+
 	"lfs/internal/core"
 	"lfs/internal/disk"
 	"lfs/internal/ffs"
@@ -73,4 +76,19 @@ func NewFFS(capacity int64, cfg ffs.Config) (*System, error) {
 		return nil, err
 	}
 	return &System{System: fs, Name: "SunFFS", Disk: d}, nil
+}
+
+// audit runs Check() on a volume a cleaning row has just measured: the
+// cleaner (§4.3) acts on the segment usage array, and Check() recounts
+// it from what the files hold. A problem fails the row. Call it after
+// the row's figures are read: the check charges simulated time.
+func audit(fs *core.FS, what string) error {
+	rep, err := fs.Check()
+	if err != nil {
+		return fmt.Errorf("%s: check: %w", what, err)
+	}
+	if !rep.Ok() {
+		return fmt.Errorf("%s: check: %s", what, strings.Join(rep.Problems, "; "))
+	}
+	return nil
 }

@@ -86,6 +86,9 @@ func Fig5(opts Fig5Opts) ([]Fig5Row, error) {
 			LiveCopied:      res.LiveCopied,
 			BlocksExamined:  res.BlocksExamined,
 		})
+		if err := audit(lfs, fmt.Sprintf("fig5 u=%.2f", u)); err != nil {
+			return nil, err
+		}
 	}
 	return rows, nil
 }

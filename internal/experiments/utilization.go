@@ -87,7 +87,7 @@ func UtilizationDistribution(opts UtilizationOpts) (*UtilizationResult, error) {
 		res.MeanSegmentUtil = sum / float64(res.Samples)
 	}
 	res.DiskUtil = float64(lfs.LiveBytes()) / float64(lfs.LogCapacity())
-	return res, nil
+	return res, audit(lfs, fmt.Sprintf("utilization %v", opts.Policy))
 }
 
 // UtilizationByPolicy runs the distribution measurement under both

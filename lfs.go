@@ -137,10 +137,8 @@ func ImageConfig(d *Disk, cfg Config) (Config, error) { return core.ImageConfig(
 func Fsck(d *Disk, cfg Config) (*vfs.CheckReport, error) { return core.Fsck(d, cfg) }
 
 // ImageBytes returns the size in bytes of a disk image file for a
-// volume of the given capacity — what OpenImage will create or expect.
-// Tools use it to detect truncated images before mounting them: a
-// short image is silently extended with zeros, which can turn obvious
-// truncation into subtle "corruption".
+// volume of the given capacity — what OpenImage creates. An image of
+// any other length is not a whole disk.
 func ImageBytes(capacity int64) int64 {
 	return disk.GeometryForCapacity(capacity).TotalBytes()
 }

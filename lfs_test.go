@@ -123,6 +123,33 @@ func TestOpenImage(t *testing.T) {
 	}
 }
 
+// TestMountRefusesLargerVolume: a volume formatted on 32 MB does not
+// mount from the same image opened as a 16 MB disk, whose end falls
+// inside its segment area.
+func TestMountRefusesLargerVolume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.img")
+	d, err := lfs.OpenImage(path, 32<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := lfs.DefaultConfig()
+	cfg.MaxInodes = 1024
+	if err := lfs.Format(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	small, err := lfs.OpenImage(path, 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	if _, err := lfs.Mount(small, cfg); err == nil {
+		t.Fatal("a 32 MB volume mounted on a 16 MB disk")
+	}
+}
+
 // TestCleanPolicyNames pins the exported policy constants.
 func TestCleanPolicyNames(t *testing.T) {
 	if lfs.CleanGreedy.String() != "greedy" || lfs.CleanCostBenefit.String() != "cost-benefit" {

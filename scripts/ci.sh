@@ -66,7 +66,11 @@ echo "== size =="
 # recounts the usage array, and examples/crashrecovery is gone: 24 385.
 # Roll-forward frees what the tail unlinked, counted from the directory
 # blocks it replays, and stops replaying inode-map blocks: 24 400.
-size_ceiling=24400
+# examples/ deleted (quickstart became the root Example, 79 lines moved
+# into a test file, not cut), the checker's audit runs in every
+# experiment row that cleans, and the tools open an image at its own
+# length: 23 999.
+size_ceiling=23999
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
@@ -98,19 +102,13 @@ echo "== test -race =="
 # and the experiments stage below repeats against the committed
 # reports — under the detector it alone would take five minutes.
 go test -race -short ./...
-echo "== examples =="
-# Each example is a main that narrates one behaviour of the paper, about
-# two seconds for the four. One of them, cleanerlab, runs the consistency
-# checker and exits non-zero when it reports a problem.
-for ex in examples/*/; do
-	go run "./$ex" > /dev/null || { echo "ci: $ex exited non-zero" >&2; exit 1; }
-done
 echo "== experiments =="
 # Every experiment of the paper's evaluation, once, at the paper's
 # scale (experiments.Table; about half a minute). Each experiment
 # enforces its own verdicts — phases that sum to latencies, a
 # byte-identical same-seed rerun, a clean fsck after the power cut, the
-# crash sweep's work floor — by failing the run. The model is
+# crash sweep's work floor, a clean Check() on the volume each cleaning
+# row measured (the trace and metrics smokes aside) — by failing the run. The model is
 # deterministic, so what it prints must equal the committed
 # bench_results.txt and every summary it writes its committed
 # BENCH_*.json, byte for byte: a silent change to a figure, a curve or
