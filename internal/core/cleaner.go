@@ -174,8 +174,8 @@ func (fs *FS) selectBatch(needed int) []int {
 }
 
 // cleanReserve is the emergency clean-segment floor: below it the
-// cleaner checkpoints mid-run to release pending segments, and victim
-// selection switches to space-first. With segregation one relocation
+// cleaner checkpoints mid-run to release pending segments; at or under
+// it the space guard may pick greedy. With segregation one relocation
 // flush can claim more segments (the cold head opens and both streams
 // can advance mid-fill), hence the larger reserve.
 func (fs *FS) cleanReserve() int {
@@ -188,18 +188,21 @@ func (fs *FS) cleanReserve() int {
 // selectVictim picks the next segment to clean according to the
 // configured policy, skipping excl (the few victims already in the
 // current batch). Segments at or above MinLiveFraction utilisation are
-// never picked (§4.3.4).
+// never picked (§4.3.4). Greedy scores a segment by the free space it
+// yields, 1-u; cost-benefit (§3.6) weighs that by the age of the
+// segment's youngest data over the cost of reading and rewriting it,
+// (1-u)·age/(1+u), with age the seconds since Age, plus one.
+//
+// Space guard: cost-benefit favors old, dense victims, which consume
+// nearly a full clean segment of copies to net a sliver of free space.
+// With the clean reserve exhausted that is a death spiral, so survival
+// overrides age and the pick is greedy — once the pool is both at or
+// under the reserve and below the cleaner's activation threshold. On a
+// volume whose threshold is at or under the reserve, a pass thus runs
+// cost-benefit until it has drawn the pool below where it started.
 func (fs *FS) selectVictim(excl []int) (int, bool) {
-	policy := fs.cfg.Policy
-	// Space guard: cost-benefit favors old, dense victims, which
-	// consume nearly a full clean segment of copies to net a sliver
-	// of free space. With the clean reserve nearly exhausted that is
-	// a death spiral — each pass consumes segments faster than it
-	// frees them — so survival overrides age: fall back to greedy
-	// (most-empty victim), which maximizes net space per pass.
-	if fs.cleanCount <= fs.cleanReserve() {
-		policy = CleanGreedy
-	}
+	guard := fs.cleanCount <= fs.cleanReserve() && fs.cleanCount < fs.cfg.cleanThreshold(int(fs.sb.Segments))
+	costBenefit := fs.cfg.Policy == CleanCostBenefit && !guard
 	segSize := float64(fs.sb.SegmentSize)
 	bestScore := 0.0
 	best := -1
@@ -213,23 +216,9 @@ func (fs *FS) selectVictim(excl []int) (int, bool) {
 		if util >= fs.cfg.MinLiveFraction {
 			continue
 		}
-		var score float64
-		switch policy {
-		case CleanCostBenefit:
-			// benefit/cost = free space generated × age of data
-			// / cost of reading and rewriting: (1-u)·age/(1+u).
-			// Age is the youngest-block modified time (§3.6),
-			// preserved across cleaner copies; LastWrite is the
-			// fallback for segments written before age tracking,
-			// whose append time is the only estimate on record.
-			ageAt := u.Age
-			if ageAt == 0 {
-				ageAt = u.LastWrite
-			}
-			age := now.Sub(ageAt).Seconds() + 1
-			score = (1 - util) * age / (1 + util)
-		default: // CleanGreedy
-			score = 1 - util
+		score := 1 - util
+		if costBenefit {
+			score = score * (now.Sub(u.Age).Seconds() + 1) / (1 + util)
 		}
 		if best < 0 || score > bestScore {
 			best, bestScore = seg, score
@@ -367,9 +356,6 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 // counts.
 func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	srcAge := fs.usage[seg].Age
-	if srcAge == 0 {
-		srcAge = fs.usage[seg].LastWrite
-	}
 	// Phase 1: one large sequential read of the whole segment.
 	if fs.cl.victim == nil {
 		segSize := int(fs.sb.SegmentSize)

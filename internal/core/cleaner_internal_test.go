@@ -102,10 +102,10 @@ func TestSelectVictimCostBenefitPrefersOldCold(t *testing.T) {
 	// the cold one; greedy would prefer the empty one.
 	fs.usage[2].State = segDirty
 	fs.usage[2].Live = segSize * 30 / 100
-	fs.usage[2].LastWrite = fs.clock.Now()
+	fs.usage[2].Age = fs.clock.Now()
 	fs.usage[4].State = segDirty
 	fs.usage[4].Live = segSize * 50 / 100
-	fs.usage[4].LastWrite = 0 // 1000 seconds old
+	fs.usage[4].Age = 0 // 1000 seconds old
 	victim, ok := fs.selectVictim(nil)
 	if !ok || victim != 4 {
 		t.Fatalf("cost-benefit picked %d, want old cold segment 4", victim)
@@ -166,9 +166,12 @@ func TestSelectVictimTieBreaksLowestIndex(t *testing.T) {
 }
 
 // TestSelectVictimSpaceGuardOverridesCostBenefit: with the clean
-// reserve exhausted, cost-benefit must fall back to greedy — the old
-// dense victim it prefers nets almost no space, and picking it under
-// pressure is the death spiral the guard exists to break.
+// reserve exhausted and the pool below the activation threshold,
+// cost-benefit must fall back to greedy — the old dense victim it
+// prefers nets almost no space, and picking it under pressure is the
+// death spiral the guard exists to break. This volume's threshold (3)
+// is under its reserve (5), so at the threshold itself — where the
+// cleaner activates — cost-benefit still chooses.
 func TestSelectVictimSpaceGuardOverridesCostBenefit(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Policy = CleanCostBenefit
@@ -181,15 +184,23 @@ func TestSelectVictimSpaceGuardOverridesCostBenefit(t *testing.T) {
 	segSize := int64(fs.sb.SegmentSize)
 	fs.usage[2].State = segDirty
 	fs.usage[2].Live = segSize * 30 / 100
-	fs.usage[2].LastWrite = fs.clock.Now() // sparse but hot
+	fs.usage[2].Age = fs.clock.Now() // sparse but hot
 	fs.usage[4].State = segDirty
 	fs.usage[4].Live = segSize * 50 / 100
-	fs.usage[4].LastWrite = 0 // dense but old
+	fs.usage[4].Age = 0 // dense but old
 	fs.recountClean()
 	if victim, ok := fs.selectVictim(nil); !ok || victim != 4 {
 		t.Fatalf("precondition: cost-benefit with headroom picked %d (ok=%v), want 4", victim, ok)
 	}
-	fs.cleanCount = fs.cleanReserve()
+	threshold := fs.cfg.cleanThreshold(int(fs.sb.Segments))
+	if threshold > fs.cleanReserve() {
+		t.Fatalf("precondition: threshold %d above reserve %d", threshold, fs.cleanReserve())
+	}
+	fs.cleanCount = threshold
+	if victim, ok := fs.selectVictim(nil); !ok || victim != 4 {
+		t.Fatalf("at the activation threshold cost-benefit picked %d (ok=%v), want old dense segment 4", victim, ok)
+	}
+	fs.cleanCount = threshold - 1
 	if victim, ok := fs.selectVictim(nil); !ok || victim != 2 {
 		t.Fatalf("space guard picked %d (ok=%v), want emptiest segment 2", victim, ok)
 	}

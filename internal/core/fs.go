@@ -372,7 +372,6 @@ func (fs *FS) killBlock(addr layout.DiskAddr, nbytes int64) {
 // modified time of its *youngest* data, hence the max.
 func (fs *FS) creditSegmentAged(seg int, nbytes int64, age sim.Time) {
 	fs.usage[seg].Live += nbytes
-	fs.usage[seg].LastWrite = fs.clock.Now()
 	if age > fs.usage[seg].Age {
 		fs.usage[seg].Age = age
 	}

@@ -193,7 +193,7 @@ func TestFormatImageIsPinned(t *testing.T) {
 	img := make([]byte, d.Capacity())
 	must(t, d.Store().ReadAt(img, 0))
 	sum := sha256.Sum256(img[:size])
-	if got, want := hex.EncodeToString(sum[:]), "486bca81d5fbf65e2394558b0db5f5e71ca92c56af82dbf5af8c1ae856bcb7f4"; got != want {
+	if got, want := hex.EncodeToString(sum[:]), "8a8bf05287265a5f9df257cba51fcbf57102ca0b196b5b4bc18df00ede961d3a"; got != want {
 		t.Errorf("formatted image sha256 %s, want %s", got, want)
 	}
 	if !bytes.Equal(img[size:], make([]byte, len(img)-size)) {

@@ -29,30 +29,27 @@ const (
 )
 
 // segUsage is one segment usage array entry (§4.3.4): an estimate of
-// the live bytes in the segment, the time of its last write, and the
-// age of its data — §3.6's "modified time of the youngest block",
-// which the cost-benefit policy scores on. LastWrite records when the
-// segment was last appended to; Age records when the youngest data in
-// it was modified. The two differ exactly when the cleaner relocates
-// cold blocks: the copy is written now, but the data is as old as it
-// was in the victim. The paper notes the estimate is only a cleaning
-// hint, so it needs no exact crash recovery; it is snapshotted in
-// checkpoints.
+// the live bytes in the segment and the age of its data — §3.6's
+// "modified time of the youngest block", which the cost-benefit policy
+// scores on. When the cleaner relocates cold blocks the copy is written
+// now, but Age stays as old as the data was in the victim. The paper
+// notes the estimate is only a cleaning hint, so it needs no exact
+// crash recovery; it is snapshotted in checkpoints.
 type segUsage struct {
-	Live      int64
-	LastWrite sim.Time
-	Age       sim.Time
-	State     uint8
+	Live  int64
+	Age   sim.Time
+	State uint8
 }
 
 // segUsageEntrySize is the encoded size of one usage entry in a
-// checkpoint region.
+// checkpoint region. Bytes 8-15 are reserved: written as zero and
+// ignored on read (they held a last-append time no policy used).
 const segUsageEntrySize = 32
 
 func (u *segUsage) encode(p []byte) {
 	le := binary.LittleEndian
 	le.PutUint64(p[0:], uint64(u.Live))
-	le.PutUint64(p[8:], uint64(u.LastWrite))
+	le.PutUint64(p[8:], 0)
 	le.PutUint64(p[16:], uint64(u.Age))
 	p[24] = u.State
 	for i := 25; i < segUsageEntrySize; i++ {
@@ -63,10 +60,9 @@ func (u *segUsage) encode(p []byte) {
 func decodeSegUsage(p []byte) segUsage {
 	le := binary.LittleEndian
 	return segUsage{
-		Live:      int64(le.Uint64(p[0:])),
-		LastWrite: sim.Time(le.Uint64(p[8:])),
-		Age:       sim.Time(le.Uint64(p[16:])),
-		State:     p[24],
+		Live:  int64(le.Uint64(p[0:])),
+		Age:   sim.Time(le.Uint64(p[16:])),
+		State: p[24],
 	}
 }
 

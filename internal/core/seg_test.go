@@ -15,16 +15,17 @@ import (
 )
 
 func TestSegUsageRoundTrip(t *testing.T) {
-	u := segUsage{
-		Live:      123456,
-		LastWrite: sim.Time(9 * sim.Second),
-		Age:       sim.Time(4 * sim.Second), // older than LastWrite: relocated cold data
-		State:     segDirty,
-	}
+	u := segUsage{Live: 123456, Age: sim.Time(4 * sim.Second), State: segDirty}
 	buf := make([]byte, segUsageEntrySize)
 	u.encode(buf)
 	if got := decodeSegUsage(buf); got != u {
 		t.Fatalf("round trip: %+v vs %+v", got, u)
+	}
+	// Bytes 8-15 are reserved: an entry whose reserved bytes still hold
+	// an older writer's last-append time decodes as if they were zero.
+	binary.LittleEndian.PutUint64(buf[8:], uint64(9*sim.Second))
+	if got := decodeSegUsage(buf); got != u {
+		t.Fatalf("reserved bytes leaked into the entry: %+v vs %+v", got, u)
 	}
 }
 
@@ -194,9 +195,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		ColdOpen: true, ColdSeg: 9, ColdBlk: 42,
 		ImapAddrs: []layout.DiskAddr{1, layout.NilAddr, 3},
 		Usage: []segUsage{
-			{Live: 10, LastWrite: 1, Age: 1, State: segClean},
-			{Live: 20, LastWrite: 2, Age: 1, State: segDirty},
-			{Live: 0, LastWrite: 3, Age: 3, State: segActive},
+			{Live: 10, Age: 1, State: segClean},
+			{Live: 20, Age: 1, State: segDirty},
+			{Live: 0, Age: 3, State: segActive},
 		},
 	}
 	size := ckptHeaderSize + len(st.ImapAddrs)*layout.AddrSize + len(st.Usage)*segUsageEntrySize + 4
@@ -219,7 +220,7 @@ func TestCheckpointColdHeadClosed(t *testing.T) {
 		Serial: 1, HeadSeg: 2, HeadBlk: 3,
 		ColdOpen: false, ColdSeg: 14, ColdBlk: 77, // stale in-core values
 		ImapAddrs: []layout.DiskAddr{1},
-		Usage:     []segUsage{{Live: 5, LastWrite: 1, Age: 1, State: segDirty}},
+		Usage:     []segUsage{{Live: 5, Age: 1, State: segDirty}},
 	}
 	buf := make([]byte, 1024)
 	encodeCheckpoint(st, buf)

@@ -396,7 +396,6 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 		encodeSummary(hdr, refs[i:i+n], h.buf[base*bs:dataStart*bs])
 		fs.writeSerial++
 		h.blk += sumBlks + n
-		fs.usage[h.seg].LastWrite = fs.clock.Now()
 		fs.stats.UnitsWritten++
 		fs.stats.BlocksWritten += int64(sumBlks + n)
 		fs.cpu.Charge(fs.cfg.Costs.SegWriteSetup + int64(n)*fs.cfg.Costs.SegBlockLayout)

@@ -264,8 +264,9 @@ func reportBlock(report, name string) string {
 
 // TestExperimentsDocQuotesReport holds the EXPERIMENTS.md tables typed
 // from bench_results.txt — Figures 3, 4 and 5, §3.6's write costs, §3.1's
-// CPU scaling and §4.4's recovery times — to the committed report, each
-// cell at the precision the table prints it.
+// CPU scaling, §4.4's recovery times and §5.3's utilization histograms —
+// to the committed report, each cell at the precision the table prints
+// it.
 func TestExperimentsDocQuotesReport(t *testing.T) {
 	raw, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
@@ -340,6 +341,33 @@ func TestExperimentsDocQuotesReport(t *testing.T) {
 		size := strings.TrimSuffix(row[0], " MB")
 		quoteCell(t, "§4.4 LFS mount, "+row[0], row[1], mounts.at(size, 0))
 		quoteCell(t, "§4.4 FFS fsck, "+row[0], row[2], mounts.at(size, 2))
+	}
+	// §5.3 has a column per cleaning policy; the report prints a block
+	// per policy, each figure where its pattern finds it and each
+	// histogram bin as a line led by the bin's label.
+	figure := map[string]string{
+		"trace time":         `overwrites \((.+)\)`,
+		"cleaner runs":       ` (\d+) runs`,
+		"segments reclaimed": ` (\d+) segments reclaimed`,
+		"mean utilization":   `mean segment utilization: ([0-9.]+)`,
+	}
+	util := docTable(t, doc, "## §5.3")
+	for i, arm := range util[0][1:] {
+		_, block, _ := strings.Cut(reportBlock(report, "utilization"), "--- "+arm+" cleaning ---\n")
+		block, _, _ = strings.Cut(block, "\n--- ")
+		for _, row := range util[1:] {
+			pattern, ok := figure[row[0]]
+			if !ok {
+				pattern = `(?m)^ *` + regexp.QuoteMeta(row[0]) + ` +(\d+)`
+			}
+			var got string
+			if m := regexp.MustCompile(pattern).FindStringSubmatch(block); m != nil {
+				got = m[1]
+			}
+			if got != row[i+1] {
+				t.Errorf("§5.3, %s, %s: EXPERIMENTS.md has %q, bench_results.txt has %q", arm, row[0], row[i+1], got)
+			}
+		}
 	}
 }
 

@@ -70,7 +70,9 @@ echo "== size =="
 # into a test file, not cut), the checker's audit runs in every
 # experiment row that cleans, and the tools open an image at its own
 # length: 23 999.
-size_ceiling=23999
+# One score and one guard in selectVictim, the usage entry's LastWrite
+# gone, and mklfs factored into a tested run(): 23 996.
+size_ceiling=23996
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
