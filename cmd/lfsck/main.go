@@ -22,7 +22,6 @@ import (
 	"os"
 
 	"lfs"
-	"lfs/internal/cli"
 	"lfs/internal/vfs"
 )
 
@@ -35,7 +34,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lfsck: -image is required")
 		os.Exit(2)
 	}
-	d, err := cli.OpenImage(*image)
+	d, err := lfs.OpenImage(*image)
 	if err != nil {
 		fail(err)
 	}

@@ -12,7 +12,7 @@ import (
 // clean with no geometry given.
 func TestCheckReadsGeometryFromImage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.img")
-	d, err := lfs.OpenImage(path, 16<<20)
+	d, err := lfs.CreateImage(path, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

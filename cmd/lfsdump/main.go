@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"os"
 
-	"lfs/internal/cli"
+	"lfs"
 	"lfs/internal/core"
 )
 
@@ -35,7 +35,7 @@ func main() {
 }
 
 func dump(image string, segments, imap bool) error {
-	d, err := cli.OpenImage(image)
+	d, err := lfs.OpenImage(image)
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"lfs"
-	"lfs/internal/cli"
 )
 
 func main() {
@@ -30,7 +29,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lfsh: -image is required")
 		os.Exit(2)
 	}
-	d, err := cli.OpenImage(*image)
+	d, err := lfs.OpenImage(*image)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lfsh: %v\n", err)
 		os.Exit(1)

@@ -11,7 +11,7 @@ import (
 func newShell(t *testing.T) *shell {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "vol.img")
-	d, err := lfs.OpenImage(path, 16<<20)
+	d, err := lfs.CreateImage(path, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestShellLn(t *testing.T) {
 // from its superblock and takes a write that survives a remount.
 func TestShellOpensImageOfAnyGeometry(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.img")
-	d, err := lfs.OpenImage(path, 16<<20)
+	d, err := lfs.CreateImage(path, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,12 @@
 // Command mklfs formats a disk image file as an empty log-structured
-// file system. With -shards N it formats N standalone per-shard
-// images (fs.shard0.img, fs.shard1.img, ...) that together back a
-// sharded multi-log system; each image is an ordinary LFS volume and
-// mounts alone (see FORMAT.md). Whatever a target path held before is
-// discarded: the image is exactly as long as its volume.
+// file system. The volume is formatted into <image>.mklfs beside the
+// target and renamed over it only once it is formatted and synced, so
+// the image is exactly as long as its volume, and a format that fails
+// leaves the target as it was.
 //
 // Usage:
 //
-//	mklfs -image fs.img -size 300M [-block 4096] [-segment 1M] [-inodes 65536] [-backend file|mmap] [-shards N]
+//	mklfs -image fs.img -size 300M [-block 4096] [-segment 1M] [-inodes 65536]
 //
 // Exit status 2 means the arguments were wrong; 1 means formatting
 // failed.
@@ -18,9 +17,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 
 	"lfs"
-	"lfs/internal/cli"
 )
 
 // errUsage marks an error in the arguments.
@@ -36,16 +36,14 @@ func main() {
 	}
 }
 
-// run formats the images args name.
+// run formats the image args name.
 func run(args []string) error {
 	flags := flag.NewFlagSet("mklfs", flag.ContinueOnError)
 	image := flags.String("image", "", "path of the disk image to create")
-	size := flags.String("size", "300M", "total volume capacity (e.g. 64M, 1G), split evenly across shards")
+	size := flags.String("size", "300M", "total volume capacity (e.g. 64M, 1G)")
 	block := flags.Int("block", 4096, "block size in bytes")
 	segment := flags.String("segment", "1M", "segment size (e.g. 512K, 1M)")
-	inodes := flags.Int("inodes", 65536, "maximum number of inodes (per shard)")
-	backend := flags.String("backend", "file", "image store backend: file or mmap")
-	shards := flags.Int("shards", 1, "number of shards; above 1, formats one standalone image per shard")
+	inodes := flags.Int("inodes", 65536, "maximum number of inodes")
 	if err := flags.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return nil
 	} else if err != nil {
@@ -55,18 +53,11 @@ func run(args []string) error {
 	if *image == "" {
 		return fmt.Errorf("%w: -image is required", errUsage)
 	}
-	if *shards < 1 {
-		return fmt.Errorf("%w: -shards must be at least 1, got %d", errUsage, *shards)
-	}
-	be, ok := lfs.ParseStoreBackend(*backend)
-	if !ok || (be != lfs.BackendFile && be != lfs.BackendMmap) {
-		return fmt.Errorf("%w: unknown image backend %q (want file or mmap)", errUsage, *backend)
-	}
-	capacity, err := cli.ParseSize(*size)
+	capacity, err := parseSize(*size)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	segSize, err := cli.ParseSize(*segment)
+	segSize, err := parseSize(*segment)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
@@ -79,47 +70,57 @@ func run(args []string) error {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 
-	// One standalone image per shard, on one clock, the total capacity
-	// split evenly. Each path is emptied first: the store only extends
-	// a file, and a longer one would keep its old tail.
-	clock := lfs.NewClock()
-	per := capacity / int64(*shards)
-	disks := make([]*lfs.Disk, *shards)
-	for i := range disks {
-		path := *image
-		if *shards > 1 {
-			path = cli.ShardImagePath(*image, i)
-		}
-		if err := os.WriteFile(path, nil, 0o644); err != nil {
-			return err
-		}
-		d, err := lfs.NewDiskWithClock(lfs.StoreOptions{Backend: be, Path: path, Capacity: per}, clock)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		defer d.Close()
-		disks[i] = d
+	tmp := *image + ".mklfs"
+	err = format(tmp, capacity, cfg)
+	if err == nil {
+		err = os.Rename(tmp, *image)
 	}
-	if *shards == 1 {
-		err = lfs.Format(disks[0], cfg)
-	} else {
-		err = lfs.FormatSharded(disks, lfs.ShardOptions{Base: cfg})
+	if err != nil {
+		os.Remove(tmp)
+		return err
 	}
+	fmt.Printf("mklfs: formatted %s: %d MB, %d-byte blocks, %d KB segments, %d inodes\n",
+		*image, capacity>>20, *block, segSize>>10, *inodes)
+	return nil
+}
+
+// format creates an image of the given capacity at path, formats cfg's
+// volume on it and syncs it.
+func format(path string, capacity int64, cfg lfs.Config) error {
+	d, err := lfs.CreateImage(path, capacity)
 	if err != nil {
 		return err
 	}
-	for i, d := range disks {
-		if err := d.Sync(); err != nil {
-			return fmt.Errorf("sync shard %d: %w", i, err)
-		}
+	err = lfs.Format(d, cfg)
+	if err == nil {
+		err = d.Sync()
 	}
-	if *shards == 1 {
-		fmt.Printf("mklfs: formatted %s: %d MB, %d-byte blocks, %d KB segments, %d inodes\n",
-			*image, capacity>>20, *block, segSize>>10, *inodes)
-		return nil
+	return errors.Join(err, d.Close())
+}
+
+// parseSize parses a human-friendly byte size: a plain number, or a
+// number suffixed with K, M, or G (binary multiples, case
+// insensitive). Examples: "512", "4K", "300M", "1g".
+func parseSize(s string) (int64, error) {
+	t := strings.TrimSpace(strings.ToUpper(s))
+	if t == "" {
+		return 0, fmt.Errorf("empty size")
 	}
-	fmt.Printf("mklfs: formatted %d shard images %s..%s: %d MB each, %d-byte blocks, %d KB segments, %d inodes per shard\n",
-		*shards, cli.ShardImagePath(*image, 0), cli.ShardImagePath(*image, *shards-1),
-		per>>20, *block, segSize>>10, *inodes)
-	return nil
+	mult := int64(1)
+	switch t[len(t)-1] {
+	case 'K':
+		mult, t = 1<<10, t[:len(t)-1]
+	case 'M':
+		mult, t = 1<<20, t[:len(t)-1]
+	case 'G':
+		mult, t = 1<<30, t[:len(t)-1]
+	}
+	n, err := strconv.ParseInt(t, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	if n <= 0 {
+		return 0, fmt.Errorf("non-positive size %q", s)
+	}
+	return n * mult, nil
 }

@@ -254,13 +254,7 @@ type StatsSnapshot struct {
 // cleaner has not run (no cleaning means no cleaning overhead) or
 // generated no new space.
 func (s StatsSnapshot) WriteCost() float64 {
-	read := s.Log.SegmentsCleaned * int64(s.SegmentSize)
-	copied := s.Log.CleanerLiveCopied * int64(s.BlockSize)
-	fresh := read - copied
-	if fresh <= 0 {
-		return 0
-	}
-	return float64(read+copied+fresh) / float64(fresh)
+	return obs.WriteCost(s.Log.SegmentsCleaned*int64(s.SegmentSize), s.Log.CleanerLiveCopied*int64(s.BlockSize))
 }
 
 // StatsSnapshot atomically captures all statistics surfaces.

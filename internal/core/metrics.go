@@ -66,13 +66,7 @@ func (fs *FS) initMetrics() error {
 		return float64(debt)
 	})
 	r.Gauge("cleaner.write_cost", func() float64 {
-		read := fs.stats.SegmentsCleaned * int64(fs.sb.SegmentSize)
-		copied := fs.stats.CleanerLiveCopied * int64(fs.cfg.BlockSize)
-		fresh := read - copied
-		if fresh <= 0 {
-			return 0
-		}
-		return float64(read+copied+fresh) / float64(fresh)
+		return obs.WriteCost(fs.stats.SegmentsCleaned*int64(fs.sb.SegmentSize), fs.stats.CleanerLiveCopied*int64(fs.cfg.BlockSize))
 	})
 
 	// File cache: hit ratio and dirty bytes pending write-back.
@@ -96,10 +90,6 @@ func (fs *FS) initMetrics() error {
 	}
 	return nil
 }
-
-// Metrics returns the attached sampler (nil when the plane is
-// disabled), for tools that export the series after a run.
-func (fs *FS) Metrics() *obs.Sampler { return fs.cfg.Metrics }
 
 // MetricsInterval is the attached sampler's spacing in simulated time,
 // zero when the plane is disabled; the multi-client event loop pumps

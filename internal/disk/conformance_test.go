@@ -73,19 +73,6 @@ func TestOpenStoreValidation(t *testing.T) {
 	}
 }
 
-// TestParseStoreBackend pins the name round-trip tools rely on.
-func TestParseStoreBackend(t *testing.T) {
-	for _, b := range []disk.StoreBackend{disk.BackendMem, disk.BackendCow, disk.BackendFile, disk.BackendMmap} {
-		got, ok := disk.ParseStoreBackend(b.String())
-		if !ok || got != b {
-			t.Errorf("ParseStoreBackend(%q) = %v, %v", b.String(), got, ok)
-		}
-	}
-	if _, ok := disk.ParseStoreBackend("floppy"); ok {
-		t.Error("ParseStoreBackend accepted an unknown name")
-	}
-}
-
 // TestMmapStorePersistsAcrossReopen mirrors the FileStore persistence
 // test for the mapped backend.
 func TestMmapStorePersistsAcrossReopen(t *testing.T) {

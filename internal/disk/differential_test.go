@@ -23,33 +23,24 @@ const diffStoreSize = 2 << 20
 func openAllBackends(t *testing.T) (names []string, stores []disk.Store) {
 	t.Helper()
 	for _, b := range storeBackends {
-		var s disk.Store
+		opts := disk.StoreOptions{Capacity: diffStoreSize}
 		switch b.name {
+		case "mem":
+			opts.Backend = disk.BackendMem
+		case "cow":
+			opts.Backend = disk.BackendCow
 		case "file":
-			var err error
-			s, err = disk.OpenStore(disk.StoreOptions{
-				Backend: disk.BackendFile, Path: filepath.Join(t.TempDir(), "img"), Capacity: diffStoreSize})
-			if err != nil {
-				t.Fatal(err)
-			}
+			opts.Backend, opts.Path = disk.BackendFile, filepath.Join(t.TempDir(), "img")
 		case "mmap":
-			var err error
-			s, err = disk.OpenStore(disk.StoreOptions{
-				Backend: disk.BackendMmap, Path: filepath.Join(t.TempDir(), "img"), Capacity: diffStoreSize})
-			if err != nil {
-				t.Logf("skipping mmap backend: %v", err)
-				continue
-			}
-		default:
-			backend, ok := disk.ParseStoreBackend(b.name)
-			if !ok {
-				t.Fatalf("unknown backend %q", b.name)
-			}
-			var err error
-			s, err = disk.OpenStore(disk.StoreOptions{Backend: backend, Capacity: diffStoreSize})
-			if err != nil {
-				t.Fatal(err)
-			}
+			opts.Backend, opts.Path = disk.BackendMmap, filepath.Join(t.TempDir(), "img")
+		}
+		s, err := disk.OpenStore(opts)
+		if err != nil && b.name == "mmap" {
+			t.Logf("skipping mmap backend: %v", err)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 		t.Cleanup(func() { s.Close() })
 		names = append(names, b.name)

@@ -295,9 +295,6 @@ func NewMem(capacity int64, clock *sim.Clock) *Disk {
 // Clock returns the simulated clock the disk charges time against.
 func (d *Disk) Clock() *sim.Clock { return d.clock }
 
-// Geometry returns the disk geometry.
-func (d *Disk) Geometry() Geometry { return d.geom }
-
 // Capacity returns the usable capacity in bytes.
 func (d *Disk) Capacity() int64 { return d.geom.TotalBytes() }
 

@@ -22,13 +22,7 @@ func (d *Disk) MaxQueueDepth() int { return d.maxQueueDepth }
 // decompose disk traffic per client.
 func (d *Disk) SetClient(id int) { d.client = id }
 
-// Client returns the current client label.
-func (d *Disk) Client() int { return d.client }
-
 // SetShard labels subsequent requests with the owning shard's 1-based
 // ID (0 = unsharded); the shard router sets it once per shard at
 // mount so traces decompose disk traffic per log.
 func (d *Disk) SetShard(id int) { d.shard = id }
-
-// Shard returns the current shard label.
-func (d *Disk) Shard() int { return d.shard }

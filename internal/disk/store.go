@@ -107,22 +107,12 @@ const (
 var backendNames = [numBackends]string{"mem", "cow", "file", "mmap"}
 
 // String returns the backend's stable name ("mem", "cow", "file",
-// "mmap"), as accepted by ParseStoreBackend and tool -backend flags.
+// "mmap").
 func (b StoreBackend) String() string {
 	if b < 0 || b >= numBackends {
 		return fmt.Sprintf("backend(%d)", int(b))
 	}
 	return backendNames[b]
-}
-
-// ParseStoreBackend maps a backend name to its value.
-func ParseStoreBackend(s string) (StoreBackend, bool) {
-	for i, n := range backendNames {
-		if n == s {
-			return StoreBackend(i), true
-		}
-	}
-	return 0, false
 }
 
 // StoreOptions configures OpenStore, the single constructor for every

@@ -78,9 +78,10 @@ func NewFFS(capacity int64, cfg ffs.Config) (*System, error) {
 	return &System{System: fs, Name: "SunFFS", Disk: d}, nil
 }
 
-// audit runs Check() on a volume a cleaning row has just measured: the
-// cleaner (§4.3) acts on the segment usage array, and Check() recounts
-// it from what the files hold. A problem fails the row. Call it after
+// audit runs Check() on a volume a row has just measured: the cleaner
+// (§4.3) acts on the segment usage array and roll-forward (§4.4)
+// rebuilds it, and Check() recounts it from what the files hold. A
+// problem fails the row. Call it after
 // the row's figures are read: the check charges simulated time.
 func audit(fs *core.FS, what string) error {
 	rep, err := fs.Check()

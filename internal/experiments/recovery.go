@@ -82,6 +82,16 @@ func Recovery(opts RecoveryOpts) ([]RecoveryRow, error) {
 		}
 		row.LFSMountMs = float64(lsys.Clock().Now().Sub(before)) / float64(sim.Millisecond)
 		row.LFSRollForwardUnits = recovered.Stats().RollForwardUnits
+		// Every file, those written after the checkpoint too, comes
+		// back whole from the checkpoint and the rolled-forward tail.
+		for i := 0; i < opts.Files; i++ {
+			if info, err := recovered.Stat(fmt.Sprintf("/f%d", i)); err != nil || info.Size != int64(len(payload)) {
+				return nil, fmt.Errorf("recovery: LFS /f%d after remount: %+v, %v", i, info, err)
+			}
+		}
+		if err := audit(recovered, "recovery: LFS"); err != nil {
+			return nil, err
+		}
 
 		// FFS: same workload, crash, fsck.
 		fcfg := ffs.DefaultConfig()
@@ -104,10 +114,14 @@ func Recovery(opts RecoveryOpts) ([]RecoveryRow, error) {
 		}
 		bfs.Crash()
 		before = fsys.Clock().Now()
-		if _, err := ffs.Fsck(fsys.Disk, fcfg); err != nil {
+		rep, err := ffs.Fsck(fsys.Disk, fcfg)
+		if err != nil {
 			return nil, fmt.Errorf("recovery: fsck: %w", err)
 		}
 		row.FFSFsckMs = float64(fsys.Clock().Now().Sub(before)) / float64(sim.Millisecond)
+		if !rep.Ok() || rep.Files != opts.Files {
+			return nil, fmt.Errorf("recovery: fsck: %d files of %d, problems %v", rep.Files, opts.Files, rep.Problems)
+		}
 
 		rows = append(rows, row)
 	}

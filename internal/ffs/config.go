@@ -107,6 +107,3 @@ func (c Config) inodeTableBlocks() int {
 // metaBlocksPerGroup returns the per-group metadata overhead in
 // blocks: the bitmap block plus the inode table.
 func (c Config) metaBlocksPerGroup() int { return 1 + c.inodeTableBlocks() }
-
-// sectorsPerBlock returns the disk sectors per file system block.
-func (c Config) sectorsPerBlock() int64 { return int64(c.BlockSize / 512) }

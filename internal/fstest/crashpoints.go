@@ -60,8 +60,6 @@ type CrashConfig struct {
 	Torn bool
 	// Stride tests every Stride-th crash point (default 1: all).
 	Stride int
-	// MaxPoints caps the number of crash points tested (0: no cap).
-	MaxPoints int
 	// Replay forces the O(points × writes) replay strategy instead of
 	// snapshot-restore — the pre-snapshot behaviour, kept for
 	// cross-checking and benchmarking the two paths.
@@ -176,9 +174,6 @@ func RunCrashPoints(cfg CrashConfig) (*CrashReport, error) {
 		stride = 1
 	}
 	for k := int64(1); k <= r.totalWrites; k += int64(stride) {
-		if cfg.MaxPoints > 0 && rep.Points >= cfg.MaxPoints {
-			break
-		}
 		rep.Points++
 		var rolled bool
 		var fails []CrashFailure

@@ -85,9 +85,10 @@ type CleanRecord struct {
 	WriteCost float64
 }
 
-// writeCost computes the paper's write-cost formula from measured
-// bytes, returning 0 when no new space was generated.
-func writeCost(read, copied int64) float64 {
+// WriteCost computes the paper's write-cost formula, (read + copied +
+// new)/new where new = read - copied, from measured bytes, returning 0
+// when no new space was generated.
+func WriteCost(read, copied int64) float64 {
 	fresh := read - copied
 	if fresh <= 0 {
 		return 0
@@ -187,7 +188,7 @@ func (r *Recorder) Clean(c CleanRecord) {
 	if r == nil {
 		return
 	}
-	c.WriteCost = writeCost(c.BytesRead, c.BytesCopied)
+	c.WriteCost = WriteCost(c.BytesRead, c.BytesCopied)
 	r.mu.Lock()
 	r.cleans.push(c, r.limit)
 	r.mu.Unlock()
@@ -381,7 +382,7 @@ func (st *Stream) Aggregates() *Aggregates {
 		agg.Clean.BytesReclaimed += c.BytesReclaimed
 		agg.Clean.Utilization.Observe(c.Utilization)
 	}
-	agg.Clean.WriteCost = writeCost(agg.Clean.BytesRead, agg.Clean.BytesCopied)
+	agg.Clean.WriteCost = WriteCost(agg.Clean.BytesRead, agg.Clean.BytesCopied)
 	return agg
 }
 

@@ -90,8 +90,8 @@ func TestWriteCost(t *testing.T) {
 		{0, 0, 0},       // nothing cleaned
 	}
 	for _, c := range cases {
-		if got := writeCost(c.read, c.copied); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("writeCost(%d, %d) = %v, want %v", c.read, c.copied, got, c.want)
+		if got := WriteCost(c.read, c.copied); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("WriteCost(%d, %d) = %v, want %v", c.read, c.copied, got, c.want)
 		}
 	}
 }

@@ -33,9 +33,6 @@ func NewCPU(mips float64, clock *Clock) *CPU {
 	return &CPU{mips: mips, clock: clock}
 }
 
-// MIPS returns the CPU's rating.
-func (c *CPU) MIPS() float64 { return c.mips }
-
 // Charge advances the clock by the time needed to execute n
 // instructions. Charging a negative count panics.
 func (c *CPU) Charge(n int64) {

@@ -29,10 +29,12 @@
 package lfs
 
 import (
+	"fmt"
+	"os"
+
 	"lfs/internal/core"
 	"lfs/internal/disk"
 	"lfs/internal/obs"
-	"lfs/internal/shard"
 	"lfs/internal/sim"
 	"lfs/internal/vfs"
 )
@@ -53,11 +55,6 @@ type (
 	// events, and cleaner activation records. Attach one through
 	// Config.Trace (or BaselineConfig.Trace) before Mount.
 	TraceRecorder = obs.Recorder
-	// Clock is the simulated clock.
-	Clock = sim.Clock
-	// StoreOptions selects and configures a store backend for
-	// NewDisk.
-	StoreOptions = disk.StoreOptions
 )
 
 // Cleaning policies.
@@ -67,14 +64,6 @@ const (
 	CleanGreedy = core.CleanGreedy
 	// CleanCostBenefit weights free space by data age.
 	CleanCostBenefit = core.CleanCostBenefit
-)
-
-// Store backends, for StoreOptions.Backend.
-const (
-	// BackendFile is a sparse file-backed image.
-	BackendFile = disk.BackendFile
-	// BackendMmap is a memory-mapped file image (unix only).
-	BackendMmap = disk.BackendMmap
 )
 
 // NewTraceRecorder returns an empty trace recorder, ready to be
@@ -98,24 +87,46 @@ func NewMemDisk(capacity int64) *Disk {
 	return disk.NewMem(capacity, sim.NewClock())
 }
 
-// ParseStoreBackend maps a backend name ("mem", "cow", "file", "mmap")
-// to its backend, for command-line flags.
-func ParseStoreBackend(name string) (disk.StoreBackend, bool) {
-	return disk.ParseStoreBackend(name)
+// CreateImage creates a disk image file at path for a volume of at
+// least the given capacity and opens it as NewMemDisk's model of the
+// paper's disk on a fresh clock: a new file of exactly
+// ImageBytes(capacity) bytes, unwritten throughout, in place of
+// whatever path held. Format it next.
+func CreateImage(path string, capacity int64) (*Disk, error) {
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		return nil, err
+	}
+	return openImage(path, capacity)
 }
 
-// NewDisk builds a simulated disk of at least opts.Capacity bytes on
-// the selected store backend, modelled on the paper's CDC WREN IV and
-// driven by a fresh simulated clock. The backend never affects the
-// simulation: timing, statistics, and image bytes are identical across
-// backends — only persistence technology differs.
-func NewDisk(opts StoreOptions) (*Disk, error) { return NewDiskWithClock(opts, sim.NewClock()) }
+// OpenImage opens the disk image at path at the file's own length, the
+// one CreateImage gave it. A missing file, or a length that is not a
+// whole disk (a truncated or foreign file), is refused before the image
+// is opened, so OpenImage never creates or extends one.
+func OpenImage(path string) (*Disk, error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if n := info.Size(); n <= 0 || ImageBytes(n) != n {
+		return nil, fmt.Errorf("image %s is %d bytes, not the length of a whole disk (truncated?)", path, n)
+	}
+	return openImage(path, info.Size())
+}
 
-// OpenImage opens (or creates) a file-backed disk image, so volumes
-// survive process restarts; used by the command-line tools. It is
-// NewDisk with the file backend.
-func OpenImage(path string, capacity int64) (*Disk, error) {
-	return NewDisk(StoreOptions{Backend: BackendFile, Path: path, Capacity: capacity})
+// openImage opens path on the file store as a disk of at least capacity
+// bytes, extending a shorter file with holes.
+func openImage(path string, capacity int64) (*Disk, error) {
+	geom := disk.GeometryForCapacity(capacity)
+	store, err := disk.OpenStore(disk.StoreOptions{Backend: disk.BackendFile, Path: path, Capacity: geom.TotalBytes()})
+	if err != nil {
+		return nil, err
+	}
+	d, err := disk.New(store, geom, disk.WrenIVModel(), sim.NewClock())
+	if err != nil {
+		store.Close()
+	}
+	return d, err
 }
 
 // Format initialises the disk as an empty log-structured file system.
@@ -137,7 +148,7 @@ func ImageConfig(d *Disk, cfg Config) (Config, error) { return core.ImageConfig(
 func Fsck(d *Disk, cfg Config) (*vfs.CheckReport, error) { return core.Fsck(d, cfg) }
 
 // ImageBytes returns the size in bytes of a disk image file for a
-// volume of the given capacity — what OpenImage creates. An image of
+// volume of the given capacity — what CreateImage creates. An image of
 // any other length is not a whole disk.
 func ImageBytes(capacity int64) int64 {
 	return disk.GeometryForCapacity(capacity).TotalBytes()
@@ -148,30 +159,3 @@ func ImageBytes(capacity int64) int64 {
 func TreeSize(fsys vfs.FileSystem, root string) (bytes int64, files, dirs int, err error) {
 	return vfs.TreeSize(fsys, root)
 }
-
-// ShardOptions configures a sharded multi-log array (see DESIGN.md
-// §12): the per-shard base Config and the per-shard observability
-// hook.
-type ShardOptions = shard.Options
-
-// NewClock returns a fresh simulated clock, for assembling
-// multi-device arrays on one timeline.
-func NewClock() *Clock { return sim.NewClock() }
-
-// NewDiskWithClock is NewDisk with a caller-provided clock, so the
-// disks of a sharded array share one timeline (FormatSharded requires
-// it).
-func NewDiskWithClock(opts StoreOptions, clock *Clock) (*Disk, error) {
-	geom := disk.GeometryForCapacity(opts.Capacity)
-	opts.Capacity = geom.TotalBytes()
-	store, err := disk.OpenStore(opts)
-	if err != nil {
-		return nil, err
-	}
-	return disk.New(store, geom, disk.WrenIVModel(), clock)
-}
-
-// FormatSharded formats every disk as an independent, standalone LFS
-// volume; shard images carry no sharding metadata and any one of them
-// mounts alone with Mount (see FORMAT.md).
-func FormatSharded(disks []*Disk, opts ShardOptions) error { return shard.Format(disks, opts) }

@@ -82,11 +82,11 @@ func TestPublicAPIBaseline(t *testing.T) {
 	}
 }
 
-// TestOpenImage verifies the file-backed disk path used by the CLI
-// tools, including persistence across process-style reopen.
+// TestOpenImage: an image CreateImage made persists across a reopen at
+// its own length.
 func TestOpenImage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.img")
-	d, err := lfs.OpenImage(path, 16<<20)
+	d, err := lfs.CreateImage(path, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,13 @@ func TestOpenImage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := lfs.OpenImage(path, 16<<20)
+	d2, err := lfs.OpenImage(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
+	if got, want := d2.Capacity(), lfs.ImageBytes(16<<20); got != want {
+		t.Errorf("opened at %d bytes, want %d", got, want)
+	}
 	fs2, err := lfs.Mount(d2, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -121,14 +123,44 @@ func TestOpenImage(t *testing.T) {
 	if _, err := fs2.Stat("/persisted"); err != nil {
 		t.Fatalf("image did not persist: %v", err)
 	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenImageRefusesBadImage: an image cut short of a whole disk is
+// refused and keeps its length, and a missing image is refused.
+func TestOpenImageRefusesBadImage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.img")
+	d, err := lfs.CreateImage(path, 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	short := lfs.ImageBytes(16<<20) - 4096
+	if err := os.Truncate(path, short); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := lfs.OpenImage(path); err == nil {
+		d.Close()
+		t.Fatal("a truncated image opened")
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != short {
+		t.Fatalf("refused image: %v, want %d bytes", err, short)
+	}
+	if _, err := lfs.OpenImage(filepath.Join(t.TempDir(), "missing.img")); err == nil {
+		t.Fatal("a missing image opened")
+	}
 }
 
 // TestMountRefusesLargerVolume: a volume formatted on 32 MB does not
-// mount from the same image opened as a 16 MB disk, whose end falls
-// inside its segment area.
+// mount from its image cut to a whole 16 MB disk, whose end falls inside
+// its segment area.
 func TestMountRefusesLargerVolume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.img")
-	d, err := lfs.OpenImage(path, 32<<20)
+	d, err := lfs.CreateImage(path, 32<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +172,10 @@ func TestMountRefusesLargerVolume(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	small, err := lfs.OpenImage(path, 16<<20)
+	if err := os.Truncate(path, lfs.ImageBytes(16<<20)); err != nil {
+		t.Fatal(err)
+	}
+	small, err := lfs.OpenImage(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,13 @@ echo "== tools =="
 img="$(mktemp -d)/vol.img"
 go run ./cmd/mklfs -image "$img" -size 32M
 go run ./cmd/lfsck -image "$img"
+# A format that fails (1 MB holds no four 1 MB segments) leaves the
+# image it was pointed at as it was.
+if go run ./cmd/mklfs -image "$img" -size 1M; then
+	echo "check: mklfs -size 1M formatted" >&2
+	exit 1
+fi
+go run ./cmd/lfsck -image "$img"
 go run ./cmd/lfsdump -image "$img" > /dev/null
 go run ./cmd/lfsdump -image "$img" -segments > /dev/null
 go run ./cmd/lfsdump -image "$img" -imap > /dev/null

@@ -72,7 +72,10 @@ echo "== size =="
 # length: 23 999.
 # One score and one guard in selectVictim, the usage entry's LastWrite
 # gone, and mklfs factored into a tested run(): 23 996.
-size_ceiling=23996
+# One way to make an image (lfs.CreateImage) and one to open it
+# (lfs.OpenImage): mklfs loses -backend and -shards, internal/cli and
+# nine root-package names go, one write-cost formula: 23 885.
+size_ceiling=23885
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
