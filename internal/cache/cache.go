@@ -20,6 +20,11 @@ import (
 	"lfs/internal/sim"
 )
 
+// WritebackAge is the delayed write-back threshold both file systems
+// apply: a dirty block older than this is written at the next
+// operation (UNIX's classic 30 seconds, §4.3.5).
+const WritebackAge = 30 * sim.Second
+
 // Kind is the namespace of a cache key, so different block spaces
 // (file data, FFS disk blocks, LFS inode-map blocks) cannot collide.
 type Kind uint8

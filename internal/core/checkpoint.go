@@ -214,7 +214,7 @@ func (fs *FS) flipPendingClean() {
 // checkpoint region (the two regions alternate) with a synchronous
 // write.
 func (fs *FS) writeCheckpoint() error {
-	fs.cpu.Charge(fs.cfg.Costs.CheckpointSetup)
+	fs.cpu.Charge(sim.CostCheckpointSetup)
 	st := checkpointState{
 		Serial:      fs.ckptSerial + 1,
 		Timestamp:   fs.clock.Now(),
@@ -237,7 +237,7 @@ func (fs *FS) writeCheckpoint() error {
 	if st.Serial%2 == 1 {
 		sector = int64(fs.sb.Ckpt1Sector)
 	}
-	fs.cpu.Charge(fs.cfg.Costs.DiskOpSetup)
+	fs.cpu.Charge(sim.CostDiskOpSetup)
 	if err := fs.d.WriteSectors(sector, buf, true, disk.CauseCheckpoint, "checkpoint"); err != nil {
 		return err
 	}

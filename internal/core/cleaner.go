@@ -364,7 +364,7 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	}
 	raw := fs.cl.victim
 	cache.Poison(raw)
-	fs.cpu.Charge(fs.cfg.Costs.DiskOpSetup)
+	fs.cpu.Charge(sim.CostDiskOpSetup)
 	if err := fs.d.ReadSectors(fs.segFirstSector(seg), raw, disk.CauseCleanerRead, "cleaner: segment read"); err != nil {
 		return copied, examined, err
 	}
@@ -383,7 +383,7 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 		for j, ref := range u.refs {
 			examined++
 			fs.stats.CleanerBlocksExamined++
-			fs.cpu.Charge(fs.cfg.Costs.CleanPerBlock)
+			fs.cpu.Charge(sim.CostCleanPerBlock)
 			addr := layout.DiskAddr(fs.blockSector(seg, dataStart+j))
 			live, err := fs.reviveBlock(ref, addr, u.data[j*bs:(j+1)*bs], srcAge)
 			if err != nil {

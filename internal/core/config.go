@@ -65,9 +65,6 @@ type Config struct {
 	// CacheBlocks is the file cache capacity in blocks (~15 MB in
 	// the paper's testbed).
 	CacheBlocks int
-	// WritebackAge triggers a segment write for dirty blocks older
-	// than this (§4.3.5 "cache write-back", 30 seconds).
-	WritebackAge sim.Duration
 	// CheckpointInterval bounds the crash-loss window (§4.4.1,
 	// 30 seconds).
 	CheckpointInterval sim.Duration
@@ -113,8 +110,6 @@ type Config struct {
 	GroupCommit bool
 	// MIPS is the simulated CPU speed.
 	MIPS float64
-	// Costs is the instruction cost table.
-	Costs sim.Costs
 	// Trace, when non-nil, receives operation spans, cause-tagged
 	// disk events, and cleaner activation records. Mount registers it
 	// as the disk's tracer. A nil recorder costs nothing; a non-nil
@@ -139,7 +134,6 @@ func DefaultConfig() Config {
 		SegmentSize:        1 << 20,
 		MaxInodes:          65536,
 		CacheBlocks:        3840, // ~15 MB at 4 KB
-		WritebackAge:       30 * sim.Second,
 		CheckpointInterval: 30 * sim.Second,
 		MinLiveFraction:    0.95,
 		MaxLiveFraction:    0.85,
@@ -147,7 +141,6 @@ func DefaultConfig() Config {
 		Segregation:        true,
 		RollForward:        true,
 		MIPS:               sim.Sun4MIPS,
-		Costs:              sim.DefaultCosts(),
 	}
 }
 
@@ -165,8 +158,8 @@ func (c Config) Validate() error {
 	if c.CacheBlocks <= 8 {
 		return fmt.Errorf("lfs: cache of %d blocks too small", c.CacheBlocks)
 	}
-	if c.WritebackAge <= 0 || c.CheckpointInterval <= 0 {
-		return fmt.Errorf("lfs: non-positive write-back age or checkpoint interval")
+	if c.CheckpointInterval <= 0 {
+		return fmt.Errorf("lfs: non-positive checkpoint interval")
 	}
 	if c.MinLiveFraction <= 0 || c.MinLiveFraction > 1 {
 		return fmt.Errorf("lfs: MinLiveFraction %v out of (0,1]", c.MinLiveFraction)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lfs/internal/cache"
 	"lfs/internal/core"
 	"lfs/internal/disk"
 	"lfs/internal/fstest"
@@ -657,28 +658,43 @@ func TestCheckpointIntervalTriggers(t *testing.T) {
 	}
 }
 
+// TestWritebackAgeTriggersSegmentWrite holds the age trigger of
+// §4.3.5: a dirty block younger than cache.WritebackAge stays in the
+// cache, and the first operation after it reaches that age writes a
+// unit. The checkpoint interval is pushed out of the way so that only
+// the age can trigger the write.
 func TestWritebackAgeTriggersSegmentWrite(t *testing.T) {
 	cfg := testConfig()
-	cfg.WritebackAge = 1 * sim.Second
+	cfg.CheckpointInterval = 10 * cache.WritebackAge
 	_, fs := newPair(t, 32<<20, cfg)
 	if err := fs.Create("/f"); err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	base := fs.Stats().UnitsWritten
+	t0 := fs.Clock().Now() // no block is dirty before t0
 	if err := fs.Write("/f", 0, bytes.Repeat([]byte{5}, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	// Burn CPU time past the age threshold with reads.
 	buf := make([]byte, 4096)
-	for i := 0; i < 20000; i++ {
-		if _, err := fs.Read("/f", 0, buf); err != nil {
-			t.Fatal(err)
-		}
-		if fs.Stats().UnitsWritten > 0 {
-			break
-		}
+	fs.Clock().Advance(cache.WritebackAge - 10*sim.Millisecond - fs.Clock().Now().Sub(t0))
+	if _, err := fs.Read("/f", 0, buf); err != nil {
+		t.Fatal(err)
 	}
-	if fs.Stats().UnitsWritten == 0 {
-		t.Fatal("age-based write-back never triggered")
+	if age := fs.Clock().Now().Sub(t0); age >= cache.WritebackAge {
+		t.Fatalf("the read took the block to age %v, past %v", age, cache.WritebackAge)
+	}
+	if got := fs.Stats().UnitsWritten; got != base {
+		t.Fatalf("%d units written while the block was younger than %v", got-base, cache.WritebackAge)
+	}
+	fs.Clock().Advance(cache.WritebackAge)
+	if _, err := fs.Read("/f", 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Stats().UnitsWritten == base {
+		t.Fatal("no unit written at the first operation past the write-back age")
 	}
 }
 
@@ -1067,7 +1083,6 @@ func TestLFSConfigValidation(t *testing.T) {
 		func(c *core.Config) { c.SegmentSize = 1<<20 + 1 },
 		func(c *core.Config) { c.MaxInodes = 2 },
 		func(c *core.Config) { c.CacheBlocks = 2 },
-		func(c *core.Config) { c.WritebackAge = 0 },
 		func(c *core.Config) { c.CheckpointInterval = 0 },
 		func(c *core.Config) { c.MinLiveFraction = 0 },
 		func(c *core.Config) { c.MinLiveFraction = 1.5 },

@@ -4,6 +4,7 @@ import (
 	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
+	"lfs/internal/sim"
 	"lfs/internal/vfs"
 )
 
@@ -14,7 +15,7 @@ import (
 func (fs *FS) getDataBlock(in *layout.Inode, lbn int64, create bool) (*cache.Block, error) {
 	key := dataKey(in.Ino, lbn)
 	if b := fs.bc.Get(key); b != nil {
-		fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
+		fs.cpu.Charge(sim.CostBlockSetup)
 		return b, nil
 	}
 	addr, err := fs.blockAddrOf(in, lbn)
@@ -26,11 +27,11 @@ func (fs *FS) getDataBlock(in *layout.Inode, lbn int64, create bool) (*cache.Blo
 			return nil, nil
 		}
 		b := fs.bc.Add(key)
-		fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
+		fs.cpu.Charge(sim.CostBlockSetup)
 		return b, nil
 	}
 	b := fs.bc.Add(key)
-	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
+	fs.cpu.Charge(sim.CostBlockSetup + sim.CostDiskOpSetup)
 	if err := fs.d.ReadSectors(int64(addr), b.Data, disk.CauseReadMiss, "file read"); err != nil {
 		fs.bc.Remove(key)
 		return nil, err
@@ -79,7 +80,7 @@ func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) error {
 			} else {
 				copy(b.Data, data[written:written+n])
 			}
-			fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
+			fs.cpu.Charge(sim.CostBlockSetup)
 		} else {
 			b, err = fs.getDataBlock(in, lbn, true)
 			if err != nil {
@@ -87,7 +88,7 @@ func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) error {
 			}
 			copy(b.Data[bo:], data[written:written+n])
 		}
-		fs.cpu.Charge(fs.cfg.Costs.Copy(n))
+		fs.cpu.Charge(sim.CopyCost(n))
 		fs.bc.MarkDirty(b, fs.clock.Now())
 		written += n
 	}

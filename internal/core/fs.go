@@ -175,7 +175,7 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, fs.getDataBlock)
 	fs.indirect = fs.getIndirect
 	fs.op = obs.NewOpCapture(d, fs.cpu, cfg.Trace, cfg.Metrics)
-	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, d, fs.cpu, cfg.Costs, fs.span, fs.hooks())
+	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, d, fs.cpu, fs.span, fs.hooks())
 	fs.heads[classHot].open = true
 	fs.usage[0].State = segActive
 	fs.cleanCount = int(sb.Segments) - 1
@@ -410,7 +410,7 @@ func (fs *FS) epilogue() error {
 		if err := fs.flush(flushAll); err != nil {
 			return err
 		}
-	} else if oldest, ok := fs.bc.OldestDirty(); ok && fs.clock.Now().Sub(oldest) >= fs.cfg.WritebackAge {
+	} else if oldest, ok := fs.bc.OldestDirty(); ok && fs.clock.Now().Sub(oldest) >= cache.WritebackAge {
 		if err := fs.flush(flushAll); err != nil {
 			return err
 		}

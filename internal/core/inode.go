@@ -7,6 +7,7 @@ import (
 	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
+	"lfs/internal/sim"
 	"lfs/internal/vfs"
 )
 
@@ -181,7 +182,7 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 		return nil, fmt.Errorf("lfs: inode %d address %v outside the segment area", ino, e.Addr)
 	}
 	blockStart := int64(fs.blockStart(seg, e.Addr))
-	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
+	fs.cpu.Charge(sim.CostBlockSetup + sim.CostDiskOpSetup)
 	blk := fs.span[:fs.cfg.BlockSize]
 	if err := fs.d.ReadSectors(blockStart, blk, disk.CauseInodeMap, "inode read"); err != nil {
 		return nil, err
@@ -254,7 +255,7 @@ func (fs *FS) dropInode(ino layout.Ino) {
 func (fs *FS) getIndirect(in *layout.Inode, id int64, p vfs.Ptr, create bool) (*cache.Block, error) {
 	key := indKey(in.Ino, id)
 	if b := fs.bc.Get(key); b != nil {
-		fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
+		fs.cpu.Charge(sim.CostBlockSetup)
 		return b, nil
 	}
 	addr := p.Get()
@@ -268,7 +269,7 @@ func (fs *FS) getIndirect(in *layout.Inode, id int64, p vfs.Ptr, create bool) (*
 		return b, nil
 	}
 	b := fs.bc.Add(key)
-	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
+	fs.cpu.Charge(sim.CostBlockSetup + sim.CostDiskOpSetup)
 	if err := fs.d.ReadSectors(int64(addr), b.Data, disk.CauseReadMiss, "indirect read"); err != nil {
 		fs.bc.Remove(key)
 		return nil, err

@@ -200,7 +200,7 @@ func (fs *FS) fsyncFile(path string) error {
 	if err := fs.checkMounted(); err != nil {
 		return err
 	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall)
+	fs.cpu.Charge(sim.CostSyscall)
 	in, err := fs.LookupLocked(path)
 	if err != nil {
 		return err
@@ -282,7 +282,7 @@ func (fs *FS) FlushAsync() error {
 	if fs.inodes.nDirty == 0 && fs.bc.DirtyCount() == 0 {
 		return nil
 	}
-	fs.cpu.Charge(fs.cfg.Costs.Syscall)
+	fs.cpu.Charge(sim.CostSyscall)
 	return vfs.WrapPathError("flush", "/", fs.flush(flushAll))
 }
 

@@ -398,7 +398,7 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 		h.blk += sumBlks + n
 		fs.stats.UnitsWritten++
 		fs.stats.BlocksWritten += int64(sumBlks + n)
-		fs.cpu.Charge(fs.cfg.Costs.SegWriteSetup + int64(n)*fs.cfg.Costs.SegBlockLayout)
+		fs.cpu.Charge(sim.CostSegWriteSetup + int64(n)*sim.CostSegBlockLayout)
 		i += n
 	}
 	fs.wr.addrs = addrs
@@ -419,7 +419,7 @@ func (fs *FS) flushPendingIO() error {
 		if !h.open || h.blk == h.pending {
 			continue
 		}
-		fs.cpu.Charge(fs.cfg.Costs.DiskOpSetup)
+		fs.cpu.Charge(sim.CostDiskOpSetup)
 		// Attribution: the cold head only ever carries cleaner
 		// relocations; the hot head carries log appends except when
 		// the cleaner's flush rides it (fs.cleaning), matching the

@@ -28,37 +28,23 @@ type SegSizeRow struct {
 	CreatePS float64
 }
 
-// SegSizeOpts parameterises the sweep.
-type SegSizeOpts struct {
-	Capacity int64
-	// Files sizes the small-file phase.
-	Files int
-	// WriteMB is the size of the bandwidth-probe write.
-	WriteMB      int
-	SegmentSizes []int
-}
-
-// DefaultSegSizeOpts sweeps 128 KB to 4 MB around the paper's 1 MB.
-func DefaultSegSizeOpts() SegSizeOpts {
-	return SegSizeOpts{
-		Capacity:     64 << 20,
-		Files:        2000,
-		WriteMB:      12,
-		SegmentSizes: []int{128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20},
-	}
-}
-
-// SegSizeAblation ages each volume so that clean segments alternate
-// with live ones (file A and file B written in alternating
-// segment-sized chunks, then A deleted and its dead segments
-// reclaimed), then measures the effective bandwidth of a large write
-// that must hop across the scattered clean segments.
-func SegSizeAblation(opts SegSizeOpts) ([]SegSizeRow, error) {
+// SegSizeAblation sweeps 128 KB to 4 MB around the paper's 1 MB. It
+// ages each 64 MB volume so that clean segments alternate with live
+// ones (file A and file B written in alternating segment-sized chunks,
+// then A deleted and its dead segments reclaimed), then measures the
+// effective bandwidth of a 12 MB write that must hop across the
+// scattered clean segments, and 2000 small-file creates after it.
+func SegSizeAblation() ([]SegSizeRow, error) {
+	const (
+		capacity int64 = 64 << 20
+		files          = 2000
+		writeMB        = 12
+	)
 	var rows []SegSizeRow
-	for _, ss := range opts.SegmentSizes {
-		cfg := defaultLFSConfig()
+	for _, ss := range []int{128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20} {
+		cfg := core.DefaultConfig()
 		cfg.SegmentSize = ss
-		sys, err := NewLFS(opts.Capacity, cfg)
+		sys, err := NewLFS(capacity, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("segsize %d: %w", ss, err)
 		}
@@ -75,7 +61,7 @@ func SegSizeAblation(opts SegSizeOpts) ([]SegSizeRow, error) {
 		}
 		chunk := make([]byte, ss*3/4) // leaves room for metadata in the same segment
 		// Fill ~60% of the disk alternately.
-		total := opts.Capacity * 6 / 10
+		total := capacity * 6 / 10
 		var offA, offB int64
 		for written := int64(0); written < total; written += 2 * int64(len(chunk)) {
 			if err := sys.Write("/a", offA, chunk); err != nil {
@@ -99,7 +85,7 @@ func SegSizeAblation(opts SegSizeOpts) ([]SegSizeRow, error) {
 		if err := sys.Sync(); err != nil {
 			return nil, err
 		}
-		if _, err := lfs.CleanUntil(int(opts.Capacity) / ss); err != nil {
+		if _, err := lfs.CleanUntil(int(capacity) / ss); err != nil {
 			return nil, err
 		}
 
@@ -110,7 +96,7 @@ func SegSizeAblation(opts SegSizeOpts) ([]SegSizeRow, error) {
 		}
 		probe := make([]byte, 64<<10)
 		start := sys.Clock().Now()
-		for off := int64(0); off < int64(opts.WriteMB)<<20; off += int64(len(probe)) {
+		for off := int64(0); off < writeMB<<20; off += int64(len(probe)) {
 			if err := sys.Write("/probe", off, probe); err != nil {
 				return nil, err
 			}
@@ -121,12 +107,12 @@ func SegSizeAblation(opts SegSizeOpts) ([]SegSizeRow, error) {
 		elapsed := sys.Clock().Now().Sub(start)
 		row := SegSizeRow{
 			SegmentKB: ss >> 10,
-			WriteKBps: float64(opts.WriteMB<<20) / 1024 / elapsed.Seconds(),
+			WriteKBps: float64(writeMB<<20) / 1024 / elapsed.Seconds(),
 		}
 
 		// Small-file phase on the same aged volume.
 		res, err := workload.SmallFile(sys, workload.SmallFileOpts{
-			NumFiles: opts.Files, FileSize: 1024, Dir: "/s", SyncBetweenPhases: true, Seed: 42,
+			NumFiles: files, FileSize: 1024, Dir: "/s", Seed: 42,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("segsize %d small files: %w", ss, err)
@@ -142,7 +128,7 @@ func SegSizeAblation(opts SegSizeOpts) ([]SegSizeRow, error) {
 
 // runSegSize is the table's ablation-segsize row.
 func runSegSize() (Result, error) {
-	rows, err := SegSizeAblation(DefaultSegSizeOpts())
+	rows, err := SegSizeAblation()
 	return tabular(rows, err, FormatSegSize, CSVSegSize)
 }
 

@@ -23,44 +23,30 @@ type BlockSizeRow struct {
 	StorageOverhead float64
 }
 
-// BlockSizeOpts parameterises the sweep.
-type BlockSizeOpts struct {
-	Capacity   int64
-	Files      int
-	FileSize   int
-	BlockSizes []int
-}
-
-// DefaultBlockSizeOpts sweeps 1-16 KB blocks over the paper's 1 KB
-// small-file workload.
-func DefaultBlockSizeOpts() BlockSizeOpts {
-	// Files is sized so even the 16 KB sweep point (one block per
+// BlockSizeAblation runs the paper's 1 KB small-file workload on a
+// 64 MB LFS under each block size from 1 to 16 KB.
+func BlockSizeAblation() ([]BlockSizeRow, error) {
+	// files is sized so even the 16 KB sweep point (one block per
 	// 1 KB file) fits the admission limit: 3000 × 16 KB = 48 MB of
 	// 54 MB.
-	return BlockSizeOpts{
-		Capacity:   64 << 20,
-		Files:      3000,
-		FileSize:   1024,
-		BlockSizes: []int{1024, 2048, 4096, 8192, 16384},
-	}
-}
-
-// BlockSizeAblation runs the small-file workload under each LFS block
-// size.
-func BlockSizeAblation(opts BlockSizeOpts) ([]BlockSizeRow, error) {
+	const (
+		capacity = 64 << 20
+		files    = 3000
+		fileSize = 1024
+	)
 	var rows []BlockSizeRow
-	for _, bs := range opts.BlockSizes {
-		cfg := defaultLFSConfig()
+	for _, bs := range []int{1024, 2048, 4096, 8192, 16384} {
+		cfg := core.DefaultConfig()
 		cfg.BlockSize = bs
 		cfg.CacheBlocks = (15 << 20) / bs
-		sys, err := NewLFS(opts.Capacity, cfg)
+		sys, err := NewLFS(capacity, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("blocksize %d: %w", bs, err)
 		}
 		lfs := sys.System.(*core.FS)
 		res, err := workload.SmallFile(sys, workload.SmallFileOpts{
-			NumFiles: opts.Files, FileSize: opts.FileSize,
-			Dir: "/s", SyncBetweenPhases: true, Seed: 42,
+			NumFiles: files, FileSize: fileSize,
+			Dir: "/s", Seed: 42,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("blocksize %d: %w", bs, err)
@@ -72,9 +58,9 @@ func BlockSizeAblation(opts BlockSizeOpts) ([]BlockSizeRow, error) {
 		}
 		// Overhead measured at the point of peak population: the
 		// delete phase already ran, so recreate the population.
-		userBytes := int64(opts.Files) * int64(opts.FileSize)
-		payload := make([]byte, opts.FileSize)
-		for i := 0; i < opts.Files; i++ {
+		userBytes := int64(files * fileSize)
+		payload := make([]byte, fileSize)
+		for i := 0; i < files; i++ {
 			p := fmt.Sprintf("/s/g%06d", i)
 			if err := sys.Create(p); err != nil {
 				return nil, err
@@ -97,7 +83,7 @@ func BlockSizeAblation(opts BlockSizeOpts) ([]BlockSizeRow, error) {
 
 // runBlockSize is the table's ablation-blocksize row.
 func runBlockSize() (Result, error) {
-	rows, err := BlockSizeAblation(DefaultBlockSizeOpts())
+	rows, err := BlockSizeAblation()
 	return tabular(rows, err, FormatBlockSize, CSVBlockSize)
 }
 

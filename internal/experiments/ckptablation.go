@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"lfs/internal/core"
@@ -62,12 +61,9 @@ func DefaultCkptOpts() CkptOpts {
 func CheckpointAblation(opts CkptOpts) ([]CkptRow, error) {
 	var rows []CkptRow
 	for _, interval := range opts.Intervals {
-		cfg := defaultLFSConfig()
+		cfg := core.DefaultConfig()
 		cfg.CheckpointInterval = interval
 		cfg.RollForward = false // isolate the checkpoint window
-		// Long write-back age: nothing reaches the log except
-		// through segment-size pressure and checkpoints, keeping
-		// the window honest.
 		sys, err := NewLFS(opts.Capacity, cfg)
 		if err != nil {
 			return nil, err
@@ -88,7 +84,7 @@ func CheckpointAblation(opts CkptOpts) ([]CkptRow, error) {
 			return nil, err
 		}
 		ckptAt := sys.Clock().Now()
-		windowFiles := map[string]bool{}
+		var windowFiles []string
 		payload := make([]byte, 2048)
 		// Stop just short of the interval so the periodic trigger
 		// does not checkpoint the window we are about to lose, and
@@ -103,7 +99,7 @@ func CheckpointAblation(opts CkptOpts) ([]CkptRow, error) {
 			if err := sys.Write(p, 0, payload); err != nil {
 				return nil, err
 			}
-			windowFiles[p] = true
+			windowFiles = append(windowFiles, p)
 			sys.Clock().Advance(500 * sim.Millisecond)
 		}
 		st := lfs.Stats()
@@ -114,17 +110,8 @@ func CheckpointAblation(opts CkptOpts) ([]CkptRow, error) {
 			return nil, fmt.Errorf("ckpt ablation %v: remount: %w", interval, err)
 		}
 		mountMs := float64(sys.Clock().Now().Sub(before)) / float64(sim.Millisecond)
-		// Probe the window files in sorted order: each Stat charges
-		// simulated CPU and touches the cache, so probing in map
-		// order would perturb the simulated timeline (and any
-		// attached metrics samplers) from run to run.
-		probes := make([]string, 0, len(windowFiles))
-		for p := range windowFiles {
-			probes = append(probes, p)
-		}
-		sort.Strings(probes)
 		lost := 0
-		for _, p := range probes {
+		for _, p := range windowFiles {
 			if _, err := recovered.Stat(p); err != nil {
 				lost++
 			}

@@ -46,33 +46,6 @@ type CleaningRow struct {
 	LiveCopied      int64
 }
 
-// CleaningOpts parameterises the sweep.
-type CleaningOpts struct {
-	Capacity int64
-	// FileSize is the per-file payload of the Zipf population.
-	FileSize int
-	// OverwritesPerFile scales churn with the population so every
-	// utilization point sees comparable per-file overwrite pressure.
-	OverwritesPerFile float64
-	// Zipf shapes the skew (S, V) and sync cadence; Files and
-	// Overwrites are derived per point.
-	Zipf workload.ZipfOpts
-	// Utilizations is the x-axis sweep of target disk utilizations.
-	Utilizations []float64
-}
-
-// DefaultCleaningOpts sweeps to 0.84 utilization — past the paper's
-// operating point — on a 48 MB volume.
-func DefaultCleaningOpts() CleaningOpts {
-	return CleaningOpts{
-		Capacity:          48 << 20,
-		FileSize:          4096,
-		OverwritesPerFile: 3,
-		Zipf:              workload.DefaultZipf(),
-		Utilizations:      []float64{0.45, 0.55, 0.65, 0.75, 0.80, 0.84},
-	}
-}
-
 // cleaningArms enumerates the policy combinations under test.
 var cleaningArms = []struct {
 	Name        string
@@ -84,15 +57,18 @@ var cleaningArms = []struct {
 	{"cost-benefit+seg", core.CleanCostBenefit, true},
 }
 
-// CleaningCurve runs every arm over the utilization sweep. Each point
-// builds a fresh LFS, fills it with a file population sized for the
-// target utilization, and churns it with the seeded Zipf overwrite
-// load; the row records the end-of-run write cost.
-func CleaningCurve(opts CleaningOpts) ([]CleaningRow, error) {
+// CleaningCurve runs every arm over the utilization sweep, to 0.84 —
+// past the paper's operating point — on a 48 MB volume. Each point
+// builds a fresh LFS, fills it with a population of 4 KB files sized
+// for the target utilization, and churns it with the seeded Zipf
+// overwrite load, three overwrites per file so every point sees
+// comparable per-file pressure; the row records the end-of-run write
+// cost.
+func CleaningCurve() ([]CleaningRow, error) {
 	var rows []CleaningRow
 	for _, arm := range cleaningArms {
-		for _, u := range opts.Utilizations {
-			cfg := defaultLFSConfig()
+		for _, u := range []float64{0.45, 0.55, 0.65, 0.75, 0.80, 0.84} {
+			cfg := core.DefaultConfig()
 			cfg.Policy = arm.Policy
 			cfg.Segregation = arm.Segregation
 			// A small cache keeps overwrite traffic flowing to the
@@ -110,17 +86,15 @@ func CleaningCurve(opts CleaningOpts) ([]CleaningRow, error) {
 			cfg.SegmentSize = 256 << 10
 			cfg.CleanThresholdSegments = 8
 			cfg.CleanTargetSegments = 12
-			sys, err := NewLFS(opts.Capacity, cfg)
+			sys, err := NewLFS(48<<20, cfg)
 			if err != nil {
 				return nil, err
 			}
 			lfs := sys.System.(*core.FS)
-			z := opts.Zipf
-			z.FileSize = opts.FileSize
+			z := workload.DefaultZipf()
 			//lfslint:allow floataccum workload sizing applies the utilization target once per cell; nothing accumulates
-			z.Files = int(u * float64(lfs.LogCapacity()) / float64(opts.FileSize))
-			//lfslint:allow floataccum workload sizing applies the overwrite factor once per cell; nothing accumulates
-			z.Overwrites = int(opts.OverwritesPerFile * float64(z.Files))
+			z.Files = int(u * float64(lfs.LogCapacity()) / float64(z.FileSize))
+			z.Overwrites = 3 * z.Files
 			if _, err := workload.ZipfOverwrite(sys, z); err != nil {
 				return nil, fmt.Errorf("cleaning %s u=%.2f: %w", arm.Name, u, err)
 			}
@@ -146,7 +120,7 @@ func CleaningCurve(opts CleaningOpts) ([]CleaningRow, error) {
 // summary is the u=0.80 point of each arm — the paper's operating
 // point, where the three policies separate.
 func runCleaningCurve() (Result, error) {
-	rows, err := CleaningCurve(DefaultCleaningOpts())
+	rows, err := CleaningCurve()
 	res, err := tabular(rows, err, FormatCleaning, CSVCleaning)
 	if err != nil {
 		return res, err

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"lfs/internal/core"
 	"lfs/internal/disk"
-	"lfs/internal/ffs"
 	"lfs/internal/obs"
 	"lfs/internal/server"
 	"lfs/internal/sim"
@@ -28,8 +26,6 @@ type ClientOpts struct {
 	ClientCounts []int
 	// OpsPerClient is how many commits each client issues.
 	OpsPerClient int
-	LFSConfig    core.Config
-	FFSConfig    ffs.Config
 }
 
 // DefaultClientOpts returns the paper-scale sweep: 1..16 clients, 64
@@ -40,8 +36,6 @@ func DefaultClientOpts() ClientOpts {
 		Capacity:     128 << 20,
 		ClientCounts: []int{1, 2, 4, 8, 16},
 		OpsPerClient: 64,
-		LFSConfig:    defaultLFSConfig(),
-		FFSConfig:    ffs.DefaultConfig(),
 	}
 }
 

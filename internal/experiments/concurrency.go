@@ -47,7 +47,7 @@ func Concurrency(opts ClientOpts) ([]ConcurrencyRow, error) {
 		row := ConcurrencyRow{Clients: n}
 
 		// LFS with group commit.
-		lcfg := opts.LFSConfig
+		lcfg := core.DefaultConfig()
 		lcfg.GroupCommit = true
 		sys, err := NewLFS(opts.Capacity, lcfg)
 		if err != nil {
@@ -65,7 +65,7 @@ func Concurrency(opts ClientOpts) ([]ConcurrencyRow, error) {
 
 		// LFS without group commit (the ablation: same log, every
 		// fsync pays its own flush).
-		if sys, err = NewLFS(opts.Capacity, opts.LFSConfig); err != nil {
+		if sys, err = NewLFS(opts.Capacity, core.DefaultConfig()); err != nil {
 			return row, err
 		}
 		nogc, err := runClients(sys.System.(*core.FS), load)
@@ -75,7 +75,7 @@ func Concurrency(opts ClientOpts) ([]ConcurrencyRow, error) {
 		row.LFSNoGCOpsPerSec = nogc.OpsPerSecond()
 
 		// FFS baseline.
-		if sys, err = NewFFS(opts.Capacity, opts.FFSConfig); err != nil {
+		if sys, err = NewFFS(opts.Capacity, ffs.DefaultConfig()); err != nil {
 			return row, err
 		}
 		base, err := runClients(sys.System.(*ffs.FS), load, sys.Disk)

@@ -17,6 +17,7 @@ import (
 	"math"
 	"strings"
 
+	"lfs/internal/core"
 	"lfs/internal/fstest"
 )
 
@@ -55,7 +56,7 @@ func crashSweepWorkload(files, churn, blockSize int) []fstest.Op {
 
 // runCrashSweep is the table's crashsweep row.
 func runCrashSweep() (Result, error) {
-	cfg := defaultLFSConfig()
+	cfg := core.DefaultConfig()
 	cfg.SegmentSize = 64 << 10
 	cfg.CacheBlocks = 64
 	cfg.MaxInodes = 512

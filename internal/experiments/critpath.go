@@ -76,7 +76,7 @@ func CritPath(opts ClientOpts) ([]CritPathRow, error) {
 	return sweep("critpath", opts.ClientCounts, func(n int) (CritPathRow, error) {
 		row := CritPathRow{Clients: n}
 		rec := obs.NewRecorder()
-		cfg := opts.LFSConfig
+		cfg := core.DefaultConfig()
 		cfg.GroupCommit = true
 		cfg.Trace = rec
 		sys, err := NewLFS(opts.Capacity, cfg)

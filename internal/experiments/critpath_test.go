@@ -102,7 +102,7 @@ func TestCritPathSamplesEndOnTheAggregates(t *testing.T) {
 func TestShardedSpansExact(t *testing.T) {
 	const shards = 3
 	recs := make([]*obs.Recorder, shards)
-	cfg := defaultLFSConfig()
+	cfg := core.DefaultConfig()
 	cfg.GroupCommit = true
 	opts := shard.Options{
 		Base: cfg,

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"lfs/internal/core"
 	"lfs/internal/disk"
+	"lfs/internal/ffs"
 	"lfs/internal/obs"
 )
 
@@ -97,9 +99,9 @@ func Fig1(capacity int64) (*Fig1Result, error) {
 		var sys *System
 		var err error
 		if which == "ffs" {
-			sys, err = NewFFS(capacity, defaultFFSConfig())
+			sys, err = NewFFS(capacity, ffs.DefaultConfig())
 		} else {
-			sys, err = NewLFS(capacity, defaultLFSConfig())
+			sys, err = NewLFS(capacity, core.DefaultConfig())
 		}
 		if err != nil {
 			return nil, err

@@ -9,9 +9,6 @@ import (
 	"lfs/internal/workload"
 )
 
-func defaultLFSConfig() core.Config { return core.DefaultConfig() }
-func defaultFFSConfig() ffs.Config  { return ffs.DefaultConfig() }
-
 // Fig3Row is one bar group of Figure 3: files per second for the
 // create, read, and delete phases of the small-file test.
 type Fig3Row struct {
@@ -29,21 +26,17 @@ type Fig3Row struct {
 // Fig3Opts scales the experiment (the full paper size is 10000 1 KB
 // files; tests use smaller counts for speed).
 type Fig3Opts struct {
-	Capacity  int64
-	Files1K   int
-	Files10K  int
-	LFSConfig core.Config
-	FFSConfig ffs.Config
+	Capacity int64
+	Files1K  int
+	Files10K int
 }
 
 // DefaultFig3Opts returns the paper's parameters.
 func DefaultFig3Opts() Fig3Opts {
 	return Fig3Opts{
-		Capacity:  DiskCapacity,
-		Files1K:   10000,
-		Files10K:  1000,
-		LFSConfig: defaultLFSConfig(),
-		FFSConfig: defaultFFSConfig(),
+		Capacity: DiskCapacity,
+		Files1K:  10000,
+		Files10K: 1000,
 	}
 }
 
@@ -64,16 +57,16 @@ func Fig3(opts Fig3Opts) ([]Fig3Row, error) {
 			var sys *System
 			var err error
 			if which == "LFS" {
-				sys, err = NewLFS(opts.Capacity, opts.LFSConfig)
+				sys, err = NewLFS(opts.Capacity, core.DefaultConfig())
 			} else {
-				sys, err = NewFFS(opts.Capacity, opts.FFSConfig)
+				sys, err = NewFFS(opts.Capacity, ffs.DefaultConfig())
 			}
 			if err != nil {
 				return nil, err
 			}
 			w := workload.SmallFileOpts{
 				NumFiles: c.count, FileSize: c.size,
-				Dir: "/small", SyncBetweenPhases: true, Seed: 42,
+				Dir: "/small", Seed: 42,
 			}
 			res, err := workload.SmallFile(sys, w)
 			if err != nil {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"lfs/internal/core"
+	"lfs/internal/ffs"
 	"lfs/internal/workload"
 )
 
@@ -22,16 +24,11 @@ type Fig4Opts struct {
 	Capacity    int64
 	FileSize    int64
 	RequestSize int
-	// CacheFraction sizes the file cache relative to FileSize; the
-	// paper's ratio is 15 MB / 100 MB = 0.15. Scaled-down runs must
-	// preserve it or the cache absorbs the whole file and the
-	// random phases degenerate.
-	CacheFraction float64
 }
 
 // DefaultFig4Opts returns the paper's parameters.
 func DefaultFig4Opts() Fig4Opts {
-	return Fig4Opts{Capacity: DiskCapacity, FileSize: 100 << 20, RequestSize: 8192, CacheFraction: 0.15}
+	return Fig4Opts{Capacity: DiskCapacity, FileSize: 100 << 20, RequestSize: 8192}
 }
 
 // Fig4 runs the §5.2 large-file test on both file systems: sequential
@@ -39,20 +36,19 @@ func DefaultFig4Opts() Fig4Opts {
 // reread of one large file.
 func Fig4(opts Fig4Opts) ([]Fig4Row, error) {
 	var rows []Fig4Row
-	//lfslint:allow floataccum cache sizing applies a config fraction once at setup; nothing accumulates
-	cacheBytes := int64(float64(opts.FileSize) * opts.CacheFraction)
-	if opts.CacheFraction <= 0 {
-		cacheBytes = 15 << 20
-	}
+	// The cache keeps the paper's ratio, 15 MB to a 100 MB file, at
+	// any scale; a larger one would absorb the whole file and the
+	// random phases would degenerate.
+	cacheBytes := opts.FileSize * 15 / 100
 	for _, which := range []string{"LFS", "SunFFS"} {
 		var sys *System
 		var err error
 		if which == "LFS" {
-			cfg := defaultLFSConfig()
+			cfg := core.DefaultConfig()
 			cfg.CacheBlocks = int(cacheBytes) / cfg.BlockSize
 			sys, err = NewLFS(opts.Capacity, cfg)
 		} else {
-			cfg := defaultFFSConfig()
+			cfg := ffs.DefaultConfig()
 			cfg.CacheBlocks = int(cacheBytes) / cfg.BlockSize
 			sys, err = NewFFS(opts.Capacity, cfg)
 		}

@@ -47,7 +47,7 @@ func DefaultFig5Opts() Fig5Opts {
 func Fig5(opts Fig5Opts) ([]Fig5Row, error) {
 	var rows []Fig5Row
 	for _, u := range opts.Utilizations {
-		cfg := defaultLFSConfig()
+		cfg := core.DefaultConfig()
 		// Let the bench drive cleaning explicitly.
 		cfg.CleanThresholdSegments = 1
 		cfg.CleanTargetSegments = 2

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"lfs/internal/core"
+	"lfs/internal/ffs"
 	"lfs/internal/sim"
 )
 
@@ -46,11 +48,11 @@ func Scaling(opts ScalingOpts) ([]ScalingRow, error) {
 			var sys *System
 			var err error
 			if which == "LFS" {
-				cfg := defaultLFSConfig()
+				cfg := core.DefaultConfig()
 				cfg.MIPS = mips
 				sys, err = NewLFS(opts.Capacity, cfg)
 			} else {
-				cfg := defaultFFSConfig()
+				cfg := ffs.DefaultConfig()
 				cfg.MIPS = mips
 				sys, err = NewFFS(opts.Capacity, cfg)
 			}

@@ -27,33 +27,36 @@ type ShardingOpts struct {
 	// client population is the same for every shard count.
 	Clients      int
 	OpsPerClient int
-	// Config is the per-shard base configuration.
-	Config core.Config
-	// CrashCut is the 1-based disk-write index at which the crash
-	// scenario cuts power on shard 0.
-	CrashCut int64
 }
 
 // DefaultShardingOpts returns the paper-scale sweep: 32 clients
-// against 1..8 shards, group commit on, on a CPU twenty times the
-// Sun4. Sharding attacks the single append point, which only binds
-// once the CPU outruns one disk — exactly the §3.1 trend argument
-// (CPU speed growing exponentially against flat disk speed), so the
-// experiment models the machine that trend produces. On the original
-// 10-MIPS Sun4 the serial CPU dominates and extra logs cannot help.
+// against 1..8 shards of shardConfig.
 func DefaultShardingOpts() ShardingOpts {
-	cfg := defaultLFSConfig()
-	cfg.GroupCommit = true
-	cfg.MIPS = 20 * sim.Sun4MIPS
 	return ShardingOpts{
 		TotalCapacity: 256 << 20,
 		ShardCounts:   []int{1, 2, 4, 8},
 		Clients:       32,
 		OpsPerClient:  128,
-		Config:        cfg,
-		CrashCut:      5,
 	}
 }
+
+// shardConfig is every shard's configuration: group commit on, on a
+// CPU twenty times the Sun4. Sharding attacks the single append point,
+// which only binds once the CPU outruns one disk — exactly the §3.1
+// trend argument (CPU speed growing exponentially against flat disk
+// speed), so the experiment models the machine that trend produces. On
+// the original 10-MIPS Sun4 the serial CPU dominates and extra logs
+// cannot help.
+func shardConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.GroupCommit = true
+	cfg.MIPS = 20 * sim.Sun4MIPS
+	return cfg
+}
+
+// crashCut is the 1-based disk-write index at which the crash scenario
+// cuts power on shard 0.
+const crashCut = 5
 
 // ShardingRow is one shard count's measurements.
 type ShardingRow struct {
@@ -126,7 +129,7 @@ func NewSharded(n int, totalCapacity int64, cfg core.Config) (*shard.FS, error) 
 // the final images — with the run's row.
 func runCell(opts ShardingOpts, n int) (*shard.FS, ShardingRow, error) {
 	row := ShardingRow{Shards: n, Clients: opts.Clients}
-	fs, err := NewSharded(n, opts.TotalCapacity, opts.Config)
+	fs, err := NewSharded(n, opts.TotalCapacity, shardConfig())
 	if err != nil {
 		return nil, row, err
 	}
@@ -207,8 +210,8 @@ func Sharding(opts ShardingOpts) (*ShardingResult, error) {
 // router, and an offline fsck of all four images.
 func shardingCrash(opts ShardingOpts) (ShardingCrash, error) {
 	const n = 4
-	out := ShardingCrash{Shards: n, CutWrite: opts.CrashCut}
-	fs, err := NewSharded(n, opts.TotalCapacity, opts.Config)
+	out := ShardingCrash{Shards: n, CutWrite: crashCut}
+	fs, err := NewSharded(n, opts.TotalCapacity, shardConfig())
 	if err != nil {
 		return out, fmt.Errorf("sharding: crash: %w", err)
 	}
@@ -225,7 +228,7 @@ func shardingCrash(opts ShardingOpts) (ShardingCrash, error) {
 
 	// Phase B: arm the power cut on shard 0 and keep driving all
 	// shards, tolerating the dead shard's errors.
-	fs.Disk(0).SetFaultPolicy(&disk.CrashPlan{CutWrite: opts.CrashCut})
+	fs.Disk(0).SetFaultPolicy(&disk.CrashPlan{CutWrite: crashCut})
 	scfgB := scfg
 	scfgB.Seed++
 	scfgB.OnOpError = func(client int, err error) bool { return true }
@@ -262,10 +265,8 @@ func shardingCrash(opts ShardingOpts) (ShardingCrash, error) {
 	if err := fs.Unmount(); err != nil {
 		return out, fmt.Errorf("sharding: crash unmount: %w", err)
 	}
-	fsckCfg := opts.Config
-	fsckCfg.Trace, fsckCfg.Metrics = nil, nil
 	for i := 0; i < n; i++ {
-		rep, err := core.Fsck(fs.Disk(i), fsckCfg)
+		rep, err := core.Fsck(fs.Disk(i), shardConfig())
 		if err != nil {
 			return out, fmt.Errorf("sharding: fsck shard %d: %w", i, err)
 		}

@@ -43,14 +43,14 @@ var defaultSmoke = smokeWorkload{
 // every other one, and demand clean segments so the cleaner reads
 // fragmented victims.
 func (w smokeWorkload) run(rec *obs.Recorder, samp *obs.Sampler) (sys *System, res workload.SmallFileResult, err error) {
-	cfg := defaultLFSConfig()
+	cfg := core.DefaultConfig()
 	cfg.Trace, cfg.Metrics = rec, samp
 	if sys, err = NewLFS(w.capacity, cfg); err != nil {
 		return nil, res, err
 	}
 	res, err = workload.SmallFile(sys, workload.SmallFileOpts{
 		NumFiles: w.numFiles, FileSize: w.fileSize,
-		Dir: "/small", SyncBetweenPhases: true, Seed: 42,
+		Dir: "/small", Seed: 42,
 	})
 	if err != nil {
 		return nil, res, fmt.Errorf("small-file: %w", err)

@@ -57,7 +57,7 @@ func DefaultUtilizationOpts() UtilizationOpts {
 // UtilizationDistribution runs the office trace on LFS and measures
 // the segment utilization distribution of the aged volume.
 func UtilizationDistribution(opts UtilizationOpts) (*UtilizationResult, error) {
-	cfg := defaultLFSConfig()
+	cfg := core.DefaultConfig()
 	cfg.Policy = opts.Policy
 	sys, err := NewLFS(opts.Capacity, cfg)
 	if err != nil {

@@ -39,14 +39,8 @@ type Config struct {
 	// CacheBlocks is the buffer cache capacity in blocks. The
 	// paper's machines used roughly 15 MB of file cache.
 	CacheBlocks int
-	// WritebackAge is the delayed write-back threshold; dirty
-	// blocks older than this are written at the next operation
-	// (UNIX's classic 30 seconds).
-	WritebackAge sim.Duration
 	// MIPS is the simulated CPU speed.
 	MIPS float64
-	// Costs is the instruction cost table.
-	Costs sim.Costs
 	// Trace, when non-nil, receives operation spans and cause-tagged
 	// disk events; Mount registers it as the disk's tracer. It may be
 	// the same recorder an LFS instance uses, for side-by-side traces
@@ -63,9 +57,7 @@ func DefaultConfig() Config {
 		BlocksPerGroup: 256, // 2 MB groups
 		InodesPerGroup: 512,
 		CacheBlocks:    1920, // ~15 MB at 8 KB
-		WritebackAge:   30 * sim.Second,
 		MIPS:           sim.Sun4MIPS,
-		Costs:          sim.DefaultCosts(),
 	}
 }
 
@@ -82,9 +74,6 @@ func (c Config) Validate() error {
 	}
 	if c.CacheBlocks <= 4 {
 		return fmt.Errorf("ffs: cache of %d blocks too small", c.CacheBlocks)
-	}
-	if c.WritebackAge <= 0 {
-		return fmt.Errorf("ffs: non-positive write-back age %v", c.WritebackAge)
 	}
 	if c.MIPS <= 0 {
 		return fmt.Errorf("ffs: non-positive MIPS %v", c.MIPS)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/ffs"
 	"lfs/internal/fstest"
@@ -710,6 +711,46 @@ func TestDoubleIndirectLifecycle(t *testing.T) {
 	}
 }
 
+// TestWritebackAge holds FFS's delayed write-back: a dirty data block
+// younger than cache.WritebackAge stays in the cache, and the first
+// operation after it reaches that age writes it back. Reads do not run
+// the write-back check, so each probe is a one-byte write to another
+// file.
+func TestWritebackAge(t *testing.T) {
+	fs := newFS(t, 32<<20)
+	for _, p := range []string{"/f", "/g"} {
+		if err := fs.Create(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	writebacks := func() int64 { return fs.Disk().Stats().ByCause[disk.CauseWriteback].Requests }
+	base := writebacks()
+	t0 := fs.Clock().Now() // no block is dirty before t0
+	if err := fs.Write("/f", 0, bytes.Repeat([]byte{5}, 8192)); err != nil {
+		t.Fatal(err)
+	}
+	fs.Clock().Advance(cache.WritebackAge - 10*sim.Millisecond - fs.Clock().Now().Sub(t0))
+	if err := fs.Write("/g", 0, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if age := fs.Clock().Now().Sub(t0); age >= cache.WritebackAge {
+		t.Fatalf("the probe took the block to age %v, past %v", age, cache.WritebackAge)
+	}
+	if got := writebacks(); got != base {
+		t.Fatalf("%d write-backs while the block was younger than %v", got-base, cache.WritebackAge)
+	}
+	fs.Clock().Advance(cache.WritebackAge)
+	if err := fs.Write("/g", 1, []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	if writebacks() == base {
+		t.Fatal("no write-back at the first operation past the write-back age")
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	base := ffs.DefaultConfig()
 	cases := []func(*ffs.Config){
@@ -719,7 +760,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *ffs.Config) { c.InodesPerGroup = 0 },
 		func(c *ffs.Config) { c.InodesPerGroup = 7 },
 		func(c *ffs.Config) { c.CacheBlocks = 1 },
-		func(c *ffs.Config) { c.WritebackAge = 0 },
 		func(c *ffs.Config) { c.MIPS = 0 },
 		func(c *ffs.Config) { c.BlocksPerGroup = 9; c.InodesPerGroup = 4096 },
 	}

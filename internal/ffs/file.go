@@ -3,6 +3,7 @@ package ffs
 import (
 	"lfs/internal/cache"
 	"lfs/internal/layout"
+	"lfs/internal/sim"
 	"lfs/internal/vfs"
 )
 
@@ -107,7 +108,7 @@ func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) error {
 			if b = fs.bc.Peek(blockKey(pb)); b == nil {
 				b, err = fs.getBlock(pb, false, "file write")
 			} else {
-				fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
+				fs.cpu.Charge(sim.CostBlockSetup)
 			}
 		} else {
 			b, err = fs.getBlock(pb, true, "file write")
@@ -121,7 +122,7 @@ func (fs *FS) writeFile(in *layout.Inode, off int64, data []byte) error {
 			}
 		}
 		copy(b.Data[bo:], data[written:written+n])
-		fs.cpu.Charge(fs.cfg.Costs.Copy(n))
+		fs.cpu.Charge(sim.CopyCost(n))
 		fs.dirty(b)
 		written += n
 	}

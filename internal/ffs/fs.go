@@ -118,7 +118,7 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 	// never perturbs the timeline. FFS has no metrics plane.
 	fs.op = obs.NewOpCapture(d, fs.cpu, cfg.Trace, nil)
 	d.SetWaiter(fs.op)
-	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, d, fs.cpu, cfg.Costs, make([]byte, readAheadBlocks*cfg.BlockSize), fs.hooks())
+	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, d, fs.cpu, make([]byte, readAheadBlocks*cfg.BlockSize), fs.hooks())
 	// Rebuild free counts from the bitmaps.
 	fs.freeBlocks = make([]int, sb.Groups)
 	fs.freeInodes = make([]int, sb.Groups)
@@ -212,13 +212,13 @@ func blockKey(pb int64) cache.Key {
 // assumed newly allocated and is returned zeroed.
 func (fs *FS) getBlock(pb int64, load bool, label string) (*cache.Block, error) {
 	if b := fs.bc.Get(blockKey(pb)); b != nil {
-		fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
+		fs.cpu.Charge(sim.CostBlockSetup)
 		return b, nil
 	}
 	b := fs.bc.Add(blockKey(pb))
-	fs.cpu.Charge(fs.cfg.Costs.BlockSetup)
+	fs.cpu.Charge(sim.CostBlockSetup)
 	if load {
-		fs.cpu.Charge(fs.cfg.Costs.DiskOpSetup)
+		fs.cpu.Charge(sim.CostDiskOpSetup)
 		if err := fs.d.ReadSectors(fs.lay.sectorOf(pb), b.Data, disk.CauseReadMiss, label); err != nil {
 			fs.bc.Remove(blockKey(pb))
 			return nil, err
@@ -235,7 +235,7 @@ func (fs *FS) dirty(b *cache.Block) {
 // writeBlockSync forces the cached block to disk immediately with a
 // blocking write — FFS's synchronous metadata update.
 func (fs *FS) writeBlockSync(b *cache.Block, label string) error {
-	fs.cpu.Charge(fs.cfg.Costs.DiskOpSetup)
+	fs.cpu.Charge(sim.CostDiskOpSetup)
 	pb := b.Key.Off
 	if err := fs.d.WriteSectors(fs.lay.sectorOf(pb), b.Data, true, disk.CauseSyncWrite, label); err != nil {
 		return err
@@ -255,7 +255,7 @@ func (fs *FS) writeback(all bool) error {
 	now := fs.clock.Now()
 	var victims []*cache.Block
 	for _, b := range fs.bc.DirtyBlocks() {
-		if all || now.Sub(b.DirtiedAt()) >= fs.cfg.WritebackAge {
+		if all || now.Sub(b.DirtiedAt()) >= cache.WritebackAge {
 			victims = append(victims, b)
 		}
 	}
@@ -269,7 +269,7 @@ func (fs *FS) writeback(all bool) error {
 		if len(runBlocks) == 0 {
 			return nil
 		}
-		fs.cpu.Charge(fs.cfg.Costs.DiskOpSetup)
+		fs.cpu.Charge(sim.CostDiskOpSetup)
 		if err := fs.d.WriteSectors(fs.lay.sectorOf(runStart), run, false, disk.CauseWriteback, "writeback"); err != nil {
 			return err
 		}
@@ -307,7 +307,7 @@ func (fs *FS) maybeWriteback() error {
 		return fs.writeback(true)
 	}
 	if oldest, ok := fs.bc.OldestDirty(); ok {
-		if fs.clock.Now().Sub(oldest) >= fs.cfg.WritebackAge {
+		if fs.clock.Now().Sub(oldest) >= cache.WritebackAge {
 			return fs.writeback(false)
 		}
 	}

@@ -240,7 +240,7 @@ func (fs *FS) sync() error {
 // unmount syncs, charging the system call Sync does, and detaches the
 // file system.
 func (fs *FS) unmount() error {
-	fs.cpu.Charge(fs.cfg.Costs.Syscall)
+	fs.cpu.Charge(sim.CostSyscall)
 	if err := fs.sync(); err != nil {
 		return err
 	}

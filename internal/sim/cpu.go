@@ -51,67 +51,42 @@ func (c *CPU) Charge(n int64) {
 // Instructions returns the total instructions charged so far.
 func (c *CPU) Instructions() int64 { return c.instructions }
 
-// Costs is the per-operation instruction cost table shared by both
-// file systems. The absolute values are calibrated so that, at the
+// The per-operation instruction cost table shared by both file
+// systems. The absolute values are calibrated so that, at the
 // Sun-4/260's rating, LFS small-file creation is CPU-bound at a few
 // hundred files per second (paper §5.1) while FFS remains bound by its
 // synchronous disk writes. Experiments that sweep CPU speed leave this
 // table fixed and vary only the MIPS rating.
-type Costs struct {
-	// Syscall is the fixed entry/exit overhead of any file system
+const (
+	// CostSyscall is the fixed entry/exit overhead of any file system
 	// call (trap, argument copy, dispatch).
-	Syscall int64
-	// PathComponent is charged per path component resolved during
+	CostSyscall int64 = 2000
+	// CostPathComponent is charged per path component resolved during
 	// lookup (directory search in the cache).
-	PathComponent int64
-	// Create covers inode allocation and directory entry insertion.
-	Create int64
-	// Unlink covers directory entry removal and inode free.
-	Unlink int64
-	// BlockSetup is charged per block touched by read or write
+	CostPathComponent int64 = 1500
+	// CostCreate covers inode allocation and directory entry insertion.
+	CostCreate int64 = 12000
+	// CostUnlink covers directory entry removal and inode free.
+	CostUnlink int64 = 9000
+	// CostBlockSetup is charged per block touched by read or write
 	// (cache lookup, bookkeeping).
-	BlockSetup int64
-	// CopyPerByte is charged per byte moved between the user buffer
-	// and the cache.
-	CopyPerByte float64
-	// SegWriteSetup is charged per segment (or partial segment)
+	CostBlockSetup int64 = 2500
+	// CostSegWriteSetup is charged per segment (or partial segment)
 	// write assembled by the LFS writer.
-	SegWriteSetup int64
-	// SegBlockLayout is charged per block packed into a segment
+	CostSegWriteSetup int64 = 40000
+	// CostSegBlockLayout is charged per block packed into a segment
 	// (summary entry construction, address rewrite).
-	SegBlockLayout int64
-	// CleanPerBlock is charged per block examined by the cleaner
+	CostSegBlockLayout int64 = 1200
+	// CostCleanPerBlock is charged per block examined by the cleaner
 	// (liveness check plus copy bookkeeping).
-	CleanPerBlock int64
-	// CheckpointSetup is charged per checkpoint write.
-	CheckpointSetup int64
-	// DiskOpSetup is charged per disk request issued (driver and
+	CostCleanPerBlock int64 = 2500
+	// CostCheckpointSetup is charged per checkpoint write.
+	CostCheckpointSetup int64 = 25000
+	// CostDiskOpSetup is charged per disk request issued (driver and
 	// interrupt overhead).
-	DiskOpSetup int64
-}
+	CostDiskOpSetup int64 = 1500
+)
 
-// DefaultCosts returns the calibrated cost table described above.
-func DefaultCosts() Costs {
-	return Costs{
-		Syscall:         2000,
-		PathComponent:   1500,
-		Create:          12000,
-		Unlink:          9000,
-		BlockSetup:      2500,
-		CopyPerByte:     1.0,
-		SegWriteSetup:   40000,
-		SegBlockLayout:  1200,
-		CleanPerBlock:   2500,
-		CheckpointSetup: 25000,
-		DiskOpSetup:     1500,
-	}
-}
-
-// Copy returns the instruction cost of copying n bytes.
-func (c Costs) Copy(n int) int64 {
-	if n <= 0 {
-		return 0
-	}
-	//lfslint:allow floataccum the per-byte cost model is evaluated fresh per call; truncation is deterministic and nothing accumulates in float
-	return int64(c.CopyPerByte * float64(n))
-}
+// CopyCost returns the instruction cost of moving n bytes between the
+// user buffer and the cache: one instruction per byte.
+func CopyCost(n int) int64 { return int64(max(n, 0)) }

@@ -66,36 +66,12 @@ func TestFasterCPUTakesLessTime(t *testing.T) {
 	}
 }
 
-func TestCostsCopy(t *testing.T) {
-	c := DefaultCosts()
-	if c.Copy(0) != 0 || c.Copy(-5) != 0 {
-		t.Fatal("Copy of non-positive size should cost 0")
+func TestCopyCost(t *testing.T) {
+	if CopyCost(0) != 0 || CopyCost(-5) != 0 {
+		t.Fatal("CopyCost of non-positive size should cost 0")
 	}
-	if got := c.Copy(1000); got != int64(1000*c.CopyPerByte) {
-		t.Fatalf("Copy(1000) = %d", got)
-	}
-}
-
-func TestDefaultCostsPositive(t *testing.T) {
-	c := DefaultCosts()
-	for name, v := range map[string]int64{
-		"Syscall":         c.Syscall,
-		"PathComponent":   c.PathComponent,
-		"Create":          c.Create,
-		"Unlink":          c.Unlink,
-		"BlockSetup":      c.BlockSetup,
-		"SegWriteSetup":   c.SegWriteSetup,
-		"SegBlockLayout":  c.SegBlockLayout,
-		"CleanPerBlock":   c.CleanPerBlock,
-		"CheckpointSetup": c.CheckpointSetup,
-		"DiskOpSetup":     c.DiskOpSetup,
-	} {
-		if v <= 0 {
-			t.Errorf("default cost %s = %d, want > 0", name, v)
-		}
-	}
-	if c.CopyPerByte <= 0 {
-		t.Errorf("CopyPerByte = %v, want > 0", c.CopyPerByte)
+	if got := CopyCost(1000); got != 1000 {
+		t.Fatalf("CopyCost(1000) = %d, want 1000", got)
 	}
 }
 

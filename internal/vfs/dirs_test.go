@@ -45,8 +45,7 @@ type sizing struct {
 // testFS is one mounted file system under test.
 type testFS struct {
 	dirFS
-	blockSize  int
-	blockSetup int64 // Costs.BlockSetup, the CPU charge of one cached block fetch
+	blockSize int
 	// snap reads the simulated clock and the CPU, cache and disk
 	// counters.
 	snap func() (now sim.Time, instr int64, c cache.Stats, d disk.Stats)
@@ -110,7 +109,7 @@ func openLFS(t testing.TB, s sizing) *testFS {
 		fs, err := core.Mount(d, cfg)
 		must(t, err)
 		return &testFS{
-			dirFS: fs, blockSize: cfg.BlockSize, blockSetup: cfg.Costs.BlockSetup, mount: mount,
+			dirFS: fs, blockSize: cfg.BlockSize, mount: mount,
 			snap: func() (sim.Time, int64, cache.Stats, disk.Stats) {
 				s := fs.StatsSnapshot()
 				return s.Time, s.CPUInstructions, s.Cache, s.Disk
@@ -146,7 +145,7 @@ func openFFS(t testing.TB, s sizing) *testFS {
 		fs, err := ffs.Mount(d, cfg)
 		must(t, err)
 		return &testFS{
-			dirFS: fs, blockSize: cfg.BlockSize, blockSetup: cfg.Costs.BlockSetup, mount: mount,
+			dirFS: fs, blockSize: cfg.BlockSize, mount: mount,
 			snap: func() (sim.Time, int64, cache.Stats, disk.Stats) {
 				s := fs.StatsSnapshot()
 				return s.Time, s.CPUInstructions, s.Cache, s.Disk
@@ -271,7 +270,7 @@ func TestCreateWalksEveryDirectoryBlock(t *testing.T) {
 						s.blocks, s.hits, s.blocks+row.otherHits, row.otherHits-1)
 				}
 			}
-			wantInstr := (large.blocks - small.blocks) * fs.blockSetup
+			wantInstr := (large.blocks - small.blocks) * sim.CostBlockSetup
 			if got := large.instr - small.instr; got != wantInstr {
 				t.Errorf("create in %d blocks cost %d more instructions than in %d, want %d (BlockSetup per extra block)",
 					large.blocks, got, small.blocks, wantInstr)

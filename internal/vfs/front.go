@@ -75,13 +75,12 @@ type Front struct {
 	// mu is the file system's own lock, op its seam, dirs its directory
 	// layer, d its disk and cpu its processor; all are set once by
 	// NewFront.
-	mu    sync.Locker
-	op    Seam
-	dirs  *Dirs
-	d     *disk.Disk
-	cpu   *sim.CPU
-	costs sim.Costs
-	h     Hooks
+	mu   sync.Locker
+	op   Seam
+	dirs *Dirs
+	d    *disk.Disk
+	cpu  *sim.CPU
+	h    Hooks
 	// bs is the block size and maxSize the double-indirect file size
 	// limit in bytes.
 	bs, maxSize int64
@@ -97,14 +96,14 @@ type Front struct {
 }
 
 // NewFront returns the front end of a file system locked by mu,
-// instrumented by op, reading d and charging cpu at costs, over dirs.
+// instrumented by op, reading d and charging cpu, over dirs.
 // span is the read-ahead buffer; a file system may share it with
 // transfers of its own that never fall between a read-ahead and the
 // copy out of it.
-func NewFront(mu sync.Locker, op Seam, dirs *Dirs, d *disk.Disk, cpu *sim.CPU, costs sim.Costs, span []byte, h Hooks) Front {
+func NewFront(mu sync.Locker, op Seam, dirs *Dirs, d *disk.Disk, cpu *sim.CPU, span []byte, h Hooks) Front {
 	bs := dirs.bc.BlockSize()
 	return Front{
-		mu: mu, op: op, dirs: dirs, d: d, cpu: cpu, costs: costs, h: h,
+		mu: mu, op: op, dirs: dirs, d: d, cpu: cpu, h: h,
 		bs:       int64(bs),
 		maxSize:  layout.MaxFileBlocks(bs) * int64(bs),
 		parts:    make([]string, 0, PathDepth),
@@ -270,7 +269,7 @@ func (f *Front) enter(extra int64) error {
 	if err := f.h.Mounted(); err != nil {
 		return err
 	}
-	f.cpu.Charge(f.costs.Syscall + extra)
+	f.cpu.Charge(sim.CostSyscall + extra)
 	return nil
 }
 
@@ -294,7 +293,7 @@ func (f *Front) walk(slot int, parts []string) (*layout.Inode, error) {
 		return nil, err
 	}
 	for i, name := range parts {
-		f.cpu.Charge(f.costs.PathComponent)
+		f.cpu.Charge(sim.CostPathComponent)
 		if !in.Mode.IsDir() {
 			return nil, fmt.Errorf("%w: %q", ErrNotDir, parts[:i])
 		}
@@ -359,7 +358,7 @@ func (f *Front) parent(slot int, path string) (*layout.Inode, string, error) {
 
 // create is Create and Mkdir below the seam.
 func (f *Front) create(path string, isDir bool) error {
-	if err := f.enter(f.costs.Create); err != nil {
+	if err := f.enter(sim.CostCreate); err != nil {
 		return err
 	}
 	parent, base, err := f.parent(0, path)
@@ -430,7 +429,7 @@ func (f *Front) readFile(in *layout.Inode, off int64, buf []byte) (int, error) {
 		} else {
 			copy(buf[read:read+n], data[bo:])
 		}
-		f.cpu.Charge(f.costs.Copy(n))
+		f.cpu.Charge(sim.CopyCost(n))
 		read += n
 	}
 	return read, nil
@@ -448,7 +447,7 @@ func (f *Front) block(in *layout.Inode, lbn int64) ([]byte, error) {
 	f.lastRead[in.Ino] = lbn
 	b, addr, err := f.h.Find(in, lbn)
 	if b != nil {
-		f.cpu.Charge(f.costs.BlockSetup)
+		f.cpu.Charge(sim.CostBlockSetup)
 		return b.Data, nil
 	}
 	if err != nil || addr.IsNil() {
@@ -473,7 +472,7 @@ func (f *Front) block(in *layout.Inode, lbn int64) ([]byte, error) {
 			break
 		}
 	}
-	f.cpu.Charge(f.costs.BlockSetup + f.costs.DiskOpSetup)
+	f.cpu.Charge(sim.CostBlockSetup + sim.CostDiskOpSetup)
 	span := f.span[:run*bs]
 	if err := f.d.ReadSectors(int64(addr), span, disk.CauseReadMiss, "file read"); err != nil {
 		return nil, err
@@ -532,7 +531,7 @@ func (f *Front) readDir(path string) ([]layout.DirEntry, error) {
 // remove is Remove below the seam: the target is found, a directory must
 // be empty, and its entry goes before the file system releases it.
 func (f *Front) remove(path string) error {
-	if err := f.enter(f.costs.Unlink); err != nil {
+	if err := f.enter(sim.CostUnlink); err != nil {
 		return err
 	}
 	parent, base, err := f.parent(0, path)
@@ -571,7 +570,7 @@ func (f *Front) remove(path string) error {
 
 // link is Link below the seam.
 func (f *Front) link(oldPath, newPath string) error {
-	if err := f.enter(f.costs.Create); err != nil {
+	if err := f.enter(sim.CostCreate); err != nil {
 		return err
 	}
 	in, err := f.file(oldPath) // rejects directories

@@ -12,39 +12,36 @@ import (
 // sequentially and in their entirety. The average file life time is
 // short ... before it is overwritten or deleted."
 type OfficeOpts struct {
-	// Users is the number of user directories.
-	Users int
 	// Ops is the total number of trace events to generate.
 	Ops int
 	// TargetFiles is the steady-state file population.
 	TargetFiles int
 	// MeanLifetimeOps is the mean file lifetime, in events.
 	MeanLifetimeOps int
-	// ReadFraction of events are whole-file reads; of the rest,
-	// OverwriteFraction rewrite an existing file in place and the
-	// remainder create new files.
-	ReadFraction      float64
-	OverwriteFraction float64
-	// HotFraction of files receive HotBias of the accesses.
-	HotFraction float64
-	HotBias     float64
 	// Seed drives everything.
 	Seed int64
 }
+
+// The trace's fixed shape: files spread over officeUsers user
+// directories; officeReadFraction of events are whole-file reads, of
+// the rest officeOverwriteFraction rewrite an existing file in place
+// and the remainder create new files; the most recent fifth of the
+// files receive officeHotBias of the accesses.
+const (
+	officeUsers             = 8
+	officeReadFraction      = 0.45
+	officeOverwriteFraction = 0.25
+	officeHotBias           = 0.8
+)
 
 // DefaultOffice returns a workload shaped like the paper's
 // environment description.
 func DefaultOffice() OfficeOpts {
 	return OfficeOpts{
-		Users:             8,
-		Ops:               20000,
-		TargetFiles:       2500,
-		MeanLifetimeOps:   4000,
-		ReadFraction:      0.45,
-		OverwriteFraction: 0.25,
-		HotFraction:       0.2,
-		HotBias:           0.8,
-		Seed:              31,
+		Ops:             20000,
+		TargetFiles:     2500,
+		MeanLifetimeOps: 4000,
+		Seed:            31,
 	}
 }
 
@@ -86,11 +83,11 @@ func officeFileSize(rng *rand.Rand) int {
 // overwritten, and deleted when their lifetime expires.
 func Office(sys System, opts OfficeOpts) (OfficeResult, error) {
 	var res OfficeResult
-	if opts.Users <= 0 || opts.Ops <= 0 || opts.TargetFiles <= 0 || opts.MeanLifetimeOps <= 0 {
+	if opts.Ops <= 0 || opts.TargetFiles <= 0 || opts.MeanLifetimeOps <= 0 {
 		return res, fmt.Errorf("workload: bad office opts %+v", opts)
 	}
 	rng := newRNG(opts.Seed)
-	for u := 0; u < opts.Users; u++ {
+	for u := 0; u < officeUsers; u++ {
 		if err := sys.Mkdir(fmt.Sprintf("/u%d", u)); err != nil {
 			return res, err
 		}
@@ -105,19 +102,14 @@ func Office(sys System, opts OfficeOpts) (OfficeResult, error) {
 	pick := func() int {
 		// Hot files cluster at the end of the slice (most recently
 		// created), matching temporal locality.
-		//lfslint:allow floataccum hot-set sizing is recomputed from integers on every pick; not accounting state
-		hot := int(float64(len(live)) * opts.HotFraction)
-		if hot < 1 {
-			hot = 1
-		}
-		if rng.Float64() < opts.HotBias {
-			return len(live) - 1 - rng.Intn(hot)
+		if rng.Float64() < officeHotBias {
+			return len(live) - 1 - rng.Intn(max(len(live)/5, 1))
 		}
 		return rng.Intn(len(live))
 	}
 
 	createOne := func(op int) error {
-		p := fmt.Sprintf("/u%d/f%06d", rng.Intn(opts.Users), nextID)
+		p := fmt.Sprintf("/u%d/f%06d", rng.Intn(officeUsers), nextID)
 		nextID++
 		size := officeFileSize(rng)
 		if err := sys.Create(p); err != nil {
@@ -152,7 +144,7 @@ func Office(sys System, opts OfficeOpts) (OfficeResult, error) {
 			if err := createOne(op); err != nil {
 				return res, err
 			}
-		case x < opts.ReadFraction:
+		case x < officeReadFraction:
 			f := live[pick()]
 			n, err := sys.Read(f.path, 0, buf[:f.size])
 			if err != nil {
@@ -160,7 +152,7 @@ func Office(sys System, opts OfficeOpts) (OfficeResult, error) {
 			}
 			res.Reads++
 			res.BytesRead += int64(n)
-		case x < opts.ReadFraction+opts.OverwriteFraction:
+		case x < officeReadFraction+officeOverwriteFraction:
 			i := pick()
 			f := live[i]
 			if err := sys.Write(f.path, 0, payload[:f.size]); err != nil {

@@ -13,9 +13,6 @@ type SmallFileOpts struct {
 	FileSize int
 	// Dir is the directory the files go in; created if missing.
 	Dir string
-	// SyncBetweenPhases forces buffered writes out before the
-	// timer stops, so the create phase pays for its disk traffic.
-	SyncBetweenPhases bool
 	// Seed drives the deterministic payload pattern, so reruns are
 	// bit-identical and configs can vary the data independently.
 	Seed int64
@@ -23,7 +20,7 @@ type SmallFileOpts struct {
 
 // DefaultSmallFile1K returns the paper's 10000 × 1 KB configuration.
 func DefaultSmallFile1K() SmallFileOpts {
-	return SmallFileOpts{NumFiles: 10000, FileSize: 1024, Dir: "/small1k", SyncBetweenPhases: true, Seed: 42}
+	return SmallFileOpts{NumFiles: 10000, FileSize: 1024, Dir: "/small1k", Seed: 42}
 }
 
 // SmallFileResult holds the three measured phases of Figure 3.
@@ -35,8 +32,9 @@ type SmallFileResult struct {
 
 // SmallFile runs the small-file test of §5.1: create NumFiles files of
 // FileSize bytes, flush the file cache, read them all in creation
-// order, then delete them all. Results are files per second per
-// phase.
+// order, then delete them all. The create and delete phases end with
+// a Sync, so each pays for its own disk traffic. Results are files per
+// second per phase.
 func SmallFile(sys System, opts SmallFileOpts) (SmallFileResult, error) {
 	var res SmallFileResult
 	if opts.NumFiles <= 0 || opts.FileSize <= 0 {
@@ -60,10 +58,7 @@ func SmallFile(sys System, opts SmallFileOpts) (SmallFileResult, error) {
 				return err
 			}
 		}
-		if opts.SyncBetweenPhases {
-			return sys.Sync()
-		}
-		return nil
+		return sys.Sync()
 	})
 	if err != nil {
 		return res, err
@@ -96,10 +91,7 @@ func SmallFile(sys System, opts SmallFileOpts) (SmallFileResult, error) {
 				return err
 			}
 		}
-		if opts.SyncBetweenPhases {
-			return sys.Sync()
-		}
-		return nil
+		return sys.Sync()
 	})
 	return res, err
 }

@@ -51,7 +51,7 @@ func TestSmallFileRunsOnBothSystems(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := workload.SmallFile(tc.sys, workload.SmallFileOpts{
-				NumFiles: 200, FileSize: 1024, Dir: "/s", SyncBetweenPhases: true, Seed: 42,
+				NumFiles: 200, FileSize: 1024, Dir: "/s", Seed: 42,
 			})
 			if err != nil {
 				t.Fatal(err)

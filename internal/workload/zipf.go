@@ -13,8 +13,7 @@ import (
 // hottest file, the tail is nearly-cold data the cleaner must learn to
 // leave alone. This is the locality pattern for which the authors'
 // follow-up work introduced cost-benefit selection and age-sorted
-// write-out; a uniform pattern (s→1, v large) makes every policy look
-// the same.
+// write-out; a uniform pattern would make every policy look the same.
 type ZipfOpts struct {
 	// Files is the population size; each file is one FileSize write.
 	Files int
@@ -22,18 +21,20 @@ type ZipfOpts struct {
 	FileSize int
 	// Overwrites is the number of whole-file overwrites issued.
 	Overwrites int
-	// S and V shape the Zipf law (P(rank) ∝ 1/(V+rank)^S, S > 1,
-	// V ≥ 1); larger S skews harder toward rank 0.
-	S, V float64
-	// SyncEvery issues a Sync after every n overwrites (0 disables):
-	// it bounds dirty-cache residency so overwrite traffic actually
-	// reaches the log instead of coalescing in memory.
-	SyncEvery int
 	// Dir is the working directory.
 	Dir string
 	// Seed drives the file choice.
 	Seed int64
 }
+
+// The Zipf law is P(rank) ∝ 1/(zipfV+rank)^zipfS. A Sync after every
+// zipfSyncEvery overwrites bounds dirty-cache residency, so overwrite
+// traffic reaches the log instead of coalescing in memory.
+const (
+	zipfS         = 1.1
+	zipfV         = 8
+	zipfSyncEvery = 64
+)
 
 // DefaultZipf returns the 80/20-ish skew used by the cleaning curve.
 func DefaultZipf() ZipfOpts {
@@ -41,9 +42,6 @@ func DefaultZipf() ZipfOpts {
 		Files:      4000,
 		FileSize:   4096,
 		Overwrites: 12000,
-		S:          1.1,
-		V:          8,
-		SyncEvery:  64,
 		Dir:        "/zipf",
 		Seed:       23,
 	}
@@ -69,9 +67,6 @@ func ZipfOverwrite(sys System, opts ZipfOpts) (ZipfResult, error) {
 	if opts.Files <= 0 || opts.FileSize <= 0 || opts.Overwrites < 0 {
 		return res, fmt.Errorf("workload: bad zipf opts %+v", opts)
 	}
-	if opts.S <= 1 || opts.V < 1 {
-		return res, fmt.Errorf("workload: zipf law needs S > 1, V >= 1; got S=%v V=%v", opts.S, opts.V)
-	}
 	if err := sys.Mkdir(opts.Dir); err != nil {
 		return res, err
 	}
@@ -92,7 +87,7 @@ func ZipfOverwrite(sys System, opts ZipfOpts) (ZipfResult, error) {
 	}
 
 	rng := newRNG(opts.Seed)
-	zipf := rand.NewZipf(rng, opts.S, opts.V, uint64(opts.Files-1))
+	zipf := rand.NewZipf(rng, zipfS, zipfV, uint64(opts.Files-1))
 	hotCut := opts.Files / 100
 	if hotCut < 1 {
 		hotCut = 1
@@ -112,7 +107,7 @@ func ZipfOverwrite(sys System, opts ZipfOpts) (ZipfResult, error) {
 			return res, err
 		}
 		res.Overwrites++
-		if opts.SyncEvery > 0 && (i+1)%opts.SyncEvery == 0 {
+		if (i+1)%zipfSyncEvery == 0 {
 			if err := sys.Sync(); err != nil {
 				return res, err
 			}

@@ -12,8 +12,7 @@ import (
 // timeline — the cleaning curve's reproducibility rests on both.
 func TestZipfOverwriteSkewAndDeterminism(t *testing.T) {
 	opts := workload.ZipfOpts{
-		Files: 400, FileSize: 4096, Overwrites: 1200,
-		S: 1.1, V: 8, SyncEvery: 64, Dir: "/z", Seed: 23,
+		Files: 400, FileSize: 4096, Overwrites: 1200, Dir: "/z", Seed: 23,
 	}
 	run := func() workload.ZipfResult {
 		res, err := workload.ZipfOverwrite(newLFS(t, 32<<20), opts)
@@ -40,18 +39,11 @@ func TestZipfOverwriteSkewAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestZipfOverwriteRejectsBadLaw: the Zipf law's domain is S > 1,
-// V ≥ 1; out-of-domain parameters must fail, not panic inside
-// math/rand.
+// TestZipfOverwriteRejectsBadLaw: a population of no files has no
+// Zipf law to draw from; it must fail, not panic inside math/rand.
 func TestZipfOverwriteRejectsBadLaw(t *testing.T) {
-	sys := newLFS(t, 16<<20)
-	for _, o := range []workload.ZipfOpts{
-		{Files: 10, FileSize: 1024, Overwrites: 1, S: 1.0, V: 8, Dir: "/a", Seed: 1},
-		{Files: 10, FileSize: 1024, Overwrites: 1, S: 1.1, V: 0.5, Dir: "/b", Seed: 1},
-		{Files: 0, FileSize: 1024, Overwrites: 1, S: 1.1, V: 8, Dir: "/c", Seed: 1},
-	} {
-		if _, err := workload.ZipfOverwrite(sys, o); err == nil {
-			t.Errorf("opts %+v accepted", o)
-		}
+	o := workload.ZipfOpts{Files: 0, FileSize: 1024, Overwrites: 1, Dir: "/c", Seed: 1}
+	if _, err := workload.ZipfOverwrite(newLFS(t, 16<<20), o); err == nil {
+		t.Errorf("opts %+v accepted", o)
 	}
 }

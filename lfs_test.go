@@ -299,9 +299,9 @@ func reportBlock(report, name string) string {
 
 // TestExperimentsDocQuotesReport holds the EXPERIMENTS.md tables typed
 // from bench_results.txt — Figures 3, 4 and 5, §3.6's write costs, §3.1's
-// CPU scaling, §4.4's recovery times and §5.3's utilization histograms —
-// to the committed report, each cell at the precision the table prints
-// it.
+// CPU scaling, §4.4's recovery times, §5.3's utilization histograms and
+// the three ablation tables — to the committed report, each cell at the
+// precision the table prints it.
 func TestExperimentsDocQuotesReport(t *testing.T) {
 	raw, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
@@ -404,6 +404,42 @@ func TestExperimentsDocQuotesReport(t *testing.T) {
 			}
 		}
 	}
+	// The ablation tables have a column per sweep point and a row per
+	// measure; the report prints a line per point, led by the point as
+	// key names it, and the measure in column col.
+	ablation := func(heading, name string, key func(string) string, col map[string]int) {
+		rows := reportRows(report, name, 1)
+		table := docTable(t, doc, heading)
+		for _, row := range table[1:] {
+			c, ok := col[row[0]]
+			if !ok {
+				t.Errorf("%s: no report column for row %q", heading, row[0])
+				continue
+			}
+			for i, point := range table[0][1:] {
+				quoteCell(t, strings.Trim(heading, "*")+", "+row[0]+" at "+point, row[i+1], rows.at(key(point), c))
+			}
+		}
+	}
+	// size reads a "4 KB" or "1 MB" column head as bytes.
+	size := func(head string) int {
+		n, unit, _ := strings.Cut(head, " ")
+		v, err := strconv.Atoi(n)
+		shift, ok := map[string]int{"KB": 10, "MB": 20}[unit]
+		if err != nil || !ok {
+			t.Errorf("ablation column %q is not a size", head)
+		}
+		return v << shift
+	}
+	ablation("**Segment size**", "ablation-segsize",
+		func(h string) string { return fmt.Sprintf("%dKB", size(h)>>10) },
+		map[string]int{"log write KB/s": 0})
+	ablation("**Block size**", "ablation-blocksize",
+		func(h string) string { return fmt.Sprintf("%dB", size(h)) },
+		map[string]int{"create/s": 0, "live bytes per user byte": 2})
+	ablation("**Checkpoint interval**", "ablation-ckpt",
+		func(h string) string { return strings.TrimSuffix(h, " s") },
+		map[string]int{"trace throughput (ops/s)": 1, "files lost at crash": 2})
 }
 
 // twoPlaces rewrites a utilization as the report prints it.
@@ -449,7 +485,8 @@ func docTable(t *testing.T, doc, heading string) [][]string {
 }
 
 // reportTable is one experiment's block of the report: each data line's
-// fields after its key, as numbers (NaN where a field is not one).
+// fields after its key, as numbers (NaN where a field is not one; a
+// "lost/live" field reads as its first number).
 type reportTable map[string][]float64
 
 // reportRows indexes the data lines of experiment name's block of the
@@ -463,6 +500,7 @@ func reportRows(report, name string, key int) reportTable {
 		}
 		var vals []float64
 		for _, s := range f[key:] {
+			s, _, _ = strings.Cut(s, "/")
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
 				v = math.NaN()

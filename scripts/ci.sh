@@ -75,7 +75,9 @@ echo "== size =="
 # One way to make an image (lfs.CreateImage) and one to open it
 # (lfs.OpenImage): mklfs loses -backend and -shards, internal/cli and
 # nine root-package names go, one write-cost formula: 23 885.
-size_ceiling=23885
+# Knobs no caller turned became constants (the CPU cost table, the
+# write-back age, the trace shapes, single-valued experiment options): 23 750.
+size_ceiling=23750
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
