@@ -395,7 +395,8 @@ func (fs *FS) admitBytes(newBytes int64) error {
 	return nil
 }
 
-// epilogue runs after every operation: it triggers segment writes on
+// epilogue is LFS's vfs.Hooks.Epilogue, which Front runs after every
+// operation that reads or changes a file: it triggers segment writes on
 // cache pressure or write-back age (§4.3.5) and checkpoints on the
 // checkpoint interval (§4.4.1).
 func (fs *FS) epilogue() error {

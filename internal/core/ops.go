@@ -33,17 +33,8 @@ func (fs *FS) hooks() vfs.Hooks {
 		Truncate: fs.truncate,
 		Sync:     fs.sync,
 		Unmount:  fs.unmount,
+		Epilogue: fs.epilogue,
 	}
-}
-
-// dirInsert adds name→ino; a directory that grew has a new size for
-// the next segment write to carry.
-func (fs *FS) dirInsert(dir *layout.Inode, name string, ino layout.Ino) error {
-	_, grew, err := fs.dirs.Insert(dir, name, ino)
-	if grew {
-		fs.markInodeDirty(dir.Ino)
-	}
-	return err
 }
 
 // createNode is Create and Mkdir. In LFS this performs no disk I/O at
@@ -75,12 +66,12 @@ func (fs *FS) createNode(parent *layout.Inode, base string, isDir bool) error {
 	e.Atime = fs.clock.Now()
 	fs.imap.markDirty(ino)
 
-	if err := fs.dirInsert(parent, base, ino); err != nil {
+	if _, _, err := fs.dirs.Insert(parent, base, ino); err != nil {
 		return err
 	}
 	parent.Mtime = now
 	fs.markInodeDirty(parent.Ino)
-	return fs.epilogue()
+	return nil
 }
 
 // write stores data at off. Purely asynchronous: bursts of small
@@ -98,7 +89,7 @@ func (fs *FS) write(in *layout.Inode, off int64, data []byte) error {
 	fs.stats.UserBytesWritten += int64(len(data))
 	in.Mtime = int64(fs.clock.Now())
 	fs.markInodeDirty(in.Ino)
-	return fs.epilogue()
+	return nil
 }
 
 // accessed records a read. Access time is kept in the inode map
@@ -107,7 +98,7 @@ func (fs *FS) accessed(in *layout.Inode) error {
 	e := fs.imap.get(in.Ino)
 	e.Atime = fs.clock.Now()
 	fs.imap.markDirty(in.Ino)
-	return fs.epilogue()
+	return nil
 }
 
 // remove releases an unlinked file or removed directory — again with no
@@ -130,28 +121,31 @@ func (fs *FS) remove(parent, in *layout.Inode, _ *cache.Block) error {
 	}
 	parent.Mtime = int64(fs.clock.Now())
 	fs.markInodeDirty(parent.Ino)
-	return fs.epilogue()
+	return nil
 }
 
 // link adds a second directory entry for a regular file — like
 // everything else in LFS, with no synchronous I/O: the dirtied
 // directory block and inode ride the next segment write.
 func (fs *FS) link(in, newParent *layout.Inode, newBase string) error {
-	if err := fs.dirInsert(newParent, newBase, in.Ino); err != nil {
+	if _, _, err := fs.dirs.Insert(newParent, newBase, in.Ino); err != nil {
 		return err
 	}
 	in.Nlink++
 	fs.markInodeDirty(in.Ino)
 	newParent.Mtime = int64(fs.clock.Now())
 	fs.markInodeDirty(newParent.Ino)
-	return fs.epilogue()
+	return nil
 }
 
 // rename moves the entry between the two parents in the cache.
 func (fs *FS) rename(oldParent *layout.Inode, oldBase string, ino layout.Ino, newParent *layout.Inode, newBase string) error {
-	if err := fs.dirInsert(newParent, newBase, ino); err != nil {
+	if _, _, err := fs.dirs.Insert(newParent, newBase, ino); err != nil {
 		return err
 	}
+	// Queued before the removal, which may fail: a directory the insert
+	// grew has a new size for the next segment write to carry.
+	fs.markInodeDirty(newParent.Ino)
 	if _, err := fs.dirs.Remove(oldParent, oldBase); err != nil {
 		return err
 	}
@@ -159,8 +153,7 @@ func (fs *FS) rename(oldParent *layout.Inode, oldBase string, ino layout.Ino, ne
 	oldParent.Mtime = now
 	newParent.Mtime = now
 	fs.markInodeDirty(oldParent.Ino)
-	fs.markInodeDirty(newParent.Ino)
-	return fs.epilogue()
+	return nil
 }
 
 // truncate sets the file length. Truncation to zero bumps the file's
@@ -181,7 +174,7 @@ func (fs *FS) truncate(in *layout.Inode, size int64) error {
 	}
 	in.Mtime = int64(fs.clock.Now())
 	fs.markInodeDirty(in.Ino)
-	return fs.epilogue()
+	return nil
 }
 
 // FsyncFile forces one file's data and metadata to the log and waits

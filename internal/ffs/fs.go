@@ -297,8 +297,9 @@ func (fs *FS) writeback(all bool) error {
 	return flushRun()
 }
 
-// maybeWriteback is the per-operation epilogue implementing the two
-// background triggers: cache full and write-back age.
+// maybeWriteback is FFS's vfs.Hooks.Epilogue, which Front runs after
+// every operation that reads or changes a file: the two background
+// triggers, cache full and write-back age.
 func (fs *FS) maybeWriteback() error {
 	// Flush below full capacity so hot clean blocks (directories,
 	// inode table blocks) are not forced out right before the

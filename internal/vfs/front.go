@@ -43,8 +43,7 @@ type Hooks struct {
 	Find func(in *layout.Inode, lbn int64) (*cache.Block, layout.DiskAddr, error)
 	// Key names the cached copy of file block lbn, which lies at addr.
 	Key func(in *layout.Inode, lbn int64, addr layout.DiskAddr) cache.Key
-	// Accessed records that in was read: its access time and the
-	// operation's epilogue.
+	// Accessed records that in was read: its access time.
 	Accessed func(in *layout.Inode) error
 	// Create makes base, a name parent lacks, a new file or directory.
 	Create func(parent *layout.Inode, base string, isDir bool) error
@@ -62,6 +61,10 @@ type Hooks struct {
 	// Sync writes everything dirty and waits for the disk; Unmount makes
 	// the file system durable and detaches it.
 	Sync, Unmount func() error
+	// Epilogue ends every operation whose Accessed, Create, Write, Remove,
+	// Link, Rename or Truncate hook succeeded: the write-back a dirty
+	// cache or the 30 s age asks for, and LFS's checkpoint.
+	Epilogue func() error
 }
 
 // Front is the VFS front end LFS and FFS share: the paper keeps UNIX's
@@ -168,7 +171,7 @@ func (f *Front) Write(path string, off int64, data []byte) error {
 	f.op.Begin()
 	in, err := f.regular(path, off, off+int64(len(data)), "offset")
 	if err == nil {
-		err = f.h.Write(in, off, data)
+		err = f.epilogue(f.h.Write(in, off, data))
 	}
 	return f.op.End("write", path, err)
 }
@@ -231,7 +234,7 @@ func (f *Front) Truncate(path string, size int64) error {
 	f.op.Begin()
 	in, err := f.regular(path, size, size, "size")
 	if err == nil {
-		err = f.h.Truncate(in, size)
+		err = f.epilogue(f.h.Truncate(in, size))
 	}
 	return f.op.End("truncate", path, err)
 }
@@ -271,6 +274,15 @@ func (f *Front) enter(extra int64) error {
 	}
 	f.cpu.Charge(sim.CostSyscall + extra)
 	return nil
+}
+
+// epilogue runs the file system's Epilogue after a hook that changed
+// or read a file, unless the hook failed.
+func (f *Front) epilogue(err error) error {
+	if err != nil {
+		return err
+	}
+	return f.h.Epilogue()
 }
 
 // inode fetches ino into slot. A directory entry naming a free inode is
@@ -368,7 +380,7 @@ func (f *Front) create(path string, isDir bool) error {
 	if err := f.absent(parent, base, path); err != nil {
 		return err
 	}
-	return f.h.Create(parent, base, isDir)
+	return f.epilogue(f.h.Create(parent, base, isDir))
 }
 
 // regular is the prologue of Write, Read and Truncate: path names a
@@ -402,7 +414,7 @@ func (f *Front) read(path string, off int64, buf []byte) (int, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, f.h.Accessed(in)
+	return n, f.epilogue(f.h.Accessed(in))
 }
 
 // readFile copies bytes [off, off+len(buf)) of in into buf, clamped to
@@ -565,7 +577,7 @@ func (f *Front) remove(path string) error {
 	if in.Mode.IsDir() {
 		f.dirs.Forget(ino)
 	}
-	return f.h.Remove(parent, in, dirBlk)
+	return f.epilogue(f.h.Remove(parent, in, dirBlk))
 }
 
 // link is Link below the seam.
@@ -584,7 +596,7 @@ func (f *Front) link(oldPath, newPath string) error {
 	if err := f.absent(newParent, newBase, newPath); err != nil {
 		return err
 	}
-	return f.h.Link(in, newParent, newBase)
+	return f.epilogue(f.h.Link(in, newParent, newBase))
 }
 
 // rename is Rename below the seam.
@@ -629,5 +641,5 @@ func (f *Front) rename(oldPath, newPath string) error {
 	if err := f.absent(newParent, newBase, newPath); err != nil {
 		return err
 	}
-	return f.h.Rename(oldParent, oldBase, ino, newParent, newBase)
+	return f.epilogue(f.h.Rename(oldParent, oldBase, ino, newParent, newBase))
 }

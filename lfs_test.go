@@ -13,7 +13,11 @@ import (
 	"testing"
 
 	"lfs"
+	"lfs/internal/cache"
+	"lfs/internal/disk"
 	"lfs/internal/experiments"
+	"lfs/internal/sim"
+	"lfs/internal/vfs"
 )
 
 // TestPublicAPIRoundTrip exercises the façade end to end: format,
@@ -79,6 +83,91 @@ func TestPublicAPIBaseline(t *testing.T) {
 	}
 	if len(rep.Problems) != 0 {
 		t.Fatalf("fsck problems on clean fs: %v", rep.Problems)
+	}
+}
+
+// TestEpilogueWritesBackAgedBlocks holds both file systems to one rule:
+// every operation that reads or changes a file ends with the write-back
+// a block dirty for cache.WritebackAge asks for, and Stat, ReadDir and
+// a failing operation do not.
+func TestEpilogueWritesBackAgedBlocks(t *testing.T) {
+	type aged interface {
+		vfs.FileSystem
+		Clock() *sim.Clock
+		Disk() *disk.Disk
+	}
+	systems := []struct {
+		name  string
+		mount func(d *lfs.Disk) (aged, error)
+		cause disk.IOCause // what a write-back of the dirty block is
+	}{
+		{"lfs", func(d *lfs.Disk) (aged, error) {
+			cfg := lfs.DefaultConfig()
+			if err := lfs.Format(d, cfg); err != nil {
+				return nil, err
+			}
+			return lfs.Mount(d, cfg)
+		}, disk.CauseLogAppend},
+		{"ffs", func(d *lfs.Disk) (aged, error) {
+			cfg := lfs.DefaultBaselineConfig()
+			if err := lfs.FormatBaseline(d, cfg); err != nil {
+				return nil, err
+			}
+			return lfs.MountBaseline(d, cfg)
+		}, disk.CauseWriteback},
+	}
+	ops := []struct {
+		name      string
+		run       func(fs aged) error
+		writeBack bool
+	}{
+		{"read", func(fs aged) error { _, err := fs.Read("/a", 0, make([]byte, 10)); return err }, true},
+		{"create", func(fs aged) error { return fs.Create("/c") }, true},
+		{"mkdir", func(fs aged) error { return fs.Mkdir("/e") }, true},
+		{"write", func(fs aged) error { return fs.Write("/b", 0, []byte{1}) }, true},
+		{"remove", func(fs aged) error { return fs.Remove("/b") }, true},
+		{"link", func(fs aged) error { return fs.Link("/b", "/d/l") }, true},
+		{"rename", func(fs aged) error { return fs.Rename("/b", "/d/b") }, true},
+		{"truncate", func(fs aged) error { return fs.Truncate("/b", 100) }, true},
+		{"stat", func(fs aged) error { _, err := fs.Stat("/a"); return err }, false},
+		{"readdir", func(fs aged) error { _, err := fs.ReadDir("/d"); return err }, false},
+		{"failing create", func(fs aged) error {
+			if err := fs.Create("/b"); !errors.Is(err, vfs.ErrExist) {
+				return fmt.Errorf("create of an existing name: %v", err)
+			}
+			return nil
+		}, false},
+	}
+	for _, sys := range systems {
+		for _, op := range ops {
+			t.Run(sys.name+"/"+op.name, func(t *testing.T) {
+				fs, err := sys.mount(lfs.NewMemDisk(32 << 20))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, step := range []func() error{
+					func() error { return fs.Mkdir("/d") },
+					func() error { return fs.Create("/a") },
+					func() error { return fs.Create("/b") },
+					func() error { return fs.Write("/a", 0, bytes.Repeat([]byte{7}, 8192)) },
+					fs.Sync,
+					func() error { return fs.Write("/a", 0, []byte{9}) }, // the one dirty block
+				} {
+					if err := step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fs.Clock().Advance(cache.WritebackAge)
+				writeBacks := func() int64 { return fs.Disk().Stats().ByCause[sys.cause].Requests }
+				before := writeBacks()
+				if err := op.run(fs); err != nil {
+					t.Fatal(err)
+				}
+				if got := writeBacks() > before; got != op.writeBack {
+					t.Fatalf("wrote back the aged block: %v, want %v", got, op.writeBack)
+				}
+			})
+		}
 	}
 }
 
