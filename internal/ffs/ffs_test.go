@@ -12,6 +12,7 @@ import (
 	"lfs/internal/disk"
 	"lfs/internal/ffs"
 	"lfs/internal/fstest"
+	"lfs/internal/layout"
 	"lfs/internal/sim"
 	"lfs/internal/vfs"
 )
@@ -284,6 +285,94 @@ func TestCrashLosesOnlyUnsyncedData(t *testing.T) {
 		n, _ := fs2.Read("/unsynced", 0, buf)
 		if string(buf[:n]) == "volatile" {
 			t.Fatal("unsynced data unexpectedly survived the crash")
+		}
+	}
+}
+
+// TestReturnedNamesSurvivePowerCut cuts power at the first write after
+// each operation returns, remounts, and requires every name a mkdir,
+// create, link or rename has returned, among them those whose insert
+// grew the directory: the block, then the grown directory's inode, go
+// to disk before the call returns (BSD direnter's order), and mkdir
+// gives a directory its first block.
+func TestReturnedNamesSurvivePowerCut(t *testing.T) {
+	long := func(dir string, i int) string { return fmt.Sprintf("%s/%s%03d", dir, strings.Repeat("n", 240), i) }
+	// fits is how many long names a directory block holds after first.
+	fits := func(first ...string) int {
+		blk := make([]byte, ffs.DefaultConfig().BlockSize)
+		layout.InitDirBlock(blk)
+		for n := 0; ; n++ {
+			name := long("", n)[1:]
+			if n < len(first) {
+				name = first[n]
+			}
+			ok, err := layout.DirBlockInsert(blk, layout.DirEntry{Ino: 1, Name: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return n - len(first)
+			}
+		}
+	}
+	type step struct {
+		name string // the name the step's operation returned
+		run  func(fs *ffs.FS) error
+	}
+	create := func(p string) step { return step{p, func(fs *ffs.FS) error { return fs.Create(p) }} }
+	steps := []step{
+		{"/d", func(fs *ffs.FS) error { return fs.Mkdir("/d") }},
+		create("/d/f"),
+		{"/e", func(fs *ffs.FS) error { return fs.Mkdir("/e") }},
+		create("/g"),
+	}
+	// Fill the first blocks of /d (which holds f) and /e, so the link
+	// and the rename below each grow their directory.
+	nd, ne := fits("f"), fits()
+	for i := 0; i < max(nd, ne); i++ {
+		if i < nd {
+			steps = append(steps, create(long("/d", i)))
+		}
+		if i < ne {
+			steps = append(steps, create(long("/e", i)))
+		}
+	}
+	linked, renamed := long("/d", nd), long("/e", ne)
+	steps = append(steps,
+		step{linked, func(fs *ffs.FS) error { return fs.Link("/d/f", linked) }},
+		step{renamed, func(fs *ffs.FS) error { return fs.Rename("/g", renamed) }},
+	)
+	cfg := ffs.DefaultConfig()
+	for cut := range steps {
+		d := disk.NewMem(16<<20, sim.NewClock())
+		if err := ffs.Format(d, cfg); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := ffs.Mount(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range steps {
+			if i == cut+1 {
+				d.SetFaultPolicy(&disk.CrashPlan{CutWrite: 1})
+			}
+			if err := s.run(fs); err != nil && i <= cut {
+				t.Fatal(err)
+			}
+		}
+		fs.Crash()
+		d.SetFaultPolicy(nil)
+		d.Thaw()
+		if fs, err = ffs.Mount(d, cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range steps[:cut+1] {
+			if s.name == "/g" && cut >= len(steps)-1 {
+				continue // renamed away before the cut
+			}
+			if _, err := fs.Stat(s.name); err != nil {
+				t.Fatalf("cut after %s returned: %v", steps[cut].name, err)
+			}
 		}
 	}
 }

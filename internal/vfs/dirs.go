@@ -186,9 +186,9 @@ func (d *Dirs) Lookup(dir *layout.Inode, name string) (layout.Ino, bool, error) 
 
 // Insert adds name→ino, growing the directory by one block when none
 // has room. It returns the block it dirtied and whether the directory
-// grew (dir.Size changed): FFS writes the block synchronously (Figure
-// 1), LFS queues the grown directory's inode for the next segment
-// write (Figure 2). The per-directory hint makes append-mostly
+// grew (dir.Size changed): FFS writes the block, then a grown
+// directory's inode, synchronously (Figure 1), LFS queues the inode for
+// the next segment write (Figure 2). The per-directory hint makes append-mostly
 // insertion O(1) instead of a scan of every block.
 func (d *Dirs) Insert(dir *layout.Inode, name string, ino layout.Ino) (*cache.Block, bool, error) {
 	entry := layout.DirEntry{Ino: ino, Name: name}

@@ -77,7 +77,9 @@ echo "== size =="
 # nine root-package names go, one write-cost formula: 23 885.
 # Knobs no caller turned became constants (the CPU cost table, the
 # write-back age, the trace shapes, single-valued experiment options): 23 750.
-size_ceiling=23750
+# One epilogue, run by vfs.Front (23 744), then FFS's directory writes in
+# BSD's order (dirEnter, and mkdir's first block) so no returned name is lost: 23 758.
+size_ceiling=23758
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
