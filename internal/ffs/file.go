@@ -34,7 +34,10 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew boo
 // getIndirect is what FFS supplies to the pointer walk
 // (vfs.IndirectFunc): the indirect block p points at, through the cache.
 // With create set a missing one is allocated near the inode's group,
-// filled with holes and written into p.
+// filled with holes, written synchronously and only then written into
+// p — 4.3BSD ffs_balloc's order, so that no pointer on disk ever leads
+// to an indirect block that was never written, whose zero entries would
+// read as pointers to block 0.
 func (fs *FS) getIndirect(in *layout.Inode, _ int64, p vfs.Ptr, create bool) (*cache.Block, error) {
 	if a := p.Get(); !a.IsNil() {
 		return fs.getBlock(fs.lay.blockOf(a), true, "indirect")
@@ -51,7 +54,9 @@ func (fs *FS) getIndirect(in *layout.Inode, _ int64, p vfs.Ptr, create bool) (*c
 		return nil, err
 	}
 	layout.FillNil(b.Data)
-	fs.dirty(b)
+	if err := fs.writeBlockSync(b, "indirect"); err != nil {
+		return nil, err
+	}
 	fs.repoint(p, fs.lay.addrOf(npb))
 	return b, nil
 }

@@ -1,6 +1,7 @@
 package ffs
 
 import (
+	"bytes"
 	"fmt"
 
 	"lfs/internal/cache"
@@ -12,9 +13,11 @@ import (
 // Fsck performs a full-disk scan in the style of the BSD fsck: it
 // reads every bitmap and inode table block, walks the namespace from
 // the root (vfs.CheckTree) claiming every reachable file's blocks, and
-// cross-checks reachability and both bitmaps. The file system must be
-// freshly mounted (i.e. run Fsck before issuing operations); it reads
-// through the disk, not the cache, so the simulated cost is honest.
+// cross-checks reachability and both bitmaps. It reports every problem
+// it finds, then repairs what FFS's write order leaves behind a crash,
+// as fsck -y does (see repair). Run it on an unmounted volume; it reads
+// and writes through the disk, not a cache, so the simulated cost is
+// honest.
 func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 	start := d.Clock().Now()
 	buf := make([]byte, cfg.BlockSize)
@@ -35,15 +38,26 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 
 	// Pass 1: read every bitmap and inode table block; collect
 	// allocated inodes, in inode order (inoFor grows with group and
-	// slot), and claimed blocks.
+	// slot), and claimed blocks. The blocks stay for the repair.
 	inodes := make(map[layout.Ino]*layout.Inode)
 	var inos []layout.Ino
 	blockBitmap := make(map[int64]bool) // physical block -> allocated per bitmap
 	inodeBitmap := make(map[layout.Ino]bool)
+	bitmaps := make([][]byte, sb.Groups)
+	tables := make(map[int64][]byte) // inode table block -> its contents
+	// fresh is each group's bitmap as the repair rebuilds it: its
+	// metadata blocks, here, then what pass 2 claims and the inodes it
+	// reaches.
+	fresh := make([][]byte, sb.Groups)
 	for g := 0; g < int(sb.Groups); g++ {
 		bm, err := read(lay.bitmapBlock(g), "fsck: bitmap")
 		if err != nil {
 			return nil, err
+		}
+		bitmaps[g] = bm
+		fresh[g] = make([]byte, cfg.BlockSize)
+		for b := 0; b < lay.metaBlocks; b++ {
+			setBit(fresh[g], b)
 		}
 		for b := 0; b < int(sb.BlocksPerGroup); b++ {
 			if testBit(bm, b) {
@@ -60,6 +74,7 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 			if err != nil {
 				return nil, err
 			}
+			tables[lay.inodeTableStart(g)+int64(tb)] = it
 			for slot := tb * lay.inodesPerBlock; slot < (tb+1)*lay.inodesPerBlock && slot < int(sb.InodesPerGroup); slot++ {
 				off := (slot % lay.inodesPerBlock) * inodeSlotSize
 				raw := it[off : off+inodeSlotSize]
@@ -102,6 +117,9 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 			rep.Problemf("block %d claimed by inodes %d and %d", pb, prev, ino)
 		}
 		claimed[pb] = ino
+		if g := lay.blockToGroup(pb); g >= 0 && g < len(fresh) && pb >= lay.dataStart(g) {
+			setBit(fresh[g], int(pb-lay.groupStart(g)))
+		}
 		if depth == 0 {
 			return nil
 		}
@@ -181,6 +199,60 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 			rep.Problemf("inode %d in use but free in bitmap", ino)
 		}
 	}
+	if err := repair(d, lay, bitmaps, fresh, tables, inodes, inos, refs); err != nil {
+		return nil, err
+	}
 	rep.Duration = d.Clock().Now().Sub(start)
 	return rep, nil
+}
+
+// repair mends what FFS's write order leaves behind a crash — bitmaps
+// and inodes go out with the delayed write-back, directory blocks
+// synchronously — from the blocks passes 1 and 2 read: each group's
+// bitmap becomes fresh, rebuilt from its metadata blocks and the blocks
+// reachable inodes claim, plus the reachable inodes; an allocated inode
+// nothing reaches is zeroed; and a reachable file's link count is set to
+// its entries. Only the blocks that changed are written back. What it
+// cannot explain, such as a block claimed twice, stays for the next
+// check to report.
+func repair(d *disk.Disk, lay diskLayout, bitmaps, fresh [][]byte, tables map[int64][]byte,
+	inodes map[layout.Ino]*layout.Inode, inos []layout.Ino, refs map[layout.Ino]int) error {
+	// The inode table blocks to write back, in ascending order as inos
+	// is.
+	var changed []int64
+	mend := func(pb int64) {
+		if n := len(changed); n == 0 || changed[n-1] != pb {
+			changed = append(changed, pb)
+		}
+	}
+	for _, ino := range inos {
+		pb, off := lay.inodeBlock(ino), lay.inodeOffsetInBlock(ino)
+		switch in := inodes[ino]; {
+		case refs[ino] == 0:
+			clear(tables[pb][off : off+inodeSlotSize])
+			mend(pb)
+			continue
+		case !in.Mode.IsDir() && int(in.Nlink) != refs[ino]:
+			in.Nlink = uint16(refs[ino])
+			in.Encode(tables[pb][off:])
+			mend(pb)
+		}
+		setBit(fresh[lay.groupOf(ino)][lay.inodeBitmapOff:], lay.slotOf(ino))
+	}
+	write := func(pb int64, p []byte) error {
+		return d.WriteSectors(pb*lay.sectorsPerBlock, p, true, disk.CauseTool, "fsck: repair")
+	}
+	for g, bm := range fresh {
+		if !bytes.Equal(bm, bitmaps[g]) {
+			if err := write(lay.bitmapBlock(g), bm); err != nil {
+				return err
+			}
+		}
+	}
+	for _, pb := range changed {
+		if err := write(pb, tables[pb]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
