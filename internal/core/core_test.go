@@ -9,6 +9,7 @@ import (
 	"lfs/internal/cache"
 	"lfs/internal/core"
 	"lfs/internal/disk"
+	"lfs/internal/experiments"
 	"lfs/internal/fstest"
 	"lfs/internal/sim"
 	"lfs/internal/vfs"
@@ -65,21 +66,28 @@ func TestLFSConformance(t *testing.T) {
 	})
 }
 
+// TestLFSDurabilityEquivalence sweeps generated streams on the test
+// configuration: the recording pass ends with a clean unmount whose
+// remount must hold the model's tree, and every crash point must
+// recover.
 func TestLFSDurabilityEquivalence(t *testing.T) {
 	for seed := int64(10); seed <= 13; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			cfg := testConfig()
-			fstest.RunDurabilityEquivalence(t, func(t *testing.T) (vfs.FileSystem, func() vfs.FileSystem) {
-				d, fs := newPair(t, 64<<20, cfg)
-				return fs, func() vfs.FileSystem {
-					fs2, err := core.Mount(d, cfg)
-					if err != nil {
-						t.Fatalf("remount: %v", err)
-					}
-					return fs2
+			rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
+				Target:       experiments.LFSTarget(testConfig()),
+				DiskCapacity: 64 << 20,
+				Workload:     fstest.RandomWorkload(seed, 300),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range rep.Failures {
+				if i >= 20 {
+					t.Errorf("... and %d more failures", len(rep.Failures)-i)
+					break
 				}
-			}, seed, 300)
+				t.Error(f.String())
+			}
 		})
 	}
 }

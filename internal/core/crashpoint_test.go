@@ -3,21 +3,10 @@ package core_test
 import (
 	"testing"
 
-	"lfs/internal/core"
+	"lfs/internal/experiments"
 	"lfs/internal/fstest"
 	"lfs/internal/vfs"
 )
-
-// crashConfig shrinks segments and the cache so a modest workload
-// produces many log units, segment advances, cleaner passes, and
-// checkpoints — and therefore many distinct crash points.
-func crashConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.SegmentSize = 64 << 10
-	cfg.CacheBlocks = 64
-	cfg.MaxInodes = 512
-	return cfg
-}
 
 // TestCrashPointSweep enumerates every disk write of a mixed
 // create/write/overwrite/truncate/delete/clean workload and cuts power
@@ -74,9 +63,9 @@ func cleaningWorkload(blockSize int) []fstest.Op {
 // tree with corrupted inodes. Reclaimed segments now stay pending
 // until a checkpoint commits.
 func TestCrashDuringCleaningRecovers(t *testing.T) {
-	cfg := crashConfig()
+	cfg := experiments.CrashConfig()
 	rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
-		FSConfig:     cfg,
+		Target:       experiments.LFSTarget(cfg),
 		DiskCapacity: 4 << 20,
 		Workload:     cleaningWorkload(cfg.BlockSize),
 	})
@@ -115,7 +104,7 @@ func generatedWorkload(seed int64, n int) []fstest.Op {
 // streams, lost and torn: they rename, link, read, and issue ops that
 // legitimately fail, none of which the scripted workloads do.
 func TestCrashPointSweepGenerated(t *testing.T) {
-	cfg := crashConfig()
+	cfg := experiments.CrashConfig()
 	for _, seed := range []int64{2, 4} {
 		ops := generatedWorkload(seed, 300)
 		succeeded := map[fstest.OpKind]int{}
@@ -131,7 +120,7 @@ func TestCrashPointSweepGenerated(t *testing.T) {
 		}
 		for _, torn := range []bool{false, true} {
 			rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
-				FSConfig:     cfg,
+				Target:       experiments.LFSTarget(cfg),
 				DiskCapacity: 8 << 20,
 				Workload:     ops,
 				Torn:         torn,
@@ -154,7 +143,7 @@ func TestCrashPointSweepGenerated(t *testing.T) {
 }
 
 func TestCrashPointSweep(t *testing.T) {
-	cfg := crashConfig()
+	cfg := experiments.CrashConfig()
 	for _, tc := range []struct {
 		name string
 		torn bool
@@ -164,7 +153,7 @@ func TestCrashPointSweep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
-				FSConfig:     cfg,
+				Target:       experiments.LFSTarget(cfg),
 				DiskCapacity: 8 << 20,
 				Workload:     fstest.MixedWorkload(48, cfg.BlockSize),
 				Torn:         tc.torn,

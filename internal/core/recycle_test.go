@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lfs/internal/core"
+	"lfs/internal/experiments"
 	"lfs/internal/fstest"
 	"lfs/internal/vfs"
 )
@@ -73,7 +74,7 @@ func TestLFSPoisonedRecycling(t *testing.T) {
 // requires the same report: the same writes, crash points, recoveries
 // and verdicts.
 func TestCrashSweepIdenticalWhenPoisoned(t *testing.T) {
-	cfg := crashConfig()
+	cfg := experiments.CrashConfig()
 	for _, tc := range []struct {
 		name     string
 		workload []fstest.Op
@@ -84,7 +85,7 @@ func TestCrashSweepIdenticalWhenPoisoned(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sweep := func() *fstest.CrashReport {
 				rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
-					FSConfig:     cfg,
+					Target:       experiments.LFSTarget(cfg),
 					DiskCapacity: 4 << 20,
 					Workload:     tc.workload,
 				})

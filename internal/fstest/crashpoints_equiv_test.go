@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"lfs/internal/core"
+	"lfs/internal/experiments"
 	"lfs/internal/fstest"
 )
 
@@ -15,10 +15,7 @@ import (
 // holds the replay path to the error class each failing op returned
 // while recording.
 func TestCrashPointStrategiesAgree(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.SegmentSize = 64 << 10
-	cfg.CacheBlocks = 64
-	cfg.MaxInodes = 512
+	cfg := experiments.CrashConfig()
 	mixed, generated := fstest.MixedWorkload(10, cfg.BlockSize), fstest.RandomWorkload(3, 300)
 	for _, tc := range []struct {
 		name     string
@@ -32,7 +29,7 @@ func TestCrashPointStrategiesAgree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := fstest.CrashConfig{
-				FSConfig:     cfg,
+				Target:       experiments.LFSTarget(cfg),
 				DiskCapacity: 8 << 20,
 				Workload:     tc.workload,
 				Torn:         tc.torn,

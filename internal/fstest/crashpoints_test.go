@@ -1,21 +1,14 @@
 package fstest
 
-import (
-	"testing"
+import "testing"
 
-	"lfs/internal/core"
-)
-
-// TestFloorCountsReturnedSync: on a volume that rolls forward, a step
-// that returned from Sync acknowledges everything before it, so the
-// durable floor reaches it once all of its writes persisted — no
-// checkpoint needed. Without roll-forward only a checkpoint moves the
-// floor.
+// TestFloorCountsReturnedSync: a step that returned from Sync
+// acknowledges everything before it, so the durable floor reaches it
+// once all of its writes persisted — no checkpoint needed. A step that
+// completed a checkpoint moves the floor the same way.
 func TestFloorCountsReturnedSync(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.RollForward = true
 	r := &crashRunner{
-		cfg: CrashConfig{FSConfig: cfg, Workload: []Op{
+		cfg: CrashConfig{Workload: []Op{
 			{Kind: OpCreate, Path: "/f"},
 			{Kind: OpWrite, Path: "/f", Data: []byte("one")},
 			{Kind: OpSync},
@@ -33,8 +26,9 @@ func TestFloorCountsReturnedSync(t *testing.T) {
 			t.Errorf("cut at write %d: floor %d, want %d", tc.cut, got, tc.want)
 		}
 	}
-	r.cfg.FSConfig.RollForward = false
-	if got := r.floorFor(10); got != -1 {
-		t.Errorf("without roll-forward: floor %d, want -1", got)
+	// The create's write 1 completes a checkpoint.
+	r.stepWrites, r.stepCkpts = []int64{1, 1, 3, 3}, []int64{1, 1, 1, 1}
+	if got := r.floorFor(2); got != 0 {
+		t.Errorf("after the checkpoint: floor %d, want 0", got)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"lfs/internal/core"
 	"lfs/internal/layout"
 	"lfs/internal/vfs"
 )
@@ -22,7 +21,8 @@ type OpKind string
 
 // The operation kinds. OpCheckpoint and OpClean reach the log-structured
 // extras; on a file system without them (the model, FFS) they do
-// nothing.
+// nothing. Apply leaves OpClean to the crash battery, which hands it to
+// the target's cleaner (Target.Clean).
 const (
 	OpCreate     OpKind = "create"     // make an empty file at Path
 	OpMkdir      OpKind = "mkdir"      // make a directory at Path
@@ -111,44 +111,38 @@ func (o Op) Apply(fs vfs.FileSystem) (Result, error) {
 			err = c.Checkpoint()
 		}
 	case OpClean:
-		if c, ok := fs.(interface {
-			CleanOnce() (core.CleanResult, error)
-		}); ok {
-			_, err = c.CleanOnce()
-		}
 	default:
 		err = fmt.Errorf("fstest: unknown op kind %q", o.Kind)
 	}
 	return res, err
 }
 
-// applyBoth performs o on fs and then on model. It returns a description
-// of the first observable difference — error class, bytes read, names
-// listed, size or type reported — or "" when they agree, plus fs's
-// error.
-func applyBoth(fs, model vfs.FileSystem, o Op) (diff string, err error) {
-	got, err := o.Apply(fs)
+// diffModel performs o on model and compares it with what o did on a
+// file system (got, err). It returns a description of the first
+// observable difference — error class, bytes read, names listed, size
+// or type reported — or "" when they agree.
+func diffModel(model vfs.FileSystem, o Op, got Result, err error) string {
 	want, merr := o.Apply(model)
 	switch {
 	case errClass(err) != errClass(merr):
-		return fmt.Sprintf("fs err %v, model err %v", err, merr), err
+		return fmt.Sprintf("fs err %v, model err %v", err, merr)
 	case err != nil:
-		return "", err
+		return ""
 	case len(got.Data) != len(want.Data):
-		return fmt.Sprintf("fs read %d bytes, model %d", len(got.Data), len(want.Data)), nil
+		return fmt.Sprintf("fs read %d bytes, model %d", len(got.Data), len(want.Data))
 	case !bytes.Equal(got.Data, want.Data):
-		return "read contents differ", nil
+		return "read contents differ"
 	case len(got.Entries) != len(want.Entries):
-		return fmt.Sprintf("fs lists %d entries, model %d", len(got.Entries), len(want.Entries)), nil
+		return fmt.Sprintf("fs lists %d entries, model %d", len(got.Entries), len(want.Entries))
 	case got.Info.Size != want.Info.Size || got.Info.IsDir() != want.Info.IsDir():
-		return fmt.Sprintf("fs stat %+v, model stat %+v", got.Info, want.Info), nil
+		return fmt.Sprintf("fs stat %+v, model stat %+v", got.Info, want.Info)
 	}
 	for i := range got.Entries {
 		if got.Entries[i].Name != want.Entries[i].Name {
-			return fmt.Sprintf("entry %d: fs %q, model %q", i, got.Entries[i].Name, want.Entries[i].Name), nil
+			return fmt.Sprintf("entry %d: fs %q, model %q", i, got.Entries[i].Name, want.Entries[i].Name)
 		}
 	}
-	return "", nil
+	return ""
 }
 
 // errClass maps an error to the sentinel it wraps, so two
@@ -197,6 +191,12 @@ func (s pathState) describe() string {
 	}
 }
 
+// sameKind reports whether s and o are both absent, both directories or
+// both files, whatever the files hold.
+func (s pathState) sameKind(o pathState) bool {
+	return s.exists == o.exists && s.isDir == o.isDir
+}
+
 func (s pathState) equal(o pathState) bool {
 	if s.exists != o.exists {
 		return false
@@ -224,6 +224,30 @@ func snapshotTree(fs vfs.FileSystem) (map[string]pathState, error) {
 		return nil
 	})
 	return tree, err
+}
+
+// treeDiff describes the first way fs's tree differs from model's — a
+// walk that fails, or a path missing, extra or holding something else —
+// or returns "" when fs holds exactly the model's tree: the same paths,
+// types and file contents.
+func treeDiff(fs, model vfs.FileSystem) string {
+	got, err := snapshotTree(fs)
+	if err != nil {
+		return fmt.Sprintf("walking the fs: %v", err)
+	}
+	want, err := snapshotTree(model)
+	if err != nil {
+		return fmt.Sprintf("walking the model: %v", err)
+	}
+	for _, p := range sortedKeys(want) {
+		if !got[p].equal(want[p]) {
+			return fmt.Sprintf("%s differs: fs has %s, model %s", p, got[p].describe(), want[p].describe())
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("fs holds %d paths, model %d", len(got), len(want))
+	}
+	return ""
 }
 
 // sortedKeys returns m's keys in order: histories, failure details and

@@ -18,11 +18,14 @@ func RunEquivalence(t *testing.T, open Factory, seed int64, nOps int) {
 	fs := open(t)
 	model := vfs.NewModel(nil)
 	for i, op := range RandomWorkload(seed, nOps) {
-		if diff, _ := applyBoth(fs, model, op); diff != "" {
+		got, err := op.Apply(fs)
+		if diff := diffModel(model, op, got, err); diff != "" {
 			t.Fatalf("step %d (%s): %s", i, op, diff)
 		}
 	}
-	compareTrees(t, fs, model)
+	if diff := treeDiff(fs, model); diff != "" {
+		t.Fatalf("final walk: %s", diff)
+	}
 }
 
 // RandomWorkload returns the first n operations the generator draws from
@@ -111,27 +114,5 @@ func (g *opGen) next() Op {
 		return Op{Kind: OpSync}
 	default: // stat
 		return Op{Kind: OpStat, Path: g.randFile()}
-	}
-}
-
-// compareTrees requires fs to hold exactly the model's tree: the same
-// paths, types and file contents.
-func compareTrees(t *testing.T, fs, model vfs.FileSystem) {
-	t.Helper()
-	got, err := snapshotTree(fs)
-	if err != nil {
-		t.Fatalf("final walk: %v", err)
-	}
-	want, err := snapshotTree(model)
-	if err != nil {
-		t.Fatalf("final model walk: %v", err)
-	}
-	for _, p := range sortedKeys(want) {
-		if !got[p].equal(want[p]) {
-			t.Fatalf("final walk: %s differs: fs has %s, model %s", p, got[p].describe(), want[p].describe())
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("final walk: fs holds %d paths, model %d", len(got), len(want))
 	}
 }
