@@ -79,7 +79,8 @@ echo "== size =="
 # write-back age, the trace shapes, single-valued experiment options): 23 750.
 # One epilogue, run by vfs.Front (23 744), then FFS's directory writes in
 # BSD's order (dirEnter, and mkdir's first block) so no returned name is lost: 23 758.
-size_ceiling=23758
+# One crash battery for LFS and FFS (fstest.Target), fsck's repair and crashsweep's FFS arm: 23 987.
+size_ceiling=23987
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
