@@ -66,8 +66,9 @@ type Block struct {
 	Data []byte
 
 	dirty bool
-	// DirEnd is vfs.Dirs's: where this copy's directory entries end once
-	// it has validated them, 0 until then (as every header starts).
+	// DirEnd is vfs.Dirs's: the offset in Data where the entries of the
+	// directory block it last validated or wrote there end, which names
+	// that directory block too; 0 until then (as every header starts).
 	DirEnd    int32
 	dirtiedAt sim.Time
 

@@ -172,7 +172,7 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 		span:        make([]byte, readAheadBlocks*cfg.BlockSize),
 		writeSerial: 1,
 	}
-	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, fs.getDataBlock)
+	fs.dirs = vfs.NewDirs(fs.bc, fs.clock, cfg.BlockSize, fs.getDataBlock)
 	fs.indirect = fs.getIndirect
 	fs.op = obs.NewOpCapture(d, fs.cpu, cfg.Trace, cfg.Metrics)
 	fs.Front = vfs.NewFront(&fs.mu, fs.op, fs.dirs, d, fs.cpu, fs.span, fs.hooks())

@@ -18,13 +18,13 @@ import (
 type DirBlockFunc func(dir *layout.Inode, lbn int64, grow bool) (*cache.Block, error)
 
 // nameEntry is one directory name cache record: the child's inode
-// number and the directory data block holding the entry. Directory
-// entries never migrate between blocks (inserts and removals rewrite
-// a single block), so the cached block number stays valid for the
-// entry's lifetime.
+// number and the directory block holding the entry. Directory entries
+// never migrate between directory blocks (inserts and removals rewrite
+// a single one), so the cached index stays valid for the entry's
+// lifetime.
 type nameEntry struct {
 	ino layout.Ino
-	lbn int64
+	db  int64
 }
 
 // nameCacheDirLimit bounds one directory's cached entries.
@@ -35,9 +35,11 @@ const nameCacheDirLimit = 32768
 // (§4.2), so the code that walks them exists once. It is not safe for
 // concurrent use; the owning file system's lock guards it.
 type Dirs struct {
-	block DirBlockFunc
-	bc    *cache.Cache
-	clock *sim.Clock
+	block    DirBlockFunc
+	bc       *cache.Cache
+	clock    *sim.Clock
+	size     int
+	perBlock int64
 
 	// names is the directory name cache (the UNIX namei cache both
 	// SunOS and Sprite relied on): per directory, name → (child
@@ -49,50 +51,85 @@ type Dirs struct {
 	// only once a full scan has counted them (see Lookup), which is
 	// what lets a complete name cache answer "no such name".
 	entryCount map[layout.Ino]int
-	// insertHint remembers, per directory, the first data block
+	// insertHint remembers, per directory, the first directory block
 	// that may have room for a new entry.
 	insertHint map[layout.Ino]int64
 }
 
 // NewDirs returns an empty directory layer over the file system's
-// block cache and clock, fetching directory blocks through block.
-func NewDirs(bc *cache.Cache, clock *sim.Clock, block DirBlockFunc) *Dirs {
+// block cache and clock, fetching directory blocks through block. Each
+// block holds blockSize/dirBlockSize directory blocks (layout's record
+// format), the unit an entry never crosses and an insert or removal
+// rewrites: LFS passes its block size, FFS 512 bytes (FORMAT.md).
+func NewDirs(bc *cache.Cache, clock *sim.Clock, dirBlockSize int, block DirBlockFunc) *Dirs {
 	return &Dirs{
 		block:      block,
 		bc:         bc,
 		clock:      clock,
+		size:       dirBlockSize,
+		perBlock:   int64(bc.BlockSize() / dirBlockSize),
 		names:      make(map[layout.Ino]map[string]nameEntry),
 		entryCount: make(map[layout.Ino]int),
 		insertHint: make(map[layout.Ino]int64),
 	}
 }
 
-// blocks returns the directory's data block count.
-func (d *Dirs) blocks(dir *layout.Inode) int64 {
-	return layout.BlocksForSize(dir.Size, d.bc.BlockSize())
-}
-
-// get fetches an existing directory block. A hole is an error in every
-// walk: a directory never has one unless a block pointer was lost, and
-// a walk that skipped it would list, count or empty a directory it has
-// not seen all of.
-func (d *Dirs) get(dir *layout.Inode, lbn int64) (*cache.Block, error) {
-	b, err := d.block(dir, lbn, false)
-	if err == nil && b == nil {
-		err = fmt.Errorf("directory %d has a hole at block %d", dir.Ino, lbn)
+// walk hands fn each directory block of dir from directory block from
+// on, with the cached file-system block holding it and its index, until
+// fn returns true or an error. It fetches each file-system block once:
+// that fetch is the walk's simulated cost. A hole is an error: a
+// directory never has one unless a block pointer was lost, and a walk
+// that skipped it would list, count or empty a directory it has not
+// seen all of.
+func (d *Dirs) walk(dir *layout.Inode, from int64, fn func(b *cache.Block, db int64, p []byte) (bool, error)) error {
+	for lbn := from / d.perBlock; lbn < layout.BlocksForSize(dir.Size, d.bc.BlockSize()); lbn++ {
+		b, err := d.block(dir, lbn, false)
+		if err == nil && b == nil {
+			err = fmt.Errorf("directory %d has a hole at block %d", dir.Ino, lbn)
+		}
+		if err != nil {
+			return err
+		}
+		for db := max(from, lbn*d.perBlock); db < (lbn+1)*d.perBlock; db++ {
+			off := int(db-lbn*d.perBlock) * d.size
+			if done, err := fn(b, db, b.Data[off:off+d.size]); done || err != nil {
+				return err
+			}
+		}
 	}
-	return b, err
+	return nil
 }
 
-// cacheName records name→(ino,lbn) for the directory.
-func (d *Dirs) cacheName(dir layout.Ino, name string, ino layout.Ino, lbn int64) {
+// edit runs op, layout's DirBlockAppendAt or DirBlockRemoveAt, on
+// directory block db, whose bytes p lie in b, from the end b's copy
+// recorded for it, and records the end op returns. cache.Block.DirEnd
+// is an offset into b, so it also names the directory block last
+// written there; for any other, the end is 0: validate first. Dirs
+// alone writes cached directory blocks, so a recorded end stays true
+// while the block is cached.
+func (d *Dirs) edit(b *cache.Block, db int64, p []byte, op func(p []byte, end int) (int, bool, error)) (bool, error) {
+	off := int(db%d.perBlock) * d.size
+	end := int(b.DirEnd) - off
+	if end <= 0 || end > d.size {
+		end = 0
+	}
+	end, ok, err := op(p, end)
+	b.DirEnd = 0
+	if end > 0 {
+		b.DirEnd = int32(off + end)
+	}
+	return ok, err
+}
+
+// cacheName records name→(ino,db) for the directory.
+func (d *Dirs) cacheName(dir layout.Ino, name string, ino layout.Ino, db int64) {
 	m := d.names[dir]
 	if m == nil {
 		m = make(map[string]nameEntry)
 		d.names[dir] = m
 	}
 	if len(m) < nameCacheDirLimit {
-		m[name] = nameEntry{ino: ino, lbn: lbn}
+		m[name] = nameEntry{ino: ino, db: db}
 	}
 }
 
@@ -158,151 +195,115 @@ func (d *Dirs) Lookup(dir *layout.Inode, name string) (layout.Ino, bool, error) 
 		return e.ino, true, nil
 	}
 	complete := d.Complete(dir.Ino)
-	entries := 0
-	for lbn := int64(0); lbn < d.blocks(dir); lbn++ {
-		b, err := d.get(dir, lbn)
-		if err != nil {
-			return 0, false, err
-		}
+	var ino layout.Ino
+	found, entries := false, 0
+	err := d.walk(dir, 0, func(_ *cache.Block, db int64, p []byte) (bool, error) {
 		if complete {
-			continue
+			return false, nil
 		}
-		ino, found, err := layout.DirBlockFind(b.Data, name)
-		if err != nil {
-			return 0, false, err
+		var err error
+		if ino, found, err = layout.DirBlockFind(p, name); found {
+			d.cacheName(dir.Ino, name, ino, db)
 		}
-		if found {
-			d.cacheName(dir.Ino, name, ino, lbn)
-			return ino, true, nil
-		}
-		n, _ := layout.DirBlockCount(b.Data) // DirBlockFind validated the block
+		n, _ := layout.DirBlockCount(p) // DirBlockFind validated the block
 		entries += n
-	}
-	if !complete {
+		return found, err
+	})
+	if err == nil && !found && !complete {
 		d.entryCount[dir.Ino] = entries
 	}
-	return 0, false, nil
+	return ino, found, err
 }
 
 // Insert adds name→ino, growing the directory by one block when none
 // has room. It returns the block it dirtied and whether the directory
 // grew (dir.Size changed): FFS writes the block, then a grown
 // directory's inode, synchronously (Figure 1), LFS queues the inode for
-// the next segment write (Figure 2). The per-directory hint makes append-mostly
-// insertion O(1) instead of a scan of every block.
+// the next segment write (Figure 2). The per-directory hint makes
+// append-mostly insertion O(1) instead of a scan of every block.
+//
+// Every caller has just looked name up and missed (vfs.Front's absent),
+// so no directory block holds it: the entry goes at the end of the
+// first directory block with room, with no scan for a duplicate.
 func (d *Dirs) Insert(dir *layout.Inode, name string, ino layout.Ino) (*cache.Block, bool, error) {
-	entry := layout.DirEntry{Ino: ino, Name: name}
-	_, cached := d.names[dir.Ino][name]
-	absent := !cached && d.Complete(dir.Ino)
-	for lbn := d.insertHint[dir.Ino]; lbn < d.blocks(dir); lbn++ {
-		b, err := d.get(dir, lbn)
-		if err != nil {
-			return nil, false, err
-		}
-		ok, err := insertInto(b, entry, absent)
-		if err != nil {
-			return nil, false, err
-		}
+	e := layout.DirEntry{Ino: ino, Name: name}
+	var into *cache.Block
+	err := d.walk(dir, d.insertHint[dir.Ino], func(b *cache.Block, db int64, p []byte) (bool, error) {
+		ok, err := d.appendTo(dir.Ino, b, db, p, e)
 		if ok {
-			d.inserted(dir.Ino, entry, b, lbn)
-			return b, false, nil
+			into = b
 		}
+		return ok, err
+	})
+	if err != nil || into != nil {
+		return into, false, err
 	}
-	lbn := d.blocks(dir)
+	lbn := layout.BlocksForSize(dir.Size, d.bc.BlockSize())
 	b, err := d.block(dir, lbn, true)
 	if err != nil {
 		return nil, false, err
 	}
 	layout.InitDirBlock(b.Data)
 	b.DirEnd = 0 // the bytes were rewritten: no recorded end describes them
-	ok, err := insertInto(b, entry, absent)
-	if err != nil {
+	if ok, err := d.appendTo(dir.Ino, b, lbn*d.perBlock, b.Data[:d.size], e); !ok {
+		if err == nil {
+			err = fmt.Errorf("entry %q does not fit in an empty block", name)
+		}
 		return nil, false, err
 	}
-	if !ok {
-		return nil, false, fmt.Errorf("entry %q does not fit in an empty block", name)
-	}
 	dir.Size += uint64(d.bc.BlockSize())
-	d.inserted(dir.Ino, entry, b, lbn)
 	return b, true, nil
 }
 
-// insertInto adds e to directory block b: at the end b records when
-// absent (a complete name cache lacks the name) proves no block holds
-// it, else through DirBlockInsert's full scan, after which b records no
-// end. Dirs alone writes cached directory blocks, so a recorded end
-// stays true while the block is cached.
-func insertInto(b *cache.Block, e layout.DirEntry, absent bool) (bool, error) {
-	if !absent {
-		ok, err := layout.DirBlockInsert(b.Data, e)
-		if ok {
-			b.DirEnd = 0
-		}
-		return ok, err
+// appendTo adds e at the end of directory block db of dir, whose bytes
+// p lie in b. A placed entry dirties b and is cached.
+func (d *Dirs) appendTo(dir layout.Ino, b *cache.Block, db int64, p []byte, e layout.DirEntry) (bool, error) {
+	ok, err := d.edit(b, db, p, func(p []byte, end int) (int, bool, error) { return layout.DirBlockAppendAt(p, end, e) })
+	if ok {
+		d.bc.MarkDirty(b, d.clock.Now())
+		d.insertHint[dir] = db
+		d.cacheName(dir, e.Name, e.Ino, db)
+		d.noteEntries(dir, +1)
 	}
-	end, ok, err := layout.DirBlockAppendAt(b.Data, int(b.DirEnd), e)
-	b.DirEnd = int32(end)
 	return ok, err
 }
 
-// inserted records an entry just placed in block lbn of the directory.
-func (d *Dirs) inserted(dir layout.Ino, e layout.DirEntry, b *cache.Block, lbn int64) {
-	d.bc.MarkDirty(b, d.clock.Now())
-	d.insertHint[dir] = lbn
-	d.cacheName(dir, e.Name, e.Ino, lbn)
-	d.noteEntries(dir, +1)
-}
-
-// Remove deletes name from the directory, going straight to the cached
-// block when the name cache knows it, and returns the block it dirtied.
+// Remove deletes name from the directory, starting at the directory
+// block the name cache holds for it (exact: entries never leave their
+// directory block), else at the first, and returns the block it
+// dirtied.
 func (d *Dirs) Remove(dir *layout.Inode, name string) (*cache.Block, error) {
-	start := int64(0)
-	if e, ok := d.names[dir.Ino][name]; ok {
-		start = e.lbn
-	}
-	for pass := 0; pass < 2; pass++ {
-		for lbn := start; lbn < d.blocks(dir); lbn++ {
-			b, err := d.get(dir, lbn)
-			if err != nil {
-				return nil, err
-			}
-			end, removed, err := layout.DirBlockRemoveAt(b.Data, int(b.DirEnd), name)
-			b.DirEnd = int32(end)
-			if err != nil {
-				return nil, err
-			}
-			if removed {
-				d.bc.MarkDirty(b, d.clock.Now())
-				delete(d.names[dir.Ino], name)
-				d.noteEntries(dir.Ino, -1)
-				// Freed space may precede the insert hint.
-				if hint, ok := d.insertHint[dir.Ino]; ok && lbn < hint {
-					d.insertHint[dir.Ino] = lbn
-				}
-				return b, nil
+	var from *cache.Block
+	err := d.walk(dir, d.names[dir.Ino][name].db, func(b *cache.Block, db int64, p []byte) (bool, error) {
+		removed, err := d.edit(b, db, p, func(p []byte, end int) (int, bool, error) { return layout.DirBlockRemoveAt(p, end, name) })
+		if removed {
+			from = b
+			d.bc.MarkDirty(b, d.clock.Now())
+			delete(d.names[dir.Ino], name)
+			d.noteEntries(dir.Ino, -1)
+			// Freed space may precede the insert hint.
+			if hint, ok := d.insertHint[dir.Ino]; ok && db < hint {
+				d.insertHint[dir.Ino] = db
 			}
 		}
-		if start == 0 {
-			break // full scan already done
-		}
-		start = 0 // stale hint: rescan from the beginning
+		return removed, err
+	})
+	if err == nil && from == nil {
+		err = fmt.Errorf("%w: %q", ErrNotExist, name)
 	}
-	return nil, fmt.Errorf("%w: %q", ErrNotExist, name)
+	return from, err
 }
 
 // Entries lists the directory in name order.
 func (d *Dirs) Entries(dir *layout.Inode) ([]layout.DirEntry, error) {
 	var all []layout.DirEntry
-	for lbn := int64(0); lbn < d.blocks(dir); lbn++ {
-		b, err := d.get(dir, lbn)
-		if err != nil {
-			return nil, err
-		}
-		entries, err := layout.DirBlockEntries(b.Data)
-		if err != nil {
-			return nil, err
-		}
+	err := d.walk(dir, 0, func(_ *cache.Block, _ int64, p []byte) (bool, error) {
+		entries, err := layout.DirBlockEntries(p)
 		all = append(all, entries...)
+		return false, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	layout.SortEntries(all)
 	return all, nil
@@ -310,18 +311,11 @@ func (d *Dirs) Entries(dir *layout.Inode) ([]layout.DirEntry, error) {
 
 // Empty reports whether the directory has no entries.
 func (d *Dirs) Empty(dir *layout.Inode) (bool, error) {
-	for lbn := int64(0); lbn < d.blocks(dir); lbn++ {
-		b, err := d.get(dir, lbn)
-		if err != nil {
-			return false, err
-		}
-		n, err := layout.DirBlockCount(b.Data)
-		if err != nil {
-			return false, err
-		}
-		if n > 0 {
-			return false, nil
-		}
-	}
-	return true, nil
+	empty := true
+	err := d.walk(dir, 0, func(_ *cache.Block, _ int64, p []byte) (bool, error) {
+		n, err := layout.DirBlockCount(p)
+		empty = n == 0
+		return !empty, err
+	})
+	return empty, err
 }
