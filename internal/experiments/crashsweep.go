@@ -160,11 +160,10 @@ func runCrashSweep() (Result, error) {
 		return Result{}, fmt.Errorf("replay sweep: %w", err)
 	}
 
-	// The FFS baseline on the same workload, with the fatal write lost
-	// whole: recovery is fsck's repair, then mount.
+	// The FFS baseline on the same workload, torn like LFS's arms:
+	// recovery is fsck's repair, then mount.
 	ffsCfg := base
 	ffsCfg.Target = FFSTarget(ffs.DefaultConfig())
-	ffsCfg.Torn = false
 	ffsCfg.Stride = snapStride
 	ffsRep, err := fstest.RunCrashPoints(ffsCfg)
 	if err != nil {
@@ -194,7 +193,7 @@ func runCrashSweep() (Result, error) {
 	fmt.Fprintf(&b, "replay:   %4d points (stride %d)\n", replay.Points, replayStride)
 	fmt.Fprintf(&b, "work:     %.1f vs %.1f ops executed per point, %.1fx (floor %.0fx)\n",
 		replayOps, snapOps, workRatio, minCrashSweepSpeedup)
-	fmt.Fprintf(&b, "ffs:      %4d points of %d disk writes (stride %d, lost writes), %d failures\n",
+	fmt.Fprintf(&b, "ffs:      %4d points of %d disk writes (stride %d), %d failures\n",
 		ffsRep.Points, ffsRep.TotalWrites, snapStride, len(ffsRep.Failures))
 	res := Result{Text: b.String()}
 	if workRatio < minCrashSweepSpeedup {

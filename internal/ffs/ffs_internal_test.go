@@ -276,8 +276,19 @@ func TestDirectoryHoleIsReported(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// per is how many names a 4 KB block holds: as many as one
+	// directory block does, in each of its eight.
+	per := 0
+	for blk := make([]byte, disk.SectorSize); ; per++ {
+		ok, err := layout.DirBlockInsert(blk, layout.DirEntry{Ino: 1, Name: fmt.Sprintf("f%06d", per)})
+		must(err)
+		if !ok {
+			break
+		}
+	}
+	per *= cfg.BlockSize / disk.SectorSize
 	must(fs.Mkdir("/d"))
-	for i := 0; i < 700; i++ { // three 4 KB blocks of 314, 314 and 72 names
+	for i := 0; i < 2*per+72; i++ { // three 4 KB blocks: two full, one of 72 names
 		must(fs.Create(fmt.Sprintf("/d/f%06d", i)))
 	}
 	must(fs.Sync())
@@ -301,11 +312,11 @@ func TestDirectoryHoleIsReported(t *testing.T) {
 	}
 	ents, err := fs.ReadDir("/d")
 	wantHole(fmt.Sprintf("ReadDir (%d entries)", len(ents)), err)
-	wantHole("Remove of a name in the lost block", fs.Remove("/d/f000400"))
+	wantHole("Remove of a name in the lost block", fs.Remove(fmt.Sprintf("/d/f%06d", per+per/2)))
 	// Even with every entry of the two remaining blocks gone, the
 	// directory is not known to be empty.
-	for i := 0; i < 700; i++ {
-		if i < 314 || i >= 628 {
+	for i := 0; i < 2*per+72; i++ {
+		if i < per || i >= 2*per {
 			must(fs.Remove(fmt.Sprintf("/d/f%06d", i)))
 		}
 	}

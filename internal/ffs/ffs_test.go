@@ -74,29 +74,31 @@ func TestFFSDurabilityEquivalence(t *testing.T) {
 }
 
 // sweepFFS cuts power at every write of workload on a 16 MB FFS with
-// cfg, losing the fatal write whole, and reports every crash point that
-// does not recover. FFS is swept with lost writes only: a torn write can
-// split one directory insert across sectors, which FFS's directory
-// blocks do not survive (ROADMAP item 17).
+// cfg, once losing the fatal write whole and once tearing it at a
+// sector boundary, and reports every crash point that does not recover.
 func sweepFFS(t *testing.T, cfg ffs.Config, workload []fstest.Op) {
 	t.Helper()
-	rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
-		Target:       experiments.FFSTarget(cfg),
-		DiskCapacity: 16 << 20,
-		Workload:     workload,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Points == 0 {
-		t.Error("workload produced no crash points")
-	}
-	for i, f := range rep.Failures {
-		if i >= 20 {
-			t.Errorf("... and %d more failures", len(rep.Failures)-i)
-			break
+	for _, torn := range []bool{false, true} {
+		rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
+			Target:       experiments.FFSTarget(cfg),
+			DiskCapacity: 16 << 20,
+			Workload:     workload,
+			Torn:         torn,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Error(f.String())
+		if rep.Points == 0 {
+			t.Error("workload produced no crash points")
+		}
+		t.Logf("torn=%v: %d points of %d writes, %d failures", torn, rep.Points, rep.TotalWrites, len(rep.Failures))
+		for i, f := range rep.Failures {
+			if i >= 20 {
+				t.Errorf("... and %d more failures", len(rep.Failures)-i)
+				break
+			}
+			t.Error(f.String())
+		}
 	}
 }
 
@@ -304,32 +306,39 @@ func TestCrashLosesOnlyUnsyncedData(t *testing.T) {
 }
 
 // TestReturnedNamesSurvivePowerCut cuts power at every write of a
-// stream of mkdirs, creates, a link and a rename, and requires every
-// name an operation returned, among them those whose insert grew the
-// directory: the block, then the grown directory's inode, go to disk
-// before the call returns (BSD direnter's order), and mkdir gives a
-// directory its first block. The first blocks of /d (which holds f)
+// stream of mkdirs, creates, a link, a rename and removes, and requires
+// every name an operation returned, among them those whose insert grew
+// the directory: the block, then the grown directory's inode, go to
+// disk before the call returns (BSD direnter's order), and mkdir gives
+// a directory its first block. The first blocks of /d (which holds f)
 // and /e are filled with long names, so the link into /d and the rename
-// into /e each need a new block.
+// into /e each need a new block; the removes then take names from the
+// full blocks, first entries among them, whose removal shifts the
+// entries after them.
 func TestReturnedNamesSurvivePowerCut(t *testing.T) {
 	long := func(dir string, i int) string { return fmt.Sprintf("%s/%s%03d", dir, strings.Repeat("n", 240), i) }
-	// fits is how many long names a directory block holds after first.
+	// fits is how many long names a block's directory blocks hold after
+	// first, each filled before the next, as vfs.Dirs fills them.
 	fits := func(first ...string) int {
-		blk := make([]byte, ffs.DefaultConfig().BlockSize)
-		layout.InitDirBlock(blk)
-		for n := 0; ; n++ {
-			name := long("", n)[1:]
-			if n < len(first) {
-				name = first[n]
-			}
-			ok, err := layout.DirBlockInsert(blk, layout.DirEntry{Ino: 1, Name: name})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				return n - len(first)
+		n, blk := 0, make([]byte, disk.SectorSize)
+		for range ffs.DefaultConfig().BlockSize / disk.SectorSize {
+			layout.InitDirBlock(blk)
+			for {
+				name := long("", n)[1:]
+				if n < len(first) {
+					name = first[n]
+				}
+				ok, err := layout.DirBlockInsert(blk, layout.DirEntry{Ino: 1, Name: name})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				n++
 			}
 		}
+		return n - len(first)
 	}
 	ops := []fstest.Op{
 		{Kind: fstest.OpMkdir, Path: "/d"},
@@ -349,7 +358,110 @@ func TestReturnedNamesSurvivePowerCut(t *testing.T) {
 	sweepFFS(t, ffs.DefaultConfig(), append(ops,
 		fstest.Op{Kind: fstest.OpLink, Path: "/d/f", Path2: long("/d", nd)},
 		fstest.Op{Kind: fstest.OpRename, Path: "/g", Path2: long("/e", ne)},
+		fstest.Op{Kind: fstest.OpRemove, Path: "/d/f"},
+		fstest.Op{Kind: fstest.OpRemove, Path: long("/e", 0)},
+		fstest.Op{Kind: fstest.OpRemove, Path: long("/d", nd/2)},
+		fstest.Op{Kind: fstest.OpRemove, Path: long("/e", ne-1)},
 	))
+}
+
+// dirWrites is a fault policy that persists every write and records,
+// for each one labelled as directory data, how many sectors it changed:
+// the image before it is read when it is presented, the image after it
+// when the next write is presented or settle runs.
+type dirWrites struct {
+	store   disk.Store
+	pending *disk.WriteOp
+	before  []byte
+	changed []int
+}
+
+func (w *dirWrites) Write(op disk.WriteOp) disk.WriteDecision {
+	w.settle()
+	if strings.Contains(op.Label, "dir data") {
+		w.pending = &op
+		w.before = w.read(op)
+	}
+	return disk.WriteDecision{}
+}
+
+func (w *dirWrites) Read(disk.ReadOp) error { return nil }
+
+func (w *dirWrites) read(op disk.WriteOp) []byte {
+	buf := make([]byte, op.Sectors*disk.SectorSize)
+	if err := w.store.ReadAt(buf, op.Sector*disk.SectorSize); err != nil {
+		panic(err)
+	}
+	return buf
+}
+
+// settle counts the changed sectors of the pending directory write.
+func (w *dirWrites) settle() {
+	if w.pending == nil {
+		return
+	}
+	after, n := w.read(*w.pending), 0
+	for off := 0; off < len(after); off += disk.SectorSize {
+		if !bytes.Equal(after[off:off+disk.SectorSize], w.before[off:off+disk.SectorSize]) {
+			n++
+		}
+	}
+	w.changed = append(w.changed, n)
+	w.pending = nil
+}
+
+// TestDirectoryWriteChangesOneSector: each synchronous directory write
+// of a create, a remove of an early and of a late name, a link and a
+// cross-directory rename changes one sector of the directory's block,
+// so a write torn at a sector boundary leaves every directory block as
+// it was or as it became (4.3BSD's 512-byte DIRBLKSIZ).
+func TestDirectoryWriteChangesOneSector(t *testing.T) {
+	d := disk.NewMem(64<<20, sim.NewClock())
+	cfg := ffs.DefaultConfig()
+	if err := ffs.Format(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := ffs.Mount(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(fs.Mkdir("/d"))
+	must(fs.Mkdir("/e"))
+	for i := 0; i < 300; i++ { // about 3 KB of entries: six sectors' worth
+		must(fs.Create(fmt.Sprintf("/d/f%03d", i)))
+	}
+	must(fs.Sync())
+	w := &dirWrites{store: d.Store()}
+	d.SetFaultPolicy(w)
+	for _, step := range []struct {
+		name   string
+		op     func() error
+		writes int
+	}{
+		{"create", func() error { return fs.Create("/d/new") }, 1},
+		{"remove an early name", func() error { return fs.Remove("/d/f001") }, 1},
+		{"remove a late name", func() error { return fs.Remove("/d/f298") }, 1},
+		{"link", func() error { return fs.Link("/d/f100", "/d/linked") }, 1},
+		{"rename to another directory", func() error { return fs.Rename("/d/f150", "/e/moved") }, 2},
+	} {
+		w.changed = nil
+		must(step.op())
+		w.settle()
+		if len(w.changed) != step.writes {
+			t.Errorf("%s: %d directory writes, want %d", step.name, len(w.changed), step.writes)
+		}
+		for _, n := range w.changed {
+			if n != 1 {
+				t.Errorf("%s: a directory write changed %d sectors, want 1", step.name, n)
+			}
+		}
+	}
 }
 
 // TestFFSCrashPointSweep cuts power at every write of a scripted and a
@@ -622,6 +734,53 @@ func TestFsckDetectsCorruption(t *testing.T) {
 				t.Fatalf("fsck problems %q, want one saying %q", rep.Problems, tc.want)
 			}
 		})
+	}
+}
+
+// TestFsckParsesEachDirectoryBlock: fsck reads a directory's 512-byte
+// directory blocks one by one, so a damaged one is reported and the
+// entries of the next one in the same block are still reached.
+func TestFsckParsesEachDirectoryBlock(t *testing.T) {
+	d := disk.NewMem(32<<20, sim.NewClock())
+	cfg := ffs.DefaultConfig()
+	if err := ffs.Format(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := ffs.Mount(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 80 names of 10-byte entries: 51 fill the first directory block,
+	// 29 go in the second.
+	for i := 0; i < 80; i++ {
+		if err := fs.Create(fmt.Sprintf("/f%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, d.Store().Size())
+	if err := d.Store().ReadAt(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(img, []byte("f007"))
+	if at < 0 {
+		t.Fatal("no directory entry named f007 on disk")
+	}
+	if err := d.Store().WriteAt([]byte{0, 0}, int64(at-2)); err != nil { // its name length
+		t.Fatal(err)
+	}
+	rep, err := ffs.Fsck(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "block 0, directory block 0: layout: directory entry 7 has bad name length 0"
+	if !slices.ContainsFunc(rep.Problems, func(p string) bool { return strings.Contains(p, want) }) {
+		t.Errorf("fsck problems %q, want one saying %q", rep.Problems, want)
+	}
+	if rep.Files != 29 {
+		t.Errorf("fsck reached %d files, want the second directory block's 29", rep.Files)
 	}
 }
 

@@ -171,13 +171,17 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 				if err != nil {
 					return err
 				}
-				entries, err := layout.DirBlockEntries(db)
-				if err != nil {
-					rep.Problemf("inode %d dir block %d: %v", dir.Ino, lbn, err)
-					continue
-				}
-				if err := visit(entries); err != nil {
-					return err
+				// Each 512-byte directory block parses on its own: a damaged
+				// one is reported and its neighbours are still visited.
+				for off := 0; off < len(db); off += disk.SectorSize {
+					entries, err := layout.DirBlockEntries(db[off : off+disk.SectorSize])
+					if err != nil {
+						rep.Problemf("inode %d block %d, directory block %d: %v", dir.Ino, lbn, off/disk.SectorSize, err)
+						continue
+					}
+					if err := visit(entries); err != nil {
+						return err
+					}
 				}
 			}
 			return nil
