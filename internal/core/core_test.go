@@ -35,8 +35,12 @@ func newPair(t *testing.T, capacity int64, cfg core.Config) (*disk.Disk, *core.F
 // and every later write whole.
 func tearNextWrite(d *disk.Disk) { d.SetFaultPolicy(&tearOnce{}) }
 
-// tearOnce is the disk.FaultPolicy behind tearNextWrite.
-type tearOnce struct{ done bool }
+// tearOnce is the disk.FaultPolicy behind tearNextWrite. With lose set
+// it keeps all but the write's last lose sectors instead.
+type tearOnce struct {
+	done bool
+	lose int
+}
 
 func (p *tearOnce) Read(disk.ReadOp) error { return nil }
 
@@ -45,7 +49,11 @@ func (p *tearOnce) Write(op disk.WriteOp) disk.WriteDecision {
 		return disk.WriteDecision{}
 	}
 	p.done = true
-	return disk.WriteDecision{Action: disk.WriteTear, KeepSectors: max(op.Sectors/2, 1)}
+	keep := max(op.Sectors/2, 1)
+	if p.lose > 0 {
+		keep = op.Sectors - p.lose
+	}
+	return disk.WriteDecision{Action: disk.WriteTear, KeepSectors: keep}
 }
 
 func testConfig() core.Config {

@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"lfs/internal/core"
 	"lfs/internal/disk"
 	"lfs/internal/obs"
+	"lfs/internal/sim"
 )
 
 // writeFiles creates and writes n small files, returning their paths.
@@ -48,11 +50,10 @@ func TestGroupCommitPiggyback(t *testing.T) {
 	if got := after.PiggybackedSyncs - before.PiggybackedSyncs; got != 7 {
 		t.Errorf("piggybacked syncs %d, want 7", got)
 	}
-	// The whole batch rides one flush; the unit count must not scale
-	// with the number of fsyncs (flushAll may issue data and metadata
-	// as separate log units, hence <= 2 rather than == 1).
-	if got := after.UnitsWritten - before.UnitsWritten; got > 2 {
-		t.Errorf("log units written %d, want <= 2", got)
+	// The whole batch rides one flush, and a commit's batches share
+	// one log unit.
+	if got := after.UnitsWritten - before.UnitsWritten; got != 1 {
+		t.Errorf("log units written %d, want 1", got)
 	}
 
 	// A dirty file fsynced after the batch starts a new group commit.
@@ -118,6 +119,77 @@ func TestGroupCommitDurability(t *testing.T) {
 		}
 		if n != len(buf) {
 			t.Errorf("after crash, %s has %d bytes, want %d", p, n, len(buf))
+		}
+	}
+}
+
+// TestCommitAllOrNothing: a commit's write that a crash tears or loses
+// leaves the file as it was last synced, on a volume that checks clean,
+// and one that reaches the disk survives the crash whole. The medium
+// starts out holding stale bytes, so a tear that loses only the write's
+// last sector still leaves different bytes there.
+func TestCommitAllOrNothing(t *testing.T) {
+	faults := []struct {
+		name   string
+		inject func(*disk.Disk)
+	}{
+		{"none", func(*disk.Disk) {}},
+		{"torn", tearNextWrite},
+		{"torn-tail", func(d *disk.Disk) { d.SetFaultPolicy(&tearOnce{lose: 1}) }},
+		{"lost", func(d *disk.Disk) { d.SetFaultPolicy(&disk.CrashPlan{CutWrite: 1}) }},
+	}
+	for _, group := range []bool{false, true} {
+		for _, f := range faults {
+			t.Run(fmt.Sprintf("group=%v/%s", group, f.name), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.GroupCommit = group
+				d := disk.NewMem(16<<20, sim.NewClock())
+				if err := d.Store().WriteAt(bytes.Repeat([]byte{0xA5}, int(d.Store().Size())), 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := core.Format(d, cfg); err != nil {
+					t.Fatal(err)
+				}
+				fs, err := core.Mount(d, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				old, fresh := bytes.Repeat([]byte{1}, 3*4096), bytes.Repeat([]byte{2}, 3*4096)
+				if err := fs.Create("/f"); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				for i, data := range [][]byte{old, fresh} {
+					if err := fs.Write("/f", 0, data); err != nil {
+						t.Fatal(err)
+					}
+					if i == 1 {
+						f.inject(d)
+					}
+					_ = fs.FsyncFile("/f") // a lost write may fail the commit
+				}
+				fs.Crash()
+				d.Thaw()
+				d.SetFaultPolicy(nil)
+				fs2, err := core.Mount(d, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fresh
+				if f.name != "none" {
+					want = old
+				}
+				got := make([]byte, len(want))
+				if _, err := fs2.Read("/f", 0, got); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("after the crash /f reads %d... (%v), want %d...", got[0], err, want[0])
+				}
+				rep, err := fs2.Check()
+				if err != nil || !rep.Ok() {
+					t.Errorf("recovered volume: %v %v", err, rep)
+				}
+			})
 		}
 	}
 }

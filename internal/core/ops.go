@@ -199,6 +199,8 @@ func (fs *FS) fsyncFile(path string) error {
 		return err
 	}
 	ino := in.Ino
+	fs.wr.commit = true
+	defer func() { fs.wr.commit = false }()
 	if fs.cfg.GroupCommit {
 		return fs.groupFsync(ino)
 	}
@@ -276,6 +278,8 @@ func (fs *FS) FlushAsync() error {
 		return nil
 	}
 	fs.cpu.Charge(sim.CostSyscall)
+	fs.wr.commit = true
+	defer func() { fs.wr.commit = false }()
 	return vfs.WrapPathError("flush", "/", fs.flush(flushAll))
 }
 

@@ -180,9 +180,13 @@ func maxUnitBlocks(avail, blockSize int) int {
 }
 
 // encodeSummary writes the unit summary into p, which must span the
-// summary blocks.
+// summary blocks. refs are the unit's last entries: the h.NBlocks-len(refs)
+// before them are already in p, so a batch that joins a unit re-encodes
+// its summary in place.
 func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
-	clear(p)
+	off := summaryBytes(h.NBlocks - len(refs))
+	clear(p[:summaryHeaderSize])
+	clear(p[off:])
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], summaryMagic)
 	le.PutUint64(p[4:], h.Serial)
@@ -192,7 +196,6 @@ func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
 	le.PutUint32(p[24:], h.DataCRC)
 	p[32] = uint8(h.Class)
 	le.PutUint64(p[40:], uint64(h.Age))
-	off := summaryHeaderSize
 	for _, r := range refs {
 		p[off] = uint8(r.Kind)
 		le.PutUint32(p[off+4:], uint32(r.Ino))
@@ -203,7 +206,7 @@ func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
 	// Header checksum covers the header and all entries; stored in
 	// the spare header word.
 	le.PutUint32(p[28:], 0)
-	crc := layout.Checksum(p[:summaryBytes(len(refs))])
+	crc := layout.Checksum(p[:summaryBytes(h.NBlocks)])
 	le.PutUint32(p[28:], crc)
 }
 

@@ -18,12 +18,17 @@ import (
 // pending..blk from its front), and whether the head currently owns a
 // segment at all. The hot head is always open; the cold head opens on
 // the first cleaner relocation and closes if the log cannot spare it one.
+// unit is the block the head's last unit starts at; joinable says a
+// commit opened it and a later batch of the commit may still join it,
+// until the run is issued or the head moves.
 type logHead struct {
-	seg     int
-	blk     int
-	pending int
-	buf     []byte
-	open    bool
+	seg      int
+	blk      int
+	pending  int
+	buf      []byte
+	open     bool
+	unit     int
+	joinable bool
 }
 
 // reserve makes room in h.buf for n blocks after the unissued run and
@@ -75,6 +80,7 @@ type writerScratch struct {
 	ages    []sim.Time
 	addrs   []layout.DiskAddr
 	inos    []layout.Ino
+	commit  bool // an fsync or FlushAsync is running (placeBlocks)
 }
 
 // flush is the segment writer: it gathers every dirty block from the
@@ -331,6 +337,13 @@ func (fs *FS) writeImapBatch() error {
 // ages carries the per-block data age (nil means everything is as
 // young as now); each unit's summary records the youngest age it
 // contains, matching the segment-age semantics of §3.6.
+//
+// During a commit (fsync or FlushAsync, but not a cleaner pass it
+// starts) a batch joins the head's open unit when the unit's summary
+// blocks have room for its entries and the segment for its blocks, so a
+// commit writes one unit, one summary, per head. Every other flush opens
+// a unit per batch: joining there too would move the figures lfsperf's
+// frozen oracles hold (ROADMAP item 7).
 func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, ages []sim.Time) ([]layout.DiskAddr, error) {
 	now := fs.clock.Now()
 	if class == classCold && !fs.cfg.Segregation {
@@ -339,66 +352,67 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 	if class == classCold && !fs.heads[classCold].open && !fs.openColdHead() {
 		class = classHot
 	}
-	bs := fs.cfg.BlockSize
+	bs, perSeg := fs.cfg.BlockSize, fs.cfg.blocksPerSegment()
+	commit := fs.wr.commit && !fs.cleaning
 	addrs := fs.wr.addrs[:0]
 	i := 0
 	for i < len(payload) {
 		h := &fs.heads[class]
-		avail := fs.cfg.blocksPerSegment() - h.blk
-		fit := maxUnitBlocks(avail, bs)
-		if fit == 0 {
-			if err := fs.advanceSegment(class); err != nil {
-				if class == classCold {
-					// No segment to spare for the cold stream (its
-					// full segment is already sealed): close it and
-					// share the hot head until space frees up.
-					fs.heads[classCold].open = false
-					class = classHot
-					continue
+		n, sumBlks := len(payload)-i, 0
+		var hdr summaryHeader
+		joins := commit && h.joinable
+		if joins {
+			hdr, _ = decodeSummaryHeader(h.buf[(h.unit-h.pending)*bs:]) // this loop encoded it
+			joins = summaryBytes(hdr.NBlocks+n) <= hdr.SumBlocks*bs && h.blk+n <= perSeg
+		}
+		if !joins {
+			fit := maxUnitBlocks(perSeg-h.blk, bs)
+			if fit == 0 {
+				if err := fs.advanceSegment(class); err != nil {
+					if class == classCold {
+						// No segment to spare for the cold stream (its
+						// full segment is already sealed): close it and
+						// share the hot head until space frees up.
+						fs.heads[classCold].open = false
+						class = classHot
+						continue
+					}
+					return nil, err
 				}
-				return nil, err
+				continue
 			}
-			continue
+			n = min(n, fit)
+			sumBlks = summaryBlocks(n, bs)
+			hdr = summaryHeader{Serial: fs.writeSerial, SumBlocks: sumBlks, Timestamp: fs.clock.Now(), Class: class}
+			h.unit, h.joinable = h.blk, commit
+			fs.writeSerial++
+			fs.stats.UnitsWritten++
 		}
-		n := fit
-		if rest := len(payload) - i; n > rest {
-			n = rest
-		}
-		sumBlks := summaryBlocks(n, bs)
-		base := fs.reserve(h, sumBlks+n) // the unit's block h.blk in the buffer
-		dataStart := base + sumBlks
+		base := fs.reserve(h, sumBlks+n) + sumBlks // the first block's place in the buffer
 		for j := 0; j < n; j++ {
 			blk := payload[i+j]
 			if len(blk) != bs {
 				return nil, fmt.Errorf("lfs: placing block of %d bytes, want %d", len(blk), bs)
 			}
-			copy(h.buf[(dataStart+j)*bs:], blk)
+			copy(h.buf[(base+j)*bs:], blk)
 			addrs = append(addrs, layout.DiskAddr(fs.blockSector(h.seg, h.blk+sumBlks+j)))
-		}
-		unitAge := now
-		if ages != nil {
-			unitAge = ages[i]
-			for j := i + 1; j < i+n; j++ {
-				if ages[j] > unitAge {
-					unitAge = ages[j]
-				}
+			if ages != nil {
+				hdr.Age = max(hdr.Age, ages[i+j])
+			} else {
+				hdr.Age = now
 			}
 		}
-		hdr := summaryHeader{
-			Serial:    fs.writeSerial,
-			NBlocks:   n,
-			SumBlocks: sumBlks,
-			Timestamp: fs.clock.Now(),
-			DataCRC:   layout.DataChecksum(h.buf[dataStart*bs : (dataStart+n)*bs]),
-			Class:     class,
-			Age:       unitAge,
-		}
-		encodeSummary(hdr, refs[i:i+n], h.buf[base*bs:dataStart*bs])
-		fs.writeSerial++
+		hdr.DataCRC = layout.ContinueDataChecksum(hdr.DataCRC, h.buf[base*bs:(base+n)*bs])
+		hdr.NBlocks += n
+		at := h.unit - h.pending
+		encodeSummary(hdr, refs[i:i+n], h.buf[at*bs:(at+hdr.SumBlocks)*bs])
 		h.blk += sumBlks + n
-		fs.stats.UnitsWritten++
 		fs.stats.BlocksWritten += int64(sumBlks + n)
-		fs.cpu.Charge(sim.CostSegWriteSetup + int64(n)*sim.CostSegBlockLayout)
+		cost := int64(n) * sim.CostSegBlockLayout
+		if !joins {
+			cost += sim.CostSegWriteSetup
+		}
+		fs.cpu.Charge(cost)
 		i += n
 	}
 	fs.wr.addrs = addrs
@@ -407,11 +421,11 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 
 // flushPendingIO issues the unissued run of each open head as one
 // asynchronous sequential write, hot before cold; the head's next unit
-// starts at the front of its buffer again. The issue order is what
-// crash recovery sees: replay stops at the first missing serial, so a
-// unit that persisted ahead of a lost earlier-serial unit is simply
-// discarded with everything after it — none of it was acknowledged
-// before a sync drained the queue.
+// starts at the front of its buffer again, and no batch joins an issued
+// unit. The issue order is what crash recovery sees: replay stops at the
+// first missing serial, so a unit that persisted ahead of a lost
+// earlier-serial unit is simply discarded with everything after it —
+// none of it was acknowledged before a sync drained the queue.
 func (fs *FS) flushPendingIO() error {
 	bs := fs.cfg.BlockSize
 	for class := writeClass(0); class < numClasses; class++ {
@@ -432,7 +446,7 @@ func (fs *FS) flushPendingIO() error {
 			h.buf[:(h.blk-h.pending)*bs], false, cause, "segment write"); err != nil {
 			return err
 		}
-		h.pending = h.blk
+		h.pending, h.joinable = h.blk, false
 	}
 	return nil
 }
@@ -476,7 +490,7 @@ func (fs *FS) openColdHead() bool {
 // first credit establishes the true age.
 func (fs *FS) activateHead(class writeClass, seg int) {
 	h := &fs.heads[class]
-	h.seg, h.blk, h.pending, h.open = seg, 0, 0, true
+	h.seg, h.blk, h.pending, h.open, h.joinable = seg, 0, 0, true, false
 	fs.usage[seg].State = segActive
 	fs.usage[seg].Age = 0
 	fs.cleanCount--

@@ -48,3 +48,15 @@ func TestDataChecksumBreaksInodeResidue(t *testing.T) {
 		t.Fatalf("valid record rejected: %v", err)
 	}
 }
+
+// Continuing a payload's checksum over its second half equals the
+// checksum of the whole payload, so a log unit that grows in place keeps
+// the DataCRC a reader computes over all of it.
+func TestContinueDataChecksum(t *testing.T) {
+	whole := append(inodeBlock(1, 100, 1000), inodeBlock(2, 200, 2000)...)
+	for _, cut := range []int{0, 1, 4096, len(whole)} {
+		if got, want := ContinueDataChecksum(DataChecksum(whole[:cut]), whole[cut:]), DataChecksum(whole); got != want {
+			t.Errorf("cut at %d: continued checksum %#x, whole %#x", cut, got, want)
+		}
+	}
+}

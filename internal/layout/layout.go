@@ -225,3 +225,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // the embedded IEEE CRCs are ordinary content bytes and the collapse
 // disappears.
 func DataChecksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
+
+// ContinueDataChecksum continues crc, a DataChecksum, over p, which
+// follows the bytes crc covers: a unit whose payload grows in place keeps
+// its checksum without re-reading what it already holds.
+func ContinueDataChecksum(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
