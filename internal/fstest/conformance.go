@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"lfs/internal/layout"
 	"lfs/internal/vfs"
 )
 
@@ -21,54 +22,79 @@ import (
 type Factory func(t *testing.T) vfs.FileSystem
 
 // RunConformance runs the full behavioural battery against the
-// implementation produced by open.
+// implementation produced by open: the single-path layer, then the
+// cases that need Rename or Link to succeed.
 func RunConformance(t *testing.T, open Factory) {
 	t.Helper()
-	tests := []struct {
-		name string
-		fn   func(*testing.T, vfs.FileSystem)
-	}{
-		{"CreateAndStat", testCreateAndStat},
-		{"CreateDuplicate", testCreateDuplicate},
-		{"CreateInMissingDir", testCreateInMissingDir},
-		{"CreateUnderFile", testCreateUnderFile},
-		{"MkdirNested", testMkdirNested},
-		{"WriteReadRoundTrip", testWriteReadRoundTrip},
-		{"WriteAtOffsets", testWriteAtOffsets},
-		{"SparseHolesReadZero", testSparseHolesReadZero},
-		{"ReadPastEOF", testReadPastEOF},
-		{"ReadPartialAtEOF", testReadPartialAtEOF},
-		{"OverwriteInPlace", testOverwriteInPlace},
-		{"TruncateShrinkGrow", testTruncateShrinkGrow},
-		{"TruncateToZeroAndReuse", testTruncateToZeroAndReuse},
-		{"RemoveFile", testRemoveFile},
-		{"RemoveMissing", testRemoveMissing},
-		{"RemoveNonEmptyDir", testRemoveNonEmptyDir},
-		{"RemoveEmptyDir", testRemoveEmptyDir},
-		{"ReadDirOrdering", testReadDirOrdering},
-		{"ReadDirOnFile", testReadDirOnFile},
-		{"ManyFilesOneDir", testManyFilesOneDir},
-		{"DeepPaths", testDeepPaths},
-		{"Rename", testRename},
-		{"RenameDirWithContents", testRenameDirWithContents},
-		{"RenameErrors", testRenameErrors},
-		{"FileOpsOnDir", testFileOpsOnDir},
-		{"DirOpsOnFile", testDirOpsOnFile},
-		{"InvalidPaths", testInvalidPaths},
-		{"InvalidOffsets", testInvalidOffsets},
-		{"StatRoot", testStatRoot},
-		{"SyncIsIdempotent", testSyncIsIdempotent},
-		{"UnmountRejectsFurtherOps", testUnmountRejectsFurtherOps},
-		{"LargeFileThroughIndirects", testLargeFileThroughIndirects},
-		{"ManySmallFilesChurn", testManySmallFilesChurn},
-		{"InodeNumbersDistinct", testInodeNumbersDistinct},
-		{"DirInodeReuseNoStaleNames", testDirInodeReuseNoStaleNames},
-		{"RenameSwapNames", testRenameSwapNames},
-		{"HardLinkBasics", testHardLinkBasics},
-		{"HardLinkUnlinkOrder", testHardLinkUnlinkOrder},
-		{"HardLinkErrors", testHardLinkErrors},
-	}
-	for _, tc := range tests {
+	RunSinglePathConformance(t, open)
+	runCases(t, open, twoPathCases)
+}
+
+// RunSinglePathConformance runs the cases that need no Rename or Link
+// to succeed: the layer a file system that refuses some renames and
+// links (the shard router, across shards) is held to.
+func RunSinglePathConformance(t *testing.T, open Factory) {
+	t.Helper()
+	runCases(t, open, singlePathCases)
+}
+
+type conformanceCase struct {
+	name string
+	fn   func(*testing.T, vfs.FileSystem)
+}
+
+var singlePathCases = []conformanceCase{
+	{"CreateAndStat", testCreateAndStat},
+	{"CreateDuplicate", testCreateDuplicate},
+	{"CreateInMissingDir", testCreateInMissingDir},
+	{"CreateUnderFile", testCreateUnderFile},
+	{"MkdirNested", testMkdirNested},
+	{"WriteReadRoundTrip", testWriteReadRoundTrip},
+	{"WriteAtOffsets", testWriteAtOffsets},
+	{"SparseHolesReadZero", testSparseHolesReadZero},
+	{"ReadPastEOF", testReadPastEOF},
+	{"ReadPartialAtEOF", testReadPartialAtEOF},
+	{"OverwriteInPlace", testOverwriteInPlace},
+	{"TruncateShrinkGrow", testTruncateShrinkGrow},
+	{"TruncateToZeroAndReuse", testTruncateToZeroAndReuse},
+	{"RemoveFile", testRemoveFile},
+	{"RemoveMissing", testRemoveMissing},
+	{"RemoveNonEmptyDir", testRemoveNonEmptyDir},
+	{"RemoveEmptyDir", testRemoveEmptyDir},
+	{"ReadDirOrdering", testReadDirOrdering},
+	{"ReadDirOnFile", testReadDirOnFile},
+	{"ManyFilesOneDir", testManyFilesOneDir},
+	{"DeepPaths", testDeepPaths},
+	{"FileOpsOnDir", testFileOpsOnDir},
+	{"DirOpsOnFile", testDirOpsOnFile},
+	{"InvalidPaths", testInvalidPaths},
+	{"InvalidOffsets", testInvalidOffsets},
+	{"StatRoot", testStatRoot},
+	{"SyncIsIdempotent", testSyncIsIdempotent},
+	{"UnmountRejectsFurtherOps", testUnmountRejectsFurtherOps},
+	{"LargeFileThroughIndirects", testLargeFileThroughIndirects},
+	{"ManySmallFilesChurn", testManySmallFilesChurn},
+	{"InodeNumbersDistinct", testInodeNumbersDistinct},
+	{"DirInodeReuseNoStaleNames", testDirInodeReuseNoStaleNames},
+}
+
+// twoPathCases need Rename or Link to succeed. HardLinkBasics is here
+// too: a router passes it only if its two names happen to place on one
+// shard.
+var twoPathCases = []conformanceCase{
+	{"Rename", testRename},
+	{"RenameDirWithContents", testRenameDirWithContents},
+	{"RenameErrors", testRenameErrors},
+	{"RenameSwapNames", testRenameSwapNames},
+	{"HardLinkBasics", testHardLinkBasics},
+	{"HardLinkUnlinkOrder", testHardLinkUnlinkOrder},
+	{"HardLinkErrors", testHardLinkErrors},
+}
+
+// runCases runs each case on a fresh file system.
+func runCases(t *testing.T, open Factory, cases []conformanceCase) {
+	t.Helper()
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.fn(t, open(t))
 		})
@@ -714,16 +740,36 @@ func testHardLinkErrors(t *testing.T, fs vfs.FileSystem) {
 	wantErrIs(t, fs.Link("/f", "/no/dir/x"), vfs.ErrNotExist)
 }
 
+// testInodeNumbersDistinct: files and directories at three levels
+// each have their own inode number, and each ReadDir entry carries the
+// number Stat reports for its path.
 func testInodeNumbersDistinct(t *testing.T, fs vfs.FileSystem) {
-	seen := map[uint64]string{}
-	for i := 0; i < 40; i++ {
-		p := fmt.Sprintf("/f%d", i)
-		must(t, fs.Create(p))
-		fi, err := fs.Stat(p)
-		must(t, err)
-		if prev, dup := seen[uint64(fi.Ino)]; dup {
-			t.Fatalf("inode %d shared by %s and %s", fi.Ino, prev, p)
+	dirs := []string{"", "/a", "/b", "/a/c", "/b/c"}
+	for _, d := range dirs[1:] {
+		must(t, fs.Mkdir(d))
+	}
+	for _, d := range dirs {
+		for i := 0; i < 12; i++ {
+			must(t, fs.Create(fmt.Sprintf("%s/f%d", d, i)))
 		}
-		seen[uint64(fi.Ino)] = p
+	}
+	root, err := fs.Stat("/")
+	must(t, err)
+	seen := map[layout.Ino]string{root.Ino: "/"}
+	for _, d := range dirs {
+		entries, err := fs.ReadDir(d + "/")
+		must(t, err)
+		for _, e := range entries {
+			p := d + "/" + e.Name
+			fi, err := fs.Stat(p)
+			must(t, err)
+			if fi.Ino != e.Ino {
+				t.Fatalf("%s: ReadDir says inode %d, Stat says %d", p, e.Ino, fi.Ino)
+			}
+			if prev, dup := seen[fi.Ino]; dup {
+				t.Fatalf("inode %d shared by %s and %s", fi.Ino, prev, p)
+			}
+			seen[fi.Ino] = p
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"lfs/internal/core"
 	"lfs/internal/layout"
 	"lfs/internal/obs"
 	"lfs/internal/sim"
@@ -13,23 +12,23 @@ import (
 
 // route resolves a single-path operation to its owning shard,
 // wrapping path validation errors with the operation name.
-func (fs *FS) route(op, path string) (*core.FS, error) {
+func (fs *FS) route(op, path string) (int, error) {
 	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
-		return nil, vfs.WrapPathError(op, path, err)
+		return 0, vfs.WrapPathError(op, path, err)
 	}
-	return fs.on(fs.place(parts)), nil
+	return fs.place(parts), nil
 }
 
 // Create makes the file on its placed shard.
 func (fs *FS) Create(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	s, err := fs.route("create", path)
+	i, err := fs.route("create", path)
 	if err != nil {
 		return err
 	}
-	return s.Create(path)
+	return fs.on(i).Create(path)
 }
 
 // Mkdir replicates the directory on every shard (in shard order), so
@@ -52,52 +51,62 @@ func (fs *FS) Mkdir(path string) error {
 func (fs *FS) Write(path string, off int64, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	s, err := fs.route("write", path)
+	i, err := fs.route("write", path)
 	if err != nil {
 		return err
 	}
-	return s.Write(path, off, data)
+	return fs.on(i).Write(path, off, data)
 }
 
 // Read reads through the file's shard.
 func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	s, err := fs.route("read", path)
+	i, err := fs.route("read", path)
 	if err != nil {
 		return 0, err
 	}
-	return s.Read(path, off, buf)
+	return fs.on(i).Read(path, off, buf)
 }
 
 // Stat describes the path from its home shard. A replicated
 // directory exists on every shard; its attributes are reported from
 // the home shard (the deterministic hash of its path), which is also
-// where a file of the same name would live.
+// where a file of the same name would live. Its inode number is the
+// router's (number).
 func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	s, err := fs.route("stat", path)
+	home, err := fs.route("stat", path)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
-	return s.Stat(path)
+	fi, err := fs.on(home).Stat(path)
+	if err != nil {
+		return vfs.FileInfo{}, err
+	}
+	fi.Ino = fs.number(fi.Ino, home)
+	return fi, nil
+}
+
+// number is the volume-wide inode number of shard i's inode ino:
+// ino*N + i, unique across shards and the shard's own number at N = 1.
+// Mount refuses a shard count whose numbers would not fit.
+func (fs *FS) number(ino layout.Ino, i int) layout.Ino {
+	return ino*layout.Ino(len(fs.shards)) + layout.Ino(i)
 }
 
 // ReadDir merges every shard's listing of the directory, deduplicated
 // by name (a subdirectory appears on all shards) and name-sorted. Each
 // name's entry is taken from the name's own home shard — the shard Stat
-// would serve it from — so inode numbers are consistent between ReadDir
-// and Stat.
+// would serve it from — and numbered as Stat numbers it, so ReadDir and
+// Stat agree on every inode number.
 func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	parts, err := vfs.AppendPath(fs.parts[:0], path)
 	if err != nil {
 		return nil, vfs.WrapPathError("readdir", path, err)
-	}
-	if len(fs.shards) == 1 {
-		return fs.on(0).ReadDir(path)
 	}
 	home := fs.place(parts)
 	lists := make([][]layout.DirEntry, len(fs.shards))
@@ -119,12 +128,12 @@ func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 	var names []string
 	for i, list := range lists {
 		for _, e := range list {
-			if _, ok := seen[e.Name]; !ok {
+			_, ok := seen[e.Name]
+			if !ok {
 				names = append(names, e.Name)
-				seen[e.Name] = e
 			}
-			if fs.place(append(parts[:len(parts):len(parts)], e.Name)) == i {
-				seen[e.Name] = e
+			if !ok || fs.place(append(parts[:len(parts):len(parts)], e.Name)) == i {
+				seen[e.Name] = layout.DirEntry{Ino: fs.number(e.Ino, i), Name: e.Name}
 			}
 		}
 	}
@@ -148,9 +157,9 @@ func (fs *FS) Remove(path string) error {
 		return vfs.WrapPathError("remove", path, err)
 	}
 	home := fs.place(parts)
-	if len(fs.shards) == 1 || len(parts) == 0 {
-		// Single shard, or the root: delegate for the exact core
-		// error (the root cannot be removed).
+	if len(parts) == 0 {
+		// The root: delegate for the exact core error (it cannot be
+		// removed).
 		return fs.on(home).Remove(path)
 	}
 	fi, err := fs.shards[home].Stat(path)
@@ -179,8 +188,8 @@ func (fs *FS) Remove(path string) error {
 // Rename moves oldPath to newPath when both place on one shard. A
 // cross-shard rename fails with ErrCrossShard — a log-structured
 // shard cannot atomically adopt blocks another log owns — as does
-// renaming a directory (its descendants would re-hash to other
-// shards).
+// renaming a directory when there is more than one shard (its
+// descendants would re-hash to other shards).
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -207,7 +216,9 @@ func (fs *FS) Link(oldPath, newPath string) error {
 // relink implements the shared two-path placement rules of Rename
 // and Link: it returns the shard that owns both ends, or the router's
 // own refusal. A directory source is the router's to refuse for a
-// rename; a link delegates it, and core rejects linking directories.
+// rename when there is more than one shard — the router's only rule on
+// the shard count; a link delegates it, and core rejects linking
+// directories.
 func (fs *FS) relink(op, oldPath, newPath string) (int, error) {
 	po, err := vfs.AppendPath(fs.parts[:0], oldPath)
 	if err != nil {
@@ -217,9 +228,6 @@ func (fs *FS) relink(op, oldPath, newPath string) (int, error) {
 	if err != nil {
 		return 0, vfs.WrapPathError(op, oldPath, err)
 	}
-	if len(fs.shards) == 1 {
-		return 0, nil
-	}
 	so := fs.place(po)
 	sn := fs.place(pn)
 	fi, err := fs.shards[so].Stat(oldPath)
@@ -228,7 +236,7 @@ func (fs *FS) relink(op, oldPath, newPath string) (int, error) {
 		// error under the right op name.
 		return so, nil
 	}
-	if fi.IsDir() && op == "rename" {
+	if fi.IsDir() && op == "rename" && len(fs.shards) > 1 {
 		return 0, vfs.WrapPathError(op, oldPath, fmt.Errorf(
 			"%w: directory %q is replicated across shards", ErrCrossShard, oldPath))
 	}
@@ -244,11 +252,11 @@ func (fs *FS) relink(op, oldPath, newPath string) (int, error) {
 func (fs *FS) Truncate(path string, size int64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	s, err := fs.route("truncate", path)
+	i, err := fs.route("truncate", path)
 	if err != nil {
 		return err
 	}
-	return s.Truncate(path, size)
+	return fs.on(i).Truncate(path, size)
 }
 
 // FsyncFile durably commits one file through its shard. Before
@@ -262,11 +270,10 @@ func (fs *FS) Truncate(path string, size int64) error {
 func (fs *FS) FsyncFile(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parts, err := vfs.AppendPath(fs.parts[:0], path)
+	home, err := fs.route("fsync", path)
 	if err != nil {
-		return vfs.WrapPathError("fsync", path, err)
+		return err
 	}
-	home := fs.place(parts)
 	// Time spent kicking the other shards' transfers is cross-shard
 	// fan-out wait: the home fsync could not start until the
 	// broadcast finished, so its span carries the delay explicitly

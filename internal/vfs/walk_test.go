@@ -3,8 +3,10 @@ package vfs_test
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"lfs/internal/layout"
 	"lfs/internal/vfs"
 )
 
@@ -84,6 +86,45 @@ func TestWalkMissingRoot(t *testing.T) {
 	m := vfs.NewModel(nil)
 	if err := vfs.Walk(m, "/nope", func(string, vfs.FileInfo) error { return nil }); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// loopFS is buildTree's model with /a/sub/up resolving to /a, its
+// grandparent: the cycle a directory entry makes when its inode number
+// is damaged into an ancestor's.
+type loopFS struct{ *vfs.Model }
+
+func (l loopFS) resolve(p string) string {
+	if rest, ok := strings.CutPrefix(p, "/a/sub/up"); ok {
+		return "/a" + rest
+	}
+	return p
+}
+
+func (l loopFS) Stat(p string) (vfs.FileInfo, error) { return l.Model.Stat(l.resolve(p)) }
+
+func (l loopFS) ReadDir(p string) ([]layout.DirEntry, error) { return l.Model.ReadDir(l.resolve(p)) }
+
+func TestWalkStopsAtCycle(t *testing.T) {
+	m := buildTree(t)
+	if err := m.Mkdir("/a/sub/up"); err != nil {
+		t.Fatal(err)
+	}
+	var visited []string
+	err := vfs.Walk(loopFS{m}, "/", func(path string, fi vfs.FileInfo) error {
+		visited = append(visited, path)
+		return nil
+	})
+	var pe *vfs.PathError
+	if !errors.Is(err, vfs.ErrCycle) || !errors.As(err, &pe) || pe.Op != "walk" || pe.Path != "/a/sub/up" {
+		t.Fatalf("walk of a cycle = %v, want a walk PathError at /a/sub/up wrapping ErrCycle", err)
+	}
+	want := []string{"/", "/a", "/a/one", "/a/sub", "/a/sub/two"}
+	if !reflect.DeepEqual(visited, want) {
+		t.Fatalf("walk of a cycle visited %v, want %v", visited, want)
+	}
+	if _, _, _, err := vfs.TreeSize(loopFS{m}, "/"); !errors.Is(err, vfs.ErrCycle) {
+		t.Fatalf("TreeSize of a cycle = %v, want ErrCycle", err)
 	}
 }
 

@@ -82,7 +82,10 @@ echo "== size =="
 # One crash battery for LFS and FFS (fstest.Target), fsck's repair and crashsweep's FFS arm: 23 987.
 # One walk in vfs.Dirs paid for FFS's 512-byte directory blocks and fsck's per-block parse: 23 987.
 # An fsync commit's batches join one log unit per head (placeBlocks, ContinueDataChecksum): 24 013.
-size_ceiling=24013
+# One router path for every shard count: conformance layers and the
+# extended inode-number case (fstest +46), inode numbers unique across
+# shards and their bound (shard +18), vfs.Walk's cycle stop (vfs +18): 24 095.
+size_ceiling=24095
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
@@ -108,45 +111,57 @@ echo "== test -race: the store hand-over =="
 # as the reference store, before the suite below runs everything once:
 # the detector only sees the interleavings a run happens to produce.
 go test -race -count=10 -run 'MemStore|StoreConformance' ./internal/disk
+# experiments runs the experiments stage. -update runs it before the
+# race suite, whose TestExperimentTable holds the experiments to the
+# committed files it is about to regenerate; the plain gate runs it
+# after.
+experiments() {
+	echo "== experiments =="
+	# Every experiment of the paper's evaluation, once, at the paper's
+	# scale (experiments.Table; about half a minute). Each experiment
+	# enforces its own verdicts — phases that sum to latencies, a
+	# byte-identical same-seed rerun, a clean fsck after the power cut, the
+	# crash sweep's work floor, a clean Check() on the volume each cleaning
+	# row measured (the trace and metrics smokes aside) — by failing the run. The model is
+	# deterministic, so what it prints must equal the committed
+	# bench_results.txt and every summary it writes its committed
+	# BENCH_*.json, byte for byte: a silent change to a figure, a curve or
+	# a write cost cannot land. The trace and the metrics series it exports
+	# must replay through lfstrace and lfstop, both read from one file
+	# holding the two streams (FORMAT.md: they may share a file).
+	go run ./cmd/lfsbench -experiment all -benchdir "$tracedir" \
+		-trace "$tracedir/trace.jsonl" -metrics "$tracedir/metrics.jsonl" \
+		> "$tracedir/bench_results.txt"
+	cat "$tracedir/trace.jsonl" "$tracedir/metrics.jsonl" > "$tracedir/mixed.jsonl"
+	go run ./cmd/lfstrace "$tracedir/mixed.jsonl" > /dev/null
+	go run ./cmd/lfstrace -critpath "$tracedir/mixed.jsonl" > /dev/null
+	go run ./cmd/lfstrace -json "$tracedir/mixed.jsonl" > /dev/null
+	go run ./cmd/lfstop "$tracedir/mixed.jsonl" > /dev/null
+	if [ "$update" = 1 ]; then
+		cp "$tracedir"/BENCH_*.json "$tracedir/bench_results.txt" .
+	else
+		diff -u bench_results.txt "$tracedir/bench_results.txt"
+		for b in BENCH_*.json; do
+			cmp "$b" "$tracedir/$b"
+		done
+		# And the other way round: a summary nobody committed a baseline
+		# for would otherwise never be looked at.
+		for b in "$tracedir"/BENCH_*.json; do
+			[ -f "$(basename "$b")" ] || { echo "ci: $(basename "$b") has no committed baseline (ci.sh -update)" >&2; exit 1; }
+		done
+	fi
+}
+if [ "$update" = 1 ]; then
+	experiments
+fi
 echo "== test -race =="
 # -short skips one thing: the experiments package's run of the whole
 # experiment table at full scale, which the plain `go test ./...` does
 # and the experiments stage below repeats against the committed
 # reports — under the detector it alone would take five minutes.
 go test -race -short ./...
-echo "== experiments =="
-# Every experiment of the paper's evaluation, once, at the paper's
-# scale (experiments.Table; about half a minute). Each experiment
-# enforces its own verdicts — phases that sum to latencies, a
-# byte-identical same-seed rerun, a clean fsck after the power cut, the
-# crash sweep's work floor, a clean Check() on the volume each cleaning
-# row measured (the trace and metrics smokes aside) — by failing the run. The model is
-# deterministic, so what it prints must equal the committed
-# bench_results.txt and every summary it writes its committed
-# BENCH_*.json, byte for byte: a silent change to a figure, a curve or
-# a write cost cannot land. The trace and the metrics series it exports
-# must replay through lfstrace and lfstop, both read from one file
-# holding the two streams (FORMAT.md: they may share a file).
-go run ./cmd/lfsbench -experiment all -benchdir "$tracedir" \
-	-trace "$tracedir/trace.jsonl" -metrics "$tracedir/metrics.jsonl" \
-	> "$tracedir/bench_results.txt"
-cat "$tracedir/trace.jsonl" "$tracedir/metrics.jsonl" > "$tracedir/mixed.jsonl"
-go run ./cmd/lfstrace "$tracedir/mixed.jsonl" > /dev/null
-go run ./cmd/lfstrace -critpath "$tracedir/mixed.jsonl" > /dev/null
-go run ./cmd/lfstrace -json "$tracedir/mixed.jsonl" > /dev/null
-go run ./cmd/lfstop "$tracedir/mixed.jsonl" > /dev/null
-if [ "$update" = 1 ]; then
-	cp "$tracedir"/BENCH_*.json "$tracedir/bench_results.txt" .
-else
-	diff -u bench_results.txt "$tracedir/bench_results.txt"
-	for b in BENCH_*.json; do
-		cmp "$b" "$tracedir/$b"
-	done
-	# And the other way round: a summary nobody committed a baseline
-	# for would otherwise never be looked at.
-	for b in "$tracedir"/BENCH_*.json; do
-		[ -f "$(basename "$b")" ] || { echo "ci: $(basename "$b") has no committed baseline (ci.sh -update)" >&2; exit 1; }
-	done
+if [ "$update" = 0 ]; then
+	experiments
 fi
 echo "== store conformance =="
 # The pluggable-store acceptance gate, run explicitly (it is also part
