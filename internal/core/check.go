@@ -22,7 +22,8 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 }
 
 // inodeBlock is what an inode's own block is to Check: the one block
-// that many inodes may hold.
+// that many inodes may hold, an inode block or the summary block of a
+// commit that carried their records inline.
 const inodeBlock = "inode block"
 
 // Check verifies the consistency of a mounted LFS. The namespace half

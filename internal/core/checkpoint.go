@@ -533,36 +533,47 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, st
 		}
 		fs.activateHead(class, seg)
 	}
-	// Apply the unit the writer's way: each inode record it carries moves
-	// that inode's entry; data and indirect blocks count once a replayed
-	// inode reaches them, and inode-map blocks not at all (the checkpoint
-	// that ends roll-forward writes the map). The unit only dates its
-	// segment (a credit of nothing) with its summary's age: the victim's
-	// for relocations, the write time where none is set.
+	// Apply the unit the writer's way: each inode record it carries, in
+	// an inode block or inline in its summary, moves that inode's entry;
+	// data and indirect blocks count once a replayed inode reaches them,
+	// and inode-map blocks not at all (the checkpoint that ends
+	// roll-forward writes the map). The unit only dates its segment (a
+	// credit of nothing) with its summary's age: the victim's for
+	// relocations, the write time where none is set.
 	for j, ref := range u.refs {
-		if ref.Kind != kindInodes {
-			continue
-		}
-		addr := layout.DiskAddr(fs.blockSector(seg, blk+u.SumBlocks+j))
-		p := u.data[j*bs : (j+1)*bs]
-		for slot := 0; slot < fs.inodesPerBlock(); slot++ {
-			rec, err := layout.DecodeInode(p[slot*layout.InodeSize:])
-			if err != nil || !rec.Allocated() || rec.Ino < 1 || rec.Ino > fs.imap.maxIno() {
-				continue // an empty slot, or a number the map has no entry for
-			}
-			e := fs.imap.peek(rec.Ino)
-			e.Allocated, e.Version = true, rec.Gen
-			e.Addr, e.Slot = addr+layout.DiskAddr(slot/inodesPerSector), uint8(slot%inodesPerSector)
-			if err := fs.moveEntry(rec.Ino, e, &rec, st); err != nil {
+		if ref.Kind == kindInodes {
+			if err := fs.replayRecords(u.data[j*bs:(j+1)*bs], fs.blockSector(seg, blk+u.SumBlocks+j), 0, st); err != nil {
 				return false, err
 			}
 		}
+	}
+	sumBlk, first := u.inlineAt(blk, bs)
+	if err := fs.replayRecords(u.inline, fs.blockSector(seg, sumBlk), first, st); err != nil {
+		return false, err
 	}
 	fs.creditSegmentAged(seg, 0, cmp.Or(u.Age, u.Timestamp))
 	hd.blk, hd.pending = blk+u.end, blk+u.end
 	fs.writeSerial++
 	fs.stats.RollForwardUnits++
 	return true, nil
+}
+
+// replayRecords moves the entry of each inode whose record recs holds:
+// the record slots from first on of the block at sector block.
+func (fs *FS) replayRecords(recs []byte, block int64, first int, st *tailState) error {
+	for i := 0; i+layout.InodeSize <= len(recs); i += layout.InodeSize {
+		rec, err := layout.DecodeInode(recs[i:])
+		if err != nil || !rec.Allocated() || rec.Ino < 1 || rec.Ino > fs.imap.maxIno() {
+			continue // an empty slot, or a number the map has no entry for
+		}
+		e := fs.imap.peek(rec.Ino)
+		e.Allocated, e.Version = true, rec.Gen
+		e.Addr, e.Slot = slotAddr(layout.DiskAddr(block), first+i/layout.InodeSize)
+		if err := fs.moveEntry(rec.Ino, e, &rec, st); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // moveEntry sets ino's inode-map entry to e, whose record is rec, the way

@@ -394,6 +394,12 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 				fs.stats.CleanerLiveCopied++
 			}
 		}
+		// A commit's inline records are not a block: they are not
+		// counted, but a live one is rewritten all the same.
+		sumBlk, first := u.inlineAt(blk, bs)
+		if _, err := fs.reviveRecords(u.inline, layout.DiskAddr(fs.blockSector(seg, sumBlk)), first); err != nil {
+			return copied, examined, fmt.Errorf("lfs: cleaner: segment %d, unit at block %d: %w", seg, blk, err)
+		}
 		blk = u.end
 	}
 	return copied, examined, nil
@@ -468,39 +474,7 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 		return true, nil
 
 	case kindInodes:
-		// An inode is live when the map still points at its slot. Ask
-		// the map first: it costs an index, where decoding and
-		// checksumming every record of every victim inode block costs
-		// more than the copies do.
-		live := false
-		for slot := 0; slot < fs.inodesPerBlock(); slot++ {
-			ino := layout.Ino(binary.LittleEndian.Uint32(data[slot*layout.InodeSize:]))
-			if ino < 1 || ino > fs.imap.maxIno() {
-				continue
-			}
-			e := fs.imap.peek(ino)
-			wantAddr := addr + layout.DiskAddr(slot/inodesPerSector)
-			if !e.Allocated || e.Addr != wantAddr || int(e.Slot) != slot%inodesPerSector {
-				continue
-			}
-			if err := fs.verifyUnit(); err != nil {
-				return live, err
-			}
-			// Live: queue a rewrite from the in-core copy, fetching (and
-			// so verifying) the record when there is none. A current
-			// record that cannot be read back must fail the pass — the
-			// victim then stays unreclaimed — since skipping it would
-			// reclaim the only copy of the inode. On failure, report the
-			// liveness found so far: earlier slots were already marked
-			// dirty, and discarding them would leave the caller's copy
-			// accounting inconsistent.
-			if _, err := fs.getInode(ino); err != nil {
-				return live, fmt.Errorf("live inode %d at %v slot %d: %w", ino, wantAddr, e.Slot, err)
-			}
-			fs.markInodeDirty(ino)
-			live = true
-		}
-		return live, nil
+		return fs.reviveRecords(data, addr, 0)
 
 	case kindImap:
 		idx := int(ref.ID)
@@ -516,4 +490,42 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 		return true, nil
 	}
 	return false, fmt.Errorf("lfs: unknown block kind %d in summary", ref.Kind)
+}
+
+// reviveRecords queues for the pass's segment write each live inode whose
+// record recs holds: the record slots from first on of the block at
+// sector block, an inode block or a summary block's inline records.
+// Returns whether any was live.
+func (fs *FS) reviveRecords(recs []byte, block layout.DiskAddr, first int) (bool, error) {
+	// An inode is live when the map still points at its slot. Ask the
+	// map first: it costs an index, where decoding and checksumming
+	// every record of every victim inode block costs more than the
+	// copies do.
+	live := false
+	for i := 0; i+layout.InodeSize <= len(recs); i += layout.InodeSize {
+		ino := layout.Ino(binary.LittleEndian.Uint32(recs[i:]))
+		if ino < 1 || ino > fs.imap.maxIno() {
+			continue
+		}
+		e := fs.imap.peek(ino)
+		if addr, slot := slotAddr(block, first+i/layout.InodeSize); !e.Allocated || e.Addr != addr || e.Slot != slot {
+			continue
+		}
+		if err := fs.verifyUnit(); err != nil {
+			return live, err
+		}
+		// Live: queue a rewrite from the in-core copy, fetching (and so
+		// verifying) the record when there is none. A current record
+		// that cannot be read back must fail the pass — the victim then
+		// stays unreclaimed — since skipping it would reclaim the only
+		// copy of the inode. On failure, report the liveness found so
+		// far: earlier slots were already marked dirty, and discarding
+		// them would leave the caller's copy accounting inconsistent.
+		if _, err := fs.getInode(ino); err != nil {
+			return live, fmt.Errorf("live inode %d at %v slot %d: %w", ino, e.Addr, e.Slot, err)
+		}
+		fs.markInodeDirty(ino)
+		live = true
+	}
+	return live, nil
 }

@@ -1156,3 +1156,35 @@ func TestCleanOncePublic(t *testing.T) {
 func TestSteadyStateAllocs(t *testing.T) {
 	fstest.RunSteadyStateAllocs(t, newFS(t, 64<<20))
 }
+
+// TestCommitAllocs: once warm, a write and an fsync of it allocate
+// nothing, with or without group commit; the inode rides the commit's
+// summary block.
+func TestCommitAllocs(t *testing.T) {
+	for _, group := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.GroupCommit = group
+		_, fs := newPair(t, 64<<20, cfg)
+		if err := fs.Create("/f"); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 4<<10)
+		i := 0
+		commit := func() {
+			buf[0] = byte(i)
+			if err := fs.Write("/f", int64(i%8)*int64(len(buf)), buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.FsyncFile("/f"); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		for range 64 {
+			commit()
+		}
+		if n := testing.AllocsPerRun(200, commit); n != 0 {
+			t.Errorf("group commit %v: a 4 KB write and its fsync: %v allocs, want 0", group, n)
+		}
+	}
+}

@@ -1,10 +1,14 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
+	"lfs/internal/core"
+	"lfs/internal/disk"
 	"lfs/internal/experiments"
 	"lfs/internal/fstest"
+	"lfs/internal/sim"
 	"lfs/internal/vfs"
 )
 
@@ -178,5 +182,118 @@ func TestCrashPointSweep(t *testing.T) {
 				t.Error(f.String())
 			}
 		})
+	}
+}
+
+// commitWorkload creates a few files and overwrites each of them in
+// rounds, fsyncing every write, so most commits carry their inodes
+// inline; a sync makes the names durable and a checkpoint ends each
+// round after the first.
+func commitWorkload(blockSize int) []fstest.Op {
+	var ops []fstest.Op
+	for round := range 3 {
+		for i := range 4 {
+			p := fmt.Sprintf("/f%d", i)
+			if round == 0 {
+				ops = append(ops, fstest.Op{Kind: fstest.OpCreate, Path: p})
+			}
+			data := make([]byte, blockSize+blockSize/2)
+			for j := range data {
+				data[j] = byte(round*59 + i*17 + j)
+			}
+			ops = append(ops,
+				fstest.Op{Kind: fstest.OpWrite, Path: p, Off: int64(round * blockSize), Data: data},
+				fstest.Op{Kind: fstest.OpFsync, Path: p})
+		}
+		if round == 0 {
+			ops = append(ops, fstest.Op{Kind: fstest.OpSync})
+		} else {
+			ops = append(ops, fstest.Op{Kind: fstest.OpCheckpoint})
+		}
+	}
+	return ops
+}
+
+// writeTap is a store that keeps a copy of every write once armed.
+type writeTap struct {
+	disk.Store
+	armed  bool
+	writes [][]byte
+}
+
+func (s *writeTap) WriteAt(p []byte, off int64) error {
+	if s.armed {
+		s.writes = append(s.writes, append([]byte(nil), p...))
+	}
+	return s.Store.WriteAt(p, off)
+}
+
+// inlineWrites runs ops once on a fresh volume and returns how many
+// writes the workload issued and which of them (1-based, as the crash
+// battery numbers them) carry a unit with inline inode records.
+func inlineWrites(t *testing.T, target fstest.Target, capacity int64, ops []fstest.Op, bs int) (int, []int) {
+	t.Helper()
+	geom := disk.GeometryForCapacity(capacity)
+	tap := &writeTap{Store: disk.NewCowMemStore(geom.TotalBytes())}
+	d, err := disk.New(tap, geom, disk.WrenIVModel(), sim.NewClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := target.Format(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap.armed = true
+	for _, op := range ops {
+		if _, err := op.Apply(fs); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+	}
+	var inline []int
+	for k, w := range tap.writes {
+		if core.InlineUnits(w, bs) > 0 {
+			inline = append(inline, k+1)
+		}
+	}
+	return len(tap.writes), inline
+}
+
+// TestCrashPointSweepCommits sweeps every crash point of an fsync-bound
+// workload, lost and torn, with and without group commit: some cuts land
+// in the write of a commit unit whose summary carries inode records, and
+// recovery holds at every one.
+func TestCrashPointSweepCommits(t *testing.T) {
+	for _, group := range []bool{false, true} {
+		cfg := experiments.CrashConfig()
+		cfg.GroupCommit = group
+		ops := commitWorkload(cfg.BlockSize)
+		const capacity = 4 << 20
+		writes, inline := inlineWrites(t, experiments.LFSTarget(cfg), capacity, ops, cfg.BlockSize)
+		if len(inline) == 0 {
+			t.Fatalf("group commit %v: none of %d writes carries inline inode records", group, writes)
+		}
+		for _, torn := range []bool{false, true} {
+			rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
+				Target:       experiments.LFSTarget(cfg),
+				DiskCapacity: capacity,
+				Workload:     ops,
+				Torn:         torn,
+			})
+			if err != nil {
+				t.Fatalf("group commit %v: %v", group, err)
+			}
+			if rep.TotalWrites != int64(writes) || rep.Points != writes {
+				t.Fatalf("group commit %v (torn %v): swept %d of %d writes, the tap saw %d", group, torn, rep.Points, rep.TotalWrites, writes)
+			}
+			t.Logf("group commit %v (torn %v): %d points, %d roll forward, writes %v carry inline records",
+				group, torn, rep.Points, rep.RollForwardPoints, inline)
+			for i, f := range rep.Failures {
+				if i >= 20 {
+					t.Errorf("... and %d more failures", len(rep.Failures)-i)
+					break
+				}
+				t.Errorf("group commit %v: %s", group, f)
+			}
+		}
 	}
 }

@@ -105,6 +105,9 @@ func Dump(w io.Writer, d *disk.Disk, segments bool) error {
 			fmt.Fprintf(w, "  seg %4d blk %4d: serial %6d, %3d blocks (%d data, %d indirect, %d inodes, %d imap), t=%v",
 				seg, blk, u.Serial, u.NBlocks,
 				kinds[kindData], kinds[kindIndirect], kinds[kindInodes], kinds[kindImap], u.Timestamp)
+			if u.Inline > 0 {
+				fmt.Fprintf(w, ", %d inline inodes", u.Inline)
+			}
 			if err := u.checkData(); err != nil {
 				fmt.Fprintf(w, ", %v", err)
 			}

@@ -21,7 +21,8 @@ import (
 
 // FuzzReadUnit reads the unit at block 0 of a segment of 512-byte
 // blocks: a unit it accepts lies inside the segment, with one entry and
-// one data block per block it claims.
+// one data block per block it claims, and inline records that lie past
+// its entries in its last summary block.
 func FuzzReadUnit(f *testing.F) {
 	const bs = 512
 	refs := []blockRef{
@@ -37,11 +38,22 @@ func FuzzReadUnit(f *testing.F) {
 	truncated := make([]byte, 70)
 	copy(truncated, valid)
 	f.Add(truncated)
+	inline := bytes.Clone(valid) // two inode records in the summary's last slots
+	h.Inline = 2
+	for i := range h.Inline {
+		rec := layout.NewInode(layout.Ino(3+i), layout.ModeFile)
+		rec.Encode(inline[bs-(i+1)*layout.InodeSize:])
+	}
+	encodeSummary(h, refs, inline[:bs])
+	f.Add(inline)
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		u, err := readUnit(seg, 0, bs, nil)
 		if err == nil && (u.end*bs > len(seg) || len(u.refs) != u.NBlocks || len(u.data) != u.NBlocks*bs) {
 			t.Fatalf("accepted a unit of %d blocks ending at block %d of %d bytes, with %d refs",
 				u.NBlocks, u.end, len(seg), len(u.refs))
+		}
+		if err == nil && (len(u.inline) != u.Inline*layout.InodeSize || u.room(bs) < 0 || u.Inline*layout.InodeSize > bs) {
+			t.Fatalf("accepted %d inline records in %d bytes, %d bytes after %d entries", u.Inline, len(u.inline), u.room(bs), u.NBlocks)
 		}
 	})
 }
@@ -102,9 +114,10 @@ func FuzzDecodeImapEntry(f *testing.F) {
 // nested directories (one with an indirect block), deletions, a cleaner
 // pass that relocated live blocks, two generations of checkpoint, and a
 // tail of log units written after the last one for roll-forward to
-// replay. seeds are byte offsets into it, one or more inside each
-// structure; cycleOff and cycleXor turn /d/e's entry for its file into
-// an entry for /d, its own parent.
+// replay, ending with an fsync whose summary carries the file's inode.
+// seeds are byte offsets into it, one or more inside each structure;
+// cycleOff and cycleXor turn /d/e's entry for its file into an entry for
+// /d, its own parent.
 type mountImage struct {
 	cfg      Config
 	bytes    []byte
@@ -144,6 +157,9 @@ func buildMountImage(t testing.TB) *mountImage {
 	must(t, fs.Sync())
 	must(t, fs.Mkdir("/d/late"))
 	must(t, fs.Sync())
+	commit := fs.heads[classHot]
+	must(t, fs.Write("/tail", int64(cfg.BlockSize), bytes.Repeat([]byte{0x7B}, cfg.BlockSize)))
+	must(t, fs.FsyncFile("/tail"))
 
 	at := func(sector int64, off int) uint32 { return uint32(sector*disk.SectorSize) + uint32(off) }
 	dirBlock := func(path string) (layout.Ino, int64) {
@@ -162,6 +178,10 @@ func buildMountImage(t testing.TB) *mountImage {
 	ckpt0, ckpt1 := int64(fs.sb.Ckpt0Sector), int64(fs.sb.Ckpt1Sector)
 	usage := ckptHeaderSize + fs.imap.blockCount()*layout.AddrSize
 	tailUnit := fs.blockSector(tail.seg, tail.blk)
+	commitUnit := fs.blockSector(commit.seg, commit.blk)
+	if u := unitsSince(t, fs, commit.seg, fs.writeSerial-1); len(u) != 1 || u[0].blk != commit.blk || u[0].Inline != 1 {
+		t.Fatalf("the tail's fsync left %d units, want one at block %d carrying its inode", len(u), commit.blk)
+	}
 	fs.Crash()
 
 	img := &mountImage{cfg: cfg, bytes: make([]byte, fs.d.Capacity())}
@@ -175,6 +195,10 @@ func buildMountImage(t testing.TB) *mountImage {
 		at(ckpt1, 28), at(ckpt1, ckptHeaderSize), at(ckpt1, usage+24),
 		// The tail's first unit: serial, NBlocks, an entry's inode, its data.
 		at(tailUnit, 4), at(tailUnit, 12), at(tailUnit, summaryHeaderSize+4), at(tailUnit, cfg.BlockSize+100),
+		// The fsync ending the tail: its inline-record count, and its inode
+		// record in the summary's last slot (number, size, first pointer).
+		at(commitUnit, 34), at(commitUnit, cfg.BlockSize-layout.InodeSize),
+		at(commitUnit, cfg.BlockSize-layout.InodeSize+8), at(commitUnit, cfg.BlockSize-layout.InodeSize+32),
 		// Inode map block 0: the root's address and flag, a version.
 		at(imap0, 0), at(imap0, 5), at(imap0, imapEntrySize+8),
 		// The root's inode record: its number, its first pointer.
@@ -196,8 +220,8 @@ func buildMountImage(t testing.TB) *mountImage {
 // operation returns a *vfs.PathError, and the walk stops at a directory
 // cycle only where the checker reports one. Never a panic. The seeds
 // cover the superblock, both checkpoint regions, a summary and its unit,
-// an inode-map block, an inode block and two directories; without -fuzz
-// they are the regression.
+// a commit's inline inode record, an inode-map block, an inode block and
+// two directories; without -fuzz they are the regression.
 func FuzzMountImage(f *testing.F) {
 	img := buildMountImage(f)
 	f.Add(uint32(0), byte(0))

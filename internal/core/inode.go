@@ -171,12 +171,14 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 	if e.Addr.IsNil() {
 		return nil, fmt.Errorf("lfs: allocated inode %d has no disk address", ino)
 	}
-	// Inodes were logged in whole inode blocks; read the containing
-	// block and batch-cache every inode in it whose inode map entry
-	// still points here. This amortises one disk read over up to
-	// blockSize/InodeSize inodes, which is what keeps LFS's
-	// small-file read performance competitive (§5.1): files created
-	// together have their inodes packed together.
+	// Inodes were logged in whole inode blocks, or a commit's few in the
+	// tail of its summary block; read the containing block and
+	// batch-cache every inode in it whose inode map entry still points
+	// here. This amortises one disk read over up to blockSize/InodeSize
+	// inodes, which is what keeps LFS's small-file read performance
+	// competitive (§5.1): files created together have their inodes
+	// packed together. A slot of a summary's header or entries fails
+	// its record checksum like any torn slot.
 	seg := fs.segOf(e.Addr)
 	if seg < 0 {
 		return nil, fmt.Errorf("lfs: inode %d address %v outside the segment area", ino, e.Addr)
@@ -198,11 +200,10 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 		if err != nil {
 			continue // stale or torn slot; only the wanted ino matters
 		}
-		slotAddr := layout.DiskAddr(blockStart) + layout.DiskAddr(slot/inodesPerSector)
-		slotIdx := uint8(slot % inodesPerSector)
+		at, idx := slotAddr(layout.DiskAddr(blockStart), slot)
 		re := fs.imap.peek(rec.Ino) // any number a record claims reads as free
 		if rec.Ino == ino {
-			if slotAddr == e.Addr && slotIdx == e.Slot {
+			if at == e.Addr && idx == e.Slot {
 				want = fs.inodes.install(ino, rec)
 			}
 			continue
@@ -213,7 +214,7 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 		if rec.Ino < 1 || rec.Ino > fs.imap.maxIno() || !rec.Allocated() || fs.inodes.get(rec.Ino) != nil {
 			continue
 		}
-		if re.Allocated && re.Addr == slotAddr && re.Slot == slotIdx {
+		if re.Allocated && re.Addr == at && re.Slot == idx {
 			fs.inodes.install(rec.Ino, rec)
 		}
 	}

@@ -146,7 +146,9 @@ const (
 // mismatch (a torn write). Class records which append stream wrote
 // the unit; Age is the modified time of the unit's youngest data —
 // equal to Timestamp for fresh writes, older for cleaner relocations
-// — so recovery can rebuild age-correct usage entries.
+// — so recovery can rebuild age-correct usage entries. Inline counts the
+// inode records a commit put in the free slots at the end of the unit's
+// last summary block instead of in an inode block (FORMAT.md).
 type summaryHeader struct {
 	Serial    uint64
 	NBlocks   int
@@ -155,6 +157,7 @@ type summaryHeader struct {
 	DataCRC   uint32
 	Class     writeClass
 	Age       sim.Time
+	Inline    int
 }
 
 // summaryBytes returns the byte size of a summary for n blocks.
@@ -163,6 +166,28 @@ func summaryBytes(n int) int { return summaryHeaderSize + n*summaryEntrySize }
 // summaryBlocks returns the blocks a summary for n entries occupies.
 func summaryBlocks(n, blockSize int) int {
 	return (summaryBytes(n) + blockSize - 1) / blockSize
+}
+
+// inlineOff is the byte offset, within the unit's summary blocks, of its
+// first inline record: the records fill the last summary block from its
+// end.
+func (h summaryHeader) inlineOff(bs int) int { return h.SumBlocks*bs - h.Inline*layout.InodeSize }
+
+// room is the free space between the summary's entries and its inline
+// records, in bytes.
+func (h summaryHeader) room(bs int) int { return h.inlineOff(bs) - summaryBytes(h.NBlocks) }
+
+// inlineAt returns where the inline records of a unit starting at block
+// blk of its segment sit: the segment block of its last summary block and
+// the slot there of the first record.
+func (h summaryHeader) inlineAt(blk, bs int) (sumBlk, slot int) {
+	return blk + h.SumBlocks - 1, bs/layout.InodeSize - h.Inline
+}
+
+// slotAddr is the inode-map address of record slot of the block at
+// sector block: the sector holding the record and its slot there.
+func slotAddr(block layout.DiskAddr, slot int) (layout.DiskAddr, uint8) {
+	return block + layout.DiskAddr(slot/inodesPerSector), uint8(slot % inodesPerSector)
 }
 
 // maxUnitBlocks returns the largest n such that a unit with n data
@@ -181,12 +206,13 @@ func maxUnitBlocks(avail, blockSize int) int {
 
 // encodeSummary writes the unit summary into p, which must span the
 // summary blocks. refs are the unit's last entries: the h.NBlocks-len(refs)
-// before them are already in p, so a batch that joins a unit re-encodes
-// its summary in place.
+// before them are already in p, as are its h.Inline records at p's end,
+// so a batch that joins a unit re-encodes its summary in place. The bytes
+// between the entries and the records are cleared.
 func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
-	off := summaryBytes(h.NBlocks - len(refs))
+	off, recs := summaryBytes(h.NBlocks-len(refs)), len(p)-h.Inline*layout.InodeSize
 	clear(p[:summaryHeaderSize])
-	clear(p[off:])
+	clear(p[off:recs])
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], summaryMagic)
 	le.PutUint64(p[4:], h.Serial)
@@ -195,6 +221,7 @@ func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
 	le.PutUint64(p[16:], uint64(h.Timestamp))
 	le.PutUint32(p[24:], h.DataCRC)
 	p[32] = uint8(h.Class)
+	le.PutUint16(p[34:], uint16(h.Inline))
 	le.PutUint64(p[40:], uint64(h.Age))
 	for _, r := range refs {
 		p[off] = uint8(r.Kind)
@@ -203,10 +230,10 @@ func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
 		le.PutUint32(p[off+16:], r.Version)
 		off += summaryEntrySize
 	}
-	// Header checksum covers the header and all entries; stored in
-	// the spare header word.
+	// Header checksum covers the header, all entries and the inline
+	// records; stored in the spare header word.
 	le.PutUint32(p[28:], 0)
-	crc := layout.Checksum(p[:summaryBytes(h.NBlocks)])
+	crc := crc32.Update(layout.Checksum(p[:summaryBytes(h.NBlocks)]), crc32.IEEETable, p[recs:])
 	le.PutUint32(p[28:], crc)
 }
 
@@ -252,17 +279,20 @@ func decodeSummaryHeader(p []byte) (summaryHeader, error) {
 		Timestamp: sim.Time(le.Uint64(p[16:])),
 		DataCRC:   le.Uint32(p[24:]),
 		Class:     writeClass(p[32]),
+		Inline:    int(le.Uint16(p[34:])),
 		Age:       sim.Time(le.Uint64(p[40:])),
 	}, nil
 }
 
 // logUnit is one log unit as readUnit found it in a segment's bytes: its
-// header, its summary entries, its data blocks, and the block after it.
+// header, its summary entries, its data blocks, its inline inode records
+// (nil when it has none), and the block after it.
 type logUnit struct {
 	summaryHeader
-	refs []blockRef
-	data []byte
-	end  int
+	refs   []blockRef
+	data   []byte
+	inline []byte
+	end    int
 }
 
 // readUnit is the one reader of log units: roll-forward, the cleaner and
@@ -271,7 +301,8 @@ type logUnit struct {
 // cleaner passes its scratch; nil allocates). Its verdict is nil for a
 // unit; errSummaryShort or errSummaryMagic when none starts there;
 // errSummaryChecksum when the summary is damaged or its entries run past
-// seg; errSummaryBounds when it is intact but does not fit the segment.
+// seg or its inline records overlap its entries or its last summary
+// block; errSummaryBounds when it is intact but does not fit the segment.
 // The payload is left to checkData.
 func readUnit(seg []byte, blk, bs int, refs []blockRef) (logUnit, error) {
 	p := seg[blk*bs:]
@@ -279,15 +310,20 @@ func readUnit(seg []byte, blk, bs int, refs []blockRef) (logUnit, error) {
 	if err != nil {
 		return logUnit{}, err
 	}
-	total := summaryBytes(h.NBlocks)
-	if total > len(p) {
+	total, sumEnd := summaryBytes(h.NBlocks), h.SumBlocks*bs
+	if total > len(p) || h.Inline > 0 && (sumEnd > len(p) || h.Inline*layout.InodeSize > bs || h.room(bs) < 0) {
 		return logUnit{}, errSummaryChecksum
+	}
+	var inline []byte
+	if h.Inline > 0 {
+		inline = p[h.inlineOff(bs):sumEnd]
 	}
 	// The checksum was computed with its own word zeroed (encodeSummary);
 	// feed the CRC around that word rather than copying the summary.
 	crc := crc32.Update(0, crc32.IEEETable, p[:28])
 	crc = crc32.Update(crc, crc32.IEEETable, zeroCRCWord[:])
 	crc = crc32.Update(crc, crc32.IEEETable, p[32:total])
+	crc = crc32.Update(crc, crc32.IEEETable, inline)
 	le := binary.LittleEndian
 	if crc != le.Uint32(p[28:]) {
 		return logUnit{}, errSummaryChecksum
@@ -307,7 +343,7 @@ func readUnit(seg []byte, blk, bs int, refs []blockRef) (logUnit, error) {
 		})
 	}
 	start := blk + h.SumBlocks
-	return logUnit{h, refs, seg[start*bs : (start+h.NBlocks)*bs], start + h.NBlocks}, nil
+	return logUnit{h, refs, seg[start*bs : (start+h.NBlocks)*bs], inline, start + h.NBlocks}, nil
 }
 
 // checkData holds the unit's payload to its summary's DataCRC. The

@@ -250,44 +250,89 @@ func (fs *FS) metaPayload(n int) [][]byte {
 }
 
 // writeInodeBatchFor packs the given dirty inodes, in ascending order,
-// into inode blocks, logs them, and updates the inode map.
+// into inode blocks, logs them, and updates the inode map. A commit's batch
+// that fits the free slots of its unit's summary goes there instead
+// (inlineInodes), and the commit writes one block fewer.
 func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 	if len(inos) == 0 {
 		return nil
 	}
 	per := fs.inodesPerBlock()
-	payload := fs.metaPayload((len(inos) + per - 1) / per)
-	refs := fs.wr.refs[:0]
-	for i, ino := range inos {
-		in := fs.inodes.get(ino)
-		if in == nil {
-			return fmt.Errorf("lfs: dirty inode %d missing from the in-core table", ino)
+	// The records went to blocks, the first at slot first of blocks[0]
+	// and on from there.
+	blocks := fs.wr.addrs[:0]
+	sum, first, ok := fs.inlineInodes(inos)
+	if ok {
+		blocks = append(blocks, sum)
+		fs.wr.addrs = blocks
+	} else {
+		payload := fs.metaPayload((len(inos) + per - 1) / per)
+		refs := fs.wr.refs[:0]
+		for i, ino := range inos {
+			in := fs.inodes.get(ino)
+			if in == nil {
+				return fmt.Errorf("lfs: dirty inode %d missing from the in-core table", ino)
+			}
+			in.Encode(payload[i/per][i%per*layout.InodeSize:])
+			if i%per == 0 {
+				refs = append(refs, blockRef{Kind: kindInodes})
+			}
 		}
-		in.Encode(payload[i/per][i%per*layout.InodeSize:])
-		if i%per == 0 {
-			refs = append(refs, blockRef{Kind: kindInodes})
+		fs.wr.refs = refs
+		used := (len(inos)-1)%per + 1 // slots of the last block
+		clear(payload[len(payload)-1][used*layout.InodeSize:])
+		// Inode blocks always go hot: they aggregate records of many
+		// files and are rewritten whenever any of them changes.
+		var err error
+		if blocks, err = fs.placeBlocks(classHot, refs, payload, nil); err != nil {
+			return err
 		}
-	}
-	fs.wr.refs = refs
-	used := (len(inos)-1)%per + 1 // slots of the last block
-	clear(payload[len(payload)-1][used*layout.InodeSize:])
-	// Inode blocks always go hot: they aggregate records of many
-	// files and are rewritten whenever any of them changes.
-	addrs, err := fs.placeBlocks(classHot, refs, payload, nil)
-	if err != nil {
-		return err
 	}
 	for n, ino := range inos {
-		base, i := addrs[n/per], n%per
+		base, i := blocks[(first+n)/per], (first+n)%per
 		e := fs.imap.get(ino)
 		fs.killBlock(e.Addr, layout.InodeSize)
-		e.Addr = base + layout.DiskAddr(i/inodesPerSector)
-		e.Slot = uint8(i % inodesPerSector)
+		e.Addr, e.Slot = slotAddr(base, i)
 		fs.imap.markDirty(ino)
 		fs.creditSegmentAged(fs.segOf(base), layout.InodeSize, fs.clock.Now())
 		fs.inodes.setDirty(ino, false)
 	}
 	return nil
+}
+
+// inlineInodes encodes the records of inos into free slots at the end of
+// the last summary block of the hot head's open commit unit, and counts
+// them in its summary, whose checksum covers them. It returns the block's
+// address and the first record's slot in it; false, having changed
+// nothing, outside a commit, with no commit unit open, when the slots are
+// too few, or for a number with no in-core record. The commit's other
+// batches come first, so the summary holds every entry it will.
+func (fs *FS) inlineInodes(inos []layout.Ino) (layout.DiskAddr, int, bool) {
+	h := &fs.heads[classHot]
+	if !fs.wr.commit || fs.cleaning || !h.joinable {
+		return 0, 0, false
+	}
+	bs := fs.cfg.BlockSize
+	p := h.buf[(h.unit-h.pending)*bs:]
+	hdr, _ := decodeSummaryHeader(p) // placeBlocks encoded it
+	if hdr.room(bs) < len(inos)*layout.InodeSize {
+		return 0, 0, false
+	}
+	hdr.Inline += len(inos)
+	p = p[:hdr.SumBlocks*bs]
+	recs := p[hdr.inlineOff(bs):]
+	for i, ino := range inos {
+		in := fs.inodes.get(ino)
+		if in == nil {
+			clear(recs[:i*layout.InodeSize])
+			return 0, 0, false
+		}
+		in.Encode(recs[i*layout.InodeSize:])
+	}
+	hdr.Age = fs.clock.Now()
+	encodeSummary(hdr, nil, p)
+	sum, first := hdr.inlineAt(h.unit, bs)
+	return layout.DiskAddr(fs.blockSector(h.seg, sum)), first, true
 }
 
 // writeImapBatch logs every dirty inode map block and records the new
@@ -343,7 +388,8 @@ func (fs *FS) writeImapBatch() error {
 // blocks have room for its entries and the segment for its blocks, so a
 // commit writes one unit, one summary, per head. Every other flush opens
 // a unit per batch: joining there too would move the figures lfsperf's
-// frozen oracles hold (ROADMAP item 7).
+// frozen oracles hold (ROADMAP item 7). A commit's inode batch may skip
+// placement altogether (inlineInodes).
 func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, ages []sim.Time) ([]layout.DiskAddr, error) {
 	now := fs.clock.Now()
 	if class == classCold && !fs.cfg.Segregation {
@@ -363,7 +409,7 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 		joins := commit && h.joinable
 		if joins {
 			hdr, _ = decodeSummaryHeader(h.buf[(h.unit-h.pending)*bs:]) // this loop encoded it
-			joins = summaryBytes(hdr.NBlocks+n) <= hdr.SumBlocks*bs && h.blk+n <= perSeg
+			joins = n*summaryEntrySize <= hdr.room(bs) && h.blk+n <= perSeg
 		}
 		if !joins {
 			fit := maxUnitBlocks(perSeg-h.blk, bs)

@@ -22,7 +22,9 @@ type OpKind string
 // The operation kinds. OpCheckpoint and OpClean reach the log-structured
 // extras; on a file system without them (the model, FFS) they do
 // nothing. Apply leaves OpClean to the crash battery, which hands it to
-// the target's cleaner (Target.Clean).
+// the target's cleaner (Target.Clean). OpFsync is FsyncFile where the
+// file system has one and Sync elsewhere; the crash battery credits it
+// with no acknowledgement.
 const (
 	OpCreate     OpKind = "create"     // make an empty file at Path
 	OpMkdir      OpKind = "mkdir"      // make a directory at Path
@@ -35,6 +37,7 @@ const (
 	OpRename     OpKind = "rename"     // move Path to Path2
 	OpLink       OpKind = "link"       // give Path's file the second name Path2
 	OpSync       OpKind = "sync"       // flush all dirty data to disk
+	OpFsync      OpKind = "fsync"      // flush Path's data and inode to disk
 	OpCheckpoint OpKind = "checkpoint" // force a checkpoint
 	OpClean      OpKind = "clean"      // run one cleaner pass
 )
@@ -106,6 +109,12 @@ func (o Op) Apply(fs vfs.FileSystem) (Result, error) {
 		err = fs.Link(o.Path, o.Path2)
 	case OpSync:
 		err = fs.Sync()
+	case OpFsync:
+		if f, ok := fs.(interface{ FsyncFile(string) error }); ok {
+			err = f.FsyncFile(o.Path)
+		} else {
+			err = fs.Sync()
+		}
 	case OpCheckpoint:
 		if c, ok := fs.(interface{ Checkpoint() error }); ok {
 			err = c.Checkpoint()

@@ -427,12 +427,13 @@ func (f *Front) readFile(in *layout.Inode, off int64, buf []byte) (int, error) {
 	if max := size - off; int64(len(buf)) > max {
 		buf = buf[:max]
 	}
-	read := 0
+	read, last := 0, (off+int64(len(buf))-1)/f.bs
 	for read < len(buf) {
 		pos := off + int64(read)
 		bo := pos % f.bs
 		n := min(int(f.bs-bo), len(buf)-read)
-		data, err := f.block(in, pos/f.bs)
+		lbn := pos / f.bs
+		data, err := f.block(in, lbn, int(last-lbn+1))
 		if err != nil {
 			return read, err
 		}
@@ -448,13 +449,14 @@ func (f *Front) readFile(in *layout.Inode, off int64, buf []byte) (int, error) {
 }
 
 // block returns the bytes of file block lbn for the read loop, nil for a
-// hole, valid until the next cache insertion. On a miss during a
-// sequential scan it fetches up to a span of blocks that lie contiguous
-// on disk in one request — the standard UNIX read-ahead both SunOS and
-// Sprite performed. LFS lays a sequentially written file out
-// contiguously in the log, FFS within a cylinder group; a file scattered
-// by random writes gets no benefit.
-func (f *Front) block(in *layout.Inode, lbn int64) ([]byte, error) {
+// hole, valid until the next cache insertion; want is how many blocks
+// the read needs from lbn on. On a miss it fetches in one request those
+// of them that lie contiguous on disk after lbn (clustering), and during
+// a sequential scan up to a span of such blocks — the standard UNIX
+// read-ahead both SunOS and Sprite performed. LFS lays a sequentially
+// written file out contiguously in the log, FFS within a cylinder group;
+// a file scattered by random writes gets no benefit.
+func (f *Front) block(in *layout.Inode, lbn int64, want int) ([]byte, error) {
 	sequential := lbn == 0 || f.lastRead[in.Ino]+1 == lbn
 	f.lastRead[in.Ino] = lbn
 	b, addr, err := f.h.Find(in, lbn)
@@ -469,7 +471,7 @@ func (f *Front) block(in *layout.Inode, lbn int64) ([]byte, error) {
 	bs := int(f.bs)
 	spb := layout.DiskAddr(bs / disk.SectorSize)
 	maxLbn := layout.BlocksForSize(in.Size, bs)
-	limit := 1
+	limit := min(want, len(f.span)/bs)
 	if sequential {
 		limit = len(f.span) / bs
 	}

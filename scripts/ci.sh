@@ -85,7 +85,10 @@ echo "== size =="
 # One router path for every shard count: conformance layers and the
 # extended inode-number case (fstest +46), inode numbers unique across
 # shards and their bound (shard +18), vfs.Walk's cycle stop (vfs +18): 24 095.
-size_ceiling=24095
+# A commit's inodes ride its summary block (core +110: the writer, the
+# header field, roll-forward's and the cleaner's record loops), read
+# clustering in vfs.Front (+2) and fstest.OpFsync (+9): 24 216.
+size_ceiling=24216
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
