@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -242,35 +241,19 @@ const relocationSegments = 2
 // cleanerScratch is the cleaner's working memory, kept on the FS like
 // the segment writer's: the batch selectBatch hands to cleanBatch,
 // cleanBatch's per-victim records, and what a pass takes from its
-// victims — the one segment-sized read buffer; the log unit being
-// walked, its summary entries in refs, and whether its data is still to
-// be checked; and moves: in revive order, the live data and indirect
-// blocks the pass's flush relocates. The bytes of those with no cached
-// copy are appended to staging, so a pass holds its relocation budget
-// plus one segment however many victims it takes, and only the pass owns
-// any of it: cleanBatch releases it on every way out.
+// victims — the one segment-sized read buffer; the summary entries of the
+// log unit being walked, in refs; and moves: in revive order, the live
+// data and indirect blocks the pass's flush relocates. The bytes of those
+// with no cached copy are appended to staging, so a pass holds its
+// relocation budget plus one segment however many victims it takes, and
+// only the pass owns any of it: cleanBatch releases it on every way out.
 type cleanerScratch struct {
-	batch     []int
-	stats     []victimStat
-	victim    []byte
-	staging   []byte
-	refs      []blockRef
-	unit      logUnit
-	unchecked bool
-	moves     []logBlock
-}
-
-// verifyUnit checks the unit being walked against its summary's data
-// checksum, once, before the first live block is taken from it: a victim
-// that does not read back as written fails the pass (errUnitData) instead
-// of being copied under a fresh, valid checksum. A unit that yields no
-// live block is not checked — the torn tail roll-forward discarded is one.
-func (fs *FS) verifyUnit() error {
-	if !fs.cl.unchecked {
-		return nil
-	}
-	fs.cl.unchecked = false
-	return fs.cl.unit.checkData()
+	batch   []int
+	stats   []victimStat
+	victim  []byte
+	staging []byte
+	refs    []blockRef
+	moves   []logBlock
 }
 
 // releaseVictims drops what the pass took from its victims; after a
@@ -349,11 +332,16 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 // credits the relocated copy at its destination with that age — not the
 // copy time — and routes it to the cold head when segregation is on.
 // Without the carry, relocated cold data is stamped "just written" and
-// cost-benefit stops ever re-selecting the segments it lands in. The walk
-// ends where readUnit finds no unit or a damaged summary; a unit whose
-// summary checks but does not fit the segment fails the pass, as a unit
-// that fails its data checksum does. Returns the live and examined block
-// counts.
+// cost-benefit stops ever re-selecting the segments it lands in.
+//
+// The walk reads the victim as roll-forward reads the tail: every unit
+// whole, summary and payload checked by readUnit. A sealed segment's units
+// run back to back from block 0 until no unit fits (DESIGN.md "Read what
+// you take"), so any verdict before that — no unit, a damaged summary, a
+// unit that does not fit, a payload that does not match — fails the pass,
+// naming segment and unit, and the victim stays dirty: nothing at or past
+// the damage is dropped, and nothing damaged is copied under a fresh
+// checksum. Returns the live and examined block counts.
 func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	srcAge := fs.usage[seg].Age
 	// Phase 1: one large sequential read of the whole segment.
@@ -369,16 +357,16 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 		return copied, examined, err
 	}
 
-	bs := fs.cfg.BlockSize
-	for blk := 0; blk < fs.cfg.blocksPerSegment(); {
-		u, err := readUnit(raw, blk, bs, fs.cl.refs[:0])
-		if errors.Is(err, errSummaryBounds) {
-			return copied, examined, fmt.Errorf("lfs: cleaner: segment %d, unit at block %d: %w", seg, blk, err)
+	bs, perSeg := fs.cfg.BlockSize, fs.cfg.blocksPerSegment()
+	var u logUnit
+	for blk := 0; maxUnitBlocks(perSeg-blk, bs) > 0; blk = u.end {
+		fail := func(err error) error {
+			return fmt.Errorf("lfs: cleaner: segment %d, unit at block %d: %w", seg, blk, err)
 		}
-		if err != nil {
-			break // end of the segment's used region
+		if u, err = readUnit(raw, blk, bs, fs.cl.refs[:0]); err != nil {
+			return copied, examined, fail(err)
 		}
-		fs.cl.refs, fs.cl.unit, fs.cl.unchecked = u.refs, u, true
+		fs.cl.refs = u.refs
 		dataStart := blk + u.SumBlocks
 		for j, ref := range u.refs {
 			examined++
@@ -387,7 +375,7 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 			addr := layout.DiskAddr(fs.blockSector(seg, dataStart+j))
 			live, err := fs.reviveBlock(ref, addr, u.data[j*bs:(j+1)*bs], srcAge)
 			if err != nil {
-				return copied, examined, fmt.Errorf("lfs: cleaner: segment %d, unit at block %d: %w", seg, blk, err)
+				return copied, examined, fail(err)
 			}
 			if live {
 				copied++
@@ -398,9 +386,8 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 		// counted, but a live one is rewritten all the same.
 		sumBlk, first := u.inlineAt(blk, bs)
 		if _, err := fs.reviveRecords(u.inline, layout.DiskAddr(fs.blockSector(seg, sumBlk)), first); err != nil {
-			return copied, examined, fmt.Errorf("lfs: cleaner: segment %d, unit at block %d: %w", seg, blk, err)
+			return copied, examined, fail(err)
 		}
-		blk = u.end
 	}
 	return copied, examined, nil
 }
@@ -455,9 +442,6 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 		if b != nil && b.Dirty() {
 			return true, nil
 		}
-		if err := fs.verifyUnit(); err != nil {
-			return false, err
-		}
 		m := logBlock{key: key, age: srcAge}
 		if b == nil && ref.Kind == kindData {
 			n := len(fs.cl.staging)
@@ -480,9 +464,6 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 		idx := int(ref.ID)
 		if idx < 0 || idx >= fs.imap.blockCount() || fs.imap.blockAddrs[idx] != addr {
 			return false, nil
-		}
-		if err := fs.verifyUnit(); err != nil {
-			return false, err
 		}
 		// Re-dirty the imap block; it is rewritten at the
 		// checkpoint that ends this cleaner run.
@@ -510,9 +491,6 @@ func (fs *FS) reviveRecords(recs []byte, block layout.DiskAddr, first int) (bool
 		e := fs.imap.peek(ino)
 		if addr, slot := slotAddr(block, first+i/layout.InodeSize); !e.Allocated || e.Addr != addr || e.Slot != slot {
 			continue
-		}
-		if err := fs.verifyUnit(); err != nil {
-			return live, err
 		}
 		// Live: queue a rewrite from the in-core copy, fetching (and so
 		// verifying) the record when there is none. A current record

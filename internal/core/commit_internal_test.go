@@ -42,9 +42,6 @@ func TestFsyncWritesOneUnit(t *testing.T) {
 	if got := unitKinds(units[0]); !slices.Equal(got, want) || units[0].Inline != 1 {
 		t.Errorf("fsync unit holds %v and %d inline records, want %v and 1", got, units[0].Inline, want)
 	}
-	if err := units[0].checkData(); err != nil {
-		t.Errorf("fsync unit: %v", err)
-	}
 }
 
 // TestGroupCommitSpillsPastFullSummary: a group commit whose data batch

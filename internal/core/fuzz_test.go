@@ -21,16 +21,17 @@ import (
 
 // FuzzReadUnit reads the unit at block 0 of a segment of 512-byte
 // blocks: a unit it accepts lies inside the segment, with one entry and
-// one data block per block it claims, and inline records that lie past
-// its entries in its last summary block.
+// one data block per block it claims, data that matches its DataCRC, and
+// inline records that lie past its entries in its last summary block.
 func FuzzReadUnit(f *testing.F) {
 	const bs = 512
 	refs := []blockRef{
 		{Kind: kindData, Ino: 7, ID: 3, Version: 1},
 		{Kind: kindInodes},
 	}
-	h := summaryHeader{Serial: 5, NBlocks: 2, SumBlocks: 1, Timestamp: sim.Time(9)}
 	valid := make([]byte, 3*bs)
+	valid[bs+7] = 0xA5 // a payload whose checksum is not the zero block's
+	h := summaryHeader{Serial: 5, NBlocks: 2, SumBlocks: 1, Timestamp: sim.Time(9), DataCRC: layout.DataChecksum(valid[bs:])}
 	encodeSummary(h, refs, valid[:bs])
 	f.Add(valid)
 	f.Add(make([]byte, bs))
@@ -54,6 +55,9 @@ func FuzzReadUnit(f *testing.F) {
 		}
 		if err == nil && (len(u.inline) != u.Inline*layout.InodeSize || u.room(bs) < 0 || u.Inline*layout.InodeSize > bs) {
 			t.Fatalf("accepted %d inline records in %d bytes, %d bytes after %d entries", u.Inline, len(u.inline), u.room(bs), u.NBlocks)
+		}
+		if err == nil && layout.DataChecksum(u.data) != u.DataCRC {
+			t.Fatalf("accepted a unit whose data does not match its DataCRC %#x", u.DataCRC)
 		}
 	})
 }

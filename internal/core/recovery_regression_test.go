@@ -223,16 +223,16 @@ func TestReviveBlockInodeErrorKeepsLiveness(t *testing.T) {
 // a stale copy. When that record was the current one, the victim was
 // reclaimed with the only copy of the inode in it: a media fault turned
 // into a lost file at the next remount. The map is asked first now, and
-// before anything live is taken from a log unit the unit's data is held
-// to the checksum in its summary: the flipped bit fails the pass with an
-// error naming segment and unit, whether or not the inode is in core,
-// and the victim stays dirty. (A record that goes bad between the
-// segment read and the inode fetch still fails the pass by inode number:
+// every unit of a victim is held to the data checksum in its summary:
+// the flipped bit fails the pass with an error naming segment and unit,
+// whether or not the inode is in core, and the victim stays dirty. (A
+// record that goes bad between the segment read and the inode fetch
+// still fails the pass by inode number:
 // TestReviveBlockInodeErrorKeepsLiveness.) The unit checksum also sees
-// what the record's own cannot, a flip inside its inode-number field —
-// as long as something else in the unit is live: the slot itself then
-// reads as another inode's stale copy, and a unit with nothing live in
-// it is not checked.
+// what the map question cannot, a flip inside the record's inode-number
+// field, which makes the slot read as another inode's stale copy;
+// TestCleanerFailsOnFlippedDataBit has it in a unit with nothing else
+// live.
 func TestCleanerKeepsInodeWithCorruptRecord(t *testing.T) {
 	for _, tc := range []struct {
 		inCore bool
@@ -348,30 +348,45 @@ func TestCleanerRefusesUnitOutsideItsSegment(t *testing.T) {
 	}
 }
 
-// TestCleanerEndsWalkAtDamagedSummary pins the other half of the
-// cleaner's rule: a summary that fails its checksum is where a segment's
-// used region ends — a torn tail — and the pass goes on, even when the
-// damaged summary's lengths, were they believed, could not fit.
-func TestCleanerEndsWalkAtDamagedSummary(t *testing.T) {
-	fs := newTestFS(t, 16<<20, smallConfig())
-	must(t, fs.Create("/f"))
-	must(t, fs.Write("/f", 0, make([]byte, 8192)))
-	must(t, fs.Sync())
-	h := fs.heads[classHot]
-	logged := 0
-	for _, u := range unitsSince(t, fs, h.seg, 0) {
-		logged += u.NBlocks
+// TestCleanerFailsAtDamagedSummary: the cleaner used to take a summary
+// that failed its checksum for the end of a victim's used region and
+// reclaim the segment, dropping every live block and inode record at or
+// past it without an error. A sealed segment's units reach its end, so
+// the damaged summary is a fault: here a group commit leaves three files'
+// only records inline in its summary block, one bit flips in that block's
+// last sector, and the pass fails naming segment and unit while the
+// victim stays dirty. Once the sector reads back as written, a remount
+// finds all three files and a clean volume.
+func TestCleanerFailsAtDamagedSummary(t *testing.T) {
+	fs, paths, u := groupCommitOfThree(t)
+	must(t, fs.Create("/filler"))
+	for i := 0; fs.usage[u.seg].State != segDirty; i++ {
+		must(t, fs.Write("/filler", int64(i)*8192, make([]byte, 8192)))
+		must(t, fs.Sync())
 	}
-	sum := make([]byte, fs.cfg.BlockSize)
-	encodeSummary(summaryHeader{Serial: fs.writeSerial, NBlocks: 3, SumBlocks: 1000, Timestamp: fs.clock.Now()},
-		make([]blockRef, 3), sum)
-	sum[summaryHeaderSize] ^= 0x01
-	must(t, fs.d.Store().WriteAt(sum, fs.blockSector(h.seg, h.blk)*disk.SectorSize))
+	spb := int64(fs.cfg.sectorsPerBlock())
+	last := fs.blockSector(u.seg, u.blk) + spb - 1
+	must(t, fs.d.FlipBits(last, 500, 0x04))
 
-	_, examined, err := fs.reviveSegment(h.seg)
-	if err != nil || logged == 0 || examined != logged {
-		t.Fatalf("walk over a segment ending in a damaged summary: %v, examined %d blocks, want the %d logged before it", err, examined, logged)
+	_, err := cleanVictims(fs, u.seg)
+	want := fmt.Sprintf("segment %d, unit at block %d", u.seg, u.blk)
+	if err == nil || !strings.Contains(err.Error(), want) || !errors.Is(err, errSummaryChecksum) {
+		t.Fatalf("clean of a victim with a damaged summary: %v, want a summary checksum error naming %q", err, want)
 	}
+	if st := fs.usage[u.seg].State; st != segDirty {
+		t.Fatalf("victim state %d after the failed clean, want still dirty", st)
+	}
+
+	must(t, fs.d.FlipBits(last, 500, 0x04)) // the sector is repaired
+	must(t, fs.Unmount())
+	fs, err = Mount(fs.d, fs.cfg)
+	must(t, err)
+	for _, p := range paths {
+		if fi, err := fs.Stat(p); err != nil || fi.Size != int64(fs.cfg.BlockSize) {
+			t.Fatalf("%s after the remount: %+v, %v; want %d bytes", p, fi, err, fs.cfg.BlockSize)
+		}
+	}
+	readsBack(t, fs, paths)
 }
 
 // TestCheckpointThatDoesNotFitIsInvalid: a region whose checksum holds

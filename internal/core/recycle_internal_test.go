@@ -345,14 +345,16 @@ func TestCleanBatchAllocatesNoTablesOfItsOwn(t *testing.T) {
 	}
 }
 
-// unitFixture is a 1 MB segment filled by one unit, its summary encoded.
+// unitFixture is a 1 MB segment filled by one unit, its summary encoded
+// with its payload's checksum.
 func unitFixture() []byte {
 	refs := make([]blockRef, 254)
 	for i := range refs {
 		refs[i] = blockRef{Kind: kindData, Ino: 7, ID: int64(i), Version: 3}
 	}
 	seg := make([]byte, 1<<20)
-	encodeSummary(summaryHeader{Serial: 9, NBlocks: len(refs), SumBlocks: 2}, refs, seg[:2*4096])
+	h := summaryHeader{Serial: 9, NBlocks: len(refs), SumBlocks: 2, DataCRC: layout.DataChecksum(seg[2*4096:])}
+	encodeSummary(h, refs, seg[:2*4096])
 	return seg
 }
 

@@ -299,42 +299,90 @@ func TestFailedPassReleasesVictims(t *testing.T) {
 	}
 }
 
-// TestCleanerFailsOnFlippedDataBit: one bit flipped in a live data block
-// of a dirty segment fails the pass that would have copied it — under a
-// freshly computed, valid checksum nothing would ever flag it again. The
-// segment is not reclaimed, nothing is relocated, and the file still
-// reads its damaged bytes from the old address: whether such a victim is
-// quarantined instead of retried is ROADMAP item 2(a)'s to decide.
+// TestCleanerFailsOnFlippedDataBit: one bit flipped in a victim's payload
+// fails the pass that would have copied it — under a freshly computed,
+// valid checksum nothing would ever flag it again. Every unit is held to
+// its summary's data checksum, so this holds for a flip in a live data
+// block and for one in the inode-number field of a live record whose unit
+// holds nothing else live: read without its own checksum, that slot looks
+// like another inode's stale copy, and the segment used to be reclaimed
+// with the only copy of the inode. The segment is not reclaimed, nothing
+// is relocated, and the file still reads from the old address. A victim
+// that fails its check is retried, not quarantined (ROADMAP item 2(a)):
+// the next pass over it fails the same way, and no state records it.
 func TestCleanerFailsOnFlippedDataBit(t *testing.T) {
-	fs := fragmentedFS(t)
-	fs.DropCaches()
-	path := pathOf(7)
-	_, addr := blockOf(t, fs, path, 1)
-	victim := fs.segOf(addr)
-	must(t, fs.d.FlipBits(int64(addr), 100, 0x04))
-	since, written := fs.writeSerial, fs.stats.BlocksWritten
-	res, err := cleanVictims(fs, victim)
-	if err == nil || res.SegmentsCleaned != 0 {
-		t.Fatalf("clean of a victim with a flipped bit: %+v, %v; want the pass to fail", res, err)
+	failsTwice := func(t *testing.T, fs *FS, victim int) {
+		t.Helper()
+		since, written := fs.writeSerial, fs.stats.BlocksWritten
+		for pass := 1; pass <= 2; pass++ {
+			res, err := cleanVictims(fs, victim)
+			if err == nil || res.SegmentsCleaned != 0 {
+				t.Fatalf("pass %d over a victim with a flipped bit: %+v, %v; want the pass to fail", pass, res, err)
+			}
+			if want := fmt.Sprintf("segment %d, unit at block", victim); !bytes.Contains([]byte(err.Error()), []byte(want)) || !errors.Is(err, errUnitData) {
+				t.Fatalf("pass %d: error %q does not name %q or is no data mismatch", pass, err, want)
+			}
+			if fs.usage[victim].State != segDirty {
+				t.Fatalf("pass %d: victim state %d, want still dirty", pass, fs.usage[victim].State)
+			}
+			if fs.writeSerial != since || fs.stats.BlocksWritten != written || len(fs.cl.moves) != 0 {
+				t.Fatalf("pass %d: the failed pass wrote to the log or kept its list", pass)
+			}
+		}
 	}
-	if want := fmt.Sprintf("segment %d, unit at block", victim); !bytes.Contains([]byte(err.Error()), []byte(want)) || !errors.Is(err, errUnitData) {
-		t.Fatalf("error %q does not name %q or is no data mismatch", err, want)
-	}
-	if fs.usage[victim].State != segDirty {
-		t.Fatalf("victim state %d, want still dirty", fs.usage[victim].State)
-	}
-	if fs.writeSerial != since || fs.stats.BlocksWritten != written || len(fs.cl.moves) != 0 {
-		t.Fatal("the failed pass wrote to the log or kept its list")
-	}
-	if _, cur := blockOf(t, fs, path, 1); cur != addr {
-		t.Fatalf("the damaged block moved from %v to %v", addr, cur)
-	}
-	want := bytes.Repeat([]byte{7}, 8192)
-	want[4096+100] ^= 0x04
-	got := make([]byte, 8192)
-	if _, err := fs.Read(path, 0, got); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("read of the damaged file: %v; want its flipped bytes from the old address", err)
-	}
+
+	t.Run("data block", func(t *testing.T) {
+		fs := fragmentedFS(t)
+		fs.DropCaches()
+		path := pathOf(7)
+		_, addr := blockOf(t, fs, path, 1)
+		victim := fs.segOf(addr)
+		must(t, fs.d.FlipBits(int64(addr), 100, 0x04))
+		failsTwice(t, fs, victim)
+		if _, cur := blockOf(t, fs, path, 1); cur != addr {
+			t.Fatalf("the damaged block moved from %v to %v", addr, cur)
+		}
+		want := bytes.Repeat([]byte{7}, 8192)
+		want[4096+100] ^= 0x04
+		got := make([]byte, 8192)
+		if _, err := fs.Read(path, 0, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read of the damaged file: %v; want its flipped bytes from the old address", err)
+		}
+	})
+
+	t.Run("ino field", func(t *testing.T) {
+		cfg := smallConfig()
+		cfg.SegmentSize = 64 << 10
+		fs := newTestFS(t, 8<<20, cfg)
+		must(t, fs.Create("/keep"))
+		must(t, fs.Create("/gone"))
+		must(t, fs.Write("/gone", 0, make([]byte, 8192)))
+		must(t, fs.Sync())
+		fi, err := fs.Stat("/keep")
+		must(t, err)
+		e := *fs.imap.get(fi.Ino)
+		victim := fs.segOf(e.Addr)
+		// Kill everything else in the victim, then seal it.
+		must(t, fs.Remove("/gone"))
+		must(t, fs.Create("/filler"))
+		for i := 0; fs.usage[victim].State != segDirty; i++ {
+			must(t, fs.Write("/filler", int64(i)*8192, make([]byte, 8192)))
+			must(t, fs.Sync())
+		}
+		must(t, fs.Remove("/filler"))
+		must(t, fs.Checkpoint())
+		if live := fs.usage[victim].Live; live != layout.InodeSize {
+			t.Fatalf("victim holds %d live bytes, want only /keep's record; test setup is wrong", live)
+		}
+		must(t, fs.d.FlipBits(int64(e.Addr), int(e.Slot)*layout.InodeSize, 0x10))
+		failsTwice(t, fs, victim)
+		if cur := fs.imap.get(fi.Ino); cur.Addr != e.Addr || cur.Slot != e.Slot {
+			t.Fatalf("the damaged record moved from %v/%d to %v/%d", e.Addr, e.Slot, cur.Addr, cur.Slot)
+		}
+		if after, err := fs.Stat("/keep"); err != nil || after.Ino != fi.Ino {
+			t.Fatalf("Stat after the failed passes: %+v, %v; want %+v", after, err, fi)
+		}
+	})
 }
 
 // TestPassMemoryIsBoundedByBudget: a batch of many nearly empty victims

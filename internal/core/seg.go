@@ -241,8 +241,8 @@ func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
 // checksum is verified.
 var zeroCRCWord [4]byte
 
-// The verdicts of readUnit and checkData: why there is no valid unit at a
-// block. FORMAT.md says which caller does what on each.
+// The verdicts of readUnit: why there is no valid unit at a block.
+// FORMAT.md says which caller does what on each.
 var (
 	errSummaryShort    = errors.New("lfs: summary shorter than header")
 	errSummaryMagic    = errors.New("lfs: bad summary magic")
@@ -302,8 +302,9 @@ type logUnit struct {
 // unit; errSummaryShort or errSummaryMagic when none starts there;
 // errSummaryChecksum when the summary is damaged or its entries run past
 // seg or its inline records overlap its entries or its last summary
-// block; errSummaryBounds when it is intact but does not fit the segment.
-// The payload is left to checkData.
+// block; errSummaryBounds when it is intact but does not fit the segment;
+// errUnitData when the payload does not match the summary's DataCRC, with
+// the unit as decoded, so Dump can still show it.
 func readUnit(seg []byte, blk, bs int, refs []blockRef) (logUnit, error) {
 	p := seg[blk*bs:]
 	h, err := decodeSummaryHeader(p)
@@ -343,15 +344,9 @@ func readUnit(seg []byte, blk, bs int, refs []blockRef) (logUnit, error) {
 		})
 	}
 	start := blk + h.SumBlocks
-	return logUnit{h, refs, seg[start*bs : (start+h.NBlocks)*bs], inline, start + h.NBlocks}, nil
-}
-
-// checkData holds the unit's payload to its summary's DataCRC. The
-// reader leaves it out because the cleaner checks only the units it
-// takes a live block from.
-func (u *logUnit) checkData() error {
-	if layout.DataChecksum(u.data) != u.DataCRC {
-		return errUnitData
+	u := logUnit{h, refs, seg[start*bs : (start+h.NBlocks)*bs], inline, start + h.NBlocks}
+	if layout.DataChecksum(u.data) != h.DataCRC {
+		return u, errUnitData
 	}
-	return nil
+	return u, nil
 }

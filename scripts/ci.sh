@@ -88,7 +88,9 @@ echo "== size =="
 # A commit's inodes ride its summary block (core +110: the writer, the
 # header field, roll-forward's and the cleaner's record loops), read
 # clustering in vfs.Front (+2) and fstest.OpFsync (+9): 24 216.
-size_ceiling=24216
+# The cleaner reads every unit of a victim whole and fails at any verdict
+# (verifyUnit and checkData gone): 24 191.
+size_ceiling=24191
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
