@@ -243,10 +243,12 @@ const relocationSegments = 2
 // cleanBatch's per-victim records, and what a pass takes from its
 // victims — the one segment-sized read buffer; the summary entries of the
 // log unit being walked, in refs; and moves: in revive order, the live
-// data and indirect blocks the pass's flush relocates. The bytes of those
-// with no cached copy are appended to staging, so a pass holds its
-// relocation budget plus one segment however many victims it takes, and
-// only the pass owns any of it: cleanBatch releases it on every way out.
+// data and indirect blocks the pass's flush relocates; dirtied: the
+// inodes the pass made dirty (passDirtied), which splitPassInodes sorts
+// into inos and ages. The bytes of those blocks with no cached copy are
+// appended to staging, so a pass holds its relocation budget plus one
+// segment however many victims it takes, and only the pass owns any of
+// it: cleanBatch releases it on every way out.
 type cleanerScratch struct {
 	batch   []int
 	stats   []victimStat
@@ -254,12 +256,33 @@ type cleanerScratch struct {
 	staging []byte
 	refs    []blockRef
 	moves   []logBlock
+	dirtied []inodeAge
+	inos    []layout.Ino
+	ages    []sim.Time
+}
+
+// inodeAge is an inode a cleaner pass dirtied and the age of the data
+// that dirtied it.
+type inodeAge struct {
+	ino layout.Ino
+	age sim.Time
+}
+
+// passDirtied notes that the running pass made ino dirty, clean until
+// now, for data of the given age: a live record revived from a victim,
+// or an inode whose pointer a cold relocation moved. With segregation on
+// its record goes to the cold head with that age (splitPassInodes); an
+// inode the application had dirtied before the pass stays hot.
+func (fs *FS) passDirtied(ino layout.Ino, age sim.Time) {
+	if fs.cfg.Segregation {
+		fs.cl.dirtied = append(fs.cl.dirtied, inodeAge{ino, age})
+	}
 }
 
 // releaseVictims drops what the pass took from its victims; after a
 // failed pass they are still segDirty with every block in place.
 func (fs *FS) releaseVictims() {
-	fs.cl.moves, fs.cl.staging = fs.cl.moves[:0], fs.cl.staging[:0]
+	fs.cl.moves, fs.cl.staging, fs.cl.dirtied = fs.cl.moves[:0], fs.cl.staging[:0], fs.cl.dirtied[:0]
 	cache.Poison(fs.cl.victim)
 	cache.Poison(fs.cl.staging[:cap(fs.cl.staging)])
 }
@@ -385,7 +408,7 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 		// A commit's inline records are not a block: they are not
 		// counted, but a live one is rewritten all the same.
 		sumBlk, first := u.inlineAt(blk, bs)
-		if _, err := fs.reviveRecords(u.inline, layout.DiskAddr(fs.blockSector(seg, sumBlk)), first); err != nil {
+		if _, err := fs.reviveRecords(u.inline, layout.DiskAddr(fs.blockSector(seg, sumBlk)), first, srcAge); err != nil {
 			return copied, examined, fail(err)
 		}
 	}
@@ -458,7 +481,7 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 		return true, nil
 
 	case kindInodes:
-		return fs.reviveRecords(data, addr, 0)
+		return fs.reviveRecords(data, addr, 0, srcAge)
 
 	case kindImap:
 		idx := int(ref.ID)
@@ -475,9 +498,9 @@ func (fs *FS) reviveBlock(ref blockRef, addr layout.DiskAddr, data []byte, srcAg
 
 // reviveRecords queues for the pass's segment write each live inode whose
 // record recs holds: the record slots from first on of the block at
-// sector block, an inode block or a summary block's inline records.
-// Returns whether any was live.
-func (fs *FS) reviveRecords(recs []byte, block layout.DiskAddr, first int) (bool, error) {
+// sector block, an inode block or a summary block's inline records, of a
+// victim whose data is of age srcAge. Returns whether any was live.
+func (fs *FS) reviveRecords(recs []byte, block layout.DiskAddr, first int, srcAge sim.Time) (bool, error) {
 	// An inode is live when the map still points at its slot. Ask the
 	// map first: it costs an index, where decoding and checksumming
 	// every record of every victim inode block costs more than the
@@ -501,6 +524,9 @@ func (fs *FS) reviveRecords(recs []byte, block layout.DiskAddr, first int) (bool
 		// them would leave the caller's copy accounting inconsistent.
 		if _, err := fs.getInode(ino); err != nil {
 			return live, fmt.Errorf("live inode %d at %v slot %d: %w", ino, e.Addr, e.Slot, err)
+		}
+		if !fs.inodes.isDirty(ino) {
+			fs.passDirtied(ino, srcAge)
 		}
 		fs.markInodeDirty(ino)
 		live = true

@@ -214,24 +214,27 @@ func commitWorkload(blockSize int) []fstest.Op {
 	return ops
 }
 
-// writeTap is a store that keeps a copy of every write once armed.
+// writeTap is a store that keeps a copy of every write, and its byte
+// offset, once armed.
 type writeTap struct {
 	disk.Store
 	armed  bool
 	writes [][]byte
+	offs   []int64
 }
 
 func (s *writeTap) WriteAt(p []byte, off int64) error {
 	if s.armed {
 		s.writes = append(s.writes, append([]byte(nil), p...))
+		s.offs = append(s.offs, off)
 	}
 	return s.Store.WriteAt(p, off)
 }
 
-// inlineWrites runs ops once on a fresh volume and returns how many
-// writes the workload issued and which of them (1-based, as the crash
-// battery numbers them) carry a unit with inline inode records.
-func inlineWrites(t *testing.T, target fstest.Target, capacity int64, ops []fstest.Op, bs int) (int, []int) {
+// tapWrites runs ops once on a fresh volume, OpClean by the target's
+// cleaner as the crash battery runs it, and returns the tap holding every
+// write the workload issued, in the order the battery numbers them.
+func tapWrites(t *testing.T, target fstest.Target, capacity int64, ops []fstest.Op) *writeTap {
 	t.Helper()
 	geom := disk.GeometryForCapacity(capacity)
 	tap := &writeTap{Store: disk.NewCowMemStore(geom.TotalBytes())}
@@ -245,10 +248,24 @@ func inlineWrites(t *testing.T, target fstest.Target, capacity int64, ops []fste
 	}
 	tap.armed = true
 	for _, op := range ops {
-		if _, err := op.Apply(fs); err != nil {
+		if op.Kind == fstest.OpClean {
+			err = target.Clean(fs)
+		} else {
+			_, err = op.Apply(fs)
+		}
+		if err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}
 	}
+	return tap
+}
+
+// inlineWrites runs ops once on a fresh volume and returns how many
+// writes the workload issued and which of them (1-based, as the crash
+// battery numbers them) carry a unit with inline inode records.
+func inlineWrites(t *testing.T, target fstest.Target, capacity int64, ops []fstest.Op, bs int) (int, []int) {
+	t.Helper()
+	tap := tapWrites(t, target, capacity, ops)
 	var inline []int
 	for k, w := range tap.writes {
 		if core.InlineUnits(w, bs) > 0 {
@@ -294,6 +311,100 @@ func TestCrashPointSweepCommits(t *testing.T) {
 				}
 				t.Errorf("group commit %v: %s", group, f)
 			}
+		}
+	}
+}
+
+// coldInodeWorkload builds, without cleaning, a volume whose first
+// cleaner pass writes both orders of a hot and a cold unit that the
+// writer's hot-before-cold issue order has to make safe, then cleans and
+// checkpoints. /big has twelve direct blocks and one under its
+// single-indirect block; a truncate moves that indirect block, alone,
+// into the segment the /d/s files fill, whose every other block the
+// removals and later syncs kill. The application then dirties /big.
+//
+// The pass's first victim is that segment. Its only live block, the
+// indirect block, goes cold after /big's dirty block went hot, and /big's
+// record, dirtied by the application, goes hot in a unit of its own: one
+// that joined the earlier hot unit would point into a cold unit of a later
+// serial, which the hot-before-cold order can lose behind it. The next
+// victim holds /big's last direct blocks and the block under its indirect
+// block: the direct ones go cold and dirty /big's record, which follows
+// them there, while the indirect block they dirty goes hot in a later
+// serial, issued first.
+func coldInodeWorkload(bs int) []fstest.Op {
+	fill := func(n, seed int) []byte {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(seed*31 + j)
+		}
+		return p
+	}
+	ops := []fstest.Op{
+		{Kind: fstest.OpMkdir, Path: "/d"},
+		{Kind: fstest.OpCreate, Path: "/big"},
+		{Kind: fstest.OpWrite, Path: "/big", Data: fill(14*bs, 1)},
+		{Kind: fstest.OpSync},
+		{Kind: fstest.OpTruncate, Path: "/big", Size: int64(13 * bs)},
+	}
+	files := func(prefix string, n int) {
+		for i := range n {
+			p := fmt.Sprintf("/d/%s%d", prefix, i)
+			ops = append(ops, fstest.Op{Kind: fstest.OpCreate, Path: p}, fstest.Op{Kind: fstest.OpWrite, Path: p, Data: fill(2*bs, i)})
+		}
+		ops = append(ops, fstest.Op{Kind: fstest.OpSync})
+	}
+	files("s", 7)
+	for i := range 7 {
+		ops = append(ops, fstest.Op{Kind: fstest.OpRemove, Path: fmt.Sprintf("/d/s%d", i)})
+	}
+	files("t", 7)
+	files("u", 1)
+	return append(ops,
+		fstest.Op{Kind: fstest.OpWrite, Path: "/big", Off: 5, Data: fill(100, 9)},
+		fstest.Op{Kind: fstest.OpClean},
+		fstest.Op{Kind: fstest.OpCheckpoint},
+	)
+}
+
+// TestCrashPointSweepColdInodes sweeps every write of cleaner passes on a
+// segregated volume, lost and torn, whose cold units carry the inode
+// records the passes dirtied (coldInodeWorkload): some point at a
+// single-indirect block in a hot unit of a later serial, which is safe
+// only because the hot run is issued first. Letting hot batches join a
+// unit during a pass fails this sweep: /big's record then rides a hot
+// unit that points into a cold unit a cut can lose.
+func TestCrashPointSweepColdInodes(t *testing.T) {
+	cfg := experiments.CrashConfig()
+	if !cfg.Segregation {
+		t.Fatal("the crash configuration does not segregate; the sweep has no cold records")
+	}
+	ops := coldInodeWorkload(cfg.BlockSize)
+	const capacity = 4 << 20
+	tap := tapWrites(t, experiments.LFSTarget(cfg), capacity, ops)
+	if n := core.ColdRecordsOnLaterHot(tap.writes, tap.offs, cfg.BlockSize); n == 0 {
+		t.Fatalf("none of %d writes holds a cold inode record on a later hot indirect block", len(tap.writes))
+	}
+	for _, torn := range []bool{false, true} {
+		rep, err := fstest.RunCrashPoints(fstest.CrashConfig{
+			Target:       experiments.LFSTarget(cfg),
+			DiskCapacity: capacity,
+			Workload:     ops,
+			Torn:         torn,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Points != len(tap.writes) || rep.RollForwardPoints == 0 {
+			t.Fatalf("torn %v: swept %d of %d writes (the tap saw %d), %d rolled forward",
+				torn, rep.Points, rep.TotalWrites, len(tap.writes), rep.RollForwardPoints)
+		}
+		for i, f := range rep.Failures {
+			if i >= 20 {
+				t.Errorf("... and %d more failures", len(rep.Failures)-i)
+				break
+			}
+			t.Error(f.String())
 		}
 	}
 }

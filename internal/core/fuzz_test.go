@@ -161,7 +161,7 @@ func buildMountImage(t testing.TB) *mountImage {
 	must(t, fs.Sync())
 	must(t, fs.Mkdir("/d/late"))
 	must(t, fs.Sync())
-	commit := fs.heads[classHot]
+	since := fs.writeSerial
 	must(t, fs.Write("/tail", int64(cfg.BlockSize), bytes.Repeat([]byte{0x7B}, cfg.BlockSize)))
 	must(t, fs.FsyncFile("/tail"))
 
@@ -182,10 +182,11 @@ func buildMountImage(t testing.TB) *mountImage {
 	ckpt0, ckpt1 := int64(fs.sb.Ckpt0Sector), int64(fs.sb.Ckpt1Sector)
 	usage := ckptHeaderSize + fs.imap.blockCount()*layout.AddrSize
 	tailUnit := fs.blockSector(tail.seg, tail.blk)
-	commitUnit := fs.blockSector(commit.seg, commit.blk)
-	if u := unitsSince(t, fs, commit.seg, fs.writeSerial-1); len(u) != 1 || u[0].blk != commit.blk || u[0].Inline != 1 {
-		t.Fatalf("the tail's fsync left %d units, want one at block %d carrying its inode", len(u), commit.blk)
+	commit := writtenSince(t, fs, since)
+	if len(commit) != 1 || commit[0].Inline != 1 {
+		t.Fatalf("the tail's fsync left %d units, want one carrying its inode", len(commit))
 	}
+	commitUnit := fs.blockSector(commit[0].seg, commit[0].blk)
 	fs.Crash()
 
 	img := &mountImage{cfg: cfg, bytes: make([]byte, fs.d.Capacity())}

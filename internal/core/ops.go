@@ -210,7 +210,7 @@ func (fs *FS) fsyncFile(path string) error {
 	}
 	// Its inode, if dirty.
 	if fs.inodes.isDirty(ino) {
-		if err := fs.writeInodeBatchFor([]layout.Ino{ino}); err != nil {
+		if err := fs.writeInodeBatchFor([]layout.Ino{ino}, nil); err != nil {
 			return err
 		}
 	}

@@ -532,3 +532,88 @@ func checkBooks(t *testing.T, fs *FS) *vfs.CheckReport {
 	}
 	return rep
 }
+
+// TestPassWritesItsRecordsCold: with segregation on, the inode records a
+// cleaner pass itself dirties — live records it revives from its victim,
+// and the files whose direct pointers its cold relocations move — go out
+// in the one cold unit that holds the relocated data, and that segment
+// keeps the victim's age. A file whose inode the application dirtied
+// before the pass keeps its record in the hot stream.
+func TestPassWritesItsRecordsCold(t *testing.T) {
+	fs := fragmentedFS(t)
+	fs.DropCaches()
+	app, addr := blockOf(t, fs, pathOf(7), 0)
+	victim := fs.segOf(addr)
+	srcAge := fs.usage[victim].Age
+	must(t, fs.Truncate(pathOf(7), 8192)) // its size as it was: only the inode is dirty
+	if !fs.inodes.isDirty(app.Ino) || fs.bc.DirtyCount() != 0 {
+		t.Fatal("the truncate did not dirty the inode alone; test setup is wrong")
+	}
+	// The pass's records: files it relocates data of, and live records it
+	// revives; the application's file is neither.
+	moved, pass := map[layout.Ino]bool{}, map[layout.Ino]bool{}
+	keys := liveDataRefs(t, fs, victim)
+	for _, k := range keys {
+		moved[k.Ino], pass[k.Ino] = true, true
+	}
+	revived := 0
+	for ino := layout.Ino(1); ino <= fs.imap.maxIno(); ino++ {
+		if e := fs.imap.peek(ino); e.Allocated && fs.segOf(e.Addr) == victim && !moved[ino] {
+			pass[ino] = true
+			revived++
+		}
+	}
+	if !moved[app.Ino] || len(moved) < 3 || revived == 0 {
+		t.Fatalf("victim %d holds data of %d files and %d other live records, want the application's file among several, and some",
+			victim, len(moved), revived)
+	}
+	delete(pass, app.Ino)
+
+	since := fs.writeSerial
+	_, err := cleanVictims(fs, victim)
+	must(t, err)
+	units := writtenSince(t, fs, since)
+	// unitOf returns the unit written since that holds the block of kind
+	// k at sector a, or nil.
+	unitOf := func(a layout.DiskAddr, k blockKind) *loggedUnit {
+		for i, u := range units {
+			for j, ref := range u.refs {
+				if ref.Kind == k && u.seg == fs.segOf(a) && fs.blockSector(u.seg, u.blk+u.SumBlocks+j) == int64(fs.blockStart(u.seg, a)) {
+					return &units[i]
+				}
+			}
+		}
+		return nil
+	}
+	name := func(u *loggedUnit) string {
+		if u == nil {
+			return "no unit written since"
+		}
+		return fmt.Sprintf("the %v unit at serial %d", u.Class, u.Serial)
+	}
+	_, first := blockOf(t, fs, pathOf(5), 0)
+	cold := unitOf(first, kindData)
+	if cold == nil || cold.Class != classCold {
+		t.Fatalf("relocated data went to %s, want a cold unit", name(cold))
+	}
+	for _, k := range keys {
+		in, err := fs.getInode(k.Ino)
+		must(t, err)
+		a, err := fs.blockAddrOf(in, k.Off)
+		must(t, err)
+		if unitOf(a, kindData) != cold {
+			t.Errorf("block %d of inode %d relocated outside %s", k.Off, k.Ino, name(cold))
+		}
+	}
+	for ino := layout.Ino(1); ino <= fs.imap.maxIno(); ino++ {
+		if u := unitOf(fs.imap.peek(ino).Addr, kindInodes); pass[ino] && u != cold {
+			t.Errorf("inode %d's record went to %s, want %s", ino, name(u), name(cold))
+		}
+	}
+	if age := fs.usage[cold.seg].Age; age != srcAge {
+		t.Errorf("the cold segment's age is %d, want the victim's %d", age, srcAge)
+	}
+	if u := unitOf(fs.imap.peek(app.Ino).Addr, kindInodes); u == nil || u.Class != classHot {
+		t.Errorf("the application's dirty inode went to %s, want a hot unit", name(u))
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"lfs/internal/cache"
 	"lfs/internal/disk"
@@ -109,9 +110,14 @@ func (fs *FS) flush(scope flushScope) error {
 		return err
 	}
 
-	// Batch 5: inodes, packed into inode blocks.
+	// Batch 5: inodes, packed into inode blocks: those a cleaner pass
+	// dirtied to the cold head, then the rest to the hot one.
 	fs.wr.inos = fs.inodes.appendDirty(fs.wr.inos[:0])
-	if err := fs.writeInodeBatchFor(fs.wr.inos); err != nil {
+	hot, cold, ages := fs.splitPassInodes(fs.wr.inos)
+	if err := fs.writeInodeBatchFor(cold, ages); err != nil {
+		return err
+	}
+	if err := fs.writeInodeBatchFor(hot, nil); err != nil {
 		return err
 	}
 
@@ -213,6 +219,7 @@ func (fs *FS) writeBlockClass(blocks []logBlock, class writeClass, kind blockKin
 			return fmt.Errorf("lfs: flushing %v block of inode %d: %w", kind, b.key.Ino, err)
 		}
 		var old layout.DiskAddr
+		dirty := fs.inodes.isDirty(b.key.Ino)
 		if kind == kindData {
 			old, err = fs.setBlockAddr(in, b.key.Off, addrs[i])
 		} else {
@@ -220,6 +227,9 @@ func (fs *FS) writeBlockClass(blocks []logBlock, class writeClass, kind blockKin
 		}
 		if err != nil {
 			return err
+		}
+		if class == classCold && !dirty && fs.inodes.isDirty(b.key.Ino) {
+			fs.passDirtied(b.key.Ino, cmp.Or(b.age, now))
 		}
 		fs.killBlock(old, bs)
 		fs.creditSegmentAged(fs.segOf(addrs[i]), bs, cmp.Or(b.age, now))
@@ -249,11 +259,41 @@ func (fs *FS) metaPayload(n int) [][]byte {
 	return payload
 }
 
+// splitPassInodes splits the dirty inodes inos, ascending, into those
+// the running cleaner pass dirtied (passDirtied), each with its data's
+// age, and the rest, reusing inos for the rest. Outside a pass, or with
+// segregation off, every inode is in the rest.
+func (fs *FS) splitPassInodes(inos []layout.Ino) (rest, pass []layout.Ino, ages []sim.Time) {
+	marks := fs.cl.dirtied
+	if len(marks) == 0 {
+		return inos, nil, nil
+	}
+	slices.SortFunc(marks, func(a, b inodeAge) int { return cmp.Compare(a.ino, b.ino) })
+	rest, pass, ages = inos[:0], fs.cl.inos[:0], fs.cl.ages[:0]
+	j := 0
+	for _, ino := range inos {
+		for j < len(marks) && marks[j].ino < ino {
+			j++
+		}
+		if j < len(marks) && marks[j].ino == ino {
+			pass, ages = append(pass, ino), append(ages, marks[j].age)
+		} else {
+			rest = append(rest, ino)
+		}
+	}
+	fs.cl.dirtied, fs.cl.inos, fs.cl.ages = marks[:0], pass, ages
+	return rest, pass, ages
+}
+
 // writeInodeBatchFor packs the given dirty inodes, in ascending order,
-// into inode blocks, logs them, and updates the inode map. A commit's batch
-// that fits the free slots of its unit's summary goes there instead
-// (inlineInodes), and the commit writes one block fewer.
-func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
+// into inode blocks, logs them, and updates the inode map. Inode blocks go
+// hot — they aggregate records of many files and are rewritten whenever
+// any of them changes — except the records a cleaner pass dirtied, which
+// come with ages, each its data's: they go cold, in the pass's cold unit
+// (placeBlocks). A commit's batch that fits the free slots of its unit's
+// summary goes there instead (inlineInodes), and the commit writes one
+// block fewer.
+func (fs *FS) writeInodeBatchFor(inos []layout.Ino, ages []sim.Time) error {
 	if len(inos) == 0 {
 		return nil
 	}
@@ -281,10 +321,19 @@ func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 		fs.wr.refs = refs
 		used := (len(inos)-1)%per + 1 // slots of the last block
 		clear(payload[len(payload)-1][used*layout.InodeSize:])
-		// Inode blocks always go hot: they aggregate records of many
-		// files and are rewritten whenever any of them changes.
+		class, blockAges := classHot, []sim.Time(nil) // nil: as young as now
+		if ages != nil {
+			class, blockAges = classCold, fs.wr.ages[:0]
+			for i, age := range ages { // a block is as young as its youngest record
+				if i%per == 0 {
+					blockAges = append(blockAges, age)
+				}
+				blockAges[i/per] = max(blockAges[i/per], age)
+			}
+			fs.wr.ages = blockAges
+		}
 		var err error
-		if blocks, err = fs.placeBlocks(classHot, refs, payload, nil); err != nil {
+		if blocks, err = fs.placeBlocks(class, refs, payload, blockAges); err != nil {
 			return err
 		}
 	}
@@ -294,7 +343,11 @@ func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 		fs.killBlock(e.Addr, layout.InodeSize)
 		e.Addr, e.Slot = slotAddr(base, i)
 		fs.imap.markDirty(ino)
-		fs.creditSegmentAged(fs.segOf(base), layout.InodeSize, fs.clock.Now())
+		age := fs.clock.Now()
+		if ages != nil {
+			age = ages[n]
+		}
+		fs.creditSegmentAged(fs.segOf(base), layout.InodeSize, age)
 		fs.inodes.setDirty(ino, false)
 	}
 	return nil
@@ -386,8 +439,17 @@ func (fs *FS) writeImapBatch() error {
 // During a commit (fsync or FlushAsync, but not a cleaner pass it
 // starts) a batch joins the head's open unit when the unit's summary
 // blocks have room for its entries and the segment for its blocks, so a
-// commit writes one unit, one summary, per head. Every other flush opens
-// a unit per batch: joining there too would move the figures lfsperf's
+// commit writes one unit, one summary, per head. A cleaner pass's cold
+// batches — relocated data, then indirect blocks, then the records the
+// pass dirtied — join the cold head's open unit by the same rule, so a
+// pass writes one cold unit. That unit, opened early with serial s, can
+// take records pointing at hot blocks of a later serial (an indirect
+// block a relocation dirtied); it is safe because flushPendingIO issues
+// the hot run first, so a cold run that survived a crash has its hot run
+// behind it. The pass's hot batches never join: a hot unit of serial s
+// holding records that point into a cold unit of serial s+1 would be
+// replayed after a crash that lost the cold run. Every other flush opens a
+// unit per batch: joining there too would move the figures lfsperf's
 // frozen oracles hold (ROADMAP item 7). A commit's inode batch may skip
 // placement altogether (inlineInodes).
 func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, ages []sim.Time) ([]layout.DiskAddr, error) {
@@ -406,7 +468,8 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 		h := &fs.heads[class]
 		n, sumBlks := len(payload)-i, 0
 		var hdr summaryHeader
-		joins := commit && h.joinable
+		join := commit || fs.cleaning && class == classCold
+		joins := join && h.joinable
 		if joins {
 			hdr, _ = decodeSummaryHeader(h.buf[(h.unit-h.pending)*bs:]) // this loop encoded it
 			joins = n*summaryEntrySize <= hdr.room(bs) && h.blk+n <= perSeg
@@ -430,7 +493,7 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 			n = min(n, fit)
 			sumBlks = summaryBlocks(n, bs)
 			hdr = summaryHeader{Serial: fs.writeSerial, SumBlocks: sumBlks, Timestamp: fs.clock.Now(), Class: class}
-			h.unit, h.joinable = h.blk, commit
+			h.unit, h.joinable = h.blk, join
 			fs.writeSerial++
 			fs.stats.UnitsWritten++
 		}
@@ -471,7 +534,9 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 // unit. The issue order is what crash recovery sees: replay stops at the
 // first missing serial, so a unit that persisted ahead of a lost
 // earlier-serial unit is simply discarded with everything after it —
-// none of it was acknowledged before a sync drained the queue.
+// none of it was acknowledged before a sync drained the queue. Hot before
+// cold is also what lets a cleaner pass's cold unit point into hot units
+// of later serials (placeBlocks): a surviving cold run implies its hot run.
 func (fs *FS) flushPendingIO() error {
 	bs := fs.cfg.BlockSize
 	for class := writeClass(0); class < numClasses; class++ {

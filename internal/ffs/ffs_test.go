@@ -739,7 +739,10 @@ func TestFsckDetectsCorruption(t *testing.T) {
 
 // TestFsckParsesEachDirectoryBlock: fsck reads a directory's 512-byte
 // directory blocks one by one, so a damaged one is reported and the
-// entries of the next one in the same block are still reached.
+// entries of the next one in the same block are still reached. The
+// repair frees nothing on the guess the damage forces: once the name
+// length is restored, every file is there again and a second fsck finds
+// nothing.
 func TestFsckParsesEachDirectoryBlock(t *testing.T) {
 	d := disk.NewMem(32<<20, sim.NewClock())
 	cfg := ffs.DefaultConfig()
@@ -757,6 +760,11 @@ func TestFsckParsesEachDirectoryBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A file named in the block that will be damaged holds blocks the
+	// repair must leave allocated.
+	if err := fs.Write("/f003", 0, bytes.Repeat([]byte{3}, 30000)); err != nil {
+		t.Fatal(err)
+	}
 	if err := fs.Unmount(); err != nil {
 		t.Fatal(err)
 	}
@@ -768,6 +776,7 @@ func TestFsckParsesEachDirectoryBlock(t *testing.T) {
 	if at < 0 {
 		t.Fatal("no directory entry named f007 on disk")
 	}
+	nameLen := slices.Clone(img[at-2 : at])
 	if err := d.Store().WriteAt([]byte{0, 0}, int64(at-2)); err != nil { // its name length
 		t.Fatal(err)
 	}
@@ -781,6 +790,25 @@ func TestFsckParsesEachDirectoryBlock(t *testing.T) {
 	}
 	if rep.Files != 29 {
 		t.Errorf("fsck reached %d files, want the second directory block's 29", rep.Files)
+	}
+
+	if err := d.Store().WriteAt(nameLen, int64(at-2)); err != nil {
+		t.Fatal(err)
+	}
+	if fs, err = ffs.Mount(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := fs.Stat("/f003"); err != nil || fi.Size != 30000 {
+		t.Errorf("after the repair and the restored name length: %+v, %v; want 30000 bytes", fi, err)
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = ffs.Fsck(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() || rep.Files != 80 {
+		t.Errorf("second fsck reached %d files and reported %q, want 80 and nothing", rep.Files, rep.Problems)
 	}
 }
 

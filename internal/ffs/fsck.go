@@ -134,6 +134,19 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 		}
 		return nil
 	}
+	// claimAll claims every block of in.
+	claimAll := func(in *layout.Inode) error {
+		for _, a := range in.Direct {
+			claim(in.Ino, a, 0) // reads nothing, so fails never
+		}
+		if err := claim(in.Ino, in.Indirect, 1); err != nil {
+			return err
+		}
+		return claim(in.Ino, in.DoubleIndirect, 2)
+	}
+	// damaged says a directory block did not parse: the entries it held
+	// are unknown, so the repair frees nothing on a guess.
+	damaged := false
 	indirect := func(_ *layout.Inode, _ int64, p vfs.Ptr, _ bool) (*cache.Block, error) {
 		if p.Get().IsNil() {
 			return nil, nil
@@ -148,15 +161,7 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 			}
 			return nil, fmt.Errorf("entry for unallocated inode %d", ino)
 		},
-		Claim: func(in *layout.Inode) error {
-			for _, a := range in.Direct {
-				claim(in.Ino, a, 0) // reads nothing, so fails never
-			}
-			if err := claim(in.Ino, in.Indirect, 1); err != nil {
-				return err
-			}
-			return claim(in.Ino, in.DoubleIndirect, 2)
-		},
+		Claim: claimAll,
 		Entries: func(dir *layout.Inode, visit func([]layout.DirEntry) error) error {
 			for lbn := range layout.BlocksForSize(dir.Size, cfg.BlockSize) {
 				p, err := vfs.BlockPtr(dir, lbn, cfg.BlockSize, indirect, false)
@@ -177,6 +182,7 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 					entries, err := layout.DirBlockEntries(db[off : off+disk.SectorSize])
 					if err != nil {
 						rep.Problemf("inode %d block %d, directory block %d: %v", dir.Ino, lbn, off/disk.SectorSize, err)
+						damaged = true
 						continue
 					}
 					if err := visit(entries); err != nil {
@@ -195,15 +201,23 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 	// order pass 1 read it: the report is part of the deterministic
 	// output contract (tests golden it), so it must not inherit map
 	// iteration order.
+	reached := rep.Blocks
 	for _, ino := range inos {
 		if refs[ino] == 0 {
 			rep.Problemf("inode %d allocated but unreachable", ino)
+			// Its entry may sit in the damaged block: it keeps its blocks.
+			if damaged {
+				if err := claimAll(inodes[ino]); err != nil {
+					return nil, err
+				}
+			}
 		}
 		if !inodeBitmap[ino] {
 			rep.Problemf("inode %d in use but free in bitmap", ino)
 		}
 	}
-	if err := repair(d, lay, bitmaps, fresh, tables, inodes, inos, refs); err != nil {
+	rep.Blocks = reached // what reachable files hold
+	if err := repair(d, lay, bitmaps, fresh, tables, inodes, inos, refs, damaged); err != nil {
 		return nil, err
 	}
 	rep.Duration = d.Clock().Now().Sub(start)
@@ -216,11 +230,14 @@ func Fsck(d *disk.Disk, cfg Config) (*vfs.CheckReport, error) {
 // bitmap becomes fresh, rebuilt from its metadata blocks and the blocks
 // reachable inodes claim, plus the reachable inodes; an allocated inode
 // nothing reaches is zeroed; and a reachable file's link count is set to
-// its entries. Only the blocks that changed are written back. What it
-// cannot explain, such as a block claimed twice, stays for the next
-// check to report.
+// its entries. When a directory block did not parse (damaged), the walk
+// may have missed entries, so it frees nothing on a guess, as LFS
+// roll-forward does: an unreachable inode keeps its slot and, claimed by
+// the caller, its blocks, and no link count is lowered. Only the blocks
+// that changed are written back. What it cannot explain, such as a block
+// claimed twice, stays for the next check to report.
 func repair(d *disk.Disk, lay diskLayout, bitmaps, fresh [][]byte, tables map[int64][]byte,
-	inodes map[layout.Ino]*layout.Inode, inos []layout.Ino, refs map[layout.Ino]int) error {
+	inodes map[layout.Ino]*layout.Inode, inos []layout.Ino, refs map[layout.Ino]int, damaged bool) error {
 	// The inode table blocks to write back, in ascending order as inos
 	// is.
 	var changed []int64
@@ -232,11 +249,11 @@ func repair(d *disk.Disk, lay diskLayout, bitmaps, fresh [][]byte, tables map[in
 	for _, ino := range inos {
 		pb, off := lay.inodeBlock(ino), lay.inodeOffsetInBlock(ino)
 		switch in := inodes[ino]; {
-		case refs[ino] == 0:
+		case refs[ino] == 0 && !damaged:
 			clear(tables[pb][off : off+inodeSlotSize])
 			mend(pb)
 			continue
-		case !in.Mode.IsDir() && int(in.Nlink) != refs[ino]:
+		case !in.Mode.IsDir() && int(in.Nlink) != refs[ino] && (!damaged || int(in.Nlink) < refs[ino]):
 			in.Nlink = uint16(refs[ino])
 			in.Encode(tables[pb][off:])
 			mend(pb)

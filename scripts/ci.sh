@@ -90,7 +90,10 @@ echo "== size =="
 # clustering in vfs.Front (+2) and fstest.OpFsync (+9): 24 216.
 # The cleaner reads every unit of a victim whole and fails at any verdict
 # (verifyUnit and checkData gone): 24 191.
-size_ceiling=24191
+# A cleaner pass writes the inode records it dirties into its cold unit
+# (core +88: the pass's marks, their split and ages, the cold join), and
+# FFS fsck frees nothing on a guess past a damaged directory block (+20): 24 299.
+size_ceiling=24299
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
