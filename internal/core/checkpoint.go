@@ -551,7 +551,7 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, st
 	if err := fs.replayRecords(u.inline, fs.blockSector(seg, sumBlk), first, st); err != nil {
 		return false, err
 	}
-	fs.creditSegmentAged(seg, 0, cmp.Or(u.Age, u.Timestamp))
+	fs.creditBlock(layout.DiskAddr(fs.blockSector(seg, blk)), 0, cmp.Or(u.Age, u.Timestamp))
 	hd.blk, hd.pending = blk+u.end, blk+u.end
 	fs.writeSerial++
 	fs.stats.RollForwardUnits++
@@ -590,7 +590,7 @@ func (fs *FS) moveEntry(ino layout.Ino, e imapEntry, rec *layout.Inode, st *tail
 		fs.killBlock(cur.Addr, layout.InodeSize)
 	}
 	if e.Allocated {
-		fs.liveBlock(e.Addr, layout.InodeSize)
+		fs.creditBlock(e.Addr, layout.InodeSize, 0)
 	}
 	*cur = e
 	fs.imap.markDirty(ino)
@@ -661,7 +661,7 @@ func (fs *FS) movePointer(old, new layout.DiskAddr, depth int, buf []byte, dir [
 	}
 	bs := fs.cfg.BlockSize
 	fs.killBlock(old, int64(bs))
-	fs.liveBlock(new, int64(bs))
+	fs.creditBlock(new, int64(bs), 0)
 	for i, a := range [2]layout.DiskAddr{old, new} {
 		if depth > 0 || !dir[i] || a.IsNil() {
 			continue

@@ -12,7 +12,8 @@ import (
 	"lfs/internal/sim"
 )
 
-// CleanResult summarises one cleaner activation.
+// CleanResult summarises one cleaner activation: what it added to the
+// cleaner's Stats counters.
 type CleanResult struct {
 	// SegmentsCleaned is the number of segments reclaimed.
 	SegmentsCleaned int
@@ -26,19 +27,17 @@ type CleanResult struct {
 	// consumes at the log head. This is the y-axis of Figure 5 —
 	// cleaning a 90%-utilised segment frees a whole segment but
 	// immediately fills 90% of another, so it nets almost nothing.
-	// It is signed: a run over victims whose live estimates drifted
-	// high can net negative, and presentation layers (not the
-	// accounting) decide whether to floor it at zero.
 	BytesReclaimed int64
 }
 
-// cleanSegments is the automatic activation: clean until the target
-// number of clean segments is reached or no profitable victim
-// remains.
-func (fs *FS) cleanSegments() error {
-	target := fs.cfg.cleanTarget(int(fs.sb.Segments))
-	_, err := fs.cleanUntil(target)
-	return err
+// cleanSince is what the cleaner added to s's counters since before.
+func (s Stats) cleanSince(before Stats) CleanResult {
+	return CleanResult{
+		SegmentsCleaned: int(s.SegmentsCleaned - before.SegmentsCleaned),
+		BlocksExamined:  int(s.CleanerBlocksExamined - before.CleanerBlocksExamined),
+		LiveCopied:      int(s.CleanerLiveCopied - before.CleanerLiveCopied),
+		BytesReclaimed:  s.CleanerBytesReclaimed - before.CleanerBytesReclaimed,
+	}
 }
 
 // CleanUntil runs the cleaner until at least target segments are
@@ -46,19 +45,33 @@ func (fs *FS) cleanSegments() error {
 // cleaning trigger (§4.3.4: "the user-level process interface allows
 // cleaning to be initiated at night or other times of slack usage").
 func (fs *FS) CleanUntil(target int) (CleanResult, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.cleanUntil(target)
+	return fs.cleanLocked(func() int { return target })
 }
 
-// cleanUntil is CleanUntil without the lock, for internal callers.
-func (fs *FS) cleanUntil(target int) (CleanResult, error) {
-	var res CleanResult
+// CleanOnce cleans the single best victim segment, if any.
+func (fs *FS) CleanOnce() (CleanResult, error) {
+	return fs.cleanLocked(func() int { return fs.cleanCount + 1 })
+}
+
+// cleanLocked runs one activation under the lock, toward the target
+// that target returns there, and returns what it added to the cleaner's
+// counters.
+func (fs *FS) cleanLocked(target func() int) (CleanResult, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	before := fs.stats
+	err := fs.cleanUntil(target())
+	return fs.stats.cleanSince(before), err
+}
+
+// cleanUntil is one cleaner activation, without the lock: the writer's
+// automatic one, CleanUntil's and CleanOnce's.
+func (fs *FS) cleanUntil(target int) error {
 	if err := fs.checkMounted(); err != nil {
-		return res, err
+		return err
 	}
 	if fs.cleaning {
-		return res, nil
+		return nil
 	}
 	fs.cleaning = true
 	// Bracket the whole activation — victim reads, relocation writes,
@@ -84,17 +97,8 @@ func (fs *FS) cleanUntil(target int) (CleanResult, error) {
 			break
 		}
 		iter += len(batch)
-		r, err := fs.cleanBatch(batch)
-		res.SegmentsCleaned += r.SegmentsCleaned
-		res.BlocksExamined += r.BlocksExamined
-		res.LiveCopied += r.LiveCopied
-		// Net clean space is signed per victim: cleaning a segment
-		// more than one-segment's-worth full of live data (possible
-		// when the estimate drifted) costs more space than it frees,
-		// and dropping those negatives would overstate the total.
-		res.BytesReclaimed += r.BytesReclaimed
-		if err != nil {
-			return res, err
+		if err := fs.cleanBatch(batch); err != nil {
+			return err
 		}
 		cleaned = true
 		// Reclaimed segments stay segPending — unusable — until a
@@ -107,31 +111,18 @@ func (fs *FS) cleanUntil(target int) (CleanResult, error) {
 		// hence the larger reserve.
 		if fs.cleanCount < fs.cleanReserve() && fs.pendingClean > 0 {
 			if err := fs.checkpoint(); err != nil {
-				return res, err
+				return err
 			}
 		}
 	}
-	if cleaned {
-		// A checkpoint pins the relocated blocks' new addresses and
-		// releases the pending segments for reuse; without it a
-		// crash could resurrect pointers into segments we are about
-		// to overwrite.
-		if err := fs.checkpoint(); err != nil {
-			return res, err
-		}
+	if !cleaned {
+		return nil
 	}
-	// Accumulate the signed value: flooring a net-negative run here
-	// would overstate cumulative reclaim. Consumers that want a
-	// nonnegative rate clamp at presentation.
-	fs.stats.CleanerBytesReclaimed += res.BytesReclaimed
-	return res, nil
-}
-
-// CleanOnce cleans the single best victim segment, if any.
-func (fs *FS) CleanOnce() (CleanResult, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.cleanUntil(fs.cleanCount + 1)
+	// A checkpoint pins the relocated blocks' new addresses and
+	// releases the pending segments for reuse; without it a crash could
+	// resurrect pointers into segments we are about to overwrite. Its
+	// inode-map write is also what kills the victims' map blocks.
+	return fs.checkpoint()
 }
 
 // selectBatch gathers up to needed victims for one relocation pass,
@@ -227,11 +218,11 @@ func (fs *FS) selectVictim(excl []int) (int, bool) {
 }
 
 // victimStat is what cleanBatch remembers of a revived victim until the
-// relocation flush lets it reclaim the segment.
+// relocation flush lets it reclaim the segment and count the work.
 type victimStat struct {
-	seg    int
-	copied int
-	util   float64
+	seg              int
+	copied, examined int
+	util             float64
 }
 
 // relocationSegments is the most live data, in segments, that selectBatch
@@ -295,45 +286,43 @@ func (fs *FS) releaseVictims() {
 // inode-map blocks) is rewritten once per batch rather than once per
 // victim. It runs with fs.cleaning set, so its flush cannot start a
 // nested pass over the same scratch.
-func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
-	var res CleanResult
-	stats := fs.cl.stats[:0]
+func (fs *FS) cleanBatch(victims []int) error {
+	fs.cl.stats = fs.cl.stats[:0]
 	defer fs.releaseVictims()
 	for _, seg := range victims {
 		if fs.usage[seg].State != segDirty {
-			return res, fmt.Errorf("lfs: cleaning segment %d in state %d", seg, fs.usage[seg].State)
+			return fmt.Errorf("lfs: cleaning segment %d in state %d", seg, fs.usage[seg].State)
 		}
 		// Victim utilisation as the selection policy saw it, for the
 		// activation record (Figure 5's x-axis).
 		util := float64(fs.usage[seg].Live) / float64(fs.sb.SegmentSize)
 		copied, examined, err := fs.reviveSegment(seg)
-		res.BlocksExamined += examined
-		res.LiveCopied += copied
 		if err != nil {
-			return res, err
+			return err
 		}
-		stats = append(stats, victimStat{seg: seg, copied: copied, util: util})
+		fs.cl.stats = append(fs.cl.stats, victimStat{seg: seg, copied: copied, examined: examined, util: util})
 	}
-	fs.cl.stats = stats
 
 	// Phase 2: write the listed live blocks to the log head.
 	if err := fs.flush(flushAll); err != nil {
-		return res, err
+		return err
 	}
-	for _, vs := range stats {
-		// Every live block has been relocated (the pointer updates in
-		// the flush decremented this segment's live estimate), but the
-		// segment is only pending: until a checkpoint records the
-		// relocations, a crash recovers from a checkpoint whose
-		// pointers still reach into it, so it must not be rewritten.
-		fs.killRemaining(vs.seg)
+	// The pass has landed: count its work, once, here. A victim nets
+	// at least one block, since copied counts only its own blocks.
+	for _, vs := range fs.cl.stats {
+		// Every live block has been relocated, but the segment is only
+		// pending: until a checkpoint records the relocations, a crash
+		// recovers from a checkpoint whose pointers still reach into
+		// it, so it must not be rewritten. Its inode-map blocks, which
+		// that checkpoint rewrites, stay live until then.
 		fs.usage[vs.seg].State = segPending
 		fs.pendingClean++
-		fs.stats.SegmentsCleaned++
-		res.SegmentsCleaned++
 		read := int64(fs.sb.SegmentSize)
 		copied := int64(vs.copied) * int64(fs.cfg.BlockSize)
-		res.BytesReclaimed += read - copied
+		fs.stats.SegmentsCleaned++
+		fs.stats.CleanerBlocksExamined += int64(vs.examined)
+		fs.stats.CleanerLiveCopied += int64(vs.copied)
+		fs.stats.CleanerBytesReclaimed += read - copied
 		if fs.cfg.Trace.Enabled() {
 			// Measured byte counts, so the recorder's aggregate write
 			// cost is exactly the Stats-derived value.
@@ -347,7 +336,7 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 			})
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // reviveSegment reads one victim segment and lists its live blocks for
@@ -393,7 +382,6 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 		dataStart := blk + u.SumBlocks
 		for j, ref := range u.refs {
 			examined++
-			fs.stats.CleanerBlocksExamined++
 			fs.cpu.Charge(sim.CostCleanPerBlock)
 			addr := layout.DiskAddr(fs.blockSector(seg, dataStart+j))
 			live, err := fs.reviveBlock(ref, addr, u.data[j*bs:(j+1)*bs], srcAge)
@@ -402,7 +390,6 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 			}
 			if live {
 				copied++
-				fs.stats.CleanerLiveCopied++
 			}
 		}
 		// A commit's inline records are not a block: they are not
@@ -413,17 +400,6 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 		}
 	}
 	return copied, examined, nil
-}
-
-// killRemaining clears what a reclaimed segment's live estimate still
-// holds once the pass's flush has moved its blocks: its inode-map blocks,
-// which only the checkpoint ending the run rewrites.
-func (fs *FS) killRemaining(seg int) {
-	fs.liveBytes -= fs.usage[seg].Live
-	if fs.liveBytes < 0 {
-		fs.liveBytes = 0
-	}
-	fs.usage[seg].Live = 0
 }
 
 // reviveBlock decides whether a logged block is live (§4.3.3) and, if

@@ -407,9 +407,7 @@ func TestCleanerPreservesDestinationAge(t *testing.T) {
 		t.Fatal("no old partially-live segment; test setup is wrong")
 	}
 	srcAge := fs.usage[victim].Age
-	fs.cleaning = true
-	res, err := fs.cleanBatch([]int{victim})
-	fs.cleaning = false
+	res, err := cleanVictims(fs, victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,8 +532,9 @@ func TestCheckDetectsUsageDrift(t *testing.T) {
 	}
 	fi, err := fs.Stat("/a")
 	must(t, err)
-	seg := fs.segOf(fs.imap.peek(fi.Ino).Addr)
-	fs.creditSegmentAged(seg, 4096, fs.clock.Now())
+	addr := fs.imap.peek(fi.Ino).Addr
+	seg := fs.segOf(addr)
+	fs.creditBlock(addr, 4096, fs.clock.Now())
 	rep, err = fs.Check()
 	must(t, err)
 	for _, want := range []string{fmt.Sprintf("segment %d: usage array says", seg), "live-byte total"} {

@@ -13,8 +13,8 @@
 //   - the inode map (§4.2.1): inode number → current inode disk
 //     address, allocation state, version, and access time (footnote
 //     2), partitioned into blocks cached and logged like file blocks;
-//   - the segment usage array (§4.3.4): per-segment live-byte
-//     estimates guiding the cleaner;
+//   - the segment usage array (§4.3.4): per-segment live bytes,
+//     exact here where the paper estimates them, guiding the cleaner;
 //   - the segment cleaner (§4.3.2–4.3.4): two-phase incremental GC
 //     that reads fragmented segments and compacts their live blocks;
 //   - checkpoints (§4.4.1): two alternating checkpoint regions from

@@ -199,8 +199,7 @@ func (fs *FS) pruneIndirects(in *layout.Inode, newBlocks int64) error {
 }
 
 // removeFileBlocks releases everything the file owns (the unlink
-// path): its data and indirect blocks, cached copies, and the live
-// estimate of its inode record.
+// path): its data and indirect blocks and their cached copies.
 func (fs *FS) removeFileBlocks(in *layout.Inode) error {
 	if err := fs.truncateFile(in, 0); err != nil {
 		return err

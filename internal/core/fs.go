@@ -132,7 +132,7 @@ type FS struct {
 	ckptSerial  uint64
 	lastCkpt    sim.Time
 
-	// liveBytes is the total live-data estimate across segments;
+	// liveBytes is the sum of the usage array's live bytes;
 	// cleanCount the number of clean segments. Guarded by mu.
 	liveBytes  int64
 	cleanCount int
@@ -235,7 +235,7 @@ type StatsSnapshot struct {
 	CPUInstructions int64
 	// CleanSegments is the number of clean segments.
 	CleanSegments int
-	// LiveBytes is the live-data estimate.
+	// LiveBytes is the live data in the log: the usage array's sum.
 	LiveBytes int64
 	// SegmentSize and BlockSize record the geometry the counters are
 	// denominated in, so derived quantities (WriteCost) need no
@@ -282,7 +282,7 @@ func (fs *FS) CleanSegments() int {
 	return fs.cleanCount
 }
 
-// LiveBytes returns the live-data estimate.
+// LiveBytes returns the live data in the log: the usage array's sum.
 func (fs *FS) LiveBytes() int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -341,45 +341,23 @@ func (fs *FS) logCapacity() int64 {
 // killBlock marks nbytes at addr dead in the usage array (the block
 // was overwritten, truncated, or relocated).
 func (fs *FS) killBlock(addr layout.DiskAddr, nbytes int64) {
-	if addr.IsNil() {
-		return
-	}
+	fs.creditBlock(addr, -nbytes, 0)
+}
+
+// creditBlock adds n live bytes (fewer when n < 0) at addr to its
+// segment and to their total, the one place either changes; both are
+// exact, so nothing is clamped. A segment's Age is the modified time of
+// its youngest data (§3.6), hence the max: relocations pass the victim's
+// age, fresh writes now, debits and roll-forward's moves 0.
+func (fs *FS) creditBlock(addr layout.DiskAddr, n int64, age sim.Time) {
 	seg := fs.segOf(addr)
-	if seg < 0 {
+	if addr.IsNil() || seg < 0 {
 		return
 	}
-	// Decrement the global estimate by exactly what the segment
-	// estimate loses. Clamping the two independently lets them drift
-	// apart under heavy cleaning — the segment floors at zero while
-	// the global keeps falling — and the global estimate feeds both
-	// the admission limit and the utilization headline.
-	if fs.usage[seg].Live < nbytes {
-		nbytes = fs.usage[seg].Live
-	}
-	fs.usage[seg].Live -= nbytes
-	fs.liveBytes -= nbytes
-}
-
-// creditSegmentAged marks nbytes live in seg carrying an explicit
-// data age: cleaner relocations pass the victim's age so cold data
-// stays old (§3.6), fresh writes pass now. The segment's Age is the
-// modified time of its *youngest* data, hence the max.
-func (fs *FS) creditSegmentAged(seg int, nbytes int64, age sim.Time) {
-	fs.usage[seg].Live += nbytes
-	if age > fs.usage[seg].Age {
-		fs.usage[seg].Age = age
-	}
-	fs.liveBytes += nbytes
-}
-
-// liveBlock marks nbytes at addr live, the reverse of killBlock:
-// roll-forward's credit, which leaves dating the segment to the unit
-// that wrote it.
-func (fs *FS) liveBlock(addr layout.DiskAddr, nbytes int64) {
-	if seg := fs.segOf(addr); seg >= 0 {
-		fs.usage[seg].Live += nbytes
-		fs.liveBytes += nbytes
-	}
+	u := &fs.usage[seg]
+	u.Live += n
+	u.Age = max(u.Age, age)
+	fs.liveBytes += n
 }
 
 // admitBytes checks the disk-space admission limit for newBytes of

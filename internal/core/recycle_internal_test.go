@@ -178,7 +178,7 @@ func BenchmarkCleanOnce(b *testing.B) {
 			fs, victims = punchedFS(b)
 			b.StartTimer()
 		}
-		res, err := fs.cleanUntil(fs.cleanCount + 1)
+		res, err := fs.CleanOnce()
 		if err != nil || res.SegmentsCleaned == 0 {
 			b.Fatalf("clean: %+v, %v", res, err)
 		}
@@ -286,7 +286,7 @@ func BenchmarkReviveInodeBlock(b *testing.B) {
 // block, header or buffer, for a live data block nobody had cached.
 func TestReviveSegmentAllocatesNoBuffers(t *testing.T) {
 	fs, _ := punchedFS(t)
-	if _, err := fs.cleanUntil(fs.cleanCount + 1); err != nil { // allocates the victim and staging memory
+	if err := fs.cleanUntil(fs.cleanCount + 1); err != nil { // allocates the victim and staging memory
 		t.Fatal(err)
 	}
 	victim, ok := fs.selectVictim(nil)
@@ -318,22 +318,19 @@ func TestReviveSegmentAllocatesNoBuffers(t *testing.T) {
 func TestCleanBatchAllocatesNoTablesOfItsOwn(t *testing.T) {
 	fs, _ := punchedFS(t)
 	for i := 0; i < 2; i++ { // sizes the victim memory, both heads and every scratch slice
-		if _, err := fs.cleanUntil(fs.cleanCount + 1); err != nil {
+		if err := fs.cleanUntil(fs.cleanCount + 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fs.cleaning = true
 	defer func() { fs.cleaning = false }()
 	var batch []int
-	var res CleanResult
-	inserted := fs.bc.Stats().Inserted
+	before, inserted := fs.stats, fs.bc.Stats().Inserted
 	objects, _ := mallocs(func() {
 		batch = fs.selectBatch(4)
-		var err error
-		res, err = fs.cleanBatch(batch)
-		must(t, err)
+		must(t, fs.cleanBatch(batch))
 	})
-	inserted = fs.bc.Stats().Inserted - inserted
+	res, inserted := fs.stats.cleanSince(before), fs.bc.Stats().Inserted-inserted
 	if len(batch) < 2 || res.LiveCopied < 80 {
 		t.Fatalf("pass cleaned %v and copied %d blocks, want a batch of several 0.80-live victims", batch, res.LiveCopied)
 	}

@@ -10,6 +10,7 @@ import (
 	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
+	"lfs/internal/obs"
 	"lfs/internal/vfs"
 )
 
@@ -90,11 +91,14 @@ func liveDataRefs(t testing.TB, fs *FS, victim int) []cache.Key {
 	return keys
 }
 
-// cleanVictims runs one cleaner pass over the given victims.
+// cleanVictims runs one cleaner pass over the given victims and returns
+// what it added to the cleaner's counters.
 func cleanVictims(fs *FS, victims ...int) (CleanResult, error) {
 	fs.cleaning = true
 	defer func() { fs.cleaning = false }()
-	return fs.cleanBatch(victims)
+	before := fs.stats
+	err := fs.cleanBatch(victims)
+	return fs.stats.cleanSince(before), err
 }
 
 // blockOf returns the inode of path and the address of its block lbn.
@@ -252,12 +256,16 @@ func TestColdStreamKeepsReviveOrder(t *testing.T) {
 // victim — here the second victim's segment read fails — keeps nothing of
 // what it took: the list and the staging memory are empty (and, with
 // poisoning on, scribbled over), every victim is still dirty with its
-// blocks in place, and the next pass over the same victims succeeds.
+// blocks in place, no cleaner counter moved, and the next pass over the
+// same victims succeeds. The cleaner counts a pass once, when it lands,
+// so the write cost Stats give equals the one the recorder's activation
+// records give (obs.CleanStats), however many passes failed first.
 func TestFailedPassReleasesVictims(t *testing.T) {
 	cache.DebugPoison = true
 	defer func() { cache.DebugPoison = false }()
 	fs := fragmentedFS(t)
-	fs.bc.DropClean() // the inodes stay in core: a pass reads segments only
+	fs.cfg.Trace = obs.NewRecorder() // for the cleaner's activation records
+	fs.bc.DropClean()                // the inodes stay in core: a pass reads segments only
 	batch := append([]int(nil), fs.selectBatch(8)...)
 	if len(batch) < 2 {
 		t.Fatalf("batch %v, want at least two victims", batch)
@@ -266,8 +274,11 @@ func TestFailedPassReleasesVictims(t *testing.T) {
 	fs.d.SetFaultPolicy(&disk.CrashPlan{ReadErrors: map[int64]error{2: injected}})
 	res, err := cleanVictims(fs, batch...)
 	fs.d.SetFaultPolicy(nil)
-	if !errors.Is(err, injected) || res.LiveCopied == 0 {
-		t.Fatalf("pass: %+v, %v; want the first victim revived and the injected fault", res, err)
+	if !errors.Is(err, injected) || len(fs.cl.stats) != 1 || fs.cl.stats[0].copied == 0 {
+		t.Fatalf("pass: %+v, %v; want the first victim revived and the injected fault", fs.cl.stats, err)
+	}
+	if res != (CleanResult{}) {
+		t.Fatalf("the failed pass moved the cleaner's counters by %+v, want none", res)
 	}
 	if len(fs.cl.moves) != 0 || len(fs.cl.staging) != 0 {
 		t.Fatalf("the failed pass kept %d listed blocks and %d staged bytes", len(fs.cl.moves), len(fs.cl.staging))
@@ -290,6 +301,10 @@ func TestFailedPassReleasesVictims(t *testing.T) {
 		t.Fatalf("retry: %+v, %v; want all %d victims cleaned", res, err, len(batch))
 	}
 	must(t, fs.Checkpoint())
+	snap := fs.StatsSnapshot()
+	if got, want := snap.WriteCost(), snap.Trace.Clean.WriteCost; got != want || got == 0 {
+		t.Fatalf("write cost from Stats %v, from the activation records %v; want them equal and the pass counted", got, want)
+	}
 	fs.DropCaches()
 	for i := 1; i < 40; i += 2 {
 		got := make([]byte, 8192)
@@ -420,7 +435,7 @@ func TestPassMemoryIsBoundedByBudget(t *testing.T) {
 // liveBySegment recounts, from the inode map and every allocated inode,
 // the bytes each segment holds that something still points at: inode
 // records, data blocks, indirect blocks and inode map blocks — what the
-// writer credits and the usage array estimates.
+// writer credits and the usage array counts.
 func liveBySegment(t testing.TB, fs *FS) []int64 {
 	t.Helper()
 	live := make([]int64, len(fs.usage))
@@ -464,7 +479,7 @@ func liveBySegment(t testing.TB, fs *FS) []int64 {
 // lfsperf's cleaning workload in small — a log filled to 0.80 with 4 KB
 // files, Zipf overwrites synced every 64, enough of them that the cleaner
 // turns the log over several times, no crash — each segment's live
-// estimate equals a recount from the inodes, and so does their total, and
+// count equals a recount from the inodes, and so does their total, and
 // Check agrees; and the cleaner's memory never grew past budget + one
 // segment.
 func TestUsageMatchesRecount(t *testing.T) {
@@ -503,7 +518,7 @@ func TestUsageMatchesRecount(t *testing.T) {
 		t.Fatalf("the cleaner reclaimed %d segments, want the log of %d turned over", fs.stats.SegmentsCleaned, len(fs.usage))
 	}
 	checkBooks(t, fs)
-	// With estimates that exact, no pass was handed more than its budget:
+	// With the books exact, no pass was handed more than its budget:
 	// the staging span is the size it was made.
 	if held, bound := len(fs.cl.victim)+cap(fs.cl.staging), (1+relocationSegments)*cfg.SegmentSize; held != bound {
 		t.Errorf("after %d passes the cleaner holds %d bytes, want the %d it started with", fs.stats.CleanerRuns, held, bound)

@@ -28,13 +28,14 @@ const (
 	segPending
 )
 
-// segUsage is one segment usage array entry (§4.3.4): an estimate of
-// the live bytes in the segment and the age of its data — §3.6's
-// "modified time of the youngest block", which the cost-benefit policy
-// scores on. When the cleaner relocates cold blocks the copy is written
-// now, but Age stays as old as the data was in the victim. The paper
-// notes the estimate is only a cleaning hint, so it needs no exact
-// crash recovery; it is snapshotted in checkpoints.
+// segUsage is one segment usage array entry (§4.3.4): the live bytes in
+// the segment and the age of its data — §3.6's "modified time of the
+// youngest block", which the cost-benefit policy scores on. When the
+// cleaner relocates cold blocks the copy is written now, but Age stays
+// as old as the data was in the victim. The paper keeps Live as an
+// estimate, a cleaning hint; here it is exact (creditBlock is the one
+// place it changes, and Check() recounts it), snapshotted in
+// checkpoints and carried across a crash by roll-forward.
 type segUsage struct {
 	Live  int64
 	Age   sim.Time

@@ -100,7 +100,7 @@ func (fs *FS) flush(scope flushScope) error {
 	// Activate the cleaner below the clean-segment watermark
 	// (§4.3.4) before starting to consume segments.
 	if !fs.cleaning && fs.cleanCount <= fs.cfg.cleanThreshold(int(fs.sb.Segments)) {
-		if err := fs.cleanSegments(); err != nil {
+		if err := fs.cleanUntil(fs.cfg.cleanTarget(int(fs.sb.Segments))); err != nil {
 			return err
 		}
 	}
@@ -232,7 +232,7 @@ func (fs *FS) writeBlockClass(blocks []logBlock, class writeClass, kind blockKin
 			fs.passDirtied(b.key.Ino, cmp.Or(b.age, now))
 		}
 		fs.killBlock(old, bs)
-		fs.creditSegmentAged(fs.segOf(addrs[i]), bs, cmp.Or(b.age, now))
+		fs.creditBlock(addrs[i], bs, cmp.Or(b.age, now))
 		if b.b != nil {
 			fs.bc.MarkClean(b.b)
 		}
@@ -347,7 +347,7 @@ func (fs *FS) writeInodeBatchFor(inos []layout.Ino, ages []sim.Time) error {
 		if ages != nil {
 			age = ages[n]
 		}
-		fs.creditSegmentAged(fs.segOf(base), layout.InodeSize, age)
+		fs.creditBlock(base, layout.InodeSize, age)
 		fs.inodes.setDirty(ino, false)
 	}
 	return nil
@@ -418,7 +418,7 @@ func (fs *FS) writeImapBatch() error {
 		idx := int(ref.ID)
 		fs.killBlock(fs.imap.blockAddrs[idx], bs)
 		fs.imap.blockAddrs[idx] = addrs[i]
-		fs.creditSegmentAged(fs.segOf(addrs[i]), bs, fs.clock.Now())
+		fs.creditBlock(addrs[i], bs, fs.clock.Now())
 		fs.imap.dirtyBlock[idx] = false
 	}
 	return nil
