@@ -185,18 +185,45 @@ func (fs *FS) FsyncFile(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.op.Begin()
-	return fs.op.End("fsync", path, fs.fsyncFile(path))
+	return fs.op.End("fsync", path, fs.fsyncFile(path, nil))
 }
 
-// fsyncFile is FsyncFile without the lock, span, or error wrapping.
-func (fs *FS) fsyncFile(path string) error {
-	if err := fs.checkMounted(); err != nil {
+// FsyncFileWith is FsyncFile that runs during, if non-nil, between
+// issuing the commit and waiting for it, whatever the commit's outcome:
+// the shard router starts the other shards' transfers there. Its clock
+// advance is the span's fanout_wait. It must not call back into fs.
+func (fs *FS) FsyncFileWith(path string, during func()) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.op.Begin()
+	return fs.op.End("fsync", path, fs.fsyncFile(path, during))
+}
+
+// fsyncFile is FsyncFileWith without the lock, span, or error wrapping.
+func (fs *FS) fsyncFile(path string, during func()) error {
+	wait, err := fs.issueFsync(path)
+	if during != nil {
+		t0 := fs.op.Bracket()
+		during()
+		fs.op.EndBracket(t0, obs.PhaseFanout)
+	}
+	if err != nil {
 		return err
+	}
+	fs.op.DrainAs(wait)
+	return nil
+}
+
+// issueFsync issues the file's commit and returns the phase kind the
+// wait for it is charged to.
+func (fs *FS) issueFsync(path string) (obs.PhaseKind, error) {
+	if err := fs.checkMounted(); err != nil {
+		return 0, err
 	}
 	fs.cpu.Charge(sim.CostSyscall)
 	in, err := fs.LookupLocked(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	ino := in.Ino
 	fs.wr.commit = true
@@ -206,19 +233,15 @@ func (fs *FS) fsyncFile(path string) error {
 	}
 	// This file's data blocks, then its indirect blocks.
 	if err := fs.writeDirtyBlocks(ino); err != nil {
-		return err
+		return 0, err
 	}
 	// Its inode, if dirty.
 	if fs.inodes.isDirty(ino) {
 		if err := fs.writeInodeBatchFor([]layout.Ino{ino}, nil); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	if err := fs.flushPendingIO(); err != nil {
-		return err
-	}
-	fs.op.DrainAs(obs.PhaseCommitWait)
-	return nil
+	return obs.PhaseCommitWait, fs.flushPendingIO()
 }
 
 // groupFsync is the Config.GroupCommit sync path: if the file still
@@ -228,8 +251,9 @@ func (fs *FS) fsyncFile(path string) error {
 // nothing to write and the sync merely waits for the disk (it
 // piggybacks). With N clients interleaving writes and fsyncs, one
 // segment transfer satisfies up to N sync requests, which is where
-// multi-client throughput scaling comes from.
-func (fs *FS) groupFsync(ino layout.Ino) error {
+// multi-client throughput scaling comes from. It returns the kind of
+// the wait to follow.
+func (fs *FS) groupFsync(ino layout.Ino) (obs.PhaseKind, error) {
 	if !fs.fileDirty(ino) {
 		fs.stats.PiggybackedSyncs++
 		// Whatever dispatch gap this fsync paid before it could run
@@ -237,18 +261,13 @@ func (fs *FS) groupFsync(ino layout.Ino) error {
 		// data — the follower's wait, not generic serialization — so
 		// the pre-op lock_wait credit moves to piggyback_wait. (In the
 		// event-driven sim the leader's drain advances the clock past
-		// the transfer's end, so the drain below is usually free and
-		// the dispatch gap holds the whole wait.)
+		// the transfer's end, so the drain is usually free and the
+		// dispatch gap holds the whole wait.)
 		fs.op.Reclassify(obs.PhaseLockWait, obs.PhasePiggybackWait)
-		fs.op.DrainAs(obs.PhasePiggybackWait)
-		return nil
+		return obs.PhasePiggybackWait, nil
 	}
 	fs.stats.GroupCommits++
-	if err := fs.flush(flushAll); err != nil {
-		return err
-	}
-	fs.op.DrainAs(obs.PhaseCommitWait)
-	return nil
+	return obs.PhaseCommitWait, fs.flush(flushAll)
 }
 
 // fileDirty reports whether the file has any state not yet written to
@@ -262,11 +281,11 @@ func (fs *FS) fileDirty(ino layout.Ino) bool {
 // segment writes and returns without waiting for the disk. It is the
 // cross-shard group-commit hook: when one shard of a sharded
 // multi-log system must sync, the router calls FlushAsync on every
-// other shard first, so all disks transfer in overlapping simulated
-// time and each shard's own fsync then finds its data already in
-// flight (it piggybacks). A clean file system returns immediately
-// without charging CPU, so the broadcast costs nothing on idle
-// shards. No operation span is recorded; the issued writes carry
+// other shard around its fsync, so all disks transfer in overlapping
+// simulated time and each shard's own fsync then finds its data
+// already in flight (it piggybacks). A clean file system returns
+// immediately without charging CPU, so the broadcast costs nothing on
+// idle shards. No operation span is recorded; the issued writes carry
 // their usual log-append causes.
 func (fs *FS) FlushAsync() error {
 	fs.mu.Lock()
@@ -281,6 +300,14 @@ func (fs *FS) FlushAsync() error {
 	fs.wr.commit = true
 	defer func() { fs.wr.commit = false }()
 	return vfs.WrapPathError("flush", "/", fs.flush(flushAll))
+}
+
+// Pending reports the work a flush would issue now: dirty cache
+// blocks plus dirty inodes. The shard router orders its fan-out by it.
+func (fs *FS) Pending() int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.inodes.nDirty + fs.bc.DirtyCount()
 }
 
 // sync forces a segment write of everything dirty and waits for the

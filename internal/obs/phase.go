@@ -54,9 +54,9 @@ const (
 	// cleaner activation (watermark or idle cleaning) and carried its
 	// entire cost — reads, relocation writes, mid-run checkpoints.
 	PhaseCleaner
-	// PhaseFanout is cross-shard fan-out wait: the shard router
-	// broadcast FlushAsync to the other shards before delegating, and
-	// their issue-time CPU advanced the shared clock.
+	// PhaseFanout is cross-shard fan-out wait: the shard router issued
+	// FlushAsync to the other shards around a home fsync, and their
+	// issue-time CPU advanced the shared clock.
 	PhaseFanout
 
 	// NumPhaseKinds bounds the kind space; PhaseAccum is indexed by

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lfs/internal/layout"
@@ -259,14 +260,15 @@ func (fs *FS) Truncate(path string, size int64) error {
 	return fs.on(i).Truncate(path, size)
 }
 
-// FsyncFile durably commits one file through its shard. Before
-// waiting, the router starts every other shard's pending transfer
-// with an asynchronous flush — the cross-shard group commit: disk
-// service overlaps in simulated time across the array, and each
-// shard's own fsync then finds its data already in flight. An error
-// from another shard's flush (a crashed disk, say) is deliberately
-// ignored here: it must not fail this shard's fsync, and it
-// resurfaces on the failed shard's own operations.
+// FsyncFile durably commits one file through its shard — the
+// cross-shard group commit: every shard's pending data is issued with
+// the home fsync, so disk service overlaps in simulated time across
+// the array. A round ends when its longest transfer lands, so the
+// shards are issued longest first: those ahead of the home shard
+// before its fsync, the rest as its step, between its commit's issue
+// and its wait; both are the span's fanout_wait. An error from another
+// shard's flush (a crashed disk, say) is deliberately ignored: it must
+// not fail this fsync, and it resurfaces on that shard's own operations.
 func (fs *FS) FsyncFile(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -274,34 +276,61 @@ func (fs *FS) FsyncFile(path string) error {
 	if err != nil {
 		return err
 	}
-	// Time spent kicking the other shards' transfers is cross-shard
-	// fan-out wait: the home fsync could not start until the
-	// broadcast finished, so its span carries the delay explicitly
-	// (backdated through NoteWait, timeline unchanged).
+	order := fs.byPending()
+	k := slices.Index(order, home)
+	// The home fsync waits for the shards ahead of it: park that time
+	// for its span (backdated through NoteWait, timeline unchanged).
 	t0 := fs.clock.Now()
-	for i, s := range fs.shards {
-		if i != home {
-			_ = s.FlushAsync()
-		}
-	}
+	_ = fs.fanOut(order[:k])
 	fs.parked.NoteWait(obs.PhaseFanout, fs.clock.Now().Sub(t0))
-	return fs.on(home).FsyncFile(path)
+	fs.rest = order[k+1:]
+	return fs.on(home).FsyncFileWith(path, fs.issueRest)
 }
 
-// Sync flushes every shard. A first pass issues every shard's dirty
-// data asynchronously so the disks transfer in parallel; the second
-// pass syncs each shard, mostly just waiting out its own horizon.
-// All shards are attempted even when one fails (a crashed shard must
-// not block the others' durability); the first error is returned.
-func (fs *FS) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+// byPending returns every shard's index, most pending work
+// (core.FS.Pending) first, ties in shard order, sorted in the router's
+// own buffers. Must be called with fs.mu held.
+func (fs *FS) byPending() []int {
+	order := fs.order[:0]
+	for i, s := range fs.shards {
+		fs.pending[i] = s.Pending()
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && fs.pending[order[j-1]] < fs.pending[i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	fs.order = order
+	return order
+}
+
+// fanOut issues the listed shards' dirty data with FlushAsync, in
+// order, passing over those byPending found clean, and returns the
+// first error; a failed shard stops no other.
+func (fs *FS) fanOut(order []int) error {
 	var first error
-	for _, s := range fs.shards {
-		if err := s.FlushAsync(); err != nil && first == nil {
+	for _, i := range order {
+		if fs.pending[i] == 0 {
+			continue
+		}
+		if err := fs.shards[i].FlushAsync(); err != nil && first == nil {
 			first = err
 		}
 	}
+	return first
+}
+
+// Sync flushes every shard. A first pass issues every shard's dirty
+// data asynchronously, longest first as FsyncFile does, so the disks
+// transfer in parallel; the second pass syncs each shard, mostly just
+// waiting out its own horizon. All shards are attempted even when one
+// fails (a crashed shard must not block the others' durability); the
+// first error is returned.
+func (fs *FS) Sync() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	first := fs.fanOut(fs.byPending())
 	for i := range fs.shards {
 		if err := fs.on(i).Sync(); err != nil && first == nil {
 			first = err

@@ -98,6 +98,12 @@ type FS struct {
 	// Guarded by mu.
 	parked obs.ParkedWaits
 
+	// order and pending are byPending's buffers; rest is the tail of
+	// order that issueRest, the home fsync's step (made once, at
+	// mount), issues. So a fan-out allocates nothing. Guarded by mu.
+	order, pending, rest []int
+	issueRest            func()
+
 	// parts is what the router splits an operation's path (Rename and
 	// Link: both paths) into, so routing allocates nothing per call; the
 	// shard splits the path again into memory of its own. Guarded by mu.
@@ -182,12 +188,15 @@ func Mount(disks []*disk.Disk, opts Options) (*FS, error) {
 		return nil, err
 	}
 	fs := &FS{
-		shards: make([]*core.FS, len(disks)),
-		disks:  append([]*disk.Disk(nil), disks...),
-		clock:  disks[0].Clock(),
-		opts:   opts,
-		parts:  make([]string, 0, vfs.PathDepth),
+		shards:  make([]*core.FS, len(disks)),
+		disks:   append([]*disk.Disk(nil), disks...),
+		clock:   disks[0].Clock(),
+		opts:    opts,
+		parts:   make([]string, 0, vfs.PathDepth),
+		order:   make([]int, 0, len(disks)),
+		pending: make([]int, len(disks)),
 	}
+	fs.issueRest = func() { _ = fs.fanOut(fs.rest) }
 	for i, d := range disks {
 		sfs, err := core.Mount(d, shardConfig(opts, i))
 		if err != nil {

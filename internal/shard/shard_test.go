@@ -525,8 +525,186 @@ func TestParkedWaitRidesItsOwnOp(t *testing.T) {
 	}
 }
 
+// nameOn returns a name under dir that places on shard want.
+func nameOn(t *testing.T, fs *shard.FS, dir string, want int) string {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		p := fmt.Sprintf("%s/f%03d", dir, i)
+		if s, err := fs.ShardFor(p); err != nil {
+			t.Fatal(err)
+		} else if s == want {
+			return p
+		}
+	}
+	t.Fatalf("no name under %s places on shard %d", dir, want)
+	return ""
+}
+
+// shardLog records which shard issued each write request, and when,
+// in issue order across every disk it is attached to.
+type shardLog struct {
+	shards []int
+	issued []sim.Time
+}
+
+func (l *shardLog) Record(ev disk.Event) {
+	if ev.Kind == disk.OpWrite {
+		l.shards = append(l.shards, ev.Shard-1)
+		l.issued = append(l.issued, ev.Time.Add(-ev.Wait))
+	}
+}
+
+// TestFsyncIssuesLongestFirst: a cross-shard group commit ends when its
+// longest transfer lands, so the router issues the shards most pending
+// work first — those ahead of the home shard before its fsync, the rest
+// between the home commit's issue and its wait — and the home fsync
+// stays a group commit whose span carries the whole fan-out as
+// fanout_wait.
+func TestFsyncIssuesLongestFirst(t *testing.T) {
+	cfg := testConfig()
+	cfg.Trace = obs.NewRecorder() // one recorder across all four shards
+	fs := newShards(t, 4, shard.Options{Base: cfg})
+	if err := fs.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1 is home (2 blocks), shard 3 has the most (5 blocks),
+	// shard 0 the least (1 block), shard 2 nothing: in shard order
+	// with the home last, the least would go first.
+	const home = 1
+	blocks := []int{1, 2, 0, 5}
+	paths := make([]string, len(blocks))
+	for i, n := range blocks {
+		paths[i] = nameOn(t, fs, "/d", i)
+		if n > 0 {
+			if err := fs.Create(paths[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, cfg.BlockSize)
+	for i, n := range blocks {
+		for b := 0; b < n; b++ {
+			if err := fs.Write(paths[i], int64(b*cfg.BlockSize), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pending := make([]int, len(blocks))
+	for i := range pending {
+		pending[i] = fs.ShardFS(i).Pending()
+	}
+	if pending[3] <= pending[home] || pending[home] <= pending[0] || pending[0] <= pending[2] {
+		t.Fatalf("pending work %v, want shard 3 > 1 > 0 > 2", pending)
+	}
+	var log shardLog
+	for i := range blocks {
+		fs.Disk(i).SetTracer(&log)
+	}
+	commits := fs.ShardFS(home).Stats().GroupCommits
+	mark := len(cfg.Trace.Spans())
+
+	if err := fs.FsyncFile(paths[home]); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(log.shards) == 0 || log.shards[0] != 3 {
+		t.Fatalf("first write on shard %v, want shard 3 (pending %v)", log.shards, pending)
+	}
+	for k := 1; k < len(log.shards); k++ {
+		if prev, cur := log.shards[k-1], log.shards[k]; pending[cur] > pending[prev] {
+			t.Fatalf("write on shard %d (pending %d) after shard %d (pending %d): %v",
+				cur, pending[cur], prev, pending[prev], log.shards)
+		}
+	}
+	if got := fs.ShardFS(home).Stats().GroupCommits; got != commits+1 {
+		t.Errorf("home shard GroupCommits %d, want %d", got, commits+1)
+	}
+	var fsyncs []obs.Span
+	for _, s := range cfg.Trace.Spans()[mark:] {
+		if s.Op == "fsync" {
+			fsyncs = append(fsyncs, s)
+		}
+	}
+	if len(fsyncs) != 1 || fsyncs[0].Shard != home+1 {
+		t.Fatalf("fsync spans %+v, want one on shard %d", fsyncs, home+1)
+	}
+	sp := fsyncs[0]
+	if !sp.PhasesExact() {
+		t.Errorf("home fsync span: phases %v do not sum to latency %v", sp.Phases, sp.Latency())
+	}
+	// The fan-out ahead of the home shard runs from the span's start
+	// past the last write issued before the home shard's first; the
+	// step behind it from the home shard's last write to the next.
+	first, last := -1, -1
+	for k, i := range log.shards {
+		if i == home {
+			last = k
+			if first < 0 {
+				first = k
+			}
+		}
+	}
+	if first < 1 || last+1 >= len(log.shards) {
+		t.Fatalf("home shard's writes at %d..%d of %v, want shards on both sides", first, last, log.shards)
+	}
+	least := log.issued[first-1].Sub(sp.Start) + log.issued[last+1].Sub(log.issued[last])
+	totals := obs.PhaseTotals(sp.Phases)
+	if totals[obs.PhaseFanout] < least || totals[obs.PhaseCommitWait] <= 0 {
+		t.Errorf("home fsync span: fanout_wait %v (want at least %v), commit_wait %v (want > 0)",
+			totals[obs.PhaseFanout], least, totals[obs.PhaseCommitWait])
+	}
+
+	// A failing home fsync still issues the shards on both sides of it
+	// (its own pending work waits for the next commit).
+	for i, n := range blocks {
+		for b := 0; b < n; b++ {
+			if err := fs.Write(paths[i], int64(b*cfg.BlockSize), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	missing := findName(t, fs, "/d", "missing", paths[home], true)
+	if err := fs.FsyncFile(missing); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("fsync of a missing file: %v, want ErrNotExist", err)
+	}
+	for i := range blocks {
+		if n := fs.ShardFS(i).Pending(); i != home && n != 0 {
+			t.Errorf("shard %d: %d pending after the failed fsync, want 0", i, n)
+		}
+	}
+}
+
 // TestSteadyStateAllocs: the router splits the path to place it and the
-// shard splits it again to walk it, each into memory of its own.
+// shard splits it again to walk it, each into memory of its own; and a
+// Write plus FsyncFile through four shards, whose fan-out orders and
+// issues every shard, allocates nothing either.
 func TestSteadyStateAllocs(t *testing.T) {
 	fstest.RunSteadyStateAllocs(t, newShards(t, 2, shard.Options{Base: testConfig()}))
+
+	fs := newShards(t, 4, shard.Options{Base: testConfig()})
+	const path = "/commit"
+	if err := fs.Create(path); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8<<10)
+	i := 0
+	commit := func() {
+		buf[0] = byte(i)
+		if err := fs.Write(path, int64(i%32)*int64(len(buf)), buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.FsyncFile(path); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range 64 {
+		commit()
+	}
+	if n := testing.AllocsPerRun(100, commit); n != 0 {
+		t.Errorf("8 KB Write plus FsyncFile of an existing file: %v allocs per call, want 0", n)
+	}
 }

@@ -46,7 +46,7 @@ echo "== size =="
 # budgets below. Growth stays possible — by raising the number here, in
 # the diff, where a reviewer sees it. Lower it to the new figure when a
 # change shrinks the tree. CHANGES.md records each move and its cause.
-size_ceiling=24253
+size_ceiling=24318
 size="$(scripts/size.sh)"
 echo "$size lines of non-test Go (ceiling $size_ceiling)"
 if [ "$size" -gt "$size_ceiling" ]; then
